@@ -1,5 +1,5 @@
-"""The additive-group operator built from a coherent family: truncated
-series substitution in a cyclic-cover variable, descent back to k(t), and
+"""The additive-group operator built from a coherent family: Hasse-derivative
+expansion in a cyclic-cover variable, descent back to k(t) by regrouping, and
 verification of the operator axioms, stability, horizontality and kernel
 structure on finite windows."""
 
@@ -16,8 +16,8 @@ from .curves import A1, P1, ClosedPoint
 from .fields import FieldError
 from .geometry import (Cone, dot, in_lattice, lattice_basis, lattice_box, vec,
                        vadd, vscale)
-from .polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
-                          TruncatedSeries, descend_power, substitute_poly)
+from .polynomials import (FactoredRatFunc, Poly, RatFunc, TruncatedSeries,
+                          descend_power, hasse_expand, poly_gcd)
 from .reports import Report
 from .tvariety import PolyhedralDivisor
 
@@ -177,24 +177,31 @@ class DthetaOperator:
             else None
         return h, bound
 
-    def _substituted(self, h: RatFunc, order: int) -> TruncatedSeries:
-        """h(z + sum lambda_j T^{p^{s_j}}) as a series in T over k(z)."""
-        k = self.field
-        K = FractionField(k, "z")
-        coeffs = {0: RatFunc.x(k, 1)}
-        for q, lam in zip(self.exponents, self.theta.lam):
-            if q < order:
-                coeffs[q] = RatFunc.from_poly(Poly.const(k, lam))
-        base = TruncatedSeries(K, order, coeffs)
-
-        def lift(p: Poly) -> Poly:
-            return Poly(K, {e: RatFunc.from_poly(Poly.const(k, c))
-                            for e, c in p.coeffs.items()})
-
-        num = substitute_poly(lift(h.num), base)
+    def _substituted(self, h: RatFunc, order: int) -> dict:
+        """h(z + sum lambda_j T^{p^{s_j}}) as {i: coefficient of T^i in k(z)},
+        i < order, zero coefficients omitted.  The step has constant
+        coefficients, so num and den of h expand by Hasse derivatives into
+        polynomials N_i, D_i in z and are divided once: Q_i = P_i / den^(i+1)
+        with P_i = N_i den^i - sum_j D_j P_(i-j) den^(j-1)."""
+        step = TruncatedSeries(self.field, order, {
+            q: lam for q, lam in zip(self.exponents, self.theta.lam)})
+        num = hasse_expand(h.num, step)
         if h.is_poly():
-            return num
-        return num * substitute_poly(lift(h.den), base).inverse()
+            return {i: RatFunc.from_poly(c) for i, c in num.items()}
+        den = hasse_expand(h.den, step)
+        powers = [Poly.one(self.field)]
+        numer, out = {}, {}
+        for i in range(order):
+            powers.append(powers[-1] * h.den)
+            acc = num.get(i, Poly.zero(self.field)) * powers[i]
+            for j, d_j in den.items():
+                if 1 <= j <= i and i - j in numer:
+                    acc = acc - d_j * numer[i - j] * powers[j - 1]
+            if not acc.is_zero():
+                numer[i] = acc  # coprime to den^(i+1) iff coprime to den
+                out[i] = RatFunc(acc, powers[i + 1],
+                                 reduce=poly_gcd(acc, h.den).degree > 0)
+        return out
 
     def apply_term(self, f: RatFunc, m, max_order=None):
         """Images of one homogeneous term, as {order: (weight, coeff)}."""
@@ -208,10 +215,7 @@ class DthetaOperator:
             max_order = bound
         series = self._substituted(h, max_order + 1)
         out = {}
-        for i in range(max_order + 1):
-            c_i = series.coeff(i)
-            if c_i.is_zero():
-                continue
+        for i, c_i in sorted(series.items()):
             w = vadd(m, vscale(i, self.e))
             b = self.d * dot(w, self.v0)
             val = c_i * RatFunc.x(self.field, -int(b))

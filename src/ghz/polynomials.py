@@ -2,14 +2,14 @@
 
 Everything is generic over a coefficient field from :mod:`ghz.fields` (or a
 :class:`FractionField` built here), so the same machinery serves k[t],
-GF(p)(l) and the auxiliary variable rings used for power-substitution
-descent.
+GF(p)(l) and the cyclic-cover variable of the operator engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .binomials import binom_in_field
 from .fields import BaseField, FieldError
 
 
@@ -258,23 +258,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_ext_gcd(a: Poly, b: Poly):
-    """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    k = a.field
-    r0, r1 = a, b
-    u0, u1 = Poly.one(k), Poly.zero(k)
-    v0, v1 = Poly.zero(k), Poly.one(k)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    c = k.inv(r0.leading())
-    return r0.scale(c), u0.scale(c), v0.scale(c)
-
-
 class RatFunc:
     """Reduced fraction of polynomials with monic denominator."""
 
@@ -408,6 +391,9 @@ class FractionField(BaseField):
     def is_zero(self, a) -> bool:
         return a.is_zero()
 
+    def is_one(self, a) -> bool:
+        return a.den.is_one() and a.num.is_one()
+
     def from_int(self, n: int):
         return RatFunc.from_poly(Poly.const(self.inner, self.inner.from_int(n)))
 
@@ -518,7 +504,7 @@ class FactoredRatFunc:
                 num = num * p ** e
             else:
                 den = den * p ** (-e)
-        return RatFunc(num, den, reduce=False)
+        return RatFunc(num, den)
 
     def exponent_of(self, poly: Poly) -> int:
         for p, e in self.factors:
@@ -660,43 +646,47 @@ def substitute_poly(poly: Poly, base: TruncatedSeries) -> TruncatedSeries:
     return res
 
 
+def hasse_expand(poly: Poly, step: TruncatedSeries) -> dict:
+    """poly(z + S) = sum_n D^(n)poly(z) S^n as {i: coefficient of T^i in k[z]}.
+
+    S = ``step`` is a series over the coefficients of ``poly`` with no
+    constant term; D^(n) z^e = C(e, n) z^(e-n) is the n-th Hasse derivative,
+    so the formula holds in every characteristic.
+    """
+    k = poly.field
+    out = {}
+    power = TruncatedSeries.const(k, step.order, k.one())
+    for n in range(poly.degree + 1):
+        if power.is_zero():
+            break
+        dn = Poly(k, {e - n: k.mul(c, binom_in_field(e, n, k))
+                      for e, c in poly.coeffs.items() if e >= n})
+        for i, c in power.coeffs.items():
+            out[i] = out[i] + dn.scale(c) if i in out else dn.scale(c)
+        power = power * step
+    return {i: c for i, c in out.items() if not c.is_zero()}
+
+
 def descend_power(rf: RatFunc, d: int, shift) -> RatFunc:
     """Rewrite g(z) in k(z) as G(u) with u = z^d, then substitute u -> t - shift.
 
-    ``shift`` is a raw value of the coefficient field (the base point y0).
-    Raises FieldError when g is not a rational function of z^d; this is the
-    descent check of the operator engine.  Works in any characteristic, in
-    particular when p divides d, via arithmetic in k(u)[Z]/(Z^d - u).
+    ``rf`` must be reduced; ``shift`` is a raw value of the coefficient field
+    (the base point y0).  A reduced A/B in k(u) gives coprime A(z^d), B(z^d)
+    (substitute u = z^d into a Bezout identity), so g is a function of z^d
+    exactly when its numerator and denominator regroup by d, in any
+    characteristic.  Raises FieldError otherwise: the engine's descent check.
     """
-    k = rf.num.field
-    if d == 1:
+    try:
+        num, den = rf.num.regroup(d), rf.den.regroup(d)
+    except FieldError:
+        raise FieldError("descent failure: element is not a function of z^d"
+                         ) from None
+    k = rf.field
+    if not k.is_zero(shift):
         sub = Poly(k, {1: k.one(), 0: k.neg(shift)})
-        return rf.compose_poly(sub)
-    K = FractionField(k, "u")
-
-    def lift(p: Poly) -> Poly:
-        # p(z) as an element of K[Z], deg_Z < d, via z^(d*a+b) = u^a Z^b
-        out = {}
-        for e, c in p.coeffs.items():
-            a, b = divmod(e, d)
-            term = RatFunc.from_poly(Poly(k, {a: c}))
-            out[b] = K.add(out.get(b, K.zero()), term)
-        return Poly(K, out)
-
-    num_z = lift(rf.num)
-    den_z = lift(rf.den)
-    # modulus Z^d - u, irreducible over k(u)
-    modulus = Poly(K, {d: K.one(), 0: K.neg(K.generator())})
-    g, u_cof, _ = poly_ext_gcd(den_z, modulus)
-    if g.degree != 0:
-        raise FieldError("unexpected common factor with Z^d - u")
-    inv_den = u_cof.scale(K.inv(g.constant()))
-    prod = (num_z * inv_den) % modulus
-    if prod.degree > 0:
-        raise FieldError("descent failure: element is not a function of z^d")
-    g0 = prod.constant()  # RatFunc over k in u
-    sub = Poly(k, {1: k.one(), 0: k.neg(shift)})
-    return RatFunc(g0.num.compose(sub), g0.den.compose(sub))
+        num, den = num.compose(sub), den.compose(sub)
+    # a monic linear substitution keeps num, den coprime and den monic
+    return RatFunc(num, den, reduce=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,9 @@ from ghz.engine import (EngineError, GradedElement, build_operator,
                         verify_stability)
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, Polyhedron
-from ghz.polynomials import RatFunc, lambda_field, parse_factored, parse_poly
+from ghz.polynomials import (FractionField, Poly, RatFunc, TruncatedSeries,
+                             lambda_field, parse_factored, parse_poly,
+                             substitute_poly)
 from ghz.tvariety import PolyhedralDivisor, algebra_generators
 
 Q = Rationals()
@@ -30,7 +33,7 @@ def w25_operator():
     return K, D, build_operator(theta)
 
 
-def ramified_operator(field, s, override=False):
+def ramified_operator(field, s, override=False, lam=None):
     sigma = Cone.orthant(2)
     w0 = ClosedPoint.rational(field, field.zero())
     w1 = ClosedPoint.rational(field, field.one())
@@ -39,7 +42,8 @@ def ramified_operator(field, s, override=False):
         w1: Polyhedron.from_points([(F(1, 2), F(0)), (F(0), F(1))], sigma),
     })
     col = Coloring(D, {w0: (F(1, 2), F(0)), w1: (F(0), F(1))}, w0)
-    theta = CoherentFamily(col, (1, 0), s, (field.one(),))
+    lam = lam or (field.one(),)
+    theta = CoherentFamily(col, (1, 0), s, lam)
     return D, build_operator(theta, override=override)
 
 
@@ -130,6 +134,65 @@ def test_ramified_char2():
     rest = op.apply(GradedElement.term(F2, (0, 0), RatFunc.x(F2, 1)))
     assert rest.orders[2].to_str() == "((1)/(t))*chi^(2, 0)"
     assert verify_horizontal(op)
+
+
+def test_axioms_do_not_depend_on_written_form():
+    F2 = PrimeField(2)
+    D, op = ramified_operator(F2, (0,))
+    f = parse_factored("(t^2+1)*(t+1)^-1", F2)  # t^2 + 1 = (t + 1)^2
+    assert f.expand() == RatFunc.from_poly(parse_poly("t+1", F2))
+    rep = verify_axioms(op, [GradedElement.term(F2, (0, 1), f)], 4)
+    assert rep.ok, rep.violations
+
+
+def _series_oracle(op, h, order):
+    """h(z + S) by Horner evaluation and series inversion over k(z)."""
+    k = op.field
+    K = FractionField(k, "z")
+    coeffs = {0: RatFunc.x(k, 1)}
+    for q, lam in zip(op.exponents, op.theta.lam):
+        coeffs[q] = RatFunc.from_poly(Poly.const(k, lam))
+    base = TruncatedSeries(K, order, coeffs)
+
+    def lift(p):
+        return Poly(K, {e: RatFunc.from_poly(Poly.const(k, c))
+                        for e, c in p.coeffs.items()})
+
+    num = substitute_poly(lift(h.num), base)
+    return (num * substitute_poly(lift(h.den), base).inverse()).coeffs
+
+
+def _random_poly(rng, k, degree, scalars, monic=False):
+    coeffs = {e: rng.choice(scalars) for e in range(degree)}
+    coeffs[degree] = k.one() if monic else rng.choice(scalars[1:])
+    return Poly(k, coeffs)
+
+
+def test_substitution_matches_series_oracle():
+    K = lambda_field(2)
+    l = K.generator()
+    F3 = PrimeField(3)
+    ops = [ramified_operator(Q, (1,), override=True)[1],
+           ramified_operator(PrimeField(2), (0,))[1],
+           ramified_operator(PrimeField(2), (0, 1), override=True)[1],
+           ramified_operator(F3, (1,), override=True, lam=(F3.from_int(2),))[1],
+           w25_operator()[2],
+           ramified_operator(K, (0, 1), override=True, lam=(l, K.one()))[1]]
+    rng = random.Random(7)
+    for op in ops:
+        k = op.field
+        scalars = [k.zero(), k.one(), k.from_int(2), k.from_int(-1)]
+        if k == K:
+            scalars += [l, K.add(l, K.one())]
+        cases = [RatFunc.from_poly(_random_poly(rng, k, 3, scalars))
+                 for _ in range(2)]
+        cases += [RatFunc(_random_poly(rng, k, a, scalars),
+                          _random_poly(rng, k, b, scalars, monic=True))
+                  for a, b in ((0, 1), (2, 1), (1, 2))]
+        for h in cases:
+            bound = max(h.num.degree, h.den.degree) * op.nilpotency_exponent()
+            for order in range(1, bound + 2):
+                assert op._substituted(h, order) == _series_oracle(op, h, order)
 
 
 def test_ramified_char2_stability():

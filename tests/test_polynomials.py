@@ -6,8 +6,7 @@ from ghz.fields import FieldError, PrimeField, Rationals
 from ghz.polynomials import (FactoredRatFunc, FractionField, ParseError, Poly,
                              RatFunc, TruncatedSeries, descend_power,
                              lambda_field, parse_factored, parse_poly,
-                             parse_scalar, poly_ext_gcd, poly_gcd,
-                             substitute_poly)
+                             parse_scalar, poly_gcd, substitute_poly)
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -46,8 +45,6 @@ def test_poly_gcd():
     a = qp([1, 1]) * qp([2, 1])
     b = qp([1, 1]) * qp([3, 1])
     assert poly_gcd(a, b) == qp([1, 1])
-    g, u, v = poly_ext_gcd(a, b)
-    assert u * a + v * b == g
 
 
 def test_poly_to_str():
@@ -131,6 +128,14 @@ def test_descend_power():
     assert down == RatFunc.from_poly(qp([1, 0, 0, 1]))
     with pytest.raises(FieldError):
         descend_power(RatFunc.x(Q, 1), 2, Q.zero())
+    # characteristic 2 divides d = 2
+    K = lambda_field(2)
+    r = RatFunc(parse_poly("t^4+l", K), parse_poly("t^2+1", K))
+    down = descend_power(r, 2, K.zero())
+    assert down == RatFunc(parse_poly("t^2+l", K), parse_poly("t+1", K))
+    with pytest.raises(FieldError):
+        descend_power(RatFunc(parse_poly("t^3", F2), parse_poly("t^2+1", F2)),
+                      2, F2.zero())
 
 
 def test_descend_power_shift():
@@ -138,6 +143,11 @@ def test_descend_power_shift():
     r = RatFunc.from_poly(Poly(Q, {2: Q.one()}))
     down = descend_power(r, 2, Q.one())
     assert down == RatFunc.from_poly(qp([-1, 1]))
+    # characteristic 3 divides d = 3: (u^2 + 1)/(u + 2) at u = t - 1
+    F3 = PrimeField(3)
+    r = RatFunc(parse_poly("t^6+1", F3), parse_poly("t^3+2", F3))
+    down = descend_power(r, 3, F3.one())
+    assert down == RatFunc(parse_poly("t^2+t+2", F3), parse_poly("t+1", F3))
 
 
 def test_parse_factored():
