@@ -219,9 +219,6 @@ class Cone:
             return False
         return all(dot(l, v) == 0 for l in d.lineality)
 
-    def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(g) for g in other.generators())
-
     def interior_point(self):
         """A point in the relative interior (sum of generators)."""
         gens = self.generators()
@@ -239,9 +236,6 @@ class Cone:
 
     def is_pointed(self) -> bool:
         return not self.lineality
-
-    def is_ray(self, v) -> bool:
-        return primitive(v) in self.rays
 
     def __eq__(self, other):
         return (isinstance(other, Cone) and self.n == other.n
@@ -279,12 +273,12 @@ class Polyhedron:
                 pts.append(p)
         if not pts:
             raise GeometryError("a polyhedron needs at least one point")
+        if len(pts) == 1:
+            # the normal cone of a lone point is the dual of the pointed
+            # tail, which is full-dimensional: the point is the vertex
+            return cls(n, pts, tail)
         verts = [p for p in pts if _normal_cone_data(p, pts, tail)[2] == n]
         return cls(n, sorted(verts), tail)
-
-    @classmethod
-    def single_point(cls, point, tail: Cone):
-        return cls.from_points([point], tail)
 
     def minimize(self, m):
         """min over the polyhedron of <m, .>, or None for minus infinity."""
@@ -300,11 +294,6 @@ class Polyhedron:
         if best is None:
             return []
         return [v for v in self.vertices if dot(m, v) == best]
-
-    def translate(self, w):
-        w = vec(w)
-        return Polyhedron(self.n, sorted(vadd(v, w) for v in self.vertices),
-                          self.tail)
 
     def scale(self, c):
         if c <= 0:
@@ -343,8 +332,10 @@ def _normal_cone_data(v, points, tail: Cone):
     return lin, rays, (rank(gens) if gens else 0)
 
 
-def minkowski_weighted_sum(terms):
-    """Weighted Minkowski sum of polyhedra with a common tail cone."""
+def minkowski_points(terms):
+    """Every weighted sum of vertices, one per term: the weighted Minkowski
+    sum of polyhedra with a common tail cone is their convex hull plus the
+    tail."""
     terms = list(terms)
     if not terms:
         raise GeometryError("empty Minkowski sum")
@@ -358,7 +349,13 @@ def minkowski_weighted_sum(terms):
             raise GeometryError("weights must be positive")
         scaled = [vscale(weight, v) for v in p.vertices]
         sums = [vadd(s, w) for s in sums for w in scaled]
-    return Polyhedron.from_points(sums, tail)
+    return sums
+
+
+def minkowski_weighted_sum(terms):
+    """Weighted Minkowski sum of polyhedra with a common tail cone."""
+    terms = list(terms)
+    return Polyhedron.from_points(minkowski_points(terms), terms[0][1].tail)
 
 
 def cone_from_polyhedron_at_height(p: Polyhedron, h, extra_rays=()):

@@ -110,12 +110,6 @@ class Poly:
         k = self.field
         return Poly(k, {e: k.mul(a, c) for e, a in self.coeffs.items()})
 
-    def shift(self, n: int):
-        """Multiply by x^n (n >= 0, or n < 0 when divisible)."""
-        if n < 0 and any(e + n < 0 for e in self.coeffs):
-            raise FieldError("negative shift below degree 0")
-        return Poly(self.field, {e + n: c for e, c in self.coeffs.items()})
-
     def __pow__(self, n: int):
         if n < 0:
             raise FieldError("negative power of a polynomial")
@@ -154,9 +148,6 @@ class Poly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def exact_div(self, other):
         q, r = self.divmod(other)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .curves import (A1, P1, ClosedPoint, ModuleDescription, QDivisor,
                      h0_generators, insep_profile)
 from .geometry import (Cone, GeometryError, Polyhedron, dot,
-                       minkowski_weighted_sum, vec, vsub)
+                       minkowski_points, minkowski_weighted_sum, vec, vsub)
 from .polynomials import FactoredRatFunc, Poly, RatFunc
 from .reports import Report
 
@@ -39,7 +39,8 @@ class PolyhedralDivisor:
         return Polyhedron.from_points([origin], self.tail)
 
     def polyhedron_at(self, y: ClosedPoint) -> Polyhedron:
-        return self.support.get(y, self.tail_polyhedron())
+        p = self.support.get(y)
+        return self.tail_polyhedron() if p is None else p
 
     def support_points(self, exclude=None):
         out = []
@@ -69,19 +70,21 @@ class PolyhedralDivisor:
             if y.trusted:
                 rep.trust(f"irreducibility of {y.to_str()} was not proven")
         if self.curve == P1 and rep.ok:
-            deg = self.degree_polyhedron()
             origin = tuple(Fraction(0) for _ in range(self.rank))
-            inside = all(self.tail.contains(v) for v in deg.vertices)
-            if not inside:
+            terms = self._degree_terms()
+            sums = minkowski_points(terms) if terms else [origin]
+            # deg D is the hull of these sums plus sigma, so it lies in the
+            # convex cone sigma exactly when every sum does
+            if not all(self.tail.contains(x) for x in sums):
                 rep.fail("deg D is not contained in the tail cone")
-            elif any(v == origin for v in deg.vertices) or (
-                    deg.vertices == (origin,)):
+                return rep
+            deg = Polyhedron.from_points(sums, self.tail)
+            if origin in deg.vertices:
                 rep.fail("deg D is not a proper subset of the tail cone "
                          "(0 is a vertex of deg D)")
-            else:
+            elif _polyhedron_contains(deg, origin):
                 # properness: deg D = sigma exactly when 0 in deg D
-                if _polyhedron_contains(deg, origin):
-                    rep.fail("deg D equals the tail cone (0 lies in deg D)")
+                rep.fail("deg D equals the tail cone (0 lies in deg D)")
         return rep
 
     # -- evaluation ---------------------------------------------------------
@@ -108,13 +111,13 @@ class PolyhedralDivisor:
 
     # -- degree and linearity ----------------------------------------------
 
+    def _degree_terms(self, y_infinity=None):
+        return [(y.degree, p) for y, p in self.support.items()
+                if y_infinity is None or y != y_infinity]
+
     def degree_polyhedron(self, y_infinity=None) -> Polyhedron:
         """deg D, restricted to the complement of y_infinity when given."""
-        terms = []
-        for y, p in self.support.items():
-            if y_infinity is not None and y == y_infinity:
-                continue
-            terms.append((y.degree, p))
+        terms = self._degree_terms(y_infinity)
         if not terms:
             return self.tail_polyhedron()
         return minkowski_weighted_sum(terms)

@@ -1,17 +1,21 @@
+import random
 from fractions import Fraction as F
+from math import floor
 
 import pytest
 
 from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
-                            associated_cones, candidate_colorings,
-                            coherent_validate, coloring_validate,
-                            demazure_root_check, demazure_roots_enumerate,
-                            enumerate_coherent, equivalence_probe,
-                            floor_condition_check, toricity_check)
-from ghz.curves import A1, P1, ClosedPoint, point_validate
+                            _random_family, associated_cones,
+                            candidate_colorings, coherent_validate,
+                            coloring_validate, demazure_root_check,
+                            demazure_roots_enumerate, enumerate_coherent,
+                            equivalence_probe, floor_condition_check,
+                            toricity_check)
+from ghz.curves import A1, P1, ClosedPoint, insep_profile, point_validate
 from ghz.fields import PrimeField, Rationals
-from ghz.geometry import Cone, Polyhedron
+from ghz.geometry import Cone, Polyhedron, dot, lattice_box, vadd, vec
 from ghz.polynomials import lambda_field, parse_poly
+from ghz.reports import Report
 from ghz.tvariety import PolyhedralDivisor
 
 Q = Rationals()
@@ -168,6 +172,73 @@ def test_floor_conditions_match_vertex_conditions():
     assert not rep.ok
 
 
+def _floor_condition_check_per_weight(theta, m_bound):
+    """Reference: the floor conditions with every polyhedron looked up and
+    minimized again at each weight."""
+    rep = Report("floor conditions")
+    c = theta.coloring
+    div = c.divisor
+    p = div.field.char_exponent
+    cones = associated_cones(c)
+    d, pu = cones.d, p ** cones.u
+    q = p ** theta.s[0]
+    qe = tuple(q * x for x in vec(theta.e))
+    dual = div.tail.dual()
+    v0 = c.vertex(c.y0)
+    v_deg = c.v_deg()
+
+    def h_at(y, m, vy):
+        return div.polyhedron_at(y).minimize(m) - dot(m, vy)
+
+    for m in lattice_box(div.rank, m_bound):
+        if not dual.contains(m):
+            continue
+        m2 = vadd(vec(m), qe)
+        if not dual.contains(m2):
+            continue
+        for y in c.colored_points():
+            if y == c.y0:
+                continue
+            eps = 1 if y.is_infinity else insep_profile(y).epsilon
+            vy = c.vertex(y)
+            a, b = h_at(y, vec(m), vy), h_at(y, m2, vy)
+            if b != 0 and floor(pu * eps * b) - floor(pu * eps * a) < 1:
+                rep.fail(f"(4): m={m} at [{y.to_str()}]: "
+                         f"{floor(pu * eps * b)} - {floor(pu * eps * a)} < 1")
+        h0a = div.polyhedron_at(c.y0).minimize(vec(m))
+        h0b = div.polyhedron_at(c.y0).minimize(m2)
+        if h0b != dot(m2, v0):
+            if floor(d * h0b) - floor(d * h0a) < 1 + d * dot(qe, v0):
+                rep.fail(f"(5): m={m}: {floor(d * h0b)} - {floor(d * h0a)} "
+                         f"< {1 + d * dot(qe, v0)}")
+        if div.curve == P1:
+            ga = div.polyhedron_at(c.y_infinity).minimize(vec(m)) \
+                + dot(vec(m), v_deg)
+            gb = div.polyhedron_at(c.y_infinity).minimize(m2) + dot(m2, v_deg)
+            if floor(d * gb) - floor(d * ga) < -1:
+                rep.fail(f"(6): m={m}: {floor(d * gb)} - {floor(d * ga)} < -1")
+    return rep
+
+
+def test_floor_condition_check_matches_per_weight_reference():
+    rng = random.Random(23)
+    failing = 0
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for curve in (A1, P1):
+            drawn = 0
+            while drawn < 8:
+                theta = _random_family(rng, field, curve, rng.choice([1, 2]))
+                if theta is None:
+                    continue
+                drawn += 1
+                for m_bound in (3, 6):
+                    want = _floor_condition_check_per_weight(theta, m_bound)
+                    got = floor_condition_check(theta, m_bound)
+                    assert got.to_dict() == want.to_dict(), theta.describe()
+                    failing += not want.ok
+    assert failing > 0
+
+
 def test_enumerate_coherent_hyperbolic():
     K = lambda_field(2)
     D, col = hyperbolic_w25(K, "t^2+l")
@@ -192,8 +263,11 @@ def test_equivalence_probe_small():
     for p in (1, 2):
         rep = equivalence_probe(10, p, A1, 1, seed=3)
         assert rep.ok, rep.violations
+        assert rep.notes[0] == "10 instances agreed"
     rep = equivalence_probe(5, 2, P1, 2, seed=3)
     assert rep.ok, rep.violations
+    assert rep.notes == ["5 instances agreed",
+                         "skipped 0 instances (ClassifierError)"]
 
 
 def test_toricity():

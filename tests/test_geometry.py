@@ -2,10 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ghz.geometry import (Cone, GeometryError, Polyhedron, in_lattice,
-                          lattice_basis, lattice_box,
-                          cone_from_polyhedron_at_height,
-                          minkowski_weighted_sum, nullspace, primitive, rank)
+from ghz.geometry import (Cone, GeometryError, Polyhedron, _normal_cone_data,
+                          in_lattice, lattice_basis, lattice_box,
+                          cone_from_polyhedron_at_height, minkowski_points,
+                          minkowski_weighted_sum, nullspace, primitive, rank,
+                          vec)
 
 
 def test_primitive():
@@ -74,6 +75,28 @@ def test_minkowski_weighted_sum():
     b = Polyhedron.from_points([(F(1, 2),)], tail)
     s = minkowski_weighted_sum([(F(2), a), (F(1), b)])
     assert sorted(s.vertices) == [(F(1, 2),), (F(5, 2),)]
+    assert minkowski_points([(F(2), a), (F(1), b)]) == [(F(1, 2),), (F(5, 2),)]
+
+
+def test_one_point_polyhedron_matches_generic_path():
+    tails = [Cone.zero(1), Cone.orthant(1), Cone.from_generators([(-1,)], 1),
+             Cone.zero(2), Cone.orthant(2),
+             Cone.from_generators([(1, 2), (2, 1)], 2),
+             Cone.from_generators([(1, -1)], 2),
+             Cone.zero(3), Cone.orthant(3),
+             Cone.from_generators([(1, 1, 1)], 3),
+             Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 0, 1),
+                                   (0, 1, 1)], 3)]
+    for tail in tails:
+        pt = vec(F(i - 1, i + 2) for i in range(tail.n))
+        generic = [v for v in [pt]
+                   if _normal_cone_data(v, [pt], tail)[2] == tail.n]
+        expected = Polyhedron(tail.n, generic, tail)
+        assert Polyhedron.from_points([pt], tail) == expected
+        assert Polyhedron.from_points([pt, pt], tail) == expected
+    halfplane = Cone.from_generators([(1, 0), (-1, 0), (0, 1)], 2)
+    with pytest.raises(GeometryError):
+        Polyhedron.from_points([(F(0), F(0))], halfplane)
 
 
 def test_cone_from_polyhedron_at_height():

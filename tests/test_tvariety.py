@@ -60,7 +60,35 @@ def test_p1_positivity():
         y0: Polyhedron.from_points([(F(-1, 3),)], sigma),
         inf: Polyhedron.from_points([(F(1, 3),)], sigma),
     })
-    assert not bad.validate().ok
+    assert bad.validate().violations == [
+        "deg D is not a proper subset of the tail cone (0 is a vertex of deg D)"]
+    outside = PolyhedralDivisor(Q, P1, sigma, {
+        y0: Polyhedron.from_points([(F(-1, 3),)], sigma),
+        inf: Polyhedron.from_points([(F(1, 6),)], sigma),
+    })
+    assert outside.validate().violations == [
+        "deg D is not contained in the tail cone"]
+    # here deg D = sigma; as sigma is pointed, 0 is then a vertex of deg D
+    orthant = Cone.orthant(2)
+    apex = PolyhedralDivisor(Q, P1, orthant, {
+        y0: Polyhedron.from_points([(F(0), F(1)), (F(-1, 2), F(0))], orthant),
+        inf: Polyhedron.from_points([(F(1, 2), F(0))], orthant),
+    })
+    assert apex.validate().violations == [
+        "deg D is not a proper subset of the tail cone (0 is a vertex of deg D)"]
+
+
+def test_polyhedron_at_looks_up_the_support_first(monkeypatch):
+    K, y0, y, D = hyperbolic_w25()
+
+    def no_tail(self):
+        raise AssertionError("tail polyhedron built")
+
+    monkeypatch.setattr(PolyhedralDivisor, "tail_polyhedron", no_tail)
+    assert D.polyhedron_at(y0) is D.support[y0]
+    assert D.polyhedron_at(y) is D.support[y]
+    with pytest.raises(AssertionError):
+        D.polyhedron_at(ClosedPoint.rational(K, K.one()))
 
 
 def test_eval_and_generator():
