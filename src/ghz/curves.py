@@ -297,12 +297,6 @@ class QDivisor:
         return f"QDivisor({self.to_str()})"
 
 
-def divisor_floor_deg(e: QDivisor):
-    """Pointwise floor together with the weighted degree of the floor."""
-    fl = e.floor()
-    return fl, fl.degree()
-
-
 def principal_divisor(f: FactoredRatFunc, curve: str,
                       policy: str = "trusted") -> QDivisor:
     """div(f) on A1 or P1 for a factored rational function.

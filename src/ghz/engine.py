@@ -111,9 +111,6 @@ class ApplicationResult:
     max_order: int        # orders were computed for 0..max_order
     exact: bool           # True when max_order covers the nilpotency bound
 
-    def value(self, i: int) -> GradedElement:
-        return self.orders.get(i)
-
     def nonzero_orders(self):
         return sorted(self.orders)
 

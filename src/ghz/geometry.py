@@ -295,12 +295,6 @@ class Polyhedron:
             return []
         return [v for v in self.vertices if dot(m, v) == best]
 
-    def scale(self, c):
-        if c <= 0:
-            raise GeometryError("positive scaling only")
-        return Polyhedron(self.n, sorted(vscale(c, v) for v in self.vertices),
-                          self.tail)
-
     def normal_fan(self):
         """[(vertex, cone of m where the vertex is minimizing)]; the cones
         cover the dual of the tail."""

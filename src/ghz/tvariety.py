@@ -1,16 +1,17 @@
 """Polyhedral divisors over the affine or projective line and the graded
 algebra they describe: evaluation, graded pieces, degree polyhedron,
-linearity fan, base change profile, membership and generator search."""
+linearity fan, membership and generator search."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (A1, P1, ClosedPoint, ModuleDescription, QDivisor,
-                     h0_generators, insep_profile)
-from .geometry import (Cone, GeometryError, Polyhedron, dot,
-                       minkowski_points, minkowski_weighted_sum, vec, vsub)
+                     h0_generators)
+from .geometry import (Cone, Polyhedron, minkowski_points,
+                       minkowski_weighted_sum, vec)
 from .polynomials import FactoredRatFunc, Poly, RatFunc
 from .reports import Report
 
@@ -79,12 +80,11 @@ class PolyhedralDivisor:
                 rep.fail("deg D is not contained in the tail cone")
                 return rep
             deg = Polyhedron.from_points(sums, self.tail)
+            # sigma is pointed, so 0 lies in deg D (a subset of sigma) only
+            # as a vertex: this is the whole properness test
             if origin in deg.vertices:
                 rep.fail("deg D is not a proper subset of the tail cone "
                          "(0 is a vertex of deg D)")
-            elif _polyhedron_contains(deg, origin):
-                # properness: deg D = sigma exactly when 0 in deg D
-                rep.fail("deg D equals the tail cone (0 lies in deg D)")
         return rep
 
     # -- evaluation ---------------------------------------------------------
@@ -169,22 +169,6 @@ class PolyhedralDivisor:
                 return assign
         raise DivisorError("could not find a generic interior weight")
 
-    # -- base change --------------------------------------------------------
-
-    def base_change_profile(self):
-        """Per-point splitting data over the algebraic closure."""
-        out = []
-        for y in self.support_points():
-            p = self.support[y]
-            if y.is_infinity:
-                out.append(BaseChangeEntry(y, 1, 1, p, ("infinity",)))
-                continue
-            prof = insep_profile(y)
-            scaled = p.scale(prof.epsilon) if prof.epsilon > 1 else p
-            tags = tuple(f"{y.to_str()}#conj{i}" for i in range(prof.s))
-            out.append(BaseChangeEntry(y, prof.epsilon, prof.s, scaled, tags))
-        return out
-
     # -- membership ---------------------------------------------------------
 
     def membership(self, f, m) -> bool:
@@ -203,28 +187,6 @@ class PolyhedralDivisor:
         return True
 
 
-@dataclass(frozen=True)
-class BaseChangeEntry:
-    point: ClosedPoint
-    epsilon: int
-    s: int
-    polyhedron: Polyhedron
-    tags: tuple
-
-
-def _polyhedron_contains(p: Polyhedron, x) -> bool:
-    """Exact membership via the normal fan support description."""
-    x = vec(x)
-    for v, cone in p.normal_fan():
-        gens = cone.generators()
-        if all(dot(g, vsub(x, v)) >= 0 for g in gens):
-            # x minus v pairs nonnegatively with the normal cone of v iff
-            # <m, x> >= <m, v> = min on that cone; checking all vertices
-            continue
-        return False
-    return True
-
-
 # -- generator search -------------------------------------------------------
 
 @dataclass
@@ -241,16 +203,6 @@ class AlgebraGenerator:
 
     def to_str(self) -> str:
         return f"{self.coeff.to_str()} * chi^{self.weight}"
-
-
-def _frf_gcd(a: FactoredRatFunc, b: FactoredRatFunc) -> FactoredRatFunc:
-    """gcd of two factored polynomials (min exponents per factor)."""
-    field = a.field
-    exps = {}
-    for poly, e in a.factors:
-        exps[poly] = min(e, b.exponent_of(poly))
-    factors = [(p, e) for p, e in exps.items() if e > 0]
-    return FactoredRatFunc(field, field.one(), factors)
 
 
 def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
@@ -280,37 +232,65 @@ def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
     weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
     fgen = {m: div.generator(m) for m in weights}
 
+    # Each f_m is a unit times distinct monic factors, so a reach value
+    # h * f_m * k[t] with h a polynomial in those factors is an exponent
+    # vector over every factor of every f_m.
+    index = {}
+    for f in fgen.values():
+        for poly, _ in f.factors:
+            index.setdefault(poly, len(index))
+    zero = (0,) * len(index)
+    expo = {}
+    for m, f in fgen.items():
+        expo[m] = list(zero)
+        for poly, e in f.factors:
+            expo[m][index[poly]] = e
+    # splits[m]: (m1, m2, exponents of f_m1 * f_m2 / f_m) for m = m1 + m2
+    # with m1 <= m2; users[w]: the weights with a split that has w as a part
+    splits = {m: [] for m in weights}
+    users = {m: set() for m in weights}
+    for m1 in weights:
+        for m2 in weights:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            if m2 < m1 or m not in splits:
+                continue
+            quot = tuple(a + b - c for a, b, c in zip(expo[m1], expo[m2],
+                                                      expo[m]))
+            splits[m].append((m1, m2, quot))
+            users[m1].add(m)
+            users[m2].add(m)
+
     def saturate(chosen):
-        """reach[m] = h with reachable submodule h * f_m * k[t], or None."""
-        reach = {m: (FactoredRatFunc.one(field) if m in chosen else None)
-                 for m in weights}
-        changed = True
-        while changed:
-            changed = False
-            for m in weights:
-                for m1 in weights:
-                    m2 = tuple(a - b for a, b in zip(m, m1))
-                    if m2 not in fgen or m2 < m1:
-                        continue
-                    h1, h2 = reach[m1], reach[m2]
-                    if h1 is None or h2 is None:
-                        continue
-                    quot = fgen[m1] * fgen[m2] / fgen[m]
-                    cand = h1 * h2 * quot
-                    if not cand.is_polynomial():
-                        raise DivisorError("superadditivity violated")
-                    cur = reach[m]
-                    new = cand if cur is None else _frf_gcd(cur, cand)
-                    if cur is None or new != cur:
-                        reach[m] = new
-                        changed = True
+        """reach[m] = exponents of h with reachable submodule h * f_m * k[t],
+        or None: the greatest fixpoint, by a worklist that revisits a weight
+        only when one of its split parts changed."""
+        reach = {m: (zero if m in chosen else None) for m in weights}
+        queue = deque(weights)
+        queued = set(weights)
+        while queue:
+            m = queue.popleft()
+            queued.discard(m)
+            cur = reach[m]
+            for m1, m2, quot in splits[m]:
+                h1, h2 = reach[m1], reach[m2]
+                if h1 is None or h2 is None:
+                    continue
+                cand = tuple(map(sum, zip(h1, h2, quot)))
+                if cand and min(cand) < 0:
+                    raise DivisorError("superadditivity violated")
+                cur = cand if cur is None else tuple(map(min, cur, cand))
+            if cur != reach[m]:
+                reach[m] = cur
+                for u in users[m]:
+                    if u not in queued:
+                        queued.add(u)
+                        queue.append(u)
         return reach
 
     chosen = []
     while True:
         reach = saturate(set(chosen))
-        missing = [m for m in weights
-                   if reach[m] is None or not reach[m].is_unit()]
+        missing = [m for m in weights if reach[m] != zero]
         if not missing:
             break
         chosen.append(missing[0])
@@ -319,7 +299,7 @@ def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
     for m in list(chosen):
         trial = [g for g in chosen if g != m]
         reach = saturate(set(trial))
-        if reach[m] is not None and reach[m].is_unit():
+        if reach[m] == zero:
             chosen = trial
 
     gens = [AlgebraGenerator((0,) * div.rank,

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from ghz.curves import A1, P1, ClosedPoint, point_validate
 from ghz.fields import PrimeField, Rationals
-from ghz.geometry import Cone, Polyhedron
-from ghz.polynomials import lambda_field, parse_factored, parse_poly
-from ghz.tvariety import (DivisorError, PolyhedralDivisor, algebra_generators)
+from ghz.geometry import Cone, Polyhedron, lattice_box
+from ghz.polynomials import (FactoredRatFunc, Poly, lambda_field,
+                             parse_factored, parse_poly)
+from ghz.tvariety import (AlgebraGenerator, DivisorError,
+                          GeneratorCertificate, PolyhedralDivisor,
+                          algebra_generators)
 
 Q = Rationals()
 
@@ -160,3 +164,154 @@ def test_algebra_generators_weight_cone():
     gens, _ = algebra_generators(E, 4, weight_cone=omega2)
     for g in gens:
         assert omega2.contains(g.weight)
+
+
+def test_superadditivity_violation_raises(monkeypatch):
+    K, y0, y, D = hyperbolic_w25()
+    generator = PolyhedralDivisor.generator
+    t_inv = parse_factored("t^-1", K)
+
+    def broken(self, m):
+        f = generator(self, m)
+        # then f_5 * f_5 / f_10 has a negative exponent at t
+        return f * t_inv if m == (5,) else f
+
+    monkeypatch.setattr(PolyhedralDivisor, "generator", broken)
+    with pytest.raises(DivisorError, match="superadditivity violated"):
+        algebra_generators(D, 10)
+
+
+def _frf_gcd(a, b):
+    """gcd of two factored polynomials (min exponents per factor)."""
+    field = a.field
+    exps = {}
+    for poly, e in a.factors:
+        exps[poly] = min(e, b.exponent_of(poly))
+    factors = [(p, e) for p, e in exps.items() if e > 0]
+    return FactoredRatFunc(field, field.one(), factors)
+
+
+def _reference_algebra_generators(div, bound, weight_cone=None):
+    """The generator search with the full FactoredRatFunc fixpoint rerun on
+    every pass over all weight pairs."""
+    field = div.field
+    dual = div.tail.dual()
+    weights = []
+    for m in lattice_box(div.rank, bound):
+        if all(c == 0 for c in m):
+            continue
+        if not dual.contains(m):
+            continue
+        if weight_cone is not None and not weight_cone.contains(m):
+            continue
+        weights.append(m)
+    weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
+    fgen = {m: div.generator(m) for m in weights}
+
+    def saturate(chosen):
+        """reach[m] = h with reachable submodule h * f_m * k[t], or None."""
+        reach = {m: (FactoredRatFunc.one(field) if m in chosen else None)
+                 for m in weights}
+        changed = True
+        while changed:
+            changed = False
+            for m in weights:
+                for m1 in weights:
+                    m2 = tuple(a - b for a, b in zip(m, m1))
+                    if m2 not in fgen or m2 < m1:
+                        continue
+                    h1, h2 = reach[m1], reach[m2]
+                    if h1 is None or h2 is None:
+                        continue
+                    quot = fgen[m1] * fgen[m2] / fgen[m]
+                    cand = h1 * h2 * quot
+                    if not cand.is_polynomial():
+                        raise DivisorError("superadditivity violated")
+                    cur = reach[m]
+                    new = cand if cur is None else _frf_gcd(cur, cand)
+                    if cur is None or new != cur:
+                        reach[m] = new
+                        changed = True
+        return reach
+
+    chosen = []
+    while True:
+        reach = saturate(set(chosen))
+        missing = [m for m in weights
+                   if reach[m] is None or not reach[m].is_unit()]
+        if not missing:
+            break
+        chosen.append(missing[0])
+
+    # minimalization: drop members generated by the rest
+    for m in list(chosen):
+        trial = [g for g in chosen if g != m]
+        reach = saturate(set(trial))
+        if reach[m] is not None and reach[m].is_unit():
+            chosen = trial
+
+    gens = [AlgebraGenerator((0,) * div.rank,
+                             FactoredRatFunc(field, field.one(),
+                                             [(Poly.x(field), 1)]))]
+    gens.extend(AlgebraGenerator(m, fgen[m]) for m in sorted(chosen))
+    shell = max((max(abs(c) for c in m) for m in chosen), default=0)
+    cert = GeneratorCertificate(
+        bound=bound,
+        complete=shell < bound,
+        note=(f"every graded piece with weight coordinates up to {bound} is "
+              f"generated; outermost generator shell {shell}"))
+    return gens, cert
+
+
+def _random_a1_divisor(rng, field, points, rank):
+    def vertex():
+        return tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
+                     for _ in range(rank))
+
+    tails = [Cone.zero(rank)] + [
+        Cone.from_generators([g], rank)
+        for g in ([(1,), (-1,)] if rank == 1 else [(1, 0), (1, -1), (0, 1)])]
+    if rank == 2:
+        tails += [Cone.orthant(2), Cone.from_generators([(1, 0), (1, 2)], 2)]
+    tail = rng.choice(tails)
+    support = {}
+    for text in rng.sample(points, rng.randint(1, min(3, len(points)))):
+        y = point_validate(parse_poly(text, field), "trusted")
+        support[y] = Polyhedron.from_points(
+            [vertex() for _ in range(rng.randint(1, 2))], tail)
+    return PolyhedralDivisor(field, A1, tail, support)
+
+
+def test_algebra_generators_match_reference_fixpoint():
+    """The worklist search gives the reference's generators and
+    certificate on random divisors over A1."""
+    rng = random.Random(31)
+    fields = [
+        (Q, ["t", "t - 1", "t + 2", "t^2 + 1"]),
+        (PrimeField(2), ["t", "t + 1", "t^2 + t + 1"]),
+        (PrimeField(3), ["t", "t + 1", "t + 2", "t^2 + 1"]),
+        (lambda_field(2), ["t", "t + 1", "t + l", "t^2 + l"]),
+    ]
+    cones = {1: [Cone.from_generators([(1,)], 1)],
+             2: [Cone.from_generators([(0, 1), (2, 1)], 2),
+                 Cone.from_generators([(1, 0), (1, 1)], 2)]}
+    compared = 0
+    w25_points = 0
+    for field, points in fields:
+        for rank, bound in ((1, 8), (2, 2)):
+            for _ in range(6):
+                div = _random_a1_divisor(rng, field, points, rank)
+                assert div.validate().ok
+                w25_points += any(y.to_str() == "t^2 + l"
+                                  for y in div.support)
+                for cone in [None] + cones[rank]:
+                    got_gens, got = algebra_generators(div, bound, cone)
+                    ref_gens, ref = _reference_algebra_generators(
+                        div, bound, cone)
+                    assert [g.to_str() for g in got_gens] == \
+                        [g.to_str() for g in ref_gens]
+                    assert (got.bound, got.complete, got.note) == \
+                        (ref.bound, ref.complete, ref.note)
+                    compared += 1
+    assert compared == 4 * 6 * (2 + 3)
+    assert w25_points > 0
