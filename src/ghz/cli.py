@@ -275,12 +275,14 @@ def main(argv=None) -> int:
                 for key in sorted(builtin_examples()):
                     rep.note(key)
                 return _emit(rep, args.as_json, time.time() - start)
-            sc = load_builtin(name, field_override=field_override)
+            sc = load_builtin(name, field_override=field_override,
+                              trust_irreducible=args.trust_irreducible)
             command = args.run or "validate"
             rep = run_command(sc, command, args)
             return _emit(rep, args.as_json, time.time() - start)
         if args.example:
-            sc = load_builtin(args.example, field_override=field_override)
+            sc = load_builtin(args.example, field_override=field_override,
+                              trust_irreducible=args.trust_irreducible)
         elif args.scenario:
             with open(args.scenario, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -6,13 +6,11 @@ structure on finite windows."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .binomials import binom_in_field
-from .classifier import (Coloring, CoherentFamily, associated_cones,
-                         coherent_validate, demazure_root_check)
-from .curves import A1, P1, ClosedPoint
+from .classifier import (CoherentFamily, associated_cones, coherent_validate,
+                         demazure_root_check)
+from .curves import A1, P1
 from .fields import FieldError
 from .geometry import (Cone, dot, in_lattice, lattice_basis, lattice_box, vec,
                        vadd, vscale)
@@ -169,7 +167,7 @@ class DthetaOperator:
         a = self.d * dot(m, self.v0)
         if a.denominator != 1:
             raise EngineError("non-integral twist exponent")
-        h = h * RatFunc.x(k, int(a))
+        h = h.times_x(int(a))
         bound = h.num.degree * self.nilpotency_exponent() if h.is_poly() \
             else None
         return h, bound
@@ -215,7 +213,7 @@ class DthetaOperator:
         for i, c_i in sorted(series.items()):
             w = vadd(m, vscale(i, self.e))
             b = self.d * dot(w, self.v0)
-            val = c_i * RatFunc.x(self.field, -int(b))
+            val = c_i.times_x(-int(b))
             try:
                 descended = descend_power(val, self.d, self.y0_value)
             except FieldError as exc:
@@ -369,48 +367,6 @@ def verify_horizontal(op: DthetaOperator, max_order=None) -> bool:
 
 # -- kernel computation -----------------------------------------------------
 
-def _field_nullspace(rows, ncols, field):
-    """Right nullspace basis of a matrix with raw field entries."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    cur = 0
-    for col in range(ncols):
-        piv = next((i for i in range(cur, len(mat))
-                    if not field.is_zero(mat[i][col])), None)
-        if piv is None:
-            continue
-        mat[cur], mat[piv] = mat[piv], mat[cur]
-        inv = field.inv(mat[cur][col])
-        mat[cur] = [field.mul(inv, x) for x in mat[cur]]
-        for i in range(len(mat)):
-            if i != cur and not field.is_zero(mat[i][col]):
-                f = mat[i][col]
-                mat[i] = [field.sub(a, field.mul(f, b))
-                          for a, b in zip(mat[i], mat[cur])]
-        pivots.append(col)
-        cur += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for r, pc in zip(mat, pivots):
-            v[pc] = field.neg(r[fc])
-        basis.append(v)
-    return basis
-
-
-def _poly_lcm(polys, field):
-    acc = Poly.one(field)
-    from .polynomials import poly_gcd
-    for p in polys:
-        if p.is_constant():
-            continue
-        g = poly_gcd(acc, p)
-        acc = acc.exact_div(g) * p
-    return acc
-
-
 @dataclass
 class KernelReport:
     report: Report
@@ -422,11 +378,26 @@ class KernelReport:
 
 def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor, box_bound: int,
                   window: int = 6) -> KernelReport:
-    """Kernel pieces of all positive-order operators on a weight box.
+    """Kernel pieces of all positive-order operators on a weight box, in
+    closed form.
 
-    Each nonzero piece must be one-dimensional, spanned by the module
-    generator with an integral evaluation, and the kernel weights must be a
-    sublattice trace intersected with a cone.
+    f*chi^m is in the kernel exactly when its lift
+    h = (f/xi_m)(z^d + y0) * z^{d<m,v0>} satisfies h(z + S) = h(z).  A
+    polynomial h of degree n > 0 has the nonzero T^{n p^{s_last}}
+    coefficient a_n lambda_last^n, so the piece at m is at most
+    one-dimensional, spanned by phi_m = xi_m * (t - y0)^{-<m,v0>} when
+    <m,v0> is an integer.  The lift of f_m is 1/g(z^d + y0) with
+    g = phi_m / f_m, and ``apply_term`` refuses it unless it is a
+    polynomial; so the piece meets f_m * k[t] only in multiples of f_m, m is
+    a kernel weight exactly when g is a nonzero constant, and ``window`` (a
+    degree bound on the multipliers of f_m) cannot change the result.  The
+    one application of the operator to f_m per weight checks the closed
+    form: its positive orders vanish exactly when g is constant.
+
+    Each kernel weight must have an integral evaluation, and the kernel
+    weights must be a sublattice trace intersected with a cone: the
+    semigroup-algebra shape of the kernel of a horizontal operator (Liendo,
+    Transform. Groups 15 (2010), in characteristic 0).
     """
     if div.curve != A1:
         raise EngineError("kernel extraction works over the affine line")
@@ -438,43 +409,22 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor, box_bound: int,
         if not dual.contains(m):
             continue
         fm = div.generator(m).expand()
-        cands = [RatFunc.x(k, j) * fm for j in range(window + 1)]
-        images = []  # per candidate: {(order, weight): RatFunc}
-        for g in cands:
-            out, _, _ = op.apply_term(g, m)
-            images.append({(i, w): coeff for i, (w, coeff) in out.items()
-                           if i >= 1})
-        keys = sorted(set().union(*[im.keys() for im in images]))
-        rows = []
-        for key in keys:
-            vals = [im.get(key, RatFunc.zero(k)) for im in images]
-            den = _poly_lcm([v.den for v in vals], k)
-            exps = set()
-            polys = []
-            for v in vals:
-                pv = v.num * den.exact_div(v.den)
-                polys.append(pv)
-                exps.update(pv.coeffs)
-            for e in sorted(exps):
-                rows.append([pv.coeff(e) for pv in polys])
-        null = _field_nullspace(rows, len(cands), k)
-        if not null:
-            continue
-        if len(null) > 1:
-            rep.fail(f"kernel piece at {m} has dimension {len(null)}")
-            continue
-        coeffs = null[0]
-        phi = RatFunc.zero(k)
-        for j, c in enumerate(coeffs):
-            if not k.is_zero(c):
-                phi = phi + cands[j].scale(c)
-        weights.append(m)
-        spans[m] = phi
-        if any(not k.is_zero(c) for c in coeffs[1:]):
-            rep.fail(f"kernel span at {m} is not the module generator: "
-                     f"{phi.to_str()}")
-        elif not div.eval(m).is_integral():
-            rep.fail(f"kernel weight {m} has a non-integral evaluation")
+        images, _, _ = op.apply_term(fm, m)
+        a = dot(vec(m), op.v0)
+        fixed = False
+        if a.denominator == 1:
+            phi = op.xi(m) * FactoredRatFunc(
+                k, k.one(), [(op.coloring.y0.poly, -int(a))])
+            g = phi.expand() / fm
+            fixed = g.is_poly() and g.num.is_constant()
+        if fixed == any(i >= 1 for i in images):
+            raise EngineError(f"closed-form kernel at {m} disagrees with the "
+                              f"operator's images of the module generator")
+        if fixed:
+            weights.append(m)
+            spans[m] = fm
+            if not div.eval(m).is_integral():
+                rep.fail(f"kernel weight {m} has a non-integral evaluation")
     basis = lattice_basis(weights, div.rank) if weights else []
     cone = Cone.from_generators(weights, div.rank) if weights \
         else Cone.zero(div.rank)

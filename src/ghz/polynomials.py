@@ -187,6 +187,10 @@ class Poly:
             r = r * other + Poly.const(k, self.coeff(e))
         return r
 
+    def _shifted(self, s: int) -> "Poly":
+        """self * x^s for an s that keeps every exponent nonnegative."""
+        return Poly(self.field, {e + s: c for e, c in self.coeffs.items()})
+
     def regroup(self, q: int) -> "Poly":
         """Return g with self(x) = g(x^q); requires all exponents divisible by q."""
         if any(e % q for e in self.coeffs):
@@ -325,6 +329,17 @@ class RatFunc:
 
     def scale(self, c):
         return RatFunc(self.num.scale(c), self.den, reduce=False)
+
+    def times_x(self, e: int) -> "RatFunc":
+        """self * t^e by shifting exponents.  num/den is reduced, so for
+        e >= 0 gcd(num * t^e, den) = t^min(e, ord_t den), and symmetrically
+        for e < 0: only powers of t cancel, and no gcd is needed."""
+        num, den = self.num, self.den
+        if e >= 0:
+            c = min(e, min(den.coeffs))
+            return RatFunc(num._shifted(e - c), den._shifted(-c), reduce=False)
+        c = min(-e, min(num.coeffs)) if num.coeffs else 0
+        return RatFunc(num._shifted(-c), den._shifted(-e - c), reduce=False)
 
     def compose_poly(self, sub: Poly) -> "RatFunc":
         """Substitute the variable by a polynomial."""

@@ -285,12 +285,17 @@ def builtin_examples():
     return dict(BUILTIN_EXAMPLES)
 
 
-def load_builtin(name: str, field_override=None) -> Scenario:
+def load_builtin(name: str, field_override=None,
+                 trust_irreducible: bool = False) -> Scenario:
+    """Parse a builtin example.  w25-imperfect always trusts its support
+    points (irreducibility over F_p(l) is undecidable here); the others
+    are strict unless ``trust_irreducible`` is set."""
     if name not in BUILTIN_EXAMPLES:
         raise ScenarioError(
             f"unknown example {name!r}; available: "
             + ", ".join(sorted(BUILTIN_EXAMPLES)))
     data = BUILTIN_EXAMPLES[name]
-    policy = "trusted" if name == "w25-imperfect" else "strict"
+    trusted = trust_irreducible or name == "w25-imperfect"
+    policy = "trusted" if trusted else "strict"
     return parse_scenario(data, name=name, field_override=field_override,
                           policy=policy)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ghz import scenarios
 from ghz.cli import main
 
 
@@ -120,3 +121,19 @@ def test_trust_marker_propagates(capsys):
     assert code == 0
     payload = json.loads(out)
     assert any("t^2 + l" in t for t in payload["trust_markers"])
+
+
+def test_trust_irreducible_reaches_builtin_examples(capsys, monkeypatch):
+    # the w25-imperfect data under a name whose default policy is strict
+    monkeypatch.setitem(scenarios.BUILTIN_EXAMPLES, "w25-strict",
+                        scenarios.BUILTIN_EXAMPLES["w25-imperfect"])
+    code, _, err = run(capsys, "coherent", "--example", "w25-strict")
+    assert code == 2 and "undecidable" in err
+    for argv in (("coherent", "--example", "w25-strict"),
+                 ("example", "w25-strict", "--run", "coherent")):
+        code, out, _ = run(capsys, *argv, "--trust-irreducible", "--json")
+        assert code == 0
+        assert any("t^2 + l" in t for t in json.loads(out)["trust_markers"])
+    # the example's own default still holds without the flag
+    code, out, _ = run(capsys, "coherent", "--example", "w25-imperfect")
+    assert code == 0

@@ -3,17 +3,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from ghz.classifier import CoherentFamily, Coloring
+from ghz.classifier import (CoherentFamily, Coloring, _random_family,
+                            coherent_validate)
 from ghz.curves import A1, ClosedPoint, point_validate
-from ghz.engine import (EngineError, GradedElement, build_operator,
+from ghz.engine import (DthetaOperator, EngineError, GradedElement,
+                        KernelReport, build_operator,
                         default_horizontal_order, kernel_in_box,
                         toric_root_operator, verify_axioms, verify_horizontal,
                         verify_stability)
 from ghz.fields import PrimeField, Rationals
-from ghz.geometry import Cone, Polyhedron
+from ghz.geometry import (Cone, Polyhedron, in_lattice, lattice_basis,
+                          lattice_box)
 from ghz.polynomials import (FractionField, Poly, RatFunc, TruncatedSeries,
                              lambda_field, parse_factored, parse_poly,
-                             substitute_poly)
+                             poly_gcd, substitute_poly)
+from ghz.reports import Report
+from ghz.scenarios import load_builtin
 from ghz.tvariety import PolyhedralDivisor, algebra_generators
 
 Q = Rationals()
@@ -105,7 +110,8 @@ def test_w25_kernel():
     assert ker.spans[(5,)].to_str() == "(1)/(t)"
 
 
-def test_build_rejects_incoherent():
+def incoherent_family(e=(1,), lam=None):
+    """The w25 shape over F2, where the second point t + 1 is rational."""
     F2 = PrimeField(2)
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(F2, F2.zero())
@@ -115,7 +121,11 @@ def test_build_rejects_incoherent():
         y: Polyhedron.from_points([(F(0),), (F(1, 5),)], sigma),
     })
     col = Coloring(D, {y0: (F(1, 5),), y: (F(0),)}, y0)
-    theta = CoherentFamily(col, (1,), (2,), (F2.one(),))
+    return D, CoherentFamily(col, e, (2,), lam or (F2.one(),))
+
+
+def test_build_rejects_incoherent():
+    D, theta = incoherent_family()
     with pytest.raises(EngineError):
         build_operator(theta)
     op = build_operator(theta, override=True)
@@ -230,3 +240,180 @@ def test_toric_root_operator_rejects_non_root():
     orth = Cone.orthant(2)
     with pytest.raises(EngineError):
         toric_root_operator(orth, (1, 1), Q)
+
+
+# -- the kernel closed form against the nullspace oracle ---------------------
+
+def _field_nullspace(rows, ncols, field):
+    """Right nullspace basis of a matrix with raw field entries."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    cur = 0
+    for col in range(ncols):
+        piv = next((i for i in range(cur, len(mat))
+                    if not field.is_zero(mat[i][col])), None)
+        if piv is None:
+            continue
+        mat[cur], mat[piv] = mat[piv], mat[cur]
+        inv = field.inv(mat[cur][col])
+        mat[cur] = [field.mul(inv, x) for x in mat[cur]]
+        for i in range(len(mat)):
+            if i != cur and not field.is_zero(mat[i][col]):
+                f = mat[i][col]
+                mat[i] = [field.sub(a, field.mul(f, b))
+                          for a, b in zip(mat[i], mat[cur])]
+        pivots.append(col)
+        cur += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for r, pc in zip(mat, pivots):
+            v[pc] = field.neg(r[fc])
+        basis.append(v)
+    return basis
+
+
+def _poly_lcm(polys, field):
+    acc = Poly.one(field)
+    for p in polys:
+        if p.is_constant():
+            continue
+        g = poly_gcd(acc, p)
+        acc = acc.exact_div(g) * p
+    return acc
+
+
+def _reference_kernel_in_box(op, div, box_bound, window=6):
+    """The kernel by applying the operator to t^j * f_m for j <= window and
+    taking the nullspace of the cleared image coefficients."""
+    rep = Report("kernel structure")
+    k = div.field
+    dual = div.tail.dual()
+    weights, spans = [], {}
+    for m in lattice_box(div.rank, box_bound):
+        if not dual.contains(m):
+            continue
+        fm = div.generator(m).expand()
+        cands = [RatFunc.x(k, j) * fm for j in range(window + 1)]
+        images = []  # per candidate: {(order, weight): RatFunc}
+        for g in cands:
+            out, _, _ = op.apply_term(g, m)
+            images.append({(i, w): coeff for i, (w, coeff) in out.items()
+                           if i >= 1})
+        keys = sorted(set().union(*[im.keys() for im in images]))
+        rows = []
+        for key in keys:
+            vals = [im.get(key, RatFunc.zero(k)) for im in images]
+            den = _poly_lcm([v.den for v in vals], k)
+            exps = set()
+            polys = []
+            for v in vals:
+                pv = v.num * den.exact_div(v.den)
+                polys.append(pv)
+                exps.update(pv.coeffs)
+            for e in sorted(exps):
+                rows.append([pv.coeff(e) for pv in polys])
+        null = _field_nullspace(rows, len(cands), k)
+        if not null:
+            continue
+        if len(null) > 1:
+            rep.fail(f"kernel piece at {m} has dimension {len(null)}")
+            continue
+        coeffs = null[0]
+        phi = RatFunc.zero(k)
+        for j, c in enumerate(coeffs):
+            if not k.is_zero(c):
+                phi = phi + cands[j].scale(c)
+        weights.append(m)
+        spans[m] = phi
+        if any(not k.is_zero(c) for c in coeffs[1:]):
+            rep.fail(f"kernel span at {m} is not the module generator: "
+                     f"{phi.to_str()}")
+        elif not div.eval(m).is_integral():
+            rep.fail(f"kernel weight {m} has a non-integral evaluation")
+    basis = lattice_basis(weights, div.rank) if weights else []
+    cone = Cone.from_generators(weights, div.rank) if weights \
+        else Cone.zero(div.rank)
+    for m in lattice_box(div.rank, box_bound):
+        if not dual.contains(m) or not cone.contains(m):
+            continue
+        if in_lattice(m, basis) and m not in weights:
+            rep.fail(f"lattice point {m} in the cone is not a kernel weight")
+    return KernelReport(rep, weights, spans, basis, cone)
+
+
+def _kernel_summary(ker):
+    return (ker.weights, ker.spans, ker.lattice, ker.report.violations)
+
+
+def test_kernel_closed_form_matches_nullspace_oracle():
+    """Same weights, spans, lattice and violations as the nullspace over the
+    window, on the builtins with a family (toric-demo has none) at two boxes
+    and on random coherent A1 families."""
+    cases = []
+    for name in ("w25-imperfect", "w25-prime", "char2-ramified"):
+        sc = load_builtin(name)
+        op = build_operator(sc.family, override=True)
+        box = sc.bounds["weight_box"]
+        for bound in (box // 2, box):
+            cases.append((op, sc.divisor, bound, sc.bounds["window"]))
+    # the reference costs window + 1 applications per weight, at degrees up
+    # to d * window above the generator's: a Q family with d = 3 takes 15 s
+    # of reference time at rank 2, box 1, window 4; hence window 2 there
+    rng = random.Random(41)
+    for field in (Q, PrimeField(2), PrimeField(3), lambda_field(2)):
+        for rank, bound, window in ((1, 6, 4), (2, 1, 2)):
+            found = 0
+            while found < 2:
+                theta = _random_family(rng, field, A1, rank)
+                if theta is None or not coherent_validate(theta).ok:
+                    continue
+                cases.append((build_operator(theta), theta.coloring.divisor,
+                              bound, window))
+                found += 1
+    kernel_weights = 0
+    for op, div, bound, window in cases:
+        got = kernel_in_box(op, div, bound, window)
+        want = _reference_kernel_in_box(op, div, bound, window)
+        assert _kernel_summary(got) == _kernel_summary(want)
+        kernel_weights += len(got.weights)
+    assert len(cases) == 22
+    assert kernel_weights == 136
+
+
+def test_kernel_applies_the_operator_once_per_weight(monkeypatch):
+    K, D, op = w25_operator()
+    calls = []
+    apply_term = DthetaOperator.apply_term
+
+    def counted(self, f, m, max_order=None):
+        calls.append(tuple(m))
+        return apply_term(self, f, m, max_order)
+
+    monkeypatch.setattr(DthetaOperator, "apply_term", counted)
+    ker = kernel_in_box(op, D, 10, window=4)
+    scanned = [m for m in lattice_box(D.rank, 10)
+               if D.tail.dual().contains(m)]
+    assert ker.report.ok
+    assert calls == scanned
+
+
+def test_kernel_of_overridden_incoherent_families():
+    D, theta = incoherent_family()
+    op = build_operator(theta, override=True)
+    ker = kernel_in_box(op, D, 10, window=4)
+    assert _kernel_summary(ker) == _kernel_summary(
+        _reference_kernel_in_box(op, D, 10, window=4))
+    # a step that does not descend: the module generator's images show it
+    D, theta = incoherent_family(e=(-2,))
+    op = build_operator(theta, override=True)
+    with pytest.raises(EngineError, match="descent failure"):
+        kernel_in_box(op, D, 10, window=4)
+    # lambda = 0 fixes every element, against the closed form
+    F2 = PrimeField(2)
+    D, theta = incoherent_family(lam=(F2.zero(),))
+    op = build_operator(theta, override=True)
+    with pytest.raises(EngineError, match="closed-form kernel"):
+        kernel_in_box(op, D, 10, window=4)
