@@ -145,8 +145,7 @@ def run_command(sc, command, args) -> Report:
         else:
             rep.fail("no positive order moves the curve coordinate")
         if div.curve == A1:
-            ker = kernel_in_box(op, div, sc.bounds["weight_box"],
-                                sc.bounds["window"])
+            ker = kernel_in_box(op, div, sc.bounds["weight_box"])
             rep.merge(ker.report)
             rep.note(f"kernel weights {ker.weights}; lattice {ker.lattice}")
         if not cert.complete:

@@ -376,8 +376,8 @@ class KernelReport:
     cone: Cone             # cone spanned by the kernel weights
 
 
-def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor, box_bound: int,
-                  window: int = 6) -> KernelReport:
+def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
+                  box_bound: int) -> KernelReport:
     """Kernel pieces of all positive-order operators on a weight box, in
     closed form.
 
@@ -388,10 +388,9 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor, box_bound: int,
     one-dimensional, spanned by phi_m = xi_m * (t - y0)^{-<m,v0>} when
     <m,v0> is an integer.  The lift of f_m is 1/g(z^d + y0) with
     g = phi_m / f_m, and ``apply_term`` refuses it unless it is a
-    polynomial; so the piece meets f_m * k[t] only in multiples of f_m, m is
-    a kernel weight exactly when g is a nonzero constant, and ``window`` (a
-    degree bound on the multipliers of f_m) cannot change the result.  The
-    one application of the operator to f_m per weight checks the closed
+    polynomial; so the piece meets f_m * k[t] only in multiples of f_m, and
+    m is a kernel weight exactly when g is a nonzero constant.  The one
+    application of the operator to f_m per weight checks the closed
     form: its positive orders vanish exactly when g is constant.
 
     Each kernel weight must have an integral evaluation, and the kernel

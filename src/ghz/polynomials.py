@@ -335,6 +335,8 @@ class RatFunc:
         e >= 0 gcd(num * t^e, den) = t^min(e, ord_t den), and symmetrically
         for e < 0: only powers of t cancel, and no gcd is needed."""
         num, den = self.num, self.den
+        if num.is_zero():
+            return self
         if e >= 0:
             c = min(e, min(den.coeffs))
             return RatFunc(num._shifted(e - c), den._shifted(-c), reduce=False)

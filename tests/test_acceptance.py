@@ -115,7 +115,7 @@ def test_criterion_4_ramified_dichotomy():
     res = op.apply(GradedElement.term(F2, (0, 1), RatFunc.one(F2)))
     z = res.orders[2]
     assert z.to_str() == "((1)/(t^2 + t))*chi^(2, 1)"
-    ker = kernel_in_box(op, D, 4, window=3)
+    ker = kernel_in_box(op, D, 4)
     assert ker.report.ok
     assert (2, 1) in ker.weights  # z generates the kernel piece there
 

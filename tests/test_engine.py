@@ -103,7 +103,7 @@ def test_w25_axioms_and_stability():
 
 def test_w25_kernel():
     K, D, op = w25_operator()
-    ker = kernel_in_box(op, D, 10, window=4)
+    ker = kernel_in_box(op, D, 10)
     assert ker.report.ok
     assert ker.weights == [(0,), (5,), (10,)]
     assert ker.lattice == [[5]]
@@ -375,7 +375,7 @@ def test_kernel_closed_form_matches_nullspace_oracle():
                 found += 1
     kernel_weights = 0
     for op, div, bound, window in cases:
-        got = kernel_in_box(op, div, bound, window)
+        got = kernel_in_box(op, div, bound)
         want = _reference_kernel_in_box(op, div, bound, window)
         assert _kernel_summary(got) == _kernel_summary(want)
         kernel_weights += len(got.weights)
@@ -393,7 +393,7 @@ def test_kernel_applies_the_operator_once_per_weight(monkeypatch):
         return apply_term(self, f, m, max_order)
 
     monkeypatch.setattr(DthetaOperator, "apply_term", counted)
-    ker = kernel_in_box(op, D, 10, window=4)
+    ker = kernel_in_box(op, D, 10)
     scanned = [m for m in lattice_box(D.rank, 10)
                if D.tail.dual().contains(m)]
     assert ker.report.ok
@@ -403,17 +403,17 @@ def test_kernel_applies_the_operator_once_per_weight(monkeypatch):
 def test_kernel_of_overridden_incoherent_families():
     D, theta = incoherent_family()
     op = build_operator(theta, override=True)
-    ker = kernel_in_box(op, D, 10, window=4)
+    ker = kernel_in_box(op, D, 10)
     assert _kernel_summary(ker) == _kernel_summary(
         _reference_kernel_in_box(op, D, 10, window=4))
     # a step that does not descend: the module generator's images show it
     D, theta = incoherent_family(e=(-2,))
     op = build_operator(theta, override=True)
     with pytest.raises(EngineError, match="descent failure"):
-        kernel_in_box(op, D, 10, window=4)
+        kernel_in_box(op, D, 10)
     # lambda = 0 fixes every element, against the closed form
     F2 = PrimeField(2)
     D, theta = incoherent_family(lam=(F2.zero(),))
     op = build_operator(theta, override=True)
     with pytest.raises(EngineError, match="closed-form kernel"):
-        kernel_in_box(op, D, 10, window=4)
+        kernel_in_box(op, D, 10)

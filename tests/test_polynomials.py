@@ -60,6 +60,16 @@ def test_ratfunc_reduce():
     assert neg.num.is_one() and neg.den == qp([0, 0, 1])
 
 
+def test_ratfunc_times_x():
+    r = RatFunc(qp([0, 0, 2, 1]), qp([0, 1, 0, 1]))  # (t^3+2t^2)/(t^3+t)
+    for e in range(-4, 5):
+        assert r.times_x(e) == r * RatFunc.x(Q, e)
+    zero = RatFunc.zero(Q)
+    for e in (-2, 0, 3):
+        assert zero.times_x(e) == zero
+        assert zero.times_x(e).is_poly()
+
+
 def test_ratfunc_compose_inverse():
     r = RatFunc.x(Q, 1) + RatFunc.one(Q)
     assert r.compose_poly(qp([0, 0, 1])) == RatFunc.from_poly(qp([1, 0, 1]))
