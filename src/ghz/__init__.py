@@ -11,7 +11,7 @@ from .curves import A1, P1, ClosedPoint, QDivisor, point_validate
 from .engine import (ApplicationResult, DthetaOperator, GradedElement,
                      ToricRootOperator, build_operator, kernel_in_box,
                      toric_root_operator, verify_axioms, verify_horizontal,
-                     verify_stability)
+                     verify_stability, verify_toric_axioms)
 from .fields import PrimeField, Rationals
 from .geometry import Cone, Polyhedron
 from .polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,

@@ -262,27 +262,48 @@ def coherent_validate(theta: CoherentFamily) -> Report:
                                      cand):
             rep.fail(f"(iii): lifted vector {_fmt_vec(cand)} for exponent {s_i} is not "
                      "a root of the lifted cone")
-    q = p ** s[0]
+    rep.merge(_vertex_conditions_only(theta))
+    return rep
+
+
+def _vertex_table(theta: CoherentFamily):
+    """d, p^{s1}*e, v0 and, for every colored point other than y0, the row
+    (point, p^u * epsilon, vertices of its polyhedron, colored vertex); d and
+    u come from the denominators of v0 alone."""
+    c = theta.coloring
+    div = c.divisor
+    p = div.field.char_exponent
+    v0 = c.vertex(c.y0)
+    d = _denominator_lcm(v0)
+    pu = p ** _split_char_power(d, p)[1]
+    q = p ** theta.s[0]
     qe = tuple(q * x for x in vec(theta.e))
-    d = cones.d
-    pu = p ** cones.u
+    points = []
     for y in c.colored_points():
         if y == c.y0:
             continue
         eps = 1 if y.is_infinity else insep_profile(y).epsilon
-        vy = c.vertex(y)
-        rhs = 1 + eps * pu * dot(qe, vy)
-        for v in div.polyhedron_at(y).vertices:
-            if v == vy:
-                continue
-            if eps * pu * dot(qe, v) < rhs:
+        points.append((y, pu * eps, div.polyhedron_at(y).vertices,
+                       c.vertex(y)))
+    return d, qe, v0, points
+
+
+def _vertex_conditions_only(theta: CoherentFamily) -> Report:
+    """The vertex inequalities (v)/(vi)/(vii) of a family whose coloring,
+    exponents and coefficients are valid."""
+    rep = Report("vertex conditions")
+    c = theta.coloring
+    div = c.divisor
+    d, qe, v0, points = _vertex_table(theta)
+    for y, scale, verts, vy in points:
+        rhs = 1 + scale * dot(qe, vy)
+        for v in verts:
+            if v != vy and scale * dot(qe, v) < rhs:
                 rep.fail(f"(v): at [{y.to_str()}] vertex {_fmt_vec(v)}: "
-                         f"{eps * pu * dot(qe, v)} < {rhs}")
+                         f"{scale * dot(qe, v)} < {rhs}")
     rhs0 = 1 + d * dot(qe, v0)
     for v in div.polyhedron_at(c.y0).vertices:
-        if v == v0:
-            continue
-        if d * dot(qe, v) < rhs0:
+        if v != v0 and d * dot(qe, v) < rhs0:
             rep.fail(f"(vi): at [{c.y0.to_str()}] vertex {_fmt_vec(v)}: "
                      f"{d * dot(qe, v)} < {rhs0}")
     if div.curve == P1:
@@ -302,23 +323,10 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
     rep = Report("floor conditions")
     c = theta.coloring
     div = c.divisor
-    p = div.field.char_exponent
-    cones = associated_cones(c)
-    d, pu = cones.d, p ** cones.u
-    q = p ** theta.s[0]
-    qe = tuple(q * x for x in vec(theta.e))
+    d, qe, v0, points = _vertex_table(theta)
     dual = div.tail.dual()
-    v0 = c.vertex(c.y0)
     v_deg = c.v_deg()
     rhs0 = 1 + d * dot(qe, v0)
-    # per colored point: (point, pu * eps, vertices, colored vertex)
-    points = []
-    for y in c.colored_points():
-        if y == c.y0:
-            continue
-        eps = 1 if y.is_infinity else insep_profile(y).epsilon
-        points.append((y, pu * eps, div.polyhedron_at(y).vertices,
-                       c.vertex(y)))
     verts0 = div.polyhedron_at(c.y0).vertices
     verts_inf = div.polyhedron_at(c.y_infinity).vertices \
         if div.curve == P1 else None
@@ -351,16 +359,6 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
             gb = low(verts_inf, m2) + dot(m2, v_deg)
             if floor(d * gb) - floor(d * ga) < -1:
                 rep.fail(f"(6): m={m}: {floor(d * gb)} - {floor(d * ga)} < -1")
-    return rep
-
-
-def _vertex_conditions_only(theta: CoherentFamily) -> Report:
-    """The (v)/(vi)/(vii) part of coherent_validate in isolation."""
-    full = coherent_validate(theta)
-    rep = Report("vertex conditions")
-    for v in full.violations:
-        if v.startswith(("(v)", "(vi)", "(vii)")):
-            rep.fail(v)
     return rep
 
 
@@ -504,7 +502,6 @@ def candidate_colorings(div: PolyhedralDivisor, y_infinity=None):
 def _s_sequences(p: int, s_max: int):
     if p == 1:
         return [(1,)]
-    pool = list(range(s_max + 1))
     out = []
 
     def rec(prefix, start):

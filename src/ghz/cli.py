@@ -19,12 +19,12 @@ from .curves import A1, PointError
 from .engine import (EngineError, GradedElement, build_operator,
                      default_horizontal_order, kernel_in_box,
                      toric_root_operator, verify_axioms, verify_horizontal,
-                     verify_stability)
+                     verify_stability, verify_toric_axioms)
 from .fields import FieldError
-from .geometry import Cone, GeometryError, lattice_box
+from .geometry import GeometryError
 from .reports import Report
 from .scenarios import (ScenarioError, builtin_examples, load_builtin,
-                        parse_field, parse_scenario, serialize_scenario)
+                        parse_field, parse_scenario)
 from .tvariety import DivisorError, algebra_generators
 
 COMMANDS = ("validate", "eval", "piece", "generators", "colorings", "roots",
@@ -175,57 +175,13 @@ def run_command(sc, command, args) -> Report:
                                       sc.field)
             rep.note(f"root {tuple(top.e)} with distinguished generator "
                      f"{top.mu}")
-            rep.merge(_toric_axiom_check(top, sigma0,
-                                         sc.bounds["weight_box"],
-                                         sc.bounds["max_order"]))
+            rep.merge(verify_toric_axioms(top, sigma0,
+                                           sc.bounds["weight_box"],
+                                           sc.bounds["max_order"]))
         elif div.rank != 1:
             rep.fail("toric-check needs a rank-1 divisor or a root")
     else:
         raise UsageError(f"unknown command {command!r}")
-    return rep
-
-
-def _toric_axiom_check(top, sigma0: Cone, box: int, max_order: int) -> Report:
-    """Brute-force operator laws for the monomial operator on a weight box."""
-    from .binomials import binom_in_field
-
-    rep = Report("toric axioms")
-    field = top.field
-    dual = sigma0.dual()
-    weights = [m for m in lattice_box(sigma0.n, box) if dual.contains(m)]
-
-    def img(m, i):
-        return top.apply(m, i)
-
-    for m in weights:
-        c0, w0 = img(m, 0)
-        if not field.eq(c0, field.one()) or w0 != tuple(m):
-            rep.fail(f"order 0 is not the identity at {m}")
-    for m1 in weights[:12]:
-        for m2 in weights[:12]:
-            msum = tuple(a + b for a, b in zip(m1, m2))
-            if not dual.contains(msum):
-                continue
-            for i in range(max_order + 1):
-                acc = field.zero()
-                for i1 in range(i + 1):
-                    c1, _ = img(m1, i1)
-                    c2, _ = img(m2, i - i1)
-                    acc = field.add(acc, field.mul(c1, c2))
-                ci, _ = img(msum, i)
-                if not field.eq(acc, ci):
-                    rep.fail(f"product rule fails at {m1}+{m2}, order {i}")
-                    break
-    for m in weights[:12]:
-        for a in range(1, max_order):
-            for b in range(1, max_order - a):
-                cb, wb = img(m, b)
-                ca, wa = img(wb, a)
-                lhs = field.mul(ca, cb)
-                cab, _ = img(m, a + b)
-                rhs = field.mul(binom_in_field(a + b, a, field), cab)
-                if not field.eq(lhs, rhs):
-                    rep.fail(f"iteration rule fails at {m}, ({a},{b})")
     return rep
 
 

@@ -12,8 +12,7 @@ from fractions import Fraction
 from math import floor
 
 from .fields import PrimeField, Rationals, FieldError
-from .polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
-                          poly_gcd)
+from .polynomials import FactoredRatFunc, FractionField, Poly, poly_gcd
 
 A1 = "A1"
 P1 = "P1"

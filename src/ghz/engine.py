@@ -127,10 +127,8 @@ class DthetaOperator:
         self.field = div.field
         self.report = report
         self.p = self.field.char_exponent
-        self.cones = cones
         self.d = cones.d
         self.u = cones.u
-        self.ell = cones.ell
         self.v0 = c.vertex(c.y0)
         self.y0_value = c.y0.rational_value()
         self.e = vec(theta.e)
@@ -467,3 +465,44 @@ def toric_root_operator(sigma0: Cone, e, field) -> ToricRootOperator:
     if mu is None:
         raise EngineError(f"{e} is not a root of the cone")
     return ToricRootOperator(field, e, mu)
+
+
+def verify_toric_axioms(top: ToricRootOperator, sigma0: Cone, box: int,
+                        max_order: int) -> Report:
+    """Brute-force operator laws for the monomial operator: the identity on
+    every weight of the box in the dual cone, the product and iteration
+    rules on the first 12 of them."""
+    rep = Report("toric axioms")
+    field = top.field
+    dual = sigma0.dual()
+    weights = [m for m in lattice_box(sigma0.n, box) if dual.contains(m)]
+    for m in weights:
+        c0, w0 = top.apply(m, 0)
+        if not field.eq(c0, field.one()) or w0 != tuple(m):
+            rep.fail(f"order 0 is not the identity at {m}")
+    for m1 in weights[:12]:
+        for m2 in weights[:12]:
+            msum = tuple(a + b for a, b in zip(m1, m2))
+            if not dual.contains(msum):
+                continue
+            for i in range(max_order + 1):
+                acc = field.zero()
+                for i1 in range(i + 1):
+                    c1, _ = top.apply(m1, i1)
+                    c2, _ = top.apply(m2, i - i1)
+                    acc = field.add(acc, field.mul(c1, c2))
+                ci, _ = top.apply(msum, i)
+                if not field.eq(acc, ci):
+                    rep.fail(f"product rule fails at {m1}+{m2}, order {i}")
+                    break
+    for m in weights[:12]:
+        for a in range(1, max_order):
+            for b in range(1, max_order - a):
+                cb, wb = top.apply(m, b)
+                ca, _ = top.apply(wb, a)
+                lhs = field.mul(ca, cb)
+                cab, _ = top.apply(m, a + b)
+                rhs = field.mul(binom_in_field(a + b, a, field), cab)
+                if not field.eq(lhs, rhs):
+                    rep.fail(f"iteration rule fails at {m}, ({a},{b})")
+    return rep

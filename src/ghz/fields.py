@@ -71,12 +71,6 @@ class BaseField:
             return num
         return self.div(num, self.from_int(q.denominator))
 
-    def sum(self, values):
-        r = self.zero()
-        for v in values:
-            r = self.add(r, v)
-        return r
-
 
 class Rationals(BaseField):
     """The field Q with Fraction raw values."""

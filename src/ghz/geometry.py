@@ -352,16 +352,6 @@ def minkowski_weighted_sum(terms):
     return Polyhedron.from_points(minkowski_points(terms), terms[0][1].tail)
 
 
-def cone_from_polyhedron_at_height(p: Polyhedron, h, extra_rays=()):
-    """Cone generated by (v, h) for vertices, (r, 0) for tail rays, plus
-    extra rays, in the ambient space of one higher rank."""
-    h = Fraction(h)
-    gens = [tuple(list(v) + [h]) for v in p.vertices]
-    gens.extend(tuple(list(r) + [0]) for r in p.tail.rays)
-    gens.extend(vec(r) for r in extra_rays)
-    return Cone.from_generators(gens, p.n + 1)
-
-
 def lattice_basis(vectors, n):
     """Triangular integer basis of the subgroup generated by the vectors."""
     rows = [[int(x) for x in v] for v in vectors if any(x != 0 for x in v)]

@@ -7,8 +7,6 @@ GF(p)(l) and the cyclic-cover variable of the operator engine.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .binomials import binom_in_field
 from .fields import BaseField, FieldError
 

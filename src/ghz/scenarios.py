@@ -12,8 +12,8 @@ from .curves import A1, P1, ClosedPoint, point_validate
 from .engine import GradedElement
 from .fields import PrimeField, Rationals
 from .geometry import Cone, Polyhedron
-from .polynomials import (FactoredRatFunc, ParseError, lambda_field,
-                          parse_factored, parse_poly, parse_scalar)
+from .polynomials import (ParseError, lambda_field, parse_factored,
+                          parse_poly, parse_scalar)
 from .tvariety import PolyhedralDivisor
 
 

@@ -12,7 +12,7 @@ from .curves import (A1, P1, ClosedPoint, ModuleDescription, QDivisor,
                      h0_generators)
 from .geometry import (Cone, Polyhedron, minkowski_points,
                        minkowski_weighted_sum, vec)
-from .polynomials import FactoredRatFunc, Poly, RatFunc
+from .polynomials import FactoredRatFunc, Poly
 from .reports import Report
 
 

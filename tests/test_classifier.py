@@ -5,7 +5,8 @@ from math import floor
 import pytest
 
 from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
-                            _random_family, associated_cones,
+                            _fmt_vec, _random_family,
+                            _vertex_conditions_only, associated_cones,
                             candidate_colorings, coherent_validate,
                             coloring_validate, demazure_root_check,
                             demazure_roots_enumerate, enumerate_coherent,
@@ -237,6 +238,90 @@ def test_floor_condition_check_matches_per_weight_reference():
                     assert got.to_dict() == want.to_dict(), theta.describe()
                     failing += not want.ok
     assert failing > 0
+
+
+def _vertex_conditions_reference(theta):
+    """Reference: the vertex inequalities (v)/(vi)/(vii) with d and u read
+    from the associated cones."""
+    rep = Report("vertex conditions")
+    c = theta.coloring
+    div = c.divisor
+    p = div.field.char_exponent
+    cones = associated_cones(c)
+    s = tuple(theta.s)
+    v0 = c.vertex(c.y0)
+    q = p ** s[0]
+    qe = tuple(q * x for x in vec(theta.e))
+    d = cones.d
+    pu = p ** cones.u
+    for y in c.colored_points():
+        if y == c.y0:
+            continue
+        eps = 1 if y.is_infinity else insep_profile(y).epsilon
+        vy = c.vertex(y)
+        rhs = 1 + eps * pu * dot(qe, vy)
+        for v in div.polyhedron_at(y).vertices:
+            if v == vy:
+                continue
+            if eps * pu * dot(qe, v) < rhs:
+                rep.fail(f"(v): at [{y.to_str()}] vertex {_fmt_vec(v)}: "
+                         f"{eps * pu * dot(qe, v)} < {rhs}")
+    rhs0 = 1 + d * dot(qe, v0)
+    for v in div.polyhedron_at(c.y0).vertices:
+        if v == v0:
+            continue
+        if d * dot(qe, v) < rhs0:
+            rep.fail(f"(vi): at [{c.y0.to_str()}] vertex {_fmt_vec(v)}: "
+                     f"{d * dot(qe, v)} < {rhs0}")
+    if div.curve == P1:
+        rhs_inf = -1 - d * dot(qe, c.v_deg())
+        for v in div.polyhedron_at(c.y_infinity).vertices:
+            if d * dot(qe, v) < rhs_inf:
+                rep.fail(f"(vii): at infinity vertex {_fmt_vec(v)}: "
+                         f"{d * dot(qe, v)} < {rhs_inf}")
+    return rep
+
+
+def test_vertex_conditions_match_cone_reference():
+    rng = random.Random(31)
+    draws = failing = 0
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for curve in (A1, P1):
+            for rank in (1, 2):
+                kept = 0
+                while kept < 4:
+                    theta = _random_family(rng, field, curve, rank)
+                    if theta is None:
+                        continue
+                    kept += 1
+                    want = _vertex_conditions_reference(theta)
+                    got = _vertex_conditions_only(theta)
+                    assert got.to_dict() == want.to_dict(), theta.describe()
+                    # coherent_validate reports the same inequalities
+                    full = coherent_validate(theta).violations
+                    assert full[len(full) - len(want.violations):] \
+                        == want.violations
+                    failing += not want.ok
+                draws += kept
+    assert draws == 48 and failing > 0
+
+
+def test_probe_builds_no_associated_cones(monkeypatch):
+    import ghz.classifier as classifier
+
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return associated_cones(c)
+
+    monkeypatch.setattr(classifier, "associated_cones", counting)
+    assert equivalence_probe(5, 2, P1, 2, seed=3).ok
+    K = lambda_field(2)
+    D, col = hyperbolic_w25(K, "t^2+l")
+    theta = CoherentFamily(col, (1,), (2,), (K.one(),))
+    assert floor_condition_check(theta, 12).ok
+    assert calls == []
 
 
 def test_enumerate_coherent_hyperbolic():

@@ -42,8 +42,3 @@ def test_prime_field_division_by_zero():
 def test_prime_field_requires_prime():
     with pytest.raises(FieldError):
         PrimeField(6)
-
-
-def test_sum_helper():
-    F = PrimeField(3)
-    assert F.eq(F.sum([F.one(), F.one(), F.one()]), F.zero())

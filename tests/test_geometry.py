@@ -4,7 +4,7 @@ import pytest
 
 from ghz.geometry import (Cone, GeometryError, Polyhedron, _normal_cone_data,
                           in_lattice, lattice_basis, lattice_box,
-                          cone_from_polyhedron_at_height, minkowski_points,
+                          minkowski_points,
                           minkowski_weighted_sum, nullspace, primitive, rank,
                           vec)
 
@@ -97,13 +97,6 @@ def test_one_point_polyhedron_matches_generic_path():
     halfplane = Cone.from_generators([(1, 0), (-1, 0), (0, 1)], 2)
     with pytest.raises(GeometryError):
         Polyhedron.from_points([(F(0), F(0))], halfplane)
-
-
-def test_cone_from_polyhedron_at_height():
-    p = Polyhedron.from_points([(F(1, 5),)], Cone.zero(1))
-    c = cone_from_polyhedron_at_height(p, 1)
-    assert c.contains((1, 5))
-    assert not c.contains((1, 0))
 
 
 def test_lattice_basis_and_membership():

@@ -1,0 +1,41 @@
+import ast
+from pathlib import Path
+
+import ghz
+
+PACKAGE = Path(ghz.__file__).parent
+
+
+def _unused_imports(tree):
+    """Names bound by an import statement that the module never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unused.extend(f"{path.name}:{line}: {name}"
+                      for line, name in _unused_imports(tree))
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_unused_import_scan_sees_local_and_aliased_imports():
+    tree = ast.parse("from math import floor, lcm as l\n"
+                     "def f():\n"
+                     "    import os.path\n"
+                     "    return floor(1)\n")
+    assert _unused_imports(tree) == [(1, "l"), (3, "os")]
