@@ -8,7 +8,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from functools import lru_cache
+from math import lcm
 
 from .curves import A1, P1, ClosedPoint, insep_profile
 from .fields import PrimeField, Rationals
@@ -319,17 +320,45 @@ def _vertex_conditions_only(theta: CoherentFamily) -> Report:
 
 def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
     """Discrete counterpart of the vertex inequalities: floors of the
-    piecewise-linear evaluation maps must jump by enough along e."""
+    piecewise-linear evaluation maps must jump by enough along e.
+
+    The check runs on integers. Every vertex is scaled by L (`big`), the
+    lcm of all vertex denominators, so a value a of the maps becomes the
+    integer A = L*a and floor(s*a) = (s*A) // L. A weight lies in the dual
+    of the tail cone when it pairs nonnegatively with the tail's rays and
+    to zero with its lineality."""
     rep = Report("floor conditions")
     c = theta.coloring
     div = c.divisor
     d, qe, v0, points = _vertex_table(theta)
-    dual = div.tail.dual()
-    v_deg = c.v_deg()
-    rhs0 = 1 + d * dot(qe, v0)
+    if any(x.denominator != 1 for x in qe):
+        raise ClassifierError("e must be a lattice vector")
+    qe = tuple(int(x) for x in qe)
     verts0 = div.polyhedron_at(c.y0).vertices
     verts_inf = div.polyhedron_at(c.y_infinity).vertices \
         if div.curve == P1 else None
+    v_deg = c.v_deg()
+    every = [v0, v_deg, *verts0, *(verts_inf or ())]
+    for _, _, verts, vy in points:
+        every.extend(verts)
+        every.append(vy)
+    big = lcm(*(x.denominator for v in every for x in v))
+
+    def scaled(v):
+        return tuple(int(x * big) for x in v)
+
+    rows = [(y, scale, [scaled(v) for v in verts], scaled(vy))
+            for y, scale, verts, vy in points]
+    v0, v_deg = scaled(v0), scaled(v_deg)
+    verts0 = [scaled(v) for v in verts0]
+    if verts_inf is not None:
+        verts_inf = [scaled(v) for v in verts_inf]
+    rhs0 = 1 + d * dot(qe, v0) // big
+    tail = div.tail
+
+    def in_dual(m):
+        return all(dot(m, r) >= 0 for r in tail.rays) \
+            and all(dot(m, l) == 0 for l in tail.lineality)
 
     # every polyhedron of the divisor has the tail cone as its tail, so at
     # m and m + qe, both in the dual cone, its minimum is at a vertex
@@ -337,28 +366,28 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
         return min(dot(m, v) for v in verts)
 
     for m in lattice_box(div.rank, m_bound):
-        m1 = vec(m)
-        if not dual.contains(m1):
+        if not in_dual(m):
             continue
-        m2 = vadd(m1, qe)
-        if not dual.contains(m2):
+        m2 = vadd(m, qe)
+        if not in_dual(m2):
             continue
-        for y, scale, verts, vy in points:
-            a = low(verts, m1) - dot(m1, vy)
+        for y, scale, verts, vy in rows:
+            a = low(verts, m) - dot(m, vy)
             b = low(verts, m2) - dot(m2, vy)
-            if b != 0 and floor(scale * b) - floor(scale * a) < 1:
-                rep.fail(f"(4): m={m} at [{y.to_str()}]: "
-                         f"{floor(scale * b)} - {floor(scale * a)} < 1")
-        h0a, h0b = low(verts0, m1), low(verts0, m2)
+            if b != 0:
+                fa, fb = scale * a // big, scale * b // big
+                if fb - fa < 1:
+                    rep.fail(f"(4): m={m} at [{y.to_str()}]: {fb} - {fa} < 1")
+        h0b = low(verts0, m2)
         if h0b != dot(m2, v0):
-            if floor(d * h0b) - floor(d * h0a) < rhs0:
-                rep.fail(f"(5): m={m}: {floor(d * h0b)} - {floor(d * h0a)} "
-                         f"< {rhs0}")
+            fa, fb = d * low(verts0, m) // big, d * h0b // big
+            if fb - fa < rhs0:
+                rep.fail(f"(5): m={m}: {fb} - {fa} < {rhs0}")
         if verts_inf is not None:
-            ga = low(verts_inf, m1) + dot(m1, v_deg)
-            gb = low(verts_inf, m2) + dot(m2, v_deg)
-            if floor(d * gb) - floor(d * ga) < -1:
-                rep.fail(f"(6): m={m}: {floor(d * gb)} - {floor(d * ga)} < -1")
+            fa = d * (low(verts_inf, m) + dot(m, v_deg)) // big
+            fb = d * (low(verts_inf, m2) + dot(m2, v_deg)) // big
+            if fb - fa < -1:
+                rep.fail(f"(6): m={m}: {fb} - {fa} < -1")
     return rep
 
 
@@ -393,28 +422,50 @@ def equivalence_probe(trials: int, p: int, curve: str, rank: int,
     return rep
 
 
+@lru_cache(maxsize=None)
+def _tail_cone(ray, rank):
+    """The sampler's tail: the zero cone (ray None) or the cone on one 0/1
+    vector, built once per process so its cached dual is shared. Both are
+    pointed, so their duals are full-dimensional."""
+    return Cone.zero(rank) if ray is None \
+        else Cone.from_generators([ray], rank)
+
+
 def _random_family(rng, field, curve, rank):
-    """One random small coloring + family, or None if the draw is invalid."""
+    """One random small coloring + family, or None if the draw is invalid.
+
+    All raw vertex lists are drawn before any polyhedron is built (building
+    one consumes no randomness). Over P1, deg D is the hull of the
+    degree-weighted sums of one raw point per support point, plus the tail
+    cone, so it lies in the convex tail exactly when every such sum does. A
+    draw failing that is rejected on the raw points, before the polyhedra
+    are built and `validate` runs; `validate` still rejects the rest of
+    its cases, such as 0 being a vertex of deg D."""
     def rand_vertex():
         return tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                      for _ in range(rank))
 
-    tail = Cone.zero(rank) if rng.random() < 0.5 else Cone.from_generators(
-        [tuple(rng.randint(0, 1) for _ in range(rank)) or (1,) * rank], rank)
-    if tail.dual().dim != rank:
-        tail = Cone.zero(rank)
+    tail = _tail_cone(None if rng.random() < 0.5 else
+                      tuple(rng.randint(0, 1) for _ in range(rank)), rank)
     consts = list(range(field.p)) if isinstance(field, PrimeField) \
         else [0, 1, 2]
     pts = [ClosedPoint.rational(field, field.from_int(c)) for c in consts[:3]]
-    support = {}
+    raw = {}
     for y in pts[:rng.randint(1, min(3, len(pts)))]:
-        verts = [rand_vertex() for _ in range(rng.randint(1, 2))]
-        support[y] = Polyhedron.from_points(verts, tail)
+        raw[y] = [rand_vertex() for _ in range(rng.randint(1, 2))]
+    y_inf = None
     if curve == P1:
-        support[ClosedPoint.infinity()] = Polyhedron.from_points(
-            [rand_vertex()], tail)
+        y_inf = ClosedPoint.infinity()
+        raw[y_inf] = [rand_vertex()]
+        # the least pairing of such a sum with a generator of the dual cone
+        # is the degree-weighted sum of each point's least pairing
+        for g in tail.dual().generators():
+            if sum(y.degree * min(dot(g, v) for v in verts)
+                   for y, verts in raw.items()) < 0:
+                return None
+    support = {y: Polyhedron.from_points(verts, tail)
+               for y, verts in raw.items()}
     div = PolyhedralDivisor(field, curve, tail, support)
-    y_inf = ClosedPoint.infinity() if curve == P1 else None
     if not div.validate().ok:
         return None
     try:

@@ -1,7 +1,8 @@
 """Command-line interface: scenario loading, command dispatch and reports.
 
 Exit codes: 0 for a positive/complete verdict, 1 for a negative verdict
-with witnesses, 2 for usage or parse errors.
+with witnesses, 2 for usage or parse errors, 3 for an internal failure (a
+computation that raised instead of reaching a verdict).
 """
 
 from __future__ import annotations
@@ -253,7 +254,14 @@ def main(argv=None) -> int:
     except (DivisorError, ClassifierError, EngineError, FieldError,
             GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3
+    except Exception as exc:
+        # not one of the checkers' own errors: a defect, so keep the trace
+        import traceback
+
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

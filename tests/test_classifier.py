@@ -14,10 +14,11 @@ from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
                             toricity_check)
 from ghz.curves import A1, P1, ClosedPoint, insep_profile, point_validate
 from ghz.fields import PrimeField, Rationals
-from ghz.geometry import Cone, Polyhedron, dot, lattice_box, vadd, vec
+from ghz.geometry import (Cone, GeometryError, Polyhedron, dot, lattice_box,
+                          vadd, vec)
 from ghz.polynomials import lambda_field, parse_poly
 from ghz.reports import Report
-from ghz.tvariety import PolyhedralDivisor
+from ghz.tvariety import DivisorError, PolyhedralDivisor
 
 Q = Rationals()
 
@@ -224,6 +225,10 @@ def _floor_condition_check_per_weight(theta, m_bound):
 def test_floor_condition_check_matches_per_weight_reference():
     rng = random.Random(23)
     failing = 0
+    # instances per (curve, tail kind): a zero tail has the whole space as
+    # its dual, a ray tail has a dual whose rays are not the tail's
+    kinds = {(curve, kind): 0 for curve in (A1, P1)
+             for kind in ("zero", "ray")}
     for field in (Q, PrimeField(2), PrimeField(3)):
         for curve in (A1, P1):
             drawn = 0
@@ -232,12 +237,104 @@ def test_floor_condition_check_matches_per_weight_reference():
                 if theta is None:
                     continue
                 drawn += 1
+                tail = theta.coloring.divisor.tail
+                kinds[curve, "ray" if tail.rays else "zero"] += 1
                 for m_bound in (3, 6):
                     want = _floor_condition_check_per_weight(theta, m_bound)
                     got = floor_condition_check(theta, m_bound)
                     assert got.to_dict() == want.to_dict(), theta.describe()
                     failing += not want.ok
     assert failing > 0
+    assert kinds[A1, "zero"] and kinds[A1, "ray"] and kinds[P1, "ray"], kinds
+    # over P1 a zero tail forces deg D = {0}, which has 0 as a vertex, so
+    # no valid instance has one
+    assert kinds[P1, "zero"] == 0, kinds
+
+
+def _reference_random_family(rng, field, curve, rank):
+    """Reference: the sampler that builds every support polyhedron and
+    leaves all rejections to `validate`."""
+    def rand_vertex():
+        return tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
+                     for _ in range(rank))
+
+    tail = Cone.zero(rank) if rng.random() < 0.5 else Cone.from_generators(
+        [tuple(rng.randint(0, 1) for _ in range(rank)) or (1,) * rank], rank)
+    if tail.dual().dim != rank:
+        tail = Cone.zero(rank)
+    consts = list(range(field.p)) if isinstance(field, PrimeField) \
+        else [0, 1, 2]
+    pts = [ClosedPoint.rational(field, field.from_int(c)) for c in consts[:3]]
+    support = {}
+    for y in pts[:rng.randint(1, min(3, len(pts)))]:
+        verts = [rand_vertex() for _ in range(rng.randint(1, 2))]
+        support[y] = Polyhedron.from_points(verts, tail)
+    if curve == P1:
+        support[ClosedPoint.infinity()] = Polyhedron.from_points(
+            [rand_vertex()], tail)
+    div = PolyhedralDivisor(field, curve, tail, support)
+    y_inf = ClosedPoint.infinity() if curve == P1 else None
+    if not div.validate().ok:
+        return None
+    try:
+        fan = div.linearity_fan(y_inf)
+    except (DivisorError, GeometryError):
+        return None
+    cone, v_deg, assign = rng.choice(fan)
+    y0 = rng.choice([y for y in support if not y.is_infinity])
+    vertices = dict(assign)
+    for y, v in vertices.items():
+        if y != y0 and any(x.denominator != 1 for x in v):
+            return None
+    coloring = Coloring(div, vertices, y0, y_inf)
+    if not coloring_validate(coloring).ok:
+        return None
+    e = tuple(rng.randint(-2, 2) for _ in range(rank))
+    p = field.char_exponent
+    s = (1,) if p == 1 else (rng.randint(0, 2),)
+    return CoherentFamily(coloring, e, s, (field.one(),) * len(s))
+
+
+def _draw_key(theta):
+    if theta is None:
+        return None
+    c = theta.coloring
+    return (theta.describe(), c.divisor.tail, c.divisor.support, c.vertices,
+            c.y0, c.y_infinity)
+
+
+def test_sampler_matches_build_then_validate_reference(monkeypatch):
+    validated = []
+    real_validate = PolyhedralDivisor.validate
+
+    def recording(div):
+        rep = real_validate(div)
+        validated.append(rep)
+        return rep
+
+    monkeypatch.setattr(PolyhedralDivisor, "validate", recording)
+    kept = 0
+    p1_rejections = {"raw points": 0, "0 is a vertex": 0}
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for curve in (A1, P1):
+            for rank in (1, 2):
+                ref_rng, rng = random.Random(47), random.Random(47)
+                for _ in range(60):
+                    want = _reference_random_family(ref_rng, field, curve,
+                                                    rank)
+                    validated.clear()
+                    got = _random_family(rng, field, curve, rank)
+                    assert _draw_key(got) == _draw_key(want)
+                    assert rng.getstate() == ref_rng.getstate()
+                    kept += got is not None
+                    if curve == P1 and got is None:
+                        if not validated:
+                            p1_rejections["raw points"] += 1
+                        elif any("0 is a vertex" in v
+                                 for v in validated[0].violations):
+                            p1_rejections["0 is a vertex"] += 1
+    assert kept > 0
+    assert all(p1_rejections.values()), p1_rejections
 
 
 def _vertex_conditions_reference(theta):
@@ -322,6 +419,32 @@ def test_probe_builds_no_associated_cones(monkeypatch):
     theta = CoherentFamily(col, (1,), (2,), (K.one(),))
     assert floor_condition_check(theta, 12).ok
     assert calls == []
+
+
+# _random_family calls of equivalence_probe(10, p, curve, rank, seed=11),
+# keyed by (p, curve, rank); the probe must keep drawing the same instances
+PROBE_DRAWS = {
+    (1, A1, 1): 11, (1, P1, 1): 213, (1, A1, 2): 24, (1, P1, 2): 4940,
+    (2, A1, 1): 12, (2, P1, 1): 238, (2, A1, 2): 14, (2, P1, 2): 1656,
+    (3, A1, 1): 11, (3, P1, 1): 205, (3, A1, 2): 21, (3, P1, 2): 4937,
+}
+
+
+def test_probe_draw_stream_is_pinned(monkeypatch):
+    import ghz.classifier as classifier
+
+    draws = []
+
+    def counting(*args):
+        draws.append(args)
+        return _random_family(*args)
+
+    monkeypatch.setattr(classifier, "_random_family", counting)
+    for (p, curve, rank), want in PROBE_DRAWS.items():
+        draws.clear()
+        rep = equivalence_probe(10, p, curve, rank, seed=11)
+        assert rep.ok, rep.violations
+        assert len(draws) == want, (p, curve, rank)
 
 
 def test_enumerate_coherent_hyperbolic():

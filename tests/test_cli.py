@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ghz import scenarios
+from ghz import cli, scenarios
 from ghz.cli import main
+from ghz.engine import EngineError
 
 
 def run(capsys, *argv):
@@ -137,3 +138,17 @@ def test_trust_irreducible_reaches_builtin_examples(capsys, monkeypatch):
     # the example's own default still holds without the flag
     code, out, _ = run(capsys, "coherent", "--example", "w25-imperfect")
     assert code == 0
+
+
+@pytest.mark.parametrize("exc", [EngineError("descent failure"),
+                                 RuntimeError("boom")])
+def test_internal_failure_exit_code(capsys, monkeypatch, exc):
+    def failing(sc, command, args):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_command", failing)
+    code, out, err = run(capsys, "coherent", "--example", "w25-prime")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and str(exc) in err
+    # only an unexpected exception brings its traceback
+    assert ("Traceback" in err) == isinstance(exc, RuntimeError)
