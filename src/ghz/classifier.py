@@ -398,9 +398,10 @@ def equivalence_probe(trials: int, p: int, curve: str, rank: int,
     rep = Report("equivalence probe")
     rng = random.Random(seed)
     field = PrimeField(p) if p > 1 else Rationals()
-    checked = skipped = 0
+    drawn = checked = skipped = 0
     while checked < trials:
         inst = _random_family(rng, field, curve, rank)
+        drawn += 1
         if inst is None:
             continue
         # witnesses can require one full step of p^{s1}e beyond the base box
@@ -419,6 +420,8 @@ def equivalence_probe(trials: int, p: int, curve: str, rank: int,
         checked += 1
     rep.note(f"{checked} instances agreed" if rep.ok else "counterexample found")
     rep.note(f"skipped {skipped} instances (ClassifierError)")
+    rep.note(f"drew {drawn}: {drawn - skipped - checked} rejected, "
+             f"{skipped} skipped, {checked} checked")
     return rep
 
 
@@ -431,40 +434,46 @@ def _tail_cone(ray, rank):
         else Cone.from_generators([ray], rank)
 
 
+@lru_cache(maxsize=None)
+def _sample_points(field):
+    """The sampler's finite points: t = c for the first three constants."""
+    consts = range(field.p) if isinstance(field, PrimeField) else range(3)
+    return tuple(ClosedPoint.rational(field, field.from_int(c))
+                 for c in consts[:3])
+
+
 def _random_family(rng, field, curve, rank):
     """One random small coloring + family, or None if the draw is invalid.
 
     All raw vertex lists are drawn before any polyhedron is built (building
-    one consumes no randomness). Over P1, deg D is the hull of the
-    degree-weighted sums of one raw point per support point, plus the tail
-    cone, so it lies in the convex tail exactly when every such sum does. A
-    draw failing that is rejected on the raw points, before the polyhedra
-    are built and `validate` runs; `validate` still rejects the rest of
-    its cases, such as 0 being a vertex of deg D."""
+    one consumes no randomness), each coordinate a/b (b <= 3) as 6a/b. Over
+    P1, deg D is the hull of the degree-weighted sums of one raw point per
+    support point, plus the tail cone, so it lies in the convex tail exactly
+    when every such sum does. A draw failing that is rejected on the raw
+    points, before the polyhedra are built and `validate` runs; `validate`
+    still rejects the rest of its cases, such as 0 being a vertex of deg D."""
     def rand_vertex():
-        return tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        return tuple(6 * rng.randint(-2, 2) // rng.randint(1, 3)
                      for _ in range(rank))
 
     tail = _tail_cone(None if rng.random() < 0.5 else
                       tuple(rng.randint(0, 1) for _ in range(rank)), rank)
-    consts = list(range(field.p)) if isinstance(field, PrimeField) \
-        else [0, 1, 2]
-    pts = [ClosedPoint.rational(field, field.from_int(c)) for c in consts[:3]]
-    raw = {}
-    for y in pts[:rng.randint(1, min(3, len(pts)))]:
-        raw[y] = [rand_vertex() for _ in range(rng.randint(1, 2))]
+    pts = _sample_points(field)
+    raw = [(y, [rand_vertex() for _ in range(rng.randint(1, 2))])
+           for y in pts[:rng.randint(1, len(pts))]]
     y_inf = None
     if curve == P1:
         y_inf = ClosedPoint.infinity()
-        raw[y_inf] = [rand_vertex()]
+        raw.append((y_inf, [rand_vertex()]))
         # the least pairing of such a sum with a generator of the dual cone
-        # is the degree-weighted sum of each point's least pairing
+        # is the degree-weighted sum of each point's least pairing; every
+        # sampled point has degree 1
         for g in tail.dual().generators():
-            if sum(y.degree * min(dot(g, v) for v in verts)
-                   for y, verts in raw.items()) < 0:
+            if sum(min(dot(g, v) for v in verts) for _, verts in raw) < 0:
                 return None
-    support = {y: Polyhedron.from_points(verts, tail)
-               for y, verts in raw.items()}
+    support = {y: Polyhedron.from_points(
+        [tuple(Fraction(x, 6) for x in v) for v in verts], tail)
+        for y, verts in raw}
     div = PolyhedralDivisor(field, curve, tail, support)
     if not div.validate().ok:
         return None

@@ -17,7 +17,7 @@ from .classifier import (candidate_colorings, coherent_validate,
                          associated_cones, enumerate_coherent, toricity_check,
                          ClassifierError)
 from .curves import A1, PointError
-from .engine import (EngineError, GradedElement, build_operator,
+from .engine import (EngineError, GradedElement, Refusal, build_operator,
                      default_horizontal_order, kernel_in_box,
                      toric_root_operator, verify_axioms, verify_horizontal,
                      verify_stability, verify_toric_axioms)
@@ -66,6 +66,15 @@ def _generator_elements(sc):
 
 def run_command(sc, command, args) -> Report:
     rep = Report(command)
+    try:
+        _run(rep, sc, command, args)
+    except Refusal as exc:
+        # a refused input is a negative verdict, with its witnesses
+        rep.merge(exc.report)
+    return rep
+
+
+def _run(rep, sc, command, args):
     div = sc.divisor
     if command == "validate":
         rep.merge(div.validate())
@@ -183,7 +192,6 @@ def run_command(sc, command, args) -> Report:
             rep.fail("toric-check needs a rank-1 divisor or a root")
     else:
         raise UsageError(f"unknown command {command!r}")
-    return rep
 
 
 def _emit(rep: Report, as_json: bool, elapsed: float) -> int:

@@ -24,6 +24,15 @@ class EngineError(ValueError):
     pass
 
 
+class Refusal(EngineError):
+    """The engine refuses its input: a negative verdict whose witnesses are
+    the violations of ``report``, not a failure of the engine."""
+
+    def __init__(self, report: Report):
+        super().__init__("; ".join(report.violations))
+        self.report = report
+
+
 # -- graded elements --------------------------------------------------------
 
 class GradedElement:
@@ -241,8 +250,10 @@ def build_operator(theta: CoherentFamily, override: bool = False
                    ) -> DthetaOperator:
     rep = coherent_validate(theta)
     if not rep.ok and not override:
-        raise EngineError("family is not coherent: "
-                          + "; ".join(rep.violations))
+        refusal = Report("operator")
+        refusal.fail("family is not coherent")
+        refusal.merge(rep)
+        raise Refusal(refusal)
     c = theta.coloring
     if c.divisor.curve == P1 and not c.y_infinity.is_infinity:
         raise EngineError("the operator engine expects the marked point at "
@@ -463,7 +474,11 @@ def toric_root_operator(sigma0: Cone, e, field) -> ToricRootOperator:
             mu = r
             break
     if mu is None:
-        raise EngineError(f"{e} is not a root of the cone")
+        refusal = Report("toric root")
+        pairs = ", ".join(f"{r} -> {dot(e, r)}" for r in sigma0.rays)
+        refusal.fail(f"{e} is not a root of the cone: pairings with its "
+                     f"rays: {pairs or 'none'}")
+        raise Refusal(refusal)
     return ToricRootOperator(field, e, mu)
 
 

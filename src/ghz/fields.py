@@ -40,7 +40,8 @@ class BaseField:
     generator_name = None  # set by fields with a distinguished transcendental
 
     # -- primitive ops supplied by subclasses: zero, one, add, neg, mul,
-    #    inv, eq, from_int, to_str
+    #    inv, eq, from_int, to_str, and canon, the one raw value of each
+    #    element; canon_terms keeps the nonzero values of a dict, canonical
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -100,6 +101,12 @@ class Rationals(BaseField):
     def eq(self, a, b) -> bool:
         return a == b
 
+    def canon(self, a):
+        return a
+
+    def canon_terms(self, terms: dict) -> dict:
+        return {e: c for e, c in terms.items() if c}
+
     def from_int(self, n: int):
         return Fraction(n)
 
@@ -147,6 +154,12 @@ class PrimeField(BaseField):
 
     def eq(self, a, b) -> bool:
         return (a - b) % self.p == 0
+
+    def canon(self, a):
+        return a % self.p
+
+    def canon_terms(self, terms: dict) -> dict:
+        return {e: r for e, c in terms.items() if (r := c % self.p)}
 
     def from_int(self, n: int):
         return n % self.p

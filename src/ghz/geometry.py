@@ -2,15 +2,18 @@
 
 Vectors are tuples of Fractions (or ints for lattice vectors).  Cones are
 stored by primitive extreme rays plus a canonical lineality basis; both
-descriptions (generators and inequalities) are obtained through the same
-facet-subset enumeration, which is entirely adequate at rank <= 4.
+descriptions (generators and inequalities) come from one integer kernel,
+`rays_from_inequalities`: rows scaled to primitive integer rows, rank and
+lineality from fraction-free Gauss-Jordan elimination, and each ray
+candidate as a cofactor vector of at most 3 x 3 determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 
 
 MAX_RANK = 4
@@ -27,7 +30,7 @@ def vec(coords):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):
@@ -43,76 +46,67 @@ def vscale(c, a):
     return tuple(c * x for x in a)
 
 
-def is_zero_vec(a):
-    return all(x == 0 for x in a)
-
-
 def primitive(r):
     """Smallest lattice point on the ray through r (orientation kept)."""
-    r = vec(r)
-    if is_zero_vec(r):
+    m = lcm(*[x.denominator for x in r])
+    ints = [x.numerator * (m // x.denominator) for x in r]
+    g = gcd(*ints)
+    if not g:
         raise GeometryError("zero vector has no primitive generator")
-    mult = lcm(*[x.denominator for x in r])
-    ints = [int(x * mult) for x in r]
-    g = gcd(*[abs(i) for i in ints])
     return tuple(i // g for i in ints)
 
 
-# -- exact linear algebra ---------------------------------------------------
+# -- fraction-free linear algebra -------------------------------------------
 
-def rref(rows):
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
-    rows = [list(vec(r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    cur = 0
-    for col in range(ncols):
-        piv = next((i for i in range(cur, len(rows)) if rows[i][col] != 0), None)
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss,
+    Math. Comp. 22, 1968): (nonzero rows, pivot columns). Each division by
+    the previous pivot is exact, every pivot ends equal to the last one, and
+    each row is a multiple of its row of the reduced echelon form."""
+    rows, pivots, prev = [list(r) for r in rows], [], 1
+    for col in range(len(rows[0]) if rows else 0):
+        cur = len(pivots)
+        piv = next((i for i in range(cur, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[cur], rows[piv] = rows[piv], rows[cur]
-        inv = 1 / rows[cur][col]
-        rows[cur] = [x * inv for x in rows[cur]]
-        for i in range(len(rows)):
-            if i != cur and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[cur])]
+        top, d = rows[cur], rows[cur][col]
+        rows = [r if i == cur else
+                [(d * x - r[col] * y) // prev for x, y in zip(r, top)]
+                for i, r in enumerate(rows)]
+        prev = d
         pivots.append(col)
-        cur += 1
-        if cur == len(rows):
-            break
-    return [tuple(r) for r in rows[:cur]], pivots
+    return rows[:len(pivots)], pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
-def nullspace(rows, n):
-    """Basis of {x : row . x = 0 for all rows} in Q^n."""
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+def _lineality(rows, n):
+    """Canonical basis of {x : r . x = 0 for every integer row r}: the
+    primitive multiples, with positive pivot, of the reduced echelon rows of
+    that subspace, sorted."""
+    red, pivots = _echelon(rows)
+    d = red[0][pivots[0]] if red else 1
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = d
         for r, pc in zip(red, pivots):
             v[pc] = -r[fc]
-        basis.append(tuple(v))
-    return basis
+        kernel.append(v)
+    red, pivots = _echelon(kernel)
+    return tuple(sorted(primitive(r if r[pc] > 0 else [-x for x in r])
+                        for r, pc in zip(red, pivots)))
 
 
-def _canonical_basis(rows):
-    """Canonical primitive basis of a rational subspace."""
-    red, _ = rref(rows)
-    out = []
-    for r in red:
-        if is_zero_vec(r):
-            continue
-        out.append(primitive(r))
-    return tuple(sorted(out))
+def _cofactors(m):
+    """Generalized cross product of k integer rows of length k + 1, by
+    Laplace expansion: orthogonal to every row, and zero exactly when the
+    rows are dependent."""
+    if not m:
+        return (1,)
+    head, rest = m[0], m[1:]
+    return tuple((-1) ** j * dot(head[:j] + head[j + 1:],
+                                 _cofactors([r[:j] + r[j + 1:] for r in rest]))
+                 for j in range(len(head)))
 
 
 # -- cones ------------------------------------------------------------------
@@ -120,40 +114,25 @@ def _canonical_basis(rows):
 def rays_from_inequalities(ineqs, n):
     """Extreme rays and lineality of {x in Q^n : a . x >= 0 for a in ineqs}.
 
-    Extreme rays are found as one-dimensional nullspaces of (k-1)-subsets of
-    the constraints after splitting off the lineality space, where k is the
-    rank of the constraint matrix.
+    Runs on integers: each row is scaled to its primitive integer multiple,
+    which leaves the cone unchanged. With k the rank of the rows, every
+    extreme ray spans the kernel of k - 1 independent rows stacked with the
+    lineality basis, n - 1 rows in all: their cofactor vector, taken with
+    the sign that satisfies every row.
     """
-    ineqs = [vec(a) for a in ineqs if not is_zero_vec(vec(a))]
-    lin = nullspace(ineqs, n)
-    if not ineqs:
-        return _canonical_basis(lin) if lin else (), ()
-    row_basis, _ = rref(ineqs)
-    row_basis = [b for b in row_basis if not is_zero_vec(b)]
-    k = len(row_basis)
-    # constraints in coordinates of the row space: x = sum c_j * b_j
-    proj = [tuple(dot(a, b) for b in row_basis) for a in ineqs]
+    rows = list({primitive(a) for a in ineqs if any(a)})
+    lin = _lineality(rows, n)
     rays = set()
-    if k == 1:
-        candidates = [(Fraction(1),)]
-    else:
-        candidates = []
-        for subset in combinations(range(len(proj)), k - 1):
-            sub = [proj[i] for i in subset]
-            ns = nullspace(sub, k)
-            if len(ns) == 1:
-                candidates.append(ns[0])
-    for c in candidates:
-        for sign in (1, -1):
-            cc = vscale(sign, c)
-            if all(dot(a, cc) >= 0 for a in proj):
-                ray = tuple(sum(cc[j] * row_basis[j][i] for j in range(k))
-                            for i in range(n))
-                if not is_zero_vec(ray):
-                    rays.add(primitive(ray))
-                break
-    lin_basis = _canonical_basis(lin) if lin else ()
-    return lin_basis, tuple(sorted(rays))
+    for subset in combinations(rows, n - len(lin) - 1) if rows else ():
+        c = _cofactors([*subset, *lin])
+        if any(c):
+            c = primitive(c)
+            signs = [dot(a, c) for a in rows]
+            if min(signs) >= 0:
+                rays.add(c)
+            elif max(signs) <= 0:
+                rays.add(tuple(-x for x in c))
+    return lin, tuple(sorted(rays))
 
 
 class Cone:
@@ -172,16 +151,12 @@ class Cone:
         """Canonical cone generated by arbitrary rational vectors."""
         if n > MAX_RANK:
             raise GeometryError(f"rank {n} exceeds supported maximum {MAX_RANK}")
-        gens = [vec(g) for g in gens if not is_zero_vec(vec(g))]
-        if not gens:
-            return cls(n, (), ())
         dual_lin, dual_rays = rays_from_inequalities(gens, n)
-        ineqs = list(dual_rays)
-        for l in dual_lin:
-            ineqs.append(l)
-            ineqs.append(vscale(-1, l))
-        lin, rays = rays_from_inequalities(ineqs, n)
-        return cls(n, rays, lin)
+        dual = cls(n, dual_rays, dual_lin)
+        lin, rays = rays_from_inequalities(dual.generators(), n)
+        cone = cls(n, rays, lin)
+        cone._dual, dual._dual = dual, cone
+        return cone
 
     @classmethod
     def zero(cls, n):
@@ -189,12 +164,8 @@ class Cone:
 
     @classmethod
     def orthant(cls, n):
-        gens = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            gens.append(tuple(e))
-        return cls.from_generators(gens, n)
+        return cls.from_generators(
+            [tuple(int(i == j) for j in range(n)) for i in range(n)], n)
 
     def generators(self):
         out = list(self.rays)
@@ -206,10 +177,9 @@ class Cone:
     def dual(self) -> "Cone":
         """{m : <m, v> >= 0 for all v in the cone}; involutive."""
         if self._dual is None:
-            ineqs = self.generators()
-            lin, rays = rays_from_inequalities(ineqs, self.n)
+            lin, rays = rays_from_inequalities(self.generators(), self.n)
             self._dual = Cone(self.n, rays, lin)
-            self._dual._dual = Cone(self.n, self.rays, self.lineality)
+            self._dual._dual = self
         return self._dual
 
     def contains(self, v) -> bool:
@@ -224,15 +194,11 @@ class Cone:
         gens = self.generators()
         if not gens:
             return tuple(Fraction(0) for _ in range(self.n))
-        acc = gens[0]
-        for g in gens[1:]:
-            acc = vadd(acc, g)
-        return acc
+        return tuple(map(sum, zip(*gens)))
 
     @property
     def dim(self) -> int:
-        gens = list(self.rays) + list(self.lineality)
-        return rank(gens) if gens else 0
+        return len(_echelon(self.rays + self.lineality)[1])
 
     def is_pointed(self) -> bool:
         return not self.lineality
@@ -318,12 +284,9 @@ class Polyhedron:
 
 def _normal_cone_data(v, points, tail: Cone):
     """(lineality, rays, dim) of {m : <m, w - v> >= 0, <m, r> >= 0}."""
-    n = tail.n
     ineqs = [vsub(w, v) for w in points if w != v]
-    ineqs.extend(tail.rays)
-    lin, rays = rays_from_inequalities(ineqs, n)
-    gens = list(lin) + list(rays)
-    return lin, rays, (rank(gens) if gens else 0)
+    lin, rays = rays_from_inequalities(ineqs + list(tail.rays), tail.n)
+    return lin, rays, len(_echelon(lin + rays)[1])
 
 
 def minkowski_points(terms):
@@ -383,24 +346,17 @@ def lattice_basis(vectors, n):
 
 def in_lattice(v, basis):
     """Is the integer vector in the subgroup with the triangular basis?"""
-    v = [Fraction(int(x)) for x in v]
+    v = [int(x) for x in v]
     for b in basis:
-        piv = next(i for i, x in enumerate(b) if x != 0)
-        if v[piv] != 0:
-            q = Fraction(v[piv], b[piv])
-            if q.denominator != 1:
-                return False
-            v = [x - q * y for x, y in zip(v, b)]
-    return all(x == 0 for x in v)
+        piv = next(i for i, x in enumerate(b) if x)
+        q, r = divmod(v[piv], b[piv])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, b)]
+    return not any(v)
 
 
 def lattice_box(n, bound):
-    """All integer points with coordinates in [-bound, bound]."""
-    def rec(i):
-        if i == n:
-            yield ()
-            return
-        for rest in rec(i + 1):
-            for c in range(-bound, bound + 1):
-                yield (c,) + rest
-    return list(rec(0))
+    """All integer points with coordinates in [-bound, bound], the first
+    coordinate varying fastest."""
+    return [p[::-1] for p in product(range(-bound, bound + 1), repeat=n)]

@@ -22,7 +22,7 @@ class Poly:
 
     def __init__(self, field, coeffs: dict):
         self.field = field
-        self.coeffs = {e: c for e, c in coeffs.items() if not field.is_zero(c)}
+        self.coeffs = field.canon_terms(coeffs)
 
     # -- constructors
 
@@ -393,6 +393,15 @@ class FractionField(BaseField):
 
     def eq(self, a, b) -> bool:
         return a == b
+
+    def canon(self, a):
+        """The reduced fraction; a monic denominator of degree 0 is 1."""
+        den = a.den.coeffs
+        return a if len(den) == 1 and 0 in den else RatFunc(a.num, a.den)
+
+    def canon_terms(self, terms: dict) -> dict:
+        canon = self.canon
+        return {e: canon(c) for e, c in terms.items() if c.num.coeffs}
 
     def is_zero(self, a) -> bool:
         return a.is_zero()

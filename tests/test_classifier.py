@@ -474,8 +474,41 @@ def test_equivalence_probe_small():
         assert rep.notes[0] == "10 instances agreed"
     rep = equivalence_probe(5, 2, P1, 2, seed=3)
     assert rep.ok, rep.violations
-    assert rep.notes == ["5 instances agreed",
-                         "skipped 0 instances (ClassifierError)"]
+    assert rep.notes[:2] == ["5 instances agreed",
+                             "skipped 0 instances (ClassifierError)"]
+
+
+def test_equivalence_probe_reports_its_draws(monkeypatch):
+    """The probe's own accounting: every draw is rejected by the sampler,
+    skipped on a ClassifierError or checked."""
+    import ghz.classifier as classifier
+
+    calls = {"draws": 0, "nones": 0, "raised": 0}
+
+    def counting(*args):
+        calls["draws"] += 1
+        theta = _random_family(*args)
+        calls["nones"] += theta is None
+        return theta
+
+    def raising_on_negative_e(theta, m_bound):
+        if theta.e[0] < 0:
+            calls["raised"] += 1
+            raise ClassifierError("negative e")
+        return floor_condition_check(theta, m_bound)
+
+    monkeypatch.setattr(classifier, "_random_family", counting)
+    monkeypatch.setattr(classifier, "floor_condition_check",
+                        raising_on_negative_e)
+    rep = equivalence_probe(10, 2, P1, 1, seed=11)
+    assert rep.ok, rep.violations
+    skipped = calls["raised"]
+    assert skipped > 0 and calls["draws"] > 100
+    assert rep.notes == [
+        "10 instances agreed",
+        f"skipped {skipped} instances (ClassifierError)",
+        f"drew {calls['draws']}: {calls['nones']} rejected, {skipped} "
+        "skipped, 10 checked"]
 
 
 def test_toricity():

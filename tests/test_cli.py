@@ -69,6 +69,35 @@ def test_verify(capsys):
     assert "horizontal" in out and "kernel" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "apply"])
+def test_incoherent_family_is_a_refusal(capsys, command):
+    """The operator of an incoherent family is refused: a negative verdict
+    with the failed condition as its witness, not an internal failure."""
+    code, out, err = run(capsys, command, "--example", "w25-prime")
+    assert code == 1 and err == ""
+    assert "violation: family is not coherent" in out
+    assert "(v): at [t + 1] vertex (1/5): 4/5 < 1" in out
+    code, out, _ = run(capsys, command, "--example", "w25-prime", "--json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        "family is not coherent", "(v): at [t + 1] vertex (1/5): 4/5 < 1"]
+
+
+@pytest.mark.parametrize("example, witness", [
+    ("char2-ramified", "(1, 0) is not a root of the cone: pairings with "
+                       "its rays: (0, 1) -> 0, (1, 0) -> 1"),
+    ("w25-imperfect", "(1,) is not a root of the cone: pairings with its "
+                      "rays: none"),
+    ("w25-prime", "(1,) is not a root of the cone: pairings with its "
+                  "rays: none"),
+])
+def test_toric_check_non_root_is_a_refusal(capsys, example, witness):
+    code, out, err = run(capsys, "toric-check", "--example", example,
+                         "--json")
+    assert code == 1 and err == ""
+    assert witness in json.loads(out)["violations"]
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--example", "w25-imperfect")
     assert code == 0

@@ -1,12 +1,100 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from ghz.geometry import (Cone, GeometryError, Polyhedron, _normal_cone_data,
-                          in_lattice, lattice_basis, lattice_box,
-                          minkowski_points,
-                          minkowski_weighted_sum, nullspace, primitive, rank,
-                          vec)
+                          dot, in_lattice, lattice_basis,
+                          lattice_box, minkowski_points,
+                          minkowski_weighted_sum, primitive,
+                          rays_from_inequalities, vec, vscale)
+
+
+# -- oracle: the Fraction reduced-echelon kernel -----------------------------
+
+def rref(rows):
+    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
+    rows = [list(vec(r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    cur = 0
+    for col in range(ncols):
+        piv = next((i for i in range(cur, len(rows)) if rows[i][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[cur], rows[piv] = rows[piv], rows[cur]
+        inv = 1 / rows[cur][col]
+        rows[cur] = [x * inv for x in rows[cur]]
+        for i in range(len(rows)):
+            if i != cur and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[cur])]
+        pivots.append(col)
+        cur += 1
+        if cur == len(rows):
+            break
+    return [tuple(r) for r in rows[:cur]], pivots
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[0])
+
+
+def nullspace(rows, n):
+    """Basis of {x : row . x = 0 for all rows} in Q^n."""
+    red, pivots = rref(rows)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [F(0)] * n
+        v[fc] = F(1)
+        for r, pc in zip(red, pivots):
+            v[pc] = -r[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _canonical_basis(rows):
+    """Canonical primitive basis of a rational subspace."""
+    red, _ = rref(rows)
+    return tuple(sorted(primitive(r) for r in red if any(r)))
+
+
+def rays_oracle(ineqs, n):
+    """Extreme rays and lineality by Fraction RREF: one-dimensional
+    nullspaces of (k-1)-subsets of the constraints in row-space
+    coordinates, k the rank of the constraint matrix."""
+    ineqs = [vec(a) for a in ineqs if any(a)]
+    lin = nullspace(ineqs, n)
+    if not ineqs:
+        return _canonical_basis(lin) if lin else (), ()
+    row_basis, _ = rref(ineqs)
+    k = len(row_basis)
+    proj = [tuple(dot(a, b) for b in row_basis) for a in ineqs]
+    rays = set()
+    if k == 1:
+        candidates = [(F(1),)]
+    else:
+        candidates = []
+        for subset in combinations(range(len(proj)), k - 1):
+            ns = nullspace([proj[i] for i in subset], k)
+            if len(ns) == 1:
+                candidates.append(ns[0])
+    for c in candidates:
+        for sign in (1, -1):
+            cc = vscale(sign, c)
+            if all(dot(a, cc) >= 0 for a in proj):
+                ray = tuple(sum(cc[j] * row_basis[j][i] for j in range(k))
+                            for i in range(n))
+                if any(ray):
+                    rays.add(primitive(ray))
+                break
+    lin_basis = _canonical_basis(lin) if lin else ()
+    return lin_basis, tuple(sorted(rays))
 
 
 def test_primitive():
@@ -23,6 +111,65 @@ def test_rank_nullspace():
     assert len(ns) == 1
     v = ns[0]
     assert v[0] * 1 + v[1] * 2 + v[2] * 3 == 0
+    # the integer kernel sees the same line: no rays, one lineality vector
+    lin, rays = rays_from_inequalities(rows + [vscale(-1, r) for r in rows], 3)
+    assert lin == _canonical_basis(ns) and rays == ()
+
+
+def _random_system(rng, n):
+    """Rational rows of rank at most n, with zero rows, duplicates, rows
+    that differ by a positive or negative scale, and rows taken from a
+    random subspace so that the cone has lineality."""
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    span = [tuple(entry() for _ in range(n))
+            for _ in range(rng.randint(1, n))]
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append(tuple(F(0) for _ in range(n)))
+        elif rows and kind < 0.3:
+            scale = rng.choice([1, 1, 2, F(1, 3), -1, -2])
+            rows.append(vscale(scale, rng.choice(rows)))
+        elif kind < 0.7:
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            row = tuple(sum(c * b[i] for c, b in zip(coeffs, span))
+                        for i in range(n))
+            rows.append(row)
+        else:
+            rows.append(tuple(entry() for _ in range(n)))
+    return rows
+
+
+def test_rays_from_inequalities_matches_fraction_oracle():
+    rng = random.Random(2024)
+    ranks = set()
+    with_lineality = with_rays = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(150 if n < 4 else 80):
+            rows = _random_system(rng, n)
+            want = rays_oracle(rows, n)
+            got = rays_from_inequalities(rows, n)
+            assert got == want, rows
+            ranks.add(rank(rows) if rows else 0)
+            with_lineality += bool(got[0]) and len(got[0]) < n
+            with_rays += bool(got[1])
+            lin, cone_rays = got
+            gens = list(lin) + list(cone_rays)
+            cone = Cone(n, cone_rays, lin)
+            assert cone.dim == (rank(gens) if gens else 0)
+            if rows:
+                v = rng.choice(rows)
+                data = _normal_cone_data(v, rows, Cone.zero(n))
+                ineqs = [tuple(a - b for a, b in zip(w, v))
+                         for w in rows if w != v]
+                lin2, rays2 = rays_oracle(ineqs, n)
+                gens2 = list(lin2) + list(rays2)
+                assert data == (lin2, rays2, rank(gens2) if gens2 else 0)
+    assert ranks == {0, 1, 2, 3, 4}
+    assert with_lineality > 100 and with_rays > 250
 
 
 def test_cone_dual_orthant():

@@ -175,3 +175,30 @@ def test_parse_poly_and_scalar():
     assert parse_scalar("-3/2", Q) == Q.from_fraction(Fraction(-3, 2))
     with pytest.raises(ParseError):
         parse_poly("1/t", Q)
+
+
+def test_raw_values_have_one_canonical_form():
+    """Poly canonicalizes its raw coefficients, so == is equality of the
+    polynomials however their coefficients were written."""
+    F3 = PrimeField(3)
+    K = lambda_field(2)
+    l = K.generator()
+    # (l^2 + l) / l, built without the reduction RatFunc's constructor does
+    unreduced = RatFunc(Poly(F2, {2: 1, 1: 1}), Poly(F2, {1: 1}),
+                        reduce=False)
+    cases = [
+        (Q, {0: Fraction(6, 4), 3: Fraction(0)}, {0: Fraction(3, 2)}),
+        (F2, {0: 3, 1: 2, 2: -1}, {0: 1, 2: 1}),
+        (F3, {0: -1, 1: 3, 2: 4}, {0: 2, 2: 1}),
+        (K, {0: unreduced, 1: K.zero()}, {0: l + K.one()}),
+    ]
+    for field, raw, canonical in cases:
+        a, b = Poly(field, raw), Poly(field, canonical)
+        assert a == b and hash(a) == hash(b), field
+        assert a.coeffs == b.coeffs and a.to_str() == b.to_str()
+        for c in raw.values():
+            assert field.canon(field.canon(c)) == field.canon(c)
+    assert Poly(F2, {0: 3}) == Poly.one(F2)
+    assert Poly(F3, {4: 6}).is_zero()
+    assert RatFunc.from_poly(Poly(F2, {0: 3})) == RatFunc.one(F2)
+    assert K.canon(unreduced) == l + K.one()
