@@ -25,11 +25,13 @@ class PointError(ValueError):
 class ClosedPoint:
     """Finite point (monic poly) or the point at infinity on P1."""
 
-    __slots__ = ("poly", "trusted")
+    __slots__ = ("poly", "trusted", "_hash")
 
     def __init__(self, poly, trusted=False):
         self.poly = poly  # None encodes infinity
         self.trusted = trusted
+        # computed once: Poly.__hash__ sorts the terms on every call
+        self._hash = hash(("pt", poly))
 
     @classmethod
     def infinity(cls):
@@ -63,7 +65,7 @@ class ClosedPoint:
         return isinstance(other, ClosedPoint) and self.poly == other.poly
 
     def __hash__(self):
-        return hash(("pt", self.poly))
+        return self._hash
 
     def to_str(self):
         return "infinity" if self.poly is None else self.poly.to_str("t")

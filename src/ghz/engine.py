@@ -124,6 +124,40 @@ class ApplicationResult:
 
 # -- the operator -----------------------------------------------------------
 
+def times_factors(r: RatFunc, factors, powers: dict) -> RatFunc:
+    """r * prod q^e for monic q, without a Euclidean gcd when nothing but q
+    can cancel.
+
+    r = num/den is reduced.  For e > 0, q is divided out of den while it
+    divides, and the rest of q^e multiplies num (symmetrically for e < 0).
+    A point may be trusted without an irreducibility proof, so q can share
+    a proper factor with what is left: the failed division's remainder
+    gives gcd(q, rest), and a nontrivial one makes the result reduce.
+
+    ``powers`` caches q ** n by (q, n) for polynomials over one field: the
+    same factors recur with the same exponents at every weight."""
+    num, den = r.num, r.den
+    if num.is_zero():
+        return r
+    reduce = False
+    for q, e in factors:
+        near, far = (num, den) if e > 0 else (den, num)
+        n = abs(e)
+        while n and far.degree > 0:
+            quo, rem = far.divmod(q)
+            if not rem.is_zero():
+                reduce = reduce or (rem.degree > 0
+                                    and poly_gcd(q, rem).degree > 0)
+                break
+            far, n = quo, n - 1
+        if n:
+            if (q, n) not in powers:
+                powers[q, n] = q ** n
+            near = near * powers[q, n]
+        num, den = (near, far) if e > 0 else (far, near)
+    return RatFunc(num, den, reduce=reduce)
+
+
 class DthetaOperator:
     """Sequence of divided-power operators attached to a coherent family."""
 
@@ -147,12 +181,14 @@ class DthetaOperator:
             (y, c.vertex(y)) for y in c.colored_points()
             if y != c.y0 and not y.is_infinity
             and any(x != 0 for x in c.vertex(y))]
+        self.xi_powers = {}  # q ** n of the xi factors, for times_factors
 
     def nilpotency_exponent(self) -> int:
         return self.exponents[-1]
 
-    def xi(self, m) -> FactoredRatFunc:
-        """xi_m = prod q_y^{-<m, v_y>} over colored points away from y0."""
+    def xi(self, m) -> list:
+        """xi_m = prod q_y^{-<m, v_y>} over colored points away from y0, as
+        (q_y, exponent) pairs with nonzero exponents."""
         m = vec(m)
         factors = []
         for y, vy in self.xi_points:
@@ -162,13 +198,14 @@ class DthetaOperator:
                     f"pairing of {tuple(m)} with {tuple(vy)} is not integral")
             if a != 0:
                 factors.append((y.poly, -int(a)))
-        return FactoredRatFunc(self.field, self.field.one(), factors)
+        return factors
 
     def _term_data(self, f: RatFunc, m):
         """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>} and its nilpotency bound."""
         k = self.field
         m = vec(m)
-        g = f / self.xi(m).expand()
+        g = times_factors(f, [(q, -e) for q, e in self.xi(m)],
+                          self.xi_powers)
         sub = Poly(k, {self.d: k.one(), 0: self.y0_value})
         h = g.compose_poly(sub)
         a = self.d * dot(m, self.v0)
@@ -226,7 +263,7 @@ class DthetaOperator:
             except FieldError as exc:
                 raise EngineError(
                     f"descent failure at order {i}, weight {tuple(w)}: {exc}")
-            coeff = descended * self.xi(w).expand()
+            coeff = times_factors(descended, self.xi(w), self.xi_powers)
             if not coeff.is_zero():
                 out[i] = (tuple(int(x) for x in w), coeff)
         return out, max_order, bound is not None and max_order >= bound
@@ -410,7 +447,6 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
     if div.curve != A1:
         raise EngineError("kernel extraction works over the affine line")
     rep = Report("kernel structure")
-    k = div.field
     dual = div.tail.dual()
     weights, spans = [], {}
     for m in lattice_box(div.rank, box_bound):
@@ -421,9 +457,9 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
         a = dot(vec(m), op.v0)
         fixed = False
         if a.denominator == 1:
-            phi = op.xi(m) * FactoredRatFunc(
-                k, k.one(), [(op.coloring.y0.poly, -int(a))])
-            g = phi.expand() / fm
+            phi = op.xi(m) + [(op.coloring.y0.poly, -int(a))]
+            g = times_factors(RatFunc(fm.den, fm.num, reduce=False), phi,
+                              op.xi_powers)
             fixed = g.is_poly() and g.num.is_constant()
         if fixed == any(i >= 1 for i in images):
             raise EngineError(f"closed-form kernel at {m} disagrees with the "

@@ -1,11 +1,12 @@
 """Exact rational cones and polyhedra in small dimension (rank <= 4).
 
-Vectors are tuples of Fractions (or ints for lattice vectors).  Cones are
-stored by primitive extreme rays plus a canonical lineality basis; both
-descriptions (generators and inequalities) come from one integer kernel,
-`rays_from_inequalities`: rows scaled to primitive integer rows, rank and
-lineality from fraction-free Gauss-Jordan elimination, and each ray
-candidate as a cofactor vector of at most 3 x 3 determinants.
+Vectors are tuples of ints or Fractions; `dot` and `Cone.contains` pair
+them as given.  Cones are stored by primitive integer extreme rays plus a
+canonical integer lineality basis; both descriptions (generators and
+inequalities) come from one integer kernel, `rays_from_inequalities`: rows
+scaled to primitive integer rows, rank and lineality from fraction-free
+Gauss-Jordan elimination, and each ray candidate as a cofactor vector of at
+most 3 x 3 determinants.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class Cone:
         return self._dual
 
     def contains(self, v) -> bool:
-        v = vec(v)
+        """Pairs v, as given, with the dual's primitive integer rows."""
         d = self.dual()
         if any(dot(r, v) < 0 for r in d.rays):
             return False

@@ -121,27 +121,25 @@ class Poly:
         return r
 
     def divmod(self, other):
+        """Long division in one pass (Knuth, TAOCP vol. 2, 4.6.1): for d from
+        deg self down to deg other, pop the remainder's term of degree d and
+        subtract its multiple of other's lower terms.  Zero raws left in the
+        remainder are dropped by the constructor."""
         k = self.field
         if other.is_zero():
             raise FieldError("polynomial division by zero")
-        q = {}
-        r = dict(self.coeffs)
-        dlead = other.leading()
         ddeg = other.degree
-        inv = k.inv(dlead)
-
-        def rdeg():
-            return max((e for e, c in r.items() if not k.is_zero(c)), default=-1)
-
-        d = rdeg()
-        while d >= ddeg:
-            c = k.mul(r[d], inv)
-            q[d - ddeg] = c
-            for e, a in other.coeffs.items():
-                ee = e + d - ddeg
-                r[ee] = k.sub(r.get(ee, k.zero()), k.mul(a, c))
-            r = {e: c for e, c in r.items() if not k.is_zero(c)}
-            d = rdeg()
+        inv = k.inv(other.coeffs[ddeg])
+        lower = [(e - ddeg, a) for e, a in other.coeffs.items() if e != ddeg]
+        zero = k.zero()
+        q, r = {}, dict(self.coeffs)
+        for d in range(self.degree, ddeg - 1, -1):
+            c = r.pop(d, None)
+            if c is None or k.is_zero(c):
+                continue
+            c = q[d - ddeg] = k.mul(c, inv)
+            for e, a in lower:
+                r[e + d] = k.sub(r.get(e + d, zero), k.mul(a, c))
         return Poly(k, q), Poly(k, r)
 
     def __mod__(self, other):

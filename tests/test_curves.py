@@ -105,3 +105,15 @@ def test_h0_projective():
 def test_h0_infinity_rejected_on_a1():
     with pytest.raises(PointError):
         h0_generators(QDivisor({ClosedPoint.infinity(): F(1)}), A1, Q)
+
+
+def test_point_hash_is_cached_and_unchanged():
+    k = lambda_field(2)
+    for field, text in ((Q, "t^2 - 2"), (F2, "t + 1"), (k, "t^2 + l")):
+        a = ClosedPoint(parse_poly(text, field))
+        b = ClosedPoint(parse_poly(text, field), trusted=True)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(("pt", parse_poly(text, field)))
+        assert len({a, b}) == 1
+    inf = ClosedPoint.infinity()
+    assert hash(inf) == hash(ClosedPoint(None)) == hash(("pt", None))

@@ -1,22 +1,25 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from ghz import engine
 from ghz.classifier import (CoherentFamily, Coloring, _random_family,
                             coherent_validate)
+from ghz.cli import main
 from ghz.curves import A1, ClosedPoint, point_validate
 from ghz.engine import (DthetaOperator, EngineError, GradedElement,
                         KernelReport, build_operator,
                         default_horizontal_order, kernel_in_box,
-                        toric_root_operator, verify_axioms, verify_horizontal,
-                        verify_stability)
+                        times_factors, toric_root_operator, verify_axioms,
+                        verify_horizontal, verify_stability)
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import (Cone, Polyhedron, in_lattice, lattice_basis,
                           lattice_box)
-from ghz.polynomials import (FractionField, Poly, RatFunc, TruncatedSeries,
-                             lambda_field, parse_factored, parse_poly,
-                             poly_gcd, substitute_poly)
+from ghz.polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
+                             TruncatedSeries, lambda_field, parse_factored,
+                             parse_poly, poly_gcd, substitute_poly)
 from ghz.reports import Report
 from ghz.scenarios import load_builtin
 from ghz.tvariety import PolyhedralDivisor, algebra_generators
@@ -417,3 +420,96 @@ def test_kernel_of_overridden_incoherent_families():
     op = build_operator(theta, override=True)
     with pytest.raises(EngineError, match="closed-form kernel"):
         kernel_in_box(op, D, 10)
+
+
+def _times_factors_by_expansion(r, factors, powers=None):
+    """The product through the expanded factors and a Euclidean gcd."""
+    k = r.field
+    return r * FactoredRatFunc(k, k.one(), factors).expand()
+
+
+@pytest.mark.parametrize("field, points", [
+    (Q, ["t", "t - 1", "t + 2", "t^2 - 2", "(t^2 - 2)*(t^2 - 3)"]),
+    (PrimeField(2), ["t", "t + 1", "t^2 + t + 1"]),
+    (lambda_field(2), ["t", "t + 1", "t^2 + l"]),
+], ids=["Q", "F2", "F2(l)"])
+def test_times_factors_matches_expansion(field, points):
+    rng = random.Random(11)
+    qs = [parse_poly(text, field) for text in points]
+
+    def product(n):
+        f = Poly.one(field)
+        for _ in range(n):
+            f = f * rng.choice(qs + [Poly.from_int_coeffs(field, [1, 1, 1])])
+        return f
+
+    cases, powers = [RatFunc.zero(field), RatFunc.one(field)], {}
+    for _ in range(30):
+        num = product(rng.randint(0, 3)).scale(field.from_int(rng.choice(
+            (1, 2, -1) if field.char_exponent != 2 else (1,))))
+        cases.append(RatFunc(num, product(rng.randint(0, 3))))
+    for r in cases:
+        for _ in range(4):
+            factors = [(q, rng.randint(-4, 4)) for q in
+                       rng.sample(qs, rng.randint(0, len(qs)))]
+            got = times_factors(r, factors, powers)
+            assert got == _times_factors_by_expansion(r, factors), (r, factors)
+    assert all(p == q ** n for (q, n), p in powers.items())
+
+
+def test_times_factors_reduces_trusted_reducible_points(monkeypatch):
+    """A trusted point need not be irreducible, so its polynomial can share a
+    proper factor with another point's: the gcd fallback cancels it."""
+    big = parse_poly("(t^2 - 2)*(t^2 - 3)", Q)
+    small = parse_poly("t^2 - 2", Q)
+    gcds = []
+    monkeypatch.setattr(engine, "poly_gcd",
+                        lambda a, b: gcds.append(1) or poly_gcd(a, b))
+    for r, factors in [(RatFunc(Poly.one(Q), small), [(big, 1)]),
+                       (RatFunc.from_poly(small), [(big, -2)]),
+                       (RatFunc.one(Q), [(small, -1), (big, 1)]),
+                       (RatFunc.one(Q), [(big, 2), (small, -3)])]:
+        got = times_factors(r, factors, {})
+        assert got == _times_factors_by_expansion(r, factors)
+    assert gcds
+    assert times_factors(RatFunc(Poly.one(Q), small), [(big, 1)], {}) \
+        == RatFunc.from_poly(parse_poly("t^2 - 3", Q))
+
+
+# The rank-2 coherent family over Q of the roadmap's verify-over-Q item, at
+# weight box 2: every xi factor of the engine crosses times_factors.
+Q_FAMILY = {
+    "field": {"kind": "Q"}, "rank": 2, "curve": "A1",
+    "tail_rays": [["-2", "1"]],
+    "support": [{"point": "t", "vertices": [["-5/6", "1/6"], ["4", "-3"]]},
+                {"point": "t - 1", "vertices": [["3", "-5/2"]]},
+                {"point": "t - 2",
+                 "vertices": [["-1/3", "-1/6"], ["6", "-4"]]}],
+    "coloring": {"y0": "t - 1", "vertices": {"t": ["4", "-3"],
+                                             "t - 1": ["3", "-5/2"],
+                                             "t - 2": ["6", "-4"]}},
+    "family": {"e": [0, 1], "s": [1], "lambda": ["1"]},
+    "bounds": {"weight_box": 2, "max_order": 12}}
+
+Q_FAMILY_VERIFY = [
+    "verify: ok",
+    "  note: horizontal (order bound 2)",
+    "  note: kernel weights [(-2, -2), (-2, 0), (-1, 0), (0, 0), (-2, 2), "
+    "(-1, 2), (0, 2), (1, 2)]; lattice [[1, 0], [0, 2]]",
+    "  trusted: generator certificate is incomplete at this bound",
+]
+
+
+def test_verify_over_q_matches_the_expanding_path(tmp_path, capsys,
+                                                   monkeypatch):
+    path = tmp_path / "q_family.json"
+    path.write_text(json.dumps(Q_FAMILY), encoding="utf-8")
+
+    def verify():
+        code = main(["verify", "--scenario", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        return code, [x for x in lines if not x.startswith("elapsed:")]
+
+    assert verify() == (0, Q_FAMILY_VERIFY)
+    monkeypatch.setattr(engine, "times_factors", _times_factors_by_expansion)
+    assert verify() == (0, Q_FAMILY_VERIFY)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,71 @@ def test_poly_divmod():
     q, r = a.divmod(b)
     assert r.is_zero()
     assert q == qp([1, 1, 1])
+
+
+def _long_division(a, b):
+    """Textbook long division: recompute the remainder's degree and drop its
+    zero terms after every step."""
+    k = a.field
+    q, r = {}, dict(a.coeffs)
+    inv = k.inv(b.leading())
+
+    def rdeg():
+        return max((e for e, c in r.items() if not k.is_zero(c)), default=-1)
+
+    d = rdeg()
+    while d >= b.degree:
+        c = k.mul(r[d], inv)
+        q[d - b.degree] = c
+        for e, x in b.coeffs.items():
+            ee = e + d - b.degree
+            r[ee] = k.sub(r.get(ee, k.zero()), k.mul(x, c))
+        r = {e: c for e, c in r.items() if not k.is_zero(c)}
+        d = rdeg()
+    return Poly(k, q), Poly(k, r)
+
+
+def _random_poly(rng, field, degree, density=1.0):
+    """A polynomial of at most ``degree`` whose terms are kept with
+    probability ``density``; scalars are small integers, and l over a
+    fraction field."""
+    gen = field.generator() if field.generator_name else field.one()
+
+    def scalar():
+        c = field.from_int(rng.randint(-3, 3))
+        return field.add(c, gen) if rng.random() < 0.3 else c
+
+    return Poly(field, {e: scalar() for e in range(degree + 1)
+                        if e == degree or rng.random() < density})
+
+
+@pytest.mark.parametrize("field", [Q, F2, PrimeField(3), lambda_field(2)],
+                         ids=repr)
+def test_divmod_matches_long_division(field):
+    rng = random.Random(20261018)
+    cases = [(Poly.zero(field), _random_poly(rng, field, 2)),
+             (Poly.one(field), _random_poly(rng, field, 3)),
+             (Poly.x(field, 40) + Poly.one(field), Poly.x(field, 3)),
+             (Poly.x(field, 31), Poly.x(field, 1) + Poly.one(field))]
+    for _ in range(40):
+        da, db = rng.randint(0, 30), rng.randint(0, 6)
+        cases.append((_random_poly(rng, field, da, rng.choice((0.2, 1.0))),
+                      _random_poly(rng, field, db)))
+    for _ in range(5):  # constant divisors and deg a < deg b
+        for da, db in ((9, 0), (2, 5)):
+            cases.append((_random_poly(rng, field, da),
+                          _random_poly(rng, field, db)))
+    for a, b in cases:
+        if b.is_zero():
+            continue
+        q, r = a.divmod(b)
+        assert (q, r) == _long_division(a, b), (a, b)
+        assert q * b + r == a and r.degree < b.degree
+        assert a % b == r
+        if r.is_zero():
+            assert a.exact_div(b) == q
+    with pytest.raises(FieldError):
+        Poly.one(field).divmod(Poly.zero(field))
 
 
 def test_poly_compose_regroup():
