@@ -14,7 +14,7 @@ from math import lcm
 from .curves import A1, P1, ClosedPoint, insep_profile
 from .fields import PrimeField, Rationals
 from .geometry import (Cone, GeometryError, Polyhedron, dot, lattice_box,
-                       primitive, vec, vadd, vscale, vsub)
+                       primitive, vadd, vscale, vsub)
 from .reports import Report
 from .tvariety import DivisorError, PolyhedralDivisor
 
@@ -39,7 +39,7 @@ class Coloring:
         v = self.vertices.get(y)
         if v is None:
             return tuple(Fraction(0) for _ in range(self.divisor.rank))
-        return vec(v)
+        return v
 
     def colored_points(self):
         """Points of C' carrying an explicitly colored vertex."""
@@ -93,7 +93,7 @@ def coloring_validate(c: Coloring) -> Report:
                      "is not a lattice point")
     if not rep.ok:
         return rep
-    deg, _ = c.divisor.deg_restricted(c.y_infinity)
+    deg = c.divisor.deg_restricted(c.y_infinity)
     if c.v_deg() not in deg.vertices:
         rep.fail(f"(iii): {_fmt_vec(c.v_deg())} is not a vertex of the degree "
                  "polyhedron")
@@ -130,7 +130,7 @@ def _split_char_power(d: int, p: int):
 def associated_cones(c: Coloring) -> AssociatedCones:
     div = c.divisor
     n = div.rank
-    deg, _ = div.deg_restricted(c.y_infinity)
+    deg = div.deg_restricted(c.y_infinity)
     v_deg = c.v_deg()
     tau_gens = [vsub(v, v_deg) for v in deg.vertices]
     tau_gens.extend(div.tail.rays)
@@ -161,7 +161,6 @@ def demazure_root_check(cone: Cone, distinguished_ray, candidate) -> bool:
     rho = primitive(distinguished_ray)
     if rho not in cone.rays:
         raise ClassifierError(f"{rho} is not an extreme ray of the cone")
-    candidate = vec(candidate)
     for r in cone.rays:
         val = dot(candidate, r)
         if r == rho:
@@ -195,7 +194,7 @@ def demazure_roots_enumerate(cone: Cone, distinguished_ray, bound: int,
                        for j in range(-bound * denominator,
                                       bound * denominator + 1)]
         for c in heights:
-            cand = tuple(list(vec(m)) + [c])
+            cand = (*m, c)
             if demazure_root_check(cone, rho, cand):
                 out.append(cand)
     return sorted(out)
@@ -219,7 +218,7 @@ class CoherentFamily:
 
 def _root_tilde(cones: AssociatedCones, e, s_i, p, v0):
     q = p ** s_i
-    head = tuple(q * x for x in vec(e))
+    head = tuple(q * x for x in e)
     height = Fraction(-1, cones.d) - dot(head, v0)
     return tuple(list(head) + [height])
 
@@ -278,7 +277,7 @@ def _vertex_table(theta: CoherentFamily):
     d = _denominator_lcm(v0)
     pu = p ** _split_char_power(d, p)[1]
     q = p ** theta.s[0]
-    qe = tuple(q * x for x in vec(theta.e))
+    qe = tuple(q * x for x in theta.e)
     points = []
     for y in c.colored_points():
         if y == c.y0:
@@ -354,11 +353,7 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
     if verts_inf is not None:
         verts_inf = [scaled(v) for v in verts_inf]
     rhs0 = 1 + d * dot(qe, v0) // big
-    tail = div.tail
-
-    def in_dual(m):
-        return all(dot(m, r) >= 0 for r in tail.rays) \
-            and all(dot(m, l) == 0 for l in tail.lineality)
+    dual = div.tail.dual()
 
     # every polyhedron of the divisor has the tail cone as its tail, so at
     # m and m + qe, both in the dual cone, its minimum is at a vertex
@@ -366,10 +361,10 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
         return min(dot(m, v) for v in verts)
 
     for m in lattice_box(div.rank, m_bound):
-        if not in_dual(m):
+        if not dual.contains(m):
             continue
         m2 = vadd(m, qe)
-        if not in_dual(m2):
+        if not dual.contains(m2):
             continue
         for y, scale, verts, vy in rows:
             a = low(verts, m) - dot(m, vy)

@@ -37,14 +37,18 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_weight(text, rank):
+def _parse_weight(text, div):
+    """A lattice weight in the dual of the divisor's tail cone."""
     try:
         parts = tuple(int(x) for x in text.split(","))
     except (TypeError, ValueError, AttributeError):
         raise UsageError(f"bad weight {text!r}; expected e.g. \"1,-2\"")
-    if len(parts) != rank:
+    if len(parts) != div.rank:
         raise UsageError(f"weight {text!r} has {len(parts)} entries; "
-                         f"the lattice rank is {rank}")
+                         f"the lattice rank is {div.rank}")
+    if not div.tail.dual().contains(parts):
+        raise UsageError(f"weight {parts} lies outside the dual of the tail "
+                         "cone")
     return parts
 
 
@@ -84,11 +88,11 @@ def _run(rep, sc, command, args):
             rep.note("scenario is valid")
     elif command == "eval":
         _require(args.m is not None, "eval needs --m")
-        m = _parse_weight(args.m, div.rank)
+        m = _parse_weight(args.m, div)
         rep.note(f"D({m}) = {div.eval(m).to_str()}")
     elif command == "piece":
         _require(args.m is not None, "piece needs --m")
-        m = _parse_weight(args.m, div.rank)
+        m = _parse_weight(args.m, div)
         piece = div.graded_piece(m)
         if piece.curve == A1:
             rep.note(f"free module generated by {piece.generator.to_str()}")

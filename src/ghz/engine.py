@@ -12,8 +12,7 @@ from .classifier import (CoherentFamily, associated_cones, coherent_validate,
                          demazure_root_check)
 from .curves import A1, P1
 from .fields import FieldError
-from .geometry import (Cone, dot, in_lattice, lattice_basis, lattice_box, vec,
-                       vadd, vscale)
+from .geometry import Cone, dot, in_lattice, lattice_basis, lattice_box
 from .polynomials import (FactoredRatFunc, Poly, RatFunc, TruncatedSeries,
                           descend_power, hasse_expand, poly_gcd)
 from .reports import Report
@@ -173,8 +172,10 @@ class DthetaOperator:
         self.d = cones.d
         self.u = cones.u
         self.v0 = c.vertex(c.y0)
+        # d is the lcm of v0's denominators, so d * v0 is a lattice point
+        self.dv0 = tuple(int(self.d * x) for x in self.v0)
         self.y0_value = c.y0.rational_value()
-        self.e = vec(theta.e)
+        self.e = tuple(theta.e)
         self.exponents = tuple(self.p ** s for s in theta.s)
         # points contributing to the xi factor: colored, finite, not y0
         self.xi_points = [
@@ -189,29 +190,28 @@ class DthetaOperator:
     def xi(self, m) -> list:
         """xi_m = prod q_y^{-<m, v_y>} over colored points away from y0, as
         (q_y, exponent) pairs with nonzero exponents."""
-        m = vec(m)
         factors = []
         for y, vy in self.xi_points:
             a = dot(m, vy)
             if a.denominator != 1:
                 raise EngineError(
-                    f"pairing of {tuple(m)} with {tuple(vy)} is not integral")
+                    f"pairing of {m} with {tuple(vy)} is not integral")
             if a != 0:
                 factors.append((y.poly, -int(a)))
         return factors
 
     def _term_data(self, f: RatFunc, m):
-        """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>} and its nilpotency bound."""
-        k = self.field
-        m = vec(m)
+        """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>} and its nilpotency bound.
+
+        g = f/xi_m is reduced with a monic denominator; the shift t -> t + y0
+        and the substitution t -> z^d both keep that (see
+        ``descend_power``), so the lift needs no gcd."""
         g = times_factors(f, [(q, -e) for q, e in self.xi(m)],
                           self.xi_powers)
-        sub = Poly(k, {self.d: k.one(), 0: self.y0_value})
-        h = g.compose_poly(sub)
-        a = self.d * dot(m, self.v0)
-        if a.denominator != 1:
-            raise EngineError("non-integral twist exponent")
-        h = h.times_x(int(a))
+        y0, d = self.y0_value, self.d
+        h = RatFunc(g.num.taylor_shift(y0).spread(d),
+                    g.den.taylor_shift(y0).spread(d), reduce=False)
+        h = h.times_x(dot(m, self.dv0))
         bound = h.num.degree * self.nilpotency_exponent() if h.is_poly() \
             else None
         return h, bound
@@ -244,7 +244,6 @@ class DthetaOperator:
 
     def apply_term(self, f: RatFunc, m, max_order=None):
         """Images of one homogeneous term, as {order: (weight, coeff)}."""
-        m = vec(m)
         h, bound = self._term_data(f, m)
         if max_order is None:
             if bound is None:
@@ -255,17 +254,16 @@ class DthetaOperator:
         series = self._substituted(h, max_order + 1)
         out = {}
         for i, c_i in sorted(series.items()):
-            w = vadd(m, vscale(i, self.e))
-            b = self.d * dot(w, self.v0)
-            val = c_i.times_x(-int(b))
+            w = tuple(a + i * b for a, b in zip(m, self.e))
+            val = c_i.times_x(-dot(w, self.dv0))
             try:
                 descended = descend_power(val, self.d, self.y0_value)
             except FieldError as exc:
                 raise EngineError(
-                    f"descent failure at order {i}, weight {tuple(w)}: {exc}")
+                    f"descent failure at order {i}, weight {w}: {exc}")
             coeff = times_factors(descended, self.xi(w), self.xi_powers)
             if not coeff.is_zero():
-                out[i] = (tuple(int(x) for x in w), coeff)
+                out[i] = (w, coeff)
         return out, max_order, bound is not None and max_order >= bound
 
     def apply(self, x: GradedElement, max_order=None) -> ApplicationResult:
@@ -326,8 +324,8 @@ def verify_axioms(op: DthetaOperator, test_set, max_order: int) -> Report:
         for i, val in res.orders.items():
             for w in val.weights():
                 for xw in x.weights():
-                    expect = vadd(vec(xw), vscale(i, op.e))
-                    if len(x.terms) == 1 and vec(w) != expect:
+                    expect = tuple(a + i * b for a, b in zip(xw, op.e))
+                    if len(x.terms) == 1 and w != expect:
                         rep.fail(f"order {i} weight {w} is not the input "
                                  f"weight shifted by {i}*e")
     # Leibniz on all pairs
@@ -454,10 +452,10 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
             continue
         fm = div.generator(m).expand()
         images, _, _ = op.apply_term(fm, m)
-        a = dot(vec(m), op.v0)
+        a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False
-        if a.denominator == 1:
-            phi = op.xi(m) + [(op.coloring.y0.poly, -int(a))]
+        if not r:
+            phi = op.xi(m) + [(op.coloring.y0.poly, -a)]
             g = times_factors(RatFunc(fm.den, fm.num, reduce=False), phi,
                               op.xi_powers)
             fixed = g.is_poly() and g.num.is_constant()
@@ -494,10 +492,7 @@ class ToricRootOperator:
 
     def apply(self, m, i: int):
         """(coefficient, weight) of the order-i image of chi^m."""
-        height = dot(vec(m), self.mu)
-        if height.denominator != 1:
-            raise EngineError("non-integral pairing")
-        coeff = binom_in_field(int(height), i, self.field)
+        coeff = binom_in_field(dot(m, self.mu), i, self.field)
         w = tuple(a + i * b for a, b in zip(m, self.e))
         return coeff, w
 
@@ -506,7 +501,7 @@ def toric_root_operator(sigma0: Cone, e, field) -> ToricRootOperator:
     e = tuple(e)
     mu = None
     for r in sigma0.rays:
-        if dot(vec(e), r) == -1 and demazure_root_check(sigma0, r, e):
+        if dot(e, r) == -1 and demazure_root_check(sigma0, r, e):
             mu = r
             break
     if mu is None:

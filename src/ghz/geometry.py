@@ -1,7 +1,8 @@
 """Exact rational cones and polyhedra in small dimension (rank <= 4).
 
-Vectors are tuples of ints or Fractions; `dot` and `Cone.contains` pair
-them as given.  Cones are stored by primitive integer extreme rays plus a
+Weights (points of the lattice M) are int tuples; vertices are tuples of
+Fractions. `dot` and `Cone.contains` pair vectors as given, so a weight
+pairs with an integer ray in int arithmetic.  Cones are stored by primitive integer extreme rays plus a
 canonical integer lineality basis; both descriptions (generators and
 inequalities) come from one integer kernel, `rays_from_inequalities`: rows
 scaled to primitive integer rows, rank and lineality from fraction-free
@@ -249,14 +250,12 @@ class Polyhedron:
 
     def minimize(self, m):
         """min over the polyhedron of <m, .>, or None for minus infinity."""
-        m = vec(m)
         for r in self.tail.rays:
             if dot(m, r) < 0:
                 return None
         return min(dot(m, v) for v in self.vertices)
 
     def argmin_vertices(self, m):
-        m = vec(m)
         best = self.minimize(m)
         if best is None:
             return []

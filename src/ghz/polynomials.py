@@ -174,14 +174,23 @@ class Poly:
             r = k.add(k.mul(r, x), self.coeff(e))
         return r
 
-    def compose(self, other: "Poly") -> "Poly":
-        """Substitute the variable by another polynomial."""
+    def taylor_shift(self, c) -> "Poly":
+        """self(t + c) by Horner's Taylor shift (Knuth, TAOCP vol. 2,
+        4.6.4): n(n + 1)/2 multiply-adds at degree n, in any
+        characteristic."""
         k = self.field
-        r = Poly.zero(k)
-        d = self.degree
-        for e in range(d, -1, -1):
-            r = r * other + Poly.const(k, self.coeff(e))
-        return r
+        n = self.degree
+        if n < 1 or k.is_zero(c):
+            return self
+        a = [self.coeff(e) for e in range(n + 1)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] = k.add(a[j], k.mul(c, a[j + 1]))
+        return Poly(k, dict(enumerate(a)))
+
+    def spread(self, d: int) -> "Poly":
+        """self(t^d); the inverse of ``regroup``."""
+        return Poly(self.field, {e * d: c for e, c in self.coeffs.items()})
 
     def _shifted(self, s: int) -> "Poly":
         """self * x^s for an s that keeps every exponent nonnegative."""
@@ -338,10 +347,6 @@ class RatFunc:
             return RatFunc(num._shifted(e - c), den._shifted(-c), reduce=False)
         c = min(-e, min(num.coeffs)) if num.coeffs else 0
         return RatFunc(num._shifted(-c), den._shifted(-e - c), reduce=False)
-
-    def compose_poly(self, sub: Poly) -> "RatFunc":
-        """Substitute the variable by a polynomial."""
-        return RatFunc(self.num.compose(sub), self.den.compose(sub))
 
     def __eq__(self, other):
         return (isinstance(other, RatFunc) and self.num == other.num
@@ -694,12 +699,10 @@ def descend_power(rf: RatFunc, d: int, shift) -> RatFunc:
     except FieldError:
         raise FieldError("descent failure: element is not a function of z^d"
                          ) from None
-    k = rf.field
-    if not k.is_zero(shift):
-        sub = Poly(k, {1: k.one(), 0: k.neg(shift)})
-        num, den = num.compose(sub), den.compose(sub)
-    # a monic linear substitution keeps num, den coprime and den monic
-    return RatFunc(num, den, reduce=False)
+    back = rf.field.neg(shift)
+    # a shift is an automorphism of k[t]: num, den stay coprime, den monic
+    return RatFunc(num.taylor_shift(back), den.taylor_shift(back),
+                   reduce=False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .curves import (A1, P1, ClosedPoint, ModuleDescription, QDivisor,
                      h0_generators)
 from .geometry import (Cone, Polyhedron, minkowski_points,
-                       minkowski_weighted_sum, vec)
+                       minkowski_weighted_sum)
 from .polynomials import FactoredRatFunc, Poly
 from .reports import Report
 
@@ -91,10 +91,9 @@ class PolyhedralDivisor:
 
     def eval(self, m) -> QDivisor:
         """D(m) = sum over points of min <m, D_y> as a Q-divisor."""
-        m = vec(m)
         if not self.tail.dual().contains(m):
             raise DivisorError(
-                f"weight {tuple(m)} lies outside the dual of the tail cone")
+                f"weight {m} lies outside the dual of the tail cone")
         out = {}
         for y, p in self.support.items():
             out[y] = p.minimize(m)
@@ -123,14 +122,13 @@ class PolyhedralDivisor:
         return minkowski_weighted_sum(terms)
 
     def deg_restricted(self, y_infinity=None):
-        """(degree polyhedron over C', its vertex list)."""
+        """The degree polyhedron over C'."""
         if self.curve == P1:
             if y_infinity is None:
                 raise DivisorError("P1 needs a marked point at infinity")
             if not y_infinity.is_rational:
                 raise DivisorError("the marked point at infinity must be rational")
-        deg = self.degree_polyhedron(y_infinity)
-        return deg, list(deg.vertices)
+        return self.degree_polyhedron(y_infinity)
 
     def linearity_fan(self, y_infinity=None):
         """Maximal cones of linearity of m -> D(m)|C' with per-point
@@ -138,8 +136,7 @@ class PolyhedralDivisor:
 
         Returns a list of (cone in M_Q, v_deg, {point: vertex}).
         """
-        deg, _ = self.deg_restricted(y_infinity)
-        fan = deg.normal_fan()
+        fan = self.deg_restricted(y_infinity).normal_fan()
         out = []
         for v_deg, cone in fan:
             assign = self._vertex_assignment(cone, y_infinity)

@@ -61,6 +61,13 @@ def test_eval_requires_weight(capsys):
     code, _, err = run(capsys, "eval", "--example", "w25-imperfect",
                        "--m", "1,2")
     assert code == 2 and "rank" in err
+    # a weight outside the weight cone is bad input, not an internal failure
+    for command in ("eval", "piece"):
+        code, out, err = run(capsys, command, "--example", "char2-ramified",
+                             "--m=-1,0")
+        assert code == 2 and out == ""
+        assert err == ("error: weight (-1, 0) lies outside the dual of the "
+                       "tail cone\n")
 
 
 def test_verify(capsys):

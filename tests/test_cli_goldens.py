@@ -1,0 +1,80 @@
+"""Golden CLI runs: every builtin example under every command.
+
+Each golden holds a run's stdout (without the elapsed line or the
+``elapsed_seconds`` key), its stderr and its exit code, so a change that
+is meant to keep the output fixed is checked byte for byte.
+
+Re-record (only when an output is meant to change, and say which):
+``PYTHONPATH=src python tests/test_cli_goldens.py --record``
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from ghz.cli import COMMANDS, main
+from ghz.scenarios import BUILTIN_EXAMPLES
+
+GOLDENS = Path(__file__).resolve().parent / "cli_goldens.json"
+
+_TEXT_ELAPSED = re.compile(r"^elapsed: \d+\.\d{3}s\n", re.M)
+_JSON_ELAPSED = re.compile(r',\n  "elapsed_seconds": [0-9.e-]+\n}')
+
+
+def _cases():
+    cases = []
+    for name in sorted(BUILTIN_EXAMPLES):
+        weight = "5" if BUILTIN_EXAMPLES[name]["rank"] == 1 else "1,1"
+        for command in COMMANDS:
+            if command == "example":
+                argv = ["example", name]
+            else:
+                argv = [command, "--example", name]
+            if command in ("eval", "piece"):
+                argv.append(f"--m={weight}")
+            cases += [argv, argv + ["--json"]]
+        cases.append(["apply", "--example", name, "--order", "8",
+                      "--override"])
+    # a weight outside the dual of the tail cone is a usage error
+    for command in ("eval", "piece"):
+        cases.append([command, "--example", "char2-ramified", "--m=-1,0"])
+    return cases
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    stdout = _JSON_ELAPSED.sub("\n}", _TEXT_ELAPSED.sub("", out.getvalue()))
+    return {"stdout": stdout, "stderr": err.getvalue(), "code": code}
+
+
+def _key(argv):
+    return " ".join(argv)
+
+
+@lru_cache(maxsize=None)
+def _goldens():
+    return json.loads(GOLDENS.read_text(encoding="utf-8"))
+
+
+def test_goldens_cover_every_case():
+    assert sorted(_goldens()) == sorted(_key(a) for a in _cases())
+
+
+@pytest.mark.parametrize("argv", _cases(), ids=_key)
+def test_cli_golden(argv):
+    assert run_case(argv) == _goldens()[_key(argv)]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    recorded = {_key(argv): run_case(argv) for argv in _cases()}
+    GOLDENS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    print(f"recorded {len(recorded)} goldens in {GOLDENS}")

@@ -113,6 +113,25 @@ def test_w25_kernel():
     assert ker.spans[(5,)].to_str() == "(1)/(t)"
 
 
+def test_weights_are_plain_ints():
+    """Weights are lattice points held as ints: the weights of apply_term's
+    images and the kernel's weights are int tuples, never Fractions."""
+    def ints(w):
+        return all(type(x) is int for x in w)
+
+    for name in ("w25-imperfect", "char2-ramified"):
+        sc = load_builtin(name)
+        op, div = build_operator(sc.family), sc.divisor
+        for m in lattice_box(div.rank, 3):
+            if not div.tail.dual().contains(m):
+                continue
+            images, _, _ = op.apply_term(div.generator(m).expand(), m)
+            assert images and all(ints(w) for w, _ in images.values())
+        ker = kernel_in_box(op, div, sc.bounds["weight_box"])
+        assert ker.weights and all(ints(m) for m in ker.weights)
+        assert all(ints(m) for m in ker.spans)
+
+
 def incoherent_family(e=(1,), lam=None):
     """The w25 shape over F2, where the second point t + 1 is rational."""
     F2 = PrimeField(2)

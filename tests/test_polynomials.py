@@ -56,17 +56,18 @@ def _long_division(a, b):
     return Poly(k, q), Poly(k, r)
 
 
+def _random_scalar(rng, field):
+    """A small integer, plus l over a fraction field, or plus 1."""
+    gen = field.generator() if field.generator_name else field.one()
+    c = field.from_int(rng.randint(-3, 3))
+    return field.add(c, gen) if rng.random() < 0.3 else c
+
+
 def _random_poly(rng, field, degree, density=1.0):
     """A polynomial of at most ``degree`` whose terms are kept with
-    probability ``density``; scalars are small integers, and l over a
-    fraction field."""
-    gen = field.generator() if field.generator_name else field.one()
-
-    def scalar():
-        c = field.from_int(rng.randint(-3, 3))
-        return field.add(c, gen) if rng.random() < 0.3 else c
-
-    return Poly(field, {e: scalar() for e in range(degree + 1)
+    probability ``density``; scalars from ``_random_scalar``."""
+    return Poly(field, {e: _random_scalar(rng, field)
+                        for e in range(degree + 1)
                         if e == degree or rng.random() < density})
 
 
@@ -101,10 +102,76 @@ def test_divmod_matches_long_division(field):
 
 def test_poly_compose_regroup():
     f = qp([0, 0, 1])  # t^2
-    g = qp([1, 1])
-    assert f.compose(g) == qp([1, 2, 1])
+    assert f.taylor_shift(Q.one()) == qp([1, 2, 1])
     h = qp([3, 0, 5, 0, 7])  # in t^2
     assert h.regroup(2) == qp([3, 5, 7])
+    assert qp([3, 5, 7]).spread(2) == h
+
+
+def _horner_compose(p, q):
+    """p(q) by Horner's rule, one polynomial product per degree: the
+    generic substitution that the Taylor shift and ``spread`` replace."""
+    k = p.field
+    r = Poly.zero(k)
+    for e in range(p.degree, -1, -1):
+        r = r * q + Poly.const(k, p.coeff(e))
+    return r
+
+
+FIELDS = [Q, F2, PrimeField(3), lambda_field(2)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_taylor_shift_matches_horner_compose(field):
+    rng = random.Random(4604)
+    one = field.one()
+    shifts = [field.zero(), one, field.neg(one)]
+    while len(shifts) < 6:
+        c = _random_scalar(rng, field)
+        if not field.is_zero(c):
+            shifts.append(c)
+    polys = [Poly.zero(field), Poly.one(field),
+             Poly.const(field, shifts[-1]), Poly.x(field, 12)]
+    polys += [_random_poly(rng, field, rng.randint(1, 12),
+                           rng.choice((0.3, 1.0))) for _ in range(12)]
+    for c in shifts:
+        t_plus_c = Poly(field, {1: one, 0: c})
+        for p in polys:
+            assert p.taylor_shift(c) == _horner_compose(p, t_plus_c), (p, c)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_spread_inverts_regroup(field):
+    rng = random.Random(4605)
+    for _ in range(20):
+        p = _random_poly(rng, field, rng.randint(0, 8), 0.5)
+        for d in (1, 2, 3, 5):
+            up = p.spread(d)
+            assert up.regroup(d) == p
+            assert up == _horner_compose(p, Poly.x(field, d))
+    assert Poly.zero(field).spread(3).is_zero()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_unreduced_lift_is_reduced(field):
+    """The engine's lift g(z^d + y0) keeps a reduced g reduced with a
+    monic denominator, so building it with reduce=False gives the same
+    fraction as the reducing constructor; the descent takes it back."""
+    rng = random.Random(4606)
+    checked = 0
+    while checked < 12:
+        num = _random_poly(rng, field, rng.randint(0, 4))
+        den = _random_poly(rng, field, rng.randint(1, 4))
+        if num.is_zero() or den.is_zero():
+            continue
+        g = RatFunc(num, den)
+        for d in (1, 2, 3):
+            for y0 in (field.zero(), field.one(), _random_scalar(rng, field)):
+                lift = [p.taylor_shift(y0).spread(d) for p in (g.num, g.den)]
+                h = RatFunc(*lift, reduce=False)
+                assert h == RatFunc(*lift), (g, d, y0)
+                assert descend_power(h, d, y0) == g
+        checked += 1
 
 
 def test_poly_gcd():
@@ -138,7 +205,8 @@ def test_ratfunc_times_x():
 
 def test_ratfunc_compose_inverse():
     r = RatFunc.x(Q, 1) + RatFunc.one(Q)
-    assert r.compose_poly(qp([0, 0, 1])) == RatFunc.from_poly(qp([1, 0, 1]))
+    assert RatFunc(r.num.spread(2), r.den.spread(2), reduce=False) \
+        == RatFunc.from_poly(qp([1, 0, 1]))
     assert (r * r.inverse()) == RatFunc.one(Q)
     with pytest.raises(FieldError):
         RatFunc.zero(Q).inverse()
