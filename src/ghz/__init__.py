@@ -15,7 +15,7 @@ from .engine import (ApplicationResult, DthetaOperator, GradedElement,
 from .fields import PrimeField, Rationals
 from .geometry import Cone, Polyhedron
 from .polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
-                          TruncatedSeries, lambda_field)
+                          lambda_field)
 from .reports import Report
 from .scenarios import (Scenario, builtin_examples, load_builtin,
                         parse_field, parse_scenario, serialize_scenario)

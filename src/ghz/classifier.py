@@ -545,9 +545,6 @@ def candidate_colorings(div: PolyhedralDivisor, y_infinity=None):
             vertices = dict(assign)
             if y0 not in vertices:
                 vertices[y0] = tuple(Fraction(0) for _ in range(div.rank))
-            if any(x.denominator != 1 for y, v in vertices.items()
-                   if y != y0 for x in v):
-                continue
             c = Coloring(div, vertices, y0, y_infinity)
             if coloring_validate(c).ok and c not in out:
                 out.append(c)

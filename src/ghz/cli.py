@@ -234,6 +234,8 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     start = time.time()
     try:
+        if args.order is not None and args.order < 0:
+            raise UsageError("series order must be positive")
         field_override = parse_field(args.field) if args.field else None
         policy = "trusted" if args.trust_irreducible else "strict"
         if args.command == "example":

@@ -272,9 +272,6 @@ class QDivisor:
     def degree(self) -> Fraction:
         return sum((c * y.degree for y, c in self.coeffs.items()), Fraction(0))
 
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
@@ -296,26 +293,6 @@ class QDivisor:
 
     def __repr__(self):
         return f"QDivisor({self.to_str()})"
-
-
-def principal_divisor(f: FactoredRatFunc, curve: str,
-                      policy: str = "trusted") -> QDivisor:
-    """div(f) on A1 or P1 for a factored rational function.
-
-    On P1 the point at infinity balances the degree to zero.
-    """
-    if f.is_zero():
-        raise FieldError("the zero function has no divisor")
-    out = {}
-    total = 0
-    for poly, exp in f.factors:
-        y = point_validate(poly, policy)
-        out[y] = out.get(y, Fraction(0)) + exp
-        total += exp * poly.degree
-    if curve == P1 and total != 0:
-        inf = ClosedPoint.infinity()
-        out[inf] = out.get(inf, Fraction(0)) - total
-    return QDivisor(out)
 
 
 @dataclass(frozen=True)
@@ -340,12 +317,6 @@ class ModuleDescription:
             tj = FactoredRatFunc(field, field.one(), [(Poly.x(field), j)])
             out.append(self.generator * tj)
         return out
-
-    @property
-    def dimension(self) -> int:
-        if self.curve != P1:
-            raise FieldError("dimension only defined on P1")
-        return max(0, self.degree_bound + 1)
 
 
 def h0_generators(e: QDivisor, curve: str, field) -> ModuleDescription:

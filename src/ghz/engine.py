@@ -13,8 +13,8 @@ from .classifier import (CoherentFamily, associated_cones, coherent_validate,
 from .curves import A1, P1
 from .fields import FieldError
 from .geometry import Cone, dot, in_lattice, lattice_basis, lattice_box
-from .polynomials import (FactoredRatFunc, Poly, RatFunc, TruncatedSeries,
-                          descend_power, hasse_expand, poly_gcd)
+from .polynomials import (FactoredRatFunc, Poly, RatFunc, descend_power,
+                          hasse_expand, poly_gcd)
 from .reports import Report
 from .tvariety import PolyhedralDivisor
 
@@ -222,12 +222,11 @@ class DthetaOperator:
         coefficients, so num and den of h expand by Hasse derivatives into
         polynomials N_i, D_i in z and are divided once: Q_i = P_i / den^(i+1)
         with P_i = N_i den^i - sum_j D_j P_(i-j) den^(j-1)."""
-        step = TruncatedSeries(self.field, order, {
-            q: lam for q, lam in zip(self.exponents, self.theta.lam)})
-        num = hasse_expand(h.num, step)
+        step = Poly(self.field, dict(zip(self.exponents, self.theta.lam)))
+        num = hasse_expand(h.num, step, order)
         if h.is_poly():
             return {i: RatFunc.from_poly(c) for i, c in num.items()}
-        den = hasse_expand(h.den, step)
+        den = hasse_expand(h.den, step, order)
         powers = [Poly.one(self.field)]
         numer, out = {}, {}
         for i in range(order):

@@ -66,12 +66,6 @@ class BaseField:
             n >>= 1
         return r
 
-    def from_fraction(self, q: Fraction):
-        num = self.from_int(q.numerator)
-        if q.denominator == 1:
-            return num
-        return self.div(num, self.from_int(q.denominator))
-
 
 class Rationals(BaseField):
     """The field Q with Fraction raw values."""

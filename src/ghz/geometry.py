@@ -164,11 +164,6 @@ class Cone:
     def zero(cls, n):
         return cls(n, (), ())
 
-    @classmethod
-    def orthant(cls, n):
-        return cls.from_generators(
-            [tuple(int(i == j) for j in range(n)) for i in range(n)], n)
-
     def generators(self):
         out = list(self.rays)
         for l in self.lineality:

@@ -1,8 +1,9 @@
-"""Univariate polynomials, rational functions and truncated series.
+"""Univariate polynomials and rational functions.
 
 Everything is generic over a coefficient field from :mod:`ghz.fields` (or a
 :class:`FractionField` built here), so the same machinery serves k[t],
-GF(p)(l) and the cyclic-cover variable of the operator engine.
+GF(p)(l) and the cyclic-cover variable of the operator engine, whose step
+S = sum lambda_j T^(p^s_j) is a :class:`Poly` in T as well.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class Poly:
     @classmethod
     def x(cls, field, exp: int = 1):
         return cls(field, {exp: field.one()})
-
-    @classmethod
-    def from_int_coeffs(cls, field, coeffs: list):
-        return cls(field, {e: field.from_int(c) for e, c in enumerate(coeffs)})
 
     # -- structure
 
@@ -484,9 +481,6 @@ class FactoredRatFunc:
     def is_zero(self) -> bool:
         return self.field.is_zero(self.unit)
 
-    def is_unit(self) -> bool:
-        return not self.is_zero() and not self.factors
-
     def is_polynomial(self) -> bool:
         return self.is_zero() or all(e >= 0 for _, e in self.factors)
 
@@ -524,12 +518,6 @@ class FactoredRatFunc:
                 den = den * p ** (-e)
         return RatFunc(num, den)
 
-    def exponent_of(self, poly: Poly) -> int:
-        for p, e in self.factors:
-            if p == poly:
-                return e
-        return 0
-
     def _key(self):
         return (self.unit, self.factors)
 
@@ -558,130 +546,48 @@ class FactoredRatFunc:
         return f"FactoredRatFunc({self.to_str()})"
 
 
-class TruncatedSeries:
-    """Order-truncated power series in T with coefficients in a given ring.
-
-    ``ring`` follows the BaseField raw-value protocol (FractionField works;
-    so does any field).  Indices >= order are never stored.
-    """
-
-    __slots__ = ("ring", "order", "coeffs")
-
-    def __init__(self, ring, order: int, coeffs: dict):
-        if order <= 0:
-            raise FieldError("series order must be positive")
-        self.ring = ring
-        self.order = order
-        self.coeffs = {i: c for i, c in coeffs.items()
-                       if 0 <= i < order and not ring.is_zero(c)}
-
-    @classmethod
-    def const(cls, ring, order, c):
-        return cls(ring, order, {0: c})
-
-    def coeff(self, i: int):
-        return self.coeffs.get(i, self.ring.zero())
-
-    def __add__(self, other):
-        r = self.ring
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = r.add(out.get(i, r.zero()), c)
-        return TruncatedSeries(r, self.order, out)
-
-    def __neg__(self):
-        r = self.ring
-        return TruncatedSeries(r, self.order,
-                               {i: r.neg(c) for i, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        r = self.ring
-        out = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                ij = i + j
-                if ij >= self.order:
-                    continue
-                v = r.mul(a, b)
-                out[ij] = r.add(out[ij], v) if ij in out else v
-        return TruncatedSeries(r, self.order, out)
-
-    def __pow__(self, n: int):
-        res = TruncatedSeries.const(self.ring, self.order, self.ring.one())
-        b = self
-        while n:
-            if n & 1:
-                res = res * b
-            b = b * b
-            n >>= 1
-        return res
-
-    def inverse(self):
-        """Multiplicative inverse; requires invertible constant term."""
-        r = self.ring
-        c0 = self.coeff(0)
-        if r.is_zero(c0):
-            raise FieldError("series with zero constant term is not invertible")
-        inv0 = r.inv(c0)
-        out = {0: inv0}
-        for i in range(1, self.order):
-            acc = r.zero()
-            for j, a in self.coeffs.items():
-                if 1 <= j <= i and (i - j) in out:
-                    acc = r.add(acc, r.mul(a, out[i - j]))
-            if not r.is_zero(acc):
-                out[i] = r.neg(r.mul(inv0, acc))
-        return TruncatedSeries(r, self.order, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries) and self.order == other.order
-                and self.coeffs.keys() == other.coeffs.keys()
-                and all(self.ring.eq(self.coeffs[i], other.coeffs[i])
-                        for i in self.coeffs))
+def _truncated_product(a: dict, b: dict, order: int, k) -> dict:
+    """The terms below T^order of the product of two {exponent: raw} dicts."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            ij = i + j
+            if ij < order:
+                v = k.mul(x, y)
+                out[ij] = k.add(out[ij], v) if ij in out else v
+    return {i: c for i, c in out.items() if not k.is_zero(c)}
 
 
-def substitute_poly(poly: Poly, base: TruncatedSeries) -> TruncatedSeries:
-    """Horner evaluation of a polynomial at a series.
-
-    The polynomial coefficients must be raw values of ``base.ring``.
-    """
-    ring = base.ring
-    res = TruncatedSeries.const(ring, base.order, ring.zero())
-    d = poly.degree
-    if d < 0:
-        return res
-    for e in range(d, -1, -1):
-        res = res * base
-        c = poly.coeff(e)
-        if not ring.is_zero(c):
-            res = res + TruncatedSeries.const(ring, base.order, c)
-    return res
+def substitute_poly(poly: Poly, base: Poly, order: int) -> Poly:
+    """poly(base) mod T^order by Horner's rule, the series oracle's step; the
+    coefficients of ``poly`` are raw values of ``base.field``."""
+    k = base.field
+    res = {}
+    for e in range(poly.degree, -1, -1):
+        res = _truncated_product(res, base.coeffs, order, k)
+        res[0] = k.add(res.get(0, k.zero()), poly.coeff(e))
+    return Poly(k, {i: c for i, c in res.items() if i < order})
 
 
-def hasse_expand(poly: Poly, step: TruncatedSeries) -> dict:
-    """poly(z + S) = sum_n D^(n)poly(z) S^n as {i: coefficient of T^i in k[z]}.
+def hasse_expand(poly: Poly, step: Poly, order: int) -> dict:
+    """poly(z + S) = sum_n D^(n)poly(z) S^n as {i: coefficient of T^i in k[z]}
+    for i < order.
 
-    S = ``step`` is a series over the coefficients of ``poly`` with no
-    constant term; D^(n) z^e = C(e, n) z^(e-n) is the n-th Hasse derivative,
-    so the formula holds in every characteristic.
+    S = ``step`` is a polynomial in T over the coefficients of ``poly`` with
+    no constant term; D^(n) z^e = C(e, n) z^(e-n) is the n-th Hasse
+    derivative, so the formula holds in every characteristic.
     """
     k = poly.field
     out = {}
-    power = TruncatedSeries.const(k, step.order, k.one())
+    power = {0: k.one()} if order > 0 else {}
     for n in range(poly.degree + 1):
-        if power.is_zero():
+        if not power:
             break
         dn = Poly(k, {e - n: k.mul(c, binom_in_field(e, n, k))
                       for e, c in poly.coeffs.items() if e >= n})
-        for i, c in power.coeffs.items():
+        for i, c in power.items():
             out[i] = out[i] + dn.scale(c) if i in out else dn.scale(c)
-        power = power * step
+        power = _truncated_product(power, step.coeffs, order, k)
     return {i: c for i, c in out.items() if not c.is_zero()}
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .classifier import Coloring, CoherentFamily
 from .curves import A1, P1, ClosedPoint, point_validate
 from .engine import GradedElement
-from .fields import PrimeField, Rationals
+from .fields import PrimeField, Rationals, _is_prime
 from .geometry import Cone, Polyhedron
 from .polynomials import (ParseError, lambda_field, parse_factored,
                           parse_poly, parse_scalar)
@@ -27,7 +27,6 @@ DEFAULT_BOUNDS = {
     "e_box": 1,
     "s_max": 2,
     "lambda_sample": ["1"],
-    "window": 4,
 }
 
 
@@ -41,17 +40,29 @@ def parse_field(spec) -> object:
             return Rationals()
         if s.startswith("F"):
             if s.endswith("(l)"):
-                return lambda_field(int(s[1:-3]))
-            return PrimeField(int(s[1:]))
+                return lambda_field(_characteristic(s[1:-3]))
+            return PrimeField(_characteristic(s[1:]))
         raise ScenarioError(f"unknown field {spec!r}")
     kind = spec.get("kind")
     if kind == "Q":
         return Rationals()
     if kind == "Fp":
-        return PrimeField(int(spec["p"]))
+        return PrimeField(_characteristic(spec.get("p")))
     if kind == "Fp(l)":
-        return lambda_field(int(spec["p"]))
+        return lambda_field(_characteristic(spec.get("p")))
     raise ScenarioError(f"unknown field kind {kind!r}")
+
+
+def _characteristic(p) -> int:
+    """The p of an Fp or Fp(l) field, given as an int or a digit string."""
+    digits = str(p).strip()
+    if not digits.isdecimal():
+        raise ScenarioError(
+            f"field characteristic {p!r} is not a positive integer")
+    n = int(digits)
+    if not _is_prime(n):
+        raise ScenarioError(f"{n} is not prime")
+    return n
 
 
 def field_descriptor(field) -> dict:
@@ -227,7 +238,7 @@ _W25_BASE = {
     "coloring": {"y0": "t", "vertices": {"t": ["1/5"]}},
     "family": {"e": [1], "s": [2], "lambda": ["1"]},
     "bounds": {"weight_box": 10, "max_order": 12, "e_box": 1, "s_max": 2,
-               "lambda_sample": ["1"], "window": 4},
+               "lambda_sample": ["1"]},
 }
 
 
@@ -264,7 +275,7 @@ BUILTIN_EXAMPLES = {
                      "vertices": {"t": ["1/2", "0"], "t+1": ["0", "1"]}},
         "family": {"e": [1, 0], "s": [0], "lambda": ["1"]},
         "bounds": {"weight_box": 4, "max_order": 8, "e_box": 1, "s_max": 1,
-                   "lambda_sample": ["1"], "window": 3},
+                   "lambda_sample": ["1"]},
         "elements": [{"weight": [0, 1], "coeff": "1"},
                      {"weight": [1, 1], "coeff": "1"}],
     },

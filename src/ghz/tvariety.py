@@ -144,27 +144,18 @@ class PolyhedralDivisor:
         return out
 
     def _vertex_assignment(self, cone: Cone, y_infinity):
-        """Per-point minimizing vertices on the interior of a linearity cone."""
-        base = cone.interior_point()
-        rays = cone.generators() or [base]
-        # weights of the form base + sum c_i r_i stay in the relative
-        # interior; vary the c_i until every per-point argmin is unique
-        for attempt in range(200):
-            m = base
-            for i, r in enumerate(rays):
-                c = Fraction((attempt + 1) ** (i + 1), attempt + 2)
-                m = tuple(a + c * b for a, b in zip(m, r))
-            assign = {}
-            unique = True
-            for y in self.support_points(exclude=y_infinity):
-                mins = self.support[y].argmin_vertices(m)
-                if len(mins) != 1:
-                    unique = False
-                    break
-                assign[y] = mins[0]
-            if unique:
-                return assign
-        raise DivisorError("could not find a generic interior weight")
+        """Per-point minimizing vertices at an interior weight of a linearity
+        cone.  A vertex of a Minkowski sum is a sum of summand vertices in
+        exactly one way, so a weight in the relative interior of its normal
+        cone has one minimizer on every summand."""
+        m = cone.interior_point()
+        assign = {}
+        for y in self.support_points(exclude=y_infinity):
+            mins = self.support[y].argmin_vertices(m)
+            if len(mins) != 1:
+                raise DivisorError("could not find a generic interior weight")
+            assign[y] = mins[0]
+        return assign
 
     # -- membership ---------------------------------------------------------
 

@@ -1,0 +1,66 @@
+"""Constructors and oracles that only the tests use.
+
+``principal_divisor``, ``is_effective`` and ``h0_dimension`` make the H^0
+oracle: div(g * t^j) + floor(e) >= 0 exactly for j below dim H^0(P1, e).
+"""
+
+from fractions import Fraction
+
+from ghz.curves import P1, ClosedPoint, QDivisor, point_validate
+from ghz.fields import FieldError
+from ghz.geometry import Cone
+from ghz.polynomials import Poly
+
+
+def orthant(n):
+    """The cone spanned by the n unit vectors."""
+    return Cone.from_generators(
+        [tuple(int(i == j) for j in range(n)) for i in range(n)], n)
+
+
+def int_poly(field, coeffs):
+    """sum coeffs[e] t^e, each integer mapped into ``field``."""
+    return Poly(field, {e: field.from_int(c) for e, c in enumerate(coeffs)})
+
+
+def from_fraction(field, q: Fraction):
+    """The image of a rational number in ``field``."""
+    return field.div(field.from_int(q.numerator),
+                     field.from_int(q.denominator))
+
+
+def exponent_of(f, poly):
+    """The exponent of the monic factor ``poly`` in a FactoredRatFunc."""
+    return dict(f.factors).get(poly, 0)
+
+
+def is_unit(f):
+    """A nonzero FactoredRatFunc with no factor: a nonzero constant."""
+    return not f.is_zero() and not f.factors
+
+
+def principal_divisor(f, curve, policy="trusted") -> QDivisor:
+    """div(f) on A1 or P1 for a factored rational function; on P1 the point
+    at infinity balances the degree to zero."""
+    if f.is_zero():
+        raise FieldError("the zero function has no divisor")
+    out = {}
+    total = 0
+    for poly, exp in f.factors:
+        y = point_validate(poly, policy)
+        out[y] = out.get(y, Fraction(0)) + exp
+        total += exp * poly.degree
+    if curve == P1 and total != 0:
+        inf = ClosedPoint.infinity()
+        out[inf] = out.get(inf, Fraction(0)) - total
+    return QDivisor(out)
+
+
+def is_effective(d: QDivisor) -> bool:
+    return all(c >= 0 for c in d.coeffs.values())
+
+
+def h0_dimension(mod) -> int:
+    """dim H^0 of a ModuleDescription on P1."""
+    assert mod.curve == P1
+    return max(0, mod.degree_bound + 1)

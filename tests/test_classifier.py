@@ -20,6 +20,8 @@ from ghz.polynomials import lambda_field, parse_poly
 from ghz.reports import Report
 from ghz.tvariety import DivisorError, PolyhedralDivisor
 
+from helpers import orthant
+
 Q = Rationals()
 
 
@@ -36,7 +38,7 @@ def hyperbolic_w25(field, second):
 
 
 def rank2_ramified(field):
-    sigma = Cone.orthant(2)
+    sigma = orthant(2)
     w0 = ClosedPoint.rational(field, field.zero())
     w1 = ClosedPoint.rational(field, field.one())
     D = PolyhedralDivisor(field, A1, sigma, {

@@ -188,3 +188,45 @@ def test_internal_failure_exit_code(capsys, monkeypatch, exc):
     assert err.startswith("error: ") and str(exc) in err
     # only an unexpected exception brings its traceback
     assert ("Traceback" in err) == isinstance(exc, RuntimeError)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("apply", "--example", "w25-imperfect", "--order", "-1"),
+     "series order must be positive"),
+    (("verify", "--example", "w25-imperfect", "--order", "-1"),
+     "series order must be positive"),
+    (("validate", "--example", "w25-prime", "--field", "F4"),
+     "4 is not prime"),
+    (("validate", "--example", "w25-prime", "--field", "F4(l)"),
+     "4 is not prime"),
+    (("validate", "--example", "w25-prime", "--field", "Fx"),
+     "field characteristic 'x' is not a positive integer"),
+])
+def test_bad_numeric_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["Fp", "Fp(l)"])
+@pytest.mark.parametrize("p, message", [
+    (4, "4 is not prime"),
+    ("x", "field characteristic 'x' is not a positive integer"),
+    (-2, "field characteristic -2 is not a positive integer"),
+])
+def test_bad_scenario_characteristic_is_a_usage_error(tmp_path, capsys, kind,
+                                                      p, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"field": {"kind": kind, "p": p}, "rank": 1,
+                                "support": []}))
+    code, out, err = run(capsys, "validate", "--scenario", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # the same digits as a string are accepted as before
+    path.write_text(json.dumps({"field": {"kind": kind, "p": "3"}, "rank": 1,
+                                "support": []}))
+    assert run(capsys, "validate", "--scenario", str(path))[0] == 0
+
+
+def test_order_zero_is_still_accepted(capsys):
+    code, out, _ = run(capsys, "apply", "--example", "w25-imperfect",
+                       "--order", "0")
+    assert code == 0 and "order 0 of" in out and "order 1 of" not in out

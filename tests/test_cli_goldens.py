@@ -44,6 +44,11 @@ def _cases():
     # a weight outside the dual of the tail cone is a usage error
     for command in ("eval", "piece"):
         cases.append([command, "--example", "char2-ramified", "--m=-1,0"])
+    # so are a negative order and a field characteristic that is no prime
+    for command in ("apply", "verify"):
+        cases.append([command, "--example", "w25-imperfect", "--order", "-1"])
+    for field in ("F4", "Fx"):
+        cases.append(["validate", "--example", "w25-prime", "--field", field])
     return cases
 
 

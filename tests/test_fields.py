@@ -4,21 +4,23 @@ import pytest
 
 from ghz.fields import FieldError, PrimeField, Rationals
 
+from helpers import from_fraction
+
 
 def test_rationals_arithmetic():
     Q = Rationals()
-    a = Q.from_fraction(Fraction(2, 3))
+    a = from_fraction(Q, Fraction(2, 3))
     b = Q.from_int(3)
     assert Q.eq(Q.mul(a, b), Q.from_int(2))
-    assert Q.eq(Q.div(Q.one(), b), Q.from_fraction(Fraction(1, 3)))
+    assert Q.eq(Q.div(Q.one(), b), from_fraction(Q, Fraction(1, 3)))
     assert Q.char_exponent == 1
     assert Q.to_str(a) == "2/3"
 
 
 def test_rationals_pow():
     Q = Rationals()
-    x = Q.from_fraction(Fraction(-1, 2))
-    assert Q.eq(Q.pow(x, 3), Q.from_fraction(Fraction(-1, 8)))
+    x = from_fraction(Q, Fraction(-1, 2))
+    assert Q.eq(Q.pow(x, 3), from_fraction(Q, Fraction(-1, 8)))
     assert Q.eq(Q.pow(x, 0), Q.one())
 
 
@@ -28,7 +30,7 @@ def test_prime_field_basic():
     x = F.from_int(10)
     assert F.eq(x, F.from_int(3))
     assert F.eq(F.inv(F.from_int(3)), F.from_int(5))
-    assert F.eq(F.from_fraction(Fraction(1, 2)), F.from_int(4))
+    assert F.eq(from_fraction(F, Fraction(1, 2)), F.from_int(4))
 
 
 def test_prime_field_division_by_zero():
@@ -36,7 +38,7 @@ def test_prime_field_division_by_zero():
     with pytest.raises(FieldError):
         F.inv(F.zero())
     with pytest.raises(FieldError):
-        F.from_fraction(Fraction(1, 5))
+        from_fraction(F, Fraction(1, 5))
 
 
 def test_prime_field_requires_prime():

@@ -10,6 +10,8 @@ from ghz.geometry import (Cone, GeometryError, Polyhedron, _normal_cone_data,
                           minkowski_weighted_sum, primitive,
                           rays_from_inequalities, vec, vscale)
 
+from helpers import orthant
+
 
 # -- oracle: the Fraction reduced-echelon kernel -----------------------------
 
@@ -173,7 +175,7 @@ def test_rays_from_inequalities_matches_fraction_oracle():
 
 
 def test_cone_dual_orthant():
-    c = Cone.orthant(2)
+    c = orthant(2)
     assert c.dual() == c
     assert c.contains((1, 5))
     assert not c.contains((-1, 0))
@@ -208,7 +210,7 @@ def test_polyhedron_vertices_pruned():
 
 
 def test_polyhedron_minimize():
-    tail = Cone.orthant(2)
+    tail = orthant(2)
     p = Polyhedron.from_points([(F(1), F(0)), (F(0), F(1))], tail)
     assert p.minimize((1, 1)) == 1
     assert p.minimize((2, 1)) == 1
@@ -226,11 +228,11 @@ def test_minkowski_weighted_sum():
 
 
 def test_one_point_polyhedron_matches_generic_path():
-    tails = [Cone.zero(1), Cone.orthant(1), Cone.from_generators([(-1,)], 1),
-             Cone.zero(2), Cone.orthant(2),
+    tails = [Cone.zero(1), orthant(1), Cone.from_generators([(-1,)], 1),
+             Cone.zero(2), orthant(2),
              Cone.from_generators([(1, 2), (2, 1)], 2),
              Cone.from_generators([(1, -1)], 2),
-             Cone.zero(3), Cone.orthant(3),
+             Cone.zero(3), orthant(3),
              Cone.from_generators([(1, 1, 1)], 3),
              Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 0, 1),
                                    (0, 1, 1)], 3)]

@@ -5,16 +5,18 @@ import pytest
 
 from ghz.fields import FieldError, PrimeField, Rationals
 from ghz.polynomials import (FactoredRatFunc, FractionField, ParseError, Poly,
-                             RatFunc, TruncatedSeries, descend_power,
+                             RatFunc, descend_power, hasse_expand,
                              lambda_field, parse_factored, parse_poly,
                              parse_scalar, poly_gcd, substitute_poly)
+
+from helpers import exponent_of, from_fraction, int_poly, is_unit
 
 Q = Rationals()
 F2 = PrimeField(2)
 
 
 def qp(coeffs):
-    return Poly.from_int_coeffs(Q, coeffs)
+    return int_poly(Q, coeffs)
 
 
 def test_poly_arithmetic():
@@ -182,7 +184,7 @@ def test_poly_gcd():
 
 def test_poly_to_str():
     assert qp([-1, 0, 1]).to_str() == "t^2 - 1"
-    assert Poly.from_int_coeffs(F2, [1, 1]).to_str() == "t + 1"
+    assert int_poly(F2, [1, 1]).to_str() == "t + 1"
 
 
 def test_ratfunc_reduce():
@@ -231,8 +233,8 @@ def test_lambda_field():
 def test_factored_ratfunc():
     f = parse_factored("t*(t+1)^2", Q)
     assert f.is_polynomial()
-    assert f.exponent_of(qp([0, 1])) == 1
-    assert f.exponent_of(qp([1, 1])) == 2
+    assert exponent_of(f, qp([0, 1])) == 1
+    assert exponent_of(f, qp([1, 1])) == 2
     g = f / parse_factored("(t+1)^3", Q)
     assert not g.is_polynomial()
     assert g.expand() == RatFunc(qp([0, 1]), qp([1, 1]))
@@ -242,27 +244,29 @@ def test_factored_zero_and_unit():
     z = FactoredRatFunc(Q, Q.zero(), [])
     assert z.is_zero()
     u = FactoredRatFunc.constant(Q, Q.from_int(3))
-    assert u.is_unit()
+    assert is_unit(u)
     with pytest.raises(FieldError):
         z.inverse()
 
 
 def test_truncated_series():
-    s = TruncatedSeries(Q, 5, {0: Q.one(), 1: Q.one()})  # 1 + T
-    sq = s ** 2
-    assert sq.coeff(2) == Q.one()
-    inv = s.inverse()
-    assert (s * inv).coeff(0) == Q.one()
-    for i in range(1, 5):
-        assert Q.is_zero((s * inv).coeff(i))
+    """Horner substitution and the Hasse expansion drop every term at or
+    above T^order."""
+    square = qp([0, 0, 1])
+    one_plus_t = qp([1, 1])
+    assert substitute_poly(square, one_plus_t, 5) == qp([1, 2, 1])
+    assert substitute_poly(square, one_plus_t, 2) == qp([1, 2])
+    assert substitute_poly(square, one_plus_t, 0).is_zero()
+    cube, step = qp([0, 0, 0, 1]), qp([0, 1])  # z^3 and S = T
+    assert hasse_expand(cube, step, 2) == {0: cube, 1: qp([0, 0, 3])}
+    assert hasse_expand(cube, step, 0) == {}
+    assert hasse_expand(cube, qp([0, 0, 0, 1]), 3) == {0: cube}
 
 
 def test_substitute_poly():
-    base = TruncatedSeries(Q, 4, {1: Q.one(), 2: Q.one()})  # T + T^2
-    out = substitute_poly(qp([0, 0, 1]), base)  # (T+T^2)^2
-    assert Q.is_zero(out.coeff(1))
-    assert out.coeff(2) == Q.one()
-    assert out.coeff(3) == Q.from_int(2)
+    base = qp([0, 1, 1])  # T + T^2
+    out = substitute_poly(qp([0, 0, 1]), base, 4)  # (T+T^2)^2 mod T^4
+    assert out == qp([0, 0, 1, 2])
 
 
 def test_descend_power():
@@ -296,7 +300,7 @@ def test_descend_power_shift():
 
 def test_parse_factored():
     f = parse_factored("2*t^2*(t^2+l)^-1", lambda_field(3))
-    assert f.exponent_of(Poly.from_int_coeffs(lambda_field(3), [0, 0, 1])) == 0
+    assert exponent_of(f, int_poly(lambda_field(3), [0, 0, 1])) == 0
     assert not f.is_polynomial()
     with pytest.raises(ParseError):
         parse_factored("t +* 1", Q)
@@ -306,7 +310,7 @@ def test_parse_factored():
 
 def test_parse_poly_and_scalar():
     assert parse_poly("t^2 - 2*t + 1", Q) == qp([1, -2, 1])
-    assert parse_scalar("-3/2", Q) == Q.from_fraction(Fraction(-3, 2))
+    assert parse_scalar("-3/2", Q) == from_fraction(Q, Fraction(-3, 2))
     with pytest.raises(ParseError):
         parse_poly("1/t", Q)
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ghz.classifier import _random_family
 from ghz.curves import A1, P1, ClosedPoint, point_validate
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, Polyhedron, lattice_box
@@ -11,6 +12,8 @@ from ghz.polynomials import (FactoredRatFunc, Poly, lambda_field,
 from ghz.tvariety import (AlgebraGenerator, DivisorError,
                           GeneratorCertificate, PolyhedralDivisor,
                           algebra_generators)
+
+from helpers import exponent_of, is_unit, orthant
 
 Q = Rationals()
 
@@ -28,7 +31,7 @@ def hyperbolic_w25():
 
 
 def rank2_ramified(field):
-    sigma = Cone.orthant(2)
+    sigma = orthant(2)
     w0 = ClosedPoint.rational(field, field.zero())
     w1 = ClosedPoint.rational(field, field.one())
     return w0, w1, PolyhedralDivisor(field, A1, sigma, {
@@ -73,10 +76,10 @@ def test_p1_positivity():
     assert outside.validate().violations == [
         "deg D is not contained in the tail cone"]
     # here deg D = sigma; as sigma is pointed, 0 is then a vertex of deg D
-    orthant = Cone.orthant(2)
-    apex = PolyhedralDivisor(Q, P1, orthant, {
-        y0: Polyhedron.from_points([(F(0), F(1)), (F(-1, 2), F(0))], orthant),
-        inf: Polyhedron.from_points([(F(1, 2), F(0))], orthant),
+    quarter = orthant(2)
+    apex = PolyhedralDivisor(Q, P1, quarter, {
+        y0: Polyhedron.from_points([(F(0), F(1)), (F(-1, 2), F(0))], quarter),
+        inf: Polyhedron.from_points([(F(1, 2), F(0))], quarter),
     })
     assert apex.validate().violations == [
         "deg D is not a proper subset of the tail cone (0 is a vertex of deg D)"]
@@ -106,10 +109,10 @@ def test_eval_and_generator():
     g = D.generator((5,))
     assert g.to_str() == "t^-1"
     g25 = D.generator((25,))
-    assert g25.exponent_of(parse_poly("t", K)) == -5
+    assert exponent_of(g25, parse_poly("t", K)) == -5
     gneg = D.generator((-25,))
-    assert gneg.exponent_of(parse_poly("t", K)) == 5
-    assert gneg.exponent_of(parse_poly("t^2 + l", K)) == 5
+    assert exponent_of(gneg, parse_poly("t", K)) == 5
+    assert exponent_of(gneg, parse_poly("t^2 + l", K)) == 5
 
 
 def test_eval_outside_weight_cone():
@@ -135,6 +138,56 @@ def test_linearity_fan():
                      for _, _, assign in pieces)
     assert len(pieces) == 2
     assert (("t", (F(1, 5),)), ("t^2 + l", (F(0),))) in assigns
+
+
+def _vertex_assignment_reference(div, cone, y_infinity):
+    """The per-point minimizing vertices at the first of up to 200 weights
+    base + sum c_i r_i, interior to the cone, where each is unique."""
+    base = cone.interior_point()
+    rays = cone.generators() or [base]
+    for attempt in range(200):
+        m = base
+        for i, r in enumerate(rays):
+            c = F((attempt + 1) ** (i + 1), attempt + 2)
+            m = tuple(a + c * b for a, b in zip(m, r))
+        assign = {}
+        for y in div.support_points(exclude=y_infinity):
+            mins = div.support[y].argmin_vertices(m)
+            if len(mins) != 1:
+                break
+            assign[y] = mins[0]
+        else:
+            return assign
+    raise DivisorError("could not find a generic interior weight")
+
+
+def test_vertex_assignment_matches_the_retrying_reference(monkeypatch):
+    """One interior weight per linearity cone gives the assignment that the
+    search over up to 200 weights finds, on the probe's random divisors."""
+    one_weight = PolyhedralDivisor._vertex_assignment
+    pairs = []
+
+    def both(self, cone, y_infinity):
+        results = []
+        for assignment in (one_weight, _vertex_assignment_reference):
+            try:
+                results.append(assignment(self, cone, y_infinity))
+            except DivisorError:
+                results.append(None)
+        pairs.append(results)
+        if results[0] is None:
+            raise DivisorError("could not find a generic interior weight")
+        return results[0]
+
+    monkeypatch.setattr(PolyhedralDivisor, "_vertex_assignment", both)
+    rng = random.Random(3)
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for curve in (A1, P1):
+            for rank in (1, 2, 3):
+                for _ in range(40):
+                    _random_family(rng, field, curve, rank)
+    assert all(got == want for got, want in pairs)
+    assert sum(got is not None and len(got) > 1 for got, _ in pairs) > 100
 
 
 def test_membership():
@@ -186,7 +239,7 @@ def _frf_gcd(a, b):
     field = a.field
     exps = {}
     for poly, e in a.factors:
-        exps[poly] = min(e, b.exponent_of(poly))
+        exps[poly] = min(e, exponent_of(b, poly))
     factors = [(p, e) for p, e in exps.items() if e > 0]
     return FactoredRatFunc(field, field.one(), factors)
 
@@ -238,7 +291,7 @@ def _reference_algebra_generators(div, bound, weight_cone=None):
     while True:
         reach = saturate(set(chosen))
         missing = [m for m in weights
-                   if reach[m] is None or not reach[m].is_unit()]
+                   if reach[m] is None or not is_unit(reach[m])]
         if not missing:
             break
         chosen.append(missing[0])
@@ -247,7 +300,7 @@ def _reference_algebra_generators(div, bound, weight_cone=None):
     for m in list(chosen):
         trial = [g for g in chosen if g != m]
         reach = saturate(set(trial))
-        if reach[m] is not None and reach[m].is_unit():
+        if reach[m] is not None and is_unit(reach[m]):
             chosen = trial
 
     gens = [AlgebraGenerator((0,) * div.rank,
@@ -272,7 +325,7 @@ def _random_a1_divisor(rng, field, points, rank):
         Cone.from_generators([g], rank)
         for g in ([(1,), (-1,)] if rank == 1 else [(1, 0), (1, -1), (0, 1)])]
     if rank == 2:
-        tails += [Cone.orthant(2), Cone.from_generators([(1, 0), (1, 2)], 2)]
+        tails += [orthant(2), Cone.from_generators([(1, 0), (1, 2)], 2)]
     tail = rng.choice(tails)
     support = {}
     for text in rng.sample(points, rng.randint(1, min(3, len(points)))):
