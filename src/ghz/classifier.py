@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import lcm
 
 from .curves import A1, P1, ClosedPoint, insep_profile
@@ -479,12 +480,12 @@ def _random_family(rng, field, curve, rank):
     cone, v_deg, assign = rng.choice(fan)
     y0 = rng.choice([y for y in support if not y.is_infinity])
     vertices = dict(assign)
+    # the fan makes the coloring valid (the assigned vertices sum to the
+    # cone's vertex of deg D) but for the lattice condition (ii) away from y0
     for y, v in vertices.items():
         if y != y0 and any(x.denominator != 1 for x in v):
             return None
     coloring = Coloring(div, vertices, y0, y_inf)
-    if not coloring_validate(coloring).ok:
-        return None
     e = tuple(rng.randint(-2, 2) for _ in range(rank))
     p = field.char_exponent
     s = (1,) if p == 1 else (rng.randint(0, 2),)
@@ -551,37 +552,20 @@ def candidate_colorings(div: PolyhedralDivisor, y_infinity=None):
     return out
 
 
-def _s_sequences(p: int, s_max: int):
-    if p == 1:
-        return [(1,)]
-    out = []
-
-    def rec(prefix, start):
-        for x in range(start, s_max + 1):
-            seq = prefix + (x,)
-            out.append(seq)
-            rec(seq, x + 1)
-    rec((), 0)
-    return out
-
-
 def enumerate_coherent(div: PolyhedralDivisor, e_bound: int, s_max: int,
                        lam_sample, y_infinity=None):
     """All coherent families on the candidate grid given by the bounds."""
     p = div.field.char_exponent
+    # over F_p: the nonempty strictly increasing sequences in 0..s_max
+    seqs = [(1,)] if p == 1 else [s for r in range(1, s_max + 2)
+                                  for s in combinations(range(s_max + 1), r)]
     found = []
     for coloring in candidate_colorings(div, y_infinity):
         for e in lattice_box(div.rank, e_bound):
-            for s in _s_sequences(p, s_max):
-                for lam in _lambda_tuples(lam_sample, len(s)):
+            for s in seqs:
+                for lam in product(lam_sample, repeat=len(s)):
                     theta = CoherentFamily(coloring, tuple(e), s, lam)
                     if coherent_validate(theta).ok:
                         found.append(theta)
     return sorted(found, key=lambda t: (t.e, t.s, t.describe()))
 
-
-def _lambda_tuples(sample, r):
-    if r == 0:
-        return [()]
-    shorter = _lambda_tuples(sample, r - 1)
-    return [t + (x,) for t in shorter for x in sample]

@@ -81,9 +81,8 @@ def run_command(sc, command, args) -> Report:
 def _run(rep, sc, command, args):
     div = sc.divisor
     if command == "validate":
-        rep.merge(div.validate())
-        if sc.coloring is not None:
-            rep.merge(coloring_validate(sc.coloring))
+        rep.merge(div.validate() if sc.coloring is None
+                  else coloring_validate(sc.coloring))
         if rep.ok:
             rep.note("scenario is valid")
     elif command == "eval":
@@ -166,27 +165,21 @@ def _run(rep, sc, command, args):
             rep.trust("generator certificate is incomplete at this bound")
     elif command == "classify":
         y_inf = sc.coloring.y_infinity if sc.coloring else None
-        lam = [sc.field.one()]
-        if sc.bounds.get("lambda_sample"):
-            from .polynomials import parse_scalar
-            lam = [parse_scalar(str(x), sc.field)
-                   for x in sc.bounds["lambda_sample"]]
         found = enumerate_coherent(div, sc.bounds["e_box"],
-                                   sc.bounds["s_max"], lam, y_inf)
+                                   sc.bounds["s_max"], sc.lambda_sample, y_inf)
         for theta in found:
             rep.note(theta.describe())
         if not found:
             rep.fail("no coherent family in the search box")
     elif command == "toric-check":
-        root = sc.raw.get("family_root")
+        root = sc.family_root
         if root is None and sc.family is not None:
-            root = list(sc.family.e)
+            root = sc.family.e
         if div.rank == 1:
             rep.merge(toricity_check(div))
         if root is not None:
             sigma0 = div.tail
-            top = toric_root_operator(sigma0, tuple(int(x) for x in root),
-                                      sc.field)
+            top = toric_root_operator(sigma0, root, sc.field)
             rep.note(f"root {tuple(top.e)} with distinguished generator "
                      f"{top.mu}")
             rep.merge(verify_toric_axioms(top, sigma0,
@@ -227,7 +220,6 @@ def main(argv=None) -> int:
                         help="accept unproven irreducibility with a marker")
     parser.add_argument("--override", action="store_true",
                         help="build the operator even for incoherent families")
-    parser.add_argument("--run", help="command to run on a builtin example")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -247,8 +239,7 @@ def main(argv=None) -> int:
                 return _emit(rep, args.as_json, time.time() - start)
             sc = load_builtin(name, field_override=field_override,
                               trust_irreducible=args.trust_irreducible)
-            command = args.run or "validate"
-            rep = run_command(sc, command, args)
+            rep = run_command(sc, "validate", args)
             return _emit(rep, args.as_json, time.time() - start)
         if args.example:
             sc = load_builtin(args.example, field_override=field_override,

@@ -193,10 +193,6 @@ class Cone:
             return tuple(Fraction(0) for _ in range(self.n))
         return tuple(map(sum, zip(*gens)))
 
-    @property
-    def dim(self) -> int:
-        return len(_echelon(self.rays + self.lineality)[1])
-
     def is_pointed(self) -> bool:
         return not self.lineality
 
@@ -284,9 +280,9 @@ def _normal_cone_data(v, points, tail: Cone):
     return lin, rays, len(_echelon(lin + rays)[1])
 
 
-def minkowski_points(terms):
-    """Every weighted sum of vertices, one per term: the weighted Minkowski
-    sum of polyhedra with a common tail cone is their convex hull plus the
+def minkowski_weighted_sum(terms):
+    """Weighted Minkowski sum of polyhedra with a common tail cone: the
+    convex hull of every weighted sum of vertices, one per term, plus the
     tail."""
     terms = list(terms)
     if not terms:
@@ -301,13 +297,7 @@ def minkowski_points(terms):
             raise GeometryError("weights must be positive")
         scaled = [vscale(weight, v) for v in p.vertices]
         sums = [vadd(s, w) for s in sums for w in scaled]
-    return sums
-
-
-def minkowski_weighted_sum(terms):
-    """Weighted Minkowski sum of polyhedra with a common tail cone."""
-    terms = list(terms)
-    return Polyhedron.from_points(minkowski_points(terms), terms[0][1].tail)
+    return Polyhedron.from_points(sums, tail)
 
 
 def lattice_basis(vectors, n):

@@ -4,14 +4,14 @@ optional coloring/family/bounds data, plus the builtin worked examples."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .classifier import Coloring, CoherentFamily
 from .curves import A1, P1, ClosedPoint, point_validate
 from .engine import GradedElement
 from .fields import PrimeField, Rationals, _is_prime
-from .geometry import Cone, Polyhedron
+from .geometry import MAX_RANK, Cone, Polyhedron
 from .polynomials import (ParseError, lambda_field, parse_factored,
                           parse_poly, parse_scalar)
 from .tvariety import PolyhedralDivisor
@@ -43,7 +43,7 @@ def parse_field(spec) -> object:
                 return lambda_field(_characteristic(s[1:-3]))
             return PrimeField(_characteristic(s[1:]))
         raise ScenarioError(f"unknown field {spec!r}")
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else spec
     if kind == "Q":
         return Rationals()
     if kind == "Fp":
@@ -80,15 +80,46 @@ def _frac(x) -> Fraction:
         raise ScenarioError(f"bad rational {x!r}: {exc}")
 
 
-def _vec(xs):
-    return tuple(_frac(x) for x in xs)
+def _int(x, what="entry") -> int:
+    if type(x) is not int:
+        raise ScenarioError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def _typed(x, kind, what):
+    if not isinstance(x, kind):
+        raise ScenarioError(f"{what} must be a JSON "
+                            f"{'object' if kind is dict else 'array'}")
+    return x
+
+
+def _key(obj, key, what):
+    if key not in _typed(obj, dict, what):
+        raise ScenarioError(f"{what} has no {key!r} key")
+    return obj[key]
+
+
+def _vec(xs, rank, what, entry=_frac):
+    """A vector of the lattice rank's length, each entry read by ``entry``."""
+    if len(_typed(xs, list, what)) != rank:
+        raise ScenarioError(f"{what} {xs!r} has {len(xs)} entries; the "
+                            f"lattice rank is {rank}")
+    return tuple(map(entry, xs))
+
+
+def _scalars(xs, field, what):
+    try:
+        return tuple(parse_scalar(str(x), field)
+                     for x in _typed(xs, list, what))
+    except ParseError as exc:
+        raise ScenarioError(f"bad coefficient in {what}: {exc}")
 
 
 def _point(text, field, policy):
     if text == "infinity":
         return ClosedPoint.infinity()
     try:
-        poly = parse_poly(text, field)
+        poly = parse_poly(str(text), field)
     except ParseError as exc:
         raise ScenarioError(f"bad point {text!r}: {exc}")
     return point_validate(poly, policy)
@@ -103,7 +134,8 @@ class Scenario:
     family: CoherentFamily | None
     bounds: dict
     elements: list
-    raw: dict = dfield(repr=False, default_factory=dict)
+    lambda_sample: tuple
+    family_root: tuple | None
 
 
 def parse_scenario(source, name: str = "scenario",
@@ -117,27 +149,32 @@ def parse_scenario(source, name: str = "scenario",
                 f"{exc.msg}")
     else:
         data = source
-    if not isinstance(data, dict):
-        raise ScenarioError("a scenario must be a JSON object")
+    _typed(data, dict, "a scenario")
     field = field_override if field_override is not None \
         else parse_field(data.get("field", {"kind": "Q"}))
-    rank = int(data.get("rank", 1))
+    rank = data.get("rank", 1)
+    if type(rank) is not int or not 1 <= rank <= MAX_RANK:
+        raise ScenarioError(f"rank {rank!r} is not an integer in 1..{MAX_RANK}")
     curve = data.get("curve", A1)
     if curve not in (A1, P1):
         raise ScenarioError(f"unknown curve {curve!r}")
-    tail = Cone.from_generators([_vec(r) for r in data.get("tail_rays", [])],
-                                rank)
+    tail = Cone.from_generators([_vec(r, rank, "tail ray") for r in _typed(
+        data.get("tail_rays", []), list, "tail_rays")], rank)
+    entries = _typed(data.get("support", []), list, "support")
+    if entries and not tail.is_pointed():
+        raise ScenarioError("a nonempty support needs a pointed tail cone")
     support = {}
-    for entry in data.get("support", []):
-        y = _point(entry["point"], field, policy)
-        verts = [_vec(v) for v in entry.get("vertices", [])]
+    for entry in entries:
+        y = _point(_key(entry, "point", "support entry"), field, policy)
+        verts = [_vec(v, rank, "vertex")
+                 for v in _typed(entry.get("vertices", []), list, "vertices")]
         if not verts:
             raise ScenarioError(
                 f"support entry at {entry['point']!r} has no vertices")
         if "rays" in entry:
-            extra = Cone.from_generators([_vec(r) for r in entry["rays"]],
-                                         rank)
-            if extra != tail:
+            extra = [_vec(r, rank, "ray")
+                     for r in _typed(entry["rays"], list, "rays")]
+            if Cone.from_generators(extra, rank) != tail:
                 raise ScenarioError(
                     f"support entry at {entry['point']!r} declares rays "
                     "that do not generate the tail cone")
@@ -147,13 +184,12 @@ def parse_scenario(source, name: str = "scenario",
     coloring = None
     cdata = data.get("coloring")
     if cdata is not None:
-        y0 = _point(cdata["y0"], field, policy)
-        y_inf = None
-        if cdata.get("y_infinity") is not None:
-            y_inf = _point(cdata["y_infinity"], field, policy)
-        vertices = {}
-        for ptext, v in cdata.get("vertices", {}).items():
-            vertices[_point(ptext, field, policy)] = _vec(v)
+        y0 = _point(_key(cdata, "y0", "coloring"), field, policy)
+        y_inf = cdata.get("y_infinity")
+        y_inf = None if y_inf is None else _point(y_inf, field, policy)
+        colored = _typed(cdata.get("vertices", {}), dict, "coloring vertices")
+        vertices = {_point(y, field, policy): _vec(v, rank, "colored vertex")
+                    for y, v in colored.items()}
         coloring = Coloring(divisor, vertices, y0, y_inf)
 
     family = None
@@ -161,30 +197,32 @@ def parse_scenario(source, name: str = "scenario",
     if fdata is not None:
         if coloring is None:
             raise ScenarioError("a family needs a coloring")
-        try:
-            lam = tuple(parse_scalar(str(x), field)
-                        for x in fdata.get("lambda", []))
-        except ParseError as exc:
-            raise ScenarioError(f"bad coefficient: {exc}")
-        family = CoherentFamily(coloring,
-                                tuple(int(x) for x in fdata["e"]),
-                                tuple(int(x) for x in fdata["s"]),
-                                lam)
+        e = _vec(_key(fdata, "e", "family"), rank, "family e", _int)
+        s = tuple(map(_int, _typed(_key(fdata, "s", "family"), list, "s")))
+        family = CoherentFamily(coloring, e, s, _scalars(
+            fdata.get("lambda", []), field, "lambda"))
 
     bounds = dict(DEFAULT_BOUNDS)
-    bounds.update(data.get("bounds", {}))
+    bounds.update(_typed(data.get("bounds", {}), dict, "bounds"))
+    for key in ("weight_box", "max_order", "e_box", "s_max"):
+        if _int(bounds[key], key) < 0:
+            raise ScenarioError(f"{key} {bounds[key]} is negative")
+    lambda_sample = _scalars(bounds["lambda_sample"] or ["1"], field,
+                             "lambda_sample")
+    root = data.get("family_root")
+    root = None if root is None else _vec(root, rank, "family_root", _int)
 
     elements = []
-    for entry in data.get("elements", []):
+    for entry in _typed(data.get("elements", []), list, "elements"):
         try:
-            coeff = parse_factored(entry["coeff"], field)
+            coeff = parse_factored(str(_key(entry, "coeff", "element")), field)
         except ParseError as exc:
             raise ScenarioError(f"bad coefficient {entry['coeff']!r}: {exc}")
-        elements.append(GradedElement.term(
-            field, tuple(int(x) for x in entry["weight"]), coeff))
+        weight = _vec(_key(entry, "weight", "element"), rank, "weight", _int)
+        elements.append(GradedElement.term(field, weight, coeff))
 
     return Scenario(name, field, divisor, coloring, family, bounds,
-                    elements, data)
+                    elements, lambda_sample, root)
 
 
 def serialize_scenario(sc: Scenario) -> dict:

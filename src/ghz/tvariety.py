@@ -10,8 +10,7 @@ from fractions import Fraction
 
 from .curves import (A1, P1, ClosedPoint, ModuleDescription, QDivisor,
                      h0_generators)
-from .geometry import (Cone, Polyhedron, minkowski_points,
-                       minkowski_weighted_sum)
+from .geometry import Cone, Polyhedron, minkowski_weighted_sum
 from .polynomials import FactoredRatFunc, Poly
 from .reports import Report
 
@@ -61,8 +60,6 @@ class PolyhedralDivisor:
         if not self.tail.is_pointed():
             rep.fail("tail cone is not pointed (dual weight cone would not be "
                      "full-dimensional)")
-        if self.tail.dual().dim != self.rank:
-            rep.fail("dual of the tail cone is not full-dimensional")
         for y, p in self.support.items():
             if y.is_infinity and self.curve == A1:
                 rep.fail("infinity cannot support a divisor over the affine line")
@@ -71,18 +68,15 @@ class PolyhedralDivisor:
             if y.trusted:
                 rep.trust(f"irreducibility of {y.to_str()} was not proven")
         if self.curve == P1 and rep.ok:
-            origin = tuple(Fraction(0) for _ in range(self.rank))
-            terms = self._degree_terms()
-            sums = minkowski_points(terms) if terms else [origin]
-            # deg D is the hull of these sums plus sigma, so it lies in the
-            # convex cone sigma exactly when every sum does
-            if not all(self.tail.contains(x) for x in sums):
+            deg = self.degree_polyhedron()
+            # deg D is conv(vertices) + sigma, so it lies in the convex cone
+            # sigma exactly when every vertex does
+            if not all(self.tail.contains(v) for v in deg.vertices):
                 rep.fail("deg D is not contained in the tail cone")
                 return rep
-            deg = Polyhedron.from_points(sums, self.tail)
             # sigma is pointed, so 0 lies in deg D (a subset of sigma) only
             # as a vertex: this is the whole properness test
-            if origin in deg.vertices:
+            if tuple(Fraction(0) for _ in range(self.rank)) in deg.vertices:
                 rep.fail("deg D is not a proper subset of the tail cone "
                          "(0 is a vertex of deg D)")
         return rep
@@ -110,13 +104,10 @@ class PolyhedralDivisor:
 
     # -- degree and linearity ----------------------------------------------
 
-    def _degree_terms(self, y_infinity=None):
-        return [(y.degree, p) for y, p in self.support.items()
-                if y_infinity is None or y != y_infinity]
-
     def degree_polyhedron(self, y_infinity=None) -> Polyhedron:
         """deg D, restricted to the complement of y_infinity when given."""
-        terms = self._degree_terms(y_infinity)
+        terms = [(y.degree, p) for y, p in self.support.items()
+                 if y != y_infinity]
         if not terms:
             return self.tail_polyhedron()
         return minkowski_weighted_sum(terms)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from ghz.curves import P1, ClosedPoint, QDivisor, point_validate
 from ghz.fields import FieldError
-from ghz.geometry import Cone
+from ghz.geometry import Cone, _echelon
 from ghz.polynomials import Poly
 
 
@@ -16,6 +16,11 @@ def orthant(n):
     """The cone spanned by the n unit vectors."""
     return Cone.from_generators(
         [tuple(int(i == j) for j in range(n)) for i in range(n)], n)
+
+
+def cone_dim(cone):
+    """The dimension of a cone: the rank of its rays and lineality."""
+    return len(_echelon(cone.rays + cone.lineality)[1])
 
 
 def int_poly(field, coeffs):

@@ -20,7 +20,8 @@ from ghz.polynomials import (FactoredRatFunc, Poly, RatFunc, lambda_field,
 from ghz.scenarios import load_builtin
 from ghz.tvariety import PolyhedralDivisor
 
-from helpers import h0_dimension, is_effective, orthant, principal_divisor
+from helpers import (cone_dim, h0_dimension, is_effective, orthant,
+                     principal_divisor)
 
 Q = Rationals()
 
@@ -232,7 +233,7 @@ def test_criterion_9_toric_correspondence():
         rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
         sigma0 = Cone.from_generators([r for r in rays if any(r)] or
                                       [(1,) + (0,) * (n - 1)], n)
-        if not sigma0.is_pointed() or sigma0.dim < n:
+        if not sigma0.is_pointed() or cone_dim(sigma0) < n:
             continue
         field = fields[found % 3]
         candidates = [tuple(e) for e in lattice_box(n, 2)]

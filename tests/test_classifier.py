@@ -20,7 +20,7 @@ from ghz.polynomials import lambda_field, parse_poly
 from ghz.reports import Report
 from ghz.tvariety import DivisorError, PolyhedralDivisor
 
-from helpers import orthant
+from helpers import cone_dim, orthant
 
 Q = Rationals()
 
@@ -262,7 +262,7 @@ def _reference_random_family(rng, field, curve, rank):
 
     tail = Cone.zero(rank) if rng.random() < 0.5 else Cone.from_generators(
         [tuple(rng.randint(0, 1) for _ in range(rank)) or (1,) * rank], rank)
-    if tail.dual().dim != rank:
+    if cone_dim(tail.dual()) != rank:
         tail = Cone.zero(rank)
     consts = list(range(field.p)) if isinstance(field, PrimeField) \
         else [0, 1, 2]
@@ -328,6 +328,8 @@ def test_sampler_matches_build_then_validate_reference(monkeypatch):
                     got = _random_family(rng, field, curve, rank)
                     assert _draw_key(got) == _draw_key(want)
                     assert rng.getstate() == ref_rng.getstate()
+                    # valid by construction: the sampler does not check it
+                    assert got is None or coloring_validate(got.coloring).ok
                     kept += got is not None
                     if curve == P1 and got is None:
                         if not validated:

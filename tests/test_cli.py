@@ -142,6 +142,24 @@ def test_scenario_file(tmp_path, capsys):
     assert code == 2 and "syntax error" in err
 
 
+def test_validate_reports_each_divisor_violation_once(tmp_path, capsys):
+    # deg D = {-1} lies outside the tail cone; the coloring is checked too
+    data = {"field": {"kind": "Fp", "p": 2}, "rank": 1, "curve": "P1",
+            "tail_rays": [["1"]],
+            "support": [{"point": "t", "vertices": [["-1"]]},
+                        {"point": "infinity", "vertices": [["0"]]}],
+            "coloring": {"y0": "t", "y_infinity": "infinity",
+                         "vertices": {"t": ["-1"]}}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "validate", "--scenario", str(path))
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        "validate: FAILED",
+        "  violation: deg D is not contained in the tail cone"]
+    assert out.count("violation:") == 1
+
+
 def test_missing_input(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2 and "--scenario" in err
@@ -166,11 +184,10 @@ def test_trust_irreducible_reaches_builtin_examples(capsys, monkeypatch):
                         scenarios.BUILTIN_EXAMPLES["w25-imperfect"])
     code, _, err = run(capsys, "coherent", "--example", "w25-strict")
     assert code == 2 and "undecidable" in err
-    for argv in (("coherent", "--example", "w25-strict"),
-                 ("example", "w25-strict", "--run", "coherent")):
-        code, out, _ = run(capsys, *argv, "--trust-irreducible", "--json")
-        assert code == 0
-        assert any("t^2 + l" in t for t in json.loads(out)["trust_markers"])
+    code, out, _ = run(capsys, "coherent", "--example", "w25-strict",
+                       "--trust-irreducible", "--json")
+    assert code == 0
+    assert any("t^2 + l" in t for t in json.loads(out)["trust_markers"])
     # the example's own default still holds without the flag
     code, out, _ = run(capsys, "coherent", "--example", "w25-imperfect")
     assert code == 0

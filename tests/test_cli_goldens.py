@@ -1,4 +1,5 @@
-"""Golden CLI runs: every builtin example under every command.
+"""Golden CLI runs: every builtin example under every command, and
+``validate`` on every malformed scenario under ``tests/scenarios``.
 
 Each golden holds a run's stdout (without the elapsed line or the
 ``elapsed_seconds`` key), its stderr and its exit code, so a change that
@@ -11,6 +12,7 @@ Re-record (only when an output is meant to change, and say which):
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 from functools import lru_cache
@@ -21,7 +23,18 @@ import pytest
 from ghz.cli import COMMANDS, main
 from ghz.scenarios import BUILTIN_EXAMPLES
 
-GOLDENS = Path(__file__).resolve().parent / "cli_goldens.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "tests" / "cli_goldens.json"
+MALFORMED = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
+
+# the command that, without the parse-time check, turned a malformed
+# scenario into a verdict or an internal failure, where validate did not
+EXPOSED_BY = {"vertex-length": "coherent", "family-e-length": "coherent",
+              "family-root-length": "toric-check",
+              "family-root-bad": "toric-check",
+              "weight-box-string": "generators",
+              "lambda-sample-bad": "classify",
+              "max-order-negative": "verify"}
 
 _TEXT_ELAPSED = re.compile(r"^elapsed: \d+\.\d{3}s\n", re.M)
 _JSON_ELAPSED = re.compile(r',\n  "elapsed_seconds": [0-9.e-]+\n}')
@@ -49,6 +62,13 @@ def _cases():
         cases.append([command, "--example", "w25-imperfect", "--order", "-1"])
     for field in ("F4", "Fx"):
         cases.append(["validate", "--example", "w25-prime", "--field", field])
+    # a malformed scenario is a usage error, whatever the command; the paths
+    # are relative to the repository root
+    for path in MALFORMED:
+        rel = path.relative_to(ROOT).as_posix()
+        for command in ("validate", EXPOSED_BY.get(path.stem)):
+            if command:
+                cases.append([command, "--scenario", rel])
     return cases
 
 
@@ -74,11 +94,22 @@ def test_goldens_cover_every_case():
 
 
 @pytest.mark.parametrize("argv", _cases(), ids=_key)
-def test_cli_golden(argv):
+def test_cli_golden(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
     assert run_case(argv) == _goldens()[_key(argv)]
 
 
+def test_malformed_scenarios_are_one_line_usage_errors():
+    runs = [_goldens()[_key(a)] for a in _cases() if "--scenario" in a]
+    assert len(runs) == len(MALFORMED) + len(EXPOSED_BY)
+    for run in runs:
+        assert run["code"] == 2 and run["stdout"] == ""
+        assert run["stderr"].startswith("error: ")
+        assert run["stderr"].count("\n") == 1
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    os.chdir(ROOT)
     recorded = {_key(argv): run_case(argv) for argv in _cases()}
     GOLDENS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")

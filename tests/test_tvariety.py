@@ -85,6 +85,73 @@ def test_p1_positivity():
         "deg D is not a proper subset of the tail cone (0 is a vertex of deg D)"]
 
 
+def test_a_non_pointed_tail_is_one_violation():
+    for halfline in (Cone.from_generators([(1,), (-1,)], 1),
+                     Cone.from_generators([(1, 0), (-1, 0)], 2)):
+        for curve in (A1, P1):
+            D = PolyhedralDivisor(Q, curve, halfline, {})
+            assert D.validate().violations == [
+                "tail cone is not pointed (dual weight cone would not be "
+                "full-dimensional)"]
+
+
+def _all_sums_p1_violations(div):
+    """Reference: the P1 branch of `validate` that decides containment on
+    every degree-weighted sum of vertices, one per support point, before it
+    builds deg D from those sums."""
+    origin = (F(0),) * div.rank
+    sums = [origin]
+    for y, p in div.support.items():
+        sums = [tuple(a + y.degree * b for a, b in zip(s, v))
+                for s in sums for v in p.vertices]
+    if not all(div.tail.contains(x) for x in sums):
+        return ["deg D is not contained in the tail cone"]
+    if origin in Polyhedron.from_points(sums, div.tail).vertices:
+        return ["deg D is not a proper subset of the tail cone "
+                "(0 is a vertex of deg D)"]
+    return []
+
+
+def test_p1_validate_matches_the_all_sums_reference():
+    """Random P1 divisors drawn like the sampler's build-then-validate
+    reference but never rejected on raw points, plus a point of degree 2,
+    an empty support and the zero tail."""
+    rng = random.Random(61)
+    seen = {}
+    for field, consts, quadratic in ((Q, 3, "t^2 + 1"),
+                                     (PrimeField(2), 2, "t^2 + t + 1"),
+                                     (PrimeField(3), 3, "t^2 + 1")):
+        points = [ClosedPoint.rational(field, field.from_int(c))
+                  for c in range(consts)]
+        points.append(point_validate(parse_poly(quadratic, field), "strict"))
+        for rank in (1, 2):
+            def rand_vertex():
+                return tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
+                             for _ in range(rank))
+
+            for _ in range(60):
+                tail = Cone.zero(rank) if rng.random() < 0.5 else \
+                    Cone.from_generators([tuple(
+                        rng.randint(0, 1) for _ in range(rank))], rank)
+                chosen = rng.sample(points, rng.randint(0, len(points)))
+                if rng.random() < 0.8:
+                    chosen.append(ClosedPoint.infinity())
+                support = {y: Polyhedron.from_points(
+                    [rand_vertex() for _ in range(rng.randint(1, 2))], tail)
+                    for y in chosen}
+                div = PolyhedralDivisor(field, P1, tail, support)
+                want = _all_sums_p1_violations(div)
+                assert div.validate().violations == want, support
+                key = (bool(support), bool(tail.rays), tuple(want))
+                seen[key] = seen.get(key, 0) + 1
+    verdicts = {key[2] for key in seen}
+    assert len(verdicts) == 3, seen
+    # edge cases: an empty support, and the zero tail with a nonempty one
+    assert any(not has_support for has_support, _, _ in seen), seen
+    assert any(has_support and not has_rays
+               for has_support, has_rays, _ in seen), seen
+
+
 def test_polyhedron_at_looks_up_the_support_first(monkeypatch):
     K, y0, y, D = hyperbolic_w25()
 
