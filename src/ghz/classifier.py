@@ -105,8 +105,7 @@ def coloring_validate(c: Coloring) -> Report:
 
 @dataclass(frozen=True)
 class AssociatedCones:
-    omega: Cone       # in M_Q
-    tau: Cone         # omega dual, in N_Q
+    tau: Cone         # in N_Q; its dual omega lies in M_Q
     tau_tilde: Cone   # in N_Q x Q
     d: int
     ell: int
@@ -114,18 +113,14 @@ class AssociatedCones:
     distinguished_ray: tuple
 
 
-def _denominator_lcm(v):
-    return lcm(*[Fraction(x).denominator for x in v]) if v else 1
-
-
-def _split_char_power(d: int, p: int):
-    """d = ell * p^u with gcd(ell, p) = 1."""
+def cover_degree(v0, p: int):
+    """(d, ell, u): d = ell * p^u is the lcm of v0's denominators, and p does
+    not divide ell."""
+    d = ell = lcm(*[Fraction(x).denominator for x in v0])
     u = 0
-    if p > 1:
-        while d % p == 0:
-            d //= p
-            u += 1
-    return d, u
+    while p > 1 and ell % p == 0:
+        ell, u = ell // p, u + 1
+    return d, ell, u
 
 
 def associated_cones(c: Coloring) -> AssociatedCones:
@@ -136,10 +131,8 @@ def associated_cones(c: Coloring) -> AssociatedCones:
     tau_gens = [vsub(v, v_deg) for v in deg.vertices]
     tau_gens.extend(div.tail.rays)
     tau = Cone.from_generators(tau_gens, n)
-    omega = tau.dual()
     v0 = c.vertex(c.y0)
-    d = _denominator_lcm(v0)
-    ell, u = _split_char_power(d, div.field.char_exponent)
+    d, ell, u = cover_degree(v0, div.field.char_exponent)
     gens = [tuple(list(g) + [0]) for g in tau.generators()]
     gens.append(tuple(list(v0) + [1]))
     if div.curve == P1:
@@ -151,7 +144,7 @@ def associated_cones(c: Coloring) -> AssociatedCones:
     if ray not in tau_tilde.rays:
         raise ClassifierError(
             "the ray through the marked vertex is not extreme in the lifted cone")
-    return AssociatedCones(omega, tau, tau_tilde, d, ell, u, ray)
+    return AssociatedCones(tau, tau_tilde, d, ell, u, ray)
 
 
 # -- Demazure roots ---------------------------------------------------------
@@ -217,23 +210,19 @@ class CoherentFamily:
                 f"y0=[{self.coloring.y0.to_str()}]")
 
 
-def _root_tilde(cones: AssociatedCones, e, s_i, p, v0):
-    q = p ** s_i
-    head = tuple(q * x for x in e)
-    height = Fraction(-1, cones.d) - dot(head, v0)
-    return tuple(list(head) + [height])
-
-
 def coherent_validate(theta: CoherentFamily) -> Report:
     rep = Report("coherent family")
-    c = theta.coloring
-    rep.merge(coloring_validate(c))
-    if not rep.ok:
-        return rep
-    div = c.divisor
-    field = div.field
+    rep.merge(coloring_validate(theta.coloring))
+    if rep.ok:
+        rep.merge(family_validate(theta, associated_cones(theta.coloring)))
+    return rep
+
+
+def family_validate(theta: CoherentFamily, cones: AssociatedCones) -> Report:
+    """Conditions (iii)-(vii) of a family on a valid coloring's cones."""
+    rep = Report("coherent family")
+    field = theta.coloring.divisor.field
     p = field.char_exponent
-    cones = associated_cones(c)
     s = tuple(theta.s)
     if not s or any(int(x) != x for x in s):
         rep.fail("(iii): the exponent sequence must be nonempty integers")
@@ -253,10 +242,11 @@ def coherent_validate(theta: CoherentFamily) -> Report:
         rep.fail("(iv): coefficients must be nonzero")
     if not rep.ok:
         return rep
-    v0 = c.vertex(c.y0)
+    v0 = theta.coloring.vertex(theta.coloring.y0)
     for s_i in s:
-        cand = _root_tilde(cones, theta.e, s_i, p, v0)
-        if Fraction(cand[-1]).denominator != 1:
+        head = tuple(p ** s_i * x for x in theta.e)
+        cand = (*head, Fraction(-1, cones.d) - dot(head, v0))
+        if cand[-1].denominator != 1:
             rep.fail(f"(iii): lifted vector {_fmt_vec(cand)} for exponent {s_i} is not "
                      "a lattice vector")
         elif not demazure_root_check(cones.tau_tilde, cones.distinguished_ray,
@@ -275,8 +265,7 @@ def _vertex_table(theta: CoherentFamily):
     div = c.divisor
     p = div.field.char_exponent
     v0 = c.vertex(c.y0)
-    d = _denominator_lcm(v0)
-    pu = p ** _split_char_power(d, p)[1]
+    d, _, u = cover_degree(v0, p)
     q = p ** theta.s[0]
     qe = tuple(q * x for x in theta.e)
     points = []
@@ -284,7 +273,7 @@ def _vertex_table(theta: CoherentFamily):
         if y == c.y0:
             continue
         eps = 1 if y.is_infinity else insep_profile(y).epsilon
-        points.append((y, pu * eps, div.polyhedron_at(y).vertices,
+        points.append((y, p ** u * eps, div.polyhedron_at(y).vertices,
                        c.vertex(y)))
     return d, qe, v0, points
 
@@ -561,11 +550,12 @@ def enumerate_coherent(div: PolyhedralDivisor, e_bound: int, s_max: int,
                                   for s in combinations(range(s_max + 1), r)]
     found = []
     for coloring in candidate_colorings(div, y_infinity):
+        cones = associated_cones(coloring)
         for e in lattice_box(div.rank, e_bound):
             for s in seqs:
                 for lam in product(lam_sample, repeat=len(s)):
                     theta = CoherentFamily(coloring, tuple(e), s, lam)
-                    if coherent_validate(theta).ok:
+                    if family_validate(theta, cones).ok:
                         found.append(theta)
     return sorted(found, key=lambda t: (t.e, t.s, t.describe()))
 

@@ -16,7 +16,7 @@ from .classifier import (candidate_colorings, coherent_validate,
                          coloring_validate, demazure_roots_enumerate,
                          associated_cones, enumerate_coherent, toricity_check,
                          ClassifierError)
-from .curves import A1, PointError
+from .curves import A1, P1, PointError
 from .engine import (EngineError, GradedElement, Refusal, build_operator,
                      default_horizontal_order, kernel_in_box,
                      toric_root_operator, verify_axioms, verify_horizontal,
@@ -55,6 +55,14 @@ def _parse_weight(text, div):
 def _require(condition, message):
     if not condition:
         raise UsageError(message)
+
+
+def _y_infinity(sc, command):
+    """The coloring's marked point at infinity; P1 needs a rational one."""
+    y_inf = sc.coloring.y_infinity if sc.coloring else None
+    _require(sc.divisor.curve != P1 or (y_inf and y_inf.is_rational),
+             f"{command} over P1 needs a coloring with a rational y_infinity")
+    return y_inf
 
 
 def _operator(sc, override):
@@ -107,8 +115,7 @@ def _run(rep, sc, command, args):
         if not cert.complete:
             rep.fail("generator search hit the weight bound; enlarge the box")
     elif command == "colorings":
-        y_inf = sc.coloring.y_infinity if sc.coloring else None
-        found = candidate_colorings(div, y_inf)
+        found = candidate_colorings(div, _y_infinity(sc, command))
         for c in found:
             rep.note(f"y0=[{c.y0.to_str()}] vertices="
                      + ", ".join(
@@ -120,6 +127,9 @@ def _run(rep, sc, command, args):
             rep.fail("no valid coloring found")
     elif command == "roots":
         _require(sc.coloring is not None, "roots needs a coloring")
+        rep.merge(coloring_validate(sc.coloring))
+        if not rep.ok:
+            return
         cones = associated_cones(sc.coloring)
         rep.note(f"d={cones.d} (l={cones.ell}, u={cones.u}); "
                  f"distinguished ray {cones.distinguished_ray}")
@@ -164,9 +174,8 @@ def _run(rep, sc, command, args):
         if not cert.complete:
             rep.trust("generator certificate is incomplete at this bound")
     elif command == "classify":
-        y_inf = sc.coloring.y_infinity if sc.coloring else None
-        found = enumerate_coherent(div, sc.bounds["e_box"],
-                                   sc.bounds["s_max"], sc.lambda_sample, y_inf)
+        found = enumerate_coherent(div, sc.bounds["e_box"], sc.bounds["s_max"],
+                                   sc.lambda_sample, _y_infinity(sc, command))
         for theta in found:
             rep.note(theta.describe())
         if not found:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binomials import binom_in_field
-from .classifier import (CoherentFamily, associated_cones, coherent_validate,
+from .classifier import (CoherentFamily, coherent_validate, cover_degree,
                          demazure_root_check)
 from .curves import A1, P1
 from .fields import FieldError
@@ -160,18 +160,16 @@ def times_factors(r: RatFunc, factors, powers: dict) -> RatFunc:
 class DthetaOperator:
     """Sequence of divided-power operators attached to a coherent family."""
 
-    def __init__(self, theta: CoherentFamily, cones, report: Report):
+    def __init__(self, theta: CoherentFamily):
         c = theta.coloring
         div = c.divisor
         self.theta = theta
         self.coloring = c
         self.divisor = div
         self.field = div.field
-        self.report = report
         self.p = self.field.char_exponent
-        self.d = cones.d
-        self.u = cones.u
         self.v0 = c.vertex(c.y0)
+        self.d, _, self.u = cover_degree(self.v0, self.p)
         # d is the lcm of v0's denominators, so d * v0 is a lattice point
         self.dv0 = tuple(int(self.d * x) for x in self.v0)
         self.y0_value = c.y0.rational_value()
@@ -294,8 +292,7 @@ def build_operator(theta: CoherentFamily, override: bool = False
                           "infinity to be the infinite point itself")
     if c.y0.is_infinity or not c.y0.is_rational:
         raise EngineError("y0 must be a finite rational point")
-    cones = associated_cones(c)
-    return DthetaOperator(theta, cones, rep)
+    return DthetaOperator(theta)
 
 
 # -- verification -----------------------------------------------------------

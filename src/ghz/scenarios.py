@@ -254,6 +254,8 @@ def serialize_scenario(sc: Scenario) -> dict:
             "s": list(sc.family.s),
             "lambda": [field.to_str(x) for x in sc.family.lam],
         }
+    if sc.family_root is not None:
+        out["family_root"] = list(sc.family_root)
     out["bounds"] = dict(sc.bounds)
     if sc.elements:
         entries = []

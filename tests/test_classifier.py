@@ -70,7 +70,8 @@ def test_associated_cones_hyperbolic():
     assert (cones.d, cones.ell, cones.u) == (5, 5, 0)
     assert cones.distinguished_ray == (1, 5)
     assert sorted(cones.tau_tilde.rays) == [(1, 0), (1, 5)]
-    assert cones.omega.contains((1,)) and not cones.omega.contains((-1,))
+    assert cones.tau.dual().contains((1,)) \
+        and not cones.tau.dual().contains((-1,))
 
 
 def test_associated_cones_rank2():
@@ -79,7 +80,7 @@ def test_associated_cones_rank2():
     assert (cones.d, cones.ell, cones.u) == (2, 1, 1)
     assert cones.distinguished_ray == (1, 0, 2)
     assert sorted(cones.tau_tilde.rays) == [(0, 1, 0), (1, -2, 0), (1, 0, 2)]
-    assert sorted(cones.omega.rays) == [(1, 0), (2, 1)]
+    assert sorted(cones.tau.dual().rays) == [(1, 0), (2, 1)]
 
 
 def test_demazure_root_check():
@@ -449,6 +450,87 @@ def test_probe_draw_stream_is_pinned(monkeypatch):
         rep = equivalence_probe(10, p, curve, rank, seed=11)
         assert rep.ok, rep.violations
         assert len(draws) == want, (p, curve, rank)
+
+
+def test_cascade_builds_each_stage_once(monkeypatch):
+    """classify validates each candidate coloring's divisor once and builds
+    the cones once per coloring; apply and verify build them once."""
+    import ghz.classifier as classifier
+    from argparse import Namespace
+
+    from ghz.cli import run_command
+    from ghz.engine import build_operator
+    from ghz.scenarios import load_builtin
+
+    calls = {"validate": 0, "cones": 0}
+    validate = PolyhedralDivisor.validate
+
+    def counting_validate(div):
+        calls["validate"] += 1
+        return validate(div)
+
+    def counting_cones(c):
+        calls["cones"] += 1
+        return associated_cones(c)
+
+    monkeypatch.setattr(PolyhedralDivisor, "validate", counting_validate)
+    monkeypatch.setattr(classifier, "associated_cones", counting_cones)
+    args = Namespace(order=None, override=False)
+    for name in ("char2-ramified", "w25-prime", "w25-imperfect"):
+        sc = load_builtin(name, trust_irreducible=True)
+        calls.update(validate=0, cones=0)
+        run_command(sc, "classify", args)
+        assert calls == {"validate": 4, "cones": 1}, name
+        if name != "w25-prime":
+            for command in ("apply", "verify"):
+                calls.update(cones=0)
+                assert run_command(sc, command, args).ok
+                assert calls["cones"] == 1, (name, command)
+            calls.update(cones=0)
+            build_operator(sc.family)
+            assert calls["cones"] == 1, name
+
+
+def _enumerate_reference(div, e_bound, s_max, lam_sample, y_infinity):
+    """enumerate_coherent as a filter of coherent_validate, which re-runs the
+    whole cascade for every family of the grid; also the size of the grid."""
+    from itertools import combinations, product
+
+    p = div.field.char_exponent
+    seqs = [(1,)] if p == 1 else [s for r in range(1, s_max + 2)
+                                  for s in combinations(range(s_max + 1), r)]
+    found = [CoherentFamily(c, tuple(e), s, lam)
+             for c in candidate_colorings(div, y_infinity)
+             for e in lattice_box(div.rank, e_bound)
+             for s in seqs
+             for lam in product(lam_sample, repeat=len(s))]
+    return sorted((t for t in found if coherent_validate(t).ok),
+                  key=lambda t: (t.e, t.s, t.describe())), len(found)
+
+
+def test_enumerate_coherent_matches_the_cascade_filter():
+    rng = random.Random(23)
+    found = grid = 0
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        lams = [(field.one(),)]
+        if field.char_exponent == 3:
+            lams.append((field.one(), field.from_int(2)))
+        for curve in (A1, P1):
+            for rank in (1, 2):
+                for lam_sample in lams:
+                    theta = None
+                    while theta is None:
+                        theta = _random_family(rng, field, curve, rank)
+                    div = theta.coloring.divisor
+                    y_inf = theta.coloring.y_infinity
+                    s_max = 2 if len(lam_sample) == 1 else 1
+                    got = enumerate_coherent(div, 1, s_max, lam_sample, y_inf)
+                    want, size = _enumerate_reference(div, 1, s_max,
+                                                      lam_sample, y_inf)
+                    assert got == want, (field, curve, rank)
+                    found += len(got)
+                    grid += size
+    assert 0 < found < grid
 
 
 def test_enumerate_coherent_hyperbolic():

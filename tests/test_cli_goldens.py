@@ -1,5 +1,11 @@
 """Golden CLI runs: every builtin example under every command, and
-``validate`` on every malformed scenario under ``tests/scenarios``.
+``validate`` plus the runs of ``EXPOSED_BY`` on every scenario under
+``tests/scenarios``.
+
+That directory holds malformed scenarios, which every command refuses as
+a usage error, and valid scenarios (named in ``VALID``) that a command
+refuses with witnesses or as a usage error, or that ``--override`` runs
+anyway.
 
 Each golden holds a run's stdout (without the elapsed line or the
 ``elapsed_seconds`` key), its stderr and its exit code, so a change that
@@ -25,16 +31,29 @@ from ghz.scenarios import BUILTIN_EXAMPLES
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
-MALFORMED = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
+SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
+VALID = ("a1-y-infinity", "colored-not-vertex", "p1-irrational-y-infinity",
+         "p1-no-coloring", "p1-no-y-infinity", "v0-not-vertex")
 
-# the command that, without the parse-time check, turned a malformed
-# scenario into a verdict or an internal failure, where validate did not
-EXPOSED_BY = {"vertex-length": "coherent", "family-e-length": "coherent",
-              "family-root-length": "toric-check",
-              "family-root-bad": "toric-check",
-              "weight-box-string": "generators",
-              "lambda-sample-bad": "classify",
-              "max-order-negative": "verify"}
+# the runs of each scenario besides validate, as argv with the scenario
+# inserted after the command. For a malformed scenario: the command that,
+# without the parse-time check, turned it into a verdict or an internal
+# failure where validate did not. For a valid one: the runs that once read
+# an invalid coloring as valid or failed internally.
+EXPOSED_BY = {"vertex-length": [["coherent"]],
+              "family-e-length": [["coherent"]],
+              "family-root-length": [["toric-check"]],
+              "family-root-bad": [["toric-check"]],
+              "weight-box-string": [["generators"]],
+              "lambda-sample-bad": [["classify"]],
+              "max-order-negative": [["verify"]],
+              "v0-not-vertex": [["roots"]],
+              "colored-not-vertex": [["roots"], ["apply", "--override"],
+                                     ["verify", "--override"]],
+              "a1-y-infinity": [["roots"]],
+              "p1-no-coloring": [["colorings"], ["classify"]],
+              "p1-no-y-infinity": [["colorings"], ["classify"]],
+              "p1-irrational-y-infinity": [["colorings"], ["classify"]]}
 
 _TEXT_ELAPSED = re.compile(r"^elapsed: \d+\.\d{3}s\n", re.M)
 _JSON_ELAPSED = re.compile(r',\n  "elapsed_seconds": [0-9.e-]+\n}')
@@ -62,13 +81,11 @@ def _cases():
         cases.append([command, "--example", "w25-imperfect", "--order", "-1"])
     for field in ("F4", "Fx"):
         cases.append(["validate", "--example", "w25-prime", "--field", field])
-    # a malformed scenario is a usage error, whatever the command; the paths
-    # are relative to the repository root
-    for path in MALFORMED:
+    # the paths are relative to the repository root
+    for path in SCENARIOS:
         rel = path.relative_to(ROOT).as_posix()
-        for command in ("validate", EXPOSED_BY.get(path.stem)):
-            if command:
-                cases.append([command, "--scenario", rel])
+        for command, *flags in [["validate"], *EXPOSED_BY.get(path.stem, [])]:
+            cases.append([command, "--scenario", rel, *flags])
     return cases
 
 
@@ -100,12 +117,18 @@ def test_cli_golden(argv, monkeypatch):
 
 
 def test_malformed_scenarios_are_one_line_usage_errors():
-    runs = [_goldens()[_key(a)] for a in _cases() if "--scenario" in a]
-    assert len(runs) == len(MALFORMED) + len(EXPOSED_BY)
-    for run in runs:
-        assert run["code"] == 2 and run["stdout"] == ""
-        assert run["stderr"].startswith("error: ")
-        assert run["stderr"].count("\n") == 1
+    runs = [(Path(a[2]).stem, _goldens()[_key(a)])
+            for a in _cases() if "--scenario" in a]
+    assert len(runs) == len(SCENARIOS) \
+        + sum(len(argvs) for argvs in EXPOSED_BY.values())
+    assert set(VALID) <= {path.stem for path in SCENARIOS}
+    for stem, run in runs:
+        # a malformed scenario is a usage error, whatever the command
+        assert run["code"] == 2 or stem in VALID
+        if run["code"] == 2:
+            assert run["stdout"] == ""
+            assert run["stderr"].startswith("error: ")
+            assert run["stderr"].count("\n") == 1
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

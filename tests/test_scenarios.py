@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ghz.cli import run_command
 from ghz.scenarios import (ScenarioError, builtin_examples, field_descriptor,
                            load_builtin, parse_field, parse_scenario,
                            serialize_scenario)
@@ -43,6 +44,9 @@ def test_round_trip_all_builtins():
         policy = "trusted" if name == "w25-imperfect" else "strict"
         sc2 = parse_scenario(json.dumps(data), name=name, policy=policy)
         assert serialize_scenario(sc2) == data
+        assert sc2.family_root == sc.family_root
+        assert run_command(sc2, "toric-check", None).to_dict() \
+            == run_command(sc, "toric-check", None).to_dict()
 
 
 def test_parse_errors_are_reported_with_position():
