@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd
 
 from .curves import A1, P1, ClosedPoint, insep_profile
 from .fields import PrimeField, Rationals
-from .geometry import (Cone, GeometryError, Polyhedron, dot, lattice_box,
-                       primitive, vadd, vscale, vsub)
+from .geometry import (Cone, GeometryError, Polyhedron, dot, fmt_ratio,
+                       fmt_vec, lattice_box, primitive, vadd, vsub)
 from .reports import Report
 from .tvariety import DivisorError, PolyhedralDivisor
 
@@ -29,7 +29,8 @@ class ClassifierError(ValueError):
 @dataclass(frozen=True)
 class Coloring:
     """A divisor with a chosen vertex of D_y for every point of C', a marked
-    rational point y0, and (for P1) a marked rational point at infinity."""
+    rational point y0, and (for P1) a marked rational point at infinity.
+    Each vertex is an int tuple over the divisor's ``den``."""
 
     divisor: PolyhedralDivisor
     vertices: dict
@@ -37,10 +38,7 @@ class Coloring:
     y_infinity: ClosedPoint | None = None
 
     def vertex(self, y: ClosedPoint):
-        v = self.vertices.get(y)
-        if v is None:
-            return tuple(Fraction(0) for _ in range(self.divisor.rank))
-        return v
+        return self.vertices.get(y) or (0,) * self.divisor.rank
 
     def colored_points(self):
         """Points of C' carrying an explicitly colored vertex."""
@@ -50,14 +48,8 @@ class Coloring:
         return sorted(pts, key=lambda y: (y.is_infinity, y.to_str()))
 
     def v_deg(self):
-        acc = tuple(Fraction(0) for _ in range(self.divisor.rank))
-        for y in self.colored_points():
-            acc = vadd(acc, vscale(y.degree, self.vertex(y)))
-        return acc
-
-
-def _fmt_vec(v):
-    return "(" + ", ".join(str(x) for x in v) + ")"
+        return tuple(map(sum, zip(*([y.degree * x for x in self.vertex(y)]
+                                    for y in self.colored_points()))))
 
 
 def coloring_validate(c: Coloring) -> Report:
@@ -83,21 +75,22 @@ def coloring_validate(c: Coloring) -> Report:
     if c.y0 == c.y_infinity:
         rep.fail("(ii): y0 must lie in the complement of the marked point")
         return rep
+    den = c.divisor.den
     for y in c.colored_points():
         v = c.vertex(y)
         poly = c.divisor.polyhedron_at(y)
         if v not in poly.vertices:
-            rep.fail(f"(iii): {_fmt_vec(v)} is not a vertex of the polyhedron "
-                     f"at [{y.to_str()}]")
-        if y != c.y0 and any(x.denominator != 1 for x in v):
-            rep.fail(f"(ii): colored vertex {_fmt_vec(v)} at [{y.to_str()}] "
-                     "is not a lattice point")
+            rep.fail(f"(iii): {fmt_vec(v, den)} is not a vertex of the "
+                     f"polyhedron at [{y.to_str()}]")
+        if y != c.y0 and any(x % den for x in v):
+            rep.fail(f"(ii): colored vertex {fmt_vec(v, den)} at "
+                     f"[{y.to_str()}] is not a lattice point")
     if not rep.ok:
         return rep
     deg = c.divisor.deg_restricted(c.y_infinity)
     if c.v_deg() not in deg.vertices:
-        rep.fail(f"(iii): {_fmt_vec(c.v_deg())} is not a vertex of the degree "
-                 "polyhedron")
+        rep.fail(f"(iii): {fmt_vec(c.v_deg(), den)} is not a vertex of the "
+                 "degree polyhedron")
     return rep
 
 
@@ -113,10 +106,10 @@ class AssociatedCones:
     distinguished_ray: tuple
 
 
-def cover_degree(v0, p: int):
-    """(d, ell, u): d = ell * p^u is the lcm of v0's denominators, and p does
-    not divide ell."""
-    d = ell = lcm(*[Fraction(x).denominator for x in v0])
+def cover_degree(v0, den: int, p: int):
+    """(d, ell, u): d = ell * p^u is the least common denominator of the
+    vertex v0/den, and p does not divide ell."""
+    d = ell = den // gcd(den, *v0)
     u = 0
     while p > 1 and ell % p == 0:
         ell, u = ell // p, u + 1
@@ -124,23 +117,24 @@ def cover_degree(v0, p: int):
 
 
 def associated_cones(c: Coloring) -> AssociatedCones:
+    # every generator is scaled by den, which leaves each cone unchanged
     div = c.divisor
-    n = div.rank
+    n, den = div.rank, div.den
     deg = div.deg_restricted(c.y_infinity)
     v_deg = c.v_deg()
     tau_gens = [vsub(v, v_deg) for v in deg.vertices]
     tau_gens.extend(div.tail.rays)
     tau = Cone.from_generators(tau_gens, n)
     v0 = c.vertex(c.y0)
-    d, ell, u = cover_degree(v0, div.field.char_exponent)
-    gens = [tuple(list(g) + [0]) for g in tau.generators()]
-    gens.append(tuple(list(v0) + [1]))
+    d, ell, u = cover_degree(v0, den, div.field.char_exponent)
+    gens = [(*g, 0) for g in tau.generators()]
+    gens.append((*v0, den))
     if div.curve == P1:
         shift = vsub(v_deg, v0)
         for v in div.polyhedron_at(c.y_infinity).vertices:
-            gens.append(tuple(list(vadd(v, shift)) + [-1]))
+            gens.append((*vadd(v, shift), -den))
     tau_tilde = Cone.from_generators(gens, n + 1)
-    ray = primitive(tuple(list(v0) + [1]))
+    ray = primitive((*v0, den))
     if ray not in tau_tilde.rays:
         raise ClassifierError(
             "the ray through the marked vertex is not extreme in the lifted cone")
@@ -242,17 +236,19 @@ def family_validate(theta: CoherentFamily, cones: AssociatedCones) -> Report:
         rep.fail("(iv): coefficients must be nonzero")
     if not rep.ok:
         return rep
+    den = theta.coloring.divisor.den
     v0 = theta.coloring.vertex(theta.coloring.y0)
     for s_i in s:
         head = tuple(p ** s_i * x for x in theta.e)
-        cand = (*head, Fraction(-1, cones.d) - dot(head, v0))
-        if cand[-1].denominator != 1:
-            rep.fail(f"(iii): lifted vector {_fmt_vec(cand)} for exponent {s_i} is not "
-                     "a lattice vector")
-        elif not demazure_root_check(cones.tau_tilde, cones.distinguished_ray,
-                                     cand):
-            rep.fail(f"(iii): lifted vector {_fmt_vec(cand)} for exponent {s_i} is not "
-                     "a root of the lifted cone")
+        # den times the lifted vector (head, -1/d - <head, v0/den>)
+        last = -(den // cones.d) - dot(head, v0)
+        if last % den or not demazure_root_check(
+                cones.tau_tilde, cones.distinguished_ray, (*head, last // den)):
+            lifted = fmt_vec((*(den * x for x in head), last), den)
+            what = "a lattice vector" if last % den \
+                else "a root of the lifted cone"
+            rep.fail(f"(iii): lifted vector {lifted} for exponent {s_i} is "
+                     f"not {what}")
     rep.merge(_vertex_conditions_only(theta))
     return rep
 
@@ -265,7 +261,7 @@ def _vertex_table(theta: CoherentFamily):
     div = c.divisor
     p = div.field.char_exponent
     v0 = c.vertex(c.y0)
-    d, _, u = cover_degree(v0, p)
+    d, _, u = cover_degree(v0, div.den, p)
     q = p ** theta.s[0]
     qe = tuple(q * x for x in theta.e)
     points = []
@@ -280,28 +276,28 @@ def _vertex_table(theta: CoherentFamily):
 
 def _vertex_conditions_only(theta: CoherentFamily) -> Report:
     """The vertex inequalities (v)/(vi)/(vii) of a family whose coloring,
-    exponents and coefficients are valid."""
+    exponents and coefficients are valid, each side times den."""
     rep = Report("vertex conditions")
     c = theta.coloring
     div = c.divisor
+    den = div.den
     d, qe, v0, points = _vertex_table(theta)
-    for y, scale, verts, vy in points:
-        rhs = 1 + scale * dot(qe, vy)
+
+    def check(clause, verts, scale, rhs, skip=None):
         for v in verts:
-            if v != vy and scale * dot(qe, v) < rhs:
-                rep.fail(f"(v): at [{y.to_str()}] vertex {_fmt_vec(v)}: "
-                         f"{scale * dot(qe, v)} < {rhs}")
-    rhs0 = 1 + d * dot(qe, v0)
-    for v in div.polyhedron_at(c.y0).vertices:
-        if v != v0 and d * dot(qe, v) < rhs0:
-            rep.fail(f"(vi): at [{c.y0.to_str()}] vertex {_fmt_vec(v)}: "
-                     f"{d * dot(qe, v)} < {rhs0}")
+            if v != skip and scale * dot(qe, v) < rhs:
+                rep.fail(f"{clause} vertex {fmt_vec(v, den)}: "
+                         f"{fmt_ratio(scale * dot(qe, v), den)} < "
+                         f"{fmt_ratio(rhs, den)}")
+
+    for y, scale, verts, vy in points:
+        check(f"(v): at [{y.to_str()}]", verts, scale,
+              den + scale * dot(qe, vy), vy)
+    check(f"(vi): at [{c.y0.to_str()}]", div.polyhedron_at(c.y0).vertices, d,
+          den + d * dot(qe, v0), v0)
     if div.curve == P1:
-        rhs_inf = -1 - d * dot(qe, c.v_deg())
-        for v in div.polyhedron_at(c.y_infinity).vertices:
-            if d * dot(qe, v) < rhs_inf:
-                rep.fail(f"(vii): at infinity vertex {_fmt_vec(v)}: "
-                         f"{d * dot(qe, v)} < {rhs_inf}")
+        check("(vii): at infinity", div.polyhedron_at(c.y_infinity).vertices,
+              d, -den - d * dot(qe, c.v_deg()))
     return rep
 
 
@@ -311,38 +307,20 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
     """Discrete counterpart of the vertex inequalities: floors of the
     piecewise-linear evaluation maps must jump by enough along e.
 
-    The check runs on integers. Every vertex is scaled by L (`big`), the
-    lcm of all vertex denominators, so a value a of the maps becomes the
-    integer A = L*a and floor(s*a) = (s*A) // L. A weight lies in the dual
-    of the tail cone when it pairs nonnegatively with the tail's rays and
-    to zero with its lineality."""
+    The check runs on integers: a value a of the maps is the integer
+    A = den*a on the int vertices, and floor(s*a) = (s*A) // den. A weight
+    lies in the dual of the tail cone when it pairs nonnegatively with the
+    tail's rays and to zero with its lineality."""
     rep = Report("floor conditions")
     c = theta.coloring
     div = c.divisor
+    den = div.den
     d, qe, v0, points = _vertex_table(theta)
-    if any(x.denominator != 1 for x in qe):
-        raise ClassifierError("e must be a lattice vector")
-    qe = tuple(int(x) for x in qe)
     verts0 = div.polyhedron_at(c.y0).vertices
     verts_inf = div.polyhedron_at(c.y_infinity).vertices \
         if div.curve == P1 else None
     v_deg = c.v_deg()
-    every = [v0, v_deg, *verts0, *(verts_inf or ())]
-    for _, _, verts, vy in points:
-        every.extend(verts)
-        every.append(vy)
-    big = lcm(*(x.denominator for v in every for x in v))
-
-    def scaled(v):
-        return tuple(int(x * big) for x in v)
-
-    rows = [(y, scale, [scaled(v) for v in verts], scaled(vy))
-            for y, scale, verts, vy in points]
-    v0, v_deg = scaled(v0), scaled(v_deg)
-    verts0 = [scaled(v) for v in verts0]
-    if verts_inf is not None:
-        verts_inf = [scaled(v) for v in verts_inf]
-    rhs0 = 1 + d * dot(qe, v0) // big
+    rhs0 = 1 + d * dot(qe, v0) // den
     dual = div.tail.dual()
 
     # every polyhedron of the divisor has the tail cone as its tail, so at
@@ -356,21 +334,21 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
         m2 = vadd(m, qe)
         if not dual.contains(m2):
             continue
-        for y, scale, verts, vy in rows:
+        for y, scale, verts, vy in points:
             a = low(verts, m) - dot(m, vy)
             b = low(verts, m2) - dot(m2, vy)
             if b != 0:
-                fa, fb = scale * a // big, scale * b // big
+                fa, fb = scale * a // den, scale * b // den
                 if fb - fa < 1:
                     rep.fail(f"(4): m={m} at [{y.to_str()}]: {fb} - {fa} < 1")
         h0b = low(verts0, m2)
         if h0b != dot(m2, v0):
-            fa, fb = d * low(verts0, m) // big, d * h0b // big
+            fa, fb = d * low(verts0, m) // den, d * h0b // den
             if fb - fa < rhs0:
                 rep.fail(f"(5): m={m}: {fb} - {fa} < {rhs0}")
         if verts_inf is not None:
-            fa = d * (low(verts_inf, m) + dot(m, v_deg)) // big
-            fb = d * (low(verts_inf, m2) + dot(m2, v_deg)) // big
+            fa = d * (low(verts_inf, m) + dot(m, v_deg)) // den
+            fb = d * (low(verts_inf, m2) + dot(m2, v_deg)) // den
             if fb - fa < -1:
                 rep.fail(f"(6): m={m}: {fb} - {fa} < -1")
     return rep
@@ -431,12 +409,13 @@ def _random_family(rng, field, curve, rank):
     """One random small coloring + family, or None if the draw is invalid.
 
     All raw vertex lists are drawn before any polyhedron is built (building
-    one consumes no randomness), each coordinate a/b (b <= 3) as 6a/b. Over
-    P1, deg D is the hull of the degree-weighted sums of one raw point per
-    support point, plus the tail cone, so it lies in the convex tail exactly
-    when every such sum does. A draw failing that is rejected on the raw
-    points, before the polyhedra are built and `validate` runs; `validate`
-    still rejects the rest of its cases, such as 0 being a vertex of deg D."""
+    one consumes no randomness), each coordinate a/b (b <= 3) as the int
+    6a/b over the divisor's den 6. Over P1, deg D is the hull of the
+    degree-weighted sums of one raw point per support point, plus the tail
+    cone, so it lies in the convex tail exactly when every such sum does. A
+    draw failing that is rejected on the raw points, before the polyhedra
+    are built and `validate` runs; `validate` still rejects the rest of its
+    cases, such as 0 being a vertex of deg D."""
     def rand_vertex():
         return tuple(6 * rng.randint(-2, 2) // rng.randint(1, 3)
                      for _ in range(rank))
@@ -456,10 +435,8 @@ def _random_family(rng, field, curve, rank):
         for g in tail.dual().generators():
             if sum(min(dot(g, v) for v in verts) for _, verts in raw) < 0:
                 return None
-    support = {y: Polyhedron.from_points(
-        [tuple(Fraction(x, 6) for x in v) for v in verts], tail)
-        for y, verts in raw}
-    div = PolyhedralDivisor(field, curve, tail, support)
+    support = {y: Polyhedron.from_points(verts, tail) for y, verts in raw}
+    div = PolyhedralDivisor(field, curve, tail, support, 6)
     if not div.validate().ok:
         return None
     try:
@@ -472,7 +449,7 @@ def _random_family(rng, field, curve, rank):
     # the fan makes the coloring valid (the assigned vertices sum to the
     # cone's vertex of deg D) but for the lattice condition (ii) away from y0
     for y, v in vertices.items():
-        if y != y0 and any(x.denominator != 1 for x in v):
+        if y != y0 and any(x % 6 for x in v):
             return None
     coloring = Coloring(div, vertices, y0, y_inf)
     e = tuple(rng.randint(-2, 2) for _ in range(rank))
@@ -532,9 +509,7 @@ def candidate_colorings(div: PolyhedralDivisor, y_infinity=None):
     out = []
     for cone, v_deg, assign in div.linearity_fan(y_infinity):
         for y0 in y0s:
-            vertices = dict(assign)
-            if y0 not in vertices:
-                vertices[y0] = tuple(Fraction(0) for _ in range(div.rank))
+            vertices = {y0: (0,) * div.rank, **assign}
             c = Coloring(div, vertices, y0, y_infinity)
             if coloring_validate(c).ok and c not in out:
                 out.append(c)

@@ -22,7 +22,7 @@ from .engine import (EngineError, GradedElement, Refusal, build_operator,
                      toric_root_operator, verify_axioms, verify_horizontal,
                      verify_stability, verify_toric_axioms)
 from .fields import FieldError
-from .geometry import GeometryError
+from .geometry import GeometryError, fmt_vec
 from .reports import Report
 from .scenarios import (ScenarioError, builtin_examples, load_builtin,
                         parse_field, parse_scenario)
@@ -58,8 +58,11 @@ def _require(condition, message):
 
 
 def _y_infinity(sc, command):
-    """The coloring's marked point at infinity; P1 needs a rational one."""
+    """The coloring's marked point at infinity: P1 needs a rational one, and
+    A1 has none."""
     y_inf = sc.coloring.y_infinity if sc.coloring else None
+    _require(sc.divisor.curve != A1 or y_inf is None,
+             f"{command} over A1 takes no y_infinity")
     _require(sc.divisor.curve != P1 or (y_inf and y_inf.is_rational),
              f"{command} over P1 needs a coloring with a rational y_infinity")
     return y_inf
@@ -117,12 +120,9 @@ def _run(rep, sc, command, args):
     elif command == "colorings":
         found = candidate_colorings(div, _y_infinity(sc, command))
         for c in found:
-            rep.note(f"y0=[{c.y0.to_str()}] vertices="
-                     + ", ".join(
-                         f"[{y.to_str()}]->({', '.join(str(x) for x in v)})"
-                                 for y, v in sorted(
-                                     c.vertices.items(),
-                                     key=lambda yv: yv[0].to_str())))
+            rep.note(f"y0=[{c.y0.to_str()}] vertices=" + ", ".join(
+                f"[{y.to_str()}]->{fmt_vec(v, div.den)}" for y, v in sorted(
+                    c.vertices.items(), key=lambda yv: yv[0].to_str())))
         if not found:
             rep.fail("no valid coloring found")
     elif command == "roots":

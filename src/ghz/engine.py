@@ -12,7 +12,8 @@ from .classifier import (CoherentFamily, coherent_validate, cover_degree,
                          demazure_root_check)
 from .curves import A1, P1
 from .fields import FieldError
-from .geometry import Cone, dot, in_lattice, lattice_basis, lattice_box
+from .geometry import (Cone, dot, fmt_vec, in_lattice, lattice_basis,
+                       lattice_box)
 from .polynomials import (FactoredRatFunc, Poly, RatFunc, descend_power,
                           hasse_expand, poly_gcd)
 from .reports import Report
@@ -168,10 +169,11 @@ class DthetaOperator:
         self.divisor = div
         self.field = div.field
         self.p = self.field.char_exponent
-        self.v0 = c.vertex(c.y0)
-        self.d, _, self.u = cover_degree(self.v0, self.p)
-        # d is the lcm of v0's denominators, so d * v0 is a lattice point
-        self.dv0 = tuple(int(self.d * x) for x in self.v0)
+        self.den = div.den
+        v0 = c.vertex(c.y0)
+        self.d, _, self.u = cover_degree(v0, self.den, self.p)
+        # d is the least common denominator of v0/den: d * v0/den is integral
+        self.dv0 = tuple(self.d * x // self.den for x in v0)
         self.y0_value = c.y0.rational_value()
         self.e = tuple(theta.e)
         self.exponents = tuple(self.p ** s for s in theta.s)
@@ -190,12 +192,12 @@ class DthetaOperator:
         (q_y, exponent) pairs with nonzero exponents."""
         factors = []
         for y, vy in self.xi_points:
-            a = dot(m, vy)
-            if a.denominator != 1:
-                raise EngineError(
-                    f"pairing of {m} with {tuple(vy)} is not integral")
+            a, r = divmod(dot(m, vy), self.den)
+            if r:
+                raise EngineError(f"pairing of {m} with "
+                                  f"{fmt_vec(vy, self.den)} is not integral")
             if a != 0:
-                factors.append((y.poly, -int(a)))
+                factors.append((y.poly, -a))
         return factors
 
     def _term_data(self, f: RatFunc, m):
@@ -370,8 +372,10 @@ def verify_axioms(op: DthetaOperator, test_set, max_order: int) -> Report:
 
 def verify_stability(op: DthetaOperator, div: PolyhedralDivisor, generators,
                      max_order=None) -> Report:
-    """Every image of every generator must lie in the graded algebra."""
+    """Every image of every generator must lie in the graded algebra, at a
+    weight of the weight cone (the dual of the tail cone)."""
     rep = Report("stability")
+    dual = div.tail.dual()
     for g in generators:
         if not isinstance(g, GradedElement):
             g = GradedElement.term(div.field, g.weight, g.coeff)
@@ -384,9 +388,13 @@ def verify_stability(op: DthetaOperator, div: PolyhedralDivisor, generators,
             if i == 0:
                 continue
             for w in val.weights():
-                if not div.membership(val.terms[w], w):
+                image = f"({val.terms[w].to_str()})*chi^{w}"
+                if not dual.contains(w):
+                    rep.fail(f"order {i} of {g.to_str()} leaves the weight "
+                             f"cone: {image}")
+                elif not div.membership(val.terms[w], w):
                     rep.fail(f"order {i} of {g.to_str()} leaves the algebra: "
-                             f"({val.terms[w].to_str()})*chi^{w}")
+                             f"{image}")
     return rep
 
 

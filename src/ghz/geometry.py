@@ -1,20 +1,21 @@
-"""Exact rational cones and polyhedra in small dimension (rank <= 4).
+"""Exact rational cones and polyhedra in small dimension (rank <= 4), on
+integers.
 
-Weights (points of the lattice M) are int tuples; vertices are tuples of
-Fractions. `dot` and `Cone.contains` pair vectors as given, so a weight
-pairs with an integer ray in int arithmetic.  Cones are stored by primitive integer extreme rays plus a
-canonical integer lineality basis; both descriptions (generators and
-inequalities) come from one integer kernel, `rays_from_inequalities`: rows
-scaled to primitive integer rows, rank and lineality from fraction-free
-Gauss-Jordan elimination, and each ray candidate as a cofactor vector of at
-most 3 x 3 determinants.
+Weights (points of the lattice M) are int tuples, and so are vertices: a
+polyhedral divisor holds one positive denominator ``den`` and stores its
+rational vertex v as the int tuple den * v. Cones and normal fans do not
+change under that scaling; only `fmt_vec` reads den, to print v. Cones are
+stored by primitive integer extreme rays plus a canonical integer lineality
+basis; both descriptions (generators and inequalities) come from one integer
+kernel, `rays_from_inequalities`: rows scaled to primitive integer rows,
+rank and lineality from fraction-free Gauss-Jordan elimination, and each
+ray candidate as a cofactor vector of at most 3 x 3 determinants.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 
@@ -26,10 +27,6 @@ class GeometryError(ValueError):
 
 
 # -- vector helpers ---------------------------------------------------------
-
-def vec(coords):
-    return tuple(Fraction(c) for c in coords)
-
 
 def dot(a, b):
     return sum(map(mul, a, b))
@@ -43,19 +40,24 @@ def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c, a):
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def primitive(r):
-    """Smallest lattice point on the ray through r (orientation kept)."""
-    m = lcm(*[x.denominator for x in r])
-    ints = [x.numerator * (m // x.denominator) for x in r]
-    g = gcd(*ints)
+    """Smallest lattice point on the ray through the integer vector r
+    (orientation kept)."""
+    g = gcd(*r)
     if not g:
         raise GeometryError("zero vector has no primitive generator")
-    return tuple(i // g for i in ints)
+    return tuple(x // g for x in r)
+
+
+def fmt_ratio(x, den):
+    """The rational number x/den in lowest terms, as str(Fraction) prints it."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def fmt_vec(v, den):
+    """The rational vector v/den, e.g. "(1/2, 0)"."""
+    return "(" + ", ".join(fmt_ratio(x, den) for x in v) + ")"
 
 
 # -- fraction-free linear algebra -------------------------------------------
@@ -114,10 +116,11 @@ def _cofactors(m):
 # -- cones ------------------------------------------------------------------
 
 def rays_from_inequalities(ineqs, n):
-    """Extreme rays and lineality of {x in Q^n : a . x >= 0 for a in ineqs}.
+    """Extreme rays and lineality of {x in Q^n : a . x >= 0 for a in ineqs},
+    for integer rows a.
 
-    Runs on integers: each row is scaled to its primitive integer multiple,
-    which leaves the cone unchanged. With k the rank of the rows, every
+    Each row is scaled to its primitive multiple, which leaves the cone
+    unchanged. With k the rank of the rows, every
     extreme ray spans the kernel of k - 1 independent rows stacked with the
     lineality basis, n - 1 rows in all: their cofactor vector, taken with
     the sign that satisfies every row.
@@ -150,7 +153,7 @@ class Cone:
 
     @classmethod
     def from_generators(cls, gens, n):
-        """Canonical cone generated by arbitrary rational vectors."""
+        """Canonical cone generated by arbitrary integer vectors."""
         if n > MAX_RANK:
             raise GeometryError(f"rank {n} exceeds supported maximum {MAX_RANK}")
         dual_lin, dual_rays = rays_from_inequalities(gens, n)
@@ -188,10 +191,7 @@ class Cone:
 
     def interior_point(self):
         """A point in the relative interior (sum of generators)."""
-        gens = self.generators()
-        if not gens:
-            return tuple(Fraction(0) for _ in range(self.n))
-        return tuple(map(sum, zip(*gens)))
+        return tuple(map(sum, zip((0,) * self.n, *self.generators())))
 
     def is_pointed(self) -> bool:
         return not self.lineality
@@ -210,7 +210,8 @@ class Cone:
 
 
 class Polyhedron:
-    """conv(vertices) + tail cone, in canonical irredundant form."""
+    """conv(vertices) + tail cone, in canonical irredundant form, with int
+    vertices (a divisor's polyhedron scaled by its denominator)."""
 
     __slots__ = ("n", "vertices", "tail")
 
@@ -225,18 +226,14 @@ class Polyhedron:
         if not tail.is_pointed():
             raise GeometryError("tail cone must be pointed")
         n = tail.n
-        pts = []
-        for p in points:
-            p = vec(p)
-            if p not in pts:
-                pts.append(p)
+        pts = list(dict.fromkeys(map(tuple, points)))
         if not pts:
             raise GeometryError("a polyhedron needs at least one point")
         if len(pts) == 1:
             # the normal cone of a lone point is the dual of the pointed
             # tail, which is full-dimensional: the point is the vertex
             return cls(n, pts, tail)
-        verts = [p for p in pts if _normal_cone_data(p, pts, tail)[2] == n]
+        verts = [p for p in pts if _normal_cone(p, pts, tail)[1] == n]
         return cls(n, sorted(verts), tail)
 
     def minimize(self, m):
@@ -255,12 +252,8 @@ class Polyhedron:
     def normal_fan(self):
         """[(vertex, cone of m where the vertex is minimizing)]; the cones
         cover the dual of the tail."""
-        pts = list(self.vertices)
-        out = []
-        for v in pts:
-            lin, rays, _ = _normal_cone_data(v, pts, self.tail)
-            out.append((v, Cone(self.n, rays, lin)))
-        return out
+        return [(v, _normal_cone(v, self.vertices, self.tail)[0])
+                for v in self.vertices]
 
     def __eq__(self, other):
         return (isinstance(other, Polyhedron) and self.vertices == other.vertices
@@ -273,17 +266,17 @@ class Polyhedron:
         return f"Polyhedron(vertices={list(self.vertices)}, tail={self.tail!r})"
 
 
-def _normal_cone_data(v, points, tail: Cone):
-    """(lineality, rays, dim) of {m : <m, w - v> >= 0, <m, r> >= 0}."""
+def _normal_cone(v, points, tail: Cone):
+    """{m : <m, w - v> >= 0, <m, r> >= 0} and its dimension."""
     ineqs = [vsub(w, v) for w in points if w != v]
     lin, rays = rays_from_inequalities(ineqs + list(tail.rays), tail.n)
-    return lin, rays, len(_echelon(lin + rays)[1])
+    return Cone(tail.n, rays, lin), len(_echelon(lin + rays)[1])
 
 
 def minkowski_weighted_sum(terms):
     """Weighted Minkowski sum of polyhedra with a common tail cone: the
     convex hull of every weighted sum of vertices, one per term, plus the
-    tail."""
+    tail, for positive int weights."""
     terms = list(terms)
     if not terms:
         raise GeometryError("empty Minkowski sum")
@@ -291,12 +284,12 @@ def minkowski_weighted_sum(terms):
     for _, p in terms:
         if p.tail != tail:
             raise GeometryError("mismatched tail cones in Minkowski sum")
-    sums = [tuple(Fraction(0) for _ in range(tail.n))]
+    sums = [(0,) * tail.n]
     for weight, p in terms:
         if weight <= 0:
             raise GeometryError("weights must be positive")
-        scaled = [vscale(weight, v) for v in p.vertices]
-        sums = [vadd(s, w) for s in sums for w in scaled]
+        sums = [tuple(a + weight * b for a, b in zip(s, v))
+                for s in sums for v in p.vertices]
     return Polyhedron.from_points(sums, tail)
 
 

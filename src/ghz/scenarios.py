@@ -6,12 +6,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .classifier import Coloring, CoherentFamily
 from .curves import A1, P1, ClosedPoint, point_validate
 from .engine import GradedElement
 from .fields import PrimeField, Rationals, _is_prime
-from .geometry import MAX_RANK, Cone, Polyhedron
+from .geometry import MAX_RANK, Cone, Polyhedron, fmt_ratio
 from .polynomials import (ParseError, lambda_field, parse_factored,
                           parse_poly, parse_scalar)
 from .tvariety import PolyhedralDivisor
@@ -107,6 +108,29 @@ def _vec(xs, rank, what, entry=_frac):
     return tuple(map(entry, xs))
 
 
+def _ray(xs, rank, what):
+    """A rational ray as its integer multiple over its own denominators."""
+    r = _vec(xs, rank, what)
+    den = lcm(*(x.denominator for x in r))
+    return tuple(int(x * den) for x in r)
+
+
+def divisor_over_den(field, curve, tail, points: dict, colored: dict):
+    """The divisor with polyhedra conv(points[y]) + tail, for rational
+    points, and the rational colored vertices as int tuples over its den:
+    the lcm of every denominator in points and colored."""
+    den = lcm(*(x.denominator for vs in (*points.values(), colored.values())
+                for v in vs for x in v))
+
+    def ints(v):
+        return tuple(int(x * den) for x in v)
+
+    support = {y: Polyhedron.from_points(map(ints, vs), tail)
+               for y, vs in points.items()}
+    return (PolyhedralDivisor(field, curve, tail, support, den),
+            {y: ints(v) for y, v in colored.items()})
+
+
 def _scalars(xs, field, what):
     try:
         return tuple(parse_scalar(str(x), field)
@@ -158,12 +182,12 @@ def parse_scenario(source, name: str = "scenario",
     curve = data.get("curve", A1)
     if curve not in (A1, P1):
         raise ScenarioError(f"unknown curve {curve!r}")
-    tail = Cone.from_generators([_vec(r, rank, "tail ray") for r in _typed(
+    tail = Cone.from_generators([_ray(r, rank, "tail ray") for r in _typed(
         data.get("tail_rays", []), list, "tail_rays")], rank)
     entries = _typed(data.get("support", []), list, "support")
     if entries and not tail.is_pointed():
         raise ScenarioError("a nonempty support needs a pointed tail cone")
-    support = {}
+    points = {}
     for entry in entries:
         y = _point(_key(entry, "point", "support entry"), field, policy)
         verts = [_vec(v, rank, "vertex")
@@ -172,25 +196,26 @@ def parse_scenario(source, name: str = "scenario",
             raise ScenarioError(
                 f"support entry at {entry['point']!r} has no vertices")
         if "rays" in entry:
-            extra = [_vec(r, rank, "ray")
+            extra = [_ray(r, rank, "ray")
                      for r in _typed(entry["rays"], list, "rays")]
             if Cone.from_generators(extra, rank) != tail:
                 raise ScenarioError(
                     f"support entry at {entry['point']!r} declares rays "
                     "that do not generate the tail cone")
-        support[y] = Polyhedron.from_points(verts, tail)
-    divisor = PolyhedralDivisor(field, curve, tail, support)
+        points[y] = verts
 
-    coloring = None
     cdata = data.get("coloring")
+    colored = {}
     if cdata is not None:
         y0 = _point(_key(cdata, "y0", "coloring"), field, policy)
         y_inf = cdata.get("y_infinity")
         y_inf = None if y_inf is None else _point(y_inf, field, policy)
-        colored = _typed(cdata.get("vertices", {}), dict, "coloring vertices")
-        vertices = {_point(y, field, policy): _vec(v, rank, "colored vertex")
-                    for y, v in colored.items()}
-        coloring = Coloring(divisor, vertices, y0, y_inf)
+        colored = {_point(y, field, policy): _vec(v, rank, "colored vertex")
+                   for y, v in _typed(cdata.get("vertices", {}), dict,
+                                      "coloring vertices").items()}
+    divisor, colored = divisor_over_den(field, curve, tail, points, colored)
+    coloring = None if cdata is None \
+        else Coloring(divisor, colored, y0, y_inf)
 
     family = None
     fdata = data.get("family")
@@ -226,6 +251,7 @@ def parse_scenario(source, name: str = "scenario",
 
 
 def serialize_scenario(sc: Scenario) -> dict:
+    den = sc.divisor.den
     out = {
         "field": field_descriptor(sc.field),
         "rank": sc.divisor.rank,
@@ -233,14 +259,14 @@ def serialize_scenario(sc: Scenario) -> dict:
         "tail_rays": [[str(x) for x in r] for r in sc.divisor.tail.rays],
         "support": [
             {"point": y.to_str(),
-             "vertices": [[str(x) for x in v]
+             "vertices": [[fmt_ratio(x, den) for x in v]
                           for v in sc.divisor.support[y].vertices]}
             for y in sc.divisor.support_points()],
     }
     if sc.coloring is not None:
         cdata = {
             "y0": sc.coloring.y0.to_str(),
-            "vertices": {y.to_str(): [str(x) for x in v]
+            "vertices": {y.to_str(): [fmt_ratio(x, den) for x in v]
                          for y, v in sorted(sc.coloring.vertices.items(),
                                             key=lambda yv: yv[0].to_str())},
         }

@@ -22,33 +22,32 @@ class DivisorError(ValueError):
 class PolyhedralDivisor:
     """tail cone sigma plus one sigma-tailed polyhedron per support point.
 
-    Points outside the support implicitly carry sigma itself.
+    Points outside the support implicitly carry sigma itself. Vertices are
+    int tuples over one positive denominator ``den``: the polyhedron at y is
+    (1/den) * support[y]. ``den`` need not be the least one, and nothing
+    computed from the divisor depends on it.
     """
 
-    __slots__ = ("field", "curve", "rank", "tail", "support")
+    __slots__ = ("field", "curve", "rank", "tail", "support", "den")
 
-    def __init__(self, field, curve, tail: Cone, support: dict):
+    def __init__(self, field, curve, tail: Cone, support: dict, den: int):
         self.field = field
         self.curve = curve
         self.rank = tail.n
         self.tail = tail
         self.support = dict(support)
+        self.den = den
 
     def tail_polyhedron(self) -> Polyhedron:
-        origin = tuple(Fraction(0) for _ in range(self.rank))
-        return Polyhedron.from_points([origin], self.tail)
+        return Polyhedron.from_points([(0,) * self.rank], self.tail)
 
     def polyhedron_at(self, y: ClosedPoint) -> Polyhedron:
         p = self.support.get(y)
         return self.tail_polyhedron() if p is None else p
 
     def support_points(self, exclude=None):
-        out = []
-        for y in self.support:
-            if exclude is not None and y == exclude:
-                continue
-            out.append(y)
-        return sorted(out, key=lambda y: (y.is_infinity, y.to_str()))
+        return sorted((y for y in self.support if y != exclude),
+                      key=lambda y: (y.is_infinity, y.to_str()))
 
     # -- validation ---------------------------------------------------------
 
@@ -76,7 +75,7 @@ class PolyhedralDivisor:
                 return rep
             # sigma is pointed, so 0 lies in deg D (a subset of sigma) only
             # as a vertex: this is the whole properness test
-            if tuple(Fraction(0) for _ in range(self.rank)) in deg.vertices:
+            if (0,) * self.rank in deg.vertices:
                 rep.fail("deg D is not a proper subset of the tail cone "
                          "(0 is a vertex of deg D)")
         return rep
@@ -88,10 +87,8 @@ class PolyhedralDivisor:
         if not self.tail.dual().contains(m):
             raise DivisorError(
                 f"weight {m} lies outside the dual of the tail cone")
-        out = {}
-        for y, p in self.support.items():
-            out[y] = p.minimize(m)
-        return QDivisor(out)
+        return QDivisor({y: Fraction(p.minimize(m), self.den)
+                         for y, p in self.support.items()})
 
     def graded_piece(self, m) -> ModuleDescription:
         return h0_generators(self.eval(m), self.curve, self.field)
@@ -127,12 +124,8 @@ class PolyhedralDivisor:
 
         Returns a list of (cone in M_Q, v_deg, {point: vertex}).
         """
-        fan = self.deg_restricted(y_infinity).normal_fan()
-        out = []
-        for v_deg, cone in fan:
-            assign = self._vertex_assignment(cone, y_infinity)
-            out.append((cone, v_deg, assign))
-        return out
+        return [(cone, v_deg, self._vertex_assignment(cone, y_infinity))
+                for v_deg, cone in self.deg_restricted(y_infinity).normal_fan()]
 
     def _vertex_assignment(self, cone: Cone, y_infinity):
         """Per-point minimizing vertices at an interior weight of a linearity

@@ -10,6 +10,7 @@ from ghz.curves import P1, ClosedPoint, QDivisor, point_validate
 from ghz.fields import FieldError
 from ghz.geometry import Cone, _echelon
 from ghz.polynomials import Poly
+from ghz.scenarios import divisor_over_den
 
 
 def orthant(n):
@@ -21,6 +22,25 @@ def orthant(n):
 def cone_dim(cone):
     """The dimension of a cone: the rank of its rays and lineality."""
     return len(_echelon(cone.rays + cone.lineality)[1])
+
+
+def vec(coords):
+    """A vector of Fractions."""
+    return tuple(Fraction(c) for c in coords)
+
+
+def rational(v, den):
+    """The rational vector v/den that an int vertex over den stands for."""
+    return tuple(Fraction(x, den) for x in v)
+
+
+def rational_divisor(field, curve, tail, points, colored=None):
+    """A divisor built from rational data as parse_scenario builds it:
+    ``points`` maps each support point to its rational points, ``colored``
+    each colored point to its rational vertex, and den is the lcm of every
+    denominator in both. Returns the divisor and the colored vertices as
+    int tuples over its den."""
+    return divisor_over_den(field, curve, tail, points, colored or {})
 
 
 def int_poly(field, coeffs):

@@ -14,14 +14,13 @@ from ghz.engine import (EngineError, GradedElement, build_operator,
                         kernel_in_box, toric_root_operator, verify_axioms,
                         verify_stability, verify_toric_axioms)
 from ghz.fields import PrimeField, Rationals
-from ghz.geometry import Cone, Polyhedron, lattice_box
+from ghz.geometry import Cone, lattice_box
 from ghz.polynomials import (FactoredRatFunc, Poly, RatFunc, lambda_field,
                              parse_factored, parse_poly)
 from ghz.scenarios import load_builtin
-from ghz.tvariety import PolyhedralDivisor
 
 from helpers import (cone_dim, h0_dimension, is_effective, orthant,
-                     principal_divisor)
+                     principal_divisor, rational_divisor)
 
 Q = Rationals()
 
@@ -30,11 +29,10 @@ def w25_family(field, second):
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(field, field.zero())
     y = point_validate(parse_poly(second, field), "trusted")
-    D = PolyhedralDivisor(field, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 5),)], sigma),
-        y: Polyhedron.from_points([(F(0),), (F(1, 5),)], sigma),
-    })
-    col = Coloring(D, {y0: (F(1, 5),), y: (F(0),)}, y0)
+    D, vertices = rational_divisor(
+        field, A1, sigma, {y0: [(F(1, 5),)], y: [(F(0),), (F(1, 5),)]},
+        {y0: (F(1, 5),), y: (F(0),)})
+    col = Coloring(D, vertices, y0)
     return D, CoherentFamily(col, (1,), (2,), (field.one(),))
 
 
@@ -42,11 +40,11 @@ def ramified_family(field, s):
     sigma = orthant(2)
     w0 = ClosedPoint.rational(field, field.zero())
     w1 = ClosedPoint.rational(field, field.one())
-    D = PolyhedralDivisor(field, A1, sigma, {
-        w0: Polyhedron.from_points([(F(1, 2), F(0))], sigma),
-        w1: Polyhedron.from_points([(F(1, 2), F(0)), (F(0), F(1))], sigma),
-    })
-    col = Coloring(D, {w0: (F(1, 2), F(0)), w1: (F(0), F(1))}, w0)
+    D, vertices = rational_divisor(
+        field, A1, sigma,
+        {w0: [(F(1, 2), F(0))], w1: [(F(1, 2), F(0)), (F(0), F(1))]},
+        {w0: (F(1, 2), F(0)), w1: (F(0), F(1))})
+    col = Coloring(D, vertices, w0)
     return D, CoherentFamily(col, (1, 0), s, (field.one(),))
 
 
@@ -212,12 +210,10 @@ def test_criterion_8_toricity():
     sigma = Cone.from_generators([(1,)], 1)
     y0 = ClosedPoint.rational(Q, Q.zero())
     y1 = ClosedPoint.rational(Q, Q.one())
-    one_pt = PolyhedralDivisor(Q, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 2),)], sigma)})
+    one_pt, _ = rational_divisor(Q, A1, sigma, {y0: [(F(1, 2),)]})
     assert toricity_check(one_pt).ok
-    two_pt = PolyhedralDivisor(Q, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 2),)], sigma),
-        y1: Polyhedron.from_points([(F(1, 3),)], sigma)})
+    two_pt, _ = rational_divisor(Q, A1, sigma,
+                                 {y0: [(F(1, 2),)], y1: [(F(1, 3),)]})
     assert not toricity_check(two_pt).ok
     hyper, _ = w25_family(lambda_field(2), "t^2+l")
     rep = toricity_check(hyper)
@@ -255,9 +251,9 @@ def test_criterion_9_toric_correspondence():
     for field in fields:
         sigma = Cone.from_generators([(1,)], 1)
         y0 = ClosedPoint.rational(field, field.zero())
-        D = PolyhedralDivisor(field, A1, sigma, {
-            y0: Polyhedron.from_points([(F(0),)], sigma)})
-        col = Coloring(D, {y0: (F(0),)}, y0)
+        D, vertices = rational_divisor(field, A1, sigma, {y0: [(0,)]},
+                                       {y0: (0,)})
+        col = Coloring(D, vertices, y0)
         s = (1,) if field.char_exponent == 1 else (0,)
         theta = CoherentFamily(col, (1,), s, (field.one(),))
         op = build_operator(theta)

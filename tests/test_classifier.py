@@ -5,7 +5,7 @@ from math import floor
 import pytest
 
 from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
-                            _fmt_vec, _random_family,
+                            _random_family,
                             _vertex_conditions_only, associated_cones,
                             candidate_colorings, coherent_validate,
                             coloring_validate, demazure_root_check,
@@ -14,13 +14,12 @@ from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
                             toricity_check)
 from ghz.curves import A1, P1, ClosedPoint, insep_profile, point_validate
 from ghz.fields import PrimeField, Rationals
-from ghz.geometry import (Cone, GeometryError, Polyhedron, dot, lattice_box,
-                          vadd, vec)
+from ghz.geometry import Cone, GeometryError, dot, lattice_box, vadd
 from ghz.polynomials import lambda_field, parse_poly
 from ghz.reports import Report
 from ghz.tvariety import DivisorError, PolyhedralDivisor
 
-from helpers import cone_dim, orthant
+from helpers import cone_dim, orthant, rational, rational_divisor, vec
 
 Q = Rationals()
 
@@ -29,11 +28,10 @@ def hyperbolic_w25(field, second):
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(field, field.zero())
     y = point_validate(parse_poly(second, field), "trusted")
-    D = PolyhedralDivisor(field, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 5),)], sigma),
-        y: Polyhedron.from_points([(F(0),), (F(1, 5),)], sigma),
-    })
-    col = Coloring(D, {y0: (F(1, 5),), y: (F(0),)}, y0)
+    D, vertices = rational_divisor(
+        field, A1, sigma, {y0: [(F(1, 5),)], y: [(F(0),), (F(1, 5),)]},
+        {y0: (F(1, 5),), y: (F(0),)})
+    col = Coloring(D, vertices, y0)
     return D, col
 
 
@@ -41,19 +39,20 @@ def rank2_ramified(field):
     sigma = orthant(2)
     w0 = ClosedPoint.rational(field, field.zero())
     w1 = ClosedPoint.rational(field, field.one())
-    D = PolyhedralDivisor(field, A1, sigma, {
-        w0: Polyhedron.from_points([(F(1, 2), F(0))], sigma),
-        w1: Polyhedron.from_points([(F(1, 2), F(0)), (F(0), F(1))], sigma),
-    })
-    col = Coloring(D, {w0: (F(1, 2), F(0)), w1: (F(0), F(1))}, w0)
+    D, vertices = rational_divisor(
+        field, A1, sigma,
+        {w0: [(F(1, 2), F(0))], w1: [(F(1, 2), F(0)), (F(0), F(1))]},
+        {w0: (F(1, 2), F(0)), w1: (F(0), F(1))})
+    col = Coloring(D, vertices, w0)
     return D, col
 
 
 def test_coloring_validate():
     D, col = hyperbolic_w25(lambda_field(2), "t^2+l")
     assert coloring_validate(col).ok
-    # marking a non-vertex fails clause (iii)
-    bad = Coloring(D, {col.y0: (F(1, 7),)}, col.y0)
+    # marking a non-vertex (2/5 over the den 5) fails clause (iii)
+    assert D.den == 5
+    bad = Coloring(D, {col.y0: (2,)}, col.y0)
     rep = coloring_validate(bad)
     assert not rep.ok
     assert any(v.startswith("(iii)") for v in rep.violations)
@@ -61,7 +60,7 @@ def test_coloring_validate():
 
 def test_coloring_v_deg():
     D, col = hyperbolic_w25(lambda_field(2), "t^2+l")
-    assert col.v_deg() == (F(1, 5),)
+    assert rational(col.v_deg(), D.den) == (F(1, 5),)
 
 
 def test_associated_cones_hyperbolic():
@@ -155,9 +154,9 @@ def test_coherent_rejects_fractional_lifted_root():
     F3 = PrimeField(3)
     sigma = Cone.zero(2)
     y0 = ClosedPoint.rational(F3, F3.zero())
-    D = PolyhedralDivisor(F3, A1, sigma, {
-        y0: Polyhedron.from_points([(F(0), F(-1, 3))], sigma)})
-    col = Coloring(D, {y0: (F(0), F(-1, 3))}, y0)
+    D, vertices = rational_divisor(F3, A1, sigma, {y0: [(F(0), F(-1, 3))]},
+                                   {y0: (F(0), F(-1, 3))})
+    col = Coloring(D, vertices, y0)
     theta = CoherentFamily(col, (2, 2), (1,), (F3.one(),))
     rep = coherent_validate(theta)
     assert not rep.ok
@@ -189,11 +188,11 @@ def _floor_condition_check_per_weight(theta, m_bound):
     q = p ** theta.s[0]
     qe = tuple(q * x for x in vec(theta.e))
     dual = div.tail.dual()
-    v0 = c.vertex(c.y0)
-    v_deg = c.v_deg()
+    v0 = rational(c.vertex(c.y0), div.den)
+    v_deg = rational(c.v_deg(), div.den)
 
     def h_at(y, m, vy):
-        return div.polyhedron_at(y).minimize(m) - dot(m, vy)
+        return div.polyhedron_at(y).minimize(m) / div.den - dot(m, vy)
 
     for m in lattice_box(div.rank, m_bound):
         if not dual.contains(m):
@@ -205,21 +204,22 @@ def _floor_condition_check_per_weight(theta, m_bound):
             if y == c.y0:
                 continue
             eps = 1 if y.is_infinity else insep_profile(y).epsilon
-            vy = c.vertex(y)
+            vy = rational(c.vertex(y), div.den)
             a, b = h_at(y, vec(m), vy), h_at(y, m2, vy)
             if b != 0 and floor(pu * eps * b) - floor(pu * eps * a) < 1:
                 rep.fail(f"(4): m={m} at [{y.to_str()}]: "
                          f"{floor(pu * eps * b)} - {floor(pu * eps * a)} < 1")
-        h0a = div.polyhedron_at(c.y0).minimize(vec(m))
-        h0b = div.polyhedron_at(c.y0).minimize(m2)
+        h0a = div.polyhedron_at(c.y0).minimize(vec(m)) / div.den
+        h0b = div.polyhedron_at(c.y0).minimize(m2) / div.den
         if h0b != dot(m2, v0):
             if floor(d * h0b) - floor(d * h0a) < 1 + d * dot(qe, v0):
                 rep.fail(f"(5): m={m}: {floor(d * h0b)} - {floor(d * h0a)} "
                          f"< {1 + d * dot(qe, v0)}")
         if div.curve == P1:
-            ga = div.polyhedron_at(c.y_infinity).minimize(vec(m)) \
+            ga = div.polyhedron_at(c.y_infinity).minimize(vec(m)) / div.den \
                 + dot(vec(m), v_deg)
-            gb = div.polyhedron_at(c.y_infinity).minimize(m2) + dot(m2, v_deg)
+            gb = div.polyhedron_at(c.y_infinity).minimize(m2) / div.den \
+                + dot(m2, v_deg)
             if floor(d * gb) - floor(d * ga) < -1:
                 rep.fail(f"(6): m={m}: {floor(d * gb)} - {floor(d * ga)} < -1")
     return rep
@@ -270,12 +270,10 @@ def _reference_random_family(rng, field, curve, rank):
     pts = [ClosedPoint.rational(field, field.from_int(c)) for c in consts[:3]]
     support = {}
     for y in pts[:rng.randint(1, min(3, len(pts)))]:
-        verts = [rand_vertex() for _ in range(rng.randint(1, 2))]
-        support[y] = Polyhedron.from_points(verts, tail)
+        support[y] = [rand_vertex() for _ in range(rng.randint(1, 2))]
     if curve == P1:
-        support[ClosedPoint.infinity()] = Polyhedron.from_points(
-            [rand_vertex()], tail)
-    div = PolyhedralDivisor(field, curve, tail, support)
+        support[ClosedPoint.infinity()] = [rand_vertex()]
+    div, _ = rational_divisor(field, curve, tail, support)
     y_inf = ClosedPoint.infinity() if curve == P1 else None
     if not div.validate().ok:
         return None
@@ -287,7 +285,7 @@ def _reference_random_family(rng, field, curve, rank):
     y0 = rng.choice([y for y in support if not y.is_infinity])
     vertices = dict(assign)
     for y, v in vertices.items():
-        if y != y0 and any(x.denominator != 1 for x in v):
+        if y != y0 and any(x % div.den for x in v):
             return None
     coloring = Coloring(div, vertices, y0, y_inf)
     if not coloring_validate(coloring).ok:
@@ -299,11 +297,18 @@ def _reference_random_family(rng, field, curve, rank):
 
 
 def _draw_key(theta):
+    """The draw with every vertex read as a rational: the sampler holds its
+    vertices over the den 6, the reference over the lcm of the drawn
+    denominators."""
     if theta is None:
         return None
     c = theta.coloring
-    return (theta.describe(), c.divisor.tail, c.divisor.support, c.vertices,
-            c.y0, c.y_infinity)
+    den = c.divisor.den
+    support = {y: ([rational(v, den) for v in p.vertices], p.tail)
+               for y, p in c.divisor.support.items()}
+    vertices = {y: rational(v, den) for y, v in c.vertices.items()}
+    return (theta.describe(), c.divisor.tail, support, vertices, c.y0,
+            c.y_infinity)
 
 
 def test_sampler_matches_build_then_validate_reference(monkeypatch):
@@ -342,16 +347,24 @@ def test_sampler_matches_build_then_validate_reference(monkeypatch):
     assert all(p1_rejections.values()), p1_rejections
 
 
+def _fmt_vec(v):
+    return "(" + ", ".join(str(x) for x in v) + ")"
+
+
 def _vertex_conditions_reference(theta):
-    """Reference: the vertex inequalities (v)/(vi)/(vii) with d and u read
-    from the associated cones."""
+    """Reference: the vertex inequalities (v)/(vi)/(vii) on the rational
+    vertices, with d and u read from the associated cones."""
     rep = Report("vertex conditions")
     c = theta.coloring
     div = c.divisor
+
+    def vertices(y):
+        return [rational(v, div.den) for v in div.polyhedron_at(y).vertices]
+
     p = div.field.char_exponent
     cones = associated_cones(c)
     s = tuple(theta.s)
-    v0 = c.vertex(c.y0)
+    v0 = rational(c.vertex(c.y0), div.den)
     q = p ** s[0]
     qe = tuple(q * x for x in vec(theta.e))
     d = cones.d
@@ -360,24 +373,24 @@ def _vertex_conditions_reference(theta):
         if y == c.y0:
             continue
         eps = 1 if y.is_infinity else insep_profile(y).epsilon
-        vy = c.vertex(y)
+        vy = rational(c.vertex(y), div.den)
         rhs = 1 + eps * pu * dot(qe, vy)
-        for v in div.polyhedron_at(y).vertices:
+        for v in vertices(y):
             if v == vy:
                 continue
             if eps * pu * dot(qe, v) < rhs:
                 rep.fail(f"(v): at [{y.to_str()}] vertex {_fmt_vec(v)}: "
                          f"{eps * pu * dot(qe, v)} < {rhs}")
     rhs0 = 1 + d * dot(qe, v0)
-    for v in div.polyhedron_at(c.y0).vertices:
+    for v in vertices(c.y0):
         if v == v0:
             continue
         if d * dot(qe, v) < rhs0:
             rep.fail(f"(vi): at [{c.y0.to_str()}] vertex {_fmt_vec(v)}: "
                      f"{d * dot(qe, v)} < {rhs0}")
     if div.curve == P1:
-        rhs_inf = -1 - d * dot(qe, c.v_deg())
-        for v in div.polyhedron_at(c.y_infinity).vertices:
+        rhs_inf = -1 - d * dot(qe, rational(c.v_deg(), div.den))
+        for v in vertices(c.y_infinity):
             if d * dot(qe, v) < rhs_inf:
                 rep.fail(f"(vii): at infinity vertex {_fmt_vec(v)}: "
                          f"{d * dot(qe, v)} < {rhs_inf}")
@@ -601,12 +614,10 @@ def test_toricity():
     sigma = Cone.from_generators([(1,)], 1)
     y0 = ClosedPoint.rational(Q, Q.zero())
     y1 = ClosedPoint.rational(Q, Q.one())
-    one_pt = PolyhedralDivisor(Q, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 2),)], sigma)})
+    one_pt, _ = rational_divisor(Q, A1, sigma, {y0: [(F(1, 2),)]})
     assert toricity_check(one_pt).ok
-    two_pt = PolyhedralDivisor(Q, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 2),)], sigma),
-        y1: Polyhedron.from_points([(F(1, 3),)], sigma)})
+    two_pt, _ = rational_divisor(Q, A1, sigma,
+                                 {y0: [(F(1, 2),)], y1: [(F(1, 3),)]})
     assert not toricity_check(two_pt).ok
     D, _ = hyperbolic_w25(lambda_field(2), "t^2+l")
     rep = toricity_check(D)

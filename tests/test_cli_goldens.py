@@ -33,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
 VALID = ("a1-y-infinity", "colored-not-vertex", "p1-irrational-y-infinity",
-         "p1-no-coloring", "p1-no-y-infinity", "v0-not-vertex")
+         "p1-no-coloring", "p1-no-y-infinity", "v0-not-vertex",
+         "weight-cone-image")
 
 # the runs of each scenario besides validate, as argv with the scenario
 # inserted after the command. For a malformed scenario: the command that,
@@ -50,7 +51,8 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "v0-not-vertex": [["roots"]],
               "colored-not-vertex": [["roots"], ["apply", "--override"],
                                      ["verify", "--override"]],
-              "a1-y-infinity": [["roots"]],
+              "a1-y-infinity": [["roots"], ["colorings"], ["classify"]],
+              "weight-cone-image": [["verify", "--override"]],
               "p1-no-coloring": [["colorings"], ["classify"]],
               "p1-no-y-infinity": [["colorings"], ["classify"]],
               "p1-irrational-y-infinity": [["colorings"], ["classify"]]}

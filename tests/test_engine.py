@@ -15,16 +15,15 @@ from ghz.engine import (DthetaOperator, EngineError, GradedElement,
                         times_factors, toric_root_operator, verify_axioms,
                         verify_horizontal, verify_stability)
 from ghz.fields import PrimeField, Rationals
-from ghz.geometry import (Cone, Polyhedron, in_lattice, lattice_basis,
-                          lattice_box)
+from ghz.geometry import Cone, in_lattice, lattice_basis, lattice_box
 from ghz.polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
                              lambda_field, parse_factored, parse_poly,
                              poly_gcd, substitute_poly)
 from ghz.reports import Report
 from ghz.scenarios import load_builtin
-from ghz.tvariety import PolyhedralDivisor, algebra_generators
+from ghz.tvariety import algebra_generators
 
-from helpers import int_poly, orthant
+from helpers import int_poly, orthant, rational_divisor
 
 Q = Rationals()
 
@@ -34,11 +33,10 @@ def w25_operator():
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(K, K.zero())
     y = point_validate(parse_poly("t^2+l", K), "trusted")
-    D = PolyhedralDivisor(K, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 5),)], sigma),
-        y: Polyhedron.from_points([(F(0),), (F(1, 5),)], sigma),
-    })
-    col = Coloring(D, {y0: (F(1, 5),), y: (F(0),)}, y0)
+    D, vertices = rational_divisor(
+        K, A1, sigma, {y0: [(F(1, 5),)], y: [(F(0),), (F(1, 5),)]},
+        {y0: (F(1, 5),), y: (F(0),)})
+    col = Coloring(D, vertices, y0)
     theta = CoherentFamily(col, (1,), (2,), (K.one(),))
     return K, D, build_operator(theta)
 
@@ -47,11 +45,11 @@ def ramified_operator(field, s, override=False, lam=None):
     sigma = orthant(2)
     w0 = ClosedPoint.rational(field, field.zero())
     w1 = ClosedPoint.rational(field, field.one())
-    D = PolyhedralDivisor(field, A1, sigma, {
-        w0: Polyhedron.from_points([(F(1, 2), F(0))], sigma),
-        w1: Polyhedron.from_points([(F(1, 2), F(0)), (F(0), F(1))], sigma),
-    })
-    col = Coloring(D, {w0: (F(1, 2), F(0)), w1: (F(0), F(1))}, w0)
+    D, vertices = rational_divisor(
+        field, A1, sigma,
+        {w0: [(F(1, 2), F(0))], w1: [(F(1, 2), F(0)), (F(0), F(1))]},
+        {w0: (F(1, 2), F(0)), w1: (F(0), F(1))})
+    col = Coloring(D, vertices, w0)
     lam = lam or (field.one(),)
     theta = CoherentFamily(col, (1, 0), s, lam)
     return D, build_operator(theta, override=override)
@@ -140,11 +138,10 @@ def incoherent_family(e=(1,), lam=None):
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(F2, F2.zero())
     y = ClosedPoint.rational(F2, F2.one())
-    D = PolyhedralDivisor(F2, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 5),)], sigma),
-        y: Polyhedron.from_points([(F(0),), (F(1, 5),)], sigma),
-    })
-    col = Coloring(D, {y0: (F(1, 5),), y: (F(0),)}, y0)
+    D, vertices = rational_divisor(
+        F2, A1, sigma, {y0: [(F(1, 5),)], y: [(F(0),), (F(1, 5),)]},
+        {y0: (F(1, 5),), y: (F(0),)})
+    col = Coloring(D, vertices, y0)
     return D, CoherentFamily(col, e, (2,), lam or (F2.one(),))
 
 
@@ -268,6 +265,34 @@ def test_ramified_char0_instability():
     assert res.orders[1].to_str() == "((2)/(t - 1))*chi^(1, 1)"
     rep = verify_stability(op, D, [x], 4)
     assert not rep.ok
+
+
+def test_images_outside_the_weight_cone_are_stability_violations():
+    """With e = (-1, 0) on char2-ramified the order-2 images leave the dual
+    of the tail cone: a violation with the order, weight and coefficient,
+    where evaluating the divisor there would raise."""
+    sc = load_builtin("char2-ramified")
+    theta = CoherentFamily(sc.coloring, (-1, 0), sc.family.s, sc.family.lam)
+    op = build_operator(theta, override=True)
+    gens, _ = algebra_generators(sc.divisor, sc.bounds["weight_box"])
+    rep = verify_stability(op, sc.divisor, gens)
+    assert rep.violations == [
+        "order 2 of (t)*chi^(0, 0) leaves the weight cone: (t)*chi^(-2, 0)",
+        "order 2 of (1)*chi^(0, 1) leaves the weight cone: "
+        "((t)/(t + 1))*chi^(-2, 1)"]
+
+
+def test_a_non_integral_xi_pairing_prints_the_rational_vertex():
+    sc = load_builtin("char2-ramified")
+    w0, w1 = sorted(sc.coloring.vertices, key=lambda y: y.to_str())
+    coloring = Coloring(sc.divisor, {w0: sc.coloring.vertices[w0],
+                                     w1: sc.coloring.vertices[w0]}, w0)
+    theta = CoherentFamily(coloring, sc.family.e, sc.family.s,
+                           sc.family.lam)
+    op = build_operator(theta, override=True)
+    with pytest.raises(EngineError, match=r"^pairing of \(1, 0\) with "
+                       r"\(1/2, 0\) is not integral$"):
+        op.xi((1, 0))
 
 
 def test_toric_root_operator():

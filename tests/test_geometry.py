@@ -1,15 +1,36 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 
-from ghz.geometry import (Cone, GeometryError, Polyhedron, _normal_cone_data,
-                          dot, in_lattice, lattice_basis,
+from ghz.geometry import (Cone, GeometryError, Polyhedron, _normal_cone,
+                          dot, fmt_vec, in_lattice, lattice_basis,
                           lattice_box, minkowski_weighted_sum, primitive,
-                          rays_from_inequalities, vec, vscale)
+                          rays_from_inequalities, vadd, vsub)
 
-from helpers import cone_dim, orthant
+from helpers import cone_dim, orthant, rational, vec
+
+
+def vscale(c, a):
+    c = F(c)
+    return tuple(c * x for x in a)
+
+
+def common_den(vectors):
+    """The lcm of the denominators of rational vectors."""
+    return lcm(*(F(x).denominator for v in vectors for x in v))
+
+
+def scaled(v, den):
+    """The rational vector v times den, as ints."""
+    return tuple(int(F(x) * den) for x in v)
+
+
+def integer_row(r):
+    """The integer multiple of a rational row over its own denominators."""
+    return scaled(r, common_den([r]))
 
 
 # -- oracle: the Fraction reduced-echelon kernel -----------------------------
@@ -62,7 +83,7 @@ def nullspace(rows, n):
 def _canonical_basis(rows):
     """Canonical primitive basis of a rational subspace."""
     red, _ = rref(rows)
-    return tuple(sorted(primitive(r) for r in red if any(r)))
+    return tuple(sorted(primitive(integer_row(r)) for r in red if any(r)))
 
 
 def rays_oracle(ineqs, n):
@@ -92,17 +113,63 @@ def rays_oracle(ineqs, n):
                 ray = tuple(sum(cc[j] * row_basis[j][i] for j in range(k))
                             for i in range(n))
                 if any(ray):
-                    rays.add(primitive(ray))
+                    rays.add(primitive(integer_row(ray)))
                 break
     lin_basis = _canonical_basis(lin) if lin else ()
     return lin_basis, tuple(sorted(rays))
 
 
+# -- oracle: the Fraction polyhedra that the integer ones replace -----------
+
+def normal_cone_oracle(v, points, tail: Cone):
+    """(lineality, rays, dim) of {m : <m, w - v> >= 0, <m, r> >= 0}."""
+    ineqs = [vsub(w, v) for w in points if w != v]
+    lin, rays = rays_oracle(ineqs + list(tail.rays), tail.n)
+    gens = list(lin) + list(rays)
+    return lin, rays, rank(gens) if gens else 0
+
+
+def from_points_oracle(points, tail: Cone):
+    """The sorted vertices of conv(points) + tail, on Fractions."""
+    pts = []
+    for p in map(vec, points):
+        if p not in pts:
+            pts.append(p)
+    if len(pts) == 1:
+        return pts
+    return sorted(p for p in pts
+                  if normal_cone_oracle(p, pts, tail)[2] == tail.n)
+
+
+def normal_fan_oracle(vertices, tail: Cone):
+    out = []
+    for v in vertices:
+        lin, rays, _ = normal_cone_oracle(v, vertices, tail)
+        out.append((v, Cone(tail.n, rays, lin)))
+    return out
+
+
+def minkowski_oracle(terms, tail: Cone):
+    """The vertices of the weighted Minkowski sum of (weight, points)."""
+    sums = [vec((0,) * tail.n)]
+    for weight, points in terms:
+        sums = [vadd(s, vscale(weight, w)) for s in sums for w in points]
+    return from_points_oracle(sums, tail)
+
+
 def test_primitive():
-    assert primitive((F(2, 3), F(4, 3))) == (1, 2)
-    assert primitive((F(0), F(-5))) == (0, -1)
+    assert primitive((2, 4)) == (1, 2)
+    assert primitive((0, -5)) == (0, -1)
     with pytest.raises(GeometryError):
-        primitive((F(0), F(0)))
+        primitive((0, 0))
+
+
+def test_fmt_vec_prints_the_rational_vector():
+    for den in (1, 2, 6, 35):
+        v = (0, den, -den, 3, -4 * den + 1)
+        assert fmt_vec(v, den) == \
+            "(" + ", ".join(str(F(x, den)) for x in v) + ")"
+    assert fmt_vec((3,), 6) == "(1/2)"
 
 
 def test_rank_nullspace():
@@ -113,7 +180,9 @@ def test_rank_nullspace():
     v = ns[0]
     assert v[0] * 1 + v[1] * 2 + v[2] * 3 == 0
     # the integer kernel sees the same line: no rays, one lineality vector
-    lin, rays = rays_from_inequalities(rows + [vscale(-1, r) for r in rows], 3)
+    rows = [tuple(map(int, r)) for r in rows]
+    lin, rays = rays_from_inequalities(rows + [vsub((0,) * 3, r)
+                                               for r in rows], 3)
     assert lin == _canonical_basis(ns) and rays == ()
 
 
@@ -152,7 +221,7 @@ def test_rays_from_inequalities_matches_fraction_oracle():
         for _ in range(150 if n < 4 else 80):
             rows = _random_system(rng, n)
             want = rays_oracle(rows, n)
-            got = rays_from_inequalities(rows, n)
+            got = rays_from_inequalities(list(map(integer_row, rows)), n)
             assert got == want, rows
             ranks.add(rank(rows) if rows else 0)
             with_lineality += bool(got[0]) and len(got[0]) < n
@@ -163,12 +232,16 @@ def test_rays_from_inequalities_matches_fraction_oracle():
             assert cone_dim(cone) == (rank(gens) if gens else 0)
             if rows:
                 v = rng.choice(rows)
-                data = _normal_cone_data(v, rows, Cone.zero(n))
+                den = common_den(rows)
+                normal, dim = _normal_cone(scaled(v, den),
+                                           [scaled(w, den) for w in rows],
+                                           Cone.zero(n))
                 ineqs = [tuple(a - b for a, b in zip(w, v))
                          for w in rows if w != v]
                 lin2, rays2 = rays_oracle(ineqs, n)
                 gens2 = list(lin2) + list(rays2)
-                assert data == (lin2, rays2, rank(gens2) if gens2 else 0)
+                assert (normal.lineality, normal.rays, dim) \
+                    == (lin2, rays2, rank(gens2) if gens2 else 0)
     assert ranks == {0, 1, 2, 3, 4}
     assert with_lineality > 100 and with_rays > 250
 
@@ -204,25 +277,91 @@ def test_cone_zero_dual():
 
 def test_polyhedron_vertices_pruned():
     # the midpoint is not a vertex
-    p = Polyhedron.from_points([(F(0),), (F(1),), (F(1, 2),)], Cone.zero(1))
-    assert sorted(p.vertices) == [(F(0),), (F(1),)]
+    p = Polyhedron.from_points([(0,), (2,), (1,)], Cone.zero(1))
+    assert sorted(p.vertices) == [(0,), (2,)]
 
 
 def test_polyhedron_minimize():
     tail = orthant(2)
-    p = Polyhedron.from_points([(F(1), F(0)), (F(0), F(1))], tail)
+    p = Polyhedron.from_points([(1, 0), (0, 1)], tail)
     assert p.minimize((1, 1)) == 1
     assert p.minimize((2, 1)) == 1
-    assert p.argmin_vertices((2, 1)) == [(F(0), F(1))]
+    assert p.argmin_vertices((2, 1)) == [(0, 1)]
     assert p.minimize((-1, 0)) is None  # unbounded below
 
 
 def test_minkowski_weighted_sum():
+    # 2 * {0, 1} + {1/2} over the denominator 2
     tail = Cone.zero(1)
-    a = Polyhedron.from_points([(F(0),), (F(1),)], tail)
-    b = Polyhedron.from_points([(F(1, 2),)], tail)
-    s = minkowski_weighted_sum([(F(2), a), (F(1), b)])
-    assert sorted(s.vertices) == [(F(1, 2),), (F(5, 2),)]
+    a = Polyhedron.from_points([(0,), (2,)], tail)
+    b = Polyhedron.from_points([(1,)], tail)
+    s = minkowski_weighted_sum([(2, a), (1, b)])
+    assert sorted(s.vertices) == [(1,), (5,)]
+
+
+def _random_tail(rng, n):
+    """The zero cone or a pointed cone on up to n small integer vectors."""
+    if rng.random() < 0.3:
+        return Cone.zero(n)
+    while True:
+        gens = [tuple(rng.randint(-1, 2) for _ in range(n))
+                for _ in range(rng.randint(1, n))]
+        tail = Cone.from_generators([g for g in gens if any(g)] or
+                                    [(1,) * n], n)
+        if tail.is_pointed():
+            return tail
+
+
+def _random_points(rng, n, tail, most=4):
+    """Up to 2 * most - 1 rational points, with duplicates and non-vertex
+    points: midpoints and points moved along a tail ray."""
+    pts = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+           for _ in range(rng.randint(1, most))]
+    for _ in range(rng.randint(0, most - 1)):
+        a, b = rng.choice(pts), rng.choice(pts)
+        kind = rng.random()
+        if kind < 0.3:
+            pts.append(a)
+        elif kind < 0.7:
+            pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+        elif tail.rays:
+            pts.append(vadd(a, rng.choice(tail.rays)))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_integer_polyhedra_match_fraction_oracle():
+    """On rational point sets scaled by their lcm, the integer vertices,
+    normal fans and Minkowski sums are the oracle's times that lcm."""
+    rng = random.Random(16)
+    pruned = fans = sums = tailed = 0
+    for n, trials in ((1, 40), (2, 40), (3, 25), (4, 8)):
+        for _ in range(trials):
+            tail = _random_tail(rng, n)
+            # a small second summand keeps the oracle's sums small
+            terms = [(rng.randint(1, 3), _random_points(rng, n, tail, most))
+                     for most in (4, 2)[:rng.randint(1, 2)]]
+            den = common_den([p for _, pts in terms for p in pts])
+            polys = []
+            for _, pts in terms:
+                poly = Polyhedron.from_points([scaled(p, den) for p in pts],
+                                              tail)
+                want = from_points_oracle(pts, tail)
+                assert [rational(v, den) for v in poly.vertices] == want
+                assert [(rational(v, den), cone)
+                        for v, cone in poly.normal_fan()] \
+                    == normal_fan_oracle(want, tail)
+                pruned += len(want) < len(pts)
+                fans += len(want) > 1
+                polys.append(poly)
+            got = minkowski_weighted_sum(
+                [(w, p) for (w, _), p in zip(terms, polys)])
+            assert [rational(v, den) for v in got.vertices] \
+                == minkowski_oracle(terms, tail)
+            sums += len(terms) > 1
+            tailed += bool(tail.rays)
+    assert pruned > 80 and fans > 50 and sums > 40 and tailed > 40, \
+        (pruned, fans, sums, tailed)
 
 
 def test_one_point_polyhedron_matches_generic_path():
@@ -235,15 +374,15 @@ def test_one_point_polyhedron_matches_generic_path():
              Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 0, 1),
                                    (0, 1, 1)], 3)]
     for tail in tails:
-        pt = vec(F(i - 1, i + 2) for i in range(tail.n))
+        pt = tuple(i - 1 for i in range(tail.n))
         generic = [v for v in [pt]
-                   if _normal_cone_data(v, [pt], tail)[2] == tail.n]
+                   if _normal_cone(v, [pt], tail)[1] == tail.n]
         expected = Polyhedron(tail.n, generic, tail)
         assert Polyhedron.from_points([pt], tail) == expected
         assert Polyhedron.from_points([pt, pt], tail) == expected
     halfplane = Cone.from_generators([(1, 0), (-1, 0), (0, 1)], 2)
     with pytest.raises(GeometryError):
-        Polyhedron.from_points([(F(0), F(0))], halfplane)
+        Polyhedron.from_points([(0, 0)], halfplane)
 
 
 def test_lattice_basis_and_membership():

@@ -39,3 +39,13 @@ def test_unused_import_scan_sees_local_and_aliased_imports():
                      "    import os.path\n"
                      "    return floor(1)\n")
     assert _unused_imports(tree) == [(1, "l"), (3, "os")]
+
+
+def test_geometry_imports_nothing_from_fractions():
+    """Vertices are ints over a divisor's den, so geometry stays integer."""
+    tree = ast.parse((PACKAGE / "geometry.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in modules

@@ -13,7 +13,8 @@ from ghz.tvariety import (AlgebraGenerator, DivisorError,
                           GeneratorCertificate, PolyhedralDivisor,
                           algebra_generators)
 
-from helpers import exponent_of, is_unit, orthant
+from helpers import (exponent_of, is_unit, orthant, rational,
+                     rational_divisor)
 
 Q = Rationals()
 
@@ -24,20 +25,19 @@ def hyperbolic_w25():
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(K, K.zero())
     y = point_validate(parse_poly("t^2 + l", K), "trusted")
-    return K, y0, y, PolyhedralDivisor(K, A1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 5),)], sigma),
-        y: Polyhedron.from_points([(F(0),), (F(1, 5),)], sigma),
-    })
+    D, _ = rational_divisor(K, A1, sigma,
+                            {y0: [(F(1, 5),)], y: [(F(0),), (F(1, 5),)]})
+    return K, y0, y, D
 
 
 def rank2_ramified(field):
     sigma = orthant(2)
     w0 = ClosedPoint.rational(field, field.zero())
     w1 = ClosedPoint.rational(field, field.one())
-    return w0, w1, PolyhedralDivisor(field, A1, sigma, {
-        w0: Polyhedron.from_points([(F(1, 2), F(0))], sigma),
-        w1: Polyhedron.from_points([(F(1, 2), F(0)), (F(0), F(1))], sigma),
-    })
+    D, _ = rational_divisor(
+        field, A1, sigma,
+        {w0: [(F(1, 2), F(0))], w1: [(F(1, 2), F(0)), (F(0), F(1))]})
+    return w0, w1, D
 
 
 def test_validate_ok():
@@ -49,7 +49,7 @@ def test_validate_ok():
 
 def test_validate_rejects_bad_tail():
     halfline = Cone.from_generators([(1, 0), (-1, 0)], 2)
-    D = PolyhedralDivisor(Q, A1, halfline, {})
+    D, _ = rational_divisor(Q, A1, halfline, {})
     assert not D.validate().ok
 
 
@@ -57,30 +57,23 @@ def test_p1_positivity():
     sigma = Cone.from_generators([(1,)], 1)
     y0 = ClosedPoint.rational(Q, Q.zero())
     inf = ClosedPoint.infinity()
-    good = PolyhedralDivisor(Q, P1, sigma, {
-        y0: Polyhedron.from_points([(F(1, 2),)], sigma),
-        inf: Polyhedron.from_points([(F(1, 3),)], sigma),
-    })
+    good, _ = rational_divisor(Q, P1, sigma,
+                               {y0: [(F(1, 2),)], inf: [(F(1, 3),)]})
     assert good.validate().ok
     # the full degree must avoid the origin
-    bad = PolyhedralDivisor(Q, P1, sigma, {
-        y0: Polyhedron.from_points([(F(-1, 3),)], sigma),
-        inf: Polyhedron.from_points([(F(1, 3),)], sigma),
-    })
+    bad, _ = rational_divisor(Q, P1, sigma,
+                              {y0: [(F(-1, 3),)], inf: [(F(1, 3),)]})
     assert bad.validate().violations == [
         "deg D is not a proper subset of the tail cone (0 is a vertex of deg D)"]
-    outside = PolyhedralDivisor(Q, P1, sigma, {
-        y0: Polyhedron.from_points([(F(-1, 3),)], sigma),
-        inf: Polyhedron.from_points([(F(1, 6),)], sigma),
-    })
+    outside, _ = rational_divisor(Q, P1, sigma,
+                                  {y0: [(F(-1, 3),)], inf: [(F(1, 6),)]})
     assert outside.validate().violations == [
         "deg D is not contained in the tail cone"]
     # here deg D = sigma; as sigma is pointed, 0 is then a vertex of deg D
     quarter = orthant(2)
-    apex = PolyhedralDivisor(Q, P1, quarter, {
-        y0: Polyhedron.from_points([(F(0), F(1)), (F(-1, 2), F(0))], quarter),
-        inf: Polyhedron.from_points([(F(1, 2), F(0))], quarter),
-    })
+    apex, _ = rational_divisor(
+        Q, P1, quarter,
+        {y0: [(F(0), F(1)), (F(-1, 2), F(0))], inf: [(F(1, 2), F(0))]})
     assert apex.validate().violations == [
         "deg D is not a proper subset of the tail cone (0 is a vertex of deg D)"]
 
@@ -89,7 +82,7 @@ def test_a_non_pointed_tail_is_one_violation():
     for halfline in (Cone.from_generators([(1,), (-1,)], 1),
                      Cone.from_generators([(1, 0), (-1, 0)], 2)):
         for curve in (A1, P1):
-            D = PolyhedralDivisor(Q, curve, halfline, {})
+            D, _ = rational_divisor(Q, curve, halfline, {})
             assert D.validate().violations == [
                 "tail cone is not pointed (dual weight cone would not be "
                 "full-dimensional)"]
@@ -99,7 +92,7 @@ def _all_sums_p1_violations(div):
     """Reference: the P1 branch of `validate` that decides containment on
     every degree-weighted sum of vertices, one per support point, before it
     builds deg D from those sums."""
-    origin = (F(0),) * div.rank
+    origin = (0,) * div.rank
     sums = [origin]
     for y, p in div.support.items():
         sums = [tuple(a + y.degree * b for a, b in zip(s, v))
@@ -136,10 +129,10 @@ def test_p1_validate_matches_the_all_sums_reference():
                 chosen = rng.sample(points, rng.randint(0, len(points)))
                 if rng.random() < 0.8:
                     chosen.append(ClosedPoint.infinity())
-                support = {y: Polyhedron.from_points(
-                    [rand_vertex() for _ in range(rng.randint(1, 2))], tail)
-                    for y in chosen}
-                div = PolyhedralDivisor(field, P1, tail, support)
+                div, _ = rational_divisor(field, P1, tail, {
+                    y: [rand_vertex() for _ in range(rng.randint(1, 2))]
+                    for y in chosen})
+                support = div.support
                 want = _all_sums_p1_violations(div)
                 assert div.validate().violations == want, support
                 key = (bool(support), bool(tail.rays), tuple(want))
@@ -171,7 +164,7 @@ def test_eval_and_generator():
     assert e5.coeff(y0) == 1 and e5.coeff(y) == 0
     assert e5.is_integral()
     e1 = D.eval((1,))
-    assert e1.coeff(y0) == F(1, 5)
+    assert e1.coeff(y0) == F(1, 5) and D.den == 5
     # weight 5 generator is t^-1
     g = D.generator((5,))
     assert g.to_str() == "t^-1"
@@ -193,14 +186,15 @@ def test_degree_polyhedron():
     K, y0, y, D = hyperbolic_w25()
     deg = D.degree_polyhedron()
     # deg = (1/5)[y0-part] + 2*{0,1/5}: vertices 1/5 and 3/5
-    assert sorted(deg.vertices) == [(F(1, 5),), (F(3, 5),)]
+    assert [rational(v, D.den) for v in deg.vertices] \
+        == [(F(1, 5),), (F(3, 5),)]
 
 
 def test_linearity_fan():
     K, y0, y, D = hyperbolic_w25()
     pieces = D.linearity_fan(None)
     # two maximal linearity pieces: y's vertex at 0 or at 1/5
-    assigns = sorted(tuple(sorted((pt.to_str(), tuple(v))
+    assigns = sorted(tuple(sorted((pt.to_str(), rational(v, D.den))
                                   for pt, v in assign.items()))
                      for _, _, assign in pieces)
     assert len(pieces) == 2
@@ -397,9 +391,8 @@ def _random_a1_divisor(rng, field, points, rank):
     support = {}
     for text in rng.sample(points, rng.randint(1, min(3, len(points)))):
         y = point_validate(parse_poly(text, field), "trusted")
-        support[y] = Polyhedron.from_points(
-            [vertex() for _ in range(rng.randint(1, 2))], tail)
-    return PolyhedralDivisor(field, A1, tail, support)
+        support[y] = [vertex() for _ in range(rng.randint(1, 2))]
+    return rational_divisor(field, A1, tail, support)[0]
 
 
 def test_algebra_generators_match_reference_fixpoint():
