@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
+from operator import add
 
 from .curves import A1, P1, ClosedPoint, insep_profile
 from .fields import PrimeField, Rationals
@@ -308,47 +309,53 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
     piecewise-linear evaluation maps must jump by enough along e.
 
     The check runs on integers: a value a of the maps is the integer
-    A = den*a on the int vertices, and floor(s*a) = (s*A) // den. A weight
-    lies in the dual of the tail cone when it pairs nonnegatively with the
-    tail's rays and to zero with its lineality."""
+    A = den*a on the int vertices, and floor(s*a) = (s*A) // den. Each
+    vertex v is paired once with qe = p^{s1}e and once with each box weight
+    m: <m + qe, v> = <m, v> + <qe, v>, so one pairing per vertex and weight
+    gives the minima at both m and m + qe. The tail cone is pointed, so a
+    weight lies in its dual when it pairs nonnegatively with the tail's
+    rays, and one pairing <m, r> per ray decides both m and m + qe."""
     rep = Report("floor conditions")
     c = theta.coloring
     div = c.divisor
     den = div.den
     d, qe, v0, points = _vertex_table(theta)
-    verts0 = div.polyhedron_at(c.y0).vertices
-    verts_inf = div.polyhedron_at(c.y_infinity).vertices \
-        if div.curve == P1 else None
-    v_deg = c.v_deg()
-    rhs0 = 1 + d * dot(qe, v0) // den
-    dual = div.tail.dual()
+    qv0 = dot(qe, v0)
+    rhs0 = 1 + d * qv0 // den
+    # m and m + qe are in the dual cone when <m, r> >= max(0, -<qe, r>)
+    rays = [(r, max(0, -dot(qe, r))) for r in div.tail.rays]
 
-    # every polyhedron of the divisor has the tail cone as its tail, so at
-    # m and m + qe, both in the dual cone, its minimum is at a vertex
-    def low(verts, m):
-        return min(dot(m, v) for v in verts)
+    # each vertex v as v - shift, with <qe, v - shift>; every polyhedron of
+    # the divisor has the tail cone as its tail, so at m and m + qe, both in
+    # the dual cone, its minimum is at a vertex
+    def paired(verts, shift=None):
+        ws = [vsub(v, shift) for v in verts] if shift else verts
+        return ws, [dot(qe, w) for w in ws]
+
+    rows = [(y, scale, *paired(verts, vy)) for y, scale, verts, vy in points]
+    ws0, qws0 = paired(div.polyhedron_at(c.y0).vertices)
+    inf = [paired(div.polyhedron_at(c.y_infinity).vertices,
+                  tuple(-x for x in c.v_deg()))] if div.curve == P1 else []
 
     for m in lattice_box(div.rank, m_bound):
-        if not dual.contains(m):
+        if any(dot(m, r) < t for r, t in rays):
             continue
-        m2 = vadd(m, qe)
-        if not dual.contains(m2):
-            continue
-        for y, scale, verts, vy in points:
-            a = low(verts, m) - dot(m, vy)
-            b = low(verts, m2) - dot(m2, vy)
+        for y, scale, ws, qws in rows:
+            xs = [dot(m, w) for w in ws]
+            b = min(map(add, xs, qws))
             if b != 0:
-                fa, fb = scale * a // den, scale * b // den
+                fa, fb = scale * min(xs) // den, scale * b // den
                 if fb - fa < 1:
                     rep.fail(f"(4): m={m} at [{y.to_str()}]: {fb} - {fa} < 1")
-        h0b = low(verts0, m2)
-        if h0b != dot(m2, v0):
-            fa, fb = d * low(verts0, m) // den, d * h0b // den
+        xs = [dot(m, w) for w in ws0]
+        h0b = min(map(add, xs, qws0))
+        if h0b != dot(m, v0) + qv0:
+            fa, fb = d * min(xs) // den, d * h0b // den
             if fb - fa < rhs0:
                 rep.fail(f"(5): m={m}: {fb} - {fa} < {rhs0}")
-        if verts_inf is not None:
-            fa = d * (low(verts_inf, m) + dot(m, v_deg)) // den
-            fb = d * (low(verts_inf, m2) + dot(m2, v_deg)) // den
+        for ws, qws in inf:
+            xs = [dot(m, w) for w in ws]
+            fa, fb = d * min(xs) // den, d * min(map(add, xs, qws)) // den
             if fb - fa < -1:
                 rep.fail(f"(6): m={m}: {fb} - {fa} < -1")
     return rep

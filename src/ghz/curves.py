@@ -25,13 +25,15 @@ class PointError(ValueError):
 class ClosedPoint:
     """Finite point (monic poly) or the point at infinity on P1."""
 
-    __slots__ = ("poly", "trusted", "_hash")
+    __slots__ = ("poly", "trusted", "_hash", "_str")
 
     def __init__(self, poly, trusted=False):
         self.poly = poly  # None encodes infinity
         self.trusted = trusted
-        # computed once: Poly.__hash__ sorts the terms on every call
+        # computed once: Poly.__hash__ sorts the terms on every call, and
+        # sort keys print the point on every sort
         self._hash = hash(("pt", poly))
+        self._str = "infinity" if poly is None else poly.to_str("t")
 
     @classmethod
     def infinity(cls):
@@ -68,7 +70,7 @@ class ClosedPoint:
         return self._hash
 
     def to_str(self):
-        return "infinity" if self.poly is None else self.poly.to_str("t")
+        return self._str
 
     def __repr__(self):
         return f"ClosedPoint({self.to_str()})"

@@ -167,13 +167,19 @@ def test_floor_conditions_match_vertex_conditions():
     K = lambda_field(2)
     D, col = hyperbolic_w25(K, "t^2+l")
     theta = CoherentFamily(col, (1,), (2,), (K.one(),))
-    assert floor_condition_check(theta, 12).ok
+    rep = floor_condition_check(theta, 12)
+    assert rep.ok
+    assert rep.to_dict() == _floor_condition_check_per_weight(
+        theta, 12).to_dict()
 
     F2 = PrimeField(2)
     D2, col2 = hyperbolic_w25(F2, "t+1")
     theta2 = CoherentFamily(col2, (1,), (2,), (F2.one(),))
     rep = floor_condition_check(theta2, 12)
     assert not rep.ok
+    # the violation strings, in order, are the reference's
+    assert rep.to_dict() == _floor_condition_check_per_weight(
+        theta2, 12).to_dict()
 
 
 def _floor_condition_check_per_weight(theta, m_bound):
@@ -252,6 +258,27 @@ def test_floor_condition_check_matches_per_weight_reference():
     # over P1 a zero tail forces deg D = {0}, which has 0 as a vertex, so
     # no valid instance has one
     assert kinds[P1, "zero"] == 0, kinds
+
+
+def test_floor_condition_check_matches_reference_at_probe_bound():
+    # the probe's own bound: 12 plus one full step of p^{s1}e
+    rng = random.Random(63)
+    compared = 0
+    clauses = set()
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for curve in (A1, P1):
+            for rank in (1, 2):
+                theta = None
+                while theta is None:
+                    theta = _random_family(rng, field, curve, rank)
+                p = field.char_exponent
+                step = max(abs(p ** theta.s[0] * x) for x in theta.e)
+                want = _floor_condition_check_per_weight(theta, 12 + step)
+                got = floor_condition_check(theta, 12 + step)
+                assert got.to_dict() == want.to_dict(), theta.describe()
+                compared += 1
+                clauses.update(v[:3] for v in want.violations)
+    assert compared == 12 and clauses == {"(4)", "(5)", "(6)"}, clauses
 
 
 def _reference_random_family(rng, field, curve, rank):
