@@ -13,12 +13,12 @@ from itertools import combinations, product
 from math import gcd
 from operator import add
 
-from .curves import A1, P1, ClosedPoint, insep_profile
+from .curves import A1, P1, ClosedPoint
 from .fields import PrimeField, Rationals
-from .geometry import (Cone, GeometryError, Polyhedron, dot, fmt_ratio,
-                       fmt_vec, lattice_box, primitive, vadd, vsub)
+from .geometry import (Cone, Polyhedron, dot, fmt_ratio, fmt_vec,
+                       lattice_box, primitive, vadd, vsub)
 from .reports import Report
-from .tvariety import DivisorError, PolyhedralDivisor
+from .tvariety import PolyhedralDivisor
 
 
 class ClassifierError(ValueError):
@@ -269,8 +269,7 @@ def _vertex_table(theta: CoherentFamily):
     for y in c.colored_points():
         if y == c.y0:
             continue
-        eps = 1 if y.is_infinity else insep_profile(y).epsilon
-        points.append((y, p ** u * eps, div.polyhedron_at(y).vertices,
+        points.append((y, p ** u * y.epsilon, div.polyhedron_at(y).vertices,
                        c.vertex(y)))
     return d, qe, v0, points
 
@@ -446,11 +445,8 @@ def _random_family(rng, field, curve, rank):
     div = PolyhedralDivisor(field, curve, tail, support, 6)
     if not div.validate().ok:
         return None
-    try:
-        fan = div.linearity_fan(y_inf)
-    except (DivisorError, GeometryError):
-        return None
-    cone, v_deg, assign = rng.choice(fan)
+    # the divisor is valid and y_inf rational, so the fan raises nothing
+    cone, v_deg, assign = rng.choice(div.linearity_fan(y_inf))
     y0 = rng.choice([y for y in support if not y.is_infinity])
     vertices = dict(assign)
     # the fan makes the coloring valid (the assigned vertices sum to the

@@ -25,7 +25,7 @@ class PointError(ValueError):
 class ClosedPoint:
     """Finite point (monic poly) or the point at infinity on P1."""
 
-    __slots__ = ("poly", "trusted", "_hash", "_str")
+    __slots__ = ("poly", "trusted", "_hash", "_str", "_eps")
 
     def __init__(self, poly, trusted=False):
         self.poly = poly  # None encodes infinity
@@ -34,6 +34,7 @@ class ClosedPoint:
         # sort keys print the point on every sort
         self._hash = hash(("pt", poly))
         self._str = "infinity" if poly is None else poly.to_str("t")
+        self._eps = None
 
     @classmethod
     def infinity(cls):
@@ -57,6 +58,14 @@ class ClosedPoint:
     def is_rational(self) -> bool:
         return self.degree == 1
 
+    @property
+    def epsilon(self) -> int:
+        """epsilon of the point's inseparable profile, 1 at infinity;
+        computed on first use and kept."""
+        if self._eps is None:
+            self._eps = 1 if self.poly is None else insep_profile(self).epsilon
+        return self._eps
+
     def rational_value(self):
         """The raw field value c with q = t - c (rational finite points)."""
         if self.poly is None or self.poly.degree != 1:
@@ -64,7 +73,10 @@ class ClosedPoint:
         return self.poly.field.neg(self.poly.constant())
 
     def __eq__(self, other):
-        return isinstance(other, ClosedPoint) and self.poly == other.poly
+        # the kept hashes settle most comparisons without Poly.__eq__
+        return self is other or (isinstance(other, ClosedPoint)
+                                 and self._hash == other._hash
+                                 and self.poly == other.poly)
 
     def __hash__(self):
         return self._hash

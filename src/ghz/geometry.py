@@ -8,15 +8,22 @@ change under that scaling; only `fmt_vec` reads den, to print v. Cones are
 stored by primitive integer extreme rays plus a canonical integer lineality
 basis; both descriptions (generators and inequalities) come from one integer
 kernel, `rays_from_inequalities`: rows scaled to primitive integer rows,
-rank and lineality from fraction-free Gauss-Jordan elimination, and each
-ray candidate as a cofactor vector of at most 3 x 3 determinants.
+deduplicated and sorted, then a bounded memoized kernel with rank and
+lineality from fraction-free Gauss-Jordan elimination and each ray candidate
+as a cofactor vector of at most 3 x 3 determinants.
+
+Each normal cone is computed once: a polyhedron keeps the cones that
+`from_points` built to find its vertices, and a Minkowski sum refines its
+summands' fans (Ziegler, Lectures on Polytopes, Prop. 7.12) instead of
+building cones from every weighted sum of vertices.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 
 MAX_RANK = 4
@@ -120,12 +127,19 @@ def rays_from_inequalities(ineqs, n):
     for integer rows a.
 
     Each row is scaled to its primitive multiple, which leaves the cone
-    unchanged. With k the rank of the rows, every
-    extreme ray spans the kernel of k - 1 independent rows stacked with the
-    lineality basis, n - 1 rows in all: their cofactor vector, taken with
-    the sign that satisfies every row.
+    unchanged; the rows are then deduplicated and sorted, so that every
+    list of rows for one cone reaches the memoized kernel `_rays` as one
+    key.
     """
-    rows = list({primitive(a) for a in ineqs if any(a)})
+    return _rays(tuple(sorted({primitive(a) for a in ineqs if any(a)})), n)
+
+
+@lru_cache(maxsize=1024)
+def _rays(rows, n):
+    """`rays_from_inequalities` on integer rows. With k the rank of the
+    rows, every extreme ray spans the kernel of k - 1 independent rows
+    stacked with the lineality basis, n - 1 rows in all: their cofactor
+    vector, taken with the sign that satisfies every row."""
     lin = _lineality(rows, n)
     rays = set()
     for subset in combinations(rows, n - len(lin) - 1) if rows else ():
@@ -189,10 +203,6 @@ class Cone:
             return False
         return all(dot(l, v) == 0 for l in d.lineality)
 
-    def interior_point(self):
-        """A point in the relative interior (sum of generators)."""
-        return tuple(map(sum, zip((0,) * self.n, *self.generators())))
-
     def is_pointed(self) -> bool:
         return not self.lineality
 
@@ -211,18 +221,22 @@ class Cone:
 
 class Polyhedron:
     """conv(vertices) + tail cone, in canonical irredundant form, with int
-    vertices (a divisor's polyhedron scaled by its denominator)."""
+    vertices (a divisor's polyhedron scaled by its denominator), and its
+    normal fan: for each vertex, in order, the cone of weights where it is
+    minimizing."""
 
-    __slots__ = ("n", "vertices", "tail")
+    __slots__ = ("n", "vertices", "tail", "_fan")
 
-    def __init__(self, n, vertices, tail: Cone):
+    def __init__(self, n, fan, tail: Cone):
         self.n = n
-        self.vertices = tuple(vertices)
+        self._fan = tuple(fan)
+        self.vertices = tuple(v for v, _ in self._fan)
         self.tail = tail
 
     @classmethod
     def from_points(cls, points, tail: Cone):
-        """Canonicalize: keep only true vertices of conv(points) + tail."""
+        """Canonicalize: keep only true vertices of conv(points) + tail,
+        each with the normal cone that decided it."""
         if not tail.is_pointed():
             raise GeometryError("tail cone must be pointed")
         n = tail.n
@@ -232,9 +246,13 @@ class Polyhedron:
         if len(pts) == 1:
             # the normal cone of a lone point is the dual of the pointed
             # tail, which is full-dimensional: the point is the vertex
-            return cls(n, pts, tail)
-        verts = [p for p in pts if _normal_cone(p, pts, tail)[1] == n]
-        return cls(n, sorted(verts), tail)
+            return cls(n, [(pts[0], tail.dual())], tail)
+        fan = []
+        for p in pts:
+            cone, dim = _normal_cone(p, pts, tail)
+            if dim == n:
+                fan.append((p, cone))
+        return cls(n, sorted(fan, key=itemgetter(0)), tail)
 
     def minimize(self, m):
         """min over the polyhedron of <m, .>, or None for minus infinity."""
@@ -243,17 +261,10 @@ class Polyhedron:
                 return None
         return min(dot(m, v) for v in self.vertices)
 
-    def argmin_vertices(self, m):
-        best = self.minimize(m)
-        if best is None:
-            return []
-        return [v for v in self.vertices if dot(m, v) == best]
-
     def normal_fan(self):
-        """[(vertex, cone of m where the vertex is minimizing)]; the cones
-        cover the dual of the tail."""
-        return [(v, _normal_cone(v, self.vertices, self.tail)[0])
-                for v in self.vertices]
+        """((vertex, cone of m where the vertex is minimizing), ...), by
+        vertex; the cones cover the dual of the tail."""
+        return self._fan
 
     def __eq__(self, other):
         return (isinstance(other, Polyhedron) and self.vertices == other.vertices
@@ -266,31 +277,50 @@ class Polyhedron:
         return f"Polyhedron(vertices={list(self.vertices)}, tail={self.tail!r})"
 
 
+def _cone_of(rows, n):
+    """{m : <m, a> >= 0 for every row a} and its dimension."""
+    lin, rays = rays_from_inequalities(rows, n)
+    return Cone(n, rays, lin), len(_echelon(lin + rays)[1])
+
+
 def _normal_cone(v, points, tail: Cone):
     """{m : <m, w - v> >= 0, <m, r> >= 0} and its dimension."""
-    ineqs = [vsub(w, v) for w in points if w != v]
-    lin, rays = rays_from_inequalities(ineqs + list(tail.rays), tail.n)
-    return Cone(tail.n, rays, lin), len(_echelon(lin + rays)[1])
+    return _cone_of([vsub(w, v) for w in points if w != v] + list(tail.rays),
+                    tail.n)
 
 
 def minkowski_weighted_sum(terms):
-    """Weighted Minkowski sum of polyhedra with a common tail cone: the
-    convex hull of every weighted sum of vertices, one per term, plus the
-    tail, for positive int weights."""
+    """Weighted Minkowski sum of polyhedra with a common tail cone, for
+    positive int weights: (sum, parts), with parts[v] the vertices, one per
+    term, whose weighted sum is the vertex v.
+
+    The sum's fan refines the terms' fans: one vertex per term is a vertex
+    of the sum exactly when the terms' normal cones there meet in a
+    full-dimensional cone, the sum's normal cone at it. Such cones have
+    disjoint interiors, so no two choices give one vertex."""
     terms = list(terms)
     if not terms:
         raise GeometryError("empty Minkowski sum")
     tail = terms[0][1].tail
-    for _, p in terms:
+    for weight, p in terms:
         if p.tail != tail:
             raise GeometryError("mismatched tail cones in Minkowski sum")
-    sums = [(0,) * tail.n]
-    for weight, p in terms:
         if weight <= 0:
             raise GeometryError("weights must be positive")
-        sums = [tuple(a + weight * b for a, b in zip(s, v))
-                for s in sums for v in p.vertices]
-    return Polyhedron.from_points(sums, tail)
+    n = tail.n
+    fan, parts = [], {}
+    for choice in product(*(p.vertices for _, p in terms)):
+        rows = list(tail.rays)
+        for (_, p), v in zip(terms, choice):
+            rows.extend(vsub(w, v) for w in p.vertices if w != v)
+        cone, dim = _cone_of(rows, n)
+        if dim == n:
+            s = (0,) * n
+            for (weight, _), v in zip(terms, choice):
+                s = tuple(a + weight * b for a, b in zip(s, v))
+            fan.append((s, cone))
+            parts[s] = choice
+    return Polyhedron(n, sorted(fan, key=itemgetter(0)), tail), parts
 
 
 def lattice_basis(vectors, n):

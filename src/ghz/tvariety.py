@@ -103,43 +103,44 @@ class PolyhedralDivisor:
 
     def degree_polyhedron(self, y_infinity=None) -> Polyhedron:
         """deg D, restricted to the complement of y_infinity when given."""
-        terms = [(y.degree, p) for y, p in self.support.items()
-                 if y != y_infinity]
-        if not terms:
-            return self.tail_polyhedron()
-        return minkowski_weighted_sum(terms)
+        return self._degree_sum(y_infinity)[1]
 
-    def deg_restricted(self, y_infinity=None):
-        """The degree polyhedron over C'."""
+    def _degree_sum(self, y_infinity):
+        """(points, deg D, parts): the support points off y_infinity, the
+        degree-weighted sum of their polyhedra, and for each vertex of that
+        sum its summand vertices, one per point in order."""
+        points = self.support_points(exclude=y_infinity)
+        if not points:
+            deg = self.tail_polyhedron()
+            return points, deg, {deg.vertices[0]: ()}
+        return (points, *minkowski_weighted_sum(
+            [(y.degree, self.support[y]) for y in points]))
+
+    def _check_marked(self, y_infinity):
         if self.curve == P1:
             if y_infinity is None:
                 raise DivisorError("P1 needs a marked point at infinity")
             if not y_infinity.is_rational:
                 raise DivisorError("the marked point at infinity must be rational")
+
+    def deg_restricted(self, y_infinity=None):
+        """The degree polyhedron over C'."""
+        self._check_marked(y_infinity)
         return self.degree_polyhedron(y_infinity)
 
     def linearity_fan(self, y_infinity=None):
         """Maximal cones of linearity of m -> D(m)|C' with per-point
         minimizing vertices.
 
-        Returns a list of (cone in M_Q, v_deg, {point: vertex}).
+        Returns a list of (cone in M_Q, v_deg, {point: vertex}), one per
+        vertex v_deg of deg D over C', by vertex: the normal cone at v_deg,
+        and the summand vertices that the Minkowski sum records v_deg as
+        the sum of, which minimize over their polyhedra on the whole cone.
         """
-        return [(cone, v_deg, self._vertex_assignment(cone, y_infinity))
-                for v_deg, cone in self.deg_restricted(y_infinity).normal_fan()]
-
-    def _vertex_assignment(self, cone: Cone, y_infinity):
-        """Per-point minimizing vertices at an interior weight of a linearity
-        cone.  A vertex of a Minkowski sum is a sum of summand vertices in
-        exactly one way, so a weight in the relative interior of its normal
-        cone has one minimizer on every summand."""
-        m = cone.interior_point()
-        assign = {}
-        for y in self.support_points(exclude=y_infinity):
-            mins = self.support[y].argmin_vertices(m)
-            if len(mins) != 1:
-                raise DivisorError("could not find a generic interior weight")
-            assign[y] = mins[0]
-        return assign
+        self._check_marked(y_infinity)
+        points, deg, parts = self._degree_sum(y_infinity)
+        return [(cone, v_deg, dict(zip(points, parts[v_deg])))
+                for v_deg, cone in deg.normal_fan()]
 
     # -- membership ---------------------------------------------------------
 

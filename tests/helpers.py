@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from ghz.curves import P1, ClosedPoint, QDivisor, point_validate
 from ghz.fields import FieldError
-from ghz.geometry import Cone, _echelon
+from ghz.geometry import Cone, _echelon, dot
 from ghz.polynomials import Poly
 from ghz.scenarios import divisor_over_den
 
@@ -22,6 +22,21 @@ def orthant(n):
 def cone_dim(cone):
     """The dimension of a cone: the rank of its rays and lineality."""
     return len(_echelon(cone.rays + cone.lineality)[1])
+
+
+def interior_point(cone):
+    """A point in the relative interior of a cone: the sum of its
+    generators."""
+    return tuple(map(sum, zip((0,) * cone.n, *cone.generators())))
+
+
+def argmin_vertices(poly, m):
+    """The vertices of a polyhedron where <m, .> is least, or [] when it is
+    unbounded below."""
+    best = poly.minimize(m)
+    if best is None:
+        return []
+    return [v for v in poly.vertices if dot(m, v) == best]
 
 
 def vec(coords):

@@ -1,16 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+import ghz.geometry as geometry
 from ghz.geometry import (Cone, GeometryError, Polyhedron, _normal_cone,
-                          dot, fmt_vec, in_lattice, lattice_basis,
+                          _rays, dot, fmt_vec, in_lattice, lattice_basis,
                           lattice_box, minkowski_weighted_sum, primitive,
                           rays_from_inequalities, vadd, vsub)
 
-from helpers import cone_dim, orthant, rational, vec
+from helpers import argmin_vertices, cone_dim, orthant, rational, vec
 
 
 def vscale(c, a):
@@ -286,7 +291,7 @@ def test_polyhedron_minimize():
     p = Polyhedron.from_points([(1, 0), (0, 1)], tail)
     assert p.minimize((1, 1)) == 1
     assert p.minimize((2, 1)) == 1
-    assert p.argmin_vertices((2, 1)) == [(0, 1)]
+    assert argmin_vertices(p, (2, 1)) == [(0, 1)]
     assert p.minimize((-1, 0)) is None  # unbounded below
 
 
@@ -295,8 +300,11 @@ def test_minkowski_weighted_sum():
     tail = Cone.zero(1)
     a = Polyhedron.from_points([(0,), (2,)], tail)
     b = Polyhedron.from_points([(1,)], tail)
-    s = minkowski_weighted_sum([(2, a), (1, b)])
-    assert sorted(s.vertices) == [(1,), (5,)]
+    s, parts = minkowski_weighted_sum([(2, a), (1, b)])
+    assert s.vertices == ((1,), (5,))
+    assert parts == {(1,): ((0,), (1,)), (5,): ((2,), (1,))}
+    assert [cone for _, cone in s.normal_fan()] \
+        == [Cone.from_generators([(1,)], 1), Cone.from_generators([(-1,)], 1)]
 
 
 def _random_tail(rng, n):
@@ -354,14 +362,143 @@ def test_integer_polyhedra_match_fraction_oracle():
                 pruned += len(want) < len(pts)
                 fans += len(want) > 1
                 polys.append(poly)
-            got = minkowski_weighted_sum(
+            got, parts = minkowski_weighted_sum(
                 [(w, p) for (w, _), p in zip(terms, polys)])
-            assert [rational(v, den) for v in got.vertices] \
-                == minkowski_oracle(terms, tail)
+            want = minkowski_oracle(terms, tail)
+            assert [rational(v, den) for v in got.vertices] == want
+            assert [(rational(v, den), cone)
+                    for v, cone in got.normal_fan()] \
+                == normal_fan_oracle(want, tail)
+            for v in got.vertices:
+                assert all(u in p.vertices for u, p in zip(parts[v], polys))
+                assert v == tuple(sum(w * u[i] for (w, _), u
+                                      in zip(terms, parts[v]))
+                                  for i in range(n))
             sums += len(terms) > 1
             tailed += bool(tail.rays)
     assert pruned > 80 and fans > 50 and sums > 40 and tailed > 40, \
         (pruned, fans, sums, tailed)
+
+
+def _all_sums_reference(terms):
+    """The weighted Minkowski sum built from every weighted sum of vertices,
+    one per term: its vertices by `from_points`, each vertex's cone by
+    `_normal_cone` over all the sums, and the choices summing to each
+    vertex."""
+    tail = terms[0][1].tail
+    choices = {}
+    for choice in product(*(p.vertices for _, p in terms)):
+        s = tuple(sum(w * v[i] for (w, _), v in zip(terms, choice))
+                  for i in range(tail.n))
+        choices.setdefault(s, []).append(choice)
+    sums = list(choices)
+    deg = Polyhedron.from_points(sums, tail)
+    fan = tuple((v, _normal_cone(v, sums, tail)[0]) for v in deg.vertices)
+    return deg, fan, {v: choices[v] for v in deg.vertices}
+
+
+def _check_refinement(terms):
+    got, parts = minkowski_weighted_sum(terms)
+    want, fan, choices = _all_sums_reference(terms)
+    assert got == want
+    assert got.normal_fan() == fan
+    # a vertex of the sum is a weighted sum of summand vertices one way only
+    assert parts == {v: only for v, (only,) in choices.items()}
+    return len(got.vertices)
+
+
+def test_refined_fan_matches_all_sums(monkeypatch):
+    """The Minkowski sum's fan and decompositions, built by refining the
+    summands' fans, are those read off every weighted sum of vertices: on
+    the sums of the sampler's draws and on the oracle's point sets."""
+    import ghz.tvariety as tvariety
+    from ghz.classifier import _random_family
+    from ghz.curves import A1, P1
+    from ghz.fields import PrimeField, Rationals
+
+    drawn = []
+
+    def recording(terms):
+        drawn.append(list(terms))
+        return minkowski_weighted_sum(drawn[-1])
+
+    monkeypatch.setattr(tvariety, "minkowski_weighted_sum", recording)
+    rng = random.Random(18)
+    for field in (Rationals(), PrimeField(2), PrimeField(3)):
+        for curve in (A1, P1):
+            for rank in (1, 2, 3):
+                for _ in range(30):
+                    _random_family(rng, field, curve, rank)
+    sizes = [(len(terms), _check_refinement(terms)) for terms in drawn]
+    assert sum(k > 1 and v > 1 for k, v in sizes) > 80, sizes
+
+    sizes = []
+    for n, trials in ((1, 30), (2, 40), (3, 30), (4, 12)):
+        for _ in range(trials):
+            tail = _random_tail(rng, n)
+            point_sets = [_random_points(rng, n, tail, most)
+                          for most in (4, 2, 2)[:rng.randint(1, 3)]]
+            den = common_den([p for pts in point_sets for p in pts])
+            terms = [(rng.randint(1, 3), Polyhedron.from_points(
+                [scaled(p, den) for p in pts], tail)) for pts in point_sets]
+            sizes.append((len(terms), _check_refinement(terms)))
+    assert sum(k > 1 and v > 2 for k, v in sizes) > 25, sizes
+
+
+def test_memoized_kernel_matches_the_unmemoized_one():
+    """Row lists of one cone that differ by order, duplicates and positive
+    scales give the unmemoized kernel's answer; the cache is bounded and
+    empty after import."""
+    assert _rays.cache_info().maxsize is not None
+    rng = random.Random(19)
+    for n in (1, 2, 3, 4):
+        for _ in range(60):
+            rows = [integer_row(r) for r in _random_system(rng, n)]
+            want = _rays.__wrapped__(tuple(r for r in rows if any(r)), n)
+            for _ in range(3):
+                variant = rows + rng.sample(rows, rng.randint(0, len(rows)))
+                scales = [rng.randint(1, 4) for _ in variant]
+                variant = [tuple(c * x for x in r)
+                           for c, r in zip(scales, variant)]
+                rng.shuffle(variant)
+                assert rays_from_inequalities(variant, n) == want, rows
+    src = Path(geometry.__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import ghz.cli, ghz.classifier\n"
+         "from ghz.geometry import _rays\n"
+         "print(_rays.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "0"
+
+
+def test_normal_fan_reads_the_stored_fan(monkeypatch):
+    """`normal_fan` computes no normal cone: it returns the cones that
+    `from_points` built to find the vertices."""
+    normal_cone = _normal_cone
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normal_cone(*args)
+
+    monkeypatch.setattr(geometry, "_normal_cone", counting)
+    rng = random.Random(20)
+    fans = 0
+    for n, trials in ((1, 20), (2, 20), (3, 15), (4, 8)):
+        for _ in range(trials):
+            tail = _random_tail(rng, n)
+            pts = _random_points(rng, n, tail)
+            den = common_den(pts)
+            poly = Polyhedron.from_points([scaled(p, den) for p in pts], tail)
+            made = len(calls)
+            fan = poly.normal_fan()
+            assert len(calls) == made
+            assert fan == tuple((v, normal_cone(v, poly.vertices, tail)[0])
+                                for v in poly.vertices)
+            fans += len(fan) > 1
+    assert calls and fans > 20, fans
 
 
 def test_one_point_polyhedron_matches_generic_path():
@@ -375,11 +512,12 @@ def test_one_point_polyhedron_matches_generic_path():
                                    (0, 1, 1)], 3)]
     for tail in tails:
         pt = tuple(i - 1 for i in range(tail.n))
-        generic = [v for v in [pt]
-                   if _normal_cone(v, [pt], tail)[1] == tail.n]
-        expected = Polyhedron(tail.n, generic, tail)
-        assert Polyhedron.from_points([pt], tail) == expected
-        assert Polyhedron.from_points([pt, pt], tail) == expected
+        cone, dim = _normal_cone(pt, [pt], tail)
+        generic = [(pt, cone)] if dim == tail.n else []
+        for p in (Polyhedron.from_points([pt], tail),
+                  Polyhedron.from_points([pt, pt], tail)):
+            assert p == Polyhedron(tail.n, generic, tail)
+            assert p.normal_fan() == tuple(generic)
     halfplane = Cone.from_generators([(1, 0), (-1, 0), (0, 1)], 2)
     with pytest.raises(GeometryError):
         Polyhedron.from_points([(0, 0)], halfplane)

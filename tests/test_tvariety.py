@@ -13,8 +13,8 @@ from ghz.tvariety import (AlgebraGenerator, DivisorError,
                           GeneratorCertificate, PolyhedralDivisor,
                           algebra_generators)
 
-from helpers import (exponent_of, is_unit, orthant, rational,
-                     rational_divisor)
+from helpers import (argmin_vertices, exponent_of, interior_point, is_unit,
+                     orthant, rational, rational_divisor)
 
 Q = Rationals()
 
@@ -204,7 +204,7 @@ def test_linearity_fan():
 def _vertex_assignment_reference(div, cone, y_infinity):
     """The per-point minimizing vertices at the first of up to 200 weights
     base + sum c_i r_i, interior to the cone, where each is unique."""
-    base = cone.interior_point()
+    base = interior_point(cone)
     rays = cone.generators() or [base]
     for attempt in range(200):
         m = base
@@ -213,7 +213,7 @@ def _vertex_assignment_reference(div, cone, y_infinity):
             m = tuple(a + c * b for a, b in zip(m, r))
         assign = {}
         for y in div.support_points(exclude=y_infinity):
-            mins = div.support[y].argmin_vertices(m)
+            mins = argmin_vertices(div.support[y], m)
             if len(mins) != 1:
                 break
             assign[y] = mins[0]
@@ -223,24 +223,23 @@ def _vertex_assignment_reference(div, cone, y_infinity):
 
 
 def test_vertex_assignment_matches_the_retrying_reference(monkeypatch):
-    """One interior weight per linearity cone gives the assignment that the
-    search over up to 200 weights finds, on the probe's random divisors."""
-    one_weight = PolyhedralDivisor._vertex_assignment
+    """Every assignment of the linearity fan, read from the Minkowski sum's
+    decomposition, is the one that the search over up to 200 interior
+    weights finds, on the probe's random divisors."""
+    fan = PolyhedralDivisor.linearity_fan
     pairs = []
 
-    def both(self, cone, y_infinity):
-        results = []
-        for assignment in (one_weight, _vertex_assignment_reference):
+    def both(self, y_infinity=None):
+        pieces = fan(self, y_infinity)
+        for cone, _, assign in pieces:
             try:
-                results.append(assignment(self, cone, y_infinity))
+                want = _vertex_assignment_reference(self, cone, y_infinity)
             except DivisorError:
-                results.append(None)
-        pairs.append(results)
-        if results[0] is None:
-            raise DivisorError("could not find a generic interior weight")
-        return results[0]
+                want = None
+            pairs.append((assign, want))
+        return pieces
 
-    monkeypatch.setattr(PolyhedralDivisor, "_vertex_assignment", both)
+    monkeypatch.setattr(PolyhedralDivisor, "linearity_fan", both)
     rng = random.Random(3)
     for field in (Q, PrimeField(2), PrimeField(3)):
         for curve in (A1, P1):
@@ -248,7 +247,7 @@ def test_vertex_assignment_matches_the_retrying_reference(monkeypatch):
                 for _ in range(40):
                     _random_family(rng, field, curve, rank)
     assert all(got == want for got, want in pairs)
-    assert sum(got is not None and len(got) > 1 for got, _ in pairs) > 100
+    assert sum(len(got) > 1 for got, _ in pairs) > 100
 
 
 def test_membership():
