@@ -33,14 +33,16 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
 VALID = ("a1-y-infinity", "colored-not-vertex", "p1-irrational-y-infinity",
-         "p1-no-coloring", "p1-no-y-infinity", "v0-not-vertex",
-         "weight-cone-image")
+         "p1-no-coloring", "p1-no-y-infinity", "p1-pieces",
+         "toric-fractional", "v0-not-vertex", "weight-cone-image")
 
 # the runs of each scenario besides validate, as argv with the scenario
 # inserted after the command. For a malformed scenario: the command that,
 # without the parse-time check, turned it into a verdict or an internal
 # failure where validate did not. For a valid one: the runs that once read
-# an invalid coloring as valid or failed internally.
+# an invalid coloring as valid or failed internally, or that reach a path
+# no builtin example reaches (P1 pieces, negative and infinity coefficients
+# of D(m), a fractional part at a non-rational point).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
               "family-root-length": [["toric-check"]],
@@ -55,7 +57,11 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "weight-cone-image": [["verify", "--override"]],
               "p1-no-coloring": [["colorings"], ["classify"]],
               "p1-no-y-infinity": [["colorings"], ["classify"]],
-              "p1-irrational-y-infinity": [["colorings"], ["classify"]]}
+              "p1-irrational-y-infinity": [["colorings"], ["classify"]],
+              "p1-pieces": [["eval", "--m=0"], ["eval", "--m=1"],
+                            ["piece", "--m=1"], ["piece", "--m=3"],
+                            ["toric-check"]],
+              "toric-fractional": [["toric-check"], ["eval", "--m=2"]]}
 
 _TEXT_ELAPSED = re.compile(r"^elapsed: \d+\.\d{3}s\n", re.M)
 _JSON_ELAPSED = re.compile(r',\n  "elapsed_seconds": [0-9.e-]+\n}')
