@@ -7,7 +7,7 @@ from .classifier import (AssociatedCones, CoherentFamily, Coloring,
                          demazure_root_check, demazure_roots_enumerate,
                          enumerate_coherent, equivalence_probe,
                          floor_condition_check, toricity_check)
-from .curves import A1, P1, ClosedPoint, QDivisor, point_validate
+from .curves import A1, P1, ClosedPoint, point_validate
 from .engine import (ApplicationResult, DthetaOperator, GradedElement,
                      ToricRootOperator, build_operator, kernel_in_box,
                      toric_root_operator, verify_axioms, verify_horizontal,

@@ -22,7 +22,7 @@ from .engine import (EngineError, GradedElement, Refusal, build_operator,
                      toric_root_operator, verify_axioms, verify_horizontal,
                      verify_stability, verify_toric_axioms)
 from .fields import FieldError
-from .geometry import GeometryError, fmt_vec
+from .geometry import GeometryError, fmt_ratio, fmt_vec
 from .reports import Report
 from .scenarios import (ScenarioError, builtin_examples, load_builtin,
                         parse_field, parse_scenario)
@@ -99,7 +99,10 @@ def _run(rep, sc, command, args):
     elif command == "eval":
         _require(args.m is not None, "eval needs --m")
         m = _parse_weight(args.m, div)
-        rep.note(f"D({m}) = {div.eval(m).to_str()}")
+        vals = div.eval(m)
+        terms = [f"{fmt_ratio(vals[y], div.den)}*[{y.to_str()}]"
+                 for y in div.support_points() if vals[y]]
+        rep.note(f"D({m}) = {' + '.join(terms) or '0'}")
     elif command == "piece":
         _require(args.m is not None, "piece needs --m")
         m = _parse_weight(args.m, div)

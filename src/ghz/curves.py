@@ -1,15 +1,16 @@
-"""Closed points of the affine line and projective line, and Q-divisors.
+"""Closed points of the affine line and projective line, and the global
+sections of integral divisors on them.
 
 A finite closed point is a monic irreducible polynomial q(t); its residue
 degree is deg q.  Over GF(p) irreducibility is proved; over GF(p)(l) only
-partial checks run and the point carries a trust marker.
+partial checks run and the point carries a trust marker.  A divisor here
+is integral, a dict {point: int}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 
 from .fields import PrimeField, Rationals, FieldError
 from .polynomials import FactoredRatFunc, FractionField, Poly, poly_gcd
@@ -239,76 +240,6 @@ def insep_profile(y: ClosedPoint) -> InsepProfile:
     return InsepProfile(level, eps, s, qt)
 
 
-class QDivisor:
-    """Finite formal sum of closed points with rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for y, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[y] = c
-
-    def coeff(self, y) -> Fraction:
-        return self.coeffs.get(y, Fraction(0))
-
-    def support(self):
-        return list(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for y, c in other.coeffs.items():
-            out[y] = out.get(y, Fraction(0)) + c
-        return QDivisor(out)
-
-    def __neg__(self):
-        return QDivisor({y: -c for y, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return QDivisor({y: c * a for y, a in self.coeffs.items()})
-
-    def floor(self) -> "QDivisor":
-        return QDivisor({y: Fraction(floor(c)) for y, c in self.coeffs.items()})
-
-    def fractional(self) -> "QDivisor":
-        return self - self.floor()
-
-    def degree(self) -> Fraction:
-        return sum((c * y.degree for y, c in self.coeffs.items()), Fraction(0))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        return isinstance(other, QDivisor) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(((y, c) for y, c in self.coeffs.items()),
-                                 key=lambda yc: yc[0].to_str())))
-
-    def to_str(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for y in sorted(self.coeffs, key=lambda y: (y.is_infinity, y.to_str())):
-            c = self.coeffs[y]
-            parts.append(f"{c}*[{y.to_str()}]")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"QDivisor({self.to_str()})"
-
-
 @dataclass(frozen=True)
 class ModuleDescription:
     """H^0 of a rounded divisor: a free k[t]-module generator on A1, or a
@@ -333,21 +264,24 @@ class ModuleDescription:
         return out
 
 
-def h0_generators(e: QDivisor, curve: str, field) -> ModuleDescription:
-    """Generators of {f : div(f) + floor(e) >= 0}.
+def h0_generators(d: dict, curve: str, field) -> ModuleDescription:
+    """Generators of {f : div(f) + d >= 0} for an integral divisor d given
+    as {point: int}.
 
-    On A1: the free k[t]-module generator prod q_y^(-floor a_y).  On P1 a
-    finite basis as described on :class:`ModuleDescription`.
+    On A1: the free k[t]-module generator prod q_y^(-d_y).  On P1 a finite
+    basis as described on :class:`ModuleDescription`.
     """
-    fl = e.floor()
     factors = []
-    for y, c in fl.coeffs.items():
+    for y, c in d.items():
+        if not c:
+            continue
         if y.is_infinity:
             if curve == A1:
                 raise PointError("infinity is not a point of the affine line")
             continue
-        factors.append((y.poly, -int(c)))
+        factors.append((y.poly, -c))
     gen = FactoredRatFunc(field, field.one(), factors)
     if curve == A1:
         return ModuleDescription(A1, gen)
-    return ModuleDescription(P1, gen, degree_bound=int(fl.degree()))
+    return ModuleDescription(P1, gen, degree_bound=sum(
+        c * y.degree for y, c in d.items()))

@@ -469,7 +469,7 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
         if fixed:
             weights.append(m)
             spans[m] = fm
-            if not div.eval(m).is_integral():
+            if any(a % div.den for a in div.eval(m).values()):
                 rep.fail(f"kernel weight {m} has a non-integral evaluation")
     basis = lattice_basis(weights, div.rank) if weights else []
     cone = Cone.from_generators(weights, div.rank) if weights \

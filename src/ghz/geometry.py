@@ -124,14 +124,15 @@ def _cofactors(m):
 
 def rays_from_inequalities(ineqs, n):
     """Extreme rays and lineality of {x in Q^n : a . x >= 0 for a in ineqs},
-    for integer rows a.
+    for integer rows a, by the memoized kernel `_rays`."""
+    return _rays(_canonical(ineqs), n)
 
-    Each row is scaled to its primitive multiple, which leaves the cone
-    unchanged; the rows are then deduplicated and sorted, so that every
-    list of rows for one cone reaches the memoized kernel `_rays` as one
-    key.
-    """
-    return _rays(tuple(sorted({primitive(a) for a in ineqs if any(a)})), n)
+
+def _canonical(rows):
+    """Each row scaled to its primitive multiple, which leaves the cone
+    unchanged, then deduplicated and sorted: every list of rows for one
+    cone is one key of the memoized kernels."""
+    return tuple(sorted({primitive(a) for a in rows if any(a)}))
 
 
 @lru_cache(maxsize=1024)
@@ -279,7 +280,14 @@ class Polyhedron:
 
 def _cone_of(rows, n):
     """{m : <m, a> >= 0 for every row a} and its dimension."""
-    lin, rays = rays_from_inequalities(rows, n)
+    return _cone(_canonical(rows), n)
+
+
+@lru_cache(maxsize=1024)
+def _cone(rows, n):
+    """`_cone_of` on canonical rows: each distinct cone is built, and its
+    dimension computed, once."""
+    lin, rays = _rays(rows, n)
     return Cone(n, rays, lin), len(_echelon(lin + rays)[1])
 
 

@@ -6,10 +6,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .curves import (A1, P1, ClosedPoint, ModuleDescription, QDivisor,
-                     h0_generators)
+from .curves import A1, P1, ClosedPoint, ModuleDescription, h0_generators
 from .geometry import Cone, Polyhedron, minkowski_weighted_sum
 from .polynomials import FactoredRatFunc, Poly
 from .reports import Report
@@ -82,16 +80,19 @@ class PolyhedralDivisor:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, m) -> QDivisor:
-        """D(m) = sum over points of min <m, D_y> as a Q-divisor."""
+    def eval(self, m) -> dict:
+        """den * D(m) as ints: {y: den * min <m, D_y>} over the support
+        points, so the coefficient of y in D(m) is its value over ``den``."""
         if not self.tail.dual().contains(m):
             raise DivisorError(
                 f"weight {m} lies outside the dual of the tail cone")
-        return QDivisor({y: Fraction(p.minimize(m), self.den)
-                         for y, p in self.support.items()})
+        return {y: p.minimize(m) for y, p in self.support.items()}
 
     def graded_piece(self, m) -> ModuleDescription:
-        return h0_generators(self.eval(m), self.curve, self.field)
+        """H^0 of the integral divisor floor(D(m))."""
+        den = self.den
+        return h0_generators({y: a // den for y, a in self.eval(m).items()},
+                             self.curve, self.field)
 
     def generator(self, m) -> FactoredRatFunc:
         """The free-module generator f_m over A1."""
@@ -116,18 +117,6 @@ class PolyhedralDivisor:
         return (points, *minkowski_weighted_sum(
             [(y.degree, self.support[y]) for y in points]))
 
-    def _check_marked(self, y_infinity):
-        if self.curve == P1:
-            if y_infinity is None:
-                raise DivisorError("P1 needs a marked point at infinity")
-            if not y_infinity.is_rational:
-                raise DivisorError("the marked point at infinity must be rational")
-
-    def deg_restricted(self, y_infinity=None):
-        """The degree polyhedron over C'."""
-        self._check_marked(y_infinity)
-        return self.degree_polyhedron(y_infinity)
-
     def linearity_fan(self, y_infinity=None):
         """Maximal cones of linearity of m -> D(m)|C' with per-point
         minimizing vertices.
@@ -137,7 +126,11 @@ class PolyhedralDivisor:
         and the summand vertices that the Minkowski sum records v_deg as
         the sum of, which minimize over their polyhedra on the whole cone.
         """
-        self._check_marked(y_infinity)
+        if self.curve == P1:
+            if y_infinity is None:
+                raise DivisorError("P1 needs a marked point at infinity")
+            if not y_infinity.is_rational:
+                raise DivisorError("the marked point at infinity must be rational")
         points, deg, parts = self._degree_sum(y_infinity)
         return [(cone, v_deg, dict(zip(points, parts[v_deg])))
                 for v_deg, cone in deg.normal_fan()]

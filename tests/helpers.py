@@ -1,12 +1,13 @@
 """Constructors and oracles that only the tests use.
 
 ``principal_divisor``, ``is_effective`` and ``h0_dimension`` make the H^0
-oracle: div(g * t^j) + floor(e) >= 0 exactly for j below dim H^0(P1, e).
+oracle: div(g * t^j) + d >= 0 exactly for j below dim H^0(P1, d), for an
+integral divisor d given as {point: int}.
 """
 
 from fractions import Fraction
 
-from ghz.curves import P1, ClosedPoint, QDivisor, point_validate
+from ghz.curves import P1, ClosedPoint, point_validate
 from ghz.fields import FieldError
 from ghz.geometry import Cone, _echelon, dot
 from ghz.polynomials import Poly
@@ -79,7 +80,7 @@ def is_unit(f):
     return not f.is_zero() and not f.factors
 
 
-def principal_divisor(f, curve, policy="trusted") -> QDivisor:
+def principal_divisor(f, curve, policy="trusted") -> dict:
     """div(f) on A1 or P1 for a factored rational function; on P1 the point
     at infinity balances the degree to zero."""
     if f.is_zero():
@@ -88,16 +89,16 @@ def principal_divisor(f, curve, policy="trusted") -> QDivisor:
     total = 0
     for poly, exp in f.factors:
         y = point_validate(poly, policy)
-        out[y] = out.get(y, Fraction(0)) + exp
+        out[y] = out.get(y, 0) + exp
         total += exp * poly.degree
     if curve == P1 and total != 0:
         inf = ClosedPoint.infinity()
-        out[inf] = out.get(inf, Fraction(0)) - total
-    return QDivisor(out)
+        out[inf] = out.get(inf, 0) - total
+    return out
 
 
-def is_effective(d: QDivisor) -> bool:
-    return all(c >= 0 for c in d.coeffs.values())
+def is_effective(d: dict) -> bool:
+    return all(c >= 0 for c in d.values())
 
 
 def h0_dimension(mod) -> int:

@@ -8,8 +8,7 @@ from ghz.classifier import (CoherentFamily, Coloring, coherent_validate,
                             demazure_root_check, equivalence_probe,
                             toricity_check)
 from ghz.classifier import _random_family
-from ghz.curves import (A1, P1, ClosedPoint, QDivisor, h0_generators,
-                        point_validate)
+from ghz.curves import A1, P1, ClosedPoint, h0_generators, point_validate
 from ghz.engine import (EngineError, GradedElement, build_operator,
                         kernel_in_box, toric_root_operator, verify_axioms,
                         verify_stability, verify_toric_axioms)
@@ -282,17 +281,19 @@ def test_criterion_10_h0_oracle():
     points = [ClosedPoint.rational(Q, Q.from_int(c)) for c in (0, 1, 2, -1)]
     inf = ClosedPoint.infinity()
     for _ in range(100):
-        coeffs = {}
+        # the floor of a random Q-divisor e, a coefficient a/b at a time
+        fl = {}
         for y in rng.sample(points, rng.randint(1, 4)):
-            coeffs[y] = F(rng.randint(-6, 6), rng.randint(1, 4))
-        coeffs[inf] = F(rng.randint(-6, 6), rng.randint(1, 4))
-        e = QDivisor(coeffs)
-        mod = h0_generators(e, P1, Q)
-        want = max(0, int(e.floor().degree()) + 1)
+            fl[y] = rng.randint(-6, 6) // rng.randint(1, 4)
+        fl[inf] = rng.randint(-6, 6) // rng.randint(1, 4)
+        mod = h0_generators(fl, P1, Q)
+        want = max(0, sum(fl.values()) + 1)
         assert h0_dimension(mod) == want
         # brute force: g * t^j belongs exactly for j below the bound
         g = mod.generator
         for j in range(want + 3):
             tj = FactoredRatFunc(Q, Q.one(), [(Poly.x(Q), j)])
-            cand = principal_divisor(g * tj, P1) + e.floor()
-            assert is_effective(cand) == (j < want), (e.to_str(), j)
+            cand = principal_divisor(g * tj, P1)
+            for y, c in fl.items():
+                cand[y] = cand.get(y, 0) + c
+            assert is_effective(cand) == (j < want), (fl, j)

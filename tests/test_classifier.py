@@ -600,16 +600,17 @@ def test_equivalence_probe_small():
         assert rep.notes[0] == "10 instances agreed"
     rep = equivalence_probe(5, 2, P1, 2, seed=3)
     assert rep.ok, rep.violations
-    assert rep.notes[:2] == ["5 instances agreed",
-                             "skipped 0 instances (ClassifierError)"]
+    assert rep.notes == ["5 instances agreed",
+                         "drew 901: 896 rejected, 5 checked"]
 
 
 def test_equivalence_probe_reports_its_draws(monkeypatch):
-    """The probe's own accounting: every draw is rejected by the sampler,
-    skipped on a ClassifierError or checked."""
+    """The probe's own accounting: every draw is rejected by the sampler or
+    checked. A check that raises is an internal failure, not a skip: it
+    propagates out of the probe."""
     import ghz.classifier as classifier
 
-    calls = {"draws": 0, "nones": 0, "raised": 0}
+    calls = {"draws": 0, "nones": 0}
 
     def counting(*args):
         calls["draws"] += 1
@@ -617,24 +618,20 @@ def test_equivalence_probe_reports_its_draws(monkeypatch):
         calls["nones"] += theta is None
         return theta
 
-    def raising_on_negative_e(theta, m_bound):
-        if theta.e[0] < 0:
-            calls["raised"] += 1
-            raise ClassifierError("negative e")
-        return floor_condition_check(theta, m_bound)
-
     monkeypatch.setattr(classifier, "_random_family", counting)
-    monkeypatch.setattr(classifier, "floor_condition_check",
-                        raising_on_negative_e)
     rep = equivalence_probe(10, 2, P1, 1, seed=11)
     assert rep.ok, rep.violations
-    skipped = calls["raised"]
-    assert skipped > 0 and calls["draws"] > 100
+    assert calls["draws"] == calls["nones"] + 10
     assert rep.notes == [
         "10 instances agreed",
-        f"skipped {skipped} instances (ClassifierError)",
-        f"drew {calls['draws']}: {calls['nones']} rejected, {skipped} "
-        "skipped, 10 checked"]
+        f"drew {calls['draws']}: {calls['nones']} rejected, 10 checked"]
+
+    def raising(theta, m_bound):
+        raise ClassifierError("internal failure")
+
+    monkeypatch.setattr(classifier, "floor_condition_check", raising)
+    with pytest.raises(ClassifierError, match="internal failure"):
+        equivalence_probe(10, 2, P1, 1, seed=11)
 
 
 def test_toricity():

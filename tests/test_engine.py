@@ -404,7 +404,7 @@ def _reference_kernel_in_box(op, div, box_bound, window=6):
         if any(not k.is_zero(c) for c in coeffs[1:]):
             rep.fail(f"kernel span at {m} is not the module generator: "
                      f"{phi.to_str()}")
-        elif not div.eval(m).is_integral():
+        elif any(a % div.den for a in div.eval(m).values()):
             rep.fail(f"kernel weight {m} has a non-integral evaluation")
     basis = lattice_basis(weights, div.rank) if weights else []
     cone = Cone.from_generators(weights, div.rank) if weights \

@@ -448,7 +448,7 @@ def test_refined_fan_matches_all_sums(monkeypatch):
 def test_memoized_kernel_matches_the_unmemoized_one():
     """Row lists of one cone that differ by order, duplicates and positive
     scales give the unmemoized kernel's answer; the cache is bounded and
-    empty after import."""
+    empty after import, as is the cone cache."""
     assert _rays.cache_info().maxsize is not None
     rng = random.Random(19)
     for n in (1, 2, 3, 4):
@@ -466,11 +466,11 @@ def test_memoized_kernel_matches_the_unmemoized_one():
     out = subprocess.run(
         [sys.executable, "-c",
          "import ghz.cli, ghz.classifier\n"
-         "from ghz.geometry import _rays\n"
-         "print(_rays.cache_info().currsize)"],
+         "from ghz.geometry import _cone, _rays\n"
+         "print(_rays.cache_info().currsize, _cone.cache_info().currsize)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"
 
 
 def test_normal_fan_reads_the_stored_fan(monkeypatch):
@@ -499,6 +499,35 @@ def test_normal_fan_reads_the_stored_fan(monkeypatch):
                                 for v in poly.vertices)
             fans += len(fan) > 1
     assert calls and fans > 20, fans
+
+
+def test_rebuilt_polyhedron_runs_no_elimination(monkeypatch):
+    """Each distinct normal cone, with its dimension, is computed once:
+    building the same polyhedron again makes no `_echelon` call, and gives
+    the same vertices and fan."""
+    echelon = geometry._echelon
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(geometry, "_echelon", counting)
+    geometry._cone.cache_clear()
+    rng = random.Random(21)
+    for n, trials in ((1, 10), (2, 10), (3, 8), (4, 4)):
+        for _ in range(trials):
+            tail = _random_tail(rng, n)
+            pts = _random_points(rng, n, tail)
+            den = common_den(pts)
+            pts = [scaled(p, den) for p in pts]
+            first = Polyhedron.from_points(pts, tail)
+            made = len(calls)
+            again = Polyhedron.from_points(pts, tail)
+            assert len(calls) == made
+            assert again.normal_fan() == first.normal_fan()
+    assert calls
+    assert geometry._cone.cache_info().maxsize is not None
 
 
 def test_one_point_polyhedron_matches_generic_path():

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import ghz
 
 PACKAGE = Path(ghz.__file__).parent
@@ -41,9 +43,11 @@ def test_unused_import_scan_sees_local_and_aliased_imports():
     assert _unused_imports(tree) == [(1, "l"), (3, "os")]
 
 
-def test_geometry_imports_nothing_from_fractions():
-    """Vertices are ints over a divisor's den, so geometry stays integer."""
-    tree = ast.parse((PACKAGE / "geometry.py").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("name", ["geometry.py", "tvariety.py"])
+def test_integer_module_imports_nothing_from_fractions(name):
+    """Vertices are ints over a divisor's den, and D(m) is evaluated on
+    them, so geometry and the divisor layer stay integer."""
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
     modules = {alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module for node in ast.walk(tree)
