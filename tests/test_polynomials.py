@@ -8,6 +8,7 @@ from ghz.polynomials import (FactoredRatFunc, FractionField, ParseError, Poly,
                              RatFunc, descend_power, hasse_expand,
                              lambda_field, parse_factored, parse_poly,
                              parse_scalar, poly_gcd, substitute_poly)
+from ghz.scenarios import ScenarioError, parse_scenario
 
 from helpers import exponent_of, from_fraction, int_poly, is_unit
 
@@ -313,6 +314,84 @@ def test_parse_poly_and_scalar():
     assert parse_scalar("-3/2", Q) == from_fraction(Q, Fraction(-3, 2))
     with pytest.raises(ParseError):
         parse_poly("1/t", Q)
+
+
+F3L = lambda_field(3)
+
+# (reader, field, text, what it reads): a printed value, or the class and
+# message of the error. "coeff" is an element coefficient of a scenario,
+# printed with GradedElement.to_str.
+PARSER_TABLE = [
+    ("poly", Q, "--t", "t"),
+    ("poly", Q, "+t", "t"),
+    ("scalar", Q, "2/10", "1/5"),
+    ("scalar", Q, "0/3", "0"),
+    ("scalar", Q, "-3/2", "-3/2"),
+    ("poly", Q, "t^1", "t"),
+    ("poly", Q, "t + 0", "t"),
+    ("poly", F2, "t+3", "t + 1"),
+    ("poly", Q, "(t+1)^0", "1"),
+    ("poly", Q, "t^2 - 2*t + 1", "t^2 - 2*t + 1"),
+    ("poly", Q, "t/t + 1", "2"),
+    ("scalar", F3L, "l+1", "l + 1"),
+    ("scalar", F3L, "1/(l+1)", "(1)/(l + 1)"),
+    ("coeff", Q, "t^-2", "((1)/(t^2))*chi^(0,)"),
+    ("coeff", Q, "-t^-1", ("ScenarioError", "bad coefficient '-t^-1': sum "
+                           "of non-polynomial terms near position 0")),
+    ("coeff", F3L, "2*t^2*(t^2+l)^-1", "((2*t^2)/(t^2 + l))*chi^(0,)"),
+    ("coeff", F2, "t*(t+1)", "(t^2 + t)*chi^(0,)"),
+    ("coeff", F2, "(t+1)^-2*(t^2+1)", "(1)*chi^(0,)"),
+    ("coeff", Q, "0", "0"),
+    ("coeff", Q, "0*t^-1", "0"),
+    # cancelling written forms
+    ("poly", F2, "(t^2+1)/(t+1)",
+     ("ParseError", "expected a polynomial, got a proper rational function")),
+    ("poly", Q, "(t^2-1)/(t-1)",
+     ("ParseError", "expected a polynomial, got a proper rational function")),
+    ("poly", Q, "(t^2-1)/(t-1) + 1",
+     ("ParseError", "sum of non-polynomial terms near position 0")),
+    # division by zero
+    ("scalar", Q, "1/0", ("FieldError", "division by zero")),
+    ("scalar", Q, "0^-1", ("FieldError", "zero to a non-positive power")),
+    ("scalar", Q, "0^0", ("FieldError", "zero to a non-positive power")),
+    ("coeff", Q, "t/(t-t)", ("FieldError", "division by zero")),
+    ("coeff", F2, "(t+1)^-1/(1+1)", ("FieldError", "division by zero")),
+    # malformed text
+    ("poly", Q, "t +* 1", ("ParseError", "unexpected token at position 3")),
+    ("poly", Q, "(t", ("ParseError", "expected ')' at position 2")),
+    ("poly", Q, "x", ("ParseError", "unknown symbol 'x' at position 0")),
+    ("poly", Q, "t^", ("ParseError", "expected 'num' at position 2")),
+    ("poly", Q, "2t", ("ParseError", "trailing input at position 1")),
+    ("poly", Q, "t^+2", ("ParseError", "expected 'num' at position 2")),
+    ("poly", Q, "t % 2",
+     ("ParseError", "unexpected character '%' at position 2")),
+    ("poly", Q, "1/t",
+     ("ParseError", "expected a polynomial, got a proper rational function")),
+    ("poly", Q, "t^-1 + 1",
+     ("ParseError", "sum of non-polynomial terms near position 0")),
+    ("poly", Q, "-t^-1",
+     ("ParseError", "sum of non-polynomial terms near position 0")),
+    ("scalar", Q, "t", ("ParseError", "unknown symbol 't' at position 0")),
+]
+
+
+def _parsed(reader, field, text):
+    try:
+        if reader == "poly":
+            return parse_poly(text, field).to_str()
+        if reader == "scalar":
+            return field.to_str(parse_scalar(text, field))
+        sc = parse_scenario({"elements": [{"weight": [0], "coeff": text}]},
+                            field_override=field)
+        return sc.elements[0].to_str()
+    except (ParseError, ScenarioError, FieldError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("reader, field, text, want", PARSER_TABLE,
+                         ids=[f"{r}-{f!r}-{t}" for r, f, t, _ in PARSER_TABLE])
+def test_parser_table(reader, field, text, want):
+    assert _parsed(reader, field, text) == want
 
 
 def test_raw_values_have_one_canonical_form():
