@@ -75,8 +75,9 @@ def _operator(sc, override):
 
 def _generator_elements(sc):
     gens, cert = algebra_generators(sc.divisor, sc.bounds["weight_box"])
-    elems = [GradedElement.term(sc.field, g.weight, g.coeff) for g in gens]
-    return gens, elems, cert
+    elems = [GradedElement.term(sc.field, g.weight, g.coeff.expand())
+             for g in gens]
+    return elems, cert
 
 
 def run_command(sc, command, args) -> Report:
@@ -160,11 +161,11 @@ def _run(rep, sc, command, args):
                          f"{res.orders[i].to_str()}")
     elif command == "verify":
         op = _operator(sc, args.override)
-        gens, elems, cert = _generator_elements(sc)
+        elems, cert = _generator_elements(sc)
         order = args.order if args.order is not None \
             else sc.bounds["max_order"]
         rep.merge(verify_axioms(op, elems, order))
-        rep.merge(verify_stability(op, div, gens))
+        rep.merge(verify_stability(op, div, elems))
         if verify_horizontal(op):
             rep.note(f"horizontal (order bound "
                      f"{default_horizontal_order(op)})")

@@ -259,7 +259,7 @@ class ModuleDescription:
         field = self.generator.field
         out = []
         for j in range(self.degree_bound + 1):
-            tj = FactoredRatFunc(field, field.one(), [(Poly.x(field), j)])
+            tj = FactoredRatFunc(field, [(Poly.x(field), j)])
             out.append(self.generator * tj)
         return out
 
@@ -280,7 +280,7 @@ def h0_generators(d: dict, curve: str, field) -> ModuleDescription:
                 raise PointError("infinity is not a point of the affine line")
             continue
         factors.append((y.poly, -c))
-    gen = FactoredRatFunc(field, field.one(), factors)
+    gen = FactoredRatFunc(field, factors)
     if curve == A1:
         return ModuleDescription(A1, gen)
     return ModuleDescription(P1, gen, degree_bound=sum(

@@ -14,8 +14,8 @@ from .curves import A1, P1
 from .fields import FieldError
 from .geometry import (Cone, dot, fmt_vec, in_lattice, lattice_basis,
                        lattice_box)
-from .polynomials import (FactoredRatFunc, Poly, RatFunc, descend_power,
-                          hasse_expand, poly_gcd)
+from .polynomials import (Poly, RatFunc, descend_power, hasse_expand,
+                          poly_gcd)
 from .reports import Report
 from .tvariety import PolyhedralDivisor
 
@@ -44,10 +44,6 @@ class GradedElement:
         self.field = field
         self.terms = {}
         for w, f in terms.items():
-            if isinstance(f, FactoredRatFunc):
-                f = f.expand()
-            elif isinstance(f, Poly):
-                f = RatFunc.from_poly(f)
             if not f.is_zero():
                 self.terms[tuple(w)] = f
 
@@ -115,8 +111,8 @@ class GradedElement:
 @dataclass
 class ApplicationResult:
     orders: dict          # order i -> GradedElement, zero orders omitted
-    max_order: int        # orders were computed for 0..max_order
-    exact: bool           # True when max_order covers the nilpotency bound
+    bound: int | None     # nilpotency bound: the largest of the terms'
+                          # bounds, None when some lift is no polynomial
 
     def nonzero_orders(self):
         return sorted(self.orders)
@@ -242,7 +238,8 @@ class DthetaOperator:
         return out
 
     def apply_term(self, f: RatFunc, m, max_order=None):
-        """Images of one homogeneous term, as {order: (weight, coeff)}."""
+        """Images of one homogeneous term, as {order: (weight, coeff)}, and
+        the term's nilpotency bound (None when its lift is no polynomial)."""
         h, bound = self._term_data(f, m)
         if max_order is None:
             if bound is None:
@@ -263,21 +260,19 @@ class DthetaOperator:
             coeff = times_factors(descended, self.xi(w), self.xi_powers)
             if not coeff.is_zero():
                 out[i] = (w, coeff)
-        return out, max_order, bound is not None and max_order >= bound
+        return out, bound
 
     def apply(self, x: GradedElement, max_order=None) -> ApplicationResult:
         orders = {}
-        exact = True
         top = 0
         for w, f in x.terms.items():
-            images, reached, complete = self.apply_term(f, w, max_order)
-            exact = exact and complete
-            top = max(top, reached)
+            images, bound = self.apply_term(f, w, max_order)
+            top = None if top is None or bound is None else max(top, bound)
             for i, (w2, coeff) in images.items():
                 term = GradedElement.term(self.field, w2, coeff)
                 orders[i] = orders[i] + term if i in orders else term
         orders = {i: v for i, v in orders.items() if not v.is_zero()}
-        return ApplicationResult(orders, top, exact)
+        return ApplicationResult(orders, top)
 
 
 def build_operator(theta: CoherentFamily, override: bool = False
@@ -362,9 +357,9 @@ def verify_axioms(op: DthetaOperator, test_set, max_order: int) -> Report:
             if lhs != rhs:
                 rep.fail(f"iteration rule fails at ({a},{b}) on {x.to_str()}")
                 break
-    # vanishing beyond the per-element bound
+    # vanishing beyond the element's nilpotency bound
     for x, rx in results:
-        if rx.exact and rx.orders and max(rx.orders) > rx.max_order:
+        if rx.bound is not None and rx.orders and max(rx.orders) > rx.bound:
             rep.fail(f"nonzero image beyond the vanishing bound on "
                      f"{x.to_str()}")
     return rep
@@ -372,13 +367,12 @@ def verify_axioms(op: DthetaOperator, test_set, max_order: int) -> Report:
 
 def verify_stability(op: DthetaOperator, div: PolyhedralDivisor, generators,
                      max_order=None) -> Report:
-    """Every image of every generator must lie in the graded algebra, at a
-    weight of the weight cone (the dual of the tail cone)."""
+    """Every image of every generator, a GradedElement, must lie in the
+    graded algebra, at a weight of the weight cone (the dual of the tail
+    cone)."""
     rep = Report("stability")
     dual = div.tail.dual()
     for g in generators:
-        if not isinstance(g, GradedElement):
-            g = GradedElement.term(div.field, g.weight, g.coeff)
         try:
             res = op.apply(g, max_order)
         except EngineError as exc:
@@ -455,7 +449,7 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
         if not dual.contains(m):
             continue
         fm = div.generator(m).expand()
-        images, _, _ = op.apply_term(fm, m)
+        images, _ = op.apply_term(fm, m)
         a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False
         if not r:

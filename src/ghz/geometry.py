@@ -7,15 +7,16 @@ rational vertex v as the int tuple den * v. Cones and normal fans do not
 change under that scaling; only `fmt_vec` reads den, to print v. Cones are
 stored by primitive integer extreme rays plus a canonical integer lineality
 basis; both descriptions (generators and inequalities) come from one integer
-kernel, `rays_from_inequalities`: rows scaled to primitive integer rows,
-deduplicated and sorted, then a bounded memoized kernel with rank and
-lineality from fraction-free Gauss-Jordan elimination and each ray candidate
-as a cofactor vector of at most 3 x 3 determinants.
+kernel, `rays_from_inequalities`: rank and lineality from fraction-free
+Gauss-Jordan elimination and each ray candidate as a cofactor vector of at
+most 3 x 3 determinants.
 
-Each normal cone is computed once: a polyhedron keeps the cones that
-`from_points` built to find its vertices, and a Minkowski sum refines its
-summands' fans (Ziegler, Lectures on Polytopes, Prop. 7.12) instead of
-building cones from every weighted sum of vertices.
+Each normal cone is computed once: normal cones go through one bounded
+cache, keyed by their rows scaled to primitive integer rows, deduplicated
+and sorted; a polyhedron keeps the cones that `from_points` built to find
+its vertices, and a Minkowski sum refines its summands' fans (Ziegler,
+Lectures on Polytopes, Prop. 7.12) instead of building cones from every
+weighted sum of vertices.
 """
 
 from __future__ import annotations
@@ -124,18 +125,17 @@ def _cofactors(m):
 
 def rays_from_inequalities(ineqs, n):
     """Extreme rays and lineality of {x in Q^n : a . x >= 0 for a in ineqs},
-    for integer rows a, by the memoized kernel `_rays`."""
+    for integer rows a, by the kernel `_rays`."""
     return _rays(_canonical(ineqs), n)
 
 
 def _canonical(rows):
     """Each row scaled to its primitive multiple, which leaves the cone
     unchanged, then deduplicated and sorted: every list of rows for one
-    cone is one key of the memoized kernels."""
+    cone is one key of the cone cache."""
     return tuple(sorted({primitive(a) for a in rows if any(a)}))
 
 
-@lru_cache(maxsize=1024)
 def _rays(rows, n):
     """`rays_from_inequalities` on integer rows. With k the rank of the
     rows, every extreme ray spans the kernel of k - 1 independent rows

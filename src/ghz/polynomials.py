@@ -4,6 +4,11 @@ Everything is generic over a coefficient field from :mod:`ghz.fields` (or a
 :class:`FractionField` built here), so the same machinery serves k[t],
 GF(p)(l) and the cyclic-cover variable of the operator engine, whose step
 S = sum lambda_j T^(p^s_j) is a :class:`Poly` in T as well.
+
+A rational function, parsed or computed, is a reduced :class:`RatFunc`;
+the parser builds it with RatFunc's own arithmetic.  :class:`FactoredRatFunc`
+holds only the H^0 generator prod q_y^(e_y), whose factors the generator
+search reads.
 """
 
 from __future__ import annotations
@@ -434,82 +439,30 @@ def lambda_field(p: int) -> FractionField:
 
 
 class FactoredRatFunc:
-    """unit * product of monic polynomial factors with integer exponents.
+    """An H^0 generator prod q_y^(e_y): monic non-constant polynomials with
+    nonzero integer exponents.
 
     Factors are kept as supplied (never factored further); shared factors
-    combine by exponent addition.  unit == 0 encodes the zero function.
+    combine by exponent addition.  ``piece`` and ``generators`` print it in
+    this form, and the generator search reads its exponents.
     """
 
-    __slots__ = ("field", "unit", "factors")
+    __slots__ = ("field", "factors")
 
-    def __init__(self, field, unit, factors):
+    def __init__(self, field, factors):
         self.field = field
         merged = {}
         for poly, exp in factors:
-            if poly.is_constant():
-                if exp != 0:
-                    unit = field.mul(unit, field.pow(poly.constant(), exp))
-                continue
-            if not poly.is_monic():
-                c = poly.leading()
-                unit = field.mul(unit, field.pow(c, exp))
-                poly = poly.monic()
             merged[poly] = merged.get(poly, 0) + exp
-        if field.is_zero(unit):
-            self.unit = field.zero()
-            self.factors = ()
-            return
-        self.unit = unit
         self.factors = tuple(sorted(
             ((p, e) for p, e in merged.items() if e != 0),
             key=lambda pe: (pe[0].degree, pe[0].to_str())))
 
-    @classmethod
-    def one(cls, field):
-        return cls(field, field.one(), [])
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, c, [])
-
-    @classmethod
-    def from_poly(cls, p: Poly):
-        if p.is_zero():
-            return cls(p.field, p.field.zero(), [])
-        return cls(p.field, p.leading(), [(p.monic(), 1)])
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.unit)
-
-    def is_polynomial(self) -> bool:
-        return self.is_zero() or all(e >= 0 for _, e in self.factors)
-
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return FactoredRatFunc(self.field, self.field.zero(), [])
-        return FactoredRatFunc(self.field,
-                               self.field.mul(self.unit, other.unit),
-                               list(self.factors) + list(other.factors))
-
-    def inverse(self):
-        if self.is_zero():
-            raise FieldError("division by zero")
-        return FactoredRatFunc(self.field, self.field.inv(self.unit),
-                               [(p, -e) for p, e in self.factors])
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, n: int):
-        if self.is_zero():
-            if n <= 0:
-                raise FieldError("zero to a non-positive power")
-            return self
-        return FactoredRatFunc(self.field, self.field.pow(self.unit, n),
-                               [(p, e * n) for p, e in self.factors])
+        return FactoredRatFunc(self.field, self.factors + other.factors)
 
     def expand(self) -> RatFunc:
-        num = Poly.const(self.field, self.unit)
+        num = Poly.one(self.field)
         den = Poly.one(self.field)
         for p, e in self.factors:
             if e > 0:
@@ -518,26 +471,20 @@ class FactoredRatFunc:
                 den = den * p ** (-e)
         return RatFunc(num, den)
 
-    def _key(self):
-        return (self.unit, self.factors)
-
     def __eq__(self, other):
         return (isinstance(other, FactoredRatFunc) and self.field == other.field
-                and self._key() == other._key())
+                and self.factors == other.factors)
 
     def __hash__(self):
-        return hash(("FRF", self.unit, self.factors))
+        return hash(("FRF", self.factors))
 
     def to_str(self, var: str = "t") -> str:
-        if self.is_zero():
-            return "0"
+        if not self.factors:
+            return "1"
         parts = []
-        us = self.field.to_str(self.unit)
-        if us != "1" or not self.factors:
-            parts.append(us if not (set("+-/") & set(us[1:])) else f"({us})")
         for p, e in self.factors:
             base = p.to_str(var)
-            if p.degree > 0 and (len(p.coeffs) > 1 or not p.is_monic()):
+            if len(p.coeffs) > 1:
                 base = f"({base})"
             parts.append(base if e == 1 else f"{base}^{e}")
         return "*".join(parts)
@@ -661,11 +608,12 @@ class _Tokens:
         return tok
 
 
-def parse_factored(text: str, field, var: str = "t") -> FactoredRatFunc:
-    """Parse expressions like ``2*t^2*(t-1)^-1`` or ``t^2 + l``.
+def parse_rational(text: str, field, var: str | None = "t") -> RatFunc:
+    """Parse expressions like ``2*t^2*(t-1)^-1`` or ``t^2 + l`` into a
+    reduced rational function.
 
-    Products and integer powers keep their factored structure; sums are
-    expanded to a single polynomial factor.  ``l`` denotes the generator of
+    The terms of a sum must be polynomials; products, quotients and integer
+    powers may be any rational functions.  ``l`` denotes the generator of
     a FractionField coefficient field.
     """
     toks = _Tokens(text)
@@ -675,14 +623,7 @@ def parse_factored(text: str, field, var: str = "t") -> FactoredRatFunc:
     return result
 
 
-def _as_poly(frf: FactoredRatFunc, where: int) -> Poly:
-    if not frf.is_polynomial():
-        raise ParseError(f"sum of non-polynomial terms near position {where}")
-    rf = frf.expand()
-    return rf.num
-
-
-def _parse_sum(toks, field, var) -> FactoredRatFunc:
+def _parse_sum(toks, field, var) -> RatFunc:
     pos = toks.peek()[2]
     terms = []
     sign = 1
@@ -695,69 +636,72 @@ def _parse_sum(toks, field, var) -> FactoredRatFunc:
         terms.append((1 if op == "+" else -1, _parse_product(toks, field, var)))
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
-    acc = Poly.zero(field)
-    for sgn, frf in terms:
-        p = _as_poly(frf, pos)
-        acc = acc + (p if sgn == 1 else -p)
-    return FactoredRatFunc.from_poly(acc)
-
-
-def _parse_product(toks, field, var) -> FactoredRatFunc:
-    acc = _parse_power(toks, field, var)
-    while toks.peek()[0] in "*/":
-        op = toks.next()[0]
-        rhs = _parse_power(toks, field, var)
-        acc = acc * rhs if op == "*" else acc / rhs
+    acc = RatFunc.zero(field)
+    for sgn, rf in terms:
+        if not rf.is_poly():
+            raise ParseError(f"sum of non-polynomial terms near position {pos}")
+        acc = acc + (rf if sgn == 1 else -rf)
     return acc
 
 
-def _parse_power(toks, field, var) -> FactoredRatFunc:
+def _parse_product(toks, field, var) -> RatFunc:
+    acc = _parse_power(toks, field, var)
+    while toks.peek()[0] in "*/":
+        op, _, pos = toks.next()
+        rhs = _parse_power(toks, field, var)
+        if op == "*":
+            acc = acc * rhs
+        elif rhs.is_zero():
+            raise ParseError(f"division by zero at position {pos}")
+        else:
+            acc = acc / rhs
+    return acc
+
+
+def _parse_power(toks, field, var) -> RatFunc:
     base = _parse_atom(toks, field, var)
-    if toks.peek()[0] == "^":
+    if toks.peek()[0] != "^":
+        return base
+    pos = toks.next()[2]
+    sign = 1
+    if toks.peek()[0] == "-":
         toks.next()
-        sign = 1
-        if toks.peek()[0] == "-":
-            toks.next()
-            sign = -1
-        tok = toks.expect("num")
-        return base ** (sign * tok[1])
-    return base
+        sign = -1
+    n = sign * toks.expect("num")[1]
+    if n <= 0 and base.is_zero():
+        raise ParseError(f"zero to a non-positive power at position {pos}")
+    return base ** n
 
 
-def _parse_atom(toks, field, var) -> FactoredRatFunc:
+def _parse_atom(toks, field, var) -> RatFunc:
     kind, value, pos = toks.next()
     if kind == "num":
-        return FactoredRatFunc.constant(field, field.from_int(value))
+        return RatFunc.from_poly(Poly.const(field, field.from_int(value)))
     if kind == "name":
         if value == var:
-            return FactoredRatFunc(field, field.one(),
-                                   [(Poly.x(field), 1)])
+            return RatFunc.x(field)
         if getattr(field, "generator_name", None) == value:
-            return FactoredRatFunc.constant(field, field.generator())
+            return RatFunc.from_poly(Poly.const(field, field.generator()))
         raise ParseError(f"unknown symbol {value!r} at position {pos}")
     if kind == "(":
         inner = _parse_sum(toks, field, var)
         toks.expect(")")
         return inner
     if kind == "-":
-        return FactoredRatFunc.constant(field, field.neg(field.one())) \
-            * _parse_atom(toks, field, var)
+        return -_parse_atom(toks, field, var)
     raise ParseError(f"unexpected token at position {pos}")
 
 
 def parse_poly(text: str, field, var: str = "t") -> Poly:
-    frf = parse_factored(text, field, var)
-    if not frf.is_polynomial():
+    rf = parse_rational(text, field, var)
+    if not rf.is_poly():
         raise ParseError("expected a polynomial, got a proper rational function")
-    return frf.expand().num
+    return rf.num
 
 
 def parse_scalar(text: str, field):
     """Parse a field element string such as ``1``, ``-2/3`` or ``l+1``."""
-    frf = parse_factored(text, field, var="\x00")
-    rf = frf.expand()
+    rf = parse_rational(text, field, var=None)
     if rf.num.degree > 0 or rf.den.degree > 0:
         raise ParseError("expected a scalar")
-    if rf.den.degree == 0 and not rf.den.is_one():
-        return field.div(rf.num.constant(), rf.den.constant())
     return rf.num.constant()

@@ -13,8 +13,8 @@ from .curves import A1, P1, ClosedPoint, point_validate
 from .engine import GradedElement
 from .fields import PrimeField, Rationals, _is_prime
 from .geometry import MAX_RANK, Cone, Polyhedron, fmt_ratio
-from .polynomials import (ParseError, lambda_field, parse_factored,
-                          parse_poly, parse_scalar)
+from .polynomials import (ParseError, lambda_field, parse_poly,
+                          parse_rational, parse_scalar)
 from .tvariety import PolyhedralDivisor
 
 
@@ -240,7 +240,7 @@ def parse_scenario(source, name: str = "scenario",
     elements = []
     for entry in _typed(data.get("elements", []), list, "elements"):
         try:
-            coeff = parse_factored(str(_key(entry, "coeff", "element")), field)
+            coeff = parse_rational(str(_key(entry, "coeff", "element")), field)
         except ParseError as exc:
             raise ScenarioError(f"bad coefficient {entry['coeff']!r}: {exc}")
         weight = _vec(_key(entry, "weight", "element"), rank, "weight", _int)
@@ -287,10 +287,8 @@ def serialize_scenario(sc: Scenario) -> dict:
         entries = []
         for x in sc.elements:
             for w in x.weights():
-                rf = x.terms[w]
-                coeff = rf.num.to_str() if rf.den.is_one() \
-                    else f"({rf.num.to_str()})/({rf.den.to_str()})"
-                entries.append({"weight": list(w), "coeff": coeff})
+                entries.append({"weight": list(w),
+                                "coeff": x.terms[w].to_str()})
         out["elements"] = entries
     return out
 

@@ -139,8 +139,6 @@ class PolyhedralDivisor:
 
     def membership(self, f, m) -> bool:
         """Does f * chi^m lie in the graded algebra?"""
-        if isinstance(f, FactoredRatFunc):
-            f = f.expand()
         piece = self.graded_piece(m)
         fm = piece.generator.expand()
         if f.is_zero():
@@ -198,7 +196,7 @@ def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
     weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
     fgen = {m: div.generator(m) for m in weights}
 
-    # Each f_m is a unit times distinct monic factors, so a reach value
+    # Each f_m is a product of distinct monic factors, so a reach value
     # h * f_m * k[t] with h a polynomial in those factors is an exponent
     # vector over every factor of every f_m.
     index = {}
@@ -269,8 +267,7 @@ def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
             chosen = trial
 
     gens = [AlgebraGenerator((0,) * div.rank,
-                             FactoredRatFunc(field, field.one(),
-                                             [(Poly.x(field), 1)]))]
+                             FactoredRatFunc(field, [(Poly.x(field), 1)]))]
     gens.extend(AlgebraGenerator(m, fgen[m]) for m in sorted(chosen))
     shell = max((max(abs(c) for c in m) for m in chosen), default=0)
     cert = GeneratorCertificate(

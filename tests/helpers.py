@@ -2,15 +2,16 @@
 
 ``principal_divisor``, ``is_effective`` and ``h0_dimension`` make the H^0
 oracle: div(g * t^j) + d >= 0 exactly for j below dim H^0(P1, d), for an
-integral divisor d given as {point: int}.
+integral divisor d given as {point: int}. ``frf_quotient`` and
+``frf_is_polynomial`` are the arithmetic of the reference generator search.
 """
 
 from fractions import Fraction
 
 from ghz.curves import P1, ClosedPoint, point_validate
-from ghz.fields import FieldError
+from ghz.engine import GradedElement
 from ghz.geometry import Cone, _echelon, dot
-from ghz.polynomials import Poly
+from ghz.polynomials import FactoredRatFunc, Poly
 from ghz.scenarios import divisor_over_den
 
 
@@ -76,15 +77,30 @@ def exponent_of(f, poly):
 
 
 def is_unit(f):
-    """A nonzero FactoredRatFunc with no factor: a nonzero constant."""
-    return not f.is_zero() and not f.factors
+    """A FactoredRatFunc with no factor: the constant 1."""
+    return not f.factors
+
+
+def frf_quotient(a, b):
+    """a / b, by exponents."""
+    return FactoredRatFunc(a.field, list(a.factors)
+                           + [(p, -e) for p, e in b.factors])
+
+
+def frf_is_polynomial(f):
+    """Every exponent is nonnegative."""
+    return all(e >= 0 for _, e in f.factors)
+
+
+def generator_elements(gens):
+    """The algebra generators as graded elements."""
+    return [GradedElement.term(g.coeff.field, g.weight, g.coeff.expand())
+            for g in gens]
 
 
 def principal_divisor(f, curve, policy="trusted") -> dict:
-    """div(f) on A1 or P1 for a factored rational function; on P1 the point
-    at infinity balances the degree to zero."""
-    if f.is_zero():
-        raise FieldError("the zero function has no divisor")
+    """div(f) on A1 or P1 for a FactoredRatFunc; on P1 the point at
+    infinity balances the degree to zero."""
     out = {}
     total = 0
     for poly, exp in f.factors:

@@ -3,7 +3,7 @@ import pytest
 from ghz.curves import (A1, P1, ClosedPoint, PointError, h0_generators,
                         insep_profile, point_validate)
 from ghz.fields import PrimeField, Rationals
-from ghz.polynomials import Poly, lambda_field, parse_factored, parse_poly
+from ghz.polynomials import FactoredRatFunc, Poly, lambda_field, parse_poly
 
 from helpers import h0_dimension, principal_divisor
 
@@ -62,7 +62,8 @@ def test_insep_profile():
 
 
 def test_principal_divisor():
-    f = parse_factored("t*(t+1)^-2", Q)
+    f = FactoredRatFunc(Q, [(parse_poly("t", Q), 1),
+                            (parse_poly("t+1", Q), -2)])
     d = principal_divisor(f, A1)
     y0 = ClosedPoint.rational(Q, Q.zero())
     y1 = ClosedPoint.rational(Q, Q.neg(Q.one()))

@@ -17,13 +17,14 @@ from ghz.engine import (DthetaOperator, EngineError, GradedElement,
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, in_lattice, lattice_basis, lattice_box
 from ghz.polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
-                             lambda_field, parse_factored, parse_poly,
+                             lambda_field, parse_poly, parse_rational,
                              poly_gcd, substitute_poly)
 from ghz.reports import Report
 from ghz.scenarios import load_builtin
 from ghz.tvariety import algebra_generators
 
-from helpers import int_poly, orthant, rational_divisor
+from helpers import (generator_elements, int_poly, orthant,
+                     rational_divisor)
 
 Q = Rationals()
 
@@ -86,7 +87,7 @@ def test_w25_apply_t():
 
 def test_w25_apply_generator():
     K, D, op = w25_operator()
-    x = GradedElement.term(K, (-5,), parse_factored("t*(t^2+l)", K))
+    x = GradedElement.term(K, (-5,), parse_rational("t*(t^2+l)", K))
     res = op.apply(x)
     got = {i: v.to_str() for i, v in res.orders.items()}
     assert got[8] == "(t)*chi^(3,)"
@@ -98,9 +99,9 @@ def test_w25_axioms_and_stability():
     K, D, op = w25_operator()
     gens, cert = algebra_generators(D, 6)
     assert cert.complete
-    elems = [GradedElement.term(K, g.weight, g.coeff) for g in gens]
+    elems = generator_elements(gens)
     assert verify_axioms(op, elems, 12).ok
-    assert verify_stability(op, D, gens).ok
+    assert verify_stability(op, D, elems).ok
     assert verify_horizontal(op)
 
 
@@ -125,7 +126,7 @@ def test_weights_are_plain_ints():
         for m in lattice_box(div.rank, 3):
             if not div.tail.dual().contains(m):
                 continue
-            images, _, _ = op.apply_term(div.generator(m).expand(), m)
+            images, _ = op.apply_term(div.generator(m).expand(), m)
             assert images and all(ints(w) for w, _ in images.values())
         ker = kernel_in_box(op, div, sc.bounds["weight_box"])
         assert ker.weights and all(ints(m) for m in ker.weights)
@@ -167,11 +168,34 @@ def test_ramified_char2():
     assert verify_horizontal(op)
 
 
+def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
+    """On char2-ramified the lift of chi^(0,1) has nilpotency bound 2; an
+    image at order 8, inside the truncation order, breaks the vanishing
+    axiom."""
+    sc = load_builtin("char2-ramified")
+    op = build_operator(sc.family)
+    x = GradedElement.term(sc.field, (0, 1), RatFunc.one(sc.field))
+    assert op.apply(x, 8).bound == 2
+    assert verify_axioms(op, [x], 8).ok
+    apply_term = DthetaOperator.apply_term
+
+    def late_image(self, f, m, max_order=None):
+        out, bound = apply_term(self, f, m, max_order)
+        if tuple(m) == (0, 1):
+            out[8] = ((8, 1), RatFunc.one(self.field))
+        return out, bound
+
+    monkeypatch.setattr(DthetaOperator, "apply_term", late_image)
+    rep = verify_axioms(op, [x], 8)
+    assert "nonzero image beyond the vanishing bound on (1)*chi^(0, 1)" \
+        in rep.violations
+
+
 def test_axioms_do_not_depend_on_written_form():
     F2 = PrimeField(2)
     D, op = ramified_operator(F2, (0,))
-    f = parse_factored("(t^2+1)*(t+1)^-1", F2)  # t^2 + 1 = (t + 1)^2
-    assert f.expand() == RatFunc.from_poly(parse_poly("t+1", F2))
+    f = parse_rational("(t^2+1)*(t+1)^-1", F2)  # t^2 + 1 = (t + 1)^2
+    assert f == RatFunc.from_poly(parse_poly("t+1", F2))
     rep = verify_axioms(op, [GradedElement.term(F2, (0, 1), f)], 4)
     assert rep.ok, rep.violations
 
@@ -255,7 +279,7 @@ def test_ramified_char2_stability():
     D, op = ramified_operator(F2, (0,))
     omega2 = Cone.from_generators([(0, 1), (2, 1)], 2)
     gens, _ = algebra_generators(D, 4, weight_cone=omega2)
-    assert verify_stability(op, D, gens).ok
+    assert verify_stability(op, D, generator_elements(gens)).ok
 
 
 def test_ramified_char0_instability():
@@ -275,7 +299,7 @@ def test_images_outside_the_weight_cone_are_stability_violations():
     theta = CoherentFamily(sc.coloring, (-1, 0), sc.family.s, sc.family.lam)
     op = build_operator(theta, override=True)
     gens, _ = algebra_generators(sc.divisor, sc.bounds["weight_box"])
-    rep = verify_stability(op, sc.divisor, gens)
+    rep = verify_stability(op, sc.divisor, generator_elements(gens))
     assert rep.violations == [
         "order 2 of (t)*chi^(0, 0) leaves the weight cone: (t)*chi^(-2, 0)",
         "order 2 of (1)*chi^(0, 1) leaves the weight cone: "
@@ -372,7 +396,7 @@ def _reference_kernel_in_box(op, div, box_bound, window=6):
         cands = [RatFunc.x(k, j) * fm for j in range(window + 1)]
         images = []  # per candidate: {(order, weight): RatFunc}
         for g in cands:
-            out, _, _ = op.apply_term(g, m)
+            out, _ = op.apply_term(g, m)
             images.append({(i, w): coeff for i, (w, coeff) in out.items()
                            if i >= 1})
         keys = sorted(set().union(*[im.keys() for im in images]))
@@ -497,7 +521,7 @@ def test_kernel_of_overridden_incoherent_families():
 def _times_factors_by_expansion(r, factors, powers=None):
     """The product through the expanded factors and a Euclidean gcd."""
     k = r.field
-    return r * FactoredRatFunc(k, k.one(), factors).expand()
+    return r * FactoredRatFunc(k, factors).expand()
 
 
 @pytest.mark.parametrize("field, points", [

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import ghz.geometry as geometry
-from ghz.geometry import (Cone, GeometryError, Polyhedron, _normal_cone,
-                          _rays, dot, fmt_vec, in_lattice, lattice_basis,
-                          lattice_box, minkowski_weighted_sum, primitive,
-                          rays_from_inequalities, vadd, vsub)
+from ghz.geometry import (Cone, GeometryError, Polyhedron, _cone, _cone_of,
+                          _normal_cone, dot, fmt_vec, in_lattice,
+                          lattice_basis, lattice_box, minkowski_weighted_sum,
+                          primitive, rays_from_inequalities, vadd, vsub)
 
 from helpers import argmin_vertices, cone_dim, orthant, rational, vec
 
@@ -447,30 +447,30 @@ def test_refined_fan_matches_all_sums(monkeypatch):
 
 def test_memoized_kernel_matches_the_unmemoized_one():
     """Row lists of one cone that differ by order, duplicates and positive
-    scales give the unmemoized kernel's answer; the cache is bounded and
-    empty after import, as is the cone cache."""
-    assert _rays.cache_info().maxsize is not None
+    scales give the unmemoized cone's answer; the cone cache is bounded and
+    empty after import."""
+    assert _cone.cache_info().maxsize is not None
     rng = random.Random(19)
     for n in (1, 2, 3, 4):
         for _ in range(60):
             rows = [integer_row(r) for r in _random_system(rng, n)]
-            want = _rays.__wrapped__(tuple(r for r in rows if any(r)), n)
+            want = _cone.__wrapped__(tuple(r for r in rows if any(r)), n)
             for _ in range(3):
                 variant = rows + rng.sample(rows, rng.randint(0, len(rows)))
                 scales = [rng.randint(1, 4) for _ in variant]
                 variant = [tuple(c * x for x in r)
                            for c, r in zip(scales, variant)]
                 rng.shuffle(variant)
-                assert rays_from_inequalities(variant, n) == want, rows
+                assert _cone_of(variant, n) == want, rows
     src = Path(geometry.__file__).parent.parent
     out = subprocess.run(
         [sys.executable, "-c",
          "import ghz.cli, ghz.classifier\n"
-         "from ghz.geometry import _cone, _rays\n"
-         "print(_rays.cache_info().currsize, _cone.cache_info().currsize)"],
+         "from ghz.geometry import _cone\n"
+         "print(_cone.cache_info().currsize)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "0 0"
+    assert out.stdout.strip() == "0"
 
 
 def test_normal_fan_reads_the_stored_fan(monkeypatch):

@@ -153,7 +153,8 @@ def test_reports_do_not_depend_on_den():
 
 def _rewrites():
     """w25-prime written in other ways, each naming the same divisor,
-    coloring, family and elements over F2."""
+    coloring, family and elements over F2: a point may be written as a
+    fraction that cancels to its polynomial."""
     base = BUILTIN_EXAMPLES["w25-prime"]
 
     def edited(change):
@@ -190,7 +191,9 @@ def _rewrites():
             "2/10 and 0/3": edited(numbers),
             "t + 0": edited(point("t + 0")),
             "t^1": edited(point("t^1")),
-            "t+3": edited(point("t", "t+3"))}
+            "t+3": edited(point("t", "t+3")),
+            "(t^2+t)/(t+1)": edited(point("(t^2+t)/(t+1)")),
+            "(t^2+1)/(t+1)": edited(point("t", "(t^2+1)/(t+1)"))}
 
 
 @pytest.mark.parametrize("command", ["validate", "coherent", "verify",

@@ -6,8 +6,8 @@ import pytest
 from ghz.fields import FieldError, PrimeField, Rationals
 from ghz.polynomials import (FactoredRatFunc, FractionField, ParseError, Poly,
                              RatFunc, descend_power, hasse_expand,
-                             lambda_field, parse_factored, parse_poly,
-                             parse_scalar, poly_gcd, substitute_poly)
+                             lambda_field, parse_poly, parse_scalar, poly_gcd,
+                             substitute_poly)
 from ghz.scenarios import ScenarioError, parse_scenario
 
 from helpers import exponent_of, from_fraction, int_poly, is_unit
@@ -232,22 +232,17 @@ def test_lambda_field():
 
 
 def test_factored_ratfunc():
-    f = parse_factored("t*(t+1)^2", Q)
-    assert f.is_polynomial()
-    assert exponent_of(f, qp([0, 1])) == 1
-    assert exponent_of(f, qp([1, 1])) == 2
-    g = f / parse_factored("(t+1)^3", Q)
-    assert not g.is_polynomial()
-    assert g.expand() == RatFunc(qp([0, 1]), qp([1, 1]))
-
-
-def test_factored_zero_and_unit():
-    z = FactoredRatFunc(Q, Q.zero(), [])
-    assert z.is_zero()
-    u = FactoredRatFunc.constant(Q, Q.from_int(3))
-    assert is_unit(u)
-    with pytest.raises(FieldError):
-        z.inverse()
+    t, t1 = qp([0, 1]), qp([1, 1])
+    f = FactoredRatFunc(Q, [(t1, 2), (t, 1)])
+    assert f.factors == ((t, 1), (t1, 2))
+    assert f.to_str() == "t*(t + 1)^2"
+    g = f * FactoredRatFunc(Q, [(t1, -3), (t, -1)])
+    assert exponent_of(g, t) == 0 and exponent_of(g, t1) == -1
+    assert g.expand() == RatFunc(Poly.one(Q), t1)
+    assert g.to_str() == "(t + 1)^-1"
+    one = FactoredRatFunc(Q, [(t, 0)])
+    assert is_unit(one) and one.to_str() == "1"
+    assert one.expand() == RatFunc.one(Q)
 
 
 def test_truncated_series():
@@ -299,16 +294,6 @@ def test_descend_power_shift():
     assert down == RatFunc(parse_poly("t^2+t+2", F3), parse_poly("t+1", F3))
 
 
-def test_parse_factored():
-    f = parse_factored("2*t^2*(t^2+l)^-1", lambda_field(3))
-    assert exponent_of(f, int_poly(lambda_field(3), [0, 0, 1])) == 0
-    assert not f.is_polynomial()
-    with pytest.raises(ParseError):
-        parse_factored("t +* 1", Q)
-    with pytest.raises(ParseError):
-        parse_factored("(t", Q)
-
-
 def test_parse_poly_and_scalar():
     assert parse_poly("t^2 - 2*t + 1", Q) == qp([1, -2, 1])
     assert parse_scalar("-3/2", Q) == from_fraction(Q, Fraction(-3, 2))
@@ -344,18 +329,20 @@ PARSER_TABLE = [
     ("coeff", Q, "0", "0"),
     ("coeff", Q, "0*t^-1", "0"),
     # cancelling written forms
-    ("poly", F2, "(t^2+1)/(t+1)",
-     ("ParseError", "expected a polynomial, got a proper rational function")),
-    ("poly", Q, "(t^2-1)/(t-1)",
-     ("ParseError", "expected a polynomial, got a proper rational function")),
-    ("poly", Q, "(t^2-1)/(t-1) + 1",
-     ("ParseError", "sum of non-polynomial terms near position 0")),
+    ("poly", F2, "(t^2+1)/(t+1)", "t + 1"),
+    ("poly", Q, "(t^2-1)/(t-1)", "t + 1"),
+    ("poly", Q, "(t^2-1)/(t-1) + 1", "t + 2"),
     # division by zero
-    ("scalar", Q, "1/0", ("FieldError", "division by zero")),
-    ("scalar", Q, "0^-1", ("FieldError", "zero to a non-positive power")),
-    ("scalar", Q, "0^0", ("FieldError", "zero to a non-positive power")),
-    ("coeff", Q, "t/(t-t)", ("FieldError", "division by zero")),
-    ("coeff", F2, "(t+1)^-1/(1+1)", ("FieldError", "division by zero")),
+    ("scalar", Q, "1/0", ("ParseError", "division by zero at position 1")),
+    ("scalar", Q, "0^-1",
+     ("ParseError", "zero to a non-positive power at position 1")),
+    ("scalar", Q, "0^0",
+     ("ParseError", "zero to a non-positive power at position 1")),
+    ("coeff", Q, "t/(t-t)", ("ScenarioError", "bad coefficient 't/(t-t)': "
+                             "division by zero at position 1")),
+    ("coeff", F2, "(t+1)^-1/(1+1)",
+     ("ScenarioError", "bad coefficient '(t+1)^-1/(1+1)': division by zero "
+                       "at position 8")),
     # malformed text
     ("poly", Q, "t +* 1", ("ParseError", "unexpected token at position 3")),
     ("poly", Q, "(t", ("ParseError", "expected ')' at position 2")),

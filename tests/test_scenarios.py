@@ -87,3 +87,21 @@ def test_elements_parsed():
     assert len(sc.elements) == 1
     (x,) = sc.elements
     assert x.weights() == [(-5,)]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["family"].update({"lambda": ["1/0"]}),
+     "bad coefficient in lambda: division by zero at position 1"),
+    (lambda d: d["family"].update({"lambda": ["0^-1"]}),
+     "bad coefficient in lambda: zero to a non-positive power at position 1"),
+    (lambda d: d["support"][1].update(point="(t+1)*t/(t-t)"),
+     "bad point '(t+1)*t/(t-t)': division by zero at position 7"),
+    (lambda d: d["elements"][0].update(coeff="t/(t-t)"),
+     "bad coefficient 't/(t-t)': division by zero at position 1"),
+], ids=["lambda 1/0", "lambda 0^-1", "point", "coefficient"])
+def test_division_by_zero_is_a_scenario_error(edit, message):
+    data = json.loads(json.dumps(builtin_examples()["w25-prime"]))
+    edit(data)
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(data)
+    assert str(exc.value) == message
