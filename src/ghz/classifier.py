@@ -6,7 +6,6 @@ criterion for surfaces, and bounded enumeration of coherent families."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -17,7 +16,7 @@ from .curves import A1, P1, ClosedPoint
 from .fields import PrimeField, Rationals
 from .geometry import (Cone, Polyhedron, dot, fmt_ratio, fmt_vec,
                        lattice_box, primitive, vadd, vsub)
-from .reports import Report
+from .reports import Record, Report
 from .tvariety import PolyhedralDivisor
 
 
@@ -27,16 +26,20 @@ class ClassifierError(ValueError):
 
 # -- colorings --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """A divisor with a chosen vertex of D_y for every point of C', a marked
     rational point y0, and (for P1) a marked rational point at infinity.
     Each vertex is an int tuple over the divisor's ``den``."""
 
-    divisor: PolyhedralDivisor
-    vertices: dict
-    y0: ClosedPoint
-    y_infinity: ClosedPoint | None = None
+    __slots__ = ("divisor", "vertices", "y0", "y_infinity")
+
+    def __init__(self, divisor: PolyhedralDivisor, vertices: dict,
+                 y0: ClosedPoint, y_infinity: ClosedPoint | None = None):
+        put = object.__setattr__
+        put(self, "divisor", divisor)
+        put(self, "vertices", vertices)
+        put(self, "y0", y0)
+        put(self, "y_infinity", y_infinity)
 
     def vertex(self, y: ClosedPoint):
         return self.vertices.get(y) or (0,) * self.divisor.rank
@@ -97,14 +100,18 @@ def coloring_validate(c: Coloring) -> Report:
 
 # -- associated cones -------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssociatedCones:
-    tau: Cone         # in N_Q; its dual omega lies in M_Q
-    tau_tilde: Cone   # in N_Q x Q
-    d: int
-    ell: int
-    u: int
-    distinguished_ray: tuple
+class AssociatedCones(Record):
+    __slots__ = ("tau", "tau_tilde", "d", "ell", "u", "distinguished_ray")
+
+    def __init__(self, tau: Cone, tau_tilde: Cone, d: int, ell: int, u: int,
+                 distinguished_ray: tuple):
+        put = object.__setattr__
+        put(self, "tau", tau)              # in N_Q; its dual omega lies in M_Q
+        put(self, "tau_tilde", tau_tilde)  # in N_Q x Q
+        put(self, "d", d)
+        put(self, "ell", ell)
+        put(self, "u", u)
+        put(self, "distinguished_ray", distinguished_ray)
 
 
 def cover_degree(v0, den: int, p: int):
@@ -191,12 +198,15 @@ def demazure_roots_enumerate(cone: Cone, distinguished_ray, bound: int,
 
 # -- coherent families ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoherentFamily:
-    coloring: Coloring
-    e: tuple            # lattice vector in M
-    s: tuple            # strictly increasing exponents
-    lam: tuple          # raw field elements, one per exponent
+class CoherentFamily(Record):
+    __slots__ = ("coloring", "e", "s", "lam")
+
+    def __init__(self, coloring: Coloring, e: tuple, s: tuple, lam: tuple):
+        put = object.__setattr__
+        put(self, "coloring", coloring)
+        put(self, "e", e)      # lattice vector in M
+        put(self, "s", s)      # strictly increasing exponents
+        put(self, "lam", lam)  # raw field elements, one per exponent
 
     def describe(self) -> str:
         field = self.coloring.divisor.field

@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    start = time.time()
+    start = time.perf_counter()
     try:
         if args.order is not None and args.order < 0:
             raise UsageError("series order must be positive")
@@ -249,11 +249,11 @@ def main(argv=None) -> int:
                 rep = Report("example")
                 for key in sorted(builtin_examples()):
                     rep.note(key)
-                return _emit(rep, args.as_json, time.time() - start)
+                return _emit(rep, args.as_json, time.perf_counter() - start)
             sc = load_builtin(name, field_override=field_override,
                               trust_irreducible=args.trust_irreducible)
             rep = run_command(sc, "validate", args)
-            return _emit(rep, args.as_json, time.time() - start)
+            return _emit(rep, args.as_json, time.perf_counter() - start)
         if args.example:
             sc = load_builtin(args.example, field_override=field_override,
                               trust_irreducible=args.trust_irreducible)
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
         else:
             raise UsageError("provide --scenario FILE or --example NAME")
         rep = run_command(sc, args.command, args)
-        return _emit(rep, args.as_json, time.time() - start)
+        return _emit(rep, args.as_json, time.perf_counter() - start)
     except (UsageError, ScenarioError, PointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

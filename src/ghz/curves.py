@@ -9,11 +9,11 @@ is integral, a dict {point: int}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import PrimeField, Rationals, FieldError
 from .polynomials import FactoredRatFunc, FractionField, Poly, poly_gcd
+from .reports import Record
 
 A1 = "A1"
 P1 = "P1"
@@ -44,8 +44,7 @@ class ClosedPoint:
     @classmethod
     def rational(cls, field, value):
         """The point t = value for a raw field element."""
-        q = Poly(field, {1: field.one(), 0: field.neg(value)})
-        return cls(q)
+        return cls(Poly(field, {1: field.one(), 0: field.neg(value)}))
 
     @property
     def is_infinity(self):
@@ -115,7 +114,7 @@ def _gfp_irreducible(q: Poly) -> bool:
 
 def _rational_root(q: Poly):
     """A rational root of an integer-scaled polynomial over Q, or None."""
-    from math import lcm
+    from math import isqrt, lcm
 
     mult = lcm(*[c.denominator for c in q.coeffs.values()])
     ints = {e: int(c * mult) for e, c in q.coeffs.items()}
@@ -126,13 +125,8 @@ def _rational_root(q: Poly):
 
     def divisors(m):
         m = abs(m)
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.extend([d, m // d])
-            d += 1
-        return sorted(set(out))
+        return sorted({x for d in range(1, isqrt(m) + 1) if m % d == 0
+                       for x in (d, m // d)})
 
     for num in divisors(a0):
         for den in divisors(an):
@@ -175,8 +169,7 @@ def point_validate(q: Poly, policy: str = "strict") -> ClosedPoint:
     if policy != "trusted":
         raise PointError(f"unknown validation policy {policy!r}")
     # partial checks: separable part squarefree, no small roots
-    prof = _insep_split(q)
-    qt = prof[3]
+    qt = _insep_split(q)[3]
     if qt.degree > 0 and poly_gcd(qt, qt.derivative()).degree > 0 \
             and not qt.derivative().is_zero():
         raise PointError(f"{q.to_str()} has a repeated factor")
@@ -192,28 +185,26 @@ def _small_candidates(field):
     if isinstance(field, PrimeField):
         return list(range(field.p))
     if isinstance(field, FractionField):
-        inner = field.inner
-        consts = getattr(inner, "p", None)
-        vals = []
-        rng = range(consts) if consts else range(-2, 3)
-        for c in rng:
-            vals.append(field.from_int(c))
-        if consts:
+        p = getattr(field.inner, "p", None)
+        vals = [field.from_int(c) for c in (range(p) if p else range(-2, 3))]
+        if p:
             gen = field.generator()
-            for c in rng:
-                vals.append(field.add(gen, field.from_int(c)))
+            vals.extend(field.add(gen, field.from_int(c)) for c in range(p))
         return vals
     return []
 
 
-@dataclass(frozen=True)
-class InsepProfile:
+class InsepProfile(Record):
     """q(t) = q_tilde(t^(p^level)); epsilon = p^level, s = deg q_tilde."""
 
-    level: int
-    epsilon: int
-    s: int
-    q_tilde: Poly
+    __slots__ = ("level", "epsilon", "s", "q_tilde")
+
+    def __init__(self, level: int, epsilon: int, s: int, q_tilde: Poly):
+        put = object.__setattr__
+        put(self, "level", level)
+        put(self, "epsilon", epsilon)
+        put(self, "s", s)
+        put(self, "q_tilde", q_tilde)
 
 
 def _insep_split(q: Poly):
@@ -240,14 +231,18 @@ def insep_profile(y: ClosedPoint) -> InsepProfile:
     return InsepProfile(level, eps, s, qt)
 
 
-@dataclass(frozen=True)
-class ModuleDescription:
+class ModuleDescription(Record):
     """H^0 of a rounded divisor: a free k[t]-module generator on A1, or a
     finite k-basis {generator * t^j : 0 <= j <= degree_bound} on P1."""
 
-    curve: str
-    generator: FactoredRatFunc
-    degree_bound: int | None = None  # P1 only; None means A1 (free module)
+    __slots__ = ("curve", "generator", "degree_bound")
+
+    def __init__(self, curve: str, generator: FactoredRatFunc,
+                 degree_bound: int | None = None):
+        put = object.__setattr__
+        put(self, "curve", curve)
+        put(self, "generator", generator)
+        put(self, "degree_bound", degree_bound)  # P1 only; None on A1
 
     @property
     def is_empty(self) -> bool:

@@ -5,8 +5,6 @@ structure on finite windows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .binomials import binom_in_field
 from .classifier import (CoherentFamily, coherent_validate, cover_degree,
                          demazure_root_check)
@@ -108,11 +106,13 @@ class GradedElement:
         return f"GradedElement({self.to_str()})"
 
 
-@dataclass
 class ApplicationResult:
-    orders: dict          # order i -> GradedElement, zero orders omitted
-    bound: int | None     # nilpotency bound: the largest of the terms'
-                          # bounds, None when some lift is no polynomial
+    __slots__ = ("orders", "bound")
+
+    def __init__(self, orders: dict, bound: int | None):
+        self.orders = orders  # order i -> GradedElement, zero orders omitted
+        self.bound = bound    # nilpotency bound: the largest of the terms'
+                              # bounds, None when some lift is no polynomial
 
     def nonzero_orders(self):
         return sorted(self.orders)
@@ -409,13 +409,16 @@ def verify_horizontal(op: DthetaOperator, max_order=None) -> bool:
 
 # -- kernel computation -----------------------------------------------------
 
-@dataclass
 class KernelReport:
-    report: Report
-    weights: list          # kernel weights in the box
-    spans: dict            # weight -> RatFunc spanning the kernel piece
-    lattice: list          # triangular basis of the weight lattice
-    cone: Cone             # cone spanned by the kernel weights
+    __slots__ = ("report", "weights", "spans", "lattice", "cone")
+
+    def __init__(self, report: Report, weights: list, spans: dict,
+                 lattice: list, cone: Cone):
+        self.report = report
+        self.weights = weights  # kernel weights in the box
+        self.spans = spans      # weight -> RatFunc spanning the kernel piece
+        self.lattice = lattice  # triangular basis of the weight lattice
+        self.cone = cone        # cone spanned by the kernel weights
 
 
 def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,

@@ -46,25 +46,11 @@ class BaseField:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero())
 
     def is_one(self, a) -> bool:
         return self.eq(a, self.one())
-
-    def pow(self, a, n: int):
-        if n < 0:
-            a, n = self.inv(a), -n
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
 
 
 class Rationals(BaseField):

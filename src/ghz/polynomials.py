@@ -159,14 +159,9 @@ class Poly:
         return self.scale(self.field.inv(self.leading()))
 
     def derivative(self):
-        k = self.field
-        out = {}
-        for e, c in self.coeffs.items():
-            if e > 0:
-                v = k.mul(c, k.from_int(e))
-                if not k.is_zero(v):
-                    out[e - 1] = v
-        return Poly(k, out)
+        k = self.field  # the constructor drops the terms that vanish
+        return Poly(k, {e - 1: k.mul(c, k.from_int(e))
+                        for e, c in self.coeffs.items() if e > 0})
 
     def evaluate(self, x):
         """Horner evaluation at a raw field value."""
@@ -612,9 +607,10 @@ def parse_rational(text: str, field, var: str | None = "t") -> RatFunc:
     """Parse expressions like ``2*t^2*(t-1)^-1`` or ``t^2 + l`` into a
     reduced rational function.
 
-    The terms of a sum must be polynomials; products, quotients and integer
-    powers may be any rational functions.  ``l`` denotes the generator of
-    a FractionField coefficient field.
+    The terms of a sum must be polynomials, but a leading sign on a lone
+    term just negates it; products, quotients and integer powers may be any
+    rational functions.  ``l`` denotes the generator of a FractionField
+    coefficient field.
     """
     toks = _Tokens(text)
     result = _parse_sum(toks, field, var)
@@ -625,22 +621,17 @@ def parse_rational(text: str, field, var: str | None = "t") -> RatFunc:
 
 def _parse_sum(toks, field, var) -> RatFunc:
     pos = toks.peek()[2]
-    terms = []
-    sign = 1
-    if toks.peek()[0] in "+-":
-        if toks.next()[0] == "-":
-            sign = -1
-    terms.append((sign, _parse_product(toks, field, var)))
+    sign = toks.next()[0] if toks.peek()[0] in "+-" else "+"
+    terms = [(sign, _parse_product(toks, field, var))]
     while toks.peek()[0] in "+-":
-        op = toks.next()[0]
-        terms.append((1 if op == "+" else -1, _parse_product(toks, field, var)))
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
+        terms.append((toks.next()[0], _parse_product(toks, field, var)))
+    if len(terms) == 1:  # a leading sign on a single term negates it
+        return -terms[0][1] if sign == "-" else terms[0][1]
     acc = RatFunc.zero(field)
     for sgn, rf in terms:
         if not rf.is_poly():
             raise ParseError(f"sum of non-polynomial terms near position {pos}")
-        acc = acc + (rf if sgn == 1 else -rf)
+        acc = acc + (rf if sgn == "+" else -rf)
     return acc
 
 

@@ -1,18 +1,52 @@
-"""Small verdict/witness containers shared by the checking modules."""
+"""Small verdict/witness containers shared by the checking modules: the
+mutable ``Report`` and ``Record``, the base of the frozen value records."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class Record:
+    """Plain slotted base, so nothing is generated at import: ``==`` and
+    ``hash`` over the ``__slots__`` values within one class.  ``__init__``
+    sets each field once; a later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
-@dataclass
 class Report:
     """A verdict with human-readable violations and informational notes."""
 
-    subject: str
-    violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    trust_markers: list = field(default_factory=list)
+    __slots__ = ("subject", "violations", "notes", "trust_markers")
+
+    def __init__(self, subject: str, violations=None, notes=None,
+                 trust_markers=None):
+        self.subject = subject
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
+        self.trust_markers = [] if trust_markers is None else trust_markers
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     @property
     def ok(self) -> bool:

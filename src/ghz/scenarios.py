@@ -4,7 +4,6 @@ optional coloring/family/bounds data, plus the builtin worked examples."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -149,17 +148,18 @@ def _point(text, field, policy):
     return point_validate(poly, policy)
 
 
-@dataclass
 class Scenario:
-    name: str
-    field: object
-    divisor: PolyhedralDivisor
-    coloring: Coloring | None
-    family: CoherentFamily | None
-    bounds: dict
-    elements: list
-    lambda_sample: tuple
-    family_root: tuple | None
+    __slots__ = ("name", "field", "divisor", "coloring", "family", "bounds",
+                 "elements", "lambda_sample", "family_root")
+
+    def __init__(self, name: str, field, divisor: PolyhedralDivisor,
+                 coloring: Coloring | None, family: CoherentFamily | None,
+                 bounds: dict, elements: list, lambda_sample: tuple,
+                 family_root: tuple | None):
+        self.name, self.field, self.divisor = name, field, divisor
+        self.coloring, self.family, self.bounds = coloring, family, bounds
+        self.elements, self.lambda_sample = elements, lambda_sample
+        self.family_root = family_root
 
 
 def parse_scenario(source, name: str = "scenario",
@@ -284,12 +284,8 @@ def serialize_scenario(sc: Scenario) -> dict:
         out["family_root"] = list(sc.family_root)
     out["bounds"] = dict(sc.bounds)
     if sc.elements:
-        entries = []
-        for x in sc.elements:
-            for w in x.weights():
-                entries.append({"weight": list(w),
-                                "coeff": x.terms[w].to_str()})
-        out["elements"] = entries
+        out["elements"] = [{"weight": list(w), "coeff": x.terms[w].to_str()}
+                           for x in sc.elements for w in x.weights()]
     return out
 
 

@@ -5,12 +5,11 @@ linearity fan, membership and generator search."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .curves import A1, P1, ClosedPoint, ModuleDescription, h0_generators
 from .geometry import Cone, Polyhedron, minkowski_weighted_sum
 from .polynomials import FactoredRatFunc, Poly
-from .reports import Report
+from .reports import Record, Report
 
 
 class DivisorError(ValueError):
@@ -153,17 +152,19 @@ class PolyhedralDivisor:
 
 # -- generator search -------------------------------------------------------
 
-@dataclass
 class GeneratorCertificate:
-    bound: int
-    complete: bool
-    note: str
+    __slots__ = ("bound", "complete", "note")
+
+    def __init__(self, bound: int, complete: bool, note: str):
+        self.bound, self.complete, self.note = bound, complete, note
 
 
-@dataclass(frozen=True)
-class AlgebraGenerator:
-    weight: tuple
-    coeff: FactoredRatFunc
+class AlgebraGenerator(Record):
+    __slots__ = ("weight", "coeff")
+
+    def __init__(self, weight: tuple, coeff: FactoredRatFunc):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "coeff", coeff)
 
     def to_str(self) -> str:
         return f"{self.coeff.to_str()} * chi^{self.weight}"
@@ -184,15 +185,9 @@ def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
     dual = div.tail.dual()
     from .geometry import lattice_box
 
-    weights = []
-    for m in lattice_box(div.rank, bound):
-        if all(c == 0 for c in m):
-            continue
-        if not dual.contains(m):
-            continue
-        if weight_cone is not None and not weight_cone.contains(m):
-            continue
-        weights.append(m)
+    weights = [m for m in lattice_box(div.rank, bound)
+               if any(m) and dual.contains(m)
+               and (weight_cone is None or weight_cone.contains(m))]
     weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
     fgen = {m: div.generator(m) for m in weights}
 

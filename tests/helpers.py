@@ -67,8 +67,8 @@ def int_poly(field, coeffs):
 
 def from_fraction(field, q: Fraction):
     """The image of a rational number in ``field``."""
-    return field.div(field.from_int(q.numerator),
-                     field.from_int(q.denominator))
+    return field.mul(field.from_int(q.numerator),
+                     field.inv(field.from_int(q.denominator)))
 
 
 def exponent_of(f, poly):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,13 +46,37 @@ def test_unused_import_scan_sees_local_and_aliased_imports():
     assert _unused_imports(tree) == [(1, "l"), (3, "os")]
 
 
+def _imported_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    return modules | {node.module for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)}
+
+
 @pytest.mark.parametrize("name", ["geometry.py", "tvariety.py"])
 def test_integer_module_imports_nothing_from_fractions(name):
     """Vertices are ints over a divisor's den, and D(m) is evaluated on
     them, so geometry and the divisor layer stay integer."""
-    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
-    modules = {alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names}
-    modules |= {node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)}
-    assert "fractions" not in modules
+    assert "fractions" not in _imported_modules(PACKAGE / name)
+
+
+# dataclasses pulls these in; building its records also compiles generated
+# methods, which together took a large share of the CLI's cold start
+COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_no_module_imports_dataclasses():
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "dataclasses" in _imported_modules(path)]
+    assert not users
+
+
+def test_cli_cold_start_loads_no_dataclasses_or_inspect():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = ("import sys, ghz.cli\n"
+             f"print(' '.join(m for m in {COLD_START_FREE!r} "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
