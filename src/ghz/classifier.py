@@ -8,9 +8,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, count, product, repeat
 from math import gcd
-from operator import add
 
 from .curves import A1, P1, ClosedPoint
 from .fields import PrimeField, Rationals
@@ -317,56 +316,58 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
     """Discrete counterpart of the vertex inequalities: floors of the
     piecewise-linear evaluation maps must jump by enough along e.
 
-    The check runs on integers: a value a of the maps is the integer
-    A = den*a on the int vertices, and floor(s*a) = (s*A) // den. Each
-    vertex v is paired once with qe = p^{s1}e and once with each box weight
-    m: <m + qe, v> = <m, v> + <qe, v>, so one pairing per vertex and weight
-    gives the minima at both m and m + qe. The tail cone is pointed, so a
-    weight lies in its dual when it pairs nonnegatively with the tail's
-    rays, and one pairing <m, r> per ray decides both m and m + qe."""
+    It runs on integers, A = den*a for a value a of the maps, so that
+    floor(s*a) = (s*A) // den, and on columns over the weight box: each
+    vertex v is paired with every weight m at once, coordinate by
+    coordinate, and <m + qe, v> = <m, v> + <qe, v> (qe = p^{s1}e). The tail
+    cone is pointed, so its dual is cut out by one column <m, r> per ray.
+    Violations come per weight in box order: (4) by row, (5), then (6)."""
     rep = Report("floor conditions")
     c = theta.coloring
     div = c.divisor
     den = div.den
     d, qe, v0, points = _vertex_table(theta)
     qv0 = dot(qe, v0)
-    rhs0 = 1 + d * qv0 // den
+    span = range(-m_bound, m_bound + 1)
+
+    def column(w):  # <m, w> for every m of lattice_box(rank, m_bound)
+        col = [0]
+        for x in w:
+            col = [a + b for b in [x * i for i in span] for a in col]
+        return col
+
     # m and m + qe are in the dual cone when <m, r> >= max(0, -<qe, r>)
-    rays = [(r, max(0, -dot(qe, r))) for r in div.tail.rays]
+    keep = [True] * len(span) ** div.rank
+    for r in div.tail.rays:
+        t = max(0, -dot(qe, r))
+        keep = [k and x >= t for k, x in zip(keep, column(r))]
 
-    # each vertex v as v - shift, with <qe, v - shift>; every polyhedron of
-    # the divisor has the tail cone as its tail, so at m and m + qe, both in
-    # the dual cone, its minimum is at a vertex
-    def paired(verts, shift=None):
+    # per clause: number, where, scale, vertices v and shift, bound, and the
+    # value of min <m + qe, v - shift> at which the clause does not apply
+    clauses = [(4, f" at [{y.to_str()}]", scale, verts, vy, 1, repeat(0))
+               for y, scale, verts, vy in points]
+    clauses.append((5, "", d, div.polyhedron_at(c.y0).vertices, None,
+                    1 + d * qv0 // den,
+                    [h + qv0 for h in compress(column(v0), keep)]))
+    if div.curve == P1:
+        clauses.append((6, "", d, div.polyhedron_at(c.y_infinity).vertices,
+                        tuple(-x for x in c.v_deg()), -1, repeat(None)))
+    fails = []
+    for k, (n, where, s, verts, shift, rhs, off) in enumerate(clauses):
+        # every polyhedron of the divisor has the tail cone as its tail, so
+        # at m and m + qe, both in the dual cone, its minimum is at a vertex
         ws = [vsub(v, shift) for v in verts] if shift else verts
-        return ws, [dot(qe, w) for w in ws]
-
-    rows = [(y, scale, *paired(verts, vy)) for y, scale, verts, vy in points]
-    ws0, qws0 = paired(div.polyhedron_at(c.y0).vertices)
-    inf = [paired(div.polyhedron_at(c.y_infinity).vertices,
-                  tuple(-x for x in c.v_deg()))] if div.curve == P1 else []
-
-    for m in lattice_box(div.rank, m_bound):
-        if any(dot(m, r) < t for r, t in rays):
-            continue
-        for y, scale, ws, qws in rows:
-            xs = [dot(m, w) for w in ws]
-            b = min(map(add, xs, qws))
-            if b != 0:
-                fa, fb = scale * min(xs) // den, scale * b // den
-                if fb - fa < 1:
-                    rep.fail(f"(4): m={m} at [{y.to_str()}]: {fb} - {fa} < 1")
-        xs = [dot(m, w) for w in ws0]
-        h0b = min(map(add, xs, qws0))
-        if h0b != dot(m, v0) + qv0:
-            fa, fb = d * min(xs) // den, d * h0b // den
-            if fb - fa < rhs0:
-                rep.fail(f"(5): m={m}: {fb} - {fa} < {rhs0}")
-        for ws, qws in inf:
-            xs = [dot(m, w) for w in ws]
-            fa, fb = d * min(xs) // den, d * min(map(add, xs, qws)) // den
-            if fb - fa < -1:
-                rep.fail(f"(6): m={m}: {fb} - {fa} < -1")
+        cols = [list(compress(column(w), keep)) for w in ws]
+        qcols = [[x + q for x in col]
+                 for q, col in zip([dot(qe, w) for w in ws], cols)]
+        lo, hi = (cols[0], qcols[0]) if len(ws) == 1 else \
+            (map(min, *cols), map(min, *qcols))
+        fails += [(i, k, n, where, s * b // den, s * a // den, rhs)
+                  for i, a, b, o in zip(count(), lo, hi, off)
+                  if b != o and s * b // den - s * a // den < rhs]
+    box = list(compress(lattice_box(div.rank, m_bound), keep)) if fails else ()
+    for i, _, n, where, fb, fa, rhs in sorted(fails):
+        rep.fail(f"({n}): m={box[i]}{where}: {fb} - {fa} < {rhs}")
     return rep
 
 
@@ -400,11 +401,11 @@ def equivalence_probe(trials: int, p: int, curve: str, rank: int,
 
 @lru_cache(maxsize=None)
 def _tail_cone(ray, rank):
-    """The sampler's tail: the zero cone (ray None) or the cone on one 0/1
-    vector, built once per process so its cached dual is shared. Both are
-    pointed, so their duals are full-dimensional."""
-    return Cone.zero(rank) if ray is None \
-        else Cone.from_generators([ray], rank)
+    """The sampler's tail, the zero cone (ray None) or the cone on one 0/1
+    vector, and its dual's generators, built once per process. Both tails
+    are pointed, so their duals are full-dimensional."""
+    tail = Cone.from_generators([ray], rank) if ray else Cone.zero(rank)
+    return tail, tail.dual().generators()
 
 
 @lru_cache(maxsize=None)
@@ -415,35 +416,55 @@ def _sample_points(field):
                  for c in consts[:3])
 
 
+_INFINITY = ClosedPoint.infinity()
+# a drawn coordinate a/b as the int 6a//b, at [a + 2][b - 1]
+_COORDS = tuple(tuple(6 * a // b for b in (1, 2, 3)) for a in range(-2, 3))
+
+
+def _below(bits, n):
+    """rng.randrange(n) from ``bits = rng.getrandbits``, on exactly CPython's
+    bits: n.bit_length() bits a try, again while the value is n or more. So
+    a + _below(bits, b - a + 1) is rng.randint(a, b), draw for draw."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_family(rng, field, curve, rank):
     """One random small coloring + family, or None if the draw is invalid.
 
-    All raw vertex lists are drawn before any polyhedron is built (building
-    one consumes no randomness), each coordinate a/b (b <= 3) as the int
-    6a/b over the divisor's den 6. Over P1, deg D is the hull of the
-    degree-weighted sums of one raw point per support point, plus the tail
-    cone, so it lies in the convex tail exactly when every such sum does. A
-    draw failing that is rejected on the raw points, before the polyhedra
-    are built and `validate` runs; `validate` still rejects the rest of its
-    cases, such as 0 being a vertex of deg D."""
-    def rand_vertex():
-        return tuple(6 * rng.randint(-2, 2) // rng.randint(1, 3)
-                     for _ in range(rank))
+    The integers are read from raw ``rng.getrandbits`` draws by `_below`,
+    whose stream equals ``rng.randint``'s; ``rng.random`` and ``rng.choice``
+    are used as they are. All raw vertex lists are drawn before any
+    polyhedron is built (building one consumes no randomness), each
+    coordinate a/b (b <= 3) read from a table as the int 6a/b over the
+    divisor's den 6. Over P1, deg D is the hull of the degree-weighted sums
+    of one raw point per support point, plus the tail cone, so it lies in
+    the convex tail exactly when every such sum does. A draw failing that
+    is rejected on the raw points, before the polyhedra are built and
+    `validate` runs; `validate` still rejects the rest of its cases, such
+    as 0 being a vertex of deg D."""
+    bits = rng.getrandbits
 
-    tail = _tail_cone(None if rng.random() < 0.5 else
-                      tuple(rng.randint(0, 1) for _ in range(rank)), rank)
+    def rand_vertex():
+        return tuple([_COORDS[_below(bits, 5)][_below(bits, 3)]
+                      for _ in range(rank)])
+
+    tail, dual_gens = _tail_cone(None if rng.random() < 0.5 else tuple(
+        [_below(bits, 2) for _ in range(rank)]), rank)
     pts = _sample_points(field)
-    raw = [(y, [rand_vertex() for _ in range(rng.randint(1, 2))])
-           for y in pts[:rng.randint(1, len(pts))]]
-    y_inf = None
+    raw = [(y, [rand_vertex() for _ in range(1 + _below(bits, 2))])
+           for y in pts[:1 + _below(bits, len(pts))]]
+    y_inf = _INFINITY if curve == P1 else None
     if curve == P1:
-        y_inf = ClosedPoint.infinity()
         raw.append((y_inf, [rand_vertex()]))
         # the least pairing of such a sum with a generator of the dual cone
         # is the degree-weighted sum of each point's least pairing; every
         # sampled point has degree 1
-        for g in tail.dual().generators():
-            if sum(min(dot(g, v) for v in verts) for _, verts in raw) < 0:
+        for g in dual_gens:
+            if sum([min([dot(g, v) for v in verts]) for _, verts in raw]) < 0:
                 return None
     support = {y: Polyhedron.from_points(verts, tail) for y, verts in raw}
     div = PolyhedralDivisor(field, curve, tail, support, 6)
@@ -459,9 +480,9 @@ def _random_family(rng, field, curve, rank):
         if y != y0 and any(x % 6 for x in v):
             return None
     coloring = Coloring(div, vertices, y0, y_inf)
-    e = tuple(rng.randint(-2, 2) for _ in range(rank))
+    e = tuple([_below(bits, 5) - 2 for _ in range(rank)])
     p = field.char_exponent
-    s = (1,) if p == 1 else (rng.randint(0, 2),)
+    s = (1,) if p == 1 else (_below(bits, 3),)
     return CoherentFamily(coloring, e, s, (field.one(),) * len(s))
 
 

@@ -607,10 +607,10 @@ def parse_rational(text: str, field, var: str | None = "t") -> RatFunc:
     """Parse expressions like ``2*t^2*(t-1)^-1`` or ``t^2 + l`` into a
     reduced rational function.
 
-    The terms of a sum must be polynomials, but a leading sign on a lone
-    term just negates it; products, quotients and integer powers may be any
-    rational functions.  ``l`` denotes the generator of a FractionField
-    coefficient field.
+    Sums, products, quotients and integer powers may be any rational
+    functions, so the value does not depend on the written form; only
+    `parse_poly` asks for a polynomial.  ``l`` denotes the generator of a
+    FractionField coefficient field.
     """
     toks = _Tokens(text)
     result = _parse_sum(toks, field, var)
@@ -620,18 +620,13 @@ def parse_rational(text: str, field, var: str | None = "t") -> RatFunc:
 
 
 def _parse_sum(toks, field, var) -> RatFunc:
-    pos = toks.peek()[2]
     sign = toks.next()[0] if toks.peek()[0] in "+-" else "+"
-    terms = [(sign, _parse_product(toks, field, var))]
+    acc = _parse_product(toks, field, var)
+    acc = -acc if sign == "-" else acc
     while toks.peek()[0] in "+-":
-        terms.append((toks.next()[0], _parse_product(toks, field, var)))
-    if len(terms) == 1:  # a leading sign on a single term negates it
-        return -terms[0][1] if sign == "-" else terms[0][1]
-    acc = RatFunc.zero(field)
-    for sgn, rf in terms:
-        if not rf.is_poly():
-            raise ParseError(f"sum of non-polynomial terms near position {pos}")
-        acc = acc + (rf if sgn == "+" else -rf)
+        op = toks.next()[0]
+        term = _parse_product(toks, field, var)
+        acc = acc + term if op == "+" else acc - term
     return acc
 
 

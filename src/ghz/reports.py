@@ -3,6 +3,8 @@ mutable ``Report`` and ``Record``, the base of the frozen value records."""
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
     """Plain slotted base, so nothing is generated at import: ``==`` and
@@ -11,19 +13,24 @@ class Record:
 
     __slots__ = ()
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one C getter per class; over one slot it returns the bare value,
+        # which compares and hashes as consistently as a 1-tuple
+        if cls.__slots__:
+            cls._fields = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._fields(self) == self._fields(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __repr__(self):
-        return f"{type(self).__name__}{self._values()!r}"
+        values = tuple(getattr(self, name) for name in self.__slots__)
+        return f"{type(self).__name__}{values!r}"
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")

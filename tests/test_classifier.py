@@ -5,7 +5,7 @@ from math import floor
 import pytest
 
 from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
-                            _random_family,
+                            _below, _random_family,
                             _vertex_conditions_only, associated_cones,
                             candidate_colorings, coherent_validate,
                             coloring_validate, demazure_root_check,
@@ -279,6 +279,50 @@ def test_floor_condition_check_matches_reference_at_probe_bound():
                 compared += 1
                 clauses.update(v[:3] for v in want.violations)
     assert compared == 12 and clauses == {"(4)", "(5)", "(6)"}, clauses
+
+
+def test_floor_condition_check_matches_reference_at_the_widest_probe_box():
+    # the probe's largest box: p = 3, s = (2,), |e_i| = 2 at rank 2 make a
+    # step of 18, so the bound is 12 + 18 = 30 (61^2 weights)
+    F3 = PrimeField(3)
+    rng = random.Random(0)
+    clauses = set()
+    for curve in (A1, P1):
+        theta = None
+        while theta is None:
+            theta = _random_family(rng, F3, curve, 2)
+        for e in ((2, 2), (2, -2), (-2, 2), (-2, -2)):
+            wide = CoherentFamily(theta.coloring, e, (2,), theta.lam)
+            want = _floor_condition_check_per_weight(wide, 30)
+            got = floor_condition_check(wide, 30)
+            assert got.to_dict() == want.to_dict(), wide.describe()
+            clauses.update(v[:3] for v in want.violations)
+    assert clauses == {"(4)", "(5)", "(6)"}, clauses
+
+
+def test_below_takes_the_bits_of_randint():
+    """The sampler's integers come from raw getrandbits draws; on every
+    range it draws they are randint's values and leave the generator in
+    randint's state, alone and interleaved."""
+    # coordinates a and b, the tail's 0/1 ray, the vertex count, the point
+    # count over 2 and 3 points, e and s
+    ranges = [(-2, 2), (1, 3), (0, 1), (1, 2), (0, 2)]
+    for seed in range(100):
+        for lo, hi in ranges:
+            ref, rng = random.Random(seed), random.Random(seed)
+            want = [ref.randint(lo, hi) for _ in range(40)]
+            assert [lo + _below(rng.getrandbits, hi - lo + 1)
+                    for _ in range(40)] == want
+            assert rng.getstate() == ref.getstate()
+            assert [_below(rng.getrandbits, hi - lo + 1)
+                    for _ in range(40)] == \
+                [ref.randrange(hi - lo + 1) for _ in range(40)]
+            assert rng.getstate() == ref.getstate()
+        ref, rng = random.Random(seed), random.Random(seed)
+        order = random.Random(-seed).choices(ranges, k=200)
+        assert [lo + _below(rng.getrandbits, hi - lo + 1)
+                for lo, hi in order] == [ref.randint(*r) for r in order]
+        assert rng.getstate() == ref.getstate()
 
 
 def _reference_random_family(rng, field, curve, rank):

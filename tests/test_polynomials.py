@@ -324,6 +324,13 @@ PARSER_TABLE = [
     # a leading sign negates a lone term, whatever its written form
     ("coeff", Q, "-t^-1", "((-1)/(t))*chi^(0,)"),
     ("coeff", Q, "-1/t", "((-1)/(t))*chi^(0,)"),
+    # a sum may have any rational terms: only its value is read
+    ("coeff", Q, "0-1/t", "((-1)/(t))*chi^(0,)"),
+    ("coeff", Q, "-t^-1 + 0", "((-1)/(t))*chi^(0,)"),
+    ("coeff", Q, "1/t + 0", "((1)/(t))*chi^(0,)"),
+    ("coeff", Q, "0*t + 1/t", "((1)/(t))*chi^(0,)"),
+    ("coeff", Q, "t^-1 + 1", "((t + 1)/(t))*chi^(0,)"),
+    ("poly", Q, "1/t + t - 1/t", "t"),
     ("coeff", F3L, "2*t^2*(t^2+l)^-1", "((2*t^2)/(t^2 + l))*chi^(0,)"),
     ("coeff", F2, "t*(t+1)", "(t^2 + t)*chi^(0,)"),
     ("coeff", F2, "(t+1)^-2*(t^2+1)", "(1)*chi^(0,)"),
@@ -356,7 +363,7 @@ PARSER_TABLE = [
     ("poly", Q, "1/t",
      ("ParseError", "expected a polynomial, got a proper rational function")),
     ("poly", Q, "t^-1 + 1",
-     ("ParseError", "sum of non-polynomial terms near position 0")),
+     ("ParseError", "expected a polynomial, got a proper rational function")),
     ("poly", Q, "-t^-1",
      ("ParseError", "expected a polynomial, got a proper rational function")),
     ("scalar", Q, "t", ("ParseError", "unknown symbol 't' at position 0")),
