@@ -211,14 +211,12 @@ class Poly:
 
     # -- comparisons
 
-    def _key(self):
-        return tuple(sorted(self.coeffs.items()))
-
     def __eq__(self, other):
-        return isinstance(other, Poly) and self._key() == other._key()
+        # coefficient dicts are canonical, so dict equality is value equality
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("Poly", self._key()))
+        return hash(("Poly", tuple(sorted(self.coeffs.items()))))
 
     def to_str(self, var: str = "t") -> str:
         if not self.coeffs:

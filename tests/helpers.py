@@ -4,14 +4,17 @@
 oracle: div(g * t^j) + d >= 0 exactly for j below dim H^0(P1, d), for an
 integral divisor d given as {point: int}. ``frf_quotient`` and
 ``frf_is_polynomial`` are the arithmetic of the reference generator search.
+``reference_verify_axioms`` checks the operator axioms as they are stated.
 """
 
 from fractions import Fraction
 
+from ghz.binomials import binom_in_field
 from ghz.curves import P1, ClosedPoint, point_validate
-from ghz.engine import GradedElement
+from ghz.engine import EngineError, GradedElement
 from ghz.geometry import Cone, _echelon, dot
 from ghz.polynomials import FactoredRatFunc, Poly
+from ghz.reports import Report
 from ghz.scenarios import divisor_over_den
 
 
@@ -121,3 +124,70 @@ def h0_dimension(mod) -> int:
     """dim H^0 of a ModuleDescription on P1."""
     assert mod.curve == P1
     return max(0, mod.degree_bound + 1)
+
+
+def _order(res, i, field):
+    return res.orders.get(i, GradedElement.zero(field))
+
+
+def reference_verify_axioms(op, test_set, max_order):
+    """``engine.verify_axioms`` by the letter of each rule: the product rule
+    sums rx[i1] * ry[i - i1] over every i1 <= i, zero orders included, and
+    the iteration rule applies rx[b] afresh for each order a, truncated at
+    a.  Same checks, messages and order of messages."""
+    rep = Report("operator axioms")
+    k = op.field
+    results = []
+    for x in test_set:
+        try:
+            res = op.apply(x, max_order)
+        except EngineError as exc:
+            rep.fail(f"application failed on {x.to_str()}: {exc}")
+            continue
+        results.append((x, res))
+        if _order(res, 0, k) != x:
+            rep.fail(f"order 0 is not the identity on {x.to_str()}")
+        for i, val in res.orders.items():
+            for w in val.weights():
+                for xw in x.weights():
+                    expect = tuple(a + i * b for a, b in zip(xw, op.e))
+                    if len(x.terms) == 1 and w != expect:
+                        rep.fail(f"order {i} weight {w} is not the input "
+                                 f"weight shifted by {i}*e")
+    for ix, (x, rx) in enumerate(results):
+        for y, ry in results[ix:]:
+            try:
+                rxy = op.apply(x * y, max_order)
+            except EngineError as exc:
+                rep.fail(f"application failed on a product: {exc}")
+                continue
+            for i in range(max_order + 1):
+                acc = GradedElement.zero(k)
+                for i1 in range(i + 1):
+                    acc = acc + _order(rx, i1, k) * _order(ry, i - i1, k)
+                if acc != _order(rxy, i, k):
+                    rep.fail(f"product rule fails at order {i} on "
+                             f"({x.to_str()})*({y.to_str()})")
+                    break
+    pairs = [(a, b) for a in range(1, max_order + 1)
+             for b in range(1, max_order + 1 - a)]
+    for x, rx in results:
+        for a, b in pairs:
+            inner = _order(rx, b, k)
+            if inner.is_zero():
+                lhs = GradedElement.zero(k)
+            else:
+                try:
+                    lhs = _order(op.apply(inner, a), a, k)
+                except EngineError as exc:
+                    rep.fail(f"iterate failed on {x.to_str()}: {exc}")
+                    continue
+            rhs = _order(rx, a + b, k).scale(binom_in_field(a + b, a, k))
+            if lhs != rhs:
+                rep.fail(f"iteration rule fails at ({a},{b}) on {x.to_str()}")
+                break
+    for x, rx in results:
+        if rx.bound is not None and rx.orders and max(rx.orders) > rx.bound:
+            rep.fail(f"nonzero image beyond the vanishing bound on "
+                     f"{x.to_str()}")
+    return rep

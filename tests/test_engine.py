@@ -1,10 +1,12 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from ghz import engine
+from ghz import cli, engine
 from ghz.classifier import (CoherentFamily, Coloring, _random_family,
                             coherent_validate)
 from ghz.cli import main
@@ -20,13 +22,14 @@ from ghz.polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
                              lambda_field, parse_poly, parse_rational,
                              poly_gcd, substitute_poly)
 from ghz.reports import Report
-from ghz.scenarios import load_builtin
+from ghz.scenarios import builtin_examples, load_builtin, parse_scenario
 from ghz.tvariety import algebra_generators
 
 from helpers import (generator_elements, int_poly, orthant,
-                     rational_divisor)
+                     rational_divisor, reference_verify_axioms)
 
 Q = Rationals()
+SCENARIOS = Path(__file__).parent / "scenarios"
 
 
 def w25_operator():
@@ -198,6 +201,121 @@ def test_axioms_do_not_depend_on_written_form():
     assert f == RatFunc.from_poly(parse_poly("t+1", F2))
     rep = verify_axioms(op, [GradedElement.term(F2, (0, 1), f)], 4)
     assert rep.ok, rep.violations
+
+
+def _box_elements(div, n=4):
+    """The module generators at the first ``n`` weights of the unit box in
+    the weight cone, and the sum of the first and last as a two-term
+    element."""
+    dual = div.tail.dual()
+    elems = [GradedElement.term(div.field, m, div.generator(m).expand())
+             for m in lattice_box(div.rank, 1) if dual.contains(m)][:n]
+    return elems + [elems[0] + elems[-1]] if len(elems) > 1 else elems
+
+
+def _faulty(op, fault, elems, full, top=3):
+    """Break op so that a failure path of the axioms runs.  "raise": an
+    application truncated at an order from ``top`` to ``full - 1`` raises,
+    as a descent failure at ``top`` would; the axioms apply the test set and
+    its products at ``full``, so only the iterates fail.  "step": the step
+    sum lambda_j T^(p^s_j) gets exponents 2 p^s_j (3 * 2^s_j over F2), so it
+    is no longer additive and iterativity fails.  "swap": the order-``top``
+    image of every element outside ``elems`` is the element itself, so the
+    product rule fails, also where the factors' images have no order
+    ``top``."""
+    apply = op.apply
+
+    def faulty_apply(x, max_order=None):
+        if fault == "raise" and top <= max_order < full:
+            raise EngineError(f"descent failure at order {top}")
+        res = apply(x, max_order)
+        if fault == "swap" and x not in elems:
+            res.orders[top] = x
+        return res
+
+    op.apply = faulty_apply
+    if fault == "step":
+        op.exponents = tuple((3 if op.p == 2 else 2) * e
+                             for e in op.exponents)
+    return op
+
+
+def test_verify_axioms_matches_the_reference():
+    """The whole report (violations in order, and notes) equals the rules'
+    letter in ``reference_verify_axioms``: on the builtins with a family, the
+    overridden families of the scenario files, seeded random A1 families
+    over Q, F2 and F3 at ranks 1 and 2 and orders 8 and 12, and the same
+    families broken by ``_faulty``."""
+    cases = []
+    for name in builtin_examples():
+        sc = load_builtin(name)
+        if sc.family is not None:  # toric-demo has none
+            cases.append((build_operator(sc.family, override=True),
+                          cli._generator_elements(sc)[0],
+                          sc.bounds["max_order"]))
+    for name in ("colored-not-vertex", "weight-cone-image"):
+        sc = parse_scenario((SCENARIOS / f"{name}.json").read_text())
+        with pytest.raises(EngineError):
+            build_operator(sc.family)
+        cases.append((build_operator(sc.family, override=True),
+                      cli._generator_elements(sc)[0], sc.bounds["max_order"]))
+    assert len(cases) == 5
+    rng = random.Random(2323)
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for rank in (1, 2):
+            for order in (8, 12):
+                found = 0
+                while found < 2:
+                    theta = _random_family(rng, field, A1, rank)
+                    if theta is None:
+                        continue
+                    try:
+                        op = build_operator(theta, override=True)
+                    except EngineError:
+                        continue
+                    elems = _box_elements(theta.coloring.divisor)
+                    cases.append((op, elems, order))
+                    for fault in ("raise", "step", "swap"):
+                        cases.append((_faulty(build_operator(
+                            theta, override=True), fault, elems, order),
+                            elems, order))
+                    found += 1
+    kinds = Counter()
+    for op, elems, order in cases:
+        got = verify_axioms(op, elems, order)
+        assert got == reference_verify_axioms(op, elems, order)
+        kinds.update(v.split(" on ")[0].split(" at ")[0]
+                     for v in got.violations)
+    assert len(cases) == 5 + 12 * 2 * 4
+    # verify_axioms applies an iterate once per order only after its one
+    # application at max_order - b raised, so each "iterate failed" is a
+    # case where that application raised.  Only the "raise" fault gets
+    # there: the step is additive, so order a of rx[b]'s images is
+    # C(a + b, a) times order a + b of x's, which x's application descended
+    assert set(kinds) == {"application failed", "iterate failed",
+                          "iteration rule fails", "product rule fails"}
+
+
+def test_verify_axioms_applies_each_iterate_once(monkeypatch):
+    """apply_term calls inside verify_axioms on the command line's test
+    sets: one per element, one per product of a pair, one per nonzero image
+    at an order b below max_order.  Applying each image once per order a
+    as well, as the iteration rule is stated, made 34 and 39."""
+    calls = []
+    apply_term = DthetaOperator.apply_term
+
+    def counted(self, f, m, max_order=None):
+        calls.append(tuple(m))
+        return apply_term(self, f, m, max_order)
+
+    monkeypatch.setattr(DthetaOperator, "apply_term", counted)
+    for name, want in (("w25-imperfect", 17), ("char2-ramified", 23)):
+        sc = load_builtin(name)
+        op = build_operator(sc.family)
+        elems = cli._generator_elements(sc)[0]
+        calls.clear()
+        assert verify_axioms(op, elems, sc.bounds["max_order"]).ok
+        assert len(calls) == want, name
 
 
 def _series_inverse(s, order):

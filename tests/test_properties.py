@@ -74,6 +74,29 @@ def test_poly_equality_is_a_zero_difference(field, data):
         assert hash(p) == hash(q) and p.to_str() == q.to_str()
 
 
+@pytest.mark.parametrize("field", [FIELDS[0], FIELDS[2], FIELDS[3]],
+                         ids=repr)
+@PROPERTY
+@given(data=st.data())
+def test_poly_equality_ignores_term_order(field, data):
+    """Polys built from the same terms inserted in different orders, and
+    from the terms' canonical values, are equal and hash equal; a Poly
+    whose value differs is unequal."""
+    terms = data.draw(st.dictionaries(st.integers(0, 6), elements(field),
+                                      max_size=5))
+    order = data.draw(st.permutations(sorted(terms)))
+    p = Poly(field, terms)
+    for q in (Poly(field, {e: terms[e] for e in order}),
+              Poly(field, {e: terms[e] for e in reversed(order)}),
+              Poly(field, {e: field.canon(terms[e]) for e in order})):
+        assert p == q and not p != q and hash(p) == hash(q)
+    e = data.draw(st.integers(0, 7))
+    r = p + Poly.x(field, e)
+    assert p != r and r != p and not p == r
+    other = data.draw(polys(field))
+    assert (p != other) == (not (p - other).is_zero())
+
+
 @fields
 @PROPERTY
 @given(data=st.data())
