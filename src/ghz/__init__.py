@@ -14,8 +14,7 @@ from .engine import (ApplicationResult, DthetaOperator, GradedElement,
                      verify_stability, verify_toric_axioms)
 from .fields import PrimeField, Rationals
 from .geometry import Cone, Polyhedron
-from .polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
-                          lambda_field)
+from .polynomials import FractionField, Poly, RatFunc, lambda_field
 from .reports import Report
 from .scenarios import (Scenario, builtin_examples, load_builtin,
                         parse_field, parse_scenario, serialize_scenario)

@@ -23,6 +23,7 @@ from .engine import (EngineError, GradedElement, Refusal, build_operator,
                      verify_stability, verify_toric_axioms)
 from .fields import FieldError
 from .geometry import GeometryError, fmt_ratio, fmt_vec
+from .polynomials import RatFunc, fmt_factors, times_factors
 from .reports import Report
 from .scenarios import (ScenarioError, builtin_examples, load_builtin,
                         parse_field, parse_scenario)
@@ -75,7 +76,9 @@ def _operator(sc, override):
 
 def _generator_elements(sc):
     gens, cert = algebra_generators(sc.divisor, sc.bounds["weight_box"])
-    elems = [GradedElement.term(sc.field, g.weight, g.coeff.expand())
+    one = RatFunc.one(sc.field)
+    elems = [GradedElement.term(sc.field, g.weight,
+                                times_factors(one, g.coeff, {}))
              for g in gens]
     return elems, cert
 
@@ -109,11 +112,12 @@ def _run(rep, sc, command, args):
         m = _parse_weight(args.m, div)
         piece = div.graded_piece(m)
         if piece.curve == A1:
-            rep.note(f"free module generated by {piece.generator.to_str()}")
+            rep.note("free module generated by "
+                     + fmt_factors(piece.generator))
         elif piece.is_empty:
             rep.note("zero piece")
         else:
-            rep.note("basis: " + ", ".join(b.to_str() for b in piece.basis()))
+            rep.note("basis: " + ", ".join(map(fmt_factors, piece.basis())))
     elif command == "generators":
         gens, cert = algebra_generators(div, sc.bounds["weight_box"])
         for g in gens:

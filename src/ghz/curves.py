@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import PrimeField, Rationals, FieldError
-from .polynomials import FactoredRatFunc, FractionField, Poly, poly_gcd
+from .polynomials import FractionField, Poly, factor_list, poly_gcd
 from .reports import Record
 
 A1 = "A1"
@@ -233,14 +233,16 @@ def insep_profile(y: ClosedPoint) -> InsepProfile:
 
 class ModuleDescription(Record):
     """H^0 of a rounded divisor: a free k[t]-module generator on A1, or a
-    finite k-basis {generator * t^j : 0 <= j <= degree_bound} on P1."""
+    finite k-basis {generator * t^j : 0 <= j <= degree_bound} on P1.  The
+    generator is a ``factor_list`` over ``field``."""
 
-    __slots__ = ("curve", "generator", "degree_bound")
+    __slots__ = ("curve", "field", "generator", "degree_bound")
 
-    def __init__(self, curve: str, generator: FactoredRatFunc,
+    def __init__(self, curve: str, field, generator: tuple,
                  degree_bound: int | None = None):
         put = object.__setattr__
         put(self, "curve", curve)
+        put(self, "field", field)
         put(self, "generator", generator)
         put(self, "degree_bound", degree_bound)  # P1 only; None on A1
 
@@ -251,12 +253,9 @@ class ModuleDescription(Record):
     def basis(self):
         if self.curve != P1:
             raise FieldError("finite basis only exists on P1")
-        field = self.generator.field
-        out = []
-        for j in range(self.degree_bound + 1):
-            tj = FactoredRatFunc(field, [(Poly.x(field), j)])
-            out.append(self.generator * tj)
-        return out
+        t = Poly.x(self.field)
+        return [factor_list(self.generator + ((t, j),))
+                for j in range(self.degree_bound + 1)]
 
 
 def h0_generators(d: dict, curve: str, field) -> ModuleDescription:
@@ -275,8 +274,8 @@ def h0_generators(d: dict, curve: str, field) -> ModuleDescription:
                 raise PointError("infinity is not a point of the affine line")
             continue
         factors.append((y.poly, -c))
-    gen = FactoredRatFunc(field, factors)
+    gen = factor_list(factors)
     if curve == A1:
-        return ModuleDescription(A1, gen)
-    return ModuleDescription(P1, gen, degree_bound=sum(
+        return ModuleDescription(A1, field, gen)
+    return ModuleDescription(P1, field, gen, degree_bound=sum(
         c * y.degree for y, c in d.items()))

@@ -13,7 +13,7 @@ from .fields import FieldError
 from .geometry import (Cone, dot, fmt_vec, in_lattice, lattice_basis,
                        lattice_box)
 from .polynomials import (Poly, RatFunc, descend_power, hasse_expand,
-                          poly_gcd)
+                          poly_gcd, times_factors)
 from .reports import Report
 from .tvariety import PolyhedralDivisor
 
@@ -120,40 +120,6 @@ class ApplicationResult:
 
 # -- the operator -----------------------------------------------------------
 
-def times_factors(r: RatFunc, factors, powers: dict) -> RatFunc:
-    """r * prod q^e for monic q, without a Euclidean gcd when nothing but q
-    can cancel.
-
-    r = num/den is reduced.  For e > 0, q is divided out of den while it
-    divides, and the rest of q^e multiplies num (symmetrically for e < 0).
-    A point may be trusted without an irreducibility proof, so q can share
-    a proper factor with what is left: the failed division's remainder
-    gives gcd(q, rest), and a nontrivial one makes the result reduce.
-
-    ``powers`` caches q ** n by (q, n) for polynomials over one field: the
-    same factors recur with the same exponents at every weight."""
-    num, den = r.num, r.den
-    if num.is_zero():
-        return r
-    reduce = False
-    for q, e in factors:
-        near, far = (num, den) if e > 0 else (den, num)
-        n = abs(e)
-        while n and far.degree > 0:
-            quo, rem = far.divmod(q)
-            if not rem.is_zero():
-                reduce = reduce or (rem.degree > 0
-                                    and poly_gcd(q, rem).degree > 0)
-                break
-            far, n = quo, n - 1
-        if n:
-            if (q, n) not in powers:
-                powers[q, n] = q ** n
-            near = near * powers[q, n]
-        num, den = (near, far) if e > 0 else (far, near)
-    return RatFunc(num, den, reduce=reduce)
-
-
 class DthetaOperator:
     """Sequence of divided-power operators attached to a coherent family."""
 
@@ -178,7 +144,7 @@ class DthetaOperator:
             (y, c.vertex(y)) for y in c.colored_points()
             if y != c.y0 and not y.is_infinity
             and any(x != 0 for x in c.vertex(y))]
-        self.xi_powers = {}  # q ** n of the xi factors, for times_factors
+        self.xi_powers = {}  # q ** n by (q, n) for times_factors
 
     def nilpotency_exponent(self) -> int:
         return self.exponents[-1]
@@ -409,14 +375,12 @@ def default_horizontal_order(op: DthetaOperator) -> int:
     return op.nilpotency_exponent() * (op.p ** op.u) * op.d
 
 
-def verify_horizontal(op: DthetaOperator, max_order=None) -> bool:
+def verify_horizontal(op: DthetaOperator) -> bool:
     """Does some positive-order image move the curve coordinate t?"""
-    if max_order is None:
-        max_order = default_horizontal_order(op)
     t = GradedElement.term(op.field,
                            tuple(0 for _ in range(op.divisor.rank)),
                            RatFunc.x(op.field, 1))
-    res = op.apply(t, max_order)
+    res = op.apply(t, default_horizontal_order(op))
     return any(i >= 1 for i in res.orders)
 
 
@@ -464,7 +428,8 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
     for m in lattice_box(div.rank, box_bound):
         if not dual.contains(m):
             continue
-        fm = div.generator(m).expand()
+        fm = times_factors(RatFunc.one(div.field), div.generator(m),
+                           op.xi_powers)
         images, _ = op.apply_term(fm, m)
         a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False

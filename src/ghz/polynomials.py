@@ -6,9 +6,11 @@ GF(p)(l) and the cyclic-cover variable of the operator engine, whose step
 S = sum lambda_j T^(p^s_j) is a :class:`Poly` in T as well.
 
 A rational function, parsed or computed, is a reduced :class:`RatFunc`;
-the parser builds it with RatFunc's own arithmetic.  :class:`FactoredRatFunc`
-holds only the H^0 generator prod q_y^(e_y), whose factors the generator
-search reads.
+the parser builds it with RatFunc's own arithmetic.  An H^0 generator
+prod q_y^(e_y) stays a ``factor_list`` of (q_y, e_y) pairs, which
+``fmt_factors`` prints and the generator search reads by exponents;
+``times_factors`` is the one way to multiply it into a RatFunc, dividing
+each q_y out of the opposite side instead of running a gcd.
 """
 
 from __future__ import annotations
@@ -431,59 +433,61 @@ def lambda_field(p: int) -> FractionField:
     return FractionField(PrimeField(p), "l")
 
 
-class FactoredRatFunc:
-    """An H^0 generator prod q_y^(e_y): monic non-constant polynomials with
-    nonzero integer exponents.
+def factor_list(pairs) -> tuple:
+    """An H^0 generator prod q^e as a canonical tuple of (q, e) pairs: monic
+    non-constant q, nonzero int e.  Factors are kept as supplied (never
+    factored further); pairs with the same q merge by adding exponents, and
+    the result is sorted by (degree, printed form)."""
+    merged = {}
+    for q, e in pairs:
+        merged[q] = merged.get(q, 0) + e
+    return tuple(sorted(((q, e) for q, e in merged.items() if e),
+                        key=lambda qe: (qe[0].degree, qe[0].to_str())))
 
-    Factors are kept as supplied (never factored further); shared factors
-    combine by exponent addition.  ``piece`` and ``generators`` print it in
-    this form, and the generator search reads its exponents.
-    """
 
-    __slots__ = ("field", "factors")
+def fmt_factors(factors) -> str:
+    """A factor list as ``piece`` and ``generators`` print it; 1 if empty."""
+    parts = []
+    for q, e in factors:
+        base = q.to_str()
+        if len(q.coeffs) > 1:
+            base = f"({base})"
+        parts.append(base if e == 1 else f"{base}^{e}")
+    return "*".join(parts) or "1"
 
-    def __init__(self, field, factors):
-        self.field = field
-        merged = {}
-        for poly, exp in factors:
-            merged[poly] = merged.get(poly, 0) + exp
-        self.factors = tuple(sorted(
-            ((p, e) for p, e in merged.items() if e != 0),
-            key=lambda pe: (pe[0].degree, pe[0].to_str())))
 
-    def __mul__(self, other):
-        return FactoredRatFunc(self.field, self.factors + other.factors)
+def times_factors(r: RatFunc, factors, powers: dict) -> RatFunc:
+    """r * prod q^e for monic q, without a Euclidean gcd when nothing but q
+    can cancel.
 
-    def expand(self) -> RatFunc:
-        num = Poly.one(self.field)
-        den = Poly.one(self.field)
-        for p, e in self.factors:
-            if e > 0:
-                num = num * p ** e
-            else:
-                den = den * p ** (-e)
-        return RatFunc(num, den)
+    r = num/den is reduced.  For e > 0, q is divided out of den while it
+    divides, and the rest of q^e multiplies num (symmetrically for e < 0).
+    A point may be trusted without an irreducibility proof, so q can share
+    a proper factor with what is left: the failed division's remainder
+    gives gcd(q, rest), and a nontrivial one makes the result reduce.
 
-    def __eq__(self, other):
-        return (isinstance(other, FactoredRatFunc) and self.field == other.field
-                and self.factors == other.factors)
-
-    def __hash__(self):
-        return hash(("FRF", self.factors))
-
-    def to_str(self, var: str = "t") -> str:
-        if not self.factors:
-            return "1"
-        parts = []
-        for p, e in self.factors:
-            base = p.to_str(var)
-            if len(p.coeffs) > 1:
-                base = f"({base})"
-            parts.append(base if e == 1 else f"{base}^{e}")
-        return "*".join(parts)
-
-    def __repr__(self):
-        return f"FactoredRatFunc({self.to_str()})"
+    ``powers`` caches q ** n by (q, n) for polynomials over one field: the
+    same factors recur with the same exponents at every weight."""
+    num, den = r.num, r.den
+    if num.is_zero():
+        return r
+    reduce = False
+    for q, e in factors:
+        near, far = (num, den) if e > 0 else (den, num)
+        n = abs(e)
+        while n and far.degree > 0:
+            quo, rem = far.divmod(q)
+            if not rem.is_zero():
+                reduce = reduce or (rem.degree > 0
+                                    and poly_gcd(q, rem).degree > 0)
+                break
+            far, n = quo, n - 1
+        if n:
+            if (q, n) not in powers:
+                powers[q, n] = q ** n
+            near = near * powers[q, n]
+        num, den = (near, far) if e > 0 else (far, near)
+    return RatFunc(num, den, reduce=reduce)
 
 
 def _truncated_product(a: dict, b: dict, order: int, k) -> dict:
@@ -676,8 +680,8 @@ def _parse_atom(toks, field, var) -> RatFunc:
     raise ParseError(f"unexpected token at position {pos}")
 
 
-def parse_poly(text: str, field, var: str = "t") -> Poly:
-    rf = parse_rational(text, field, var)
+def parse_poly(text: str, field) -> Poly:
+    rf = parse_rational(text, field)
     if not rf.is_poly():
         raise ParseError("expected a polynomial, got a proper rational function")
     return rf.num

@@ -8,7 +8,7 @@ from collections import deque
 
 from .curves import A1, P1, ClosedPoint, ModuleDescription, h0_generators
 from .geometry import Cone, Polyhedron, minkowski_weighted_sum
-from .polynomials import FactoredRatFunc, Poly
+from .polynomials import Poly, fmt_factors, times_factors
 from .reports import Record, Report
 
 
@@ -93,8 +93,8 @@ class PolyhedralDivisor:
         return h0_generators({y: a // den for y, a in self.eval(m).items()},
                              self.curve, self.field)
 
-    def generator(self, m) -> FactoredRatFunc:
-        """The free-module generator f_m over A1."""
+    def generator(self, m) -> tuple:
+        """The free-module generator f_m over A1, as a ``factor_list``."""
         if self.curve != A1:
             raise DivisorError("free module generators exist over A1 only")
         return self.graded_piece(m).generator
@@ -139,10 +139,9 @@ class PolyhedralDivisor:
     def membership(self, f, m) -> bool:
         """Does f * chi^m lie in the graded algebra?"""
         piece = self.graded_piece(m)
-        fm = piece.generator.expand()
         if f.is_zero():
             return True
-        quot = f / fm
+        quot = times_factors(f, [(q, -e) for q, e in piece.generator], {})
         if not quot.is_poly():
             return False
         if self.curve == P1:
@@ -162,32 +161,29 @@ class GeneratorCertificate:
 class AlgebraGenerator(Record):
     __slots__ = ("weight", "coeff")
 
-    def __init__(self, weight: tuple, coeff: FactoredRatFunc):
+    def __init__(self, weight: tuple, coeff: tuple):
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "coeff", coeff)  # a factor_list
 
     def to_str(self) -> str:
-        return f"{self.coeff.to_str()} * chi^{self.weight}"
+        return f"{fmt_factors(self.coeff)} * chi^{self.weight}"
 
 
-def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
+def algebra_generators(div: PolyhedralDivisor, bound: int):
     """Minimal generating set of the A1 graded algebra, certified on a box.
 
     Scans weights with coordinates bounded by ``bound``, repeatedly adding
     f_m chi^m for the smallest-norm weight whose graded piece is not yet
     reached by products of the chosen elements, then removes redundant
-    members.  ``weight_cone`` restricts the scanned weights (used for
-    subalgebras supported on a subcone of the weight cone).
+    members.
     """
     if div.curve != A1:
         raise DivisorError("generator search is implemented over A1")
-    field = div.field
     dual = div.tail.dual()
     from .geometry import lattice_box
 
     weights = [m for m in lattice_box(div.rank, bound)
-               if any(m) and dual.contains(m)
-               and (weight_cone is None or weight_cone.contains(m))]
+               if any(m) and dual.contains(m)]
     weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
     fgen = {m: div.generator(m) for m in weights}
 
@@ -196,13 +192,13 @@ def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
     # vector over every factor of every f_m.
     index = {}
     for f in fgen.values():
-        for poly, _ in f.factors:
+        for poly, _ in f:
             index.setdefault(poly, len(index))
     zero = (0,) * len(index)
     expo = {}
     for m, f in fgen.items():
         expo[m] = list(zero)
-        for poly, e in f.factors:
+        for poly, e in f:
             expo[m][index[poly]] = e
     # splits[m]: (m1, m2, exponents of f_m1 * f_m2 / f_m) for m = m1 + m2
     # with m1 <= m2; users[w]: the weights with a split that has w as a part
@@ -261,8 +257,7 @@ def algebra_generators(div: PolyhedralDivisor, bound: int, weight_cone=None):
         if reach[m] == zero:
             chosen = trial
 
-    gens = [AlgebraGenerator((0,) * div.rank,
-                             FactoredRatFunc(field, [(Poly.x(field), 1)]))]
+    gens = [AlgebraGenerator((0,) * div.rank, ((Poly.x(div.field), 1),))]
     gens.extend(AlgebraGenerator(m, fgen[m]) for m in sorted(chosen))
     shell = max((max(abs(c) for c in m) for m in chosen), default=0)
     cert = GeneratorCertificate(

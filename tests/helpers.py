@@ -2,9 +2,12 @@
 
 ``principal_divisor``, ``is_effective`` and ``h0_dimension`` make the H^0
 oracle: div(g * t^j) + d >= 0 exactly for j below dim H^0(P1, d), for an
-integral divisor d given as {point: int}. ``frf_quotient`` and
-``frf_is_polynomial`` are the arithmetic of the reference generator search.
-``reference_verify_axioms`` checks the operator axioms as they are stated.
+integral divisor d given as {point: int}. ``exponents``,
+``factor_quotient`` and ``factor_is_polynomial`` are the arithmetic of the
+reference generator search, on H^0 generators given as (q, e) pairs.
+``times_by_expansion`` multiplies such pairs into a rational function by
+expanding them. ``reference_verify_axioms`` checks the operator axioms as
+they are stated.
 """
 
 from fractions import Fraction
@@ -13,7 +16,7 @@ from ghz.binomials import binom_in_field
 from ghz.curves import P1, ClosedPoint, point_validate
 from ghz.engine import EngineError, GradedElement
 from ghz.geometry import Cone, _echelon, dot
-from ghz.polynomials import FactoredRatFunc, Poly
+from ghz.polynomials import Poly, RatFunc
 from ghz.reports import Report
 from ghz.scenarios import divisor_over_den
 
@@ -74,39 +77,59 @@ def from_fraction(field, q: Fraction):
                      field.inv(field.from_int(q.denominator)))
 
 
+def exponents(pairs):
+    """(q, e) pairs as {q: e}: the exponents of a repeated q add up, and
+    zero exponents drop."""
+    out = {}
+    for q, e in pairs:
+        out[q] = out.get(q, 0) + e
+    return {q: e for q, e in out.items() if e}
+
+
 def exponent_of(f, poly):
-    """The exponent of the monic factor ``poly`` in a FactoredRatFunc."""
-    return dict(f.factors).get(poly, 0)
+    """The exponent of the monic factor ``poly`` in a factor list."""
+    return exponents(f).get(poly, 0)
 
 
-def is_unit(f):
-    """A FactoredRatFunc with no factor: the constant 1."""
-    return not f.factors
+def factor_quotient(a, b):
+    """a / b for two lists of (q, e) pairs, as {q: e}."""
+    return exponents([*a, *((q, -e) for q, e in b)])
 
 
-def frf_quotient(a, b):
-    """a / b, by exponents."""
-    return FactoredRatFunc(a.field, list(a.factors)
-                           + [(p, -e) for p, e in b.factors])
+def factor_is_polynomial(f):
+    """Every exponent of the (q, e) pairs is nonnegative."""
+    return all(e >= 0 for _, e in f)
 
 
-def frf_is_polynomial(f):
-    """Every exponent is nonnegative."""
-    return all(e >= 0 for _, e in f.factors)
+def times_by_expansion(r, pairs):
+    """r * prod q^e: each side multiplied by its Poly powers, then reduced
+    by RatFunc's gcd."""
+    num, den = r.num, r.den
+    for q, e in pairs:
+        if e > 0:
+            num = num * q ** e
+        else:
+            den = den * q ** -e
+    return RatFunc(num, den)
 
 
-def generator_elements(gens):
+def expanded(field, pairs):
+    """prod q^e as a RatFunc over ``field``, by expansion."""
+    return times_by_expansion(RatFunc.one(field), pairs)
+
+
+def generator_elements(field, gens):
     """The algebra generators as graded elements."""
-    return [GradedElement.term(g.coeff.field, g.weight, g.coeff.expand())
+    return [GradedElement.term(field, g.weight, expanded(field, g.coeff))
             for g in gens]
 
 
 def principal_divisor(f, curve, policy="trusted") -> dict:
-    """div(f) on A1 or P1 for a FactoredRatFunc; on P1 the point at
-    infinity balances the degree to zero."""
+    """div(f) on A1 or P1 for (q, e) pairs; on P1 the point at infinity
+    balances the degree to zero."""
     out = {}
     total = 0
-    for poly, exp in f.factors:
+    for poly, exp in exponents(f).items():
         y = point_validate(poly, policy)
         out[y] = out.get(y, 0) + exp
         total += exp * poly.degree

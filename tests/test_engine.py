@@ -1,12 +1,13 @@
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from ghz import cli, engine
+from ghz import cli, engine, polynomials, tvariety
 from ghz.classifier import (CoherentFamily, Coloring, _random_family,
                             coherent_validate)
 from ghz.cli import main
@@ -14,19 +15,20 @@ from ghz.curves import A1, ClosedPoint, point_validate
 from ghz.engine import (DthetaOperator, EngineError, GradedElement,
                         KernelReport, build_operator,
                         default_horizontal_order, kernel_in_box,
-                        times_factors, toric_root_operator, verify_axioms,
+                        toric_root_operator, verify_axioms,
                         verify_horizontal, verify_stability)
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, in_lattice, lattice_basis, lattice_box
-from ghz.polynomials import (FactoredRatFunc, FractionField, Poly, RatFunc,
-                             lambda_field, parse_poly, parse_rational,
-                             poly_gcd, substitute_poly)
+from ghz.polynomials import (FractionField, Poly, RatFunc, lambda_field,
+                             parse_poly, parse_rational, poly_gcd,
+                             substitute_poly, times_factors)
 from ghz.reports import Report
 from ghz.scenarios import builtin_examples, load_builtin, parse_scenario
 from ghz.tvariety import algebra_generators
 
-from helpers import (generator_elements, int_poly, orthant,
-                     rational_divisor, reference_verify_axioms)
+from helpers import (expanded, generator_elements, int_poly, orthant,
+                     rational_divisor, reference_verify_axioms,
+                     times_by_expansion)
 
 Q = Rationals()
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -102,7 +104,7 @@ def test_w25_axioms_and_stability():
     K, D, op = w25_operator()
     gens, cert = algebra_generators(D, 6)
     assert cert.complete
-    elems = generator_elements(gens)
+    elems = generator_elements(K, gens)
     assert verify_axioms(op, elems, 12).ok
     assert verify_stability(op, D, elems).ok
     assert verify_horizontal(op)
@@ -129,7 +131,8 @@ def test_weights_are_plain_ints():
         for m in lattice_box(div.rank, 3):
             if not div.tail.dual().contains(m):
                 continue
-            images, _ = op.apply_term(div.generator(m).expand(), m)
+            images, _ = op.apply_term(expanded(div.field, div.generator(m)),
+                                      m)
             assert images and all(ints(w) for w, _ in images.values())
         ker = kernel_in_box(op, div, sc.bounds["weight_box"])
         assert ker.weights and all(ints(m) for m in ker.weights)
@@ -208,7 +211,8 @@ def _box_elements(div, n=4):
     the weight cone, and the sum of the first and last as a two-term
     element."""
     dual = div.tail.dual()
-    elems = [GradedElement.term(div.field, m, div.generator(m).expand())
+    elems = [GradedElement.term(div.field, m,
+                                expanded(div.field, div.generator(m)))
              for m in lattice_box(div.rank, 1) if dual.contains(m)][:n]
     return elems + [elems[0] + elems[-1]] if len(elems) > 1 else elems
 
@@ -395,9 +399,10 @@ def test_substitution_matches_series_oracle():
 def test_ramified_char2_stability():
     F2 = PrimeField(2)
     D, op = ramified_operator(F2, (0,))
-    omega2 = Cone.from_generators([(0, 1), (2, 1)], 2)
-    gens, _ = algebra_generators(D, 4, weight_cone=omega2)
-    assert verify_stability(op, D, generator_elements(gens)).ok
+    gens, _ = algebra_generators(D, 4)
+    assert [g.weight for g in gens] == [(0, 0), (0, 1), (1, 0), (2, 0),
+                                        (2, 1)]
+    assert verify_stability(op, D, generator_elements(F2, gens)).ok
 
 
 def test_ramified_char0_instability():
@@ -417,7 +422,8 @@ def test_images_outside_the_weight_cone_are_stability_violations():
     theta = CoherentFamily(sc.coloring, (-1, 0), sc.family.s, sc.family.lam)
     op = build_operator(theta, override=True)
     gens, _ = algebra_generators(sc.divisor, sc.bounds["weight_box"])
-    rep = verify_stability(op, sc.divisor, generator_elements(gens))
+    rep = verify_stability(op, sc.divisor,
+                           generator_elements(sc.field, gens))
     assert rep.violations == [
         "order 2 of (t)*chi^(0, 0) leaves the weight cone: (t)*chi^(-2, 0)",
         "order 2 of (1)*chi^(0, 1) leaves the weight cone: "
@@ -510,7 +516,7 @@ def _reference_kernel_in_box(op, div, box_bound, window=6):
     for m in lattice_box(div.rank, box_bound):
         if not dual.contains(m):
             continue
-        fm = div.generator(m).expand()
+        fm = expanded(k, div.generator(m))
         cands = [RatFunc.x(k, j) * fm for j in range(window + 1)]
         images = []  # per candidate: {(order, weight): RatFunc}
         for g in cands:
@@ -636,12 +642,6 @@ def test_kernel_of_overridden_incoherent_families():
         kernel_in_box(op, D, 10)
 
 
-def _times_factors_by_expansion(r, factors, powers=None):
-    """The product through the expanded factors and a Euclidean gcd."""
-    k = r.field
-    return r * FactoredRatFunc(k, factors).expand()
-
-
 @pytest.mark.parametrize("field, points", [
     (Q, ["t", "t - 1", "t + 2", "t^2 - 2", "(t^2 - 2)*(t^2 - 3)"]),
     (PrimeField(2), ["t", "t + 1", "t^2 + t + 1"]),
@@ -667,7 +667,7 @@ def test_times_factors_matches_expansion(field, points):
             factors = [(q, rng.randint(-4, 4)) for q in
                        rng.sample(qs, rng.randint(0, len(qs)))]
             got = times_factors(r, factors, powers)
-            assert got == _times_factors_by_expansion(r, factors), (r, factors)
+            assert got == times_by_expansion(r, factors), (r, factors)
     assert all(p == q ** n for (q, n), p in powers.items())
 
 
@@ -677,14 +677,14 @@ def test_times_factors_reduces_trusted_reducible_points(monkeypatch):
     big = parse_poly("(t^2 - 2)*(t^2 - 3)", Q)
     small = parse_poly("t^2 - 2", Q)
     gcds = []
-    monkeypatch.setattr(engine, "poly_gcd",
+    monkeypatch.setattr(polynomials, "poly_gcd",
                         lambda a, b: gcds.append(1) or poly_gcd(a, b))
     for r, factors in [(RatFunc(Poly.one(Q), small), [(big, 1)]),
                        (RatFunc.from_poly(small), [(big, -2)]),
                        (RatFunc.one(Q), [(small, -1), (big, 1)]),
                        (RatFunc.one(Q), [(big, 2), (small, -3)])]:
         got = times_factors(r, factors, {})
-        assert got == _times_factors_by_expansion(r, factors)
+        assert got == times_by_expansion(r, factors)
     assert gcds
     assert times_factors(RatFunc(Poly.one(Q), small), [(big, 1)], {}) \
         == RatFunc.from_poly(parse_poly("t^2 - 3", Q))
@@ -725,5 +725,17 @@ def test_verify_over_q_matches_the_expanding_path(tmp_path, capsys,
         return code, [x for x in lines if not x.startswith("elapsed:")]
 
     assert verify() == (0, Q_FAMILY_VERIFY)
-    monkeypatch.setattr(engine, "times_factors", _times_factors_by_expansion)
+    # every module that binds times_factors, each patched and each called
+    calls = Counter()
+    for module in (cli, engine, tvariety):
+        def expanding(r, factors, powers, name=module.__name__):
+            calls[name] += 1
+            return times_by_expansion(r, factors)
+
+        monkeypatch.setattr(module, "times_factors", expanding)
+    bound = {name for name, module in sys.modules.items()
+             if name.startswith("ghz.") and name != "ghz.polynomials"
+             and hasattr(module, "times_factors")}
+    assert bound == {"ghz.cli", "ghz.engine", "ghz.tvariety"}
     assert verify() == (0, Q_FAMILY_VERIFY)
+    assert set(calls) == bound, calls

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from ghz.fields import FieldError, PrimeField, Rationals
-from ghz.polynomials import (FactoredRatFunc, FractionField, ParseError, Poly,
-                             RatFunc, descend_power, hasse_expand,
-                             lambda_field, parse_poly, parse_scalar, poly_gcd,
-                             substitute_poly)
+from ghz.polynomials import (FractionField, ParseError, Poly, RatFunc,
+                             descend_power, factor_list, fmt_factors,
+                             hasse_expand, lambda_field, parse_poly,
+                             parse_scalar, poly_gcd, substitute_poly)
 from ghz.scenarios import ScenarioError, parse_scenario
 
-from helpers import exponent_of, from_fraction, int_poly, is_unit
+from helpers import expanded, from_fraction, int_poly
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -231,18 +231,30 @@ def test_lambda_field():
     assert K.generator_name == "l"
 
 
-def test_factored_ratfunc():
-    t, t1 = qp([0, 1]), qp([1, 1])
-    f = FactoredRatFunc(Q, [(t1, 2), (t, 1)])
-    assert f.factors == ((t, 1), (t1, 2))
-    assert f.to_str() == "t*(t + 1)^2"
-    g = f * FactoredRatFunc(Q, [(t1, -3), (t, -1)])
-    assert exponent_of(g, t) == 0 and exponent_of(g, t1) == -1
-    assert g.expand() == RatFunc(Poly.one(Q), t1)
-    assert g.to_str() == "(t + 1)^-1"
-    one = FactoredRatFunc(Q, [(t, 0)])
-    assert is_unit(one) and one.to_str() == "1"
-    assert one.expand() == RatFunc.one(Q)
+_T, _T1, _TM1 = qp([0, 1]), qp([1, 1]), qp([-1, 1])
+
+
+@pytest.mark.parametrize("pairs, factors, text, value", [
+    # shared factors merge, sorted by (degree, printed form)
+    ([(_T1, 2), (_T, 1)], ((_T, 1), (_T1, 2)), "t*(t + 1)^2",
+     RatFunc(_T * _T1 * _T1, Poly.one(Q))),
+    # exponents that cancel drop their factor
+    ([(_T1, 2), (_T, 1), (_T1, -3), (_T, -1)], ((_T1, -1),), "(t + 1)^-1",
+     RatFunc(Poly.one(Q), _T1)),
+    ([(_T, 0)], (), "1", RatFunc.one(Q)),
+    ([], (), "1", RatFunc.one(Q)),
+    # the P1 basis element t^-1*(t - 1) * t of the `piece` golden
+    ([(_T, -1), (_TM1, 1), (_T, 1)], ((_TM1, 1),), "(t - 1)",
+     RatFunc(_TM1, Poly.one(Q))),
+    ([(_T, -1), (_TM1, 1), (_T, 0)], ((_T, -1), (_TM1, 1)), "t^-1*(t - 1)",
+     RatFunc(_TM1, _T)),
+], ids=["merge", "cancel", "zero-exponent", "empty", "p1-basis-t",
+        "p1-basis-1"])
+def test_factor_list_and_fmt_factors(pairs, factors, text, value):
+    got = factor_list(pairs)
+    assert got == factors
+    assert fmt_factors(got) == text
+    assert expanded(Q, got) == value
 
 
 def test_truncated_series():

@@ -1,21 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from ghz import polynomials
 from ghz.classifier import _random_family
 from ghz.curves import A1, P1, ClosedPoint, point_validate
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, Polyhedron, lattice_box
-from ghz.polynomials import (FactoredRatFunc, Poly, lambda_field, parse_poly,
-                             parse_rational)
+from ghz.polynomials import (Poly, RatFunc, factor_list, lambda_field,
+                             parse_poly, parse_rational)
 from ghz.tvariety import (AlgebraGenerator, DivisorError,
                           GeneratorCertificate, PolyhedralDivisor,
                           algebra_generators)
 
-from helpers import (argmin_vertices, exponent_of, frf_is_polynomial,
-                     frf_quotient, interior_point, is_unit, orthant, rational,
-                     rational_divisor)
+from helpers import (argmin_vertices, expanded, exponent_of, exponents,
+                     factor_is_polynomial, factor_quotient, interior_point,
+                     orthant, rational, rational_divisor)
 
 Q = Rationals()
 
@@ -167,7 +169,7 @@ def test_eval_and_generator():
     assert D.eval((1,)) == {y0: 1, y: 0}
     # weight 5 generator is t^-1
     g = D.generator((5,))
-    assert g.to_str() == "t^-1"
+    assert g == ((parse_poly("t", K), -1),)
     g25 = D.generator((25,))
     assert exponent_of(g25, parse_poly("t", K)) == -5
     gneg = D.generator((-25,))
@@ -258,6 +260,86 @@ def test_membership():
     assert D.membership(parse_rational("t", K), (0,))
 
 
+# per field: the points of the random divisors, the last two a trusted
+# reducible point and one of its factors
+MEMBERSHIP_POINTS = [
+    (Q, ["t", "t - 1", "t^2 + 1", "(t^2 - 2)*(t^2 - 3)", "t^2 - 2"]),
+    (PrimeField(3), ["t", "t + 1", "t^2 + t + 2", "(t^2 + 1)*(t^2 + 2*t + 2)",
+                     "t^2 + 1"]),
+    (lambda_field(2), ["t", "t + 1", "t^2 + l",
+                       "(t^2 + t + l)*(t^2 + t + l + 1)", "t^2 + t + l"]),
+]
+
+
+@pytest.mark.parametrize("curve", [A1, P1])
+@pytest.mark.parametrize("field, points", MEMBERSHIP_POINTS,
+                         ids=["Q", "F3", "F2(l)"])
+def test_membership_matches_division_by_the_expanded_generator(
+        field, points, curve, monkeypatch):
+    """membership multiplies f by 1/f_m through times_factors; the oracle
+    divides f by the expanded f_m with RatFunc's gcd and, on P1, bounds the
+    quotient's degree by the piece's."""
+    rng = random.Random(41)
+    ys = [point_validate(parse_poly(text, field), "trusted")
+          for text in points]
+    qs = [y.poly for y in ys]
+    scalars = [field.one(), field.from_int(2), field.generator()] \
+        if field == lambda_field(2) else [field.one(), field.from_int(2)]
+
+    def poly(degree):
+        return Poly(field, {e: rng.choice(scalars + [field.zero()])
+                            for e in range(degree)}
+                    | {degree: rng.choice(scalars)})
+
+    def points_product(n):
+        out = Poly.one(field)
+        for _ in range(n):
+            out = out * rng.choice(qs)
+        return out
+
+    tail = Cone.from_generators([(1,)], 1)
+    cases = []
+    for _ in range(8):
+        support = {y: [(F(rng.randint(-2, 2), rng.randint(1, 3)),)
+                       for _ in range(rng.randint(1, 2))]
+                   for y in ys[:-2] if rng.random() < 0.5}
+        for y in ys[-2:]:
+            support[y] = [(F(rng.randint(-1, 1), rng.randint(1, 2)),)]
+        if curve == P1:
+            support[ClosedPoint.infinity()] = [(F(rng.randint(0, 6), 2),)]
+        div = rational_divisor(field, curve, tail, support)[0]
+        for m in range(4):
+            piece = div.graded_piece((m,))
+            fm = expanded(field, piece.generator)
+            fs = [RatFunc.zero(field)]
+            fs += [fm * RatFunc.from_poly(poly(rng.randint(0, 3)))
+                   for _ in range(3)]
+            fs += [fm * RatFunc(poly(rng.randint(0, 2)),
+                                points_product(rng.randint(1, 2)))
+                   for _ in range(3)]
+            fs += [RatFunc(poly(rng.randint(0, 2))
+                           * points_product(rng.randint(0, 2)),
+                           points_product(rng.randint(0, 2)))
+                   for _ in range(3)]
+            for f in fs:
+                quot = f / fm
+                want = f.is_zero() or quot.is_poly() and (
+                    curve == A1 or quot.num.degree <= piece.degree_bound)
+                cases.append((div, f, (m,), want))
+    # inside membership only times_factors runs a gcd in k[t] (F2(l) runs
+    # more in F2[l]): a nontrivial one means that a trusted reducible point
+    # shared a factor with f
+    shared = []
+    gcd = polynomials.poly_gcd
+    monkeypatch.setattr(polynomials, "poly_gcd", lambda a, b: shared.append(
+        a.field == field and gcd(a, b).degree > 0) or gcd(a, b))
+    for div, f, m, want in cases:
+        assert div.membership(f, m) == want, (f.to_str(), m)
+    assert any(shared)
+    wants = Counter(want for *_, want in cases)
+    assert wants[True] > 50 and wants[False] > 50, wants
+
+
 def test_algebra_generators_hyperbolic():
     K, y0, y, D = hyperbolic_w25()
     gens, cert = algebra_generators(D, 10)
@@ -265,49 +347,34 @@ def test_algebra_generators_hyperbolic():
     assert (0,) in weights  # t itself
     assert (5,) in weights and (-5,) in weights
     assert cert.complete
-    by_weight = {g.weight: g.coeff for g in gens}
-    assert by_weight[(5,)].to_str() == "t^-1"
-    assert by_weight[(-5,)].to_str() == "t*(t^2 + l)"
-
-
-def test_algebra_generators_weight_cone():
-    field = PrimeField(2)
-    w0, w1, E = rank2_ramified(field)
-    omega2 = Cone.from_generators([(0, 1), (2, 1)], 2)
-    gens, _ = algebra_generators(E, 4, weight_cone=omega2)
-    for g in gens:
-        assert omega2.contains(g.weight)
+    by_weight = {g.weight: g.to_str() for g in gens}
+    assert by_weight[(5,)] == "t^-1 * chi^(5,)"
+    assert by_weight[(-5,)] == "t*(t^2 + l) * chi^(-5,)"
 
 
 def test_superadditivity_violation_raises(monkeypatch):
     K, y0, y, D = hyperbolic_w25()
     generator = PolyhedralDivisor.generator
-    t_inv = FactoredRatFunc(K, [(Poly.x(K), -1)])
 
     def broken(self, m):
         f = generator(self, m)
         # then f_5 * f_5 / f_10 has a negative exponent at t
-        return f * t_inv if m == (5,) else f
+        return factor_list(f + ((Poly.x(K), -1),)) if m == (5,) else f
 
     monkeypatch.setattr(PolyhedralDivisor, "generator", broken)
     with pytest.raises(DivisorError, match="superadditivity violated"):
         algebra_generators(D, 10)
 
 
-def _frf_gcd(a, b):
-    """gcd of two factored polynomials (min exponents per factor)."""
-    field = a.field
-    exps = {}
-    for poly, e in a.factors:
-        exps[poly] = min(e, exponent_of(b, poly))
-    factors = [(p, e) for p, e in exps.items() if e > 0]
-    return FactoredRatFunc(field, factors)
+def _factor_gcd(a, b):
+    """gcd of two polynomials given as {q: e}: min exponents per factor."""
+    exps = {q: min(e, b.get(q, 0)) for q, e in a.items()}
+    return {q: e for q, e in exps.items() if e > 0}
 
 
-def _reference_algebra_generators(div, bound, weight_cone=None):
-    """The generator search with the full FactoredRatFunc fixpoint rerun on
-    every pass over all weight pairs."""
-    field = div.field
+def _reference_algebra_generators(div, bound):
+    """The generator search with the full fixpoint over {q: e} exponents
+    rerun on every pass over all weight pairs."""
     dual = div.tail.dual()
     weights = []
     for m in lattice_box(div.rank, bound):
@@ -315,16 +382,13 @@ def _reference_algebra_generators(div, bound, weight_cone=None):
             continue
         if not dual.contains(m):
             continue
-        if weight_cone is not None and not weight_cone.contains(m):
-            continue
         weights.append(m)
     weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
     fgen = {m: div.generator(m) for m in weights}
 
     def saturate(chosen):
         """reach[m] = h with reachable submodule h * f_m * k[t], or None."""
-        reach = {m: (FactoredRatFunc(field, []) if m in chosen else None)
-                 for m in weights}
+        reach = {m: ({} if m in chosen else None) for m in weights}
         changed = True
         while changed:
             changed = False
@@ -336,12 +400,13 @@ def _reference_algebra_generators(div, bound, weight_cone=None):
                     h1, h2 = reach[m1], reach[m2]
                     if h1 is None or h2 is None:
                         continue
-                    quot = frf_quotient(fgen[m1] * fgen[m2], fgen[m])
-                    cand = h1 * h2 * quot
-                    if not frf_is_polynomial(cand):
+                    quot = factor_quotient(fgen[m1] + fgen[m2], fgen[m])
+                    cand = exponents([*h1.items(), *h2.items(),
+                                      *quot.items()])
+                    if not factor_is_polynomial(cand.items()):
                         raise DivisorError("superadditivity violated")
                     cur = reach[m]
-                    new = cand if cur is None else _frf_gcd(cur, cand)
+                    new = cand if cur is None else _factor_gcd(cur, cand)
                     if cur is None or new != cur:
                         reach[m] = new
                         changed = True
@@ -350,8 +415,7 @@ def _reference_algebra_generators(div, bound, weight_cone=None):
     chosen = []
     while True:
         reach = saturate(set(chosen))
-        missing = [m for m in weights
-                   if reach[m] is None or not is_unit(reach[m])]
+        missing = [m for m in weights if reach[m] != {}]
         if not missing:
             break
         chosen.append(missing[0])
@@ -360,11 +424,10 @@ def _reference_algebra_generators(div, bound, weight_cone=None):
     for m in list(chosen):
         trial = [g for g in chosen if g != m]
         reach = saturate(set(trial))
-        if reach[m] is not None and is_unit(reach[m]):
+        if reach[m] == {}:
             chosen = trial
 
-    gens = [AlgebraGenerator((0,) * div.rank,
-                             FactoredRatFunc(field, [(Poly.x(field), 1)]))]
+    gens = [AlgebraGenerator((0,) * div.rank, ((Poly.x(div.field), 1),))]
     gens.extend(AlgebraGenerator(m, fgen[m]) for m in sorted(chosen))
     shell = max((max(abs(c) for c in m) for m in chosen), default=0)
     cert = GeneratorCertificate(
@@ -403,26 +466,21 @@ def test_algebra_generators_match_reference_fixpoint():
         (PrimeField(3), ["t", "t + 1", "t + 2", "t^2 + 1"]),
         (lambda_field(2), ["t", "t + 1", "t + l", "t^2 + l"]),
     ]
-    cones = {1: [Cone.from_generators([(1,)], 1)],
-             2: [Cone.from_generators([(0, 1), (2, 1)], 2),
-                 Cone.from_generators([(1, 0), (1, 1)], 2)]}
     compared = 0
     w25_points = 0
     for field, points in fields:
         for rank, bound in ((1, 8), (2, 2)):
-            for _ in range(6):
+            for _ in range(15):
                 div = _random_a1_divisor(rng, field, points, rank)
                 assert div.validate().ok
                 w25_points += any(y.to_str() == "t^2 + l"
                                   for y in div.support)
-                for cone in [None] + cones[rank]:
-                    got_gens, got = algebra_generators(div, bound, cone)
-                    ref_gens, ref = _reference_algebra_generators(
-                        div, bound, cone)
-                    assert [g.to_str() for g in got_gens] == \
-                        [g.to_str() for g in ref_gens]
-                    assert (got.bound, got.complete, got.note) == \
-                        (ref.bound, ref.complete, ref.note)
-                    compared += 1
-    assert compared == 4 * 6 * (2 + 3)
+                got_gens, got = algebra_generators(div, bound)
+                ref_gens, ref = _reference_algebra_generators(div, bound)
+                assert [g.to_str() for g in got_gens] == \
+                    [g.to_str() for g in ref_gens]
+                assert (got.bound, got.complete, got.note) == \
+                    (ref.bound, ref.complete, ref.note)
+                compared += 1
+    assert compared == 4 * 2 * 15
     assert w25_points > 0
