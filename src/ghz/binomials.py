@@ -1,10 +1,8 @@
-"""Generalized binomial coefficients with a Lucas fast path mod p."""
+"""Generalized binomial coefficients, exact and reduced into a field."""
 
 from __future__ import annotations
 
 import math
-
-from .fields import PrimeField
 
 
 def binom_general(n: int, j: int) -> int:
@@ -17,23 +15,6 @@ def binom_general(n: int, j: int) -> int:
     return (-1) ** j * math.comb(j - n - 1, j)
 
 
-def lucas_binom(n: int, j: int, p: int) -> int:
-    """C(n, j) mod p for n, j >= 0 via digit products in base p."""
-    if n < 0 or j < 0:
-        raise ValueError("Lucas path needs nonnegative arguments")
-    r = 1
-    while j:
-        nd, jd = n % p, j % p
-        if jd > nd:
-            return 0
-        r = r * (math.comb(nd, jd) % p) % p
-        n //= p
-        j //= p
-    return r
-
-
 def binom_in_field(n: int, j: int, field):
     """binom_general(n, j) reduced into the given field."""
-    if isinstance(field, PrimeField) and n >= 0:
-        return lucas_binom(n, j, field.p)
     return field.from_int(binom_general(n, j))

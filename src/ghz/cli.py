@@ -166,6 +166,9 @@ def _run(rep, sc, command, args):
     elif command == "verify":
         op = _operator(sc, args.override)
         elems, cert = _generator_elements(sc)
+        # first, so that a refusal from a later step keeps the marker
+        if not cert.complete:
+            rep.trust("generator certificate is incomplete at this bound")
         order = args.order if args.order is not None \
             else sc.bounds["max_order"]
         rep.merge(verify_axioms(op, elems, order))
@@ -179,8 +182,6 @@ def _run(rep, sc, command, args):
             ker = kernel_in_box(op, div, sc.bounds["weight_box"])
             rep.merge(ker.report)
             rep.note(f"kernel weights {ker.weights}; lattice {ker.lattice}")
-        if not cert.complete:
-            rep.trust("generator certificate is incomplete at this bound")
     elif command == "classify":
         found = enumerate_coherent(div, sc.bounds["e_box"], sc.bounds["s_max"],
                                    sc.lambda_sample, _y_infinity(sc, command))

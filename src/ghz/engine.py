@@ -13,7 +13,7 @@ from .fields import FieldError
 from .geometry import (Cone, dot, fmt_vec, in_lattice, lattice_basis,
                        lattice_box)
 from .polynomials import (Poly, RatFunc, descend_power, hasse_expand,
-                          poly_gcd, times_factors)
+                          times_factors)
 from .reports import Report
 from .tvariety import PolyhedralDivisor
 
@@ -109,10 +109,9 @@ class GradedElement:
 class ApplicationResult:
     __slots__ = ("orders", "bound")
 
-    def __init__(self, orders: dict, bound: int | None):
+    def __init__(self, orders: dict, bound: int):
         self.orders = orders  # order i -> GradedElement, zero orders omitted
-        self.bound = bound    # nilpotency bound: the largest of the terms'
-                              # bounds, None when some lift is no polynomial
+        self.bound = bound    # the largest of the terms' nilpotency bounds
 
     def nonzero_orders(self):
         return sorted(self.orders)
@@ -162,11 +161,17 @@ class DthetaOperator:
                 factors.append((y.poly, -a))
         return factors
 
-    def _term_data(self, f: RatFunc, m):
-        """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>} and its nilpotency bound.
+    def _lift(self, f: RatFunc, m) -> Poly:
+        """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>}, the lift of f*chi^m.
 
-        g = f/xi_m is reduced with a monic denominator; the shift t -> t + y0
-        and the substitution t -> z^d both keep that (see
+        The operator's domain is the elements whose terms lift to
+        polynomials.  It holds the graded algebra when the coloring is
+        valid, and the operator keeps it: the lift of an image's order-i
+        coefficient is the order-i Hasse coefficient of H.  A term outside
+        it is refused.
+
+        g = f/xi_m is reduced with a monic denominator; the shift
+        t -> t + y0 and the substitution t -> z^d both keep that (see
         ``descend_power``), so the lift needs no gcd."""
         g = times_factors(f, [(q, -e) for q, e in self.xi(m)],
                           self.xi_powers)
@@ -174,50 +179,27 @@ class DthetaOperator:
         h = RatFunc(g.num.taylor_shift(y0).spread(d),
                     g.den.taylor_shift(y0).spread(d), reduce=False)
         h = h.times_x(dot(m, self.dv0))
-        bound = h.num.degree * self.nilpotency_exponent() if h.is_poly() \
-            else None
-        return h, bound
-
-    def _substituted(self, h: RatFunc, order: int) -> dict:
-        """h(z + sum lambda_j T^{p^{s_j}}) as {i: coefficient of T^i in k(z)},
-        i < order, zero coefficients omitted.  The step has constant
-        coefficients, so num and den of h expand by Hasse derivatives into
-        polynomials N_i, D_i in z and are divided once: Q_i = P_i / den^(i+1)
-        with P_i = N_i den^i - sum_j D_j P_(i-j) den^(j-1)."""
-        step = Poly(self.field, dict(zip(self.exponents, self.theta.lam)))
-        num = hasse_expand(h.num, step, order)
-        if h.is_poly():
-            return {i: RatFunc.from_poly(c) for i, c in num.items()}
-        den = hasse_expand(h.den, step, order)
-        powers = [Poly.one(self.field)]
-        numer, out = {}, {}
-        for i in range(order):
-            powers.append(powers[-1] * h.den)
-            acc = num.get(i, Poly.zero(self.field)) * powers[i]
-            for j, d_j in den.items():
-                if 1 <= j <= i and i - j in numer:
-                    acc = acc - d_j * numer[i - j] * powers[j - 1]
-            if not acc.is_zero():
-                numer[i] = acc  # coprime to den^(i+1) iff coprime to den
-                out[i] = RatFunc(acc, powers[i + 1],
-                                 reduce=poly_gcd(acc, h.den).degree > 0)
-        return out
+        if not h.is_poly():
+            refusal = Report("operator")
+            refusal.fail(f"({f.to_str()})*chi^{tuple(m)} is outside the "
+                         f"operator's domain: its lift is not a polynomial")
+            raise Refusal(refusal)
+        return h.num
 
     def apply_term(self, f: RatFunc, m, max_order=None):
         """Images of one homogeneous term, as {order: (weight, coeff)}, and
-        the term's nilpotency bound (None when its lift is no polynomial)."""
-        h, bound = self._term_data(f, m)
-        if max_order is None:
-            if bound is None:
-                raise EngineError(
-                    "no nilpotency bound for a non-polynomial lift; "
-                    "pass an explicit truncation order")
-            max_order = bound
-        series = self._substituted(h, max_order + 1)
+        the term's nilpotency bound deg H * p^{s_last}: the lift H expands
+        as H(z + sum lambda_j T^{p^{s_j}}) by Hasse derivatives, and each
+        coefficient of T^i descends to k(t)."""
+        h = self._lift(f, m)
+        bound = h.degree * self.nilpotency_exponent()
+        step = Poly(self.field, dict(zip(self.exponents, self.theta.lam)))
+        series = hasse_expand(h, step, (bound if max_order is None
+                                        else max_order) + 1)
         out = {}
         for i, c_i in sorted(series.items()):
             w = tuple(a + i * b for a, b in zip(m, self.e))
-            val = c_i.times_x(-dot(w, self.dv0))
+            val = RatFunc.from_poly(c_i).times_x(-dot(w, self.dv0))
             try:
                 descended = descend_power(val, self.d, self.y0_value)
             except FieldError as exc:
@@ -233,7 +215,7 @@ class DthetaOperator:
         top = 0
         for w, f in x.terms.items():
             images, bound = self.apply_term(f, w, max_order)
-            top = None if top is None or bound is None else max(top, bound)
+            top = max(top, bound)
             for i, (w2, coeff) in images.items():
                 term = GradedElement.term(self.field, w2, coeff)
                 orders[i] = orders[i] + term if i in orders else term
@@ -338,14 +320,14 @@ def verify_axioms(op: DthetaOperator, test_set, max_order: int) -> Report:
                 break
     # vanishing beyond the element's nilpotency bound
     for x, rx in results:
-        if rx.bound is not None and rx.orders and max(rx.orders) > rx.bound:
+        if rx.orders and max(rx.orders) > rx.bound:
             rep.fail(f"nonzero image beyond the vanishing bound on "
                      f"{x.to_str()}")
     return rep
 
 
-def verify_stability(op: DthetaOperator, div: PolyhedralDivisor, generators,
-                     max_order=None) -> Report:
+def verify_stability(op: DthetaOperator, div: PolyhedralDivisor,
+                     generators) -> Report:
     """Every image of every generator, a GradedElement, must lie in the
     graded algebra, at a weight of the weight cone (the dual of the tail
     cone)."""
@@ -353,7 +335,7 @@ def verify_stability(op: DthetaOperator, div: PolyhedralDivisor, generators,
     dual = div.tail.dual()
     for g in generators:
         try:
-            res = op.apply(g, max_order)
+            res = op.apply(g)
         except EngineError as exc:
             rep.fail(f"{g.to_str()}: {exc}")
             continue

@@ -43,12 +43,11 @@ class Report:
 
     __slots__ = ("subject", "violations", "notes", "trust_markers")
 
-    def __init__(self, subject: str, violations=None, notes=None,
-                 trust_markers=None):
+    def __init__(self, subject: str):
         self.subject = subject
-        self.violations = [] if violations is None else violations
-        self.notes = [] if notes is None else notes
-        self.trust_markers = [] if trust_markers is None else trust_markers
+        self.violations = []
+        self.notes = []
+        self.trust_markers = []
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

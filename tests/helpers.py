@@ -210,7 +210,7 @@ def reference_verify_axioms(op, test_set, max_order):
                 rep.fail(f"iteration rule fails at ({a},{b}) on {x.to_str()}")
                 break
     for x, rx in results:
-        if rx.bound is not None and rx.orders and max(rx.orders) > rx.bound:
+        if rx.orders and max(rx.orders) > rx.bound:
             rep.fail(f"nonzero image beyond the vanishing bound on "
                      f"{x.to_str()}")
     return rep

@@ -126,7 +126,7 @@ def test_criterion_4_ramified_dichotomy():
     assert any(v.startswith("(v)") for v in rep.violations)
     opQ = build_operator(thetaQ, override=True)
     x = GradedElement.term(Q, (0, 1), RatFunc.one(Q))
-    srep = verify_stability(opQ, DQ, [x], 4)
+    srep = verify_stability(opQ, DQ, [x])
     assert not srep.ok
     assert any("order 1" in v for v in srep.violations)
 

@@ -1,6 +1,6 @@
 from math import comb
 
-from ghz.binomials import binom_general, binom_in_field, lucas_binom
+from ghz.binomials import binom_general, binom_in_field
 from ghz.fields import PrimeField, Rationals
 from ghz.polynomials import lambda_field
 
@@ -19,14 +19,17 @@ def test_binom_general_negative():
 
 def test_lucas_small():
     for p in (2, 3, 5):
+        field = PrimeField(p)
         for n in range(30):
             for j in range(30):
-                assert lucas_binom(n, j, p) == comb(n, j) % p
+                assert binom_in_field(n, j, field) == comb(n, j) % p
 
 
 def test_lucas_c5_mod2():
-    # 5 = 101 in base 2, so C(5, j) is odd exactly for j in {0, 1, 4, 5}
-    odd = [j for j in range(6) if lucas_binom(5, j, 2) == 1]
+    # 5 = 101 in base 2, so by Lucas's theorem C(5, j) is odd exactly for
+    # j in {0, 1, 4, 5}
+    F2 = PrimeField(2)
+    odd = [j for j in range(6) if F2.is_one(binom_in_field(5, j, F2))]
     assert odd == [0, 1, 4, 5]
 
 

@@ -32,9 +32,10 @@ from ghz.scenarios import BUILTIN_EXAMPLES
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
-VALID = ("a1-y-infinity", "colored-not-vertex", "p1-irrational-y-infinity",
-         "p1-no-coloring", "p1-no-y-infinity", "p1-pieces",
-         "toric-fractional", "v0-not-vertex", "weight-cone-image")
+VALID = ("a1-y-infinity", "colored-not-vertex", "outside-domain",
+         "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
+         "p1-pieces", "toric-fractional", "v0-not-vertex",
+         "weight-cone-image")
 
 # the runs of each scenario besides validate, as argv with the scenario
 # inserted after the command. For a malformed scenario: the command that,
@@ -42,7 +43,8 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "p1-irrational-y-infinity",
 # failure where validate did not. For a valid one: the runs that once read
 # an invalid coloring as valid or failed internally, or that reach a path
 # no builtin example reaches (P1 pieces, negative and infinity coefficients
-# of D(m), a fractional part at a non-rational point).
+# of D(m), a fractional part at a non-rational point, an element whose lift
+# is not a polynomial).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
               "family-root-length": [["toric-check"]],
@@ -55,6 +57,7 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
                                      ["verify", "--override"]],
               "a1-y-infinity": [["roots"], ["colorings"], ["classify"]],
               "weight-cone-image": [["verify", "--override"]],
+              "outside-domain": [["apply", "--trust-irreducible"]],
               "p1-no-coloring": [["colorings"], ["classify"]],
               "p1-no-y-infinity": [["colorings"], ["classify"]],
               "p1-irrational-y-infinity": [["colorings"], ["classify"]],

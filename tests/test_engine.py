@@ -13,7 +13,7 @@ from ghz.classifier import (CoherentFamily, Coloring, _random_family,
 from ghz.cli import main
 from ghz.curves import A1, ClosedPoint, point_validate
 from ghz.engine import (DthetaOperator, EngineError, GradedElement,
-                        KernelReport, build_operator,
+                        KernelReport, Refusal, build_operator,
                         default_horizontal_order, kernel_in_box,
                         toric_root_operator, verify_axioms,
                         verify_horizontal, verify_stability)
@@ -322,54 +322,32 @@ def test_verify_axioms_applies_each_iterate_once(monkeypatch):
         assert len(calls) == want, name
 
 
-def _series_inverse(s, order):
-    """1/s mod T^order for a polynomial s in T with an invertible constant
-    term, one coefficient at a time."""
-    r = s.field
-    inv0 = r.inv(s.coeff(0))
-    out = {0: inv0}
-    for i in range(1, order):
-        acc = r.zero()
-        for j, a in s.coeffs.items():
-            if 1 <= j <= i:
-                acc = r.add(acc, r.mul(a, out[i - j]))
-        out[i] = r.neg(r.mul(inv0, acc))
-    return Poly(r, out)
-
-
-def test_series_inverse():
-    one_plus_t = Poly(Q, {0: Q.one(), 1: Q.one()})
-    inv = _series_inverse(one_plus_t, 5)
-    assert inv == Poly(Q, {e: Q.from_int((-1) ** e) for e in range(5)})
-    assert one_plus_t * inv == Poly(Q, {0: Q.one(), 5: Q.one()})
-
-
 def _series_oracle(op, h, order):
-    """h(z + S) by Horner evaluation and series inversion over k(z)."""
+    """h(z + S) mod T^order by Horner evaluation over k(z), as
+    {i: coefficient}, zero coefficients omitted."""
     k = op.field
     K = FractionField(k, "z")
     coeffs = {0: RatFunc.x(k, 1)}
     for q, lam in zip(op.exponents, op.theta.lam):
         coeffs[q] = RatFunc.from_poly(Poly.const(k, lam))
-    base = Poly(K, coeffs)
-
-    def lift(p):
-        return Poly(K, {e: RatFunc.from_poly(Poly.const(k, c))
-                        for e, c in p.coeffs.items()})
-
-    num = substitute_poly(lift(h.num), base, order)
-    den = substitute_poly(lift(h.den), base, order)
-    series = num * _series_inverse(den, order)
-    return {i: c for i, c in series.coeffs.items() if i < order}
+    lifted = Poly(K, {e: RatFunc.from_poly(Poly.const(k, c))
+                      for e, c in h.coeffs.items()})
+    return substitute_poly(lifted, Poly(K, coeffs), order).coeffs
 
 
-def _random_poly(rng, k, degree, scalars, monic=False):
+def _random_poly(rng, k, degree, scalars):
     coeffs = {e: rng.choice(scalars) for e in range(degree)}
-    coeffs[degree] = k.one() if monic else rng.choice(scalars[1:])
+    coeffs[degree] = rng.choice([c for c in scalars if not k.is_zero(c)])
     return Poly(k, coeffs)
 
 
 def test_substitution_matches_series_oracle():
+    """apply_term expands the lift H of f*chi^m by Hasse derivatives: at
+    every truncation order, the lift of its order-i image is the coefficient
+    of T^i in H(z + sum lambda_j T^(p^s_j)) by Horner's rule over k(z), and
+    an order is missing exactly where that coefficient is zero.  f is a
+    random polynomial multiple of the module generator at a random weight of
+    the unit box."""
     K = lambda_field(2)
     l = K.generator()
     F3 = PrimeField(3)
@@ -380,20 +358,125 @@ def test_substitution_matches_series_oracle():
            w25_operator()[2],
            ramified_operator(K, (0, 1), override=True, lam=(l, K.one()))[1]]
     rng = random.Random(7)
+    checked = failed = 0
     for op in ops:
-        k = op.field
+        k, div = op.field, op.divisor
         scalars = [k.zero(), k.one(), k.from_int(2), k.from_int(-1)]
         if k == K:
             scalars += [l, K.add(l, K.one())]
-        cases = [RatFunc.from_poly(_random_poly(rng, k, 3, scalars))
-                 for _ in range(2)]
-        cases += [RatFunc(_random_poly(rng, k, a, scalars),
-                          _random_poly(rng, k, b, scalars, monic=True))
-                  for a, b in ((0, 1), (2, 1), (1, 2))]
-        for h in cases:
-            bound = max(h.num.degree, h.den.degree) * op.nilpotency_exponent()
-            for order in range(1, bound + 2):
-                assert op._substituted(h, order) == _series_oracle(op, h, order)
+        dual = div.tail.dual()
+        weights = [m for m in lattice_box(div.rank, 1) if dual.contains(m)]
+        for _ in range(6):
+            m = rng.choice(weights)
+            f = times_factors(RatFunc.from_poly(
+                _random_poly(rng, k, rng.randrange(4), scalars)),
+                div.generator(m), {})
+            h = op._lift(f, m)
+            bound = h.degree * op.nilpotency_exponent()
+            oracle = _series_oracle(op, h, bound + 2)
+            assert max(oracle) <= bound
+            for top in range(bound + 2):
+                try:
+                    images, got_bound = op.apply_term(f, m, top)
+                except EngineError as exc:
+                    # an incoherent family: order top is no function of
+                    # z^d, so every deeper truncation fails there too
+                    assert str(exc).startswith(
+                        f"descent failure at order {top}, ")
+                    failed += 1
+                    break
+                assert got_bound == bound
+                assert {i: RatFunc.from_poly(op._lift(c, w))
+                        for i, (w, c) in images.items()} \
+                    == {i: c for i, c in oracle.items() if i <= top}
+                checked += 1
+    assert (checked, failed) == (693, 4)
+
+
+def test_a_term_outside_the_domain_is_refused_with_its_witness():
+    """1/t * chi^0 on w25-imperfect lifts to z^-5: the operator refuses it
+    at every truncation order rather than truncate an infinite series, and
+    verify_axioms and verify_stability report the refusal."""
+    sc = load_builtin("w25-imperfect")
+    op = build_operator(sc.family)
+    x = GradedElement.term(sc.field, (0,), RatFunc.x(sc.field, -1))
+    witness = ("((1)/(t))*chi^(0,) is outside the operator's domain: its "
+               "lift is not a polynomial")
+    for call in (lambda: op.apply(x), lambda: op.apply(x, 12),
+                 lambda: op.apply_term(x.coeff((0,)), (0,), 4)):
+        with pytest.raises(Refusal) as info:
+            call()
+        assert info.value.report.violations == [witness]
+    assert verify_axioms(op, [x], 4).violations == [
+        f"application failed on {x.to_str()}: {witness}"]
+    assert verify_stability(op, sc.divisor, [x]).violations == [
+        f"{x.to_str()}: {witness}"]
+
+
+def test_verify_override_refuses_a_generator_outside_the_domain(
+        tmp_path, capsys):
+    """With v0 = 0 off the polyhedron {1/5} at t, the coloring is invalid
+    and the generator t^-1 chi^5 lifts to 1/z.  verify --override reports
+    the refusal in the axioms, in stability and, as a negative verdict
+    (exit 1, not an internal failure), from the kernel step; the marker of
+    the generator search, incomplete at box 5, is kept."""
+    data = {"field": {"kind": "Fp", "p": 2}, "rank": 1, "curve": "A1",
+            "tail_rays": [],
+            "support": [{"point": "t", "vertices": [["1/5"]]},
+                        {"point": "t+1", "vertices": [["0"], ["1/5"]]}],
+            "coloring": {"y0": "t", "vertices": {"t": ["0"], "t+1": ["0"]}},
+            "family": {"e": [1], "s": [2], "lambda": ["1"]},
+            "bounds": {"weight_box": 5, "max_order": 12}}
+    path = tmp_path / "invalid-coloring.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", "--scenario", str(path), "--override"]) == 1
+    x = "((1)/(t))*chi^(5,)"
+    witness = f"{x} is outside the operator's domain: its lift is not a " \
+        "polynomial"
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        "verify: FAILED",
+        f"  violation: application failed on {x}: {witness}",
+        "  violation: order 4 of (t^2 + t)*chi^(-5,) leaves the algebra: "
+        "(1)*chi^(-1,)",
+        f"  violation: {x}: {witness}",
+        f"  violation: {witness}",
+        "  note: horizontal (order bound 4)",
+        "  trusted: generator certificate is incomplete at this bound"]
+
+
+def test_the_domain_is_closed_under_the_operator():
+    """Seeded random A1 families over Q, F2 and F3 at ranks 1 and 2, built
+    with override: every module generator of the unit box that the operator
+    applies to without a descent failure has images that are applied again
+    without a refusal, and whose order 0 is the image itself.  A valid
+    coloring puts every generator in the domain, so none is refused."""
+    rng = random.Random(2025)
+    families = images = 0
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for rank in (1, 2):
+            found = 0
+            while found < 25:
+                theta = _random_family(rng, field, A1, rank)
+                if theta is None:
+                    continue
+                try:
+                    op = build_operator(theta, override=True)
+                except EngineError:
+                    continue
+                found += 1
+                for x in _box_elements(theta.coloring.divisor):
+                    try:
+                        res = op.apply(x)
+                    except Refusal:
+                        raise
+                    except EngineError:  # a descent failure, not a refusal
+                        continue
+                    for i, val in res.orders.items():
+                        again = op.apply(val)
+                        assert again.orders[0] == val
+                        images += 1
+            families += found
+    assert (families, images) == (150, 822)
 
 
 def test_ramified_char2_stability():
@@ -410,7 +493,7 @@ def test_ramified_char0_instability():
     x = GradedElement.term(Q, (0, 1), RatFunc.one(Q))
     res = op.apply(x, 4)
     assert res.orders[1].to_str() == "((2)/(t - 1))*chi^(1, 1)"
-    rep = verify_stability(op, D, [x], 4)
+    rep = verify_stability(op, D, [x])
     assert not rep.ok
 
 

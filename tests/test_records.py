@@ -87,7 +87,10 @@ def test_reports_own_their_lists_and_compare_by_value():
     a.trust("t")
     assert b.violations == b.notes == b.trust_markers == []
     assert a != b
-    assert a == Report("x", ["v"], ["n"], ["t"])
+    b.fail("v")
+    b.note("n")
+    b.trust("t")
+    assert a == b
 
 
 def test_candidate_colorings_drop_repeats(scenario, monkeypatch):
