@@ -138,6 +138,8 @@ class DthetaOperator:
         self.y0_value = c.y0.rational_value()
         self.e = tuple(theta.e)
         self.exponents = tuple(self.p ** s for s in theta.s)
+        # the step S = sum lambda_j T^(p^s_j) of the Hasse expansion
+        self.step = Poly(self.field, dict(zip(self.exponents, theta.lam)))
         # points contributing to the xi factor: colored, finite, not y0
         self.xi_points = [
             (y, c.vertex(y)) for y in c.colored_points()
@@ -193,8 +195,7 @@ class DthetaOperator:
         coefficient of T^i descends to k(t)."""
         h = self._lift(f, m)
         bound = h.degree * self.nilpotency_exponent()
-        step = Poly(self.field, dict(zip(self.exponents, self.theta.lam)))
-        series = hasse_expand(h, step, (bound if max_order is None
+        series = hasse_expand(h, self.step, (bound if max_order is None
                                         else max_order) + 1)
         out = {}
         for i, c_i in sorted(series.items()):

@@ -15,7 +15,8 @@ each q_y out of the opposite side instead of running a gcd.
 
 from __future__ import annotations
 
-from .binomials import binom_in_field
+from math import comb
+
 from .fields import BaseField, FieldError
 
 
@@ -23,14 +24,17 @@ class Poly:
     """Sparse univariate polynomial: exponent -> nonzero raw coefficient.
 
     The variable is contextual (t, l, or an auxiliary name); only printing
-    cares about it.  Degree of the zero polynomial is -1.
+    cares about it.  Degree of the zero polynomial is -1.  The coefficient
+    dict is canonical and never changes after construction, so the degree is
+    stored with it.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "degree")
 
     def __init__(self, field, coeffs: dict):
         self.field = field
-        self.coeffs = field.canon_terms(coeffs)
+        self.coeffs = coeffs = field.canon_terms(coeffs)
+        self.degree = max(coeffs) if coeffs else -1
 
     # -- constructors
 
@@ -51,10 +55,6 @@ class Poly:
         return cls(field, {exp: field.one()})
 
     # -- structure
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -342,7 +342,7 @@ class RatFunc:
         if e >= 0:
             c = min(e, min(den.coeffs))
             return RatFunc(num._shifted(e - c), den._shifted(-c), reduce=False)
-        c = min(-e, min(num.coeffs)) if num.coeffs else 0
+        c = min(-e, min(num.coeffs))
         return RatFunc(num._shifted(-c), den._shifted(-e - c), reduce=False)
 
     def __eq__(self, other):
@@ -490,6 +490,11 @@ def times_factors(r: RatFunc, factors, powers: dict) -> RatFunc:
     return RatFunc(num, den, reduce=reduce)
 
 
+def _times(k, x, y):
+    """x * y for nonzero raws, with no multiplication where one is 1."""
+    return y if k.is_one(x) else x if k.is_one(y) else k.mul(x, y)
+
+
 def _truncated_product(a: dict, b: dict, order: int, k) -> dict:
     """The terms below T^order of the product of two {exponent: raw} dicts."""
     out = {}
@@ -497,7 +502,7 @@ def _truncated_product(a: dict, b: dict, order: int, k) -> dict:
         for j, y in b.items():
             ij = i + j
             if ij < order:
-                v = k.mul(x, y)
+                v = _times(k, x, y)
                 out[ij] = k.add(out[ij], v) if ij in out else v
     return {i: c for i, c in out.items() if not k.is_zero(c)}
 
@@ -519,20 +524,35 @@ def hasse_expand(poly: Poly, step: Poly, order: int) -> dict:
 
     S = ``step`` is a polynomial in T over the coefficients of ``poly`` with
     no constant term; D^(n) z^e = C(e, n) z^(e-n) is the n-th Hasse
-    derivative, so the formula holds in every characteristic.
+    derivative, so the formula holds in every characteristic.  C(e, n) is
+    an int reduced mod p (exact over Q), and a term whose binomial is 0 is
+    skipped: by Lucas's theorem most binomials mod p are 0 or 1.  The field
+    multiplies only where neither factor is 0 or 1.
     """
     k = poly.field
+    p = k.char_exponent
     out = {}
     power = {0: k.one()} if order > 0 else {}
     for n in range(poly.degree + 1):
         if not power:
             break
-        dn = Poly(k, {e - n: k.mul(c, binom_in_field(e, n, k))
-                      for e, c in poly.coeffs.items() if e >= n})
+        dn = {}
+        for e, c in poly.coeffs.items():
+            if e >= n:
+                b = comb(e, n)
+                if p > 1:
+                    b %= p
+                if b:
+                    dn[e - n] = c if b == 1 else _times(k, c, k.from_int(b))
         for i, c in power.items():
-            out[i] = out[i] + dn.scale(c) if i in out else dn.scale(c)
+            acc = out.setdefault(i, {})
+            unit = k.is_one(c)
+            for e, a in dn.items():
+                v = a if unit else _times(k, a, c)
+                acc[e] = k.add(acc[e], v) if e in acc else v
         power = _truncated_product(power, step.coeffs, order, k)
-    return {i: c for i, c in out.items() if not c.is_zero()}
+    out = {i: Poly(k, acc) for i, acc in out.items()}
+    return {i: c for i, c in out.items() if c.coeffs}
 
 
 def descend_power(rf: RatFunc, d: int, shift) -> RatFunc:

@@ -322,6 +322,23 @@ def test_verify_axioms_applies_each_iterate_once(monkeypatch):
         assert len(calls) == want, name
 
 
+def test_verify_lambda_field_multiplications(monkeypatch, capsys):
+    """FractionField.mul calls in one `verify --example w25-imperfect`.  The
+    Hasse expansion multiplied by every binomial and power of S, 1 or not,
+    and made 751 of 1,100; reduced mod p as ints, it makes none."""
+    calls = []
+    mul = FractionField.mul
+
+    def counted(self, a, b):
+        calls.append(self)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FractionField, "mul", counted)
+    assert main(["verify", "--example", "w25-imperfect"]) == 0
+    assert capsys.readouterr().out.startswith("verify: ok")
+    assert len(calls) == 349
+
+
 def _series_oracle(op, h, order):
     """h(z + S) mod T^order by Horner evaluation over k(z), as
     {i: coefficient}, zero coefficients omitted."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -269,6 +270,68 @@ def test_truncated_series():
     assert hasse_expand(cube, step, 2) == {0: cube, 1: qp([0, 0, 3])}
     assert hasse_expand(cube, step, 0) == {}
     assert hasse_expand(cube, qp([0, 0, 0, 1]), 3) == {0: cube}
+
+
+def _lucas_cases():
+    """(field, polynomial, step) triples reaching binomials C(e, n) with
+    e <= 12, among them C(e, n) = 0 and = p - 1 mod p, and steps of one to
+    three terms with coefficients other than 1."""
+    F3 = PrimeField(3)
+    K = lambda_field(2)
+    lam = K.generator()
+    rng = random.Random(2611)
+    cases = []
+    for field, scalars, steps in (
+            (Q, [Q.from_int(n) for n in (1, -1, 2)] + [Fraction(1, 3)],
+             [{1: Fraction(2)}, {1: Fraction(-1), 3: Fraction(1, 2)}]),
+            (F2, [1], [{1: 1}, {2: 1, 4: 1}, {1: 1, 2: 1, 4: 1}]),
+            (F3, [1, 2], [{1: 2}, {3: 2, 1: 1}, {1: 2, 3: 1, 9: 2}]),
+            (K, [K.one(), lam, K.add(lam, K.one())],
+             [{1: lam}, {1: K.add(lam, K.one()), 2: K.inv(lam)},
+              {1: K.one(), 2: lam, 4: K.inv(lam)}])):
+        for step in steps:
+            step = Poly(field, step)
+            for degree in (1, 5, 8, 12):
+                coeffs = {e: rng.choice(scalars) for e in range(degree)}
+                coeffs[degree] = rng.choice(scalars)
+                cases.append(pytest.param(
+                    field, Poly(field, coeffs), step,
+                    id=f"{field!r}-deg{degree}-S={step.to_str('T')}"))
+    return cases
+
+
+@pytest.mark.parametrize("field, poly, step", _lucas_cases())
+def test_hasse_expand_in_the_lucas_range(field, poly, step, monkeypatch):
+    """hasse_expand against Horner's rule at z + S over k(z), at orders
+    below, at and above the top order deg poly * deg S, and with no field
+    multiplication by 0 or 1."""
+    top = poly.degree * step.degree
+    p = field.char_exponent
+    if p > 1 and poly.degree >= 5:
+        residues = {comb(e, n) % p for e in poly.coeffs for n in range(e + 1)}
+        assert {0, p - 1} <= residues
+    K = FractionField(field, "z")
+
+    def lift(c):
+        return RatFunc.from_poly(Poly.const(field, c))
+
+    base = Poly(K, {e: lift(c) for e, c in step.coeffs.items()})
+    base = base + Poly.const(K, RatFunc.x(field))
+    lifted = Poly(K, {e: lift(c) for e, c in poly.coeffs.items()})
+    mul = field.mul
+
+    def checked(a, b):
+        assert not (field.is_zero(a) or field.is_one(a)
+                    or field.is_zero(b) or field.is_one(b))
+        return mul(a, b)
+
+    for order in (top // 2, top, top + 1, top + 3):
+        want = substitute_poly(lifted, base, order)
+        with monkeypatch.context() as m:
+            m.setattr(field, "mul", checked)
+            got = hasse_expand(poly, step, order)
+        assert ({i: RatFunc.from_poly(c) for i, c in got.items()}
+                == want.coeffs), order
 
 
 def test_substitute_poly():
