@@ -1,16 +1,23 @@
 """Command-line interface: scenario loading, command dispatch and reports.
 
+Usage: ``ghz COMMAND [NAME] [options]`` (see USAGE).  A valued option is
+given as ``--opt value`` or ``--opt=value``; a separate value may start with
+one ``-`` (``--m -1,0``) but not with ``--``.  Options are spelled in full:
+a prefix such as ``--ex``, like the ``--`` separator, is an unknown option.
+``-h`` or ``--help`` prints the usage line.
+
 Exit codes: 0 for a positive/complete verdict, 1 for a negative verdict
-with witnesses, 2 for usage or parse errors, 3 for an internal failure (a
+with witnesses, 2 for usage or parse errors (a malformed command line
+included, reported as one ``error:`` line), 3 for an internal failure (a
 computation that raised instead of reaching a verdict).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from .classifier import (candidate_colorings, coherent_validate,
                          coloring_validate, demazure_roots_enumerate,
@@ -32,6 +39,14 @@ from .tvariety import DivisorError, algebra_generators
 COMMANDS = ("validate", "eval", "piece", "generators", "colorings", "roots",
             "coherent", "apply", "verify", "classify", "toric-check",
             "example")
+# the valued options and the flags, with the attribute each one sets
+OPTIONS = {"--scenario": "scenario", "--example": "example",
+           "--field": "field", "--m": "m", "--order": "order"}
+FLAGS = {"--json": "as_json", "--trust-irreducible": "trust_irreducible",
+         "--override": "override"}
+USAGE = ("usage: ghz {" + ",".join(COMMANDS) + "} [NAME] [--scenario FILE] "
+         "[--example NAME] [--field FIELD] [--m WEIGHT] [--order N] [--json] "
+         "[--trust-irreducible] [--override]")
 
 
 class UsageError(ValueError):
@@ -220,30 +235,53 @@ def _emit(rep: Report, as_json: bool, elapsed: float) -> int:
     return 0 if rep.ok else 1
 
 
+def parse_args(argv):
+    """The command line as one record: the command, the example name and
+    one attribute per option (None when absent) and flag (False)."""
+    args = dict.fromkeys(("command", "name", *OPTIONS.values()))
+    args.update(dict.fromkeys(FLAGS.values(), False))
+    positional = []
+    rest = iter(argv)
+    for arg in rest:
+        opt, eq, value = arg.partition("=")
+        if opt in OPTIONS:
+            if not eq:
+                value = next(rest, None)
+                _require(value is not None and not value.startswith("--"),
+                         f"{opt} needs a value")
+            args[OPTIONS[opt]] = value
+        elif opt in FLAGS:
+            _require(not eq, f"{opt} takes no value")
+            args[FLAGS[opt]] = True
+        elif arg.startswith("-"):
+            raise UsageError(f"unknown option {arg!r}")
+        else:
+            positional.append(arg)
+    _require(positional, "missing command; choose one of "
+             + ", ".join(COMMANDS))
+    if len(positional) > 2:
+        raise UsageError(f"unexpected argument {positional[2]!r}")
+    args["command"], args["name"] = (*positional, None)[:2]
+    _require(args["command"] in COMMANDS,
+             f"unknown command {args['command']!r}; choose one of "
+             + ", ".join(COMMANDS))
+    if args["order"] is not None:
+        try:
+            args["order"] = int(args["order"])
+        except ValueError:
+            raise UsageError(f"--order needs an integer, not "
+                             f"{args['order']!r}") from None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ghz",
-        description="exact computations with additive-group actions on "
-                    "complexity-one torus varieties")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("name", nargs="?",
-                        help="builtin example name (example command)")
-    parser.add_argument("--scenario", help="path to a scenario JSON file")
-    parser.add_argument("--example", help="builtin example name")
-    parser.add_argument("--field", help="field override, e.g. Q, F2, F2(l)")
-    parser.add_argument("--m", help="weight vector, e.g. \"1,-2\"")
-    parser.add_argument("--order", type=int, help="truncation order")
-    parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument("--trust-irreducible", action="store_true",
-                        help="accept unproven irreducibility with a marker")
-    parser.add_argument("--override", action="store_true",
-                        help="build the operator even for incoherent families")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
     start = time.perf_counter()
     try:
+        args = parse_args(argv)
         if args.order is not None and args.order < 0:
             raise UsageError("series order must be positive")
         field_override = parse_field(args.field) if args.field else None

@@ -232,8 +232,9 @@ class Poly:
                 cs = f"({cs})"
             if e == 0:
                 parts.append(cs)
-            elif cs == "1":
-                parts.append(var if e == 1 else f"{var}^{e}")
+            elif cs in ("1", "-1"):
+                mono = var if e == 1 else f"{var}^{e}"
+                parts.append(mono if cs == "1" else "-" + mono)
             else:
                 parts.append(f"{cs}*{var}" if e == 1 else f"{cs}*{var}^{e}")
         out = parts[0]

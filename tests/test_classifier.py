@@ -540,9 +540,7 @@ def test_cascade_builds_each_stage_once(monkeypatch):
     """classify validates each candidate coloring's divisor once and builds
     the cones once per coloring; apply and verify build them once."""
     import ghz.classifier as classifier
-    from argparse import Namespace
-
-    from ghz.cli import run_command
+    from ghz.cli import parse_args, run_command
     from ghz.engine import build_operator
     from ghz.scenarios import load_builtin
 
@@ -559,15 +557,16 @@ def test_cascade_builds_each_stage_once(monkeypatch):
 
     monkeypatch.setattr(PolyhedralDivisor, "validate", counting_validate)
     monkeypatch.setattr(classifier, "associated_cones", counting_cones)
-    args = Namespace(order=None, override=False)
     for name in ("char2-ramified", "w25-prime", "w25-imperfect"):
         sc = load_builtin(name, trust_irreducible=True)
         calls.update(validate=0, cones=0)
-        run_command(sc, "classify", args)
+        run_command(sc, "classify",
+                    parse_args(["classify", "--example", name]))
         assert calls == {"validate": 4, "cones": 1}, name
         if name != "w25-prime":
             for command in ("apply", "verify"):
                 calls.update(cones=0)
+                args = parse_args([command, "--example", name])
                 assert run_command(sc, command, args).ok
                 assert calls["cones"] == 1, (name, command)
             calls.update(cones=0)

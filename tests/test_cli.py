@@ -247,3 +247,103 @@ def test_order_zero_is_still_accepted(capsys):
     code, out, _ = run(capsys, "apply", "--example", "w25-imperfect",
                        "--order", "0")
     assert code == 0 and "order 0 of" in out and "order 1 of" not in out
+
+
+def reference_parser():
+    """The argparse parser that main used before parse_args: the oracle for
+    the rows below.  argparse is imported here only, never by ghz."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="ghz")
+    parser.add_argument("command", choices=cli.COMMANDS)
+    parser.add_argument("name", nargs="?")
+    parser.add_argument("--scenario")
+    parser.add_argument("--example")
+    parser.add_argument("--field")
+    parser.add_argument("--m")
+    parser.add_argument("--order", type=int)
+    parser.add_argument("--json", action="store_true", dest="as_json")
+    parser.add_argument("--trust-irreducible", action="store_true")
+    parser.add_argument("--override", action="store_true")
+    return parser
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["example"],
+    ["example", "w25-prime"],
+    ["example", "w25-prime", "--field", "F3(l)", "--json"],
+    ["verify", "--example", "w25-imperfect"],
+    ["verify", "--example=w25-imperfect", "--json"],
+    ["--json", "verify", "--example", "w25-imperfect"],
+    ["apply", "--example", "w25-prime", "--example", "w25-imperfect"],
+    ["apply", "--example", "w25-imperfect", "--order", "0"],
+    ["apply", "--example", "w25-imperfect", "--order", "-1"],
+    ["apply", "--order=3", "--example=toric-demo", "--override",
+     "--trust-irreducible", "--json"],
+    ["eval", "--example", "char2-ramified", "--m=-1,0"],
+    ["piece", "--m", "1,2", "--m", "5", "--example", "w25-imperfect"],
+    ["validate", "--scenario", "s.json", "--field=Q", "--json", "--json"],
+    ["validate", "--scenario=a=b.json", "--m="],
+])
+def test_parse_args_matches_argparse(argv):
+    assert vars(cli.parse_args(argv)) == vars(reference_parser().parse_args(
+        argv))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate", "--example", "w25-prime"], "unknown command 'frobnicate'"),
+    ([], "missing command"),
+    (["--json"], "missing command"),
+    (["verify", "--example", "w25-prime", "--frobnicate"],
+     "unknown option '--frobnicate'"),
+    (["verify", "-x", "--example", "w25-prime"], "unknown option '-x'"),
+    (["verify", "--example"], "--example needs a value"),
+    (["verify", "--example", "--json"], "--example needs a value"),
+    (["verify", "--example", "w25-prime", "--json=1"],
+     "--json takes no value"),
+    (["apply", "--example", "w25-imperfect", "--order", "x"],
+     "--order needs an integer, not 'x'"),
+    (["example", "w25-prime", "w25-imperfect"],
+     "unexpected argument 'w25-imperfect'"),
+])
+def test_malformed_argv_is_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        reference_parser().parse_args(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"],
+                                  ["verify", "--example", "x", "--help"]])
+def test_help_prints_the_usage_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == cli.USAGE + "\n" and out.startswith("usage: ghz ")
+
+
+@pytest.mark.parametrize("argv, attr, value", [
+    # argparse read "-1,0" as an option, so a negative weight needed "="
+    (["eval", "--m", "-1,0"], "m", "-1,0"),
+    # argparse took no example name after an option
+    (["example", "--json", "w25-prime"], "name", "w25-prime"),
+])
+def test_parse_args_takes_what_argparse_refused(capsys, argv, attr, value):
+    with pytest.raises(SystemExit):
+        reference_parser().parse_args(argv)
+    assert getattr(cli.parse_args(argv), attr) == value
+
+
+def test_option_prefixes_are_unknown_options(capsys):
+    argv = ["coherent", "--ex", "w25-imperfect"]
+    assert reference_parser().parse_args(argv).example == "w25-imperfect"
+    assert run(capsys, *argv) == (2, "", "error: unknown option '--ex'\n")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["ghz", "example"])
+    assert main() == 0
+    assert "w25-imperfect" in capsys.readouterr().out

@@ -187,6 +187,15 @@ def test_poly_gcd():
 def test_poly_to_str():
     assert qp([-1, 0, 1]).to_str() == "t^2 - 1"
     assert int_poly(F2, [1, 1]).to_str() == "t + 1"
+    # a coefficient -1 is printed as a sign, as a coefficient 1 is left out
+    assert qp([1, -1]).to_str() == "-t + 1"
+    assert qp([-1, -1, 0, -1]).to_str() == "-t^3 - t - 1"
+    assert qp([-1]).to_str() == "-1"
+    assert int_poly(PrimeField(3), [1, -1]).to_str() == "2*t + 1"
+    step = Poly(Q, {3: Fraction(1, 2), 1: Fraction(-1)})
+    assert step.to_str("T") == "(1/2)*T^3 - T"
+    K = FractionField(Q)
+    assert int_poly(K, [1, 0, -1]).to_str() == "-t^2 + 1"
 
 
 def test_ratfunc_reduce():
