@@ -269,7 +269,7 @@ def parse_args(argv):
         try:
             args["order"] = int(args["order"])
         except ValueError:
-            raise UsageError(f"--order needs an integer, not "
+            raise UsageError("--order needs an integer, not "
                              f"{args['order']!r}") from None
     return SimpleNamespace(**args)
 
