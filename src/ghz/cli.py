@@ -301,8 +301,12 @@ def main(argv=None) -> int:
             sc = load_builtin(args.example, field_override=field_override,
                               trust_irreducible=args.trust_irreducible)
         elif args.scenario:
-            with open(args.scenario, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.scenario, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise UsageError(f"cannot read scenario {args.scenario}: "
+                                 f"{exc.strerror}") from None
             sc = parse_scenario(text, name=args.scenario,
                                 field_override=field_override, policy=policy)
         else:

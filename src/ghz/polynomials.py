@@ -387,6 +387,12 @@ class FractionField(BaseField):
         return -a
 
     def mul(self, a, b):
+        """a * b, where a factor 1 returns the other factor itself: a
+        RatFunc is never changed after construction, so it can be shared."""
+        if self.is_one(a):
+            return b
+        if self.is_one(b):
+            return a
         return a * b
 
     def inv(self, a):
@@ -461,11 +467,14 @@ def times_factors(r: RatFunc, factors, powers: dict) -> RatFunc:
     """r * prod q^e for monic q, without a Euclidean gcd when nothing but q
     can cancel.
 
-    r = num/den is reduced.  For e > 0, q is divided out of den while it
-    divides, and the rest of q^e multiplies num (symmetrically for e < 0).
-    A point may be trusted without an irreducibility proof, so q can share
-    a proper factor with what is left: the failed division's remainder
-    gives gcd(q, rest), and a nontrivial one makes the result reduce.
+    r = num/den is reduced.  For e > 0, q is divided out of den as often as
+    it divides, up to e times, and the rest of q^e multiplies num
+    (symmetrically for e < 0).  For q = t that is one exponent shift by
+    min(e, ord_t den); any other q first tries one division by q^e, and
+    only if that leaves a remainder divides by q one power at a time.  A
+    point may be trusted without an irreducibility proof, so q can share a
+    proper factor with what is left: the failed division's remainder gives
+    gcd(q, rest), and a nontrivial one makes the result reduce.
 
     ``powers`` caches q ** n by (q, n) for polynomials over one field: the
     same factors recur with the same exponents at every weight."""
@@ -476,19 +485,33 @@ def times_factors(r: RatFunc, factors, powers: dict) -> RatFunc:
     for q, e in factors:
         near, far = (num, den) if e > 0 else (den, num)
         n = abs(e)
-        while n and far.degree > 0:
-            quo, rem = far.divmod(q)
-            if not rem.is_zero():
-                reduce = reduce or (rem.degree > 0
-                                    and poly_gcd(q, rem).degree > 0)
-                break
-            far, n = quo, n - 1
+        if q.degree == 1 and len(q.coeffs) == 1:  # q = t
+            c = min(n, min(far.coeffs))
+            if c:
+                far, n = far._shifted(-c), n - c
+        else:
+            if n > 1 and far.degree >= n * q.degree:
+                quo, rem = far.divmod(_power(powers, q, n))
+                if rem.is_zero():
+                    far, n = quo, 0
+            while n and far.degree > 0:
+                quo, rem = far.divmod(q)
+                if not rem.is_zero():
+                    reduce = reduce or (rem.degree > 0
+                                        and poly_gcd(q, rem).degree > 0)
+                    break
+                far, n = quo, n - 1
         if n:
-            if (q, n) not in powers:
-                powers[q, n] = q ** n
-            near = near * powers[q, n]
+            near = near * _power(powers, q, n)
         num, den = (near, far) if e > 0 else (far, near)
     return RatFunc(num, den, reduce=reduce)
+
+
+def _power(powers: dict, q: Poly, n: int) -> Poly:
+    """q ** n through the cache of ``times_factors``."""
+    if (q, n) not in powers:
+        powers[q, n] = q ** n
+    return powers[q, n]
 
 
 def _times(k, x, y):

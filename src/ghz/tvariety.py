@@ -5,6 +5,7 @@ linearity fan, membership and generator search."""
 from __future__ import annotations
 
 from collections import deque
+from operator import add
 
 from .curves import A1, P1, ClosedPoint, ModuleDescription, h0_generators
 from .geometry import Cone, Polyhedron, minkowski_weighted_sum
@@ -22,10 +23,11 @@ class PolyhedralDivisor:
     Points outside the support implicitly carry sigma itself. Vertices are
     int tuples over one positive denominator ``den``: the polyhedron at y is
     (1/den) * support[y]. ``den`` need not be the least one, and nothing
-    computed from the divisor depends on it.
+    computed from the divisor depends on it. A divisor is never changed
+    after construction, so each graded piece is built once and kept.
     """
 
-    __slots__ = ("field", "curve", "rank", "tail", "support", "den")
+    __slots__ = ("field", "curve", "rank", "tail", "support", "den", "_pieces")
 
     def __init__(self, field, curve, tail: Cone, support: dict, den: int):
         self.field = field
@@ -34,6 +36,7 @@ class PolyhedralDivisor:
         self.tail = tail
         self.support = dict(support)
         self.den = den
+        self._pieces = {}  # tuple(m) -> ModuleDescription, see graded_piece
 
     def tail_polyhedron(self) -> Polyhedron:
         return Polyhedron.from_points([(0,) * self.rank], self.tail)
@@ -88,10 +91,18 @@ class PolyhedralDivisor:
         return {y: p.minimize(m) for y, p in self.support.items()}
 
     def graded_piece(self, m) -> ModuleDescription:
-        """H^0 of the integral divisor floor(D(m))."""
-        den = self.den
-        return h0_generators({y: a // den for y, a in self.eval(m).items()},
-                             self.curve, self.field)
+        """H^0 of the integral divisor floor(D(m)), built once per weight:
+        the generator search, the kernel scan and membership all read the
+        same pieces.  A weight outside the dual cone is never kept, so it
+        raises on every call."""
+        key = tuple(m)
+        piece = self._pieces.get(key)
+        if piece is None:
+            den = self.den
+            piece = self._pieces[key] = h0_generators(
+                {y: a // den for y, a in self.eval(m).items()},
+                self.curve, self.field)
+        return piece
 
     def generator(self, m) -> tuple:
         """The free-module generator f_m over A1, as a ``factor_list``."""
@@ -200,14 +211,15 @@ def algebra_generators(div: PolyhedralDivisor, bound: int):
         expo[m] = list(zero)
         for poly, e in f:
             expo[m][index[poly]] = e
-    # splits[m]: (m1, m2, exponents of f_m1 * f_m2 / f_m) for m = m1 + m2
-    # with m1 <= m2; users[w]: the weights with a split that has w as a part
+    # splits[m]: (m1, m2, exponents of f_m1 * f_m2 / f_m), one per unordered
+    # pair with m = m1 + m2 in the box; users[w]: the weights with a split
+    # that has w as a part
     splits = {m: [] for m in weights}
     users = {m: set() for m in weights}
-    for m1 in weights:
-        for m2 in weights:
-            m = tuple(a + b for a, b in zip(m1, m2))
-            if m2 < m1 or m not in splits:
+    for i, m1 in enumerate(weights):
+        for m2 in weights[i:]:
+            m = tuple(map(add, m1, m2))
+            if m not in splits:
                 continue
             quot = tuple(a + b - c for a, b, c in zip(expo[m1], expo[m2],
                                                       expo[m]))
@@ -230,7 +242,7 @@ def algebra_generators(div: PolyhedralDivisor, bound: int):
                 h1, h2 = reach[m1], reach[m2]
                 if h1 is None or h2 is None:
                     continue
-                cand = tuple(map(sum, zip(h1, h2, quot)))
+                cand = tuple(map(add, map(add, h1, h2), quot))
                 if cand and min(cand) < 0:
                     raise DivisorError("superadditivity violated")
                 cur = cand if cur is None else tuple(map(min, cur, cand))

@@ -243,6 +243,17 @@ def test_bad_scenario_characteristic_is_a_usage_error(tmp_path, capsys, kind,
     assert run(capsys, "validate", "--scenario", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("missing.json", "No such file or directory"),
+    ("", "Is a directory"),
+], ids=["missing", "directory"])
+def test_unreadable_scenario_is_a_usage_error(tmp_path, capsys, name, reason):
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "validate", "--scenario", path)
+    assert (code, out, err) == (
+        2, "", f"error: cannot read scenario {path}: {reason}\n")
+
+
 def test_order_zero_is_still_accepted(capsys):
     code, out, _ = run(capsys, "apply", "--example", "w25-imperfect",
                        "--order", "0")

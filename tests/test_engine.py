@@ -325,18 +325,28 @@ def test_verify_axioms_applies_each_iterate_once(monkeypatch):
 def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     """FractionField.mul calls in one `verify --example w25-imperfect`.  The
     Hasse expansion multiplied by every binomial and power of S, 1 or not,
-    and made 751 of 1,100; reduced mod p as ints, it makes none."""
-    calls = []
-    mul = FractionField.mul
+    and made 751 of 1,100; reduced mod p as ints, it makes none.  Dividing
+    by whole powers in times_factors leaves 320 calls (349 before).  Of
+    those, a factor 1 returns the other factor, so only 18 products of
+    elements of F2(l) reach RatFunc.__mul__ (all 349 did)."""
+    calls, products = [], []
+    mul, ratfunc_mul = FractionField.mul, RatFunc.__mul__
 
     def counted(self, a, b):
         calls.append(self)
         return mul(self, a, b)
 
+    def counted_product(self, other):
+        if isinstance(self.field, PrimeField):
+            products.append(self)
+        return ratfunc_mul(self, other)
+
     monkeypatch.setattr(FractionField, "mul", counted)
+    monkeypatch.setattr(RatFunc, "__mul__", counted_product)
     assert main(["verify", "--example", "w25-imperfect"]) == 0
     assert capsys.readouterr().out.startswith("verify: ok")
-    assert len(calls) == 349
+    assert len(calls) == 320
+    assert len(products) == 18
 
 
 def _series_oracle(op, h, order):
@@ -768,6 +778,21 @@ def test_times_factors_matches_expansion(field, points):
                        rng.sample(qs, rng.randint(0, len(qs)))]
             got = times_factors(r, factors, powers)
             assert got == times_by_expansion(r, factors), (r, factors)
+    # q^k on either side against q^e: q^|e| divides exactly (k >= |e|),
+    # partly (0 < k < |e|) or not at all (k = 0, or e on the same side);
+    # for q = t, k is ord_t of that side and |e| goes up to 6
+    cofactor = int_poly(field, [1, 1, 1])
+    for i, q in enumerate(qs):
+        other = qs[i - 1]
+        ks = (0, 1, 3, 6) if q == Poly.x(field) else (0, 1, 3)
+        for k in ks:
+            r = RatFunc(q ** k * cofactor, other)
+            for r in (r, r.inverse()):
+                for e in range(-ks[-1], ks[-1] + 1):
+                    for factors in ([(q, e)], [(q, e), (other, -e)]):
+                        got = times_factors(r, factors, powers)
+                        assert got == times_by_expansion(r, factors), \
+                            (r, factors)
     assert all(p == q ** n for (q, n), p in powers.items())
 
 
@@ -782,7 +807,10 @@ def test_times_factors_reduces_trusted_reducible_points(monkeypatch):
     for r, factors in [(RatFunc(Poly.one(Q), small), [(big, 1)]),
                        (RatFunc.from_poly(small), [(big, -2)]),
                        (RatFunc.one(Q), [(small, -1), (big, 1)]),
-                       (RatFunc.one(Q), [(big, 2), (small, -3)])]:
+                       (RatFunc.one(Q), [(big, 2), (small, -3)]),
+                       (RatFunc(Poly.one(Q), small ** 2), [(big, 2)]),
+                       (RatFunc(Poly.one(Q), big * small ** 3), [(big, 2)]),
+                       (RatFunc.from_poly(big * small ** 2), [(big, -3)])]:
         got = times_factors(r, factors, {})
         assert got == times_by_expansion(r, factors)
     assert gcds

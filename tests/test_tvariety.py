@@ -1,16 +1,19 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from ghz import polynomials
+from ghz import polynomials, tvariety
 from ghz.classifier import _random_family
-from ghz.curves import A1, P1, ClosedPoint, point_validate
+from ghz.cli import main
+from ghz.curves import A1, P1, ClosedPoint, h0_generators, point_validate
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, Polyhedron, lattice_box
 from ghz.polynomials import (Poly, RatFunc, factor_list, lambda_field,
                              parse_poly, parse_rational)
+from ghz.scenarios import BUILTIN_EXAMPLES
 from ghz.tvariety import (AlgebraGenerator, DivisorError,
                           GeneratorCertificate, PolyhedralDivisor,
                           algebra_generators)
@@ -182,6 +185,51 @@ def test_eval_outside_weight_cone():
     w0, w1, E = rank2_ramified(field)
     with pytest.raises(DivisorError):
         E.eval((-1, 0))
+
+
+def test_graded_piece_is_built_once_per_weight(tmp_path, monkeypatch,
+                                               capsys):
+    """The generator search, the kernel scan and membership share one
+    graded piece per weight: one verify builds 25 pieces on w25-imperfect
+    and 49 on char2-ramified at weight box 6, one per weight they read
+    (48 and 100 builds when every call built its own)."""
+    calls = []
+
+    def counted(d, curve, field):
+        calls.append(curve)
+        return h0_generators(d, curve, field)
+
+    monkeypatch.setattr(tvariety, "h0_generators", counted)
+    ramified = dict(BUILTIN_EXAMPLES["char2-ramified"])
+    ramified["bounds"] = dict(ramified["bounds"], weight_box=6)
+    path = tmp_path / "ramified.json"
+    path.write_text(json.dumps(ramified))
+    for source, want in ((["--example", "w25-imperfect"], 25),
+                         (["--scenario", str(path)], 49)):
+        calls.clear()
+        assert main(["verify", *source]) == 0
+        assert capsys.readouterr().out.startswith("verify: ok")
+        assert len(calls) == want, source
+
+    # a kept piece is the one a fresh build gives, under list or tuple keys
+    K, y0, y, D = hyperbolic_w25()
+    for m in lattice_box(1, 12):
+        fresh = h0_generators({p: a // D.den for p, a in D.eval(m).items()},
+                              A1, K)
+        assert D.graded_piece(m) == fresh
+        assert D.graded_piece(list(m)) is D.graded_piece(m)
+    # two divisors from the same data keep their own pieces
+    _, _, _, other = hyperbolic_w25()
+    calls.clear()
+    other.graded_piece((5,))
+    D.graded_piece((5,))
+    assert len(calls) == 1
+    # a weight outside the dual cone raises on every call
+    w0, w1, E = rank2_ramified(PrimeField(2))
+    for _ in range(2):
+        with pytest.raises(DivisorError):
+            E.graded_piece((-1, 0))
+    assert (-1, 0) not in E._pieces
 
 
 def test_degree_polyhedron():
