@@ -11,9 +11,9 @@ from functools import lru_cache
 from itertools import combinations, compress, count, product, repeat
 from math import gcd
 
-from .curves import A1, P1, ClosedPoint
+from .curves import A1, P1, ClosedPoint, _small_candidates
 from .fields import PrimeField, Rationals
-from .geometry import (Cone, Polyhedron, dot, fmt_ratio, fmt_vec,
+from .geometry import (MAX_RANK, Cone, Polyhedron, dot, fmt_ratio, fmt_vec,
                        lattice_box, primitive, vadd, vsub)
 from .reports import Record, Report
 from .tvariety import PolyhedralDivisor
@@ -378,6 +378,9 @@ def equivalence_probe(trials: int, p: int, curve: str, rank: int,
     rep = Report("equivalence probe")
     rng = random.Random(seed)
     field = PrimeField(p) if p > 1 else Rationals()
+    if curve not in (A1, P1) or rank not in range(1, MAX_RANK + 1):
+        raise ClassifierError(f"the probe draws over A1 or P1 at rank 1.."
+                              f"{MAX_RANK}, not {curve!r} at rank {rank!r}")
     drawn = checked = 0
     while checked < trials:
         inst = _random_family(rng, field, curve, rank)
@@ -385,8 +388,7 @@ def equivalence_probe(trials: int, p: int, curve: str, rank: int,
         if inst is None:
             continue
         # witnesses can require one full step of p^{s1}e beyond the base box
-        p_eff = field.char_exponent
-        step = max(abs(p_eff ** inst.s[0] * x) for x in inst.e) if inst.e else 0
+        step = max(abs(x) for x in inst.e) * field.char_exponent ** inst.s[0]
         vrep = _vertex_conditions_only(inst)
         frep = floor_condition_check(inst, m_bound + step)
         if vrep.ok != frep.ok:
@@ -435,55 +437,52 @@ def _below(bits, n):
 def _random_family(rng, field, curve, rank):
     """One random small coloring + family, or None if the draw is invalid.
 
-    The integers are read from raw ``rng.getrandbits`` draws by `_below`,
-    whose stream equals ``rng.randint``'s; ``rng.random`` and ``rng.choice``
-    are used as they are. All raw vertex lists are drawn before any
-    polyhedron is built (building one consumes no randomness), each
-    coordinate a/b (b <= 3) read from a table as the int 6a/b over the
-    divisor's den 6. Over P1, deg D is the hull of the degree-weighted sums
-    of one raw point per support point, plus the tail cone, so it lies in
-    the convex tail exactly when every such sum does. A draw failing that
-    is rejected on the raw points, before the polyhedra are built and
-    `validate` runs; `validate` still rejects the rest of its cases, such
-    as 0 being a vertex of deg D."""
+    Integers come from raw ``rng.getrandbits`` tries, on randint's bits: by
+    `_below`, and inline for vertex coordinates a/b (b <= 3), a 3-bit try
+    for a then a 2-bit one for b, read as the int 6a/b over den 6. Every raw
+    vertex list, infinity's too, is drawn before any polyhedron is built.
+    Over P1 the raw points reject a zero tail (deg D = {0} has 0 as a
+    vertex) and sums of one raw point per support point outside the tail,
+    which put deg D outside it; `validate` rejects the rest."""
     bits = rng.getrandbits
-
-    def rand_vertex():
-        return tuple([_COORDS[_below(bits, 5)][_below(bits, 3)]
-                      for _ in range(rank)])
-
     tail, dual_gens = _tail_cone(None if rng.random() < 0.5 else tuple(
         [_below(bits, 2) for _ in range(rank)]), rank)
     pts = _sample_points(field)
-    raw = [(y, [rand_vertex() for _ in range(1 + _below(bits, 2))])
-           for y in pts[:1 + _below(bits, len(pts))]]
-    y_inf = _INFINITY if curve == P1 else None
-    if curve == P1:
-        raw.append((y_inf, [rand_vertex()]))
-        # the least pairing of such a sum with a generator of the dual cone
-        # is the degree-weighted sum of each point's least pairing; every
-        # sampled point has degree 1
-        for g in dual_gens:
-            if sum([min([dot(g, v) for v in verts]) for _, verts in raw]) < 0:
-                return None
+    raw = []
+    for y in pts[:1 + _below(bits, len(pts))] + (_INFINITY,) * (curve == P1):
+        coords = []
+        for _ in range(rank * (1 if y is _INFINITY else 1 + _below(bits, 2))):
+            a = bits(3)
+            while a > 4:
+                a = bits(3)
+            b = bits(2)
+            while b > 2:
+                b = bits(2)
+            coords.append(_COORDS[a][b])
+        raw.append((y, list(zip(*[iter(coords)] * rank))))  # rank at a time
+    # a sum's least pairing with a generator of the dual cone is the sum of
+    # each point's least pairing (every degree is 1)
+    if curve == P1 and (not tail.rays or any(
+            sum([min([dot(g, v) for v in verts]) for _, verts in raw]) < 0
+            for g in dual_gens)):
+        return None
     support = {y: Polyhedron.from_points(verts, tail) for y, verts in raw}
     div = PolyhedralDivisor(field, curve, tail, support, 6)
     if not div.validate().ok:
         return None
+    y_inf = _INFINITY if curve == P1 else None
     # the divisor is valid and y_inf rational, so the fan raises nothing
-    cone, v_deg, assign = rng.choice(div.linearity_fan(y_inf))
+    _, _, vertices = rng.choice(div.linearity_fan(y_inf))
     y0 = rng.choice([y for y in support if not y.is_infinity])
-    vertices = dict(assign)
     # the fan makes the coloring valid (the assigned vertices sum to the
     # cone's vertex of deg D) but for the lattice condition (ii) away from y0
     for y, v in vertices.items():
         if y != y0 and any(x % 6 for x in v):
             return None
-    coloring = Coloring(div, vertices, y0, y_inf)
     e = tuple([_below(bits, 5) - 2 for _ in range(rank)])
-    p = field.char_exponent
-    s = (1,) if p == 1 else (_below(bits, 3),)
-    return CoherentFamily(coloring, e, s, (field.one(),) * len(s))
+    s = (1,) if field.char_exponent == 1 else (_below(bits, 3),)
+    return CoherentFamily(Coloring(div, vertices, y0, y_inf), e, s,
+                          (field.one(),) * len(s))
 
 
 # -- toricity for surfaces --------------------------------------------------
@@ -517,8 +516,6 @@ def toricity_check(div: PolyhedralDivisor) -> Report:
 
 def _off_support_point(div: PolyhedralDivisor):
     """A rational point of the affine line away from the divisor support."""
-    from .curves import _small_candidates
-
     for c in _small_candidates(div.field):
         y = ClosedPoint.rational(div.field, c)
         if y not in div.support:

@@ -8,7 +8,8 @@ from collections import deque
 from operator import add
 
 from .curves import A1, P1, ClosedPoint, ModuleDescription, h0_generators
-from .geometry import Cone, Polyhedron, minkowski_weighted_sum
+from .geometry import (Cone, Polyhedron, dot, lattice_box,
+                       minkowski_weighted_sum)
 from .polynomials import Poly, fmt_factors, times_factors
 from .reports import Record, Report
 
@@ -52,6 +53,11 @@ class PolyhedralDivisor:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> Report:
+        """Over P1 deg D must also be a proper subset of the pointed tail
+        sigma, decided by pairing sums: deg D's least pairing with g in the
+        dual is the degree-weighted sum of its polyhedra's, so deg D lies in
+        sigma when that is >= 0 at each dual generator, and then has 0 as a
+        vertex when it is 0 at their sum, positive on sigma minus 0."""
         rep = Report("polyhedral divisor")
         if self.curve not in (A1, P1):
             rep.fail(f"unknown curve {self.curve!r}")
@@ -67,15 +73,14 @@ class PolyhedralDivisor:
             if y.trusted:
                 rep.trust(f"irreducibility of {y.to_str()} was not proven")
         if self.curve == P1 and rep.ok:
-            deg = self.degree_polyhedron()
-            # deg D is conv(vertices) + sigma, so it lies in the convex cone
-            # sigma exactly when every vertex does
-            if not all(self.tail.contains(v) for v in deg.vertices):
+            def least(g):
+                return sum(y.degree * min(dot(g, v) for v in p.vertices)
+                           for y, p in self.support.items())
+
+            gens = self.tail.dual().generators()
+            if any(least(g) < 0 for g in gens):
                 rep.fail("deg D is not contained in the tail cone")
-                return rep
-            # sigma is pointed, so 0 lies in deg D (a subset of sigma) only
-            # as a vertex: this is the whole properness test
-            if (0,) * self.rank in deg.vertices:
+            elif least(tuple(map(sum, zip(*gens)))) == 0:
                 rep.fail("deg D is not a proper subset of the tail cone "
                          "(0 is a vertex of deg D)")
         return rep
@@ -191,8 +196,6 @@ def algebra_generators(div: PolyhedralDivisor, bound: int):
     if div.curve != A1:
         raise DivisorError("generator search is implemented over A1")
     dual = div.tail.dual()
-    from .geometry import lattice_box
-
     weights = [m for m in lattice_box(div.rank, bound)
                if any(m) and dual.contains(m)]
     weights.sort(key=lambda m: (sum(abs(c) for c in m), m))

@@ -393,12 +393,17 @@ def test_sampler_matches_build_then_validate_reference(monkeypatch):
 
     monkeypatch.setattr(PolyhedralDivisor, "validate", recording)
     kept = 0
-    p1_rejections = {"raw points": 0, "0 is a vertex": 0}
+    p1_rejections = {"zero tail": 0, "raw points": 0, "0 is a vertex": 0}
+    peek = random.Random()
     for field in (Q, PrimeField(2), PrimeField(3)):
         for curve in (A1, P1):
             for rank in (1, 2):
                 ref_rng, rng = random.Random(47), random.Random(47)
                 for _ in range(60):
+                    # the reference's first draws decide a zero tail
+                    peek.setstate(ref_rng.getstate())
+                    zero_tail = peek.random() < 0.5 or not any(
+                        [peek.randint(0, 1) for _ in range(rank)])
                     want = _reference_random_family(ref_rng, field, curve,
                                                     rank)
                     validated.clear()
@@ -408,7 +413,11 @@ def test_sampler_matches_build_then_validate_reference(monkeypatch):
                     # valid by construction: the sampler does not check it
                     assert got is None or coloring_validate(got.coloring).ok
                     kept += got is not None
-                    if curve == P1 and got is None:
+                    if curve == P1 and zero_tail:
+                        # rejected before any polyhedron is built
+                        assert got is None and not validated
+                        p1_rejections["zero tail"] += 1
+                    elif curve == P1 and got is None:
                         if not validated:
                             p1_rejections["raw points"] += 1
                         elif any("0 is a vertex" in v
@@ -649,11 +658,13 @@ def test_equivalence_probe_small():
 
 def test_equivalence_probe_reports_its_draws(monkeypatch):
     """The probe's own accounting: every draw is rejected by the sampler or
-    checked. A check that raises is an internal failure, not a skip: it
+    checked, and each check runs once per checked instance, called through
+    the module (the benchmark counts draws and checks by wrapping these
+    names). A check that raises is an internal failure, not a skip: it
     propagates out of the probe."""
     import ghz.classifier as classifier
 
-    calls = {"draws": 0, "nones": 0}
+    calls = {"draws": 0, "nones": 0, "vertex": 0, "floor": 0}
 
     def counting(*args):
         calls["draws"] += 1
@@ -661,10 +672,21 @@ def test_equivalence_probe_reports_its_draws(monkeypatch):
         calls["nones"] += theta is None
         return theta
 
+    def counted(key, check):
+        def wrapper(*args):
+            calls[key] += 1
+            return check(*args)
+        return wrapper
+
     monkeypatch.setattr(classifier, "_random_family", counting)
+    monkeypatch.setattr(classifier, "_vertex_conditions_only",
+                        counted("vertex", _vertex_conditions_only))
+    monkeypatch.setattr(classifier, "floor_condition_check",
+                        counted("floor", floor_condition_check))
     rep = equivalence_probe(10, 2, P1, 1, seed=11)
     assert rep.ok, rep.violations
     assert calls["draws"] == calls["nones"] + 10
+    assert calls["vertex"] == calls["floor"] == 10
     assert rep.notes == [
         "10 instances agreed",
         f"drew {calls['draws']}: {calls['nones']} rejected, 10 checked"]
@@ -675,6 +697,23 @@ def test_equivalence_probe_reports_its_draws(monkeypatch):
     monkeypatch.setattr(classifier, "floor_condition_check", raising)
     with pytest.raises(ClassifierError, match="internal failure"):
         equivalence_probe(10, 2, P1, 1, seed=11)
+
+
+@pytest.mark.parametrize("curve, rank", [("P2", 1), (A1, 5), (P1, 0)])
+def test_equivalence_probe_refuses_what_it_cannot_draw(monkeypatch, curve,
+                                                       rank):
+    """A curve other than A1 and P1, or a rank outside 1..MAX_RANK, is
+    refused before the first draw: over "P2" every draw is rejected and
+    rank 5 is past what the geometry supports, so the probe would never
+    finish."""
+    import ghz.classifier as classifier
+
+    def no_draw(*args):
+        raise AssertionError("the probe drew")
+
+    monkeypatch.setattr(classifier, "_random_family", no_draw)
+    with pytest.raises(ClassifierError, match="A1 or P1 at rank 1..4"):
+        equivalence_probe(1, 2, curve, rank, seed=1)
 
 
 def test_toricity():

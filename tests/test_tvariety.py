@@ -111,44 +111,72 @@ def _all_sums_p1_violations(div):
     return []
 
 
+def _random_tail(rng, rank):
+    """A pointed tail and its kind: the zero cone, one ray (over rank 2 and 3
+    its dual has a lineality space) or two rays that are not opposite."""
+    kind = rng.choice(("zero", "one ray", "two rays") if rank > 1
+                      else ("zero", "one ray"))
+    rays = []
+    while len(rays) < ("zero", "one ray", "two rays").index(kind):
+        r = tuple(rng.randint(-1, 1) for _ in range(rank))
+        if any(r) and r not in rays and tuple(-x for x in r) not in rays:
+            rays.append(r)
+    return (Cone.from_generators(rays, rank) if rays else Cone.zero(rank),
+            kind)
+
+
 def test_p1_validate_matches_the_all_sums_reference():
     """Random P1 divisors drawn like the sampler's build-then-validate
-    reference but never rejected on raw points, plus a point of degree 2,
-    an empty support and the zero tail."""
+    reference but never rejected on raw points, at ranks 1 to 3, over the
+    zero tail, one-ray tails (whose dual has a lineality space from rank 2
+    on) and two-ray tails, plus a point of degree 2 and an empty support."""
     rng = random.Random(61)
-    seen = {}
+    seen = Counter()
     for field, consts, quadratic in ((Q, 3, "t^2 + 1"),
                                      (PrimeField(2), 2, "t^2 + t + 1"),
                                      (PrimeField(3), 3, "t^2 + 1")):
         points = [ClosedPoint.rational(field, field.from_int(c))
                   for c in range(consts)]
         points.append(point_validate(parse_poly(quadratic, field), "strict"))
-        for rank in (1, 2):
-            def rand_vertex():
-                return tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
-                             for _ in range(rank))
+        for rank in (1, 2, 3):
+            def rand_vertex(rays):
+                """A random vertex, or on half the divisors with a nonzero
+                tail one in the span of its rays, where deg D can lie in a
+                tail that is not full-dimensional."""
+                if not rays:
+                    return tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
+                                 for _ in range(rank))
+                cs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in rays]
+                return tuple(sum(c * r[i] for c, r in zip(cs, rays))
+                             for i in range(rank))
 
-            for _ in range(60):
-                tail = Cone.zero(rank) if rng.random() < 0.5 else \
-                    Cone.from_generators([tuple(
-                        rng.randint(0, 1) for _ in range(rank))], rank)
+            for _ in range(80):
+                tail, kind = _random_tail(rng, rank)
+                rays = tail.rays if rng.random() < 0.5 else ()
                 chosen = rng.sample(points, rng.randint(0, len(points)))
                 if rng.random() < 0.8:
                     chosen.append(ClosedPoint.infinity())
                 div, _ = rational_divisor(field, P1, tail, {
-                    y: [rand_vertex() for _ in range(rng.randint(1, 2))]
+                    y: [rand_vertex(rays) for _ in range(rng.randint(1, 2))]
                     for y in chosen})
-                support = div.support
                 want = _all_sums_p1_violations(div)
-                assert div.validate().violations == want, support
-                key = (bool(support), bool(tail.rays), tuple(want))
-                seen[key] = seen.get(key, 0) + 1
-    verdicts = {key[2] for key in seen}
+                assert div.validate().violations == want, div.support
+                seen[rank, kind, bool(div.support), tuple(want)] += 1
+    verdicts = {key[3] for key in seen}
     assert len(verdicts) == 3, seen
-    # edge cases: an empty support, and the zero tail with a nonempty one
-    assert any(not has_support for has_support, _, _ in seen), seen
-    assert any(has_support and not has_rays
-               for has_support, has_rays, _ in seen), seen
+    # both violations and the ok case on tails whose dual has a lineality
+    # space and on two-ray tails, at ranks 2 and 3
+    for rank in (2, 3):
+        for kind in ("one ray", "two rays"):
+            assert {want for r, k, _, want in seen
+                    if (r, k) == (rank, kind)} == verdicts, (rank, kind, seen)
+    # edge cases: an empty support, the zero tail with a nonempty one, and
+    # every tail kind at rank 3
+    assert any(not has_support for _, _, has_support, _ in seen), seen
+    assert any(kind == "zero" and has_support
+               for _, kind, has_support, _ in seen), seen
+    assert {kind for rank, kind, _, _ in seen if rank == 3} == \
+        {"zero", "one ray", "two rays"}, seen
 
 
 def test_polyhedron_at_looks_up_the_support_first(monkeypatch):
