@@ -34,8 +34,8 @@ GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
 VALID = ("a1-y-infinity", "colored-not-vertex", "outside-domain",
          "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
-         "p1-pieces", "toric-fractional", "v0-not-vertex",
-         "weight-cone-image")
+         "p1-pieces", "refused-generator", "toric-fractional",
+         "v0-not-vertex", "weight-cone-image", "zero-lambda")
 
 # the runs of each scenario besides validate, as argv with the scenario
 # inserted after the command. For a malformed scenario: the command that,
@@ -44,7 +44,8 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "outside-domain",
 # an invalid coloring as valid or failed internally, or that reach a path
 # no builtin example reaches (P1 pieces, negative and infinity coefficients
 # of D(m), a fractional part at a non-rational point, an element whose lift
-# is not a polynomial).
+# is not a polynomial, a generator whose lift is not one, a generator search
+# that hits its weight bound, an operator that moves nothing).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
               "family-root-length": [["toric-check"]],
@@ -64,7 +65,9 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "p1-pieces": [["eval", "--m=0"], ["eval", "--m=1"],
                             ["piece", "--m=1"], ["piece", "--m=3"],
                             ["toric-check"]],
-              "toric-fractional": [["toric-check"], ["eval", "--m=2"]]}
+              "refused-generator": [["generators"], ["verify", "--override"]],
+              "toric-fractional": [["toric-check"], ["eval", "--m=2"]],
+              "zero-lambda": [["verify", "--override"]]}
 
 _TEXT_ELAPSED = re.compile(r"^elapsed: \d+\.\d{3}s\n", re.M)
 _JSON_ELAPSED = re.compile(r',\n  "elapsed_seconds": [0-9.e-]+\n}')
