@@ -9,9 +9,9 @@ from .classifier import (AssociatedCones, CoherentFamily, Coloring,
                          floor_condition_check, toricity_check)
 from .curves import A1, P1, ClosedPoint, point_validate
 from .engine import (ApplicationResult, DthetaOperator, GradedElement,
-                     ToricRootOperator, build_operator, kernel_in_box,
-                     toric_root_operator, verify_axioms, verify_horizontal,
-                     verify_stability, verify_toric_axioms)
+                     ToricRootOperator, build_operator, image_table,
+                     kernel_in_box, toric_root_operator, verify,
+                     verify_axioms, verify_stability, verify_toric_axioms)
 from .fields import PrimeField, Rationals
 from .geometry import Cone, Polyhedron
 from .polynomials import FractionField, Poly, RatFunc, lambda_field

@@ -373,14 +373,16 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
 
 def equivalence_probe(trials: int, p: int, curve: str, rank: int,
                       m_bound: int = 12, seed: int = 0) -> Report:
-    """Cross-check: on random small instances the vertex inequalities and the
-    floor conditions over a weight box must agree."""
+    """Cross-check: on random small instances over Q (p = 1) or F_p the
+    vertex inequalities and the floor conditions over a weight box must
+    agree."""
     rep = Report("equivalence probe")
     rng = random.Random(seed)
-    field = PrimeField(p) if p > 1 else Rationals()
-    if curve not in (A1, P1) or rank not in range(1, MAX_RANK + 1):
+    if curve not in (A1, P1) or rank not in range(1, MAX_RANK + 1) or p < 1:
         raise ClassifierError(f"the probe draws over A1 or P1 at rank 1.."
-                              f"{MAX_RANK}, not {curve!r} at rank {rank!r}")
+                              f"{MAX_RANK}, over Q (p = 1) or F_p, not "
+                              f"{curve!r} at rank {rank!r} with p = {p!r}")
+    field = PrimeField(p) if p > 1 else Rationals()
     drawn = checked = 0
     while checked < trials:
         inst = _random_family(rng, field, curve, rank)

@@ -25,9 +25,7 @@ from .classifier import (candidate_colorings, coherent_validate,
                          ClassifierError)
 from .curves import A1, P1, PointError
 from .engine import (EngineError, GradedElement, Refusal, build_operator,
-                     default_horizontal_order, kernel_in_box,
-                     toric_root_operator, verify_axioms, verify_horizontal,
-                     verify_stability, verify_toric_axioms)
+                     toric_root_operator, verify, verify_toric_axioms)
 from .fields import FieldError
 from .geometry import GeometryError, fmt_ratio, fmt_vec
 from .polynomials import RatFunc, fmt_factors, times_factors
@@ -175,7 +173,7 @@ def _run(rep, sc, command, args):
             else sc.bounds["max_order"]
         for x in sc.elements:
             res = op.apply(x, order)
-            for i in res.nonzero_orders():
+            for i in sorted(res.orders):
                 rep.note(f"order {i} of {x.to_str()}: "
                          f"{res.orders[i].to_str()}")
     elif command == "verify":
@@ -186,17 +184,7 @@ def _run(rep, sc, command, args):
             rep.trust("generator certificate is incomplete at this bound")
         order = args.order if args.order is not None \
             else sc.bounds["max_order"]
-        rep.merge(verify_axioms(op, elems, order))
-        rep.merge(verify_stability(op, div, elems))
-        if verify_horizontal(op):
-            rep.note(f"horizontal (order bound "
-                     f"{default_horizontal_order(op)})")
-        else:
-            rep.fail("no positive order moves the curve coordinate")
-        if div.curve == A1:
-            ker = kernel_in_box(op, div, sc.bounds["weight_box"])
-            rep.merge(ker.report)
-            rep.note(f"kernel weights {ker.weights}; lattice {ker.lattice}")
+        verify(op, elems, order, sc.bounds["weight_box"], rep)
     elif command == "classify":
         found = enumerate_coherent(div, sc.bounds["e_box"], sc.bounds["s_max"],
                                    sc.lambda_sample, _y_infinity(sc, command))

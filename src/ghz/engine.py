@@ -5,6 +5,8 @@ structure on finite windows."""
 
 from __future__ import annotations
 
+from math import inf
+
 from .binomials import binom_in_field
 from .classifier import (CoherentFamily, coherent_validate, cover_degree,
                          demazure_root_check)
@@ -59,9 +61,6 @@ class GradedElement:
     def weights(self):
         return sorted(self.terms)
 
-    def coeff(self, w):
-        return self.terms.get(tuple(w), RatFunc.zero(self.field))
-
     def __add__(self, other):
         out = dict(self.terms)
         for w, f in other.terms.items():
@@ -112,9 +111,6 @@ class ApplicationResult:
     def __init__(self, orders: dict, bound: int):
         self.orders = orders  # order i -> GradedElement, zero orders omitted
         self.bound = bound    # the largest of the terms' nilpotency bounds
-
-    def nonzero_orders(self):
-        return sorted(self.orders)
 
 
 # -- the operator -----------------------------------------------------------
@@ -188,15 +184,14 @@ class DthetaOperator:
             raise Refusal(refusal)
         return h.num
 
-    def apply_term(self, f: RatFunc, m, max_order=None):
-        """Images of one homogeneous term, as {order: (weight, coeff)}, and
-        the term's nilpotency bound deg H * p^{s_last}: the lift H expands
-        as H(z + sum lambda_j T^{p^{s_j}}) by Hasse derivatives, and each
-        coefficient of T^i descends to k(t)."""
+    def apply_term(self, f: RatFunc, m, max_order=inf):
+        """Images of one homogeneous term up to ``max_order``, as
+        {order: (weight, coeff)}, and its nilpotency bound deg H * p^{s_last}:
+        the lift H expands as H(z + sum lambda_j T^{p^{s_j}}) by Hasse
+        derivatives, and each coefficient of T^i descends to k(t)."""
         h = self._lift(f, m)
         bound = h.degree * self.nilpotency_exponent()
-        series = hasse_expand(h, self.step, (bound if max_order is None
-                                        else max_order) + 1)
+        series = hasse_expand(h, self.step, max_order + 1)
         out = {}
         for i, c_i in sorted(series.items()):
             w = tuple(a + i * b for a, b in zip(m, self.e))
@@ -211,7 +206,7 @@ class DthetaOperator:
                 out[i] = (w, coeff)
         return out, bound
 
-    def apply(self, x: GradedElement, max_order=None) -> ApplicationResult:
+    def apply(self, x: GradedElement, max_order=inf) -> ApplicationResult:
         orders = {}
         top = 0
         for w, f in x.terms.items():
@@ -243,27 +238,60 @@ def build_operator(theta: CoherentFamily, override: bool = False
 
 # -- verification -----------------------------------------------------------
 
-def verify_axioms(op: DthetaOperator, test_set, max_order: int) -> Report:
-    """Identity, homogeneity, Leibniz, iterativity and bounded vanishing on a
-    finite test set and all its pairwise products.
+def image_table(op: DthetaOperator, elems) -> dict:
+    """Each element applied once, untruncated, so that its row holds every
+    nonzero order: element -> ApplicationResult, or the EngineError raised."""
+    table = {}
+    for x in elems:
+        try:
+            table[x] = op.apply(x)
+        except EngineError as exc:
+            table[x] = exc
+    return table
 
-    The product rule convolves only the nonzero orders of the two images
-    and compares at every order up to ``max_order``.  For iterativity each
-    image at order b is applied once, at order max_order - b, and every
-    order a is read from that result: a coefficient at order a does not
-    depend on the truncation order.  Only if that application raises is
-    the image applied once per order a, so each failure is reported where
-    the per-order rule meets it."""
+
+def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
+    """``ghz verify`` into ``rep``: the axioms, stability, horizontality and,
+    over A1, the kernel in the weight box, all read from one image table of
+    the algebra generators ``elems``, t*chi^0 first."""
+    table = image_table(op, elems)
+    rep.merge(verify_axioms(op, table, max_order))
+    rep.merge(verify_stability(op.divisor, table))
+    t_row = table[elems[0]]
+    if isinstance(t_row, EngineError):
+        raise t_row
+    # the lift of t, z^d + y0, has the coefficient lambda_last^d at order
+    # d p^{s_last}, so t moves unless lambda_last = 0 (only under override)
+    if any(i >= 1 for i in t_row.orders):
+        rep.note(f"horizontal (order bound "
+                 f"{op.nilpotency_exponent() * op.p ** op.u * op.d})")
+    else:
+        rep.fail("no positive order moves the curve coordinate")
+    if op.divisor.curve == A1 and (ker := kernel_in_box(op, table, box)):
+        rep.merge(ker.report)
+        rep.note(f"kernel weights {ker.weights}; lattice {ker.lattice}")
+
+
+def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
+    """Identity, homogeneity, Leibniz, iterativity and bounded vanishing on
+    the rows of an image table and all pairwise products of its elements.
+
+    The product rule convolves only the nonzero orders of the two images,
+    at every order up to ``max_order``.  Iterativity applies each image at
+    order b once, at order max_order - b, and reads every order a from that
+    result, as a coefficient does not depend on the truncation order; only
+    if that raises is the image applied once per order a."""
     rep = Report("operator axioms")
     k = op.field
     zero = GradedElement.zero(k)
     results = []
-    for x in test_set:
-        try:
-            res = op.apply(x, max_order)
-        except EngineError as exc:
-            rep.fail(f"application failed on {x.to_str()}: {exc}")
-            continue
+    for x, res in table.items():
+        if isinstance(res, EngineError):
+            try:  # the orders up to max_order may still descend
+                res = op.apply(x, max_order)
+            except EngineError as exc:
+                rep.fail(f"application failed on {x.to_str()}: {exc}")
+                continue
         results.append((x, res))
         if res.orders.get(0, zero) != x:
             rep.fail(f"order 0 is not the identity on {x.to_str()}")
@@ -327,18 +355,16 @@ def verify_axioms(op: DthetaOperator, test_set, max_order: int) -> Report:
     return rep
 
 
-def verify_stability(op: DthetaOperator, div: PolyhedralDivisor,
-                     generators) -> Report:
-    """Every image of every generator, a GradedElement, must lie in the
-    graded algebra, at a weight of the weight cone (the dual of the tail
-    cone)."""
+def verify_stability(div: PolyhedralDivisor, table: dict) -> Report:
+    """Every image in every row of an image table, a GradedElement, must
+    lie in the graded algebra, at a weight of the weight cone (the dual of
+    the tail cone).  A refused row is the axioms' to report."""
     rep = Report("stability")
     dual = div.tail.dual()
-    for g in generators:
-        try:
-            res = op.apply(g)
-        except EngineError as exc:
-            rep.fail(f"{g.to_str()}: {exc}")
+    for g, res in table.items():
+        if isinstance(res, EngineError):
+            if not isinstance(res, Refusal):
+                rep.fail(f"{g.to_str()}: {res}")
             continue
         for i, val in sorted(res.orders.items()):
             if i == 0:
@@ -352,19 +378,6 @@ def verify_stability(op: DthetaOperator, div: PolyhedralDivisor,
                     rep.fail(f"order {i} of {g.to_str()} leaves the algebra: "
                              f"{image}")
     return rep
-
-
-def default_horizontal_order(op: DthetaOperator) -> int:
-    return op.nilpotency_exponent() * (op.p ** op.u) * op.d
-
-
-def verify_horizontal(op: DthetaOperator) -> bool:
-    """Does some positive-order image move the curve coordinate t?"""
-    t = GradedElement.term(op.field,
-                           tuple(0 for _ in range(op.divisor.rank)),
-                           RatFunc.x(op.field, 1))
-    res = op.apply(t, default_horizontal_order(op))
-    return any(i >= 1 for i in res.orders)
 
 
 # -- kernel computation -----------------------------------------------------
@@ -381,30 +394,29 @@ class KernelReport:
         self.cone = cone        # cone spanned by the kernel weights
 
 
-def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
-                  box_bound: int) -> KernelReport:
+def kernel_in_box(op: DthetaOperator, table: dict,
+                  box_bound: int) -> KernelReport | None:
     """Kernel pieces of all positive-order operators on a weight box, in
     closed form.
 
-    f*chi^m is in the kernel exactly when its lift
-    h = (f/xi_m)(z^d + y0) * z^{d<m,v0>} satisfies h(z + S) = h(z).  A
-    polynomial h of degree n > 0 has the nonzero T^{n p^{s_last}}
-    coefficient a_n lambda_last^n, so the piece at m is at most
-    one-dimensional, spanned by phi_m = xi_m * (t - y0)^{-<m,v0>} when
-    <m,v0> is an integer.  The lift of f_m is 1/g(z^d + y0) with
-    g = phi_m / f_m, and ``apply_term`` refuses it unless it is a
-    polynomial; so the piece meets f_m * k[t] only in multiples of f_m, and
-    m is a kernel weight exactly when g is a nonzero constant.  The one
-    application of the operator to f_m per weight checks the closed
-    form: its positive orders vanish exactly when g is constant.
+    f*chi^m is in the kernel exactly when its lift h satisfies
+    h(z + S) = h(z).  A polynomial h of degree n > 0 has the nonzero
+    T^{n p^{s_last}} coefficient a_n lambda_last^n, so the piece at m is
+    zero or spanned by phi_m = xi_m * (t - y0)^{-<m,v0>}, with <m,v0>
+    integral.  The lift of f_m is 1/g(z^d + y0) with g = phi_m / f_m, which
+    the operator refuses unless it is a polynomial; so the piece meets
+    f_m * k[t] only in multiples of f_m, and m is a kernel weight exactly
+    when g is a nonzero constant.  One application to f_m per weight, or
+    its row in the image table, checks this: its positive orders vanish
+    exactly then.  A refused row ends the scan with None (the axioms report
+    it); another failed row is raised.
 
-    Each kernel weight must have an integral evaluation, and the kernel
-    weights must be a sublattice trace intersected with a cone: the
-    semigroup-algebra shape of the kernel of a horizontal operator (Liendo,
-    Transform. Groups 15 (2010), in characteristic 0).
+    The kernel weights must have integral evaluations and be a sublattice
+    trace intersected with a cone: the semigroup-algebra shape of the
+    kernel of a horizontal operator (Liendo, Transform. Groups 15 (2010),
+    in characteristic 0).
     """
-    if div.curve != A1:
-        raise EngineError("kernel extraction works over the affine line")
+    div = op.divisor  # over P1, div.generator raises: there is no f_m
     rep = Report("kernel structure")
     dual = div.tail.dual()
     weights, spans = [], {}
@@ -413,7 +425,12 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
             continue
         fm = times_factors(RatFunc.one(div.field), div.generator(m),
                            op.xi_powers)
-        images, _ = op.apply_term(fm, m)
+        x = GradedElement.term(div.field, m, fm)
+        row = table.get(x) or op.apply(x)
+        if isinstance(row, Refusal):
+            return None
+        if isinstance(row, EngineError):
+            raise row
         a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False
         if not r:
@@ -421,7 +438,7 @@ def kernel_in_box(op: DthetaOperator, div: PolyhedralDivisor,
             g = times_factors(RatFunc(fm.den, fm.num, reduce=False), phi,
                               op.xi_powers)
             fixed = g.is_poly() and g.num.is_constant()
-        if fixed == any(i >= 1 for i in images):
+        if fixed == any(i >= 1 for i in row.orders):
             raise EngineError(f"closed-form kernel at {m} disagrees with the "
                               f"operator's images of the module generator")
         if fixed:

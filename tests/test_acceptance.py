@@ -10,8 +10,8 @@ from ghz.classifier import (CoherentFamily, Coloring, coherent_validate,
 from ghz.classifier import _random_family
 from ghz.curves import A1, P1, ClosedPoint, h0_generators, point_validate
 from ghz.engine import (EngineError, GradedElement, build_operator,
-                        kernel_in_box, toric_root_operator, verify_axioms,
-                        verify_stability, verify_toric_axioms)
+                        image_table, kernel_in_box, toric_root_operator,
+                        verify_axioms, verify_stability, verify_toric_axioms)
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, lattice_box
 from ghz.polynomials import (Poly, RatFunc, lambda_field, parse_poly,
@@ -96,7 +96,7 @@ def test_criterion_3_hyperbolic_stability_on_generators():
         GradedElement.term(K, (5,), RatFunc.x(K, -1)),         # t^-1 chi^5
         GradedElement.term(K, (-5,), parse_rational("t*(t^2+l)", K)),
     ]
-    rep = verify_stability(op, D, gens)
+    rep = verify_stability(D, image_table(op, gens))
     assert rep.ok, rep.violations
 
 
@@ -110,13 +110,14 @@ def test_criterion_4_ramified_dichotomy():
         if omega.contains(m) and sum(abs(x) for x in m) <= 3:
             gens.append(GradedElement.term(F2, tuple(m),
                                            expanded(F2, D.generator(m))))
-    assert verify_axioms(op, gens, 8).ok
-    assert verify_stability(op, D, gens).ok
+    table = image_table(op, gens)
+    assert verify_axioms(op, table, 8).ok
+    assert verify_stability(D, table).ok
     # golden: the order-2 image of chi^(0,1) is z = t^-1 (t-1)^-1 chi^(2,1)
     res = op.apply(GradedElement.term(F2, (0, 1), RatFunc.one(F2)))
     z = res.orders[2]
     assert z.to_str() == "((1)/(t^2 + t))*chi^(2, 1)"
-    ker = kernel_in_box(op, D, 4)
+    ker = kernel_in_box(op, {}, 4)
     assert ker.report.ok
     assert (2, 1) in ker.weights  # z generates the kernel piece there
 
@@ -126,7 +127,7 @@ def test_criterion_4_ramified_dichotomy():
     assert any(v.startswith("(v)") for v in rep.violations)
     opQ = build_operator(thetaQ, override=True)
     x = GradedElement.term(Q, (0, 1), RatFunc.one(Q))
-    srep = verify_stability(opQ, DQ, [x])
+    srep = verify_stability(DQ, image_table(opQ, [x]))
     assert not srep.ok
     assert any("order 1" in v for v in srep.violations)
 
@@ -177,7 +178,7 @@ def test_criterion_7_axiom_property_suite():
                     (omega is None or omega.contains(m)):
                 fm = expanded(D.field, D.generator(m))
                 elems.append(GradedElement.term(D.field, tuple(m), fm))
-        assert verify_axioms(op, elems[:8], 8).ok
+        assert verify_axioms(op, image_table(op, elems[:8]), 8).ok
 
     # randomized coherent families over the affine line
     rng = random.Random(5)
@@ -200,7 +201,7 @@ def test_criterion_7_axiom_property_suite():
                     field, tuple(m), expanded(field, D.generator(m))))
             if len(elems) >= 4:
                 break
-        rep = verify_axioms(op, elems, 6)
+        rep = verify_axioms(op, image_table(op, elems), 6)
         assert rep.ok, (theta.describe(), rep.violations)
         checked += 1
     assert checked == 5

@@ -699,13 +699,16 @@ def test_equivalence_probe_reports_its_draws(monkeypatch):
         equivalence_probe(10, 2, P1, 1, seed=11)
 
 
-@pytest.mark.parametrize("curve, rank", [("P2", 1), (A1, 5), (P1, 0)])
-def test_equivalence_probe_refuses_what_it_cannot_draw(monkeypatch, curve,
+@pytest.mark.parametrize("p, curve, rank", [
+    (2, "P2", 1), (2, A1, 5), (2, P1, 0), (0, A1, 1), (-3, A1, 1)],
+    ids=["P2-1", "A1-5", "P1-0", "p=0", "p=-3"])
+def test_equivalence_probe_refuses_what_it_cannot_draw(monkeypatch, p, curve,
                                                        rank):
-    """A curve other than A1 and P1, or a rank outside 1..MAX_RANK, is
-    refused before the first draw: over "P2" every draw is rejected and
-    rank 5 is past what the geometry supports, so the probe would never
-    finish."""
+    """A curve other than A1 and P1, a rank outside 1..MAX_RANK, or a
+    characteristic p below 1 (p = 1 stands for Q) is refused before the
+    first draw: over "P2" every draw is rejected and rank 5 is past what
+    the geometry supports, so the probe would never finish, and p = 0 or
+    -3 would silently draw over Q."""
     import ghz.classifier as classifier
 
     def no_draw(*args):
@@ -713,7 +716,7 @@ def test_equivalence_probe_refuses_what_it_cannot_draw(monkeypatch, curve,
 
     monkeypatch.setattr(classifier, "_random_family", no_draw)
     with pytest.raises(ClassifierError, match="A1 or P1 at rank 1..4"):
-        equivalence_probe(1, 2, curve, rank, seed=1)
+        equivalence_probe(1, p, curve, rank, seed=1)
 
 
 def test_toricity():

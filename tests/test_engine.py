@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -13,17 +14,17 @@ from ghz.classifier import (CoherentFamily, Coloring, _random_family,
 from ghz.cli import main
 from ghz.curves import A1, ClosedPoint, point_validate
 from ghz.engine import (DthetaOperator, EngineError, GradedElement,
-                        KernelReport, Refusal, build_operator,
-                        default_horizontal_order, kernel_in_box,
-                        toric_root_operator, verify_axioms,
-                        verify_horizontal, verify_stability)
+                        KernelReport, Refusal, build_operator, image_table,
+                        kernel_in_box, toric_root_operator, verify,
+                        verify_axioms, verify_stability)
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, in_lattice, lattice_basis, lattice_box
 from ghz.polynomials import (FractionField, Poly, RatFunc, lambda_field,
                              parse_poly, parse_rational, poly_gcd,
                              substitute_poly, times_factors)
 from ghz.reports import Report
-from ghz.scenarios import builtin_examples, load_builtin, parse_scenario
+from ghz.scenarios import (builtin_examples, load_builtin, parse_scenario,
+                           serialize_scenario)
 from ghz.tvariety import algebra_generators
 
 from helpers import (expanded, generator_elements, int_poly, orthant,
@@ -75,7 +76,6 @@ def test_w25_operator_shape():
     K, D, op = w25_operator()
     assert op.d == 5 and op.p == 2 and op.u == 0
     assert op.nilpotency_exponent() == 4
-    assert default_horizontal_order(op) == 20
 
 
 def test_w25_apply_t():
@@ -105,14 +105,17 @@ def test_w25_axioms_and_stability():
     gens, cert = algebra_generators(D, 6)
     assert cert.complete
     elems = generator_elements(K, gens)
-    assert verify_axioms(op, elems, 12).ok
-    assert verify_stability(op, D, elems).ok
-    assert verify_horizontal(op)
+    table = image_table(op, elems)
+    assert verify_axioms(op, table, 12).ok
+    assert verify_stability(D, table).ok
+    rep = Report("verify")
+    verify(op, elems, 12, 6, rep)
+    assert rep.ok and "horizontal (order bound 20)" in rep.notes
 
 
 def test_w25_kernel():
     K, D, op = w25_operator()
-    ker = kernel_in_box(op, D, 10)
+    ker = kernel_in_box(op, {}, 10)
     assert ker.report.ok
     assert ker.weights == [(0,), (5,), (10,)]
     assert ker.lattice == [[5]]
@@ -134,7 +137,7 @@ def test_weights_are_plain_ints():
             images, _ = op.apply_term(expanded(div.field, div.generator(m)),
                                       m)
             assert images and all(ints(w) for w, _ in images.values())
-        ker = kernel_in_box(op, div, sc.bounds["weight_box"])
+        ker = kernel_in_box(op, {}, sc.bounds["weight_box"])
         assert ker.weights and all(ints(m) for m in ker.weights)
         assert all(ints(m) for m in ker.spans)
 
@@ -169,9 +172,12 @@ def test_ramified_char2():
     assert got == {0: "(1)*chi^(0, 1)", 2: "((1)/(t^2 + t))*chi^(2, 1)"}
     res2 = op.apply(GradedElement.term(F2, (1, 1), RatFunc.one(F2)))
     assert res2.orders[1].to_str() == "((1)/(t))*chi^(2, 1)"
-    rest = op.apply(GradedElement.term(F2, (0, 0), RatFunc.x(F2, 1)))
+    t = GradedElement.term(F2, (0, 0), RatFunc.x(F2, 1))
+    rest = op.apply(t)
     assert rest.orders[2].to_str() == "((1)/(t))*chi^(2, 0)"
-    assert verify_horizontal(op)
+    rep = Report("verify")
+    verify(op, [t], 8, 1, rep)
+    assert "horizontal (order bound 4)" in rep.notes
 
 
 def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
@@ -182,7 +188,7 @@ def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
     op = build_operator(sc.family)
     x = GradedElement.term(sc.field, (0, 1), RatFunc.one(sc.field))
     assert op.apply(x, 8).bound == 2
-    assert verify_axioms(op, [x], 8).ok
+    assert verify_axioms(op, image_table(op, [x]), 8).ok
     apply_term = DthetaOperator.apply_term
 
     def late_image(self, f, m, max_order=None):
@@ -192,7 +198,7 @@ def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
         return out, bound
 
     monkeypatch.setattr(DthetaOperator, "apply_term", late_image)
-    rep = verify_axioms(op, [x], 8)
+    rep = verify_axioms(op, image_table(op, [x]), 8)
     assert "nonzero image beyond the vanishing bound on (1)*chi^(0, 1)" \
         in rep.violations
 
@@ -202,7 +208,8 @@ def test_axioms_do_not_depend_on_written_form():
     D, op = ramified_operator(F2, (0,))
     f = parse_rational("(t^2+1)*(t+1)^-1", F2)  # t^2 + 1 = (t + 1)^2
     assert f == RatFunc.from_poly(parse_poly("t+1", F2))
-    rep = verify_axioms(op, [GradedElement.term(F2, (0, 1), f)], 4)
+    rep = verify_axioms(op, image_table(
+        op, [GradedElement.term(F2, (0, 1), f)]), 4)
     assert rep.ok, rep.violations
 
 
@@ -229,7 +236,7 @@ def _faulty(op, fault, elems, full, top=3):
     ``top``."""
     apply = op.apply
 
-    def faulty_apply(x, max_order=None):
+    def faulty_apply(x, max_order=inf):
         if fault == "raise" and top <= max_order < full:
             raise EngineError(f"descent failure at order {top}")
         res = apply(x, max_order)
@@ -286,7 +293,7 @@ def test_verify_axioms_matches_the_reference():
                     found += 1
     kinds = Counter()
     for op, elems, order in cases:
-        got = verify_axioms(op, elems, order)
+        got = verify_axioms(op, image_table(op, elems), order)
         assert got == reference_verify_axioms(op, elems, order)
         kinds.update(v.split(" on ")[0].split(" at ")[0]
                      for v in got.violations)
@@ -300,26 +307,47 @@ def test_verify_axioms_matches_the_reference():
                           "iteration rule fails", "product rule fails"}
 
 
-def test_verify_axioms_applies_each_iterate_once(monkeypatch):
-    """apply_term calls inside verify_axioms on the command line's test
-    sets: one per element, one per product of a pair, one per nonzero image
-    at an order b below max_order.  Applying each image once per order a
-    as well, as the iteration rule is stated, made 34 and 39."""
-    calls = []
+def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
+    """apply_term calls of one `ghz verify`, by step.  The image table
+    applies each generator once.  The axioms apply each product of a pair
+    once, and each nonzero image at an order b below max_order once.  The
+    kernel applies f_m once per weight of the box, except where f_m*chi^m
+    is a generator, whose row it reads.  Stability applies nothing.  Before
+    the table, w25-imperfect made 43 calls, char2-ramified 54, and
+    char2-ramified at weight box 6 78: stability applied every generator
+    again, horizontality t, and the kernel each generator f_m*chi^m."""
+    calls = Counter()
+    step = [None]
     apply_term = DthetaOperator.apply_term
 
     def counted(self, f, m, max_order=None):
-        calls.append(tuple(m))
+        calls[step[0]] += 1
         return apply_term(self, f, m, max_order)
 
     monkeypatch.setattr(DthetaOperator, "apply_term", counted)
-    for name, want in (("w25-imperfect", 17), ("char2-ramified", 23)):
-        sc = load_builtin(name)
-        op = build_operator(sc.family)
-        elems = cli._generator_elements(sc)[0]
+    for name in ("image_table", "verify_axioms", "verify_stability",
+                 "kernel_in_box"):
+        def in_step(*args, fn=getattr(engine, name), name=name):
+            step[0] = name
+            try:
+                return fn(*args)
+            finally:
+                step[0] = None
+
+        monkeypatch.setattr(engine, name, in_step)
+    data = serialize_scenario(load_builtin("char2-ramified"))
+    data["bounds"]["weight_box"] = 6
+    box6 = tmp_path / "char2-ramified-box6.json"
+    box6.write_text(json.dumps(data), encoding="utf-8")
+    for argv, want in (
+            (["--example", "w25-imperfect"], (4, 13, 18)),
+            (["--example", "char2-ramified"], (5, 18, 21)),
+            (["--scenario", str(box6)], (5, 18, 45))):
         calls.clear()
-        assert verify_axioms(op, elems, sc.bounds["max_order"]).ok
-        assert len(calls) == want, name
+        assert main(["verify", *argv]) == 0
+        assert capsys.readouterr().out.startswith("verify: ok")
+        assert dict(calls) == dict(zip(("image_table", "verify_axioms",
+                                        "kernel_in_box"), want)), argv
 
 
 def test_verify_lambda_field_multiplications(monkeypatch, capsys):
@@ -423,39 +451,33 @@ def test_substitution_matches_series_oracle():
 def test_a_term_outside_the_domain_is_refused_with_its_witness():
     """1/t * chi^0 on w25-imperfect lifts to z^-5: the operator refuses it
     at every truncation order rather than truncate an infinite series, and
-    verify_axioms and verify_stability report the refusal."""
+    its row of the image table holds the refusal, which verify_axioms
+    reports and verify_stability leaves to the axioms."""
     sc = load_builtin("w25-imperfect")
     op = build_operator(sc.family)
     x = GradedElement.term(sc.field, (0,), RatFunc.x(sc.field, -1))
     witness = ("((1)/(t))*chi^(0,) is outside the operator's domain: its "
                "lift is not a polynomial")
     for call in (lambda: op.apply(x), lambda: op.apply(x, 12),
-                 lambda: op.apply_term(x.coeff((0,)), (0,), 4)):
+                 lambda: op.apply_term(x.terms[(0,)], (0,), 4)):
         with pytest.raises(Refusal) as info:
             call()
         assert info.value.report.violations == [witness]
-    assert verify_axioms(op, [x], 4).violations == [
+    table = image_table(op, [x])
+    assert table[x].report.violations == [witness]
+    assert verify_axioms(op, table, 4).violations == [
         f"application failed on {x.to_str()}: {witness}"]
-    assert verify_stability(op, sc.divisor, [x]).violations == [
-        f"{x.to_str()}: {witness}"]
+    assert verify_stability(sc.divisor, table).violations == []
 
 
-def test_verify_override_refuses_a_generator_outside_the_domain(
-        tmp_path, capsys):
+def test_verify_override_refuses_a_generator_outside_the_domain(capsys):
     """With v0 = 0 off the polyhedron {1/5} at t, the coloring is invalid
     and the generator t^-1 chi^5 lifts to 1/z.  verify --override reports
-    the refusal in the axioms, in stability and, as a negative verdict
-    (exit 1, not an internal failure), from the kernel step; the marker of
-    the generator search, incomplete at box 5, is kept."""
-    data = {"field": {"kind": "Fp", "p": 2}, "rank": 1, "curve": "A1",
-            "tail_rays": [],
-            "support": [{"point": "t", "vertices": [["1/5"]]},
-                        {"point": "t+1", "vertices": [["0"], ["1/5"]]}],
-            "coloring": {"y0": "t", "vertices": {"t": ["0"], "t+1": ["0"]}},
-            "family": {"e": [1], "s": [2], "lambda": ["1"]},
-            "bounds": {"weight_box": 5, "max_order": 12}}
-    path = tmp_path / "invalid-coloring.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    the refusal once, in the axioms, as a negative verdict (exit 1, not an
+    internal failure): stability skips the failed row, and the kernel step
+    stops at it without repeating the witness.  The marker of the generator
+    search, incomplete at box 5, is kept."""
+    path = SCENARIOS / "refused-generator.json"
     assert main(["verify", "--scenario", str(path), "--override"]) == 1
     x = "((1)/(t))*chi^(5,)"
     witness = f"{x} is outside the operator's domain: its lift is not a " \
@@ -465,8 +487,6 @@ def test_verify_override_refuses_a_generator_outside_the_domain(
         f"  violation: application failed on {x}: {witness}",
         "  violation: order 4 of (t^2 + t)*chi^(-5,) leaves the algebra: "
         "(1)*chi^(-1,)",
-        f"  violation: {x}: {witness}",
-        f"  violation: {witness}",
         "  note: horizontal (order bound 4)",
         "  trusted: generator certificate is incomplete at this bound"]
 
@@ -512,7 +532,8 @@ def test_ramified_char2_stability():
     gens, _ = algebra_generators(D, 4)
     assert [g.weight for g in gens] == [(0, 0), (0, 1), (1, 0), (2, 0),
                                         (2, 1)]
-    assert verify_stability(op, D, generator_elements(F2, gens)).ok
+    assert verify_stability(D, image_table(
+        op, generator_elements(F2, gens))).ok
 
 
 def test_ramified_char0_instability():
@@ -520,7 +541,7 @@ def test_ramified_char0_instability():
     x = GradedElement.term(Q, (0, 1), RatFunc.one(Q))
     res = op.apply(x, 4)
     assert res.orders[1].to_str() == "((2)/(t - 1))*chi^(1, 1)"
-    rep = verify_stability(op, D, [x])
+    rep = verify_stability(D, image_table(op, [x]))
     assert not rep.ok
 
 
@@ -532,8 +553,8 @@ def test_images_outside_the_weight_cone_are_stability_violations():
     theta = CoherentFamily(sc.coloring, (-1, 0), sc.family.s, sc.family.lam)
     op = build_operator(theta, override=True)
     gens, _ = algebra_generators(sc.divisor, sc.bounds["weight_box"])
-    rep = verify_stability(op, sc.divisor,
-                           generator_elements(sc.field, gens))
+    rep = verify_stability(sc.divisor, image_table(
+        op, generator_elements(sc.field, gens)))
     assert rep.violations == [
         "order 2 of (t)*chi^(0, 0) leaves the weight cone: (t)*chi^(-2, 0)",
         "order 2 of (1)*chi^(0, 1) leaves the weight cone: "
@@ -708,7 +729,7 @@ def test_kernel_closed_form_matches_nullspace_oracle():
                 found += 1
     kernel_weights = 0
     for op, div, bound, window in cases:
-        got = kernel_in_box(op, div, bound)
+        got = kernel_in_box(op, {}, bound)
         want = _reference_kernel_in_box(op, div, bound, window)
         assert _kernel_summary(got) == _kernel_summary(want)
         kernel_weights += len(got.weights)
@@ -726,30 +747,38 @@ def test_kernel_applies_the_operator_once_per_weight(monkeypatch):
         return apply_term(self, f, m, max_order)
 
     monkeypatch.setattr(DthetaOperator, "apply_term", counted)
-    ker = kernel_in_box(op, D, 10)
+    ker = kernel_in_box(op, {}, 10)
     scanned = [m for m in lattice_box(D.rank, 10)
                if D.tail.dual().contains(m)]
     assert ker.report.ok
     assert calls == scanned
+    # where f_m * chi^m is a generator, the kernel reads its row instead
+    elems = generator_elements(K, algebra_generators(D, 10)[0])
+    table = image_table(op, elems)
+    read = {x.weights()[0] for x in elems[1:]}  # elems[0] is t, not f_0
+    calls.clear()
+    assert _kernel_summary(kernel_in_box(op, table, 10)) \
+        == _kernel_summary(ker)
+    assert read and calls == [m for m in scanned if m not in read]
 
 
 def test_kernel_of_overridden_incoherent_families():
     D, theta = incoherent_family()
     op = build_operator(theta, override=True)
-    ker = kernel_in_box(op, D, 10)
+    ker = kernel_in_box(op, {}, 10)
     assert _kernel_summary(ker) == _kernel_summary(
         _reference_kernel_in_box(op, D, 10, window=4))
     # a step that does not descend: the module generator's images show it
     D, theta = incoherent_family(e=(-2,))
     op = build_operator(theta, override=True)
     with pytest.raises(EngineError, match="descent failure"):
-        kernel_in_box(op, D, 10)
+        kernel_in_box(op, {}, 10)
     # lambda = 0 fixes every element, against the closed form
     F2 = PrimeField(2)
     D, theta = incoherent_family(lam=(F2.zero(),))
     op = build_operator(theta, override=True)
     with pytest.raises(EngineError, match="closed-form kernel"):
-        kernel_in_box(op, D, 10)
+        kernel_in_box(op, {}, 10)
 
 
 @pytest.mark.parametrize("field, points", [

@@ -1,0 +1,43 @@
+"""The command line holds no verify mathematics: ``cli.py`` neither imports
+nor reads a step of ``engine.verify``, so only the engine knows the rows of
+the image table and how each step reads them."""
+
+import ast
+from pathlib import Path
+
+import ghz
+
+CLI = Path(ghz.__file__).parent / "cli.py"
+STEPS = {"image_table", "verify_axioms", "verify_stability", "kernel_in_box",
+         "apply_term"}
+
+
+def step_uses(source):
+    """(line, name) of every import of a verify step and every read of one,
+    as a name or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name in STEPS]
+        elif isinstance(node, ast.Name) and node.id in STEPS:
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in STEPS:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_cli_uses_no_verify_step():
+    assert step_uses(CLI.read_text(encoding="utf-8")) == []
+
+
+def test_scan_sees_imports_names_and_attributes():
+    source = ("from .engine import verify, verify_axioms as axioms\n"
+              "import engine\n"
+              "op.apply_term(f, m)\n"
+              "kernel_in_box(op, {}, 3)\n"
+              "step = engine.verify_stability\n"
+              "verify(op, [], 0, 0, rep)\n")
+    assert step_uses(source) == [(1, "verify_axioms"), (3, "apply_term"),
+                                 (4, "kernel_in_box"),
+                                 (5, "verify_stability")]
