@@ -55,6 +55,15 @@ class Coloring(Record):
                                     for y in self.colored_points()))))
 
 
+def lattice_check(c: Coloring, y: ClosedPoint, rep: Report):
+    """Condition (ii) away from y0: fail ``rep`` if the vertex colored at y
+    is not a lattice point."""
+    v, den = c.vertex(y), c.divisor.den
+    if y != c.y0 and any(x % den for x in v):
+        rep.fail(f"(ii): colored vertex {fmt_vec(v, den)} at "
+                 f"[{y.to_str()}] is not a lattice point")
+
+
 def coloring_validate(c: Coloring) -> Report:
     rep = Report("coloring")
     rep.merge(c.divisor.validate())
@@ -85,9 +94,7 @@ def coloring_validate(c: Coloring) -> Report:
         if v not in poly.vertices:
             rep.fail(f"(iii): {fmt_vec(v, den)} is not a vertex of the "
                      f"polyhedron at [{y.to_str()}]")
-        if y != c.y0 and any(x % den for x in v):
-            rep.fail(f"(ii): colored vertex {fmt_vec(v, den)} at "
-                     f"[{y.to_str()}] is not a lattice point")
+        lattice_check(c, y, rep)
     if not rep.ok:
         return rep
     deg = c.divisor.degree_polyhedron(c.y_infinity)

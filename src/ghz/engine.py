@@ -9,11 +9,10 @@ from math import inf
 
 from .binomials import binom_in_field
 from .classifier import (CoherentFamily, coherent_validate, cover_degree,
-                         demazure_root_check)
+                         demazure_root_check, lattice_check)
 from .curves import A1, P1
 from .fields import FieldError
-from .geometry import (Cone, dot, fmt_vec, in_lattice, lattice_basis,
-                       lattice_box)
+from .geometry import Cone, dot, in_lattice, lattice_basis, lattice_box
 from .polynomials import (Poly, RatFunc, descend_power, hasse_expand,
                           times_factors)
 from .reports import Report
@@ -42,10 +41,8 @@ class GradedElement:
 
     def __init__(self, field, terms: dict):
         self.field = field
-        self.terms = {}
-        for w, f in terms.items():
-            if not f.is_zero():
-                self.terms[tuple(w)] = f
+        self.terms = {tuple(w): f for w, f in terms.items()
+                      if not f.is_zero()}
 
     @classmethod
     def term(cls, field, weight, coeff):
@@ -94,12 +91,8 @@ class GradedElement:
                                  key=lambda wf: wf[0])))
 
     def to_str(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms):
-            parts.append(f"({self.terms[w].to_str()})*chi^{w}")
-        return " + ".join(parts)
+        return " + ".join(f"({self.terms[w].to_str()})*chi^{w}"
+                          for w in sorted(self.terms)) or "0"
 
     def __repr__(self):
         return f"GradedElement({self.to_str()})"
@@ -148,16 +141,10 @@ class DthetaOperator:
 
     def xi(self, m) -> list:
         """xi_m = prod q_y^{-<m, v_y>} over colored points away from y0, as
-        (q_y, exponent) pairs with nonzero exponents."""
-        factors = []
-        for y, vy in self.xi_points:
-            a, r = divmod(dot(m, vy), self.den)
-            if r:
-                raise EngineError(f"pairing of {m} with "
-                                  f"{fmt_vec(vy, self.den)} is not integral")
-            if a != 0:
-                factors.append((y.poly, -a))
-        return factors
+        (q_y, exponent) pairs with nonzero exponents.  ``build_operator``
+        refuses a vertex v_y off the lattice, so the pairings are integral."""
+        return [(y.poly, -a) for y, vy in self.xi_points
+                if (a := dot(m, vy) // self.den)]
 
     def _lift(self, f: RatFunc, m) -> Poly:
         """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>}, the lift of f*chi^m.
@@ -195,7 +182,7 @@ class DthetaOperator:
         out = {}
         for i, c_i in sorted(series.items()):
             w = tuple(a + i * b for a, b in zip(m, self.e))
-            val = RatFunc.from_poly(c_i).times_x(-dot(w, self.dv0))
+            val = c_i.times_x(-dot(w, self.dv0))
             try:
                 descended = descend_power(val, self.d, self.y0_value)
             except FieldError as exc:
@@ -233,6 +220,12 @@ def build_operator(theta: CoherentFamily, override: bool = False
                           "infinity to be the infinite point itself")
     if c.y0.is_infinity or not c.y0.is_rational:
         raise EngineError("y0 must be a finite rational point")
+    # even under override: xi_m needs condition (ii) away from y0
+    refusal = Report("operator")
+    for y in c.colored_points():
+        lattice_check(c, y, refusal)
+    if not refusal.ok:
+        raise Refusal(refusal)
     return DthetaOperator(theta)
 
 
@@ -383,15 +376,14 @@ def verify_stability(div: PolyhedralDivisor, table: dict) -> Report:
 # -- kernel computation -----------------------------------------------------
 
 class KernelReport:
-    __slots__ = ("report", "weights", "spans", "lattice", "cone")
+    __slots__ = ("report", "weights", "spans", "lattice")
 
     def __init__(self, report: Report, weights: list, spans: dict,
-                 lattice: list, cone: Cone):
+                 lattice: list):
         self.report = report
         self.weights = weights  # kernel weights in the box
         self.spans = spans      # weight -> RatFunc spanning the kernel piece
         self.lattice = lattice  # triangular basis of the weight lattice
-        self.cone = cone        # cone spanned by the kernel weights
 
 
 def kernel_in_box(op: DthetaOperator, table: dict,
@@ -456,7 +448,7 @@ def kernel_in_box(op: DthetaOperator, table: dict,
             continue
         if in_lattice(m, basis) and m not in weights:
             rep.fail(f"lattice point {m} in the cone is not a kernel weight")
-    return KernelReport(rep, weights, spans, basis, cone)
+    return KernelReport(rep, weights, spans, basis)
 
 
 # -- toric monomial operator ------------------------------------------------

@@ -102,10 +102,7 @@ class Poly:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 v = k.mul(c1, c2)
-                if e in out:
-                    out[e] = k.add(out[e], v)
-                else:
-                    out[e] = v
+                out[e] = k.add(out[e], v) if e in out else v
         return Poly(k, out)
 
     def scale(self, c):
@@ -187,19 +184,34 @@ class Poly:
                 a[j] = k.add(a[j], k.mul(c, a[j + 1]))
         return Poly(k, dict(enumerate(a)))
 
+    def _moved(self, coeffs: dict) -> "Poly":
+        """self's coefficients at moved exponents: they are canonical and
+        nonzero already, so the constructor's ``canon_terms`` is skipped."""
+        p = object.__new__(Poly)
+        p.field, p.coeffs = self.field, coeffs
+        p.degree = max(coeffs, default=-1)
+        return p
+
     def spread(self, d: int) -> "Poly":
         """self(t^d); the inverse of ``regroup``."""
-        return Poly(self.field, {e * d: c for e, c in self.coeffs.items()})
+        return self._moved({e * d: c for e, c in self.coeffs.items()})
 
     def _shifted(self, s: int) -> "Poly":
         """self * x^s for an s that keeps every exponent nonnegative."""
-        return Poly(self.field, {e + s: c for e, c in self.coeffs.items()})
+        return self._moved({e + s: c for e, c in self.coeffs.items()})
+
+    def times_x(self, k: int) -> "RatFunc":
+        """self * x^k as a reduced RatFunc, for nonzero self: only a power of
+        x cancels, so it is self * x^(k - j) over x^-j, j = min(0, k + ord)."""
+        j = min(0, k + min(self.coeffs))
+        return RatFunc(self._shifted(k - j), Poly.x(self.field, -j),
+                       reduce=False)
 
     def regroup(self, q: int) -> "Poly":
         """Return g with self(x) = g(x^q); requires all exponents divisible by q."""
         if any(e % q for e in self.coeffs):
             raise FieldError("exponents not divisible")
-        return Poly(self.field, {e // q: c for e, c in self.coeffs.items()})
+        return self._moved({e // q: c for e, c in self.coeffs.items()})
 
     def powmod(self, n: int, mod: "Poly") -> "Poly":
         r = Poly.one(self.field)

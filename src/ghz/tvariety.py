@@ -191,7 +191,7 @@ def algebra_generators(div: PolyhedralDivisor, bound: int):
     Scans weights with coordinates bounded by ``bound``, repeatedly adding
     f_m chi^m for the smallest-norm weight whose graded piece is not yet
     reached by products of the chosen elements, then removes redundant
-    members.
+    members.  The reach fixpoint runs per factor (see ``saturate``).
     """
     if div.curve != A1:
         raise DivisorError("generator search is implemented over A1")
@@ -200,80 +200,78 @@ def algebra_generators(div: PolyhedralDivisor, bound: int):
                if any(m) and dual.contains(m)]
     weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
     fgen = {m: div.generator(m) for m in weights}
+    n = len(weights)
+    where = {m: i for i, m in enumerate(weights)}
 
     # Each f_m is a product of distinct monic factors, so a reach value
     # h * f_m * k[t] with h a polynomial in those factors is an exponent
-    # vector over every factor of every f_m.
-    index = {}
-    for f in fgen.values():
-        for poly, _ in f:
-            index.setdefault(poly, len(index))
-    zero = (0,) * len(index)
-    expo = {}
-    for m, f in fgen.items():
-        expo[m] = list(zero)
-        for poly, e in f:
-            expo[m][index[poly]] = e
-    # splits[m]: (m1, m2, exponents of f_m1 * f_m2 / f_m), one per unordered
-    # pair with m = m1 + m2 in the box; users[w]: the weights with a split
-    # that has w as a part
-    splits = {m: [] for m in weights}
-    users = {m: set() for m in weights}
-    for i, m1 in enumerate(weights):
-        for m2 in weights[i:]:
-            m = tuple(map(add, m1, m2))
-            if m not in splits:
-                continue
-            quot = tuple(a + b - c for a, b, c in zip(expo[m1], expo[m2],
-                                                      expo[m]))
-            splits[m].append((m1, m2, quot))
-            users[m1].add(m)
-            users[m2].add(m)
+    # vector over every factor of every f_m: one column per factor, and one
+    # zero column if no f_m has a factor.
+    cols = {}
+    for i, m in enumerate(weights):
+        for poly, e in fgen[m]:
+            cols.setdefault(poly, [0] * n)[i] = e
+    cols = list(cols.values()) or [[0] * n]
+    # splits[c][i]: (i1, i2, exponent of f_m1 * f_m2 / f_m in column c), one
+    # per unordered pair with weights[i] = m1 + m2 in the box; users[i]: the
+    # weights with a split that has weights[i] as a part
+    splits = [[[] for _ in weights] for _ in cols]
+    users = [set() for _ in weights]
+    for i1, m1 in enumerate(weights):
+        for i2 in range(i1, n):
+            i = where.get(tuple(map(add, m1, weights[i2])))
+            if i is not None:
+                for c, col in zip(cols, splits):
+                    col[i].append((i1, i2, c[i1] + c[i2] - c[i]))
+                users[i1].add(i)
+                users[i2].add(i)
 
     def saturate(chosen):
-        """reach[m] = exponents of h with reachable submodule h * f_m * k[t],
-        or None: the greatest fixpoint, by a worklist that revisits a weight
-        only when one of its split parts changed."""
-        reach = {m: (zero if m in chosen else None) for m in weights}
-        queue = deque(weights)
-        queued = set(weights)
-        while queue:
-            m = queue.popleft()
-            queued.discard(m)
-            cur = reach[m]
-            for m1, m2, quot in splits[m]:
-                h1, h2 = reach[m1], reach[m2]
-                if h1 is None or h2 is None:
-                    continue
-                cand = tuple(map(add, map(add, h1, h2), quot))
-                if cand and min(cand) < 0:
-                    raise DivisorError("superadditivity violated")
-                cur = cand if cur is None else tuple(map(min, cur, cand))
-            if cur != reach[m]:
-                reach[m] = cur
-                for u in users[m]:
-                    if u not in queued:
-                        queued.add(u)
-                        queue.append(u)
-        return reach
+        """The indices of the weights that products of ``chosen`` reach:
+        reach[m] = exponents of h with reachable submodule h * f_m * k[t]
+        (None: unreached) is a greatest fixpoint of componentwise minima of
+        sums, so it runs per factor on ints, by a worklist that revisits a
+        weight only when a split part changed; m is reached if all read 0."""
+        reached = set(range(n))
+        for col in splits:
+            reach = [0 if i in chosen else None for i in range(n)]
+            queue, queued = deque(range(n)), [True] * n
+            while queue:
+                i = queue.popleft()
+                queued[i] = False
+                cur = reach[i]
+                for i1, i2, q in col[i]:
+                    h1, h2 = reach[i1], reach[i2]
+                    if h1 is None or h2 is None:
+                        continue
+                    cand = h1 + h2 + q
+                    if cand < 0:
+                        raise DivisorError("superadditivity violated")
+                    if cur is None or cand < cur:
+                        cur = cand
+                if cur != reach[i]:
+                    reach[i] = cur
+                    for u in users[i]:
+                        if not queued[u]:
+                            queued[u] = True
+                            queue.append(u)
+            reached = {i for i in reached if reach[i] == 0}
+        return reached
 
+    # weights are in scan order, so the first unreached one has least index
     chosen = []
-    while True:
-        reach = saturate(set(chosen))
-        missing = [m for m in weights if reach[m] != zero]
-        if not missing:
-            break
-        chosen.append(missing[0])
+    while len(reached := saturate(set(chosen))) < n:
+        chosen.append(min(set(range(n)) - reached))
 
     # minimalization: drop members generated by the rest
-    for m in list(chosen):
-        trial = [g for g in chosen if g != m]
-        reach = saturate(set(trial))
-        if reach[m] == zero:
+    for i in list(chosen):
+        trial = [g for g in chosen if g != i]
+        if i in saturate(set(trial)):
             chosen = trial
+    chosen = sorted(weights[i] for i in chosen)
 
     gens = [AlgebraGenerator((0,) * div.rank, ((Poly.x(div.field), 1),))]
-    gens.extend(AlgebraGenerator(m, fgen[m]) for m in sorted(chosen))
+    gens.extend(AlgebraGenerator(m, fgen[m]) for m in chosen)
     shell = max((max(abs(c) for c in m) for m in chosen), default=0)
     cert = GeneratorCertificate(
         bound=bound,

@@ -32,10 +32,11 @@ from ghz.scenarios import BUILTIN_EXAMPLES
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
-VALID = ("a1-y-infinity", "colored-not-vertex", "outside-domain",
-         "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
-         "p1-pieces", "refused-generator", "toric-fractional",
-         "v0-not-vertex", "weight-cone-image", "zero-lambda")
+VALID = ("a1-y-infinity", "colored-not-vertex", "off-lattice-coloring",
+         "outside-domain", "p1-irrational-y-infinity", "p1-no-coloring",
+         "p1-no-y-infinity", "p1-pieces", "refused-generator",
+         "toric-fractional", "v0-not-vertex", "weight-cone-image",
+         "zero-lambda")
 
 # the runs of each scenario besides validate, as argv with the scenario
 # inserted after the command. For a malformed scenario: the command that,
@@ -58,6 +59,7 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
                                      ["verify", "--override"]],
               "a1-y-infinity": [["roots"], ["colorings"], ["classify"]],
               "weight-cone-image": [["verify", "--override"]],
+              "off-lattice-coloring": [["verify", "--override"]],
               "outside-domain": [["apply", "--trust-irreducible"]],
               "p1-no-coloring": [["colorings"], ["classify"]],
               "p1-no-y-infinity": [["colorings"], ["classify"]],

@@ -561,17 +561,20 @@ def test_images_outside_the_weight_cone_are_stability_violations():
         "((t)/(t + 1))*chi^(-2, 1)"]
 
 
-def test_a_non_integral_xi_pairing_prints_the_rational_vertex():
+def test_override_refuses_a_colored_vertex_off_the_lattice():
+    """xi_m needs condition (ii) away from y0, so even --override refuses
+    a colored vertex off the lattice there, with validate's witness."""
     sc = load_builtin("char2-ramified")
     w0, w1 = sorted(sc.coloring.vertices, key=lambda y: y.to_str())
     coloring = Coloring(sc.divisor, {w0: sc.coloring.vertices[w0],
                                      w1: sc.coloring.vertices[w0]}, w0)
     theta = CoherentFamily(coloring, sc.family.e, sc.family.s,
                            sc.family.lam)
-    op = build_operator(theta, override=True)
-    with pytest.raises(EngineError, match=r"^pairing of \(1, 0\) with "
-                       r"\(1/2, 0\) is not integral$"):
-        op.xi((1, 0))
+    witness = "(ii): colored vertex (1/2, 0) at [t + 1] is not a lattice point"
+    assert witness in coherent_validate(theta).violations
+    with pytest.raises(Refusal) as refused:
+        build_operator(theta, override=True)
+    assert refused.value.report.violations == [witness]
 
 
 def test_toric_root_operator():
@@ -693,7 +696,7 @@ def _reference_kernel_in_box(op, div, box_bound, window=6):
             continue
         if in_lattice(m, basis) and m not in weights:
             rep.fail(f"lattice point {m} in the cone is not a kernel weight")
-    return KernelReport(rep, weights, spans, basis, cone)
+    return KernelReport(rep, weights, spans, basis)
 
 
 def _kernel_summary(ker):

@@ -111,6 +111,41 @@ def test_taylor_shift_and_spread_invert(field, data):
 @fields
 @PROPERTY
 @given(data=st.data())
+def test_exponent_moves_equal_the_constructor(field, data):
+    """spread, _shifted and regroup move canonical nonzero coefficients
+    without the constructor's canon_terms pass; each equals the Poly the
+    constructor builds from the moved dict, zero included."""
+    p = data.draw(polys(field))
+    d = data.draw(st.integers(1, 4))
+    s = data.draw(st.integers(-min(p.coeffs, default=0), 4))
+    for got, terms in (
+            (p.spread(d), {e * d: c for e, c in p.coeffs.items()}),
+            (p._shifted(s), {e + s: c for e, c in p.coeffs.items()}),
+            (p.spread(d).regroup(d), p.coeffs)):
+        want = Poly(field, terms)
+        assert (got.coeffs, got.degree, hash(got)) == \
+            (want.coeffs, want.degree, hash(want))
+
+
+@fields
+@PROPERTY
+@given(data=st.data())
+def test_poly_times_x_is_the_reduced_fraction(field, data):
+    """c * x^k in one step equals the RatFunc route, for k of both signs and
+    for a c with and without a constant term."""
+    c = data.draw(polys(field)) + Poly.x(field, 5)
+    for c in (c, c._shifted(2)):
+        for k in range(-8, 9):
+            want = RatFunc.from_poly(c).times_x(k)
+            got = c.times_x(k)
+            assert got == want and hash(got) == hash(want)
+            assert (got.num.degree, got.den.degree) == \
+                (want.num.degree, want.den.degree)
+
+
+@fields
+@PROPERTY
+@given(data=st.data())
 def test_descend_power_undoes_the_lift(field, data):
     num = data.draw(polys(field, 3))
     den = data.draw(polys(field, 2)) + Poly.x(field, 3)

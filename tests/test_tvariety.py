@@ -13,7 +13,7 @@ from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, Polyhedron, lattice_box
 from ghz.polynomials import (Poly, RatFunc, factor_list, lambda_field,
                              parse_poly, parse_rational)
-from ghz.scenarios import BUILTIN_EXAMPLES
+from ghz.scenarios import BUILTIN_EXAMPLES, load_builtin
 from ghz.tvariety import (AlgebraGenerator, DivisorError,
                           GeneratorCertificate, PolyhedralDivisor,
                           algebra_generators)
@@ -559,3 +559,29 @@ def test_algebra_generators_match_reference_fixpoint():
                 compared += 1
     assert compared == 4 * 2 * 15
     assert w25_points > 0
+
+
+@pytest.mark.parametrize("name, bound", [("w25-imperfect", 10),
+                                         ("char2-ramified", 6),
+                                         ("no-factor", 3)])
+def test_algebra_generators_match_reference_on_the_verify_divisors(name,
+                                                                   bound):
+    """The per-factor search against the reference on the divisors of the
+    two verify benchmark passes at their weight boxes, and on a divisor
+    whose f_m are all 1: it has no factor, so reach keeps one zero column
+    to tell reached weights from unreached ones."""
+    if name == "no-factor":
+        div, _ = rational_divisor(Q, A1, orthant(2), {
+            point_validate(parse_poly("t", Q), "trusted"): [(F(0), F(0))]})
+        dual = div.tail.dual()
+        assert all(not div.generator(m) for m in lattice_box(2, bound)
+                   if dual.contains(m))
+    else:
+        div = load_builtin(name).divisor
+    got_gens, got = algebra_generators(div, bound)
+    ref_gens, ref = _reference_algebra_generators(div, bound)
+    assert [g.to_str() for g in got_gens] == [g.to_str() for g in ref_gens]
+    assert (got.bound, got.complete, got.note) == \
+        (ref.bound, ref.complete, ref.note)
+    if name == "no-factor":
+        assert [g.weight for g in got_gens] == [(0, 0), (0, 1), (1, 0)]
