@@ -209,23 +209,21 @@ class DthetaOperator:
 def build_operator(theta: CoherentFamily, override: bool = False
                    ) -> DthetaOperator:
     rep = coherent_validate(theta)
+    c = theta.coloring
+    refusal = Report("operator")
     if not rep.ok and not override:
-        refusal = Report("operator")
         refusal.fail("family is not coherent")
         refusal.merge(rep)
+    else:  # even under override: xi_m needs condition (ii) away from y0
+        for y in c.colored_points():
+            lattice_check(c, y, refusal)
+    if not refusal.ok:
         raise Refusal(refusal)
-    c = theta.coloring
     if c.divisor.curve == P1 and not c.y_infinity.is_infinity:
         raise EngineError("the operator engine expects the marked point at "
                           "infinity to be the infinite point itself")
     if c.y0.is_infinity or not c.y0.is_rational:
         raise EngineError("y0 must be a finite rational point")
-    # even under override: xi_m needs condition (ii) away from y0
-    refusal = Report("operator")
-    for y in c.colored_points():
-        lattice_check(c, y, refusal)
-    if not refusal.ok:
-        raise Refusal(refusal)
     return DthetaOperator(theta)
 
 

@@ -102,7 +102,10 @@ class Poly:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 v = k.mul(c1, c2)
-                out[e] = k.add(out[e], v) if e in out else v
+                if e in out:
+                    out[e] = k.add(out[e], v)
+                else:
+                    out[e] = v
         return Poly(k, out)
 
     def scale(self, c):
