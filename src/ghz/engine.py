@@ -171,11 +171,11 @@ class DthetaOperator:
             raise Refusal(refusal)
         return h.num
 
-    def apply_term(self, f: RatFunc, m, max_order=inf):
-        """Images of one homogeneous term up to ``max_order``, as
-        {order: (weight, coeff)}, and its nilpotency bound deg H * p^{s_last}:
-        the lift H expands as H(z + sum lambda_j T^{p^{s_j}}) by Hasse
-        derivatives, and each coefficient of T^i descends to k(t)."""
+    def descend_term(self, f: RatFunc, m, max_order=inf):
+        """Every nonzero order up to ``max_order`` of f*chi^m's images before
+        the factor xi_w, {order: (weight, coeff / xi_w)}, and its nilpotency
+        bound deg H * p^{s_last}: the lift H expands as H(z + sum lambda_j
+        T^{p^{s_j}}) by Hasse derivatives, each order descending to k(t)."""
         h = self._lift(f, m)
         bound = h.degree * self.nilpotency_exponent()
         series = hasse_expand(h, self.step, max_order + 1)
@@ -188,10 +188,16 @@ class DthetaOperator:
             except FieldError as exc:
                 raise EngineError(
                     f"descent failure at order {i}, weight {w}: {exc}")
-            coeff = times_factors(descended, self.xi(w), self.xi_powers)
-            if not coeff.is_zero():
-                out[i] = (w, coeff)
+            if not descended.is_zero():
+                out[i] = (w, descended)
         return out, bound
+
+    def apply_term(self, f: RatFunc, m, max_order=inf):
+        """Images of f*chi^m up to ``max_order``, {order: (weight, coeff)},
+        and its nilpotency bound: the descended orders times xi_w != 0."""
+        out, bound = self.descend_term(f, m, max_order)
+        return {i: (w, times_factors(c, self.xi(w), self.xi_powers))
+                for i, (w, c) in out.items()}, bound
 
     def apply(self, x: GradedElement, max_order=inf) -> ApplicationResult:
         orders = {}
@@ -253,12 +259,15 @@ def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
         raise t_row
     # the lift of t, z^d + y0, has the coefficient lambda_last^d at order
     # d p^{s_last}, so t moves unless lambda_last = 0 (only under override)
-    if any(i >= 1 for i in t_row.orders):
+    horizontal = any(i >= 1 for i in t_row.orders)
+    if horizontal:
         rep.note(f"horizontal (order bound "
                  f"{op.nilpotency_exponent() * op.p ** op.u * op.d})")
     else:
         rep.fail("no positive order moves the curve coordinate")
-    if op.divisor.curve == A1 and (ker := kernel_in_box(op, table, box)):
+    if op.divisor.curve == A1 and not horizontal:
+        rep.note("kernel skipped: its closed form needs lambda_last != 0")
+    elif op.divisor.curve == A1 and (ker := kernel_in_box(op, table, box)):
         rep.merge(ker.report)
         rep.note(f"kernel weights {ker.weights}; lattice {ker.lattice}")
 
@@ -396,10 +405,10 @@ def kernel_in_box(op: DthetaOperator, table: dict,
     integral.  The lift of f_m is 1/g(z^d + y0) with g = phi_m / f_m, which
     the operator refuses unless it is a polynomial; so the piece meets
     f_m * k[t] only in multiples of f_m, and m is a kernel weight exactly
-    when g is a nonzero constant.  One application to f_m per weight, or
-    its row in the image table, checks this: its positive orders vanish
-    exactly then.  A refused row ends the scan with None (the axioms report
-    it); another failed row is raised.
+    when g is a nonzero constant.  Its row in the image table, or else
+    every order of f_m's lift descended without forming xi_w * c, checks
+    this: its positive orders vanish exactly then.  A refused row ends the
+    scan with None (the axioms report it); any other failure is raised.
 
     The kernel weights must have integral evaluations and be a sublattice
     trace intersected with a cone: the semigroup-algebra shape of the
@@ -415,12 +424,12 @@ def kernel_in_box(op: DthetaOperator, table: dict,
             continue
         fm = times_factors(RatFunc.one(div.field), div.generator(m),
                            op.xi_powers)
-        x = GradedElement.term(div.field, m, fm)
-        row = table.get(x) or op.apply(x)
+        row = table.get(GradedElement.term(div.field, m, fm))
         if isinstance(row, Refusal):
             return None
         if isinstance(row, EngineError):
             raise row
+        orders = row.orders if row else op.descend_term(fm, m)[0]
         a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False
         if not r:
@@ -428,7 +437,7 @@ def kernel_in_box(op: DthetaOperator, table: dict,
             g = times_factors(RatFunc(fm.den, fm.num, reduce=False), phi,
                               op.xi_powers)
             fixed = g.is_poly() and g.num.is_constant()
-        if fixed == any(i >= 1 for i in row.orders):
+        if fixed == any(i >= 1 for i in orders):
             raise EngineError(f"closed-form kernel at {m} disagrees with the "
                               f"operator's images of the module generator")
         if fixed:

@@ -17,7 +17,7 @@ from ghz.engine import (DthetaOperator, EngineError, GradedElement,
                         KernelReport, Refusal, build_operator, image_table,
                         kernel_in_box, toric_root_operator, verify,
                         verify_axioms, verify_stability)
-from ghz.fields import PrimeField, Rationals
+from ghz.fields import FieldError, PrimeField, Rationals
 from ghz.geometry import Cone, in_lattice, lattice_basis, lattice_box
 from ghz.polynomials import (FractionField, Poly, RatFunc, lambda_field,
                              parse_poly, parse_rational, poly_gcd,
@@ -308,23 +308,29 @@ def test_verify_axioms_matches_the_reference():
 
 
 def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
-    """apply_term calls of one `ghz verify`, by step.  The image table
-    applies each generator once.  The axioms apply each product of a pair
-    once, and each nonzero image at an order b below max_order once.  The
-    kernel applies f_m once per weight of the box, except where f_m*chi^m
-    is a generator, whose row it reads.  Stability applies nothing.  Before
-    the table, w25-imperfect made 43 calls, char2-ramified 54, and
-    char2-ramified at weight box 6 78: stability applied every generator
-    again, horizontality t, and the kernel each generator f_m*chi^m."""
-    calls = Counter()
+    """Lifts of one `ghz verify`, by step.  The image table applies each
+    generator once.  The axioms apply each product of a pair once, and each
+    nonzero image at an order b below max_order once.  The kernel descends
+    f_m's lift once per weight of the box, except where f_m*chi^m is a
+    generator, whose row it reads, and applies nothing.  Stability applies
+    nothing.  Before the table, w25-imperfect made 43 applications,
+    char2-ramified 54, and char2-ramified at weight box 6 78: stability
+    applied every generator again, horizontality t, and the kernel each
+    generator f_m*chi^m."""
+    calls, applied = Counter(), Counter()
     step = [None]
-    apply_term = DthetaOperator.apply_term
+    lift, apply_term = DthetaOperator._lift, DthetaOperator.apply_term
 
-    def counted(self, f, m, max_order=None):
+    def counted(self, f, m):
         calls[step[0]] += 1
+        return lift(self, f, m)
+
+    def counted_apply(self, f, m, max_order=None):
+        applied[step[0]] += 1
         return apply_term(self, f, m, max_order)
 
-    monkeypatch.setattr(DthetaOperator, "apply_term", counted)
+    monkeypatch.setattr(DthetaOperator, "_lift", counted)
+    monkeypatch.setattr(DthetaOperator, "apply_term", counted_apply)
     for name in ("image_table", "verify_axioms", "verify_stability",
                  "kernel_in_box"):
         def in_step(*args, fn=getattr(engine, name), name=name):
@@ -344,10 +350,14 @@ def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
             (["--example", "char2-ramified"], (5, 18, 21)),
             (["--scenario", str(box6)], (5, 18, 45))):
         calls.clear()
+        applied.clear()
         assert main(["verify", *argv]) == 0
         assert capsys.readouterr().out.startswith("verify: ok")
         assert dict(calls) == dict(zip(("image_table", "verify_axioms",
                                         "kernel_in_box"), want)), argv
+        assert "kernel_in_box" not in applied
+        assert dict(applied) == dict(zip(("image_table", "verify_axioms"),
+                                         want)), argv
 
 
 def test_verify_lambda_field_multiplications(monkeypatch, capsys):
@@ -741,28 +751,89 @@ def test_kernel_closed_form_matches_nullspace_oracle():
 
 
 def test_kernel_applies_the_operator_once_per_weight(monkeypatch):
+    """The kernel lifts f_m once per weight and descends its orders, but
+    never multiplies them by xi_w: it makes no apply_term call."""
     K, D, op = w25_operator()
+    elems = generator_elements(K, algebra_generators(D, 10)[0])
+    table = image_table(op, elems)
     calls = []
-    apply_term = DthetaOperator.apply_term
+    lift = DthetaOperator._lift
 
-    def counted(self, f, m, max_order=None):
+    def counted(self, f, m):
         calls.append(tuple(m))
-        return apply_term(self, f, m, max_order)
+        return lift(self, f, m)
 
-    monkeypatch.setattr(DthetaOperator, "apply_term", counted)
+    def applied(*args):
+        raise AssertionError("kernel_in_box called apply_term")
+
+    monkeypatch.setattr(DthetaOperator, "_lift", counted)
+    monkeypatch.setattr(DthetaOperator, "apply_term", applied)
     ker = kernel_in_box(op, {}, 10)
     scanned = [m for m in lattice_box(D.rank, 10)
                if D.tail.dual().contains(m)]
     assert ker.report.ok
     assert calls == scanned
     # where f_m * chi^m is a generator, the kernel reads its row instead
-    elems = generator_elements(K, algebra_generators(D, 10)[0])
-    table = image_table(op, elems)
     read = {x.weights()[0] for x in elems[1:]}  # elems[0] is t, not f_0
     calls.clear()
     assert _kernel_summary(kernel_in_box(op, table, 10)) \
         == _kernel_summary(ker)
     assert read and calls == [m for m in scanned if m not in read]
+
+
+def test_kernel_descends_past_the_first_moving_order(monkeypatch):
+    """The kernel descends every order of f_m's lift, not only up to the
+    first that moves: on char2-ramified, f_(1,1)*chi^(1,1) moves at order 1,
+    and a descent that fails at order 2 still raises.  The other weights of
+    the box read their rows from the table, so only (1, 1) is descended."""
+    sc = load_builtin("char2-ramified")
+    div, op = sc.divisor, build_operator(sc.family)
+    scanned = [m for m in lattice_box(div.rank, 1)
+               if div.tail.dual().contains(m)]
+    elems = [GradedElement.term(div.field, m, expanded(
+        div.field, div.generator(m))) for m in scanned if m != (1, 1)]
+    table = image_table(op, elems)
+    f11 = expanded(div.field, div.generator((1, 1)))
+    assert sorted(op.descend_term(f11, (1, 1))[0]) == [0, 1, 2, 3]
+    pending = []  # the orders of the current expansion, in descent order
+    hasse, descend = engine.hasse_expand, engine.descend_power
+
+    def expand(h, step, n):
+        series = hasse(h, step, n)
+        pending[:] = sorted(series)
+        return series
+
+    def faulted(val, d, y0):
+        if pending.pop(0) >= 2:
+            raise FieldError("faulted descent")
+        return descend(val, d, y0)
+
+    monkeypatch.setattr(engine, "hasse_expand", expand)
+    monkeypatch.setattr(engine, "descend_power", faulted)
+    with pytest.raises(EngineError, match=r"descent failure at order 2, "
+                       r"weight \(3, 1\): faulted descent"):
+        kernel_in_box(op, table, 1)
+
+
+def test_kernel_reports_a_lattice_point_that_is_no_kernel_weight(
+        monkeypatch):
+    """The semigroup-shape check.  On char2-ramified at box 6, (4, 1) is a
+    kernel weight; with a faulted xi_m that holds one more factor t + 1 at
+    (4, 1), its images and the closed form both say that f_(4,1)*chi^(4,1)
+    moves, while the lattice and the cone of the other kernel weights still
+    hold (4, 1)."""
+    sc = load_builtin("char2-ramified")
+    op = build_operator(sc.family)
+    assert (4, 1) in kernel_in_box(op, {}, 6).weights
+    xi, t1 = op.xi, parse_poly("t+1", sc.field)
+    monkeypatch.setattr(op, "xi", lambda m: xi(m) + (
+        [(t1, -1)] if tuple(m) == (4, 1) else []))
+    f41 = expanded(sc.field, sc.divisor.generator((4, 1)))
+    assert any(i >= 1 for i in op.apply_term(f41, (4, 1))[0])
+    ker = kernel_in_box(op, {}, 6)
+    assert (4, 1) not in ker.weights
+    assert ker.report.violations == [
+        "lattice point (4, 1) in the cone is not a kernel weight"]
 
 
 def test_kernel_of_overridden_incoherent_families():
