@@ -9,7 +9,7 @@ import ghz
 
 CLI = Path(ghz.__file__).parent / "cli.py"
 STEPS = {"image_table", "verify_axioms", "verify_stability", "kernel_in_box",
-         "apply_term"}
+         "apply_term", "descend_term"}
 
 
 def step_uses(source):
