@@ -410,7 +410,7 @@ def equivalence_probe(trials: int, p: int, curve: str, rank: int,
     return rep
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _tail_cone(ray, rank):
     """The sampler's tail, the zero cone (ray None) or the cone on one 0/1
     vector, and its dual's generators, built once per process. Both tails
@@ -419,7 +419,7 @@ def _tail_cone(ray, rank):
     return tail, tail.dual().generators()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _sample_points(field):
     """The sampler's finite points: t = c for the first three constants."""
     consts = range(field.p) if isinstance(field, PrimeField) else range(3)

@@ -84,6 +84,9 @@ def _y_infinity(sc, command):
 
 def _operator(sc, override):
     _require(sc.family is not None, "this command needs a family in the scenario")
+    y_inf = sc.family.coloring.y_infinity
+    _require(sc.divisor.curve != P1 or (y_inf and y_inf.is_infinity),
+             "the operator over P1 needs y_infinity to be the infinite point")
     return build_operator(sc.family, override=override)
 
 

@@ -11,12 +11,12 @@ kernel, `rays_from_inequalities`: rank and lineality from fraction-free
 Gauss-Jordan elimination and each ray candidate as a cofactor vector of at
 most 3 x 3 determinants.
 
-Each normal cone is computed once: normal cones go through one bounded
-cache, keyed by their rows scaled to primitive integer rows, deduplicated
-and sorted; a polyhedron keeps the cones that `from_points` built to find
-its vertices, and a Minkowski sum refines its summands' fans (Ziegler,
-Lectures on Polytopes, Prop. 7.12) instead of building cones from every
-weighted sum of vertices.
+Each sampled object is built once, through three bounded caches: cones by
+their rows scaled to primitive integer rows, deduplicated and sorted;
+polyhedra by point list and tail; cone meets by pair. A polyhedron keeps the
+cones that `from_points` built to find its vertices, and a Minkowski sum
+refines its summands' stored fans one summand at a time (Ziegler, Lectures
+on Polytopes, Prop. 7.12).
 """
 
 from __future__ import annotations
@@ -240,20 +240,10 @@ class Polyhedron:
         each with the normal cone that decided it."""
         if not tail.is_pointed():
             raise GeometryError("tail cone must be pointed")
-        n = tail.n
-        pts = list(dict.fromkeys(map(tuple, points)))
+        pts = tuple(dict.fromkeys(map(tuple, points)))
         if not pts:
             raise GeometryError("a polyhedron needs at least one point")
-        if len(pts) == 1:
-            # the normal cone of a lone point is the dual of the pointed
-            # tail, which is full-dimensional: the point is the vertex
-            return cls(n, [(pts[0], tail.dual())], tail)
-        fan = []
-        for p in pts:
-            cone, dim = _normal_cone(p, pts, tail)
-            if dim == n:
-                fan.append((p, cone))
-        return cls(n, sorted(fan, key=itemgetter(0)), tail)
+        return _polyhedron(pts, tail)
 
     def minimize(self, m):
         """min over the polyhedron of <m, .>, or None for minus infinity."""
@@ -291,6 +281,24 @@ def _cone(rows, n):
     return Cone(n, rays, lin), len(_echelon(lin + rays)[1])
 
 
+@lru_cache(maxsize=1024)
+def _polyhedron(pts, tail):
+    """`from_points` on distinct points: each polyhedron is built once, and
+    shared, as no polyhedron or cone is changed after it is built."""
+    if len(pts) == 1:
+        # a lone point's normal cone is the full-dimensional dual of the tail
+        return Polyhedron(tail.n, [(pts[0], tail.dual())], tail)
+    fan = [(p, cone) for p in pts
+           for cone, dim in [_normal_cone(p, pts, tail)] if dim == tail.n]
+    return Polyhedron(tail.n, sorted(fan, key=itemgetter(0)), tail)
+
+
+@lru_cache(maxsize=1024)
+def _meet(a, b):
+    """The intersection of two cones of one space, and its dimension."""
+    return _cone_of(a.dual().generators() + b.dual().generators(), a.n)
+
+
 def _normal_cone(v, points, tail: Cone):
     """{m : <m, w - v> >= 0, <m, r> >= 0} and its dimension."""
     return _cone_of([vsub(w, v) for w in points if w != v] + list(tail.rays),
@@ -302,10 +310,10 @@ def minkowski_weighted_sum(terms):
     positive int weights: (sum, parts), with parts[v] the vertices, one per
     term, whose weighted sum is the vertex v.
 
-    The sum's fan refines the terms' fans: one vertex per term is a vertex
-    of the sum exactly when the terms' normal cones there meet in a
-    full-dimensional cone, the sum's normal cone at it. Such cones have
-    disjoint interiors, so no two choices give one vertex."""
+    The terms' stored fans are refined one term at a time: each kept cone
+    meets every vertex cone of the next term, and full-dimensional meets
+    stay. The sum's normal cone at a vertex lies in the meet of each prefix
+    of its choice, so none is lost, and no two such cones share interior."""
     terms = list(terms)
     if not terms:
         raise GeometryError("empty Minkowski sum")
@@ -316,19 +324,15 @@ def minkowski_weighted_sum(terms):
         if weight <= 0:
             raise GeometryError("weights must be positive")
     n = tail.n
-    fan, parts = [], {}
-    for choice in product(*(p.vertices for _, p in terms)):
-        rows = list(tail.rays)
-        for (_, p), v in zip(terms, choice):
-            rows.extend(vsub(w, v) for w in p.vertices if w != v)
-        cone, dim = _cone_of(rows, n)
-        if dim == n:
-            s = (0,) * n
-            for (weight, _), v in zip(terms, choice):
-                s = tuple(a + weight * b for a, b in zip(s, v))
-            fan.append((s, cone))
-            parts[s] = choice
-    return Polyhedron(n, sorted(fan, key=itemgetter(0)), tail), parts
+    (weight, first), *rest = terms  # kept: (cone, weighted sum, choice)
+    kept = [(cone, tuple(weight * x for x in v), (v,))
+            for v, cone in first.normal_fan()]
+    for weight, p in rest:
+        kept = [(meet, tuple(a + weight * b for a, b in zip(s, v)), (*c, v))
+                for cone, s, c in kept for v, vcone in p.normal_fan()
+                for meet, dim in [_meet(cone, vcone)] if dim == n]
+    fan = sorted(((s, cone) for cone, s, _ in kept), key=itemgetter(0))
+    return Polyhedron(n, fan, tail), {s: c for _, s, c in kept}
 
 
 def lattice_basis(vectors, n):

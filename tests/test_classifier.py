@@ -699,6 +699,30 @@ def test_equivalence_probe_reports_its_draws(monkeypatch):
         equivalence_probe(10, 2, P1, 1, seed=11)
 
 
+def test_equivalence_probe_reports_a_disagreement(monkeypatch):
+    """A floor check that fails where the vertex inequalities hold is a
+    disagreement: the probe fails with the instance and both verdicts, and
+    still counts every draw."""
+    import ghz.classifier as classifier
+
+    def failing(theta, m_bound):
+        rep = floor_condition_check(theta, m_bound)
+        if rep.ok:
+            rep.fail("planted violation")
+        return rep
+
+    monkeypatch.setattr(classifier, "floor_condition_check", failing)
+    rep = equivalence_probe(3, 2, A1, 1, seed=11)
+    assert not rep.ok
+    assert rep.violations == [
+        "disagreement on e=(-2,) s=(2,) lambda=(1) y0=[t] over GF(2): "
+        "vertex=True floor=False; ['planted violation']",
+        "disagreement on e=(2,) s=(0,) lambda=(1) y0=[t + 1] over GF(2): "
+        "vertex=True floor=False; ['planted violation']"]
+    assert rep.notes == ["counterexample found",
+                         "drew 3: 0 rejected, 3 checked"]
+
+
 @pytest.mark.parametrize("p, curve, rank", [
     (2, "P2", 1), (2, A1, 5), (2, P1, 0), (0, A1, 1), (-3, A1, 1)],
     ids=["P2-1", "A1-5", "P1-0", "p=0", "p=-3"])

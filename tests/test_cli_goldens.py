@@ -33,8 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
 VALID = ("a1-y-infinity", "colored-not-vertex", "off-lattice-coloring",
-         "outside-domain", "p1-irrational-y-infinity", "p1-no-coloring",
-         "p1-no-y-infinity", "p1-pieces", "refused-generator",
+         "outside-domain", "p1-finite-y-infinity",
+         "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
+         "p1-pieces", "refused-generator",
          "toric-fractional", "v0-not-vertex", "weight-cone-image",
          "zero-lambda", "zero-lambda-box1")
 
@@ -47,7 +48,8 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "off-lattice-coloring",
 # of D(m), a fractional part at a non-rational point, an element whose lift
 # is not a polynomial, a generator whose lift is not one, a generator search
 # that hits its weight bound, an operator that moves nothing, also at a box
-# with a weight whose kernel the closed form would misread).
+# with a weight whose kernel the closed form would misread, an operator over
+# P1 whose y_infinity is a finite point).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
               "family-root-length": [["toric-check"]],
@@ -62,6 +64,7 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "weight-cone-image": [["verify", "--override"]],
               "off-lattice-coloring": [["verify", "--override"]],
               "outside-domain": [["apply", "--trust-irreducible"]],
+              "p1-finite-y-infinity": [["apply"], ["verify"]],
               "p1-no-coloring": [["colorings"], ["classify"]],
               "p1-no-y-infinity": [["colorings"], ["classify"]],
               "p1-irrational-y-infinity": [["colorings"], ["classify"]],

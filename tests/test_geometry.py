@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -445,10 +446,29 @@ def test_refined_fan_matches_all_sums(monkeypatch):
     assert sum(k > 1 and v > 2 for k, v in sizes) > 25, sizes
 
 
+# every lru_cache of the package's modules and of their classes, by name:
+# [maxsize, currsize], read right after import
+_LIST_CACHES = """
+import json, sys
+import ghz.cli, ghz.classifier
+caches = {}
+for name, mod in list(sys.modules.items()):
+    if name == "ghz" or name.startswith("ghz."):
+        classes = [c for c in vars(mod).values() if isinstance(c, type)]
+        for owner in [mod, *classes]:
+            for f in vars(owner).values():
+                if hasattr(f, "cache_info"):
+                    info = f.cache_info()
+                    caches[f"{f.__module__}.{f.__qualname__}"] = [
+                        info.maxsize, info.currsize]
+print(json.dumps(caches))
+"""
+
+
 def test_memoized_kernel_matches_the_unmemoized_one():
     """Row lists of one cone that differ by order, duplicates and positive
-    scales give the unmemoized cone's answer; the cone cache is bounded and
-    empty after import."""
+    scales give the unmemoized cone's answer; every cache of the package,
+    found by its ``cache_info``, is bounded and empty after import."""
     assert _cone.cache_info().maxsize is not None
     rng = random.Random(19)
     for n in (1, 2, 3, 4):
@@ -464,13 +484,58 @@ def test_memoized_kernel_matches_the_unmemoized_one():
                 assert _cone_of(variant, n) == want, rows
     src = Path(geometry.__file__).parent.parent
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import ghz.cli, ghz.classifier\n"
-         "from ghz.geometry import _cone\n"
-         "print(_cone.cache_info().currsize)"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "0"
+        [sys.executable, "-c", _LIST_CACHES], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    caches = json.loads(out.stdout)
+    assert {"ghz.geometry._cone", "ghz.geometry._polyhedron",
+            "ghz.geometry._meet", "ghz.classifier._tail_cone",
+            "ghz.classifier._sample_points"} <= set(caches)
+    for name, (maxsize, currsize) in caches.items():
+        assert maxsize is not None and currsize == 0, name
+
+
+def test_polyhedron_cache_ignores_how_the_points_are_written():
+    """Permuted, duplicated and list-or-tuple point lists of one polyhedron
+    give equal polyhedra and normal fans, as the uncached builder does."""
+    rng = random.Random(22)
+    for n, trials in ((1, 10), (2, 15), (3, 10), (4, 5)):
+        for _ in range(trials):
+            tail = _random_tail(rng, n)
+            pts = _random_points(rng, n, tail)
+            den = common_den(pts)
+            pts = [scaled(p, den) for p in pts]
+            want = geometry._polyhedron.__wrapped__(
+                tuple(dict.fromkeys(pts)), tail)
+            shuffled = pts + rng.sample(pts, rng.randint(0, len(pts)))
+            rng.shuffle(shuffled)
+            for variant in (pts, shuffled, [list(p) for p in shuffled],
+                            tuple(reversed(pts))):
+                got = Polyhedron.from_points(variant, tail)
+                assert got == want
+                assert got.normal_fan() == want.normal_fan()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Polyhedron.from_points([], Cone.zero(1)),
+     "a polyhedron needs at least one point"),
+    (lambda: minkowski_weighted_sum([]), "empty Minkowski sum"),
+    (lambda: minkowski_weighted_sum([
+        (1, Polyhedron.from_points([(0,)], Cone.zero(1))),
+        (1, Polyhedron.from_points([(0,)], Cone.from_generators([(1,)], 1)))]),
+     "mismatched tail cones"),
+    (lambda: minkowski_weighted_sum([
+        (0, Polyhedron.from_points([(0,)], Cone.zero(1)))]),
+     "weights must be positive"),
+    (lambda: Cone.from_generators([(1, 0, 0, 0, 0)], 5),
+     "rank 5 exceeds supported maximum 4")],
+    ids=["no-point", "empty-sum", "mismatched-tails", "zero-weight",
+         "rank-5"])
+def test_geometry_guards_raise_on_every_call(build, message):
+    """Each guard raises again on an identical second call, so no cache
+    stores or hides a failure."""
+    for _ in range(2):
+        with pytest.raises(GeometryError, match=message):
+            build()
 
 
 def test_normal_fan_reads_the_stored_fan(monkeypatch):
@@ -523,6 +588,7 @@ def test_rebuilt_polyhedron_runs_no_elimination(monkeypatch):
             pts = [scaled(p, den) for p in pts]
             first = Polyhedron.from_points(pts, tail)
             made = len(calls)
+            geometry._polyhedron.cache_clear()  # rebuild through the cones
             again = Polyhedron.from_points(pts, tail)
             assert len(calls) == made
             assert again.normal_fan() == first.normal_fan()
