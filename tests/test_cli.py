@@ -160,6 +160,27 @@ def test_validate_reports_each_divisor_violation_once(tmp_path, capsys):
     assert out.count("violation:") == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--override"]])
+@pytest.mark.parametrize("command", ["apply", "verify"])
+def test_operator_over_p1_without_y_infinity_is_a_usage_error(
+        tmp_path, capsys, command, flags):
+    """Over P1 the operator needs y_infinity to be the infinite point; a
+    family whose coloring marks none is a usage error, also under
+    --override, where the engine would read the missing point."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "Fp", "p": 2}, "rank": 1, "curve": "P1",
+        "tail_rays": [["1"]],
+        "support": [{"point": "t", "vertices": [["1"]]},
+                    {"point": "t + 1", "vertices": [["-1"]]}],
+        "coloring": {"y0": "t", "vertices": {"t": ["1"], "t + 1": ["-1"]}},
+        "family": {"e": [1], "s": [0], "lambda": ["1"]}}))
+    code, out, err = run(capsys, command, "--scenario", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == ("error: the operator over P1 needs y_infinity to be the "
+                   "infinite point\n")
+
+
 def test_missing_input(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2 and "--scenario" in err
