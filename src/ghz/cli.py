@@ -179,6 +179,8 @@ def _run(rep, sc, command, args):
             for i in sorted(res.orders):
                 rep.note(f"order {i} of {x.to_str()}: "
                          f"{res.orders[i].to_str()}")
+            if witness := res.failed_by(order):
+                rep.fail(f"application failed on {x.to_str()}: {witness}")
     elif command == "verify":
         op = _operator(sc, args.override)
         elems, cert = _generator_elements(sc)

@@ -10,7 +10,7 @@ from math import inf
 from .binomials import binom_in_field
 from .classifier import (CoherentFamily, coherent_validate, cover_degree,
                          demazure_root_check, lattice_check)
-from .curves import A1, P1
+from .curves import A1, P1, ClosedPoint
 from .fields import FieldError
 from .geometry import Cone, dot, in_lattice, lattice_basis, lattice_box
 from .polynomials import (Poly, RatFunc, descend_power, hasse_expand,
@@ -99,11 +99,16 @@ class GradedElement:
 
 
 class ApplicationResult:
-    __slots__ = ("orders", "bound")
+    __slots__ = ("orders", "bound", "failure")
 
-    def __init__(self, orders: dict, bound: int):
-        self.orders = orders  # order i -> GradedElement, zero orders omitted
-        self.bound = bound    # the largest of the terms' nilpotency bounds
+    def __init__(self, orders: dict, bound: int, failure=None):
+        self.orders = orders    # nonzero orders below the failure, i -> image
+        self.bound = bound      # the largest of the terms' nilpotency bounds
+        self.failure = failure  # (first failing order, its witness) or None
+
+    def failed_by(self, order):
+        """The witness of a failure by ``order``, else a false value."""
+        return self.failure and self.failure[0] <= order and self.failure[1]
 
 
 # -- the operator -----------------------------------------------------------
@@ -135,6 +140,7 @@ class DthetaOperator:
             if y != c.y0 and not y.is_infinity
             and any(x != 0 for x in c.vertex(y))]
         self.xi_powers = {}  # q ** n by (q, n) for times_factors
+        self.coherent = True  # build_operator's verdict on theta
 
     def nilpotency_exponent(self) -> int:
         return self.exponents[-1]
@@ -172,10 +178,11 @@ class DthetaOperator:
         return h.num
 
     def descend_term(self, f: RatFunc, m, max_order=inf):
-        """Every nonzero order up to ``max_order`` of f*chi^m's images before
-        the factor xi_w, {order: (weight, coeff / xi_w)}, and its nilpotency
-        bound deg H * p^{s_last}: the lift H expands as H(z + sum lambda_j
-        T^{p^{s_j}}) by Hasse derivatives, each order descending to k(t)."""
+        """The nonzero orders up to ``max_order`` of f*chi^m's images before
+        the factor xi_w, {order: (weight, coeff / xi_w)}, its nilpotency bound
+        deg H * p^{s_last}, and the first order that fails to descend to k(t)
+        as (order, witness) or None: the lift H expands as H(z + sum lambda_j
+        T^{p^{s_j}}) by Hasse derivatives.  On a coherent family it raises."""
         h = self._lift(f, m)
         bound = h.degree * self.nilpotency_exponent()
         series = hasse_expand(h, self.step, max_order + 1)
@@ -186,30 +193,35 @@ class DthetaOperator:
             try:
                 descended = descend_power(val, self.d, self.y0_value)
             except FieldError as exc:
-                raise EngineError(
-                    f"descent failure at order {i}, weight {w}: {exc}")
+                witness = f"descent failure at order {i}, weight {w}: {exc}"
+                if self.coherent:
+                    raise EngineError(witness)
+                return out, bound, (i, witness)
             if not descended.is_zero():
                 out[i] = (w, descended)
-        return out, bound
+        return out, bound, None
 
     def apply_term(self, f: RatFunc, m, max_order=inf):
-        """Images of f*chi^m up to ``max_order``, {order: (weight, coeff)},
-        and its nilpotency bound: the descended orders times xi_w != 0."""
-        out, bound = self.descend_term(f, m, max_order)
+        """``descend_term`` with each order's coefficient times xi_w != 0:
+        {order: (weight, coeff)}, the nilpotency bound and the failure."""
+        out, bound, failure = self.descend_term(f, m, max_order)
         return {i: (w, times_factors(c, self.xi(w), self.xi_powers))
-                for i, (w, c) in out.items()}, bound
+                for i, (w, c) in out.items()}, bound, failure
 
     def apply(self, x: GradedElement, max_order=inf) -> ApplicationResult:
-        orders = {}
-        top = 0
+        """x's images up to ``max_order``, below its terms' least failure."""
+        orders, top, failure = {}, 0, None
         for w, f in x.terms.items():
-            images, bound = self.apply_term(f, w, max_order)
+            images, bound, failed = self.apply_term(f, w, max_order)
             top = max(top, bound)
+            if failed:
+                failure, max_order = failed, failed[0] - 1
             for i, (w2, coeff) in images.items():
                 term = GradedElement.term(self.field, w2, coeff)
                 orders[i] = orders[i] + term if i in orders else term
-        orders = {i: v for i, v in orders.items() if not v.is_zero()}
-        return ApplicationResult(orders, top)
+        orders = {i: v for i, v in orders.items()
+                  if i <= max_order and not v.is_zero()}
+        return ApplicationResult(orders, top, failure)
 
 
 def build_operator(theta: CoherentFamily, override: bool = False
@@ -225,24 +237,26 @@ def build_operator(theta: CoherentFamily, override: bool = False
             lattice_check(c, y, refusal)
     if not refusal.ok:
         raise Refusal(refusal)
-    if c.divisor.curve == P1 and not c.y_infinity.is_infinity:
+    if c.divisor.curve == P1 and c.y_infinity != ClosedPoint.infinity():
         raise EngineError("the operator engine expects the marked point at "
                           "infinity to be the infinite point itself")
     if c.y0.is_infinity or not c.y0.is_rational:
         raise EngineError("y0 must be a finite rational point")
-    return DthetaOperator(theta)
+    op = DthetaOperator(theta)
+    op.coherent = rep.ok
+    return op
 
 
 # -- verification -----------------------------------------------------------
 
 def image_table(op: DthetaOperator, elems) -> dict:
     """Each element applied once, untruncated, so that its row holds every
-    nonzero order: element -> ApplicationResult, or the EngineError raised."""
+    nonzero order below its failure, or else the Refusal raised."""
     table = {}
     for x in elems:
         try:
             table[x] = op.apply(x)
-        except EngineError as exc:
+        except Refusal as exc:
             table[x] = exc
     return table
 
@@ -254,12 +268,10 @@ def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
     table = image_table(op, elems)
     rep.merge(verify_axioms(op, table, max_order))
     rep.merge(verify_stability(op.divisor, table))
-    t_row = table[elems[0]]
-    if isinstance(t_row, EngineError):
-        raise t_row
-    # the lift of t, z^d + y0, has the coefficient lambda_last^d at order
-    # d p^{s_last}, so t moves unless lambda_last = 0 (only under override)
-    horizontal = any(i >= 1 for i in t_row.orders)
+    t_row = table[elems[0]]  # t's lift z^d + y0 is never refused
+    # it has the coefficient lambda_last^d at order d p^{s_last}, so t moves
+    # unless lambda_last = 0 (only under override); a failing order moves it
+    horizontal = t_row.failure is not None or max(t_row.orders) > 0
     if horizontal:
         rep.note(f"horizontal (order bound "
                  f"{op.nilpotency_exponent() * op.p ** op.u * op.d})")
@@ -276,22 +288,21 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
     """Identity, homogeneity, Leibniz, iterativity and bounded vanishing on
     the rows of an image table and all pairwise products of its elements.
 
+    A row refused or failing by ``max_order`` is an application failure.
     The product rule convolves only the nonzero orders of the two images,
     at every order up to ``max_order``.  Iterativity applies each image at
-    order b once, at order max_order - b, and reads every order a from that
-    result, as a coefficient does not depend on the truncation order; only
-    if that raises is the image applied once per order a."""
+    order b once, at order max_order - b, and reads every order a below its
+    failure from that result, as a coefficient does not depend on the
+    truncation order."""
     rep = Report("operator axioms")
     k = op.field
     zero = GradedElement.zero(k)
     results = []
     for x, res in table.items():
-        if isinstance(res, EngineError):
-            try:  # the orders up to max_order may still descend
-                res = op.apply(x, max_order)
-            except EngineError as exc:
-                rep.fail(f"application failed on {x.to_str()}: {exc}")
-                continue
+        witness = res if isinstance(res, Refusal) else res.failed_by(max_order)
+        if witness:
+            rep.fail(f"application failed on {x.to_str()}: {witness}")
+            continue
         results.append((x, res))
         if res.orders.get(0, zero) != x:
             rep.fail(f"order 0 is not the identity on {x.to_str()}")
@@ -305,10 +316,9 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
     # Leibniz on all pairs
     for ix, (x, rx) in enumerate(results):
         for y, ry in results[ix:]:
-            try:
-                rxy = op.apply(x * y, max_order)
-            except EngineError as exc:
-                rep.fail(f"application failed on a product: {exc}")
+            rxy = op.apply(x * y, max_order)
+            if witness := rxy.failed_by(max_order):
+                rep.fail(f"application failed on a product: {witness}")
                 continue
             conv = {}
             for i1, v1 in rx.orders.items():
@@ -326,24 +336,15 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
              for a in range(1, max_order + 1)
              for b in range(1, max_order + 1 - a)]
     for x, rx in results:
-        iterates = {}  # b -> rx[b] applied at order max_order - b, or None
+        # b -> rx[b] applied at order max_order - b
+        iterates = {b: op.apply(v, max_order - b)
+                    for b, v in rx.orders.items() if 0 < b < max_order}
         for a, b, c in pairs:
-            inner = rx.orders.get(b)
-            if inner is None:
-                lhs = zero
-            else:
-                if b not in iterates:
-                    try:
-                        iterates[b] = op.apply(inner, max_order - b)
-                    except EngineError:  # the per-order calls report it
-                        iterates[b] = None
-                try:
-                    res = iterates[b] if iterates[b] is not None \
-                        else op.apply(inner, a)
-                except EngineError as exc:
-                    rep.fail(f"iterate failed on {x.to_str()}: {exc}")
-                    continue
-                lhs = res.orders.get(a, zero)
+            res = iterates.get(b)
+            if res and (witness := res.failed_by(a)):
+                rep.fail(f"iterate failed on {x.to_str()}: {witness}")
+                continue
+            lhs = res.orders.get(a, zero) if res else zero
             if lhs != rx.orders.get(a + b, zero).scale(c):
                 rep.fail(f"iteration rule fails at ({a},{b}) on {x.to_str()}")
                 break
@@ -358,13 +359,11 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
 def verify_stability(div: PolyhedralDivisor, table: dict) -> Report:
     """Every image in every row of an image table, a GradedElement, must
     lie in the graded algebra, at a weight of the weight cone (the dual of
-    the tail cone).  A refused row is the axioms' to report."""
+    the tail cone).  A refused row or failure is the axioms' to report."""
     rep = Report("stability")
     dual = div.tail.dual()
     for g, res in table.items():
-        if isinstance(res, EngineError):
-            if not isinstance(res, Refusal):
-                rep.fail(f"{g.to_str()}: {res}")
+        if isinstance(res, Refusal):
             continue
         for i, val in sorted(res.orders.items()):
             if i == 0:
@@ -407,8 +406,8 @@ def kernel_in_box(op: DthetaOperator, table: dict,
     f_m * k[t] only in multiples of f_m, and m is a kernel weight exactly
     when g is a nonzero constant.  Its row in the image table, or else
     every order of f_m's lift descended without forming xi_w * c, checks
-    this: its positive orders vanish exactly then.  A refused row ends the
-    scan with None (the axioms report it); any other failure is raised.
+    this: its positive orders vanish exactly then, and a failing order is
+    nonzero.  A refused row ends the scan with None (the axioms report it).
 
     The kernel weights must have integral evaluations and be a sublattice
     trace intersected with a cone: the semigroup-algebra shape of the
@@ -424,12 +423,10 @@ def kernel_in_box(op: DthetaOperator, table: dict,
             continue
         fm = times_factors(RatFunc.one(div.field), div.generator(m),
                            op.xi_powers)
-        row = table.get(GradedElement.term(div.field, m, fm))
+        row = table.get(GradedElement.term(div.field, m, fm)) \
+            or ApplicationResult(*op.descend_term(fm, m))
         if isinstance(row, Refusal):
             return None
-        if isinstance(row, EngineError):
-            raise row
-        orders = row.orders if row else op.descend_term(fm, m)[0]
         a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False
         if not r:
@@ -437,7 +434,7 @@ def kernel_in_box(op: DthetaOperator, table: dict,
             g = times_factors(RatFunc(fm.den, fm.num, reduce=False), phi,
                               op.xi_powers)
             fixed = g.is_poly() and g.num.is_constant()
-        if fixed == any(i >= 1 for i in orders):
+        if fixed == (row.failure is not None or max(row.orders) > 0):
             raise EngineError(f"closed-form kernel at {m} disagrees with the "
                               f"operator's images of the module generator")
         if fixed:

@@ -32,8 +32,8 @@ from ghz.scenarios import BUILTIN_EXAMPLES
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
-VALID = ("a1-y-infinity", "colored-not-vertex", "off-lattice-coloring",
-         "outside-domain", "p1-finite-y-infinity",
+VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
+         "off-lattice-coloring", "outside-domain", "p1-finite-y-infinity",
          "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
          "p1-pieces", "refused-generator",
          "toric-fractional", "v0-not-vertex", "weight-cone-image",
@@ -49,7 +49,7 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "off-lattice-coloring",
 # is not a polynomial, a generator whose lift is not one, a generator search
 # that hits its weight bound, an operator that moves nothing, also at a box
 # with a weight whose kernel the closed form would misread, an operator over
-# P1 whose y_infinity is a finite point).
+# P1 whose y_infinity is a finite point, an order that does not descend).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
               "family-root-length": [["toric-check"]],
@@ -60,6 +60,8 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "v0-not-vertex": [["roots"]],
               "colored-not-vertex": [["roots"], ["apply", "--override"],
                                      ["verify", "--override"]],
+              "descent-failure": [["verify", "--override"],
+                                  ["apply", "--override"]],
               "a1-y-infinity": [["roots"], ["colorings"], ["classify"]],
               "weight-cone-image": [["verify", "--override"]],
               "off-lattice-coloring": [["verify", "--override"]],

@@ -12,7 +12,7 @@ from ghz import cli, engine, polynomials, tvariety
 from ghz.classifier import (CoherentFamily, Coloring, _random_family,
                             coherent_validate)
 from ghz.cli import main
-from ghz.curves import A1, ClosedPoint, point_validate
+from ghz.curves import A1, P1, ClosedPoint, point_validate
 from ghz.engine import (DthetaOperator, EngineError, GradedElement,
                         KernelReport, Refusal, build_operator, image_table,
                         kernel_in_box, toric_root_operator, verify,
@@ -134,8 +134,8 @@ def test_weights_are_plain_ints():
         for m in lattice_box(div.rank, 3):
             if not div.tail.dual().contains(m):
                 continue
-            images, _ = op.apply_term(expanded(div.field, div.generator(m)),
-                                      m)
+            images = op.apply_term(expanded(div.field, div.generator(m)),
+                                   m)[0]
             assert images and all(ints(w) for w, _ in images.values())
         ker = kernel_in_box(op, {}, sc.bounds["weight_box"])
         assert ker.weights and all(ints(m) for m in ker.weights)
@@ -163,6 +163,47 @@ def test_build_rejects_incoherent():
     assert op.d == 5
 
 
+def test_build_refuses_a_p1_coloring_without_y_infinity():
+    """Over P1 the engine needs the marked point at infinity; a coloring
+    without one is an EngineError under override too, where the
+    coherence conditions that would refuse it are not read."""
+    rng = random.Random(7)
+    theta = None
+    while theta is None:
+        theta = _random_family(rng, PrimeField(2), P1, 1)
+    c = theta.coloring
+    theta = CoherentFamily(Coloring(c.divisor, c.vertices, c.y0), theta.e,
+                           theta.s, theta.lam)
+    with pytest.raises(EngineError, match="marked point at infinity"):
+        build_operator(theta, override=True)
+
+
+def test_overridden_random_families_reach_a_verdict():
+    """60 seeded random A1 families, over Q, F2 and F3 and at ranks 1 and 2
+    in turn, verified under override at weight box 3 and order 8.  A
+    descent failure is a violation with its witness, not an internal
+    failure, so no EngineError escapes; every coherent family verifies ok.
+    One incoherent family verifies ok too: over F3 with s = (2,), its first
+    failing order is 9, past the truncation order."""
+    rng = random.Random(21)
+    fields = (Q, PrimeField(2), PrimeField(3))
+    verdicts = Counter()
+    while sum(verdicts.values()) < 60:
+        n = sum(verdicts.values())
+        theta = _random_family(rng, fields[n % 3], A1, 1 + n % 2)
+        if theta is None:
+            continue
+        div = theta.coloring.divisor
+        rep = Report("verify")
+        verify(build_operator(theta, override=True), generator_elements(
+            div.field, algebra_generators(div, 3)[0]), 8, 3, rep)
+        coherent = coherent_validate(theta).ok
+        assert rep.ok or not coherent, rep.violations
+        verdicts[coherent, rep.ok] += 1
+    assert verdicts == {(True, True): 16, (False, False): 43,
+                        (False, True): 1}
+
+
 def test_ramified_char2():
     F2 = PrimeField(2)
     D, op = ramified_operator(F2, (0,))
@@ -180,6 +221,33 @@ def test_ramified_char2():
     assert "horizontal (order bound 4)" in rep.notes
 
 
+def test_apply_stops_at_the_least_failing_order_of_its_terms():
+    """On char2-ramified, with t*chi^(0,0) faulted to fail at order 4 and
+    chi^(1,1) at order 2: their sum, in either order of terms, stops at
+    order 2 with the witness of chi^(1,1), and keeps no order at or past it
+    (t's row has order 2)."""
+    sc = load_builtin("char2-ramified")
+    op = build_operator(sc.family)
+    t = GradedElement.term(sc.field, (0, 0), RatFunc.x(sc.field, 1))
+    x = GradedElement.term(sc.field, (1, 1), RatFunc.one(sc.field))
+    assert 2 in op.apply(t).orders and 1 in op.apply(x).orders
+    want = op.apply(t + x, 1).orders
+    apply_term, fail_at = op.apply_term, {(0, 0): 4, (1, 1): 2}
+
+    def faulted(f, m, max_order=inf):
+        top = fail_at[tuple(m)]
+        if max_order < top:
+            return apply_term(f, m, max_order)
+        images, bound, _ = apply_term(f, m, top - 1)
+        return images, bound, (top, f"descent failure at order {top}, {m}")
+
+    op.apply_term = faulted
+    for y in (t + x, x + t):
+        res = op.apply(y)
+        assert res.failure == (2, "descent failure at order 2, (1, 1)")
+        assert res.orders == want
+
+
 def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
     """On char2-ramified the lift of chi^(0,1) has nilpotency bound 2; an
     image at order 8, inside the truncation order, breaks the vanishing
@@ -192,10 +260,10 @@ def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
     apply_term = DthetaOperator.apply_term
 
     def late_image(self, f, m, max_order=None):
-        out, bound = apply_term(self, f, m, max_order)
+        out, bound, failure = apply_term(self, f, m, max_order)
         if tuple(m) == (0, 1):
             out[8] = ((8, 1), RatFunc.one(self.field))
-        return out, bound
+        return out, bound, failure
 
     monkeypatch.setattr(DthetaOperator, "apply_term", late_image)
     rep = verify_axioms(op, image_table(op, [x]), 8)
@@ -226,9 +294,10 @@ def _box_elements(div, n=4):
 
 def _faulty(op, fault, elems, full, top=3):
     """Break op so that a failure path of the axioms runs.  "raise": an
-    application truncated at an order from ``top`` to ``full - 1`` raises,
-    as a descent failure at ``top`` would; the axioms apply the test set and
-    its products at ``full``, so only the iterates fail.  "step": the step
+    application truncated at an order from ``top`` to ``full - 1`` stops at
+    a failing order ``top``, as a descent failure at ``top`` would; the
+    image table applies the test set untruncated and the axioms apply its
+    products at ``full``, so only the iterates fail.  "step": the step
     sum lambda_j T^(p^s_j) gets exponents 2 p^s_j (3 * 2^s_j over F2), so it
     is no longer additive and iterativity fails.  "swap": the order-``top``
     image of every element outside ``elems`` is the element itself, so the
@@ -237,9 +306,10 @@ def _faulty(op, fault, elems, full, top=3):
     apply = op.apply
 
     def faulty_apply(x, max_order=inf):
-        if fault == "raise" and top <= max_order < full:
-            raise EngineError(f"descent failure at order {top}")
         res = apply(x, max_order)
+        if fault == "raise" and top <= max_order < full:
+            res.orders = {i: v for i, v in res.orders.items() if i < top}
+            res.failure = (top, f"descent failure at order {top}")
         if fault == "swap" and x not in elems:
             res.orders[top] = x
         return res
@@ -251,12 +321,29 @@ def _faulty(op, fault, elems, full, top=3):
     return op
 
 
+def _raising(op):
+    """op, whose application raises the witness of its first failing order
+    when that order is at most the truncation order, as the reference
+    expects of an application that does not descend."""
+    apply = op.apply
+
+    def raising_apply(x, max_order=inf):
+        res = apply(x, max_order)
+        if res.failed_by(max_order):
+            raise EngineError(res.failure[1])
+        return res
+
+    op.apply = raising_apply
+    return op
+
+
 def test_verify_axioms_matches_the_reference():
     """The whole report (violations in order, and notes) equals the rules'
-    letter in ``reference_verify_axioms``: on the builtins with a family, the
-    overridden families of the scenario files, seeded random A1 families
-    over Q, F2 and F3 at ranks 1 and 2 and orders 8 and 12, and the same
-    families broken by ``_faulty``."""
+    letter in ``reference_verify_axioms``, given an operator that raises at
+    a failing order: on the builtins with a family, the overridden families
+    of the scenario files, seeded random A1 families over Q, F2 and F3 at
+    ranks 1 and 2 and orders 8 and 12, and the same families broken by
+    ``_faulty``."""
     cases = []
     for name in builtin_examples():
         sc = load_builtin(name)
@@ -294,15 +381,14 @@ def test_verify_axioms_matches_the_reference():
     kinds = Counter()
     for op, elems, order in cases:
         got = verify_axioms(op, image_table(op, elems), order)
-        assert got == reference_verify_axioms(op, elems, order)
+        assert got == reference_verify_axioms(_raising(op), elems, order)
         kinds.update(v.split(" on ")[0].split(" at ")[0]
                      for v in got.violations)
     assert len(cases) == 5 + 12 * 2 * 4
-    # verify_axioms applies an iterate once per order only after its one
-    # application at max_order - b raised, so each "iterate failed" is a
-    # case where that application raised.  Only the "raise" fault gets
-    # there: the step is additive, so order a of rx[b]'s images is
-    # C(a + b, a) times order a + b of x's, which x's application descended
+    # an iterate fails only where its one application at max_order - b
+    # stopped at or below order a.  Only the "raise" fault gets there: the
+    # step is additive, so order a of rx[b]'s images is C(a + b, a) times
+    # order a + b of x's, which x's application descended
     assert set(kinds) == {"application failed", "iterate failed",
                           "iteration rule fails", "product rule fails"}
 
@@ -441,16 +527,16 @@ def test_substitution_matches_series_oracle():
             oracle = _series_oracle(op, h, bound + 2)
             assert max(oracle) <= bound
             for top in range(bound + 2):
-                try:
-                    images, got_bound = op.apply_term(f, m, top)
-                except EngineError as exc:
+                images, got_bound, failure = op.apply_term(f, m, top)
+                assert got_bound == bound
+                if failure:
                     # an incoherent family: order top is no function of
                     # z^d, so every deeper truncation fails there too
-                    assert str(exc).startswith(
+                    assert not op.coherent and failure[0] == top
+                    assert failure[1].startswith(
                         f"descent failure at order {top}, ")
                     failed += 1
                     break
-                assert got_bound == bound
                 assert {i: RatFunc.from_poly(op._lift(c, w))
                         for i, (w, c) in images.items()} \
                     == {i: c for i, c in oracle.items() if i <= top}
@@ -522,11 +608,8 @@ def test_the_domain_is_closed_under_the_operator():
                     continue
                 found += 1
                 for x in _box_elements(theta.coloring.divisor):
-                    try:
-                        res = op.apply(x)
-                    except Refusal:
-                        raise
-                    except EngineError:  # a descent failure, not a refusal
+                    res = op.apply(x)
+                    if res.failure:
                         continue
                     for i, val in res.orders.items():
                         again = op.apply(val)
@@ -664,7 +747,7 @@ def _reference_kernel_in_box(op, div, box_bound, window=6):
         cands = [RatFunc.x(k, j) * fm for j in range(window + 1)]
         images = []  # per candidate: {(order, weight): RatFunc}
         for g in cands:
-            out, _ = op.apply_term(g, m)
+            out = op.apply_term(g, m)[0]
             images.append({(i, w): coeff for i, (w, coeff) in out.items()
                            if i >= 1})
         keys = sorted(set().union(*[im.keys() for im in images]))
@@ -842,11 +925,15 @@ def test_kernel_of_overridden_incoherent_families():
     ker = kernel_in_box(op, {}, 10)
     assert _kernel_summary(ker) == _kernel_summary(
         _reference_kernel_in_box(op, D, 10, window=4))
-    # a step that does not descend: the module generator's images show it
+    # a step that does not descend: f_1*chi^1 fails at order 4, and a
+    # failing order moves it, so the closed form's verdict stands, the same
+    # as for e = (1,)
     D, theta = incoherent_family(e=(-2,))
     op = build_operator(theta, override=True)
-    with pytest.raises(EngineError, match="descent failure"):
-        kernel_in_box(op, {}, 10)
+    orders, _, failure = op.descend_term(RatFunc.one(D.field), (1,))
+    assert list(orders) == [0] and failure[0] == 4
+    assert _kernel_summary(kernel_in_box(op, {}, 10)) == _kernel_summary(ker)
+    assert ker.weights == [(0,), (5,), (10,)] and ker.report.ok
     # lambda = 0 fixes every element, against the closed form
     F2 = PrimeField(2)
     D, theta = incoherent_family(lam=(F2.zero(),))

@@ -1,6 +1,8 @@
 """The command line holds no verify mathematics: ``cli.py`` neither imports
 nor reads a step of ``engine.verify``, so only the engine knows the rows of
-the image table and how each step reads them."""
+the image table and how each step reads them.  Inside the engine a descent
+failure is a row's data: only ``image_table`` catches an engine error, the
+refusal of an element outside the domain."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import ghz
 
 CLI = Path(ghz.__file__).parent / "cli.py"
+ENGINE = Path(ghz.__file__).parent / "engine.py"
 STEPS = {"image_table", "verify_axioms", "verify_stability", "kernel_in_box",
          "apply_term", "descend_term"}
 
@@ -41,3 +44,32 @@ def test_scan_sees_imports_names_and_attributes():
     assert step_uses(source) == [(1, "verify_axioms"), (3, "apply_term"),
                                  (4, "kernel_in_box"),
                                  (5, "verify_stability")]
+
+
+def engine_error_handlers(source):
+    """The function around each ``except`` clause that names EngineError
+    or Refusal, alone or in a tuple."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler) and node.type and {
+                    n.id for n in ast.walk(node.type)
+                    if isinstance(n, ast.Name)} & {"EngineError", "Refusal"}:
+                out.append(fn.name)
+    return out
+
+
+def test_engine_catches_its_errors_in_the_image_table_only():
+    assert engine_error_handlers(ENGINE.read_text(encoding="utf-8")) \
+        == ["image_table"]
+
+
+def test_handler_scan_sees_names_and_tuples():
+    source = ("def a():\n    try:\n        pass\n"
+              "    except (KeyError, Refusal):\n        pass\n"
+              "def b():\n    try:\n        pass\n"
+              "    except FieldError:\n        pass\n"
+              "    except EngineError as exc:\n        pass\n")
+    assert engine_error_handlers(source) == ["a", "b"]
