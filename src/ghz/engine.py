@@ -87,8 +87,7 @@ class GradedElement:
         return isinstance(other, GradedElement) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(),
-                                 key=lambda wf: wf[0])))
+        return hash(frozenset(self.terms.items()))
 
     def to_str(self) -> str:
         return " + ".join(f"({self.terms[w].to_str()})*chi^{w}"
@@ -267,6 +266,10 @@ def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
     the algebra generators ``elems``, t*chi^0 first."""
     table = image_table(op, elems)
     rep.merge(verify_axioms(op, table, max_order))
+    for x, res in table.items():  # the axioms report failures by max_order
+        if not isinstance(res, Refusal) and res.failure \
+                and not res.failed_by(max_order):
+            rep.fail(f"application failed on {x.to_str()}: {res.failure[1]}")
     rep.merge(verify_stability(op.divisor, table))
     t_row = table[elems[0]]  # t's lift z^d + y0 is never refused
     # it has the coefficient lambda_last^d at order d p^{s_last}, so t moves
@@ -313,13 +316,10 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
                     if len(x.terms) == 1 and w != expect:
                         rep.fail(f"order {i} weight {w} is not the input "
                                  f"weight shifted by {i}*e")
-    # Leibniz on all pairs
+    # Leibniz on all pairs: lifts multiply, so x*y descends where x, y do
     for ix, (x, rx) in enumerate(results):
         for y, ry in results[ix:]:
             rxy = op.apply(x * y, max_order)
-            if witness := rxy.failed_by(max_order):
-                rep.fail(f"application failed on a product: {witness}")
-                continue
             conv = {}
             for i1, v1 in rx.orders.items():
                 for i2, v2 in ry.orders.items():
@@ -336,7 +336,6 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
              for a in range(1, max_order + 1)
              for b in range(1, max_order + 1 - a)]
     for x, rx in results:
-        # b -> rx[b] applied at order max_order - b
         iterates = {b: op.apply(v, max_order - b)
                     for b, v in rx.orders.items() if 0 < b < max_order}
         for a, b, c in pairs:
@@ -423,10 +422,11 @@ def kernel_in_box(op: DthetaOperator, table: dict,
             continue
         fm = times_factors(RatFunc.one(div.field), div.generator(m),
                            op.xi_powers)
-        row = table.get(GradedElement.term(div.field, m, fm)) \
-            or ApplicationResult(*op.descend_term(fm, m))
+        row = table.get(GradedElement.term(div.field, m, fm))
         if isinstance(row, Refusal):
             return None
+        orders, _, failure = op.descend_term(fm, m) if row is None \
+            else (row.orders, row.bound, row.failure)
         a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False
         if not r:
@@ -434,7 +434,7 @@ def kernel_in_box(op: DthetaOperator, table: dict,
             g = times_factors(RatFunc(fm.den, fm.num, reduce=False), phi,
                               op.xi_powers)
             fixed = g.is_poly() and g.num.is_constant()
-        if fixed == (row.failure is not None or max(row.orders) > 0):
+        if fixed == (failure is not None or max(orders) > 0):
             raise EngineError(f"closed-form kernel at {m} disagrees with the "
                               f"operator's images of the module generator")
         if fixed:

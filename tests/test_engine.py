@@ -182,12 +182,13 @@ def test_overridden_random_families_reach_a_verdict():
     """60 seeded random A1 families, over Q, F2 and F3 and at ranks 1 and 2
     in turn, verified under override at weight box 3 and order 8.  A
     descent failure is a violation with its witness, not an internal
-    failure, so no EngineError escapes; every coherent family verifies ok.
-    One incoherent family verifies ok too: over F3 with s = (2,), its first
-    failing order is 9, past the truncation order."""
+    failure, so no EngineError escapes; every coherent family verifies ok
+    and no incoherent one does.  Over F3 with s = (2,), a first failing
+    order 9, past the truncation order, is still a violation, and that
+    family's only one."""
     rng = random.Random(21)
     fields = (Q, PrimeField(2), PrimeField(3))
-    verdicts = Counter()
+    verdicts, late = Counter(), []
     while sum(verdicts.values()) < 60:
         n = sum(verdicts.values())
         theta = _random_family(rng, fields[n % 3], A1, 1 + n % 2)
@@ -200,8 +201,12 @@ def test_overridden_random_families_reach_a_verdict():
         coherent = coherent_validate(theta).ok
         assert rep.ok or not coherent, rep.violations
         verdicts[coherent, rep.ok] += 1
-    assert verdicts == {(True, True): 16, (False, False): 43,
-                        (False, True): 1}
+        if (n % 3, theta.e, tuple(theta.s)) == (2, (0,), (2,)):
+            late += rep.violations
+    assert verdicts == {(True, True): 16, (False, False): 44}
+    assert late == ["application failed on ((1)/(t))*chi^(2,): descent "
+                    "failure at order 9, weight (2,): descent failure: "
+                    "element is not a function of z^d"]
 
 
 def test_ramified_char2():
