@@ -60,10 +60,10 @@ class ClosedPoint:
 
     @property
     def epsilon(self) -> int:
-        """epsilon of the point's inseparable profile, 1 at infinity;
-        computed on first use and kept."""
+        """p^level for the point polynomial q(t) = q_tilde(t^(p^level)) with
+        level maximal, 1 at infinity; computed on first use and kept."""
         if self._eps is None:
-            self._eps = 1 if self.poly is None else insep_profile(self).epsilon
+            self._eps = 1 if self.poly is None else _insep_split(self.poly)[1]
         return self._eps
 
     def rational_value(self):
@@ -169,9 +169,8 @@ def point_validate(q: Poly, policy: str = "strict") -> ClosedPoint:
     if policy != "trusted":
         raise PointError(f"unknown validation policy {policy!r}")
     # partial checks: separable part squarefree, no small roots
-    qt = _insep_split(q)[3]
-    if qt.degree > 0 and poly_gcd(qt, qt.derivative()).degree > 0 \
-            and not qt.derivative().is_zero():
+    qt = _insep_split(q)[3]  # of degree >= 1, so qt' != 0
+    if poly_gcd(qt, qt.derivative()).degree > 0:
         raise PointError(f"{q.to_str()} has a repeated factor")
     for cand in _small_candidates(field):
         if field.is_zero(q.evaluate(cand)):
@@ -194,41 +193,13 @@ def _small_candidates(field):
     return []
 
 
-class InsepProfile(Record):
-    """q(t) = q_tilde(t^(p^level)); epsilon = p^level, s = deg q_tilde."""
-
-    __slots__ = ("level", "epsilon", "s", "q_tilde")
-
-    def __init__(self, level: int, epsilon: int, s: int, q_tilde: Poly):
-        put = object.__setattr__
-        put(self, "level", level)
-        put(self, "epsilon", epsilon)
-        put(self, "s", s)
-        put(self, "q_tilde", q_tilde)
-
-
 def _insep_split(q: Poly):
-    p = q.field.char_exponent
-    level = 0
-    qt = q
-    if p > 1:
-        while True:
-            if all(e % p == 0 for e in qt.coeffs):
-                qt = qt.regroup(p)
-                level += 1
-            else:
-                break
-    return level, p ** level, qt.degree, qt
-
-
-def insep_profile(y: ClosedPoint) -> InsepProfile:
-    """Maximal extraction of p-power exponents from the point polynomial."""
-    if y.is_infinity:
-        raise PointError("inseparable profile is for finite points")
-    level, eps, s, qt = _insep_split(y.poly)
-    if qt.derivative().is_zero() and qt.degree > 0:
-        raise PointError("separable part still has zero derivative")
-    return InsepProfile(level, eps, s, qt)
+    """q(t) = q_tilde(t^(p^level)) with level maximal, as (level, p^level,
+    deg q_tilde, q_tilde)."""
+    p, level = q.field.char_exponent, 0
+    while p > 1 and all(e % p == 0 for e in q.coeffs):
+        q, level = q.regroup(p), level + 1
+    return level, p ** level, q.degree, q
 
 
 class ModuleDescription(Record):

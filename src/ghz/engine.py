@@ -151,14 +151,14 @@ class DthetaOperator:
         return [(y.poly, -a) for y, vy in self.xi_points
                 if (a := dot(m, vy) // self.den)]
 
-    def _lift(self, f: RatFunc, m) -> Poly:
-        """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>}, the lift of f*chi^m.
+    def _lift(self, f: RatFunc, m) -> Poly | None:
+        """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>}, the lift of f*chi^m, or
+        None when it is not a polynomial.
 
         The operator's domain is the elements whose terms lift to
         polynomials.  It holds the graded algebra when the coloring is
         valid, and the operator keeps it: the lift of an image's order-i
-        coefficient is the order-i Hasse coefficient of H.  A term outside
-        it is refused.
+        coefficient is the order-i Hasse coefficient of H.
 
         g = f/xi_m is reduced with a monic denominator; the shift
         t -> t + y0 and the substitution t -> z^d both keep that (see
@@ -169,20 +169,20 @@ class DthetaOperator:
         h = RatFunc(g.num.taylor_shift(y0).spread(d),
                     g.den.taylor_shift(y0).spread(d), reduce=False)
         h = h.times_x(dot(m, self.dv0))
-        if not h.is_poly():
-            refusal = Report("operator")
-            refusal.fail(f"({f.to_str()})*chi^{tuple(m)} is outside the "
-                         f"operator's domain: its lift is not a polynomial")
-            raise Refusal(refusal)
-        return h.num
+        return h.num if h.is_poly() else None
 
     def descend_term(self, f: RatFunc, m, max_order=inf):
         """The nonzero orders up to ``max_order`` of f*chi^m's images before
         the factor xi_w, {order: (weight, coeff / xi_w)}, its nilpotency bound
-        deg H * p^{s_last}, and the first order that fails to descend to k(t)
-        as (order, witness) or None: the lift H expands as H(z + sum lambda_j
-        T^{p^{s_j}}) by Hasse derivatives.  On a coherent family it raises."""
+        deg H * p^{s_last}, and the first failing order as (order, witness)
+        or None: the lift H expands as H(z + sum lambda_j T^{p^{s_j}}) by
+        Hasse derivatives.  A term outside the domain fails at order 0; an
+        order that does not descend to k(t) raises on a coherent family."""
         h = self._lift(f, m)
+        if h is None:
+            return {}, 0, (0, f"({f.to_str()})*chi^{tuple(m)} is outside the "
+                              f"operator's domain: its lift is not a "
+                              f"polynomial")
         bound = h.degree * self.nilpotency_exponent()
         series = hasse_expand(h, self.step, max_order + 1)
         out = {}
@@ -208,12 +208,13 @@ class DthetaOperator:
                 for i, (w, c) in out.items()}, bound, failure
 
     def apply(self, x: GradedElement, max_order=inf) -> ApplicationResult:
-        """x's images up to ``max_order``, below its terms' least failure."""
+        """x's images up to ``max_order``, below its terms' least failure
+        (the first one at a tie)."""
         orders, top, failure = {}, 0, None
         for w, f in x.terms.items():
             images, bound, failed = self.apply_term(f, w, max_order)
             top = max(top, bound)
-            if failed:
+            if failed and (not failure or failed[0] < failure[0]):
                 failure, max_order = failed, failed[0] - 1
             for i, (w2, coeff) in images.items():
                 term = GradedElement.term(self.field, w2, coeff)
@@ -250,14 +251,8 @@ def build_operator(theta: CoherentFamily, override: bool = False
 
 def image_table(op: DthetaOperator, elems) -> dict:
     """Each element applied once, untruncated, so that its row holds every
-    nonzero order below its failure, or else the Refusal raised."""
-    table = {}
-    for x in elems:
-        try:
-            table[x] = op.apply(x)
-        except Refusal as exc:
-            table[x] = exc
-    return table
+    nonzero order below its failure."""
+    return {x: op.apply(x) for x in elems}
 
 
 def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
@@ -267,11 +262,10 @@ def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
     table = image_table(op, elems)
     rep.merge(verify_axioms(op, table, max_order))
     for x, res in table.items():  # the axioms report failures by max_order
-        if not isinstance(res, Refusal) and res.failure \
-                and not res.failed_by(max_order):
+        if res.failure and not res.failed_by(max_order):
             rep.fail(f"application failed on {x.to_str()}: {res.failure[1]}")
     rep.merge(verify_stability(op.divisor, table))
-    t_row = table[elems[0]]  # t's lift z^d + y0 is never refused
+    t_row = table[elems[0]]  # t's lift z^d + y0 is in the domain
     # it has the coefficient lambda_last^d at order d p^{s_last}, so t moves
     # unless lambda_last = 0 (only under override); a failing order moves it
     horizontal = t_row.failure is not None or max(t_row.orders) > 0
@@ -282,16 +276,18 @@ def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
         rep.fail("no positive order moves the curve coordinate")
     if op.divisor.curve == A1 and not horizontal:
         rep.note("kernel skipped: its closed form needs lambda_last != 0")
-    elif op.divisor.curve == A1 and (ker := kernel_in_box(op, table, box)):
+    elif op.divisor.curve == A1:
+        ker = kernel_in_box(op, table, box)
         rep.merge(ker.report)
-        rep.note(f"kernel weights {ker.weights}; lattice {ker.lattice}")
+        if ker.weights is not None:
+            rep.note(f"kernel weights {ker.weights}; lattice {ker.lattice}")
 
 
 def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
     """Identity, homogeneity, Leibniz, iterativity and bounded vanishing on
     the rows of an image table and all pairwise products of its elements.
 
-    A row refused or failing by ``max_order`` is an application failure.
+    A row failing by ``max_order`` is an application failure.
     The product rule convolves only the nonzero orders of the two images,
     at every order up to ``max_order``.  Iterativity applies each image at
     order b once, at order max_order - b, and reads every order a below its
@@ -302,8 +298,7 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
     zero = GradedElement.zero(k)
     results = []
     for x, res in table.items():
-        witness = res if isinstance(res, Refusal) else res.failed_by(max_order)
-        if witness:
+        if witness := res.failed_by(max_order):
             rep.fail(f"application failed on {x.to_str()}: {witness}")
             continue
         results.append((x, res))
@@ -358,12 +353,10 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
 def verify_stability(div: PolyhedralDivisor, table: dict) -> Report:
     """Every image in every row of an image table, a GradedElement, must
     lie in the graded algebra, at a weight of the weight cone (the dual of
-    the tail cone).  A refused row or failure is the axioms' to report."""
+    the tail cone).  A row's failure is the axioms' to report."""
     rep = Report("stability")
     dual = div.tail.dual()
     for g, res in table.items():
-        if isinstance(res, Refusal):
-            continue
         for i, val in sorted(res.orders.items()):
             if i == 0:
                 continue
@@ -386,13 +379,13 @@ class KernelReport:
     def __init__(self, report: Report, weights: list, spans: dict,
                  lattice: list):
         self.report = report
-        self.weights = weights  # kernel weights in the box
+        self.weights = weights  # kernel weights in the box, or None
         self.spans = spans      # weight -> RatFunc spanning the kernel piece
         self.lattice = lattice  # triangular basis of the weight lattice
 
 
 def kernel_in_box(op: DthetaOperator, table: dict,
-                  box_bound: int) -> KernelReport | None:
+                  box_bound: int) -> KernelReport:
     """Kernel pieces of all positive-order operators on a weight box, in
     closed form.
 
@@ -400,13 +393,14 @@ def kernel_in_box(op: DthetaOperator, table: dict,
     h(z + S) = h(z).  A polynomial h of degree n > 0 has the nonzero
     T^{n p^{s_last}} coefficient a_n lambda_last^n, so the piece at m is
     zero or spanned by phi_m = xi_m * (t - y0)^{-<m,v0>}, with <m,v0>
-    integral.  The lift of f_m is 1/g(z^d + y0) with g = phi_m / f_m, which
-    the operator refuses unless it is a polynomial; so the piece meets
+    integral.  The lift of f_m is 1/g(z^d + y0) with g = phi_m / f_m,
+    outside the domain unless it is a polynomial; so the piece meets
     f_m * k[t] only in multiples of f_m, and m is a kernel weight exactly
     when g is a nonzero constant.  Its row in the image table, or else
     every order of f_m's lift descended without forming xi_w * c, checks
     this: its positive orders vanish exactly then, and a failing order is
-    nonzero.  A refused row ends the scan with None (the axioms report it).
+    nonzero.  An f_m outside the domain ends the scan with no weights, and
+    with its witness unless its row holds it (the axioms report that).
 
     The kernel weights must have integral evaluations and be a sublattice
     trace intersected with a cone: the semigroup-algebra shape of the
@@ -423,10 +417,13 @@ def kernel_in_box(op: DthetaOperator, table: dict,
         fm = times_factors(RatFunc.one(div.field), div.generator(m),
                            op.xi_powers)
         row = table.get(GradedElement.term(div.field, m, fm))
-        if isinstance(row, Refusal):
-            return None
         orders, _, failure = op.descend_term(fm, m) if row is None \
             else (row.orders, row.bound, row.failure)
+        if failure and not failure[0]:
+            stop = Report("kernel structure")
+            if row is None:
+                stop.fail(failure[1])
+            return KernelReport(stop, None, {}, [])
         a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False
         if not r:

@@ -15,6 +15,7 @@ each q_y out of the opposite side instead of running a gcd.
 
 from __future__ import annotations
 
+import re
 from math import comb
 
 from .fields import BaseField, FieldError
@@ -606,8 +607,7 @@ def descend_power(rf: RatFunc, d: int, shift) -> RatFunc:
     try:
         num, den = rf.num.regroup(d), rf.den.regroup(d)
     except FieldError:
-        raise FieldError("descent failure: element is not a function of z^d"
-                         ) from None
+        raise FieldError("element is not a function of z^d") from None
     back = rf.field.neg(shift)
     # a shift is an automorphism of k[t]: num, den stay coprime, den monic
     return RatFunc(num.taylor_shift(back), den.taylor_shift(back),
@@ -622,46 +622,9 @@ class ParseError(ValueError):
     pass
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.items = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.items.append(("num", int(text[i:j]), i))
-                i = j
-            elif ch.isalpha():
-                self.items.append(("name", ch, i))
-                i += 1
-            elif ch in "+-*/^()":
-                self.items.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r} at position {i}")
-        self.items.append(("end", None, len(text)))
-
-    def peek(self):
-        return self.items[self.pos]
-
-    def next(self):
-        tok = self.items[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r} at position {tok[2]}")
-        return tok
+# a number, a word character (a name if it is a letter), an operator, or
+# any other visible character
+_TOKEN = re.compile(r"(\d+)|(\w)|([-+*/^()])|\S")
 
 
 def parse_rational(text: str, field, var: str | None = "t") -> RatFunc:
@@ -673,70 +636,80 @@ def parse_rational(text: str, field, var: str | None = "t") -> RatFunc:
     `parse_poly` asks for a polynomial.  ``l`` denotes the generator of a
     FractionField coefficient field.
     """
-    toks = _Tokens(text)
-    result = _parse_sum(toks, field, var)
-    if toks.peek()[0] != "end":
-        raise ParseError(f"trailing input at position {toks.peek()[2]}")
+    toks = [("end", None, len(text))]  # (kind, value, position), last first
+    for tok in reversed(list(_TOKEN.finditer(text))):
+        num, name, sym = tok.groups()
+        if not (num or sym or name and name.isalpha()):
+            raise ParseError(f"unexpected character {tok.group()!r} at "
+                             f"position {tok.start()}")
+        toks.append(("num", int(num), tok.start()) if num else
+                    ("name" if name else sym, tok.group(), tok.start()))
+
+    def expect(kind):
+        tok = toks.pop()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r} at position {tok[2]}")
+        return tok[1]
+
+    def parse_sum():
+        sign = toks.pop()[0] if toks[-1][0] in "+-" else "+"
+        acc = parse_product()
+        acc = -acc if sign == "-" else acc
+        while toks[-1][0] in "+-":
+            op = toks.pop()[0]
+            term = parse_product()
+            acc = acc + term if op == "+" else acc - term
+        return acc
+
+    def parse_product():
+        acc = parse_power()
+        while toks[-1][0] in "*/":
+            op, _, pos = toks.pop()
+            rhs = parse_power()
+            if op == "*":
+                acc = acc * rhs
+            elif rhs.is_zero():
+                raise ParseError(f"division by zero at position {pos}")
+            else:
+                acc = acc / rhs
+        return acc
+
+    def parse_power():
+        base = parse_atom()
+        if toks[-1][0] != "^":
+            return base
+        pos = toks.pop()[2]
+        sign = 1
+        if toks[-1][0] == "-":
+            toks.pop()
+            sign = -1
+        n = sign * expect("num")
+        if n <= 0 and base.is_zero():
+            raise ParseError(f"zero to a non-positive power at position {pos}")
+        return base ** n
+
+    def parse_atom():
+        kind, value, pos = toks.pop()
+        if kind == "num":
+            return RatFunc.from_poly(Poly.const(field, field.from_int(value)))
+        if kind == "name":
+            if value == var:
+                return RatFunc.x(field)
+            if getattr(field, "generator_name", None) == value:
+                return RatFunc.from_poly(Poly.const(field, field.generator()))
+            raise ParseError(f"unknown symbol {value!r} at position {pos}")
+        if kind == "(":
+            inner = parse_sum()
+            expect(")")
+            return inner
+        if kind == "-":
+            return -parse_atom()
+        raise ParseError(f"unexpected token at position {pos}")
+
+    result = parse_sum()
+    if toks[-1][0] != "end":
+        raise ParseError(f"trailing input at position {toks[-1][2]}")
     return result
-
-
-def _parse_sum(toks, field, var) -> RatFunc:
-    sign = toks.next()[0] if toks.peek()[0] in "+-" else "+"
-    acc = _parse_product(toks, field, var)
-    acc = -acc if sign == "-" else acc
-    while toks.peek()[0] in "+-":
-        op = toks.next()[0]
-        term = _parse_product(toks, field, var)
-        acc = acc + term if op == "+" else acc - term
-    return acc
-
-
-def _parse_product(toks, field, var) -> RatFunc:
-    acc = _parse_power(toks, field, var)
-    while toks.peek()[0] in "*/":
-        op, _, pos = toks.next()
-        rhs = _parse_power(toks, field, var)
-        if op == "*":
-            acc = acc * rhs
-        elif rhs.is_zero():
-            raise ParseError(f"division by zero at position {pos}")
-        else:
-            acc = acc / rhs
-    return acc
-
-
-def _parse_power(toks, field, var) -> RatFunc:
-    base = _parse_atom(toks, field, var)
-    if toks.peek()[0] != "^":
-        return base
-    pos = toks.next()[2]
-    sign = 1
-    if toks.peek()[0] == "-":
-        toks.next()
-        sign = -1
-    n = sign * toks.expect("num")[1]
-    if n <= 0 and base.is_zero():
-        raise ParseError(f"zero to a non-positive power at position {pos}")
-    return base ** n
-
-
-def _parse_atom(toks, field, var) -> RatFunc:
-    kind, value, pos = toks.next()
-    if kind == "num":
-        return RatFunc.from_poly(Poly.const(field, field.from_int(value)))
-    if kind == "name":
-        if value == var:
-            return RatFunc.x(field)
-        if getattr(field, "generator_name", None) == value:
-            return RatFunc.from_poly(Poly.const(field, field.generator()))
-        raise ParseError(f"unknown symbol {value!r} at position {pos}")
-    if kind == "(":
-        inner = _parse_sum(toks, field, var)
-        toks.expect(")")
-        return inner
-    if kind == "-":
-        return -_parse_atom(toks, field, var)
-    raise ParseError(f"unexpected token at position {pos}")
 
 
 def parse_poly(text: str, field) -> Poly:

@@ -12,7 +12,7 @@ from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
                             demazure_roots_enumerate, enumerate_coherent,
                             equivalence_probe, floor_condition_check,
                             toricity_check)
-from ghz.curves import A1, P1, ClosedPoint, insep_profile, point_validate
+from ghz.curves import A1, P1, ClosedPoint, point_validate
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, GeometryError, dot, lattice_box, vadd
 from ghz.polynomials import lambda_field, parse_poly
@@ -209,7 +209,7 @@ def _floor_condition_check_per_weight(theta, m_bound):
         for y in c.colored_points():
             if y == c.y0:
                 continue
-            eps = 1 if y.is_infinity else insep_profile(y).epsilon
+            eps = y.epsilon
             vy = rational(c.vertex(y), div.den)
             a, b = h_at(y, vec(m), vy), h_at(y, m2, vy)
             if b != 0 and floor(pu * eps * b) - floor(pu * eps * a) < 1:
@@ -452,7 +452,7 @@ def _vertex_conditions_reference(theta):
     for y in c.colored_points():
         if y == c.y0:
             continue
-        eps = 1 if y.is_infinity else insep_profile(y).epsilon
+        eps = y.epsilon
         vy = rational(c.vertex(y), div.den)
         rhs = 1 + eps * pu * dot(qe, vy)
         for v in vertices(y):

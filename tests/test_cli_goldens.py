@@ -33,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
 VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
-         "off-lattice-coloring", "outside-domain", "p1-finite-y-infinity",
+         "off-lattice-coloring", "outside-domain", "outside-domain-then-t",
+         "p1-finite-y-infinity",
          "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
          "p1-pieces", "refused-generator",
          "toric-fractional", "v0-not-vertex", "weight-cone-image",
@@ -46,7 +47,8 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
 # an invalid coloring as valid or failed internally, or that reach a path
 # no builtin example reaches (P1 pieces, negative and infinity coefficients
 # of D(m), a fractional part at a non-rational point, an element whose lift
-# is not a polynomial, a generator whose lift is not one, a generator search
+# is not a polynomial, also before one whose lift is, a generator whose lift
+# is not one, a generator search
 # that hits its weight bound, an operator that moves nothing, also at a box
 # with a weight whose kernel the closed form would misread, an operator over
 # P1 whose y_infinity is a finite point, an order that does not descend).
@@ -66,6 +68,7 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "weight-cone-image": [["verify", "--override"]],
               "off-lattice-coloring": [["verify", "--override"]],
               "outside-domain": [["apply", "--trust-irreducible"]],
+              "outside-domain-then-t": [["apply", "--trust-irreducible"]],
               "p1-finite-y-infinity": [["apply"], ["verify"]],
               "p1-no-coloring": [["colorings"], ["classify"]],
               "p1-no-y-infinity": [["colorings"], ["classify"]],

@@ -1,7 +1,7 @@
 import pytest
 
-from ghz.curves import (A1, P1, ClosedPoint, PointError, h0_generators,
-                        insep_profile, point_validate)
+from ghz.curves import (A1, P1, ClosedPoint, PointError, _insep_split,
+                        h0_generators, point_validate)
 from ghz.fields import PrimeField, Rationals
 from ghz.polynomials import Poly, lambda_field, parse_poly
 
@@ -23,8 +23,7 @@ def test_infinity_point():
     assert inf.is_infinity
     with pytest.raises(PointError):
         inf.rational_value()
-    with pytest.raises(PointError):
-        insep_profile(inf)
+    assert inf.epsilon == 1
 
 
 def test_point_validate_strict():
@@ -53,12 +52,10 @@ def test_point_validate_trusted_marker():
 def test_insep_profile():
     K = lambda_field(2)
     y = point_validate(parse_poly("t^2 + l", K), "trusted")
-    prof = insep_profile(y)
-    assert (prof.level, prof.epsilon, prof.s) == (1, 2, 1)
-    assert prof.q_tilde == parse_poly("t + l", K)
+    assert y.epsilon == 2
+    assert _insep_split(y.poly) == (1, 2, 1, parse_poly("t + l", K))
     y2 = point_validate(parse_poly("t + 1", F2), "strict")
-    prof2 = insep_profile(y2)
-    assert (prof2.level, prof2.epsilon) == (0, 1)
+    assert y2.epsilon == 1 and _insep_split(y2.poly)[:2] == (0, 1)
 
 
 def test_principal_divisor():

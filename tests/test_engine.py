@@ -205,8 +205,8 @@ def test_overridden_random_families_reach_a_verdict():
             late += rep.violations
     assert verdicts == {(True, True): 16, (False, False): 44}
     assert late == ["application failed on ((1)/(t))*chi^(2,): descent "
-                    "failure at order 9, weight (2,): descent failure: "
-                    "element is not a function of z^d"]
+                    "failure at order 9, weight (2,): element is not a "
+                    "function of z^d"]
 
 
 def test_ramified_char2():
@@ -455,7 +455,8 @@ def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     """FractionField.mul calls in one `verify --example w25-imperfect`.  The
     Hasse expansion multiplied by every binomial and power of S, 1 or not,
     and made 751 of 1,100; reduced mod p as ints, it makes none.  Dividing
-    by whole powers in times_factors leaves 320 calls (349 before).  Of
+    by whole powers in times_factors leaves 320 calls (349 before), and 319
+    once a point's epsilon no longer differentiates its separable part.  Of
     those, a factor 1 returns the other factor, so only 18 products of
     elements of F2(l) reach RatFunc.__mul__ (all 349 did)."""
     calls, products = [], []
@@ -474,7 +475,7 @@ def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     monkeypatch.setattr(RatFunc, "__mul__", counted_product)
     assert main(["verify", "--example", "w25-imperfect"]) == 0
     assert capsys.readouterr().out.startswith("verify: ok")
-    assert len(calls) == 320
+    assert len(calls) == 319
     assert len(products) == 18
 
 
@@ -551,24 +552,74 @@ def test_substitution_matches_series_oracle():
 
 def test_a_term_outside_the_domain_is_refused_with_its_witness():
     """1/t * chi^0 on w25-imperfect lifts to z^-5: the operator refuses it
-    at every truncation order rather than truncate an infinite series, and
-    its row of the image table holds the refusal, which verify_axioms
-    reports and verify_stability leaves to the axioms."""
+    at every truncation order rather than truncate an infinite series.  On
+    this coherent family too, the refusal is a failure at order 0 with its
+    witness, not a raise; its row of the image table holds it, which
+    verify_axioms reports and verify_stability leaves to the axioms."""
     sc = load_builtin("w25-imperfect")
     op = build_operator(sc.family)
+    assert op.coherent
     x = GradedElement.term(sc.field, (0,), RatFunc.x(sc.field, -1))
     witness = ("((1)/(t))*chi^(0,) is outside the operator's domain: its "
                "lift is not a polynomial")
-    for call in (lambda: op.apply(x), lambda: op.apply(x, 12),
-                 lambda: op.apply_term(x.terms[(0,)], (0,), 4)):
-        with pytest.raises(Refusal) as info:
-            call()
-        assert info.value.report.violations == [witness]
+    f = x.terms[(0,)]
+    assert op.descend_term(f, (0,)) == ({}, 0, (0, witness))
+    assert op.apply_term(f, (0,), 4) == ({}, 0, (0, witness))
+    for res in (op.apply(x), op.apply(x, 12)):
+        assert (res.orders, res.failure) == ({}, (0, witness))
+        assert res.failed_by(0) == witness
     table = image_table(op, [x])
-    assert table[x].report.violations == [witness]
+    assert table[x].failure == (0, witness)
     assert verify_axioms(op, table, 4).violations == [
         f"application failed on {x.to_str()}: {witness}"]
     assert verify_stability(sc.divisor, table).violations == []
+
+
+def test_an_element_keeps_the_witness_of_its_first_refused_term():
+    """(1/t)*chi^0 + (1/t)*chi^1 on w25-imperfect: both terms are outside
+    the domain, and the sum fails at order 0 with the witness of the term
+    it applies first, in either order of terms."""
+    sc = load_builtin("w25-imperfect")
+    op = build_operator(sc.family)
+    a, b = (GradedElement.term(sc.field, m, RatFunc.x(sc.field, -1))
+            for m in ((0,), (1,)))
+    for x, y in ((a, b), (b, a)):
+        res = op.apply(x + y)
+        assert res.orders == {} and res.failure == (0, (
+            f"((1)/(t))*chi^{x.weights()[0]} is outside the operator's "
+            "domain: its lift is not a polynomial"))
+
+
+def test_verify_reports_the_kernels_own_refusal(monkeypatch, capsys):
+    """The kernel descends f_m itself at a weight with no row in the image
+    table.  With a lift faulted, once the table is built, to put
+    f_2*chi^2 on w25-imperfect outside the domain, verify prints that
+    witness as a violation and the scan ends with no kernel note.  Where
+    the table holds the refused row, the kernel leaves the witness to the
+    axioms."""
+    sc = load_builtin("w25-imperfect")
+    f2 = expanded(sc.field, sc.divisor.generator((2,)))
+    witness = (f"({f2.to_str()})*chi^(2,) is outside the operator's domain: "
+               "its lift is not a polynomial")
+
+    def fault(op):
+        lift = op._lift
+        op._lift = lambda f, m: None if tuple(m) == (2,) else lift(f, m)
+        return op
+
+    kernel = engine.kernel_in_box
+    monkeypatch.setattr(engine, "kernel_in_box",
+                        lambda op, table, box: kernel(fault(op), table, box))
+    assert main(["verify", "--example", "w25-imperfect"]) == 1
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        "verify: FAILED", f"  violation: {witness}",
+        "  note: horizontal (order bound 20)"]
+    op = fault(build_operator(sc.family))
+    ker = kernel(op, {}, 10)
+    assert (ker.weights, ker.report.violations) == (None, [witness])
+    ker = kernel(op, image_table(op, [GradedElement.term(sc.field, (2,),
+                                                         f2)]), 10)
+    assert (ker.weights, ker.report.violations) == (None, [])
 
 
 def test_verify_override_refuses_a_generator_outside_the_domain(capsys):

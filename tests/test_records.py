@@ -7,7 +7,7 @@ import pytest
 from ghz import (AssociatedCones, CoherentFamily, Coloring, Report,
                  algebra_generators, associated_cones, candidate_colorings,
                  load_builtin)
-from ghz.curves import InsepProfile, ModuleDescription, insep_profile
+from ghz.curves import ModuleDescription
 from ghz.tvariety import AlgebraGenerator, PolyhedralDivisor
 
 
@@ -36,14 +36,13 @@ def test_frozen_records_compare_and_hash_by_fields_within_one_class(
         hash(theta)
     fields = ("c", (1,), (2,), (3,))
     assert hash(CoherentFamily(*fields)) == hash(CoherentFamily(*fields))
-    assert CoherentFamily(*fields) != InsepProfile(*fields)
+    assert CoherentFamily(*fields) != ModuleDescription(*fields)
 
-    y = next(y for y in scenario.divisor.support if y.epsilon > 1)
-    prof = insep_profile(y)
-    fields = (prof.level, prof.epsilon, prof.s, prof.q_tilde)
-    assert InsepProfile(*fields) == prof
-    assert hash(InsepProfile(*fields)) == hash(prof)
-    assert prof != CoherentFamily(*fields)
+    piece = scenario.divisor.graded_piece((1,))
+    fields = (piece.curve, piece.field, piece.generator, piece.degree_bound)
+    assert ModuleDescription(*fields) == piece
+    assert hash(ModuleDescription(*fields)) == hash(piece)
+    assert piece != CoherentFamily(*fields)
 
     gens, _ = algebra_generators(scenario.divisor, 2)
 
@@ -60,15 +59,14 @@ def test_frozen_records_compare_and_hash_by_fields_within_one_class(
 def test_frozen_record_fields_are_read_only(scenario):
     theta = scenario.family
     piece = scenario.divisor.graded_piece((1,))
-    y = next(iter(scenario.divisor.support))
     records = [(theta.coloring, "y0"),
                (associated_cones(theta.coloring), "d"),
-               (theta, "e"), (insep_profile(y), "level"),
+               (theta, "e"), (piece, "generator"),
                (piece, "degree_bound"),
                (algebra_generators(scenario.divisor, 2)[0][0], "weight")]
     assert {type(r) for r, _ in records} == {
-        Coloring, AssociatedCones, CoherentFamily, InsepProfile,
-        ModuleDescription, AlgebraGenerator}
+        Coloring, AssociatedCones, CoherentFamily, ModuleDescription,
+        AlgebraGenerator}
     for record, name in records:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
