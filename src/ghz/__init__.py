@@ -11,7 +11,7 @@ from .curves import A1, P1, ClosedPoint, point_validate
 from .engine import (ApplicationResult, DthetaOperator, GradedElement,
                      ToricRootOperator, build_operator, image_table,
                      kernel_in_box, toric_root_operator, verify,
-                     verify_axioms, verify_stability, verify_toric_axioms)
+                     verify_axioms, verify_stability)
 from .fields import PrimeField, Rationals
 from .geometry import Cone, Polyhedron
 from .polynomials import FractionField, Poly, RatFunc, lambda_field

@@ -55,6 +55,13 @@ class Coloring(Record):
                                     for y in self.colored_points()))))
 
 
+def y0_check(c: Coloring, rep: Report):
+    """Condition (ii) at y0: fail ``rep`` unless y0 is a finite rational
+    point."""
+    if c.y0.is_infinity or not c.y0.is_rational:
+        rep.fail("(ii): y0 must be a finite rational point")
+
+
 def lattice_check(c: Coloring, y: ClosedPoint, rep: Report):
     """Condition (ii) away from y0: fail ``rep`` if the vertex colored at y
     is not a lattice point."""
@@ -81,8 +88,8 @@ def coloring_validate(c: Coloring) -> Report:
         if not c.y_infinity.is_rational:
             rep.fail("(i): the marked point at infinity is not rational")
             return rep
-    if c.y0.is_infinity or not c.y0.is_rational:
-        rep.fail("(ii): y0 must be a finite rational point")
+    y0_check(c, rep)
+    if not rep.ok:
         return rep
     if c.y0 == c.y_infinity:
         rep.fail("(ii): y0 must lie in the complement of the marked point")

@@ -25,7 +25,7 @@ from .classifier import (candidate_colorings, coherent_validate,
                          ClassifierError)
 from .curves import A1, P1, PointError
 from .engine import (EngineError, GradedElement, Refusal, build_operator,
-                     toric_root_operator, verify, verify_toric_axioms)
+                     toric_root_operator, verify)
 from .fields import FieldError
 from .geometry import GeometryError, fmt_ratio, fmt_vec
 from .polynomials import RatFunc, fmt_factors, times_factors
@@ -204,13 +204,9 @@ def _run(rep, sc, command, args):
         if div.rank == 1:
             rep.merge(toricity_check(div))
         if root is not None:
-            sigma0 = div.tail
-            top = toric_root_operator(sigma0, root, sc.field)
+            top = toric_root_operator(div.tail, root, sc.field)
             rep.note(f"root {tuple(top.e)} with distinguished generator "
                      f"{top.mu}")
-            rep.merge(verify_toric_axioms(top, sigma0,
-                                           sc.bounds["weight_box"],
-                                           sc.bounds["max_order"]))
         elif div.rank != 1:
             rep.fail("toric-check needs a rank-1 divisor or a root")
     else:

@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
 VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
-         "off-lattice-coloring", "outside-domain", "outside-domain-then-t",
+         "irrational-y0", "off-lattice-coloring", "outside-domain", "outside-domain-then-t",
          "p1-finite-y-infinity",
          "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
          "p1-pieces", "refused-generator",
@@ -51,7 +51,8 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
 # is not one, a generator search
 # that hits its weight bound, an operator that moves nothing, also at a box
 # with a weight whose kernel the closed form would misread, an operator over
-# P1 whose y_infinity is a finite point, an order that does not descend).
+# P1 whose y_infinity is a finite point, an order that does not descend, a
+# y0 that is not a rational point).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
               "family-root-length": [["toric-check"]],
@@ -66,6 +67,8 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
                                   ["apply", "--override"]],
               "a1-y-infinity": [["roots"], ["colorings"], ["classify"]],
               "weight-cone-image": [["verify", "--override"]],
+              "irrational-y0": [["coherent"], ["apply", "--override"],
+                                ["verify", "--override"]],
               "off-lattice-coloring": [["verify", "--override"]],
               "outside-domain": [["apply", "--trust-irreducible"]],
               "outside-domain-then-t": [["apply", "--trust-irreducible"]],

@@ -27,9 +27,9 @@ from ghz.scenarios import (builtin_examples, load_builtin, parse_scenario,
                            serialize_scenario)
 from ghz.tvariety import algebra_generators
 
-from helpers import (expanded, generator_elements, int_poly, orthant,
-                     rational_divisor, reference_verify_axioms,
-                     times_by_expansion)
+from helpers import (expanded, generator_elements, graded_product, int_poly,
+                     orthant, rational_divisor, reference_verify_axioms,
+                     times_by_expansion, vanishing_bound)
 
 Q = Rationals()
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -66,7 +66,7 @@ def test_graded_element_algebra():
     K = PrimeField(3)
     a = GradedElement.term(K, (1,), RatFunc.x(K, 1))
     b = GradedElement.term(K, (2,), RatFunc.one(K))
-    prod = a * b
+    prod = graded_product(a, b)
     assert prod.weights() == [(3,)]
     assert (a + a + a).weights() == []  # 3 = 0 in F_3
     assert (a - a).weights() == []
@@ -243,8 +243,8 @@ def test_apply_stops_at_the_least_failing_order_of_its_terms():
         top = fail_at[tuple(m)]
         if max_order < top:
             return apply_term(f, m, max_order)
-        images, bound, _ = apply_term(f, m, top - 1)
-        return images, bound, (top, f"descent failure at order {top}, {m}")
+        images, _ = apply_term(f, m, top - 1)
+        return images, (top, f"descent failure at order {top}, {m}")
 
     op.apply_term = faulted
     for y in (t + x, x + t):
@@ -256,24 +256,40 @@ def test_apply_stops_at_the_least_failing_order_of_its_terms():
 def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
     """On char2-ramified the lift of chi^(0,1) has nilpotency bound 2; an
     image at order 8, inside the truncation order, breaks the vanishing
-    axiom."""
+    axiom of the reference.  The bound holds by construction, so
+    verify_axioms reads only the row's failure."""
     sc = load_builtin("char2-ramified")
     op = build_operator(sc.family)
     x = GradedElement.term(sc.field, (0, 1), RatFunc.one(sc.field))
-    assert op.apply(x, 8).bound == 2
-    assert verify_axioms(op, image_table(op, [x]), 8).ok
+    assert vanishing_bound(op, x) == 2
+    assert reference_verify_axioms(op, [x], 8).ok
     apply_term = DthetaOperator.apply_term
 
     def late_image(self, f, m, max_order=None):
-        out, bound, failure = apply_term(self, f, m, max_order)
+        out, failure = apply_term(self, f, m, max_order)
         if tuple(m) == (0, 1):
             out[8] = ((8, 1), RatFunc.one(self.field))
-        return out, bound, failure
+        return out, failure
 
     monkeypatch.setattr(DthetaOperator, "apply_term", late_image)
-    rep = verify_axioms(op, image_table(op, [x]), 8)
-    assert "nonzero image beyond the vanishing bound on (1)*chi^(0, 1)" \
-        in rep.violations
+    rep = reference_verify_axioms(op, [x], 8)
+    assert rep.violations == [
+        "nonzero image beyond the vanishing bound on (1)*chi^(0, 1)"]
+    assert verify_axioms(op, image_table(op, [x]), 8).ok
+
+
+def test_vanishing_bound_is_the_degree_of_the_step():
+    """Under override s need not increase.  On char2-ramified with
+    s = (1, 0) the step is T^2 + T, and t lifts to z^2, which moves up to
+    order 4: the nilpotency exponent is the largest p^{s_j}, 2, not
+    p^{s_last} = 1, so the bound holds and the reference finds no
+    violation."""
+    F2 = PrimeField(2)
+    D, op = ramified_operator(F2, (1, 0), override=True, lam=(F2.one(),) * 2)
+    t = GradedElement.term(F2, (0, 0), RatFunc.x(F2, 1))
+    assert op.nilpotency_exponent() == 2
+    assert max(op.apply(t).orders) == 4 == vanishing_bound(op, t)
+    assert reference_verify_axioms(op, [t], 8).ok
 
 
 def test_axioms_do_not_depend_on_written_form():
@@ -298,11 +314,11 @@ def _box_elements(div, n=4):
 
 
 def _faulty(op, fault, elems, full, top=3):
-    """Break op so that a failure path of the axioms runs.  "raise": an
+    """Break op so that a rule of the reference fails.  "raise": an
     application truncated at an order from ``top`` to ``full - 1`` stops at
     a failing order ``top``, as a descent failure at ``top`` would; the
-    image table applies the test set untruncated and the axioms apply its
-    products at ``full``, so only the iterates fail.  "step": the step
+    reference applies the test set and its products at ``full``, so only
+    the iterates fail.  "step": the step
     sum lambda_j T^(p^s_j) gets exponents 2 p^s_j (3 * 2^s_j over F2), so it
     is no longer additive and iterativity fails.  "swap": the order-``top``
     image of every element outside ``elems`` is the element itself, so the
@@ -323,6 +339,7 @@ def _faulty(op, fault, elems, full, top=3):
     if fault == "step":
         op.exponents = tuple((3 if op.p == 2 else 2) * e
                              for e in op.exponents)
+        op.step = Poly(op.field, dict(zip(op.exponents, op.theta.lam)))
     return op
 
 
@@ -343,13 +360,15 @@ def _raising(op):
 
 
 def test_verify_axioms_matches_the_reference():
-    """The whole report (violations in order, and notes) equals the rules'
-    letter in ``reference_verify_axioms``, given an operator that raises at
-    a failing order: on the builtins with a family, the overridden families
-    of the scenario files, seeded random A1 families over Q, F2 and F3 at
-    ranks 1 and 2 and orders 8 and 12, and the same families broken by
-    ``_faulty``."""
-    cases = []
+    """The axioms hold by construction wherever the rows descend (see
+    ``verify_axioms``): the rules' letter in ``reference_verify_axioms``,
+    given an operator that raises at a failing order, reports only failed
+    applications, and the same report as verify_axioms.  The cases: the
+    builtins with a family, the overridden families of the scenario files,
+    and seeded random A1 families over Q, F2 and F3 at ranks 1 and 2 and
+    orders 8 and 12.  The same random families broken by ``_faulty`` show
+    that the reference catches the violation of each rule."""
+    cases, faulted = [], []
     for name in builtin_examples():
         sc = load_builtin(name)
         if sc.family is not None:  # toric-demo has none
@@ -379,32 +398,41 @@ def test_verify_axioms_matches_the_reference():
                     elems = _box_elements(theta.coloring.divisor)
                     cases.append((op, elems, order))
                     for fault in ("raise", "step", "swap"):
-                        cases.append((_faulty(build_operator(
+                        faulted.append((fault, _faulty(build_operator(
                             theta, override=True), fault, elems, order),
                             elems, order))
                     found += 1
-    kinds = Counter()
+    assert (len(cases), len(faulted)) == (5 + 12 * 2, 12 * 2 * 3)
+
+    def kind(violation):
+        return violation.split(" on ")[0].split(" at ")[0]
+
+    failed = 0
     for op, elems, order in cases:
         got = verify_axioms(op, image_table(op, elems), order)
         assert got == reference_verify_axioms(_raising(op), elems, order)
-        kinds.update(v.split(" on ")[0].split(" at ")[0]
-                     for v in got.violations)
-    assert len(cases) == 5 + 12 * 2 * 4
-    # an iterate fails only where its one application at max_order - b
-    # stopped at or below order a.  Only the "raise" fault gets there: the
-    # step is additive, so order a of rx[b]'s images is C(a + b, a) times
-    # order a + b of x's, which x's application descended
-    assert set(kinds) == {"application failed", "iterate failed",
-                          "iteration rule fails", "product rule fails"}
+        assert {kind(v) for v in got.violations} <= {"application failed"}
+        failed += len(got.violations)
+    kinds = {fault: Counter() for fault in ("raise", "step", "swap")}
+    for fault, op, elems, order in faulted:
+        kinds[fault].update(map(kind, reference_verify_axioms(
+            _raising(op), elems, order).violations))
+    assert failed == 18
+    # the faults keep the rows' descent failures, and each breaks its rule:
+    # a failing iterate, a step that is not additive, a wrong product
+    assert {fault: set(c) - {"application failed"}
+            for fault, c in kinds.items()} == {
+        "raise": {"iterate failed"}, "step": {"iteration rule fails"},
+        "swap": {"product rule fails", "iteration rule fails"}}
+    assert all(c["application failed"] == failed for c in kinds.values())
 
 
 def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
     """Lifts of one `ghz verify`, by step.  The image table applies each
-    generator once.  The axioms apply each product of a pair once, and each
-    nonzero image at an order b below max_order once.  The kernel descends
-    f_m's lift once per weight of the box, except where f_m*chi^m is a
-    generator, whose row it reads, and applies nothing.  Stability applies
-    nothing.  Before the table, w25-imperfect made 43 applications,
+    generator once.  The axioms and stability read the rows and apply
+    nothing.  The kernel descends f_m's lift once per weight of the
+    box, except where f_m*chi^m is a generator, whose row it reads, and
+    applies nothing.  Before the table, w25-imperfect made 43 applications,
     char2-ramified 54, and char2-ramified at weight box 6 78: stability
     applied every generator again, horizontality t, and the kernel each
     generator f_m*chi^m."""
@@ -436,19 +464,17 @@ def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
     data["bounds"]["weight_box"] = 6
     box6 = tmp_path / "char2-ramified-box6.json"
     box6.write_text(json.dumps(data), encoding="utf-8")
-    for argv, want in (
-            (["--example", "w25-imperfect"], (4, 13, 18)),
-            (["--example", "char2-ramified"], (5, 18, 21)),
-            (["--scenario", str(box6)], (5, 18, 45))):
+    for argv, table, kernel in (
+            (["--example", "w25-imperfect"], 4, 18),
+            (["--example", "char2-ramified"], 5, 21),
+            (["--scenario", str(box6)], 5, 45)):
         calls.clear()
         applied.clear()
         assert main(["verify", *argv]) == 0
         assert capsys.readouterr().out.startswith("verify: ok")
-        assert dict(calls) == dict(zip(("image_table", "verify_axioms",
-                                        "kernel_in_box"), want)), argv
-        assert "kernel_in_box" not in applied
-        assert dict(applied) == dict(zip(("image_table", "verify_axioms"),
-                                         want)), argv
+        assert dict(calls) == {"image_table": table,
+                               "kernel_in_box": kernel}, argv
+        assert dict(applied) == {"image_table": table}, argv
 
 
 def test_verify_lambda_field_multiplications(monkeypatch, capsys):
@@ -456,9 +482,10 @@ def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     Hasse expansion multiplied by every binomial and power of S, 1 or not,
     and made 751 of 1,100; reduced mod p as ints, it makes none.  Dividing
     by whole powers in times_factors leaves 320 calls (349 before), and 319
-    once a point's epsilon no longer differentiates its separable part.  Of
-    those, a factor 1 returns the other factor, so only 18 products of
-    elements of F2(l) reach RatFunc.__mul__ (all 349 did)."""
+    once a point's epsilon no longer differentiates its separable part.  The
+    axioms then stopped applying products and iterates, which leaves 136.
+    Of those, a factor 1 returns the other factor, so only 16 products of
+    elements of F2(l) reach RatFunc.__mul__ (all 349 did; 18 of 319)."""
     calls, products = [], []
     mul, ratfunc_mul = FractionField.mul, RatFunc.__mul__
 
@@ -475,8 +502,8 @@ def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     monkeypatch.setattr(RatFunc, "__mul__", counted_product)
     assert main(["verify", "--example", "w25-imperfect"]) == 0
     assert capsys.readouterr().out.startswith("verify: ok")
-    assert len(calls) == 319
-    assert len(products) == 18
+    assert len(calls) == 136
+    assert len(products) == 16
 
 
 def _series_oracle(op, h, order):
@@ -533,8 +560,7 @@ def test_substitution_matches_series_oracle():
             oracle = _series_oracle(op, h, bound + 2)
             assert max(oracle) <= bound
             for top in range(bound + 2):
-                images, got_bound, failure = op.apply_term(f, m, top)
-                assert got_bound == bound
+                images, failure = op.apply_term(f, m, top)
                 if failure:
                     # an incoherent family: order top is no function of
                     # z^d, so every deeper truncation fails there too
@@ -563,8 +589,8 @@ def test_a_term_outside_the_domain_is_refused_with_its_witness():
     witness = ("((1)/(t))*chi^(0,) is outside the operator's domain: its "
                "lift is not a polynomial")
     f = x.terms[(0,)]
-    assert op.descend_term(f, (0,)) == ({}, 0, (0, witness))
-    assert op.apply_term(f, (0,), 4) == ({}, 0, (0, witness))
+    assert op.descend_term(f, (0,)) == ({}, (0, witness))
+    assert op.apply_term(f, (0,), 4) == ({}, (0, witness))
     for res in (op.apply(x), op.apply(x, 12)):
         assert (res.orders, res.failure) == ({}, (0, witness))
         assert res.failed_by(0) == witness
@@ -588,6 +614,30 @@ def test_an_element_keeps_the_witness_of_its_first_refused_term():
         assert res.orders == {} and res.failure == (0, (
             f"((1)/(t))*chi^{x.weights()[0]} is outside the operator's "
             "domain: its lift is not a polynomial"))
+
+
+def test_apply_stops_at_a_term_outside_the_domain(monkeypatch):
+    """(1/t)*chi^0 + t*chi^5 + chi^1 on w25-imperfect: the first term fails
+    at order 0, which decides the row, so the later terms are neither
+    lifted nor applied."""
+    sc = load_builtin("w25-imperfect")
+    op = build_operator(sc.family)
+    k, t = sc.field, RatFunc.x(sc.field, 1)
+    first = GradedElement.term(k, (0,), RatFunc.x(k, -1))
+    x = first + GradedElement.term(k, (5,), t) \
+        + GradedElement.term(k, (1,), RatFunc.one(k))
+    want = op.apply(first).failure
+    lifts = []
+    lift = DthetaOperator._lift
+
+    def counted(self, f, m):
+        lifts.append(m)
+        return lift(self, f, m)
+
+    monkeypatch.setattr(DthetaOperator, "_lift", counted)
+    res = op.apply(x)
+    assert lifts == [(0,)]
+    assert (res.orders, res.failure) == ({}, want) and want[0] == 0
 
 
 def test_verify_reports_the_kernels_own_refusal(monkeypatch, capsys):
@@ -986,7 +1036,7 @@ def test_kernel_of_overridden_incoherent_families():
     # as for e = (1,)
     D, theta = incoherent_family(e=(-2,))
     op = build_operator(theta, override=True)
-    orders, _, failure = op.descend_term(RatFunc.one(D.field), (1,))
+    orders, failure = op.descend_term(RatFunc.one(D.field), (1,))
     assert list(orders) == [0] and failure[0] == 4
     assert _kernel_summary(kernel_in_box(op, {}, 10)) == _kernel_summary(ker)
     assert ker.weights == [(0,), (5,), (10,)] and ker.report.ok

@@ -2,7 +2,8 @@
 nor reads a step of ``engine.verify``, so only the engine knows the rows of
 the image table and how each step reads them.  Inside the engine every
 failed application is a row's data, a descent failure and an element
-outside the domain alike: no ``except`` clause names an engine error."""
+outside the domain alike: no ``except`` clause names an engine error.  The
+axioms and stability read the rows only: they apply nothing."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,34 @@ def test_scan_sees_imports_names_and_attributes():
     assert step_uses(source) == [(1, "verify_axioms"), (3, "apply_term"),
                                  (4, "kernel_in_box"),
                                  (5, "verify_stability")]
+
+
+APPLICATIONS = {"apply", "apply_term", "descend_term", "_lift"}
+
+
+def names_read(source, function):
+    """Every name that the top-level ``function`` reads, as a name or as an
+    attribute, so an alias of a method counts as well as a call."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_axioms_and_stability_apply_nothing():
+    source = ENGINE.read_text(encoding="utf-8")
+    for function in ("verify_axioms", "verify_stability"):
+        assert names_read(source, function) & APPLICATIONS == set(), function
+
+
+def test_name_scan_sees_calls_and_aliases():
+    source = ("def f(op, x):\n    op.apply(x)\n    lift = op._lift\n"
+              "    descend_term(x)\n"
+              "def g(op):\n    op.apply_term(1, 2)\n")
+    assert names_read(source, "f") & APPLICATIONS == {
+        "apply", "_lift", "descend_term"}
+    assert names_read(source, "g") & APPLICATIONS == {"apply_term"}
 
 
 def engine_error_handlers(source):
