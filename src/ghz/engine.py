@@ -3,11 +3,17 @@ expansion in a cyclic-cover variable, descent back to k(t) by regrouping, and
 verification on one image table of the algebra generators.  The operator
 axioms hold by construction wherever a row descends (see ``verify_axioms``),
 so verification reports failed rows, stability, horizontality and, over A1,
-the kernel in a weight box.  The monomial operator of a toric root is built
-here too; its axioms are binomial identities."""
+the kernel in a weight box.  The kernel is read on the divisor's integers
+(see ``kernel_in_box``): the lift of f_m*chi^m is a product of coprime
+polynomials to the exponents e_y(m) = <m, v_y> - floor(h_y(m)), so f_m is in
+the domain when every e_y(m) >= 0 and spans the kernel piece at m exactly
+when every e_y(m) = 0; the first holds on the whole weight cone exactly when
+every colored vertex v_y lies in its D_y.  The monomial operator of a toric
+root is built here too; its axioms are binomial identities."""
 
 from __future__ import annotations
 
+from itertools import chain, count
 from math import inf
 
 from .binomials import binom_in_field
@@ -15,7 +21,7 @@ from .classifier import (CoherentFamily, coherent_validate, cover_degree,
                          demazure_root_check, lattice_check, y0_check)
 from .curves import A1, P1, ClosedPoint
 from .fields import FieldError
-from .geometry import Cone, dot, in_lattice, lattice_basis, lattice_box
+from .geometry import Cone, dot, lattice_basis, lattice_box
 from .polynomials import (Poly, RatFunc, descend_power, hasse_expand,
                           times_factors)
 from .reports import Report
@@ -67,12 +73,6 @@ class GradedElement:
             out[w] = out[w] + f if w in out else f
         return GradedElement(self.field, out)
 
-    def __neg__(self):
-        return GradedElement(self.field, {w: -f for w, f in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         return isinstance(other, GradedElement) and self.terms == other.terms
 
@@ -85,6 +85,12 @@ class GradedElement:
 
     def __repr__(self):
         return f"GradedElement({self.to_str()})"
+
+
+def outside_domain(f: RatFunc, m) -> str:
+    """The witness of a term f*chi^m whose lift is not a polynomial."""
+    return (f"({f.to_str()})*chi^{tuple(m)} is outside the operator's domain: "
+            f"its lift is not a polynomial")
 
 
 class ApplicationResult:
@@ -120,8 +126,11 @@ class DthetaOperator:
         self.y0_value = c.y0.rational_value()
         self.e = tuple(theta.e)
         self.exponents = tuple(self.p ** s for s in theta.s)
-        # the step S = sum lambda_j T^(p^s_j) of the Hasse expansion
-        self.step = Poly(self.field, dict(zip(self.exponents, theta.lam)))
+        # the step S = sum lambda_j T^(p^s_j) of the Hasse expansion; under
+        # override an exponent may repeat, and its lambdas add up
+        self.step = sum((Poly(self.field, {q: lam}) for q, lam
+                         in zip(self.exponents, theta.lam)),
+                        Poly.zero(self.field))
         # points contributing to the xi factor: colored, finite, not y0
         self.xi_points = [
             (y, c.vertex(y)) for y in c.colored_points()
@@ -131,9 +140,10 @@ class DthetaOperator:
         self.coherent = True  # build_operator's verdict on theta
 
     def nilpotency_exponent(self) -> int:
-        """The T-degree of the step S: p^{s_last}, or the largest p^{s_j}
-        under override, where s need not increase."""
-        return max(self.exponents)
+        """The T-degree of the step S: p^{s_last}, or under override, where s
+        need not increase and an exponent may repeat, the largest p^{s_j}
+        whose lambdas do not cancel."""
+        return self.step.degree
 
     def xi(self, m) -> list:
         """xi_m = prod q_y^{-<m, v_y>} over colored points away from y0, as
@@ -162,17 +172,17 @@ class DthetaOperator:
         h = h.times_x(dot(m, self.dv0))
         return h.num if h.is_poly() else None
 
-    def descend_term(self, f: RatFunc, m, max_order=inf):
-        """The nonzero orders up to ``max_order`` of f*chi^m's images before
-        the factor xi_w, {order: (weight, coeff / xi_w)}, and the first
-        failing order as (order, witness) or None: the lift H expands as
-        H(z + sum lambda_j T^{p^{s_j}}) by Hasse derivatives.  A term outside
-        the domain fails at order 0; an order that does not descend to k(t)
+    def apply_term(self, f: RatFunc, m, max_order=inf):
+        """The nonzero orders up to ``max_order`` of f*chi^m's images,
+        {order: (weight, coeff)}, and the first failing order as
+        (order, witness) or None: the lift H expands as
+        H(z + sum lambda_j T^{p^{s_j}}) by Hasse derivatives, and each
+        order, descended to k(t), is multiplied by xi_w.  A term outside the
+        domain fails at order 0; an order that does not descend to k(t)
         raises on a coherent family."""
         h = self._lift(f, m)
         if h is None:
-            return {}, (0, f"({f.to_str()})*chi^{tuple(m)} is outside the "
-                           f"operator's domain: its lift is not a polynomial")
+            return {}, (0, outside_domain(f, m))
         series = hasse_expand(h, self.step, max_order + 1)
         out = {}
         for i, c_i in sorted(series.items()):
@@ -186,15 +196,9 @@ class DthetaOperator:
                     raise EngineError(witness)
                 return out, (i, witness)
             if not descended.is_zero():
-                out[i] = (w, descended)
+                out[i] = (w, times_factors(descended, self.xi(w),
+                                           self.xi_powers))
         return out, None
-
-    def apply_term(self, f: RatFunc, m, max_order=inf):
-        """``descend_term`` with each order's coefficient times xi_w != 0:
-        {order: (weight, coeff)} and the failure."""
-        out, failure = self.descend_term(f, m, max_order)
-        return {i: (w, times_factors(c, self.xi(w), self.xi_powers))
-                for i, (w, c) in out.items()}, failure
 
     def apply(self, x: GradedElement, max_order=inf) -> ApplicationResult:
         """x's images up to ``max_order``, below its terms' least failure
@@ -256,8 +260,8 @@ def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
             rep.fail(f"application failed on {x.to_str()}: {res.failure[1]}")
     rep.merge(verify_stability(op.divisor, table))
     t_row = table[elems[0]]  # t's lift z^d + y0 is in the domain
-    # it has the coefficient lambda_last^d at order d p^{s_last}, so t moves
-    # unless lambda_last = 0 (only under override); a failing order moves it
+    # it moves exactly when S != 0 (see kernel_in_box), which the kernel's
+    # closed form needs; a failing order moves it
     horizontal = t_row.failure is not None or max(t_row.orders) > 0
     if horizontal:
         rep.note(f"horizontal (order bound "
@@ -344,70 +348,70 @@ class KernelReport:
 
 def kernel_in_box(op: DthetaOperator, table: dict,
                   box_bound: int) -> KernelReport:
-    """Kernel pieces of all positive-order operators on a weight box, in
-    closed form.
+    """Kernel pieces of all positive-order operators on a weight box, read
+    on the divisor's integers.
 
-    f*chi^m is in the kernel exactly when its lift h satisfies
-    h(z + S) = h(z).  A polynomial h of degree n > 0 has the nonzero
-    T^{n p^{s_last}} coefficient a_n lambda_last^n, so the piece at m is
-    zero or spanned by phi_m = xi_m * (t - y0)^{-<m,v0>}, with <m,v0>
-    integral.  The lift of f_m is 1/g(z^d + y0) with g = phi_m / f_m,
-    outside the domain unless it is a polynomial; so the piece meets
-    f_m * k[t] only in multiples of f_m, and m is a kernel weight exactly
-    when g is a nonzero constant.  Its row in the image table, or else
-    every order of f_m's lift descended without forming xi_w * c, checks
-    this: its positive orders vanish exactly then, and a failing order is
-    nonzero.  An f_m outside the domain ends the scan with no weights, and
-    with its witness unless its row holds it (the axioms report that).
+    At every colored point y write v_y for its vertex (0 where none is
+    colored), h_y(m) = min <m, D_y> and e_y(m) = <m, v_y> - floor(h_y(m)).
+    f_m = prod_y q_y^{-floor h_y(m)}, xi_m = prod_{y != y0} q_y^{-<m, v_y>}
+    and q_{y0}(z^d + y0) = z^d, so the lift of f_m*chi^m is
+        prod_{y != y0} q_y(z^d + y0)^{e_y(m)} * z^{d e_{y0}(m)},
+    a product of pairwise coprime polynomials of positive degree:
+    - f_m*chi^m is in the operator's domain exactly when every e_y(m) >= 0;
+    - the piece at m is f_m*k[t], and the lift of f_m*P(t) is f_m's lift
+      times P(z^d + y0).  For S != 0 of T-degree n, a polynomial H of degree
+      D > 0 moves: the T^{nD} coefficient of H(z + S) is H's leading
+      coefficient times S's to the D.  So m is a kernel weight, with its
+      piece spanned by f_m, exactly when every e_y(m) = 0, <m, v0> integral
+      included.  ``verify`` runs the kernel only when t moves, so S != 0.
 
-    The kernel weights must have integral evaluations and be a sublattice
-    trace intersected with a cone: the semigroup-algebra shape of the
-    kernel of a horizontal operator (Liendo, Transform. Groups 15 (2010),
-    in characteristic 0).
+    Every e_y >= 0 on the whole weight cone exactly when each v_y lies in
+    its D_y.  If it does, floor(h_y) <= h_y <= <m, v_y>.  If it does not, a
+    generator g of a cone of D_y's normal fan, u that cone's vertex, has
+    <g, v_y - u> < 0, and e_y(k g) < k <g, v_y - u> + 1 < 0 for k large.
+    - When every vertex lies in its D_y, the kernel weights are the box
+      points of omega meet L, omega = {m : every v_y minimizes m on D_y}
+      and L = {m : <m, v0> in Z}, a cone and a lattice: the semigroup-algebra
+      shape of Liendo (Transform. Groups 15 (2010)).  Their evaluations
+      h_y(m) = <m, v_y> are integers, and every box point of the cone and
+      the lattice that the box weights span lies in omega meet L: neither
+      shape can fail, so neither is checked.
+    - Otherwise the kernel stops with no weights: at the first box weight
+      whose f_m is outside the domain, else at the least k g past the box,
+      so the verdict does not depend on the box.  Its witness is left to
+      the axioms when the table holds that row.
     """
-    div = op.divisor  # over P1, div.generator raises: there is no f_m
-    rep = Report("kernel structure")
+    div, den = op.divisor, op.den  # over P1, div.generator raises
+    points = [(y, op.coloring.vertex(y)) for y in op.coloring.colored_points()]
+
+    def exponents(m):
+        """den * e_y(m) at every colored point y."""
+        evaluation = div.eval(m)
+        return [dot(m, v) - evaluation.get(y, 0) // den * den
+                for y, v in points]
+
+    def generator(m):
+        return times_factors(RatFunc.one(div.field), div.generator(m),
+                             op.xi_powers)
+
     dual = div.tail.dual()
-    weights, spans = [], {}
-    for m in lattice_box(div.rank, box_bound):
-        if not dual.contains(m):
-            continue
-        fm = times_factors(RatFunc.one(div.field), div.generator(m),
-                           op.xi_powers)
-        row = table.get(GradedElement.term(div.field, m, fm))
-        orders, failure = op.descend_term(fm, m) if row is None \
-            else (row.orders, row.failure)
-        if failure and not failure[0]:
-            stop = Report("kernel structure")
-            if row is None:
-                stop.fail(failure[1])
-            return KernelReport(stop, None, {}, [])
-        a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
-        fixed = False
-        if not r:
-            phi = op.xi(m) + [(op.coloring.y0.poly, -a)]
-            g = times_factors(RatFunc(fm.den, fm.num, reduce=False), phi,
-                              op.xi_powers)
-            fixed = g.is_poly() and g.num.is_constant()
-        if fixed == (failure is not None or max(orders) > 0):
-            raise EngineError(f"closed-form kernel at {m} disagrees with the "
-                              f"operator's images of the module generator")
-        if fixed:
-            weights.append(m)
-            spans[m] = fm
-            if any(a % div.den for a in div.eval(m).values()):
-                rep.fail(f"kernel weight {m} has a non-integral evaluation")
-    basis = lattice_basis(weights, div.rank) if weights else []
-    cone = Cone.from_generators(weights, div.rank) if weights \
-        else Cone.zero(div.rank)
-    # semigroup shape: every box point of the lattice inside the cone must
-    # be a kernel weight
-    for m in lattice_box(div.rank, box_bound):
-        if not dual.contains(m) or not cone.contains(m):
-            continue
-        if in_lattice(m, basis) and m not in weights:
-            rep.fail(f"lattice point {m} in the cone is not a kernel weight")
-    return KernelReport(rep, weights, spans, basis)
+    box = [m for m in lattice_box(div.rank, box_bound) if dual.contains(m)]
+    outside = next((g for y, v in points
+                    for u, cone in div.polyhedron_at(y).normal_fan()
+                    for g in cone.generators() if dot(g, v) < dot(g, u)),
+                   None)
+    if outside is not None:
+        m = next(m for m in chain(box, (tuple(k * a for a in outside)
+                                        for k in count(1)))
+                 if min(exponents(m)) < 0)
+        fm, stop = generator(m), Report("kernel structure")
+        if GradedElement.term(div.field, m, fm) not in table:
+            stop.fail(outside_domain(fm, m))
+        return KernelReport(stop, None, {}, [])
+    weights = [m for m in box if not any(exponents(m))]
+    return KernelReport(Report("kernel structure"), weights,
+                        {m: generator(m) for m in weights},
+                        lattice_basis(weights, div.rank))
 
 
 # -- toric monomial operator ------------------------------------------------

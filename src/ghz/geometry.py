@@ -364,18 +364,6 @@ def lattice_basis(vectors, n):
     return basis
 
 
-def in_lattice(v, basis):
-    """Is the integer vector in the subgroup with the triangular basis?"""
-    v = [int(x) for x in v]
-    for b in basis:
-        piv = next(i for i, x in enumerate(b) if x)
-        q, r = divmod(v[piv], b[piv])
-        if r:
-            return False
-        v = [x - q * y for x, y in zip(v, b)]
-    return not any(v)
-
-
 def lattice_box(n, bound):
     """All integer points with coordinates in [-bound, bound], the first
     coordinate varying fastest."""

@@ -60,9 +60,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return self.degree <= 0
-
     def leading(self):
         if not self.coeffs:
             return self.field.zero()
@@ -720,8 +717,6 @@ def parse_poly(text: str, field) -> Poly:
 
 
 def parse_scalar(text: str, field):
-    """Parse a field element string such as ``1``, ``-2/3`` or ``l+1``."""
-    rf = parse_rational(text, field, var=None)
-    if rf.num.degree > 0 or rf.den.degree > 0:
-        raise ParseError("expected a scalar")
-    return rf.num.constant()
+    """Parse a field element string such as ``1``, ``-2/3`` or ``l+1``.
+    With no variable every atom is a constant, and so is the value."""
+    return parse_rational(text, field, var=None).num.constant()

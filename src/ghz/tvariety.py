@@ -97,7 +97,7 @@ class PolyhedralDivisor:
 
     def graded_piece(self, m) -> ModuleDescription:
         """H^0 of the integral divisor floor(D(m)), built once per weight:
-        the generator search, the kernel scan and membership all read the
+        the generator search, the kernel and membership all read the
         same pieces.  A weight outside the dual cone is never kept, so it
         raises on every call."""
         key = tuple(m)

@@ -9,6 +9,7 @@ reference generator search, on H^0 generators given as (q, e) pairs.
 expanding them. ``reference_verify_axioms`` checks the operator axioms as
 they are stated, on products taken by ``graded_product``, and
 ``toric_axioms_by_brute_force`` checks those of a toric root operator.
+``in_lattice`` is the lattice membership of the kernel's reference scan.
 """
 
 from fractions import Fraction
@@ -46,6 +47,18 @@ def argmin_vertices(poly, m):
     if best is None:
         return []
     return [v for v in poly.vertices if dot(m, v) == best]
+
+
+def in_lattice(v, basis):
+    """Is the integer vector in the subgroup with the triangular basis?"""
+    v = [int(x) for x in v]
+    for b in basis:
+        piv = next(i for i, x in enumerate(b) if x)
+        q, r = divmod(v[piv], b[piv])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, b)]
+    return not any(v)
 
 
 def vec(coords):

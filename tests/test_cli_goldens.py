@@ -36,7 +36,7 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
          "irrational-y0", "off-lattice-coloring", "outside-domain", "outside-domain-then-t",
          "p1-finite-y-infinity",
          "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
-         "p1-pieces", "refused-generator",
+         "p1-pieces", "refused-generator", "refused-generator-box4",
          "toric-fractional", "v0-not-vertex", "weight-cone-image",
          "zero-lambda", "zero-lambda-box1")
 
@@ -48,7 +48,7 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
 # no builtin example reaches (P1 pieces, negative and infinity coefficients
 # of D(m), a fractional part at a non-rational point, an element whose lift
 # is not a polynomial, also before one whose lift is, a generator whose lift
-# is not one, a generator search
+# is not one, also past the weight box, a generator search
 # that hits its weight bound, an operator that moves nothing, also at a box
 # with a weight whose kernel the closed form would misread, an operator over
 # P1 whose y_infinity is a finite point, an order that does not descend, a
@@ -80,6 +80,7 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
                             ["piece", "--m=1"], ["piece", "--m=3"],
                             ["toric-check"]],
               "refused-generator": [["generators"], ["verify", "--override"]],
+              "refused-generator-box4": [["verify", "--override"]],
               "toric-fractional": [["toric-check"], ["eval", "--m=2"]],
               "zero-lambda": [["verify", "--override"]],
               "zero-lambda-box1": [["verify", "--override"]]}

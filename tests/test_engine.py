@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import sys
@@ -17,8 +18,8 @@ from ghz.engine import (DthetaOperator, EngineError, GradedElement,
                         KernelReport, Refusal, build_operator, image_table,
                         kernel_in_box, toric_root_operator, verify,
                         verify_axioms, verify_stability)
-from ghz.fields import FieldError, PrimeField, Rationals
-from ghz.geometry import Cone, in_lattice, lattice_basis, lattice_box
+from ghz.fields import PrimeField, Rationals
+from ghz.geometry import Cone, Polyhedron, dot, lattice_basis, lattice_box
 from ghz.polynomials import (FractionField, Poly, RatFunc, lambda_field,
                              parse_poly, parse_rational, poly_gcd,
                              substitute_poly, times_factors)
@@ -27,9 +28,10 @@ from ghz.scenarios import (builtin_examples, load_builtin, parse_scenario,
                            serialize_scenario)
 from ghz.tvariety import algebra_generators
 
-from helpers import (expanded, generator_elements, graded_product, int_poly,
-                     orthant, rational_divisor, reference_verify_axioms,
-                     times_by_expansion, vanishing_bound)
+from helpers import (expanded, generator_elements, graded_product,
+                     in_lattice, int_poly, orthant, rational_divisor,
+                     reference_verify_axioms, times_by_expansion,
+                     vanishing_bound)
 
 Q = Rationals()
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -69,7 +71,6 @@ def test_graded_element_algebra():
     prod = graded_product(a, b)
     assert prod.weights() == [(3,)]
     assert (a + a + a).weights() == []  # 3 = 0 in F_3
-    assert (a - a).weights() == []
 
 
 def test_w25_operator_shape():
@@ -292,6 +293,26 @@ def test_vanishing_bound_is_the_degree_of_the_step():
     assert reference_verify_axioms(op, [t], 8).ok
 
 
+def test_the_step_adds_the_lambdas_of_a_repeated_exponent():
+    """Under override an exponent of S = sum lambda_j T^(p^s_j) may repeat,
+    and its lambdas add up.  On char2-ramified's coloring with s = (1, 1)
+    and lambda = (1, 1), S = 2T^3 over F3, of T-degree 3.  Over F2,
+    S = 2T^2 = 0: t's lift does not move, which verify reports, and it
+    skips the kernel, whose closed form needs S != 0."""
+    F3 = PrimeField(3)
+    _, op = ramified_operator(F3, (1, 1), override=True, lam=(F3.one(),) * 2)
+    assert op.step == Poly(F3, {3: F3.from_int(2)})
+    assert op.nilpotency_exponent() == 3
+    F2 = PrimeField(2)
+    D, op = ramified_operator(F2, (1, 1), override=True, lam=(F2.one(),) * 2)
+    assert op.step.is_zero()
+    rep = Report("verify")
+    verify(op, generator_elements(F2, algebra_generators(D, 2)[0]), 8, 2, rep)
+    assert "no positive order moves the curve coordinate" in rep.violations
+    assert rep.notes == ["kernel skipped: its closed form needs "
+                         "lambda_last != 0"]
+
+
 def test_axioms_do_not_depend_on_written_form():
     F2 = PrimeField(2)
     D, op = ramified_operator(F2, (0,))
@@ -429,13 +450,13 @@ def test_verify_axioms_matches_the_reference():
 
 def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
     """Lifts of one `ghz verify`, by step.  The image table applies each
-    generator once.  The axioms and stability read the rows and apply
-    nothing.  The kernel descends f_m's lift once per weight of the
-    box, except where f_m*chi^m is a generator, whose row it reads, and
-    applies nothing.  Before the table, w25-imperfect made 43 applications,
-    char2-ramified 54, and char2-ramified at weight box 6 78: stability
-    applied every generator again, horizontality t, and the kernel each
-    generator f_m*chi^m."""
+    generator once.  The axioms, stability and the kernel read the rows and
+    apply nothing: the kernel reads its weights on the divisor's integers.
+    Before the table, w25-imperfect made 43 applications, char2-ramified 54,
+    and char2-ramified at weight box 6 78: stability applied every
+    generator again, horizontality t, and the kernel each generator
+    f_m*chi^m.  Until the kernel read the integers, it also lifted f_m at
+    every box weight without a row: 18, 21 and 45 lifts."""
     calls, applied = Counter(), Counter()
     step = [None]
     lift, apply_term = DthetaOperator._lift, DthetaOperator.apply_term
@@ -464,16 +485,14 @@ def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
     data["bounds"]["weight_box"] = 6
     box6 = tmp_path / "char2-ramified-box6.json"
     box6.write_text(json.dumps(data), encoding="utf-8")
-    for argv, table, kernel in (
-            (["--example", "w25-imperfect"], 4, 18),
-            (["--example", "char2-ramified"], 5, 21),
-            (["--scenario", str(box6)], 5, 45)):
+    for argv, table in ((["--example", "w25-imperfect"], 4),
+                        (["--example", "char2-ramified"], 5),
+                        (["--scenario", str(box6)], 5)):
         calls.clear()
         applied.clear()
         assert main(["verify", *argv]) == 0
         assert capsys.readouterr().out.startswith("verify: ok")
-        assert dict(calls) == {"image_table": table,
-                               "kernel_in_box": kernel}, argv
+        assert dict(calls) == {"image_table": table}, argv
         assert dict(applied) == {"image_table": table}, argv
 
 
@@ -483,9 +502,11 @@ def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     and made 751 of 1,100; reduced mod p as ints, it makes none.  Dividing
     by whole powers in times_factors leaves 320 calls (349 before), and 319
     once a point's epsilon no longer differentiates its separable part.  The
-    axioms then stopped applying products and iterates, which leaves 136.
-    Of those, a factor 1 returns the other factor, so only 16 products of
-    elements of F2(l) reach RatFunc.__mul__ (all 349 did; 18 of 319)."""
+    axioms then stopped applying products and iterates, which leaves 136
+    (16 of them reach RatFunc.__mul__), and the kernel stopped descending
+    f_m at every box weight, which leaves 86.  Of those, a factor 1 returns
+    the other factor, so only 13 products of elements of F2(l) reach
+    RatFunc.__mul__ (all 349 did; 18 of 319)."""
     calls, products = [], []
     mul, ratfunc_mul = FractionField.mul, RatFunc.__mul__
 
@@ -502,8 +523,8 @@ def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     monkeypatch.setattr(RatFunc, "__mul__", counted_product)
     assert main(["verify", "--example", "w25-imperfect"]) == 0
     assert capsys.readouterr().out.startswith("verify: ok")
-    assert len(calls) == 136
-    assert len(products) == 16
+    assert len(calls) == 86
+    assert len(products) == 13
 
 
 def _series_oracle(op, h, order):
@@ -573,7 +594,9 @@ def test_substitution_matches_series_oracle():
                         for i, (w, c) in images.items()} \
                     == {i: c for i, c in oracle.items() if i <= top}
                 checked += 1
-    assert (checked, failed) == (693, 4)
+    # the F2 operator with s = (0, 1) has one lambda, so its step is T and
+    # the orders run to deg H + 1, not to 2 deg H + 1 (693 checks)
+    assert (checked, failed) == (660, 4)
 
 
 def test_a_term_outside_the_domain_is_refused_with_its_witness():
@@ -589,7 +612,6 @@ def test_a_term_outside_the_domain_is_refused_with_its_witness():
     witness = ("((1)/(t))*chi^(0,) is outside the operator's domain: its "
                "lift is not a polynomial")
     f = x.terms[(0,)]
-    assert op.descend_term(f, (0,)) == ({}, (0, witness))
     assert op.apply_term(f, (0,), 4) == ({}, (0, witness))
     for res in (op.apply(x), op.apply(x, 12)):
         assert (res.orders, res.failure) == ({}, (0, witness))
@@ -640,36 +662,30 @@ def test_apply_stops_at_a_term_outside_the_domain(monkeypatch):
     assert (res.orders, res.failure) == ({}, want) and want[0] == 0
 
 
-def test_verify_reports_the_kernels_own_refusal(monkeypatch, capsys):
-    """The kernel descends f_m itself at a weight with no row in the image
-    table.  With a lift faulted, once the table is built, to put
-    f_2*chi^2 on w25-imperfect outside the domain, verify prints that
-    witness as a violation and the scan ends with no kernel note.  Where
-    the table holds the refused row, the kernel leaves the witness to the
-    axioms."""
-    sc = load_builtin("w25-imperfect")
-    f2 = expanded(sc.field, sc.divisor.generator((2,)))
-    witness = (f"({f2.to_str()})*chi^(2,) is outside the operator's domain: "
-               "its lift is not a polynomial")
-
-    def fault(op):
-        lift = op._lift
-        op._lift = lambda f, m: None if tuple(m) == (2,) else lift(f, m)
-        return op
-
-    kernel = engine.kernel_in_box
-    monkeypatch.setattr(engine, "kernel_in_box",
-                        lambda op, table, box: kernel(fault(op), table, box))
-    assert main(["verify", "--example", "w25-imperfect"]) == 1
-    assert capsys.readouterr().out.splitlines()[:-1] == [
-        "verify: FAILED", f"  violation: {witness}",
-        "  note: horizontal (order bound 20)"]
-    op = fault(build_operator(sc.family))
-    ker = kernel(op, {}, 10)
-    assert (ker.weights, ker.report.violations) == (None, [witness])
-    ker = kernel(op, image_table(op, [GradedElement.term(sc.field, (2,),
-                                                         f2)]), 10)
-    assert (ker.weights, ker.report.violations) == (None, [])
+def test_verify_reports_the_kernels_own_refusal(capsys):
+    """On refused-generator.json, v0 = 0 lies outside D_t = {1/5}, and
+    e_t(m) = -floor(m/5) puts f_m outside the domain from m = 5 on.  At
+    weight box 4 no box weight is, and the kernel stops at 5 = 5 * (1,),
+    the generator of D_t's normal fan that separates v0: verify prints that
+    witness as a violation and no kernel note.  With an empty table every box gives that
+    stop; where the table holds the refused row, the kernel leaves the
+    witness to the axioms."""
+    path = SCENARIOS / "refused-generator-box4.json"
+    witness = ("((1)/(t))*chi^(5,) is outside the operator's domain: its lift "
+               "is not a polynomial")
+    assert main(["verify", "--scenario", str(path), "--override"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"  violation: {witness}" in out
+    assert not any("kernel weights" in line for line in out)
+    sc = parse_scenario(path.read_text())
+    op = build_operator(sc.family, override=True)
+    for box in range(7):
+        ker = kernel_in_box(op, {}, box)
+        assert (ker.weights, ker.report.violations) == (None, [witness])
+    x = GradedElement.term(sc.field, (5,), RatFunc.x(sc.field, -1))
+    for box in (4, 5):
+        ker = kernel_in_box(op, image_table(op, [x]), box)
+        assert (ker.weights, ker.report.violations) == (None, [])
 
 
 def test_verify_override_refuses_a_generator_outside_the_domain(capsys):
@@ -832,7 +848,7 @@ def _field_nullspace(rows, ncols, field):
 def _poly_lcm(polys, field):
     acc = Poly.one(field)
     for p in polys:
-        if p.is_constant():
+        if p.degree <= 0:
             continue
         g = poly_gcd(acc, p)
         acc = acc.exact_div(g) * p
@@ -939,90 +955,165 @@ def test_kernel_closed_form_matches_nullspace_oracle():
     assert kernel_weights == 136
 
 
-def test_kernel_applies_the_operator_once_per_weight(monkeypatch):
-    """The kernel lifts f_m once per weight and descends its orders, but
-    never multiplies them by xi_w: it makes no apply_term call."""
-    K, D, op = w25_operator()
-    elems = generator_elements(K, algebra_generators(D, 10)[0])
-    table = image_table(op, elems)
-    calls = []
-    lift = DthetaOperator._lift
+def _reference_scan_kernel(op, table, box_bound):
+    """The kernel by the scan that preceded the integer rule, copied but for
+    three names: ``apply_term`` for the descent alone (the same orders and
+    failure, each order times xi_w != 0), ``degree <= 0`` for
+    ``is_constant``, and the helpers' ``in_lattice``.  It descends f_m at
+    every box weight without a row, checks the closed form against the
+    images, and then the integral evaluations and the semigroup shape."""
+    div = op.divisor  # over P1, div.generator raises: there is no f_m
+    rep = Report("kernel structure")
+    dual = div.tail.dual()
+    weights, spans = [], {}
+    for m in lattice_box(div.rank, box_bound):
+        if not dual.contains(m):
+            continue
+        fm = times_factors(RatFunc.one(div.field), div.generator(m),
+                           op.xi_powers)
+        row = table.get(GradedElement.term(div.field, m, fm))
+        orders, failure = op.apply_term(fm, m) if row is None \
+            else (row.orders, row.failure)
+        if failure and not failure[0]:
+            stop = Report("kernel structure")
+            if row is None:
+                stop.fail(failure[1])
+            return KernelReport(stop, None, {}, [])
+        a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
+        fixed = False
+        if not r:
+            phi = op.xi(m) + [(op.coloring.y0.poly, -a)]
+            g = times_factors(RatFunc(fm.den, fm.num, reduce=False), phi,
+                              op.xi_powers)
+            fixed = g.is_poly() and g.num.degree <= 0
+        if fixed == (failure is not None or max(orders) > 0):
+            raise EngineError(f"closed-form kernel at {m} disagrees with the "
+                              f"operator's images of the module generator")
+        if fixed:
+            weights.append(m)
+            spans[m] = fm
+            if any(a % div.den for a in div.eval(m).values()):
+                rep.fail(f"kernel weight {m} has a non-integral evaluation")
+    basis = lattice_basis(weights, div.rank) if weights else []
+    cone = Cone.from_generators(weights, div.rank) if weights \
+        else Cone.zero(div.rank)
+    # semigroup shape: every box point of the lattice inside the cone must
+    # be a kernel weight
+    for m in lattice_box(div.rank, box_bound):
+        if not dual.contains(m) or not cone.contains(m):
+            continue
+        if in_lattice(m, basis) and m not in weights:
+            rep.fail(f"lattice point {m} in the cone is not a kernel weight")
+    return KernelReport(rep, weights, spans, basis)
 
-    def counted(self, f, m):
-        calls.append(tuple(m))
-        return lift(self, f, m)
+
+def _vertices_in_place(coloring):
+    """Does every colored vertex lie in its polyhedron?  Adding a point of
+    a polyhedron to its points leaves its canonical form unchanged."""
+    div = coloring.divisor
+    for y in coloring.colored_points():
+        p = div.polyhedron_at(y)
+        if Polyhedron.from_points([*p.vertices, coloring.vertex(y)],
+                                  p.tail) != p:
+            return False
+    return True
+
+
+def _stop_weight(ker):
+    """The weight of the kernel's stop witness."""
+    text = ker.report.violations[0]
+    return ast.literal_eval(text[text.index("*chi^") + 5:
+                                 text.index(" is outside")])
+
+
+def test_kernel_matches_the_reference_scan():
+    """The integer rule against the scan, at box 1 and at a larger box: the
+    builtins with a family, with and without their generators' table, and
+    seeded random A1 families over Q, F2 and F3 at ranks 1 and 2, each also
+    with one colored vertex moved to a random lattice point (under
+    override).  Where every vertex lies in its D_y, the two give the same
+    weights, spans, lattice and violations, and the scan's two shape checks
+    hold: every kernel weight has integral evaluations, and every box point
+    of the cone and the lattice of the kernel weights is one.  Where a
+    vertex does not, the rule stops; a stop inside the box is the scan's
+    stop, with its witness, and a stop past the box is one that the scan
+    did not reach."""
+    cases = []
+    for name in ("w25-imperfect", "w25-prime", "char2-ramified"):
+        sc = load_builtin(name)
+        op = build_operator(sc.family, override=True)
+        box = sc.bounds["weight_box"]
+        cases += [(op, {}, box), (op, image_table(
+            op, cli._generator_elements(sc)[0]), box)]
+    rng = random.Random(37)
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for rank, box in ((1, 6), (2, 2)):
+            found = 0
+            while found < 6:
+                theta = _random_family(rng, field, A1, rank)
+                if theta is None:
+                    continue
+                c = theta.coloring
+                moved = rng.choice(c.colored_points())
+                vertices = dict(c.vertices)
+                vertices[moved] = tuple(c.divisor.den * rng.randint(-2, 2)
+                                        for _ in range(rank))
+                for coloring in (c, Coloring(c.divisor, vertices, c.y0)):
+                    cases.append((build_operator(CoherentFamily(
+                        coloring, theta.e, theta.s, theta.lam),
+                        override=True), {}, box))
+                found += 1
+    kinds = Counter()
+    for op, table, top in cases:
+        div = op.divisor
+        for box in (1, top):
+            got, want = kernel_in_box(op, table, box), \
+                _reference_scan_kernel(op, table, box)
+            if _vertices_in_place(op.coloring):
+                kinds["in place"] += 1
+                assert _kernel_summary(got) == _kernel_summary(want)
+                assert got.report.ok
+                assert all(a % div.den == 0 for m in got.weights
+                           for a in div.eval(m).values())
+                cone = Cone.from_generators(got.weights, div.rank)
+                assert [m for m in lattice_box(div.rank, box)
+                        if div.tail.dual().contains(m) and cone.contains(m)
+                        and in_lattice(m, got.lattice)] == got.weights
+            elif want.weights is None:
+                kinds["stop in the box"] += 1
+                assert got.weights is None
+                assert _kernel_summary(got) == _kernel_summary(want)
+            else:
+                kinds["stop past the box"] += 1
+                assert got.weights is None
+                assert max(map(abs, _stop_weight(got))) > box
+    assert len(cases) == 6 + 36 * 2
+    assert kinds == {"in place": 98, "stop in the box": 54,
+                     "stop past the box": 4}
+
+
+def test_kernel_runs_without_the_operator(monkeypatch):
+    """The kernel reads the divisor's integers: with the lift, the Hasse
+    expansion, the descent and apply_term all raising, it gives the same
+    kernel on the builtins with a family, with and without their table."""
+    want = []
+    for name in ("w25-imperfect", "w25-prime", "char2-ramified"):
+        sc = load_builtin(name)
+        op = build_operator(sc.family, override=True)
+        for table in ({}, image_table(op, cli._generator_elements(sc)[0])):
+            want.append((op, table, sc.bounds["weight_box"], _kernel_summary(
+                kernel_in_box(op, table, sc.bounds["weight_box"]))))
 
     def applied(*args):
-        raise AssertionError("kernel_in_box called apply_term")
+        raise AssertionError("kernel_in_box applied the operator")
 
-    monkeypatch.setattr(DthetaOperator, "_lift", counted)
+    monkeypatch.setattr(DthetaOperator, "_lift", applied)
     monkeypatch.setattr(DthetaOperator, "apply_term", applied)
-    ker = kernel_in_box(op, {}, 10)
-    scanned = [m for m in lattice_box(D.rank, 10)
-               if D.tail.dual().contains(m)]
-    assert ker.report.ok
-    assert calls == scanned
-    # where f_m * chi^m is a generator, the kernel reads its row instead
-    read = {x.weights()[0] for x in elems[1:]}  # elems[0] is t, not f_0
-    calls.clear()
-    assert _kernel_summary(kernel_in_box(op, table, 10)) \
-        == _kernel_summary(ker)
-    assert read and calls == [m for m in scanned if m not in read]
-
-
-def test_kernel_descends_past_the_first_moving_order(monkeypatch):
-    """The kernel descends every order of f_m's lift, not only up to the
-    first that moves: on char2-ramified, f_(1,1)*chi^(1,1) moves at order 1,
-    and a descent that fails at order 2 still raises.  The other weights of
-    the box read their rows from the table, so only (1, 1) is descended."""
-    sc = load_builtin("char2-ramified")
-    div, op = sc.divisor, build_operator(sc.family)
-    scanned = [m for m in lattice_box(div.rank, 1)
-               if div.tail.dual().contains(m)]
-    elems = [GradedElement.term(div.field, m, expanded(
-        div.field, div.generator(m))) for m in scanned if m != (1, 1)]
-    table = image_table(op, elems)
-    f11 = expanded(div.field, div.generator((1, 1)))
-    assert sorted(op.descend_term(f11, (1, 1))[0]) == [0, 1, 2, 3]
-    pending = []  # the orders of the current expansion, in descent order
-    hasse, descend = engine.hasse_expand, engine.descend_power
-
-    def expand(h, step, n):
-        series = hasse(h, step, n)
-        pending[:] = sorted(series)
-        return series
-
-    def faulted(val, d, y0):
-        if pending.pop(0) >= 2:
-            raise FieldError("faulted descent")
-        return descend(val, d, y0)
-
-    monkeypatch.setattr(engine, "hasse_expand", expand)
-    monkeypatch.setattr(engine, "descend_power", faulted)
-    with pytest.raises(EngineError, match=r"descent failure at order 2, "
-                       r"weight \(3, 1\): faulted descent"):
-        kernel_in_box(op, table, 1)
-
-
-def test_kernel_reports_a_lattice_point_that_is_no_kernel_weight(
-        monkeypatch):
-    """The semigroup-shape check.  On char2-ramified at box 6, (4, 1) is a
-    kernel weight; with a faulted xi_m that holds one more factor t + 1 at
-    (4, 1), its images and the closed form both say that f_(4,1)*chi^(4,1)
-    moves, while the lattice and the cone of the other kernel weights still
-    hold (4, 1)."""
-    sc = load_builtin("char2-ramified")
-    op = build_operator(sc.family)
-    assert (4, 1) in kernel_in_box(op, {}, 6).weights
-    xi, t1 = op.xi, parse_poly("t+1", sc.field)
-    monkeypatch.setattr(op, "xi", lambda m: xi(m) + (
-        [(t1, -1)] if tuple(m) == (4, 1) else []))
-    f41 = expanded(sc.field, sc.divisor.generator((4, 1)))
-    assert any(i >= 1 for i in op.apply_term(f41, (4, 1))[0])
-    ker = kernel_in_box(op, {}, 6)
-    assert (4, 1) not in ker.weights
-    assert ker.report.violations == [
-        "lattice point (4, 1) in the cone is not a kernel weight"]
+    monkeypatch.setattr(engine, "hasse_expand", applied)
+    monkeypatch.setattr(engine, "descend_power", applied)
+    for op, table, box, summary in want:
+        ker = kernel_in_box(op, table, box)
+        assert ker.weights and _kernel_summary(ker) == summary
 
 
 def test_kernel_of_overridden_incoherent_families():
@@ -1036,16 +1127,23 @@ def test_kernel_of_overridden_incoherent_families():
     # as for e = (1,)
     D, theta = incoherent_family(e=(-2,))
     op = build_operator(theta, override=True)
-    orders, failure = op.descend_term(RatFunc.one(D.field), (1,))
+    orders, failure = op.apply_term(RatFunc.one(D.field), (1,))
     assert list(orders) == [0] and failure[0] == 4
     assert _kernel_summary(kernel_in_box(op, {}, 10)) == _kernel_summary(ker)
+    assert _kernel_summary(_reference_scan_kernel(op, {}, 10)) \
+        == _kernel_summary(ker)
     assert ker.weights == [(0,), (5,), (10,)] and ker.report.ok
-    # lambda = 0 fixes every element, against the closed form
+    # lambda = 0 fixes every element: verify skips the kernel, whose closed
+    # form needs S != 0
     F2 = PrimeField(2)
     D, theta = incoherent_family(lam=(F2.zero(),))
-    op = build_operator(theta, override=True)
-    with pytest.raises(EngineError, match="closed-form kernel"):
-        kernel_in_box(op, {}, 10)
+    rep = Report("verify")
+    verify(build_operator(theta, override=True), generator_elements(
+        F2, algebra_generators(D, 10)[0]), 12, 10, rep)
+    assert rep.violations[-1] == \
+        "no positive order moves the curve coordinate"
+    assert rep.notes == ["kernel skipped: its closed form needs "
+                         "lambda_last != 0"]
 
 
 @pytest.mark.parametrize("field, points", [

@@ -12,11 +12,12 @@ import pytest
 
 import ghz.geometry as geometry
 from ghz.geometry import (Cone, GeometryError, Polyhedron, _cone, _cone_of,
-                          _normal_cone, dot, fmt_vec, in_lattice,
-                          lattice_basis, lattice_box, minkowski_weighted_sum,
-                          primitive, rays_from_inequalities, vadd, vsub)
+                          _normal_cone, dot, fmt_vec, lattice_basis,
+                          lattice_box, minkowski_weighted_sum, primitive,
+                          rays_from_inequalities, vadd, vsub)
 
-from helpers import argmin_vertices, cone_dim, orthant, rational, vec
+from helpers import (argmin_vertices, cone_dim, in_lattice, orthant,
+                     rational, vec)
 
 
 def vscale(c, a):

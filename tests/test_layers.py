@@ -13,7 +13,7 @@ import ghz
 CLI = Path(ghz.__file__).parent / "cli.py"
 ENGINE = Path(ghz.__file__).parent / "engine.py"
 STEPS = {"image_table", "verify_axioms", "verify_stability", "kernel_in_box",
-         "apply_term", "descend_term"}
+         "apply_term"}
 
 
 def step_uses(source):
@@ -47,7 +47,8 @@ def test_scan_sees_imports_names_and_attributes():
                                  (5, "verify_stability")]
 
 
-APPLICATIONS = {"apply", "apply_term", "descend_term", "_lift"}
+APPLICATIONS = {"apply", "apply_term", "_lift", "hasse_expand",
+                "descend_power"}
 
 
 def names_read(source, function):
@@ -68,10 +69,10 @@ def test_axioms_and_stability_apply_nothing():
 
 def test_name_scan_sees_calls_and_aliases():
     source = ("def f(op, x):\n    op.apply(x)\n    lift = op._lift\n"
-              "    descend_term(x)\n"
+              "    descend_power(x)\n"
               "def g(op):\n    op.apply_term(1, 2)\n")
     assert names_read(source, "f") & APPLICATIONS == {
-        "apply", "_lift", "descend_term"}
+        "apply", "_lift", "descend_power"}
     assert names_read(source, "g") & APPLICATIONS == {"apply_term"}
 
 

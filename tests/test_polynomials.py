@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from ghz.binomials import binom_general
 from ghz.fields import FieldError, PrimeField, Rationals
 from ghz.polynomials import (FractionField, ParseError, Poly, RatFunc,
                              descend_power, factor_list, fmt_factors,
@@ -498,3 +499,33 @@ def test_raw_values_have_one_canonical_form():
     assert Poly(F3, {4: 6}).is_zero()
     assert RatFunc.from_poly(Poly(F2, {0: 3})) == RatFunc.one(F2)
     assert K.canon(unreduced) == l + K.one()
+
+
+@pytest.mark.parametrize("error, guard, message", [
+    (ValueError, lambda: binom_general(3, -1),
+     "lower index must be nonnegative"),
+    (FieldError, lambda: Q.inv(Q.zero()), "division by zero in Q"),
+    (FieldError, lambda: PrimeField(3).inv(6), r"division by zero in GF\(3\)"),
+    (FieldError, lambda: qp([0, 1]) ** -1, "negative power of a polynomial"),
+    (FieldError, lambda: qp([1, 1]).divmod(Poly.zero(Q)),
+     "polynomial division by zero"),
+    (FieldError, lambda: qp([0, 1]).exact_div(qp([1, 1])),
+     "inexact polynomial division"),
+    (FieldError, lambda: qp([1, 0, 0, 1]).regroup(2),
+     "exponents not divisible"),
+    (FieldError, lambda: RatFunc(qp([1]), Poly.zero(Q)), "zero denominator"),
+    (FieldError, lambda: RatFunc.zero(Q).inverse(),
+     "inverse of zero rational function"),
+], ids=["binomial", "Q", "GF(p)", "power", "divmod", "exact_div", "regroup",
+        "denominator", "inverse"])
+def test_arithmetic_guards(error, guard, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        guard()
+
+
+def test_a_scalar_has_no_variable():
+    """parse_scalar parses with no variable, so a non-constant value cannot
+    arise: the curve variable is an unknown symbol."""
+    with pytest.raises(ParseError, match="unknown symbol 't' at position 2"):
+        parse_scalar("1+t", Q)
+    assert F2.to_str(parse_scalar("(1+1)*3", F2)) == "0"
