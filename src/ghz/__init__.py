@@ -8,9 +8,8 @@ from .classifier import (AssociatedCones, CoherentFamily, Coloring,
                          enumerate_coherent, equivalence_probe,
                          floor_condition_check, toricity_check)
 from .curves import A1, P1, ClosedPoint, point_validate
-from .engine import (ApplicationResult, DthetaOperator, GradedElement,
-                     ToricRootOperator, build_operator, image_table,
-                     kernel_in_box, toric_root_operator, verify,
+from .engine import (DthetaOperator, ToricRootOperator, build_operator,
+                     image_table, kernel_in_box, toric_root_operator, verify,
                      verify_axioms, verify_stability)
 from .fields import PrimeField, Rationals
 from .geometry import Cone, Polyhedron

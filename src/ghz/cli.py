@@ -24,7 +24,7 @@ from .classifier import (candidate_colorings, coherent_validate,
                          associated_cones, enumerate_coherent, toricity_check,
                          ClassifierError)
 from .curves import A1, P1, PointError
-from .engine import (EngineError, GradedElement, Refusal, build_operator,
+from .engine import (EngineError, Refusal, apply, build_operator,
                      toric_root_operator, verify)
 from .fields import FieldError
 from .geometry import GeometryError, fmt_ratio, fmt_vec
@@ -91,12 +91,10 @@ def _operator(sc, override):
 
 
 def _generator_elements(sc):
+    """The algebra generators as terms (m, f), and their certificate."""
     gens, cert = algebra_generators(sc.divisor, sc.bounds["weight_box"])
     one = RatFunc.one(sc.field)
-    elems = [GradedElement.term(sc.field, g.weight,
-                                times_factors(one, g.coeff, {}))
-             for g in gens]
-    return elems, cert
+    return [(g.weight, times_factors(one, g.coeff, {})) for g in gens], cert
 
 
 def run_command(sc, command, args) -> Report:
@@ -174,22 +172,14 @@ def _run(rep, sc, command, args):
         _require(sc.elements, "apply needs scenario elements")
         order = args.order if args.order is not None \
             else sc.bounds["max_order"]
-        for x in sc.elements:
-            res = op.apply(x, order)
-            for i in sorted(res.orders):
-                rep.note(f"order {i} of {x.to_str()}: "
-                         f"{res.orders[i].to_str()}")
-            if witness := res.failed_by(order):
-                rep.fail(f"application failed on {x.to_str()}: {witness}")
+        apply(op, sc.elements, order, rep)
     elif command == "verify":
         op = _operator(sc, args.override)
         elems, cert = _generator_elements(sc)
         # first, so that a refusal from a later step keeps the marker
         if not cert.complete:
             rep.trust("generator certificate is incomplete at this bound")
-        order = args.order if args.order is not None \
-            else sc.bounds["max_order"]
-        verify(op, elems, order, sc.bounds["weight_box"], rep)
+        verify(op, elems, sc.bounds["weight_box"], rep)
     elif command == "classify":
         found = enumerate_coherent(div, sc.bounds["e_box"], sc.bounds["s_max"],
                                    sc.lambda_sample, _y_infinity(sc, command))

@@ -1,14 +1,18 @@
 """The additive-group operator built from a coherent family: Hasse-derivative
 expansion in a cyclic-cover variable, descent back to k(t) by regrouping, and
-verification on one image table of the algebra generators.  The operator
-axioms hold by construction wherever a row descends (see ``verify_axioms``),
-so verification reports failed rows, stability, horizontality and, over A1,
-the kernel in a weight box.  The kernel is read on the divisor's integers
-(see ``kernel_in_box``): the lift of f_m*chi^m is a product of coprime
-polynomials to the exponents e_y(m) = <m, v_y> - floor(h_y(m)), so f_m is in
-the domain when every e_y(m) >= 0 and spans the kernel piece at m exactly
-when every e_y(m) = 0; the first holds on the whole weight cone exactly when
-every colored vertex v_y lies in its D_y.  The monomial operator of a toric
+verification on one image table of the algebra generators.  The operator is
+homogeneous, so it applies one term f*chi^m at a time, given as the pair
+(m, f); an image table has one row per term.  The operator axioms hold by
+construction wherever a row descends (see ``verify_axioms``), so
+verification reports failed rows, whatever their order, stability,
+horizontality and, over A1, the kernel in a weight box.  None of them reads
+a truncation order: only ``apply`` truncates.  The kernel is read on the
+divisor's integers (see ``kernel_in_box``): the lift of f_m*chi^m is a
+product of coprime polynomials to the exponents
+e_y(m) = <m, v_y> - floor(h_y(m)), so f_m is in the domain when every
+e_y(m) >= 0 and spans the kernel piece at m exactly when every e_y(m) = 0;
+the first holds on the whole weight cone exactly when every colored vertex
+v_y lies in its D_y.  The monomial operator of a toric
 root is built here too; its axioms are binomial identities."""
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from itertools import chain, count
 from math import inf
 
-from .binomials import binom_in_field
 from .classifier import (CoherentFamily, coherent_validate, cover_degree,
                          demazure_root_check, lattice_check, y0_check)
 from .curves import A1, P1, ClosedPoint
@@ -41,68 +44,17 @@ class Refusal(EngineError):
         self.report = report
 
 
-# -- graded elements --------------------------------------------------------
+# -- terms -------------------------------------------------------------------
 
-class GradedElement:
-    """Finite sum of terms f(t) * chi^m with f in k(t)."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms: dict):
-        self.field = field
-        self.terms = {tuple(w): f for w, f in terms.items()
-                      if not f.is_zero()}
-
-    @classmethod
-    def term(cls, field, weight, coeff):
-        return cls(field, {tuple(weight): coeff})
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def weights(self):
-        return sorted(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, f in other.terms.items():
-            out[w] = out[w] + f if w in out else f
-        return GradedElement(self.field, out)
-
-    def __eq__(self, other):
-        return isinstance(other, GradedElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def to_str(self) -> str:
-        return " + ".join(f"({self.terms[w].to_str()})*chi^{w}"
-                          for w in sorted(self.terms)) or "0"
-
-    def __repr__(self):
-        return f"GradedElement({self.to_str()})"
+def fmt_term(f: RatFunc, m) -> str:
+    """The term f*chi^m as "(f)*chi^m"."""
+    return f"({f.to_str()})*chi^{tuple(m)}"
 
 
 def outside_domain(f: RatFunc, m) -> str:
     """The witness of a term f*chi^m whose lift is not a polynomial."""
-    return (f"({f.to_str()})*chi^{tuple(m)} is outside the operator's domain: "
+    return (f"{fmt_term(f, m)} is outside the operator's domain: "
             f"its lift is not a polynomial")
-
-
-class ApplicationResult:
-    __slots__ = ("orders", "failure")
-
-    def __init__(self, orders: dict, failure=None):
-        self.orders = orders    # nonzero orders below the failure, i -> image
-        self.failure = failure  # (first failing order, its witness) or None
-
-    def failed_by(self, order):
-        """The witness of a failure by ``order``, else a false value."""
-        return self.failure and self.failure[0] <= order and self.failure[1]
 
 
 # -- the operator -----------------------------------------------------------
@@ -156,10 +108,10 @@ class DthetaOperator:
         """H(z) = (f/xi_m)(z^d + y0) * z^{d<m,v0>}, the lift of f*chi^m, or
         None when it is not a polynomial.
 
-        The operator's domain is the elements whose terms lift to
-        polynomials.  It holds the graded algebra when the coloring is
-        valid, and the operator keeps it: the lift of an image's order-i
-        coefficient is the order-i Hasse coefficient of H.
+        The operator's domain is the terms that lift to polynomials.  It
+        holds the graded algebra when the coloring is valid, and the
+        operator keeps it: the lift of an image's order-i coefficient is the
+        order-i Hasse coefficient of H.
 
         g = f/xi_m is reduced with a monic denominator; the shift
         t -> t + y0 and the substitution t -> z^d both keep that (see
@@ -200,24 +152,6 @@ class DthetaOperator:
                                            self.xi_powers))
         return out, None
 
-    def apply(self, x: GradedElement, max_order=inf) -> ApplicationResult:
-        """x's images up to ``max_order``, below its terms' least failure
-        (the first one at a tie): a term that fails at order 0 decides x,
-        and the later terms are not applied."""
-        orders, failure = {}, None
-        for w, f in x.terms.items():
-            images, failed = self.apply_term(f, w, max_order)
-            if failed and (not failure or failed[0] < failure[0]):
-                if not failed[0]:
-                    return ApplicationResult({}, failed)
-                failure, max_order = failed, failed[0] - 1
-            for i, (w2, coeff) in images.items():
-                term = GradedElement.term(self.field, w2, coeff)
-                orders[i] = orders[i] + term if i in orders else term
-        orders = {i: v for i, v in orders.items()
-                  if i <= max_order and not v.is_zero()}
-        return ApplicationResult(orders, failure)
-
 
 def build_operator(theta: CoherentFamily, override: bool = False
                    ) -> DthetaOperator:
@@ -227,10 +161,13 @@ def build_operator(theta: CoherentFamily, override: bool = False
     if not rep.ok and not override:
         refusal.fail("family is not coherent")
         refusal.merge(rep)
-    else:  # even under override: the lift needs condition (ii)
+    else:  # even under override: the lift needs condition (ii), and the
+        # step needs one lambda per exponent (family_validate's (iv))
         y0_check(c, refusal)
         for y in c.colored_points():
             lattice_check(c, y, refusal)
+        if len(theta.lam) != len(theta.s):
+            refusal.fail("(iv): one coefficient per exponent is required")
     if not refusal.ok:
         raise Refusal(refusal)
     if c.divisor.curve == P1 and c.y_infinity != ClosedPoint.infinity():
@@ -243,33 +180,42 @@ def build_operator(theta: CoherentFamily, override: bool = False
 
 # -- verification -----------------------------------------------------------
 
-def image_table(op: DthetaOperator, elems) -> dict:
-    """Each element applied once, untruncated, so that its row holds every
-    nonzero order below its failure."""
-    return {x: op.apply(x) for x in elems}
+def image_table(op: DthetaOperator, terms) -> dict:
+    """Each term (m, f) applied once, untruncated: its row is apply_term's
+    (orders, failure), every nonzero order below the failure."""
+    return {(m, f): op.apply_term(f, m) for m, f in terms}
 
 
-def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
+def apply(op: DthetaOperator, terms, max_order: int, rep: Report):
+    """``ghz apply`` into ``rep``: the nonzero orders up to ``max_order`` of
+    each term (m, f), and its failure by that order."""
+    for m, f in terms:
+        orders, failure = op.apply_term(f, m, max_order)
+        for i, (w, c) in orders.items():
+            rep.note(f"order {i} of {fmt_term(f, m)}: {fmt_term(c, w)}")
+        if failure:
+            rep.fail(f"application failed on {fmt_term(f, m)}: {failure[1]}")
+
+
+def verify(op: DthetaOperator, terms, box: int, rep: Report):
     """``ghz verify`` into ``rep``: the axioms, stability, horizontality and,
     over A1, the kernel in the weight box, all read from one image table of
-    the algebra generators ``elems``, t*chi^0 first."""
-    table = image_table(op, elems)
-    rep.merge(verify_axioms(op, table, max_order))
-    for x, res in table.items():  # the axioms report failures by max_order
-        if res.failure and not res.failed_by(max_order):
-            rep.fail(f"application failed on {x.to_str()}: {res.failure[1]}")
+    the algebra generators ``terms``.
+
+    t lifts to H = z^d + y0, and the order-d*deg S coefficient of H(z + S)
+    is lc(S)^d: t moves exactly when the step S is nonzero, which the
+    kernel's closed form needs, so horizontality reads no row."""
+    table = image_table(op, terms)
+    rep.merge(verify_axioms(op, table))
     rep.merge(verify_stability(op.divisor, table))
-    t_row = table[elems[0]]  # t's lift z^d + y0 is in the domain
-    # it moves exactly when S != 0 (see kernel_in_box), which the kernel's
-    # closed form needs; a failing order moves it
-    horizontal = t_row.failure is not None or max(t_row.orders) > 0
+    horizontal = not op.step.is_zero()
     if horizontal:
         rep.note(f"horizontal (order bound "
                  f"{op.nilpotency_exponent() * op.p ** op.u * op.d})")
     else:
         rep.fail("no positive order moves the curve coordinate")
     if op.divisor.curve == A1 and not horizontal:
-        rep.note("kernel skipped: its closed form needs lambda_last != 0")
+        rep.note("kernel skipped: its closed form needs S != 0")
     elif op.divisor.curve == A1:
         ker = kernel_in_box(op, table, box)
         rep.merge(ker.report)
@@ -277,10 +223,10 @@ def verify(op: DthetaOperator, elems, max_order: int, box: int, rep: Report):
             rep.note(f"kernel weights {ker.weights}; lattice {ker.lattice}")
 
 
-def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
-    """The operator axioms on the rows of an image table: a row whose first
-    failing order is at most ``max_order`` is an application failure, with
-    its witness.  Nothing else can fail, so nothing is applied here.
+def verify_axioms(op: DthetaOperator, table: dict) -> Report:
+    """The operator axioms on the rows of an image table: a failed row is an
+    application failure, with its witness, whatever its order.  Nothing
+    else can fail, so nothing is applied here.
 
     Write L(f*chi^m) = H for the lift, a polynomial on the domain, and
     S(T) = sum lambda_j T^{p^{s_j}}.  Order i of f*chi^m is the coefficient
@@ -306,43 +252,40 @@ def verify_axioms(op: DthetaOperator, table: dict, max_order: int) -> Report:
       deg_T H(z + S) <= deg H * p^{s_last}.
     Only descent and the domain can fail, and a row records both."""
     rep = Report("operator axioms")
-    for x, res in table.items():
-        if witness := res.failed_by(max_order):
-            rep.fail(f"application failed on {x.to_str()}: {witness}")
+    for (m, f), (_, failure) in table.items():
+        if failure:
+            rep.fail(f"application failed on {fmt_term(f, m)}: {failure[1]}")
     return rep
 
 
 def verify_stability(div: PolyhedralDivisor, table: dict) -> Report:
-    """Every image in every row of an image table, a GradedElement, must
-    lie in the graded algebra, at a weight of the weight cone (the dual of
-    the tail cone).  A row's failure is the axioms' to report."""
+    """Every image (w, c) in every row of an image table must lie in the
+    graded algebra, at a weight of the weight cone (the dual of the tail
+    cone).  A row's failure is the axioms' to report."""
     rep = Report("stability")
     dual = div.tail.dual()
-    for g, res in table.items():
-        for i, val in sorted(res.orders.items()):
+    for (m, f), (orders, _) in table.items():
+        for i, (w, c) in orders.items():
             if i == 0:
                 continue
-            for w in val.weights():
-                image = f"({val.terms[w].to_str()})*chi^{w}"
-                if not dual.contains(w):
-                    rep.fail(f"order {i} of {g.to_str()} leaves the weight "
-                             f"cone: {image}")
-                elif not div.membership(val.terms[w], w):
-                    rep.fail(f"order {i} of {g.to_str()} leaves the algebra: "
-                             f"{image}")
+            image = fmt_term(c, w)
+            if not dual.contains(w):
+                rep.fail(f"order {i} of {fmt_term(f, m)} leaves the weight "
+                         f"cone: {image}")
+            elif not div.membership(c, w):
+                rep.fail(f"order {i} of {fmt_term(f, m)} leaves the algebra: "
+                         f"{image}")
     return rep
 
 
 # -- kernel computation -----------------------------------------------------
 
 class KernelReport:
-    __slots__ = ("report", "weights", "spans", "lattice")
+    __slots__ = ("report", "weights", "lattice")
 
-    def __init__(self, report: Report, weights: list, spans: dict,
-                 lattice: list):
+    def __init__(self, report: Report, weights: list, lattice: list):
         self.report = report
         self.weights = weights  # kernel weights in the box, or None
-        self.spans = spans      # weight -> RatFunc spanning the kernel piece
         self.lattice = lattice  # triangular basis of the weight lattice
 
 
@@ -363,7 +306,7 @@ def kernel_in_box(op: DthetaOperator, table: dict,
       D > 0 moves: the T^{nD} coefficient of H(z + S) is H's leading
       coefficient times S's to the D.  So m is a kernel weight, with its
       piece spanned by f_m, exactly when every e_y(m) = 0, <m, v0> integral
-      included.  ``verify`` runs the kernel only when t moves, so S != 0.
+      included.  ``verify`` runs the kernel only when S != 0.
 
     Every e_y >= 0 on the whole weight cone exactly when each v_y lies in
     its D_y.  If it does, floor(h_y) <= h_y <= <m, v_y>.  If it does not, a
@@ -390,10 +333,6 @@ def kernel_in_box(op: DthetaOperator, table: dict,
         return [dot(m, v) - evaluation.get(y, 0) // den * den
                 for y, v in points]
 
-    def generator(m):
-        return times_factors(RatFunc.one(div.field), div.generator(m),
-                             op.xi_powers)
-
     dual = div.tail.dual()
     box = [m for m in lattice_box(div.rank, box_bound) if dual.contains(m)]
     outside = next((g for y, v in points
@@ -404,13 +343,14 @@ def kernel_in_box(op: DthetaOperator, table: dict,
         m = next(m for m in chain(box, (tuple(k * a for a in outside)
                                         for k in count(1)))
                  if min(exponents(m)) < 0)
-        fm, stop = generator(m), Report("kernel structure")
-        if GradedElement.term(div.field, m, fm) not in table:
+        fm = times_factors(RatFunc.one(div.field), div.generator(m),
+                           op.xi_powers)
+        stop = Report("kernel structure")
+        if (m, fm) not in table:
             stop.fail(outside_domain(fm, m))
-        return KernelReport(stop, None, {}, [])
+        return KernelReport(stop, None, [])
     weights = [m for m in box if not any(exponents(m))]
     return KernelReport(Report("kernel structure"), weights,
-                        {m: generator(m) for m in weights},
                         lattice_basis(weights, div.rank))
 
 
@@ -430,12 +370,6 @@ class ToricRootOperator:
         self.field = field
         self.e = tuple(e)
         self.mu = tuple(mu)
-
-    def apply(self, m, i: int):
-        """(coefficient, weight) of the order-i image of chi^m."""
-        coeff = binom_in_field(dot(m, self.mu), i, self.field)
-        w = tuple(a + i * b for a, b in zip(m, self.e))
-        return coeff, w
 
 
 def toric_root_operator(sigma0: Cone, e, field) -> ToricRootOperator:

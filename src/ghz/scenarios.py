@@ -9,7 +9,6 @@ from math import lcm
 
 from .classifier import Coloring, CoherentFamily
 from .curves import A1, P1, ClosedPoint, point_validate
-from .engine import GradedElement
 from .fields import PrimeField, Rationals, _is_prime
 from .geometry import MAX_RANK, Cone, Polyhedron, fmt_ratio
 from .polynomials import (ParseError, lambda_field, parse_poly,
@@ -244,7 +243,7 @@ def parse_scenario(source, name: str = "scenario",
         except ParseError as exc:
             raise ScenarioError(f"bad coefficient {entry['coeff']!r}: {exc}")
         weight = _vec(_key(entry, "weight", "element"), rank, "weight", _int)
-        elements.append(GradedElement.term(field, weight, coeff))
+        elements.append((weight, coeff))
 
     return Scenario(name, field, divisor, coloring, family, bounds,
                     elements, lambda_sample, root)
@@ -284,8 +283,8 @@ def serialize_scenario(sc: Scenario) -> dict:
         out["family_root"] = list(sc.family_root)
     out["bounds"] = dict(sc.bounds)
     if sc.elements:
-        out["elements"] = [{"weight": list(w), "coeff": x.terms[w].to_str()}
-                           for x in sc.elements for w in x.weights()]
+        out["elements"] = [{"weight": list(m), "coeff": f.to_str()}
+                           for m, f in sc.elements if not f.is_zero()]
     return out
 
 

@@ -7,16 +7,18 @@ integral divisor d given as {point: int}. ``exponents``,
 reference generator search, on H^0 generators given as (q, e) pairs.
 ``times_by_expansion`` multiplies such pairs into a rational function by
 expanding them. ``reference_verify_axioms`` checks the operator axioms as
-they are stated, on products taken by ``graded_product``, and
-``toric_axioms_by_brute_force`` checks those of a toric root operator.
+they are stated, on terms (m, f) and their products taken by
+``graded_product``, and ``toric_axioms_by_brute_force`` checks those of a
+toric root operator, applied by ``toric_apply`` with the binomials of
+``binom_in_field``.
 ``in_lattice`` is the lattice membership of the kernel's reference scan.
 """
 
+import math
 from fractions import Fraction
 
-from ghz.binomials import binom_in_field
 from ghz.curves import P1, ClosedPoint, point_validate
-from ghz.engine import EngineError, GradedElement
+from ghz.engine import EngineError, fmt_term
 from ghz.geometry import Cone, _echelon, dot, lattice_box
 from ghz.polynomials import Poly, RatFunc
 from ghz.reports import Report
@@ -133,9 +135,8 @@ def expanded(field, pairs):
 
 
 def generator_elements(field, gens):
-    """The algebra generators as graded elements."""
-    return [GradedElement.term(field, g.weight, expanded(field, g.coeff))
-            for g in gens]
+    """The algebra generators as terms (m, f)."""
+    return [(g.weight, expanded(field, g.coeff)) for g in gens]
 
 
 def principal_divisor(f, curve, policy="trusted") -> dict:
@@ -163,95 +164,132 @@ def h0_dimension(mod) -> int:
     return max(0, mod.degree_bound + 1)
 
 
-def _order(res, i, field):
-    return res.orders.get(i, GradedElement.zero(field))
-
-
 def graded_product(x, y):
-    """x * y for two graded elements: the weights add and the coefficients
+    """x * y for two terms (m, f): the weights add and the coefficients
     multiply."""
-    out = GradedElement.zero(x.field)
-    for w1, f1 in x.terms.items():
-        for w2, f2 in y.terms.items():
-            w = tuple(a + b for a, b in zip(w1, w2))
-            out = out + GradedElement.term(x.field, w, f1 * f2)
-    return out
+    (m1, f1), (m2, f2) = x, y
+    return tuple(a + b for a, b in zip(m1, m2)), f1 * f2
+
+
+def _image(orders, i):
+    """Order i of a row as {weight: coefficient}, {} where it is zero."""
+    w, c = orders.get(i, (None, None))
+    return {} if c is None or c.is_zero() else {tuple(w): c}
 
 
 def vanishing_bound(op, x):
-    """The largest nilpotency bound deg H * p^{s_last} of x's terms, H the
-    lift of a term (a polynomial: x's application descended)."""
-    return max(op._lift(f, w).degree for w, f in x.terms.items()) \
-        * op.nilpotency_exponent()
+    """The nilpotency bound deg H * p^{s_last} of a term x, H its lift (a
+    polynomial: x's application descended)."""
+    m, f = x
+    return op._lift(f, m).degree * op.nilpotency_exponent()
+
+
+def _fmt(x):
+    """A term (m, f) as engine reports print it."""
+    m, f = x
+    return fmt_term(f, m)
+
+
+def _apply(op, x, max_order):
+    """The orders of a term x up to ``max_order`` and the witness of its
+    failure, None when it has none; an application that raises fails with
+    the raised witness."""
+    m, f = x
+    try:
+        orders, failure = op.apply_term(f, m, max_order)
+    except EngineError as exc:
+        return {}, str(exc)
+    return orders, failure and failure[1]
 
 
 def reference_verify_axioms(op, test_set, max_order):
-    """The operator axioms on ``test_set`` by the letter of each rule, the
-    oracle of the proof in ``engine.verify_axioms``: the identity,
-    homogeneity, the product rule on every pair (rx[i1] * ry[i - i1] summed
-    over every i1 <= i, zero orders included), iterativity (rx[b] applied
-    afresh for each order a, truncated at a) and vanishing beyond
-    ``vanishing_bound``.  An application that raises is a failure with its
-    witness, as in ``verify_axioms``."""
+    """The operator axioms on the terms (m, f) of ``test_set`` by the letter
+    of each rule, the oracle of the proof in ``engine.verify_axioms``: the
+    identity, homogeneity, the product rule on every pair (rx[i1] *
+    ry[i - i1] summed over every i1 <= i, zero orders included),
+    iterativity (rx[b] applied afresh for each order a, truncated at a) and
+    vanishing beyond ``vanishing_bound``.  Each term is applied truncated
+    at ``max_order``, and an application that fails by then is a failure
+    with its witness, as in ``verify_axioms``."""
     rep = Report("operator axioms")
     k = op.field
     results = []
     for x in test_set:
-        try:
-            res = op.apply(x, max_order)
-        except EngineError as exc:
-            rep.fail(f"application failed on {x.to_str()}: {exc}")
+        rx, failure = _apply(op, x, max_order)
+        if failure:
+            rep.fail(f"application failed on {_fmt(x)}: {failure}")
             continue
-        results.append((x, res))
-        if _order(res, 0, k) != x:
-            rep.fail(f"order 0 is not the identity on {x.to_str()}")
-        for i, val in res.orders.items():
-            for w in val.weights():
-                for xw in x.weights():
-                    expect = tuple(a + i * b for a, b in zip(xw, op.e))
-                    if len(x.terms) == 1 and w != expect:
-                        rep.fail(f"order {i} weight {w} is not the input "
-                                 f"weight shifted by {i}*e")
+        results.append((x, rx))
+        m, f = x
+        if _image(rx, 0) != ({} if f.is_zero() else {m: f}):
+            rep.fail(f"order 0 is not the identity on {_fmt(x)}")
+        for i, (w, _) in rx.items():
+            if w != tuple(a + i * b for a, b in zip(m, op.e)):
+                rep.fail(f"order {i} weight {w} is not the input weight "
+                         f"shifted by {i}*e")
     for ix, (x, rx) in enumerate(results):
         for y, ry in results[ix:]:
-            try:
-                rxy = op.apply(graded_product(x, y), max_order)
-            except EngineError as exc:
-                rep.fail(f"application failed on a product: {exc}")
+            rxy, failure = _apply(op, graded_product(x, y), max_order)
+            if failure:
+                rep.fail(f"application failed on a product: {failure}")
                 continue
             for i in range(max_order + 1):
-                acc = GradedElement.zero(k)
+                acc = {}
                 for i1 in range(i + 1):
-                    acc = acc + graded_product(_order(rx, i1, k),
-                                               _order(ry, i - i1, k))
-                if acc != _order(rxy, i, k):
+                    for w1, f1 in _image(rx, i1).items():
+                        for w2, f2 in _image(ry, i - i1).items():
+                            w, f = graded_product((w1, f1), (w2, f2))
+                            acc[w] = acc[w] + f if w in acc else f
+                if {w: f for w, f in acc.items() if not f.is_zero()} \
+                        != _image(rxy, i):
                     rep.fail(f"product rule fails at order {i} on "
-                             f"({x.to_str()})*({y.to_str()})")
+                             f"({_fmt(x)})*({_fmt(y)})")
                     break
     pairs = [(a, b) for a in range(1, max_order + 1)
              for b in range(1, max_order + 1 - a)]
     for x, rx in results:
         for a, b in pairs:
-            inner = _order(rx, b, k)
-            if inner.is_zero():
-                lhs = GradedElement.zero(k)
-            else:
-                try:
-                    lhs = _order(op.apply(inner, a), a, k)
-                except EngineError as exc:
-                    rep.fail(f"iterate failed on {x.to_str()}: {exc}")
-                    continue
+            lhs, failure = {}, None
+            for inner in _image(rx, b).items():
+                orders, failure = _apply(op, inner, a)
+                lhs = _image(orders, a)
+            if failure:
+                rep.fail(f"iterate failed on {_fmt(x)}: {failure}")
+                continue
             c = binom_in_field(a + b, a, k)
-            rhs = GradedElement(k, {w: f.scale(c) for w, f
-                                    in _order(rx, a + b, k).terms.items()})
+            rhs = {w: f.scale(c) for w, f in _image(rx, a + b).items()
+                   if not k.is_zero(c)}
             if lhs != rhs:
-                rep.fail(f"iteration rule fails at ({a},{b}) on {x.to_str()}")
+                rep.fail(f"iteration rule fails at ({a},{b}) on {_fmt(x)}")
                 break
     for x, rx in results:
-        if rx.orders and max(rx.orders) > vanishing_bound(op, x):
+        if rx and max(rx) > vanishing_bound(op, x):
             rep.fail(f"nonzero image beyond the vanishing bound on "
-                     f"{x.to_str()}")
+                     f"{_fmt(x)}")
     return rep
+
+
+def binom_general(n: int, j: int) -> int:
+    """n(n-1)...(n-j+1)/j! as an exact integer; n may be negative."""
+    if j < 0:
+        raise ValueError("lower index must be nonnegative")
+    if n >= 0:
+        return math.comb(n, j)
+    # (-1)^j * C(j - n - 1, j)
+    return (-1) ** j * math.comb(j - n - 1, j)
+
+
+def binom_in_field(n: int, j: int, field):
+    """binom_general(n, j) reduced into the given field."""
+    return field.from_int(binom_general(n, j))
+
+
+def toric_apply(top, m, i: int):
+    """(coefficient, weight) of the order-i image of chi^m under a toric
+    root operator: C(<m, mu>, i) at weight m + i*e."""
+    coeff = binom_in_field(dot(m, top.mu), i, top.field)
+    w = tuple(a + i * b for a, b in zip(m, top.e))
+    return coeff, w
 
 
 def toric_axioms_by_brute_force(top, sigma0, box, max_order):
@@ -263,7 +301,7 @@ def toric_axioms_by_brute_force(top, sigma0, box, max_order):
     dual = sigma0.dual()
     weights = [m for m in lattice_box(sigma0.n, box) if dual.contains(m)]
     for m in weights:
-        c0, w0 = top.apply(m, 0)
+        c0, w0 = toric_apply(top, m, 0)
         if not field.eq(c0, field.one()) or w0 != tuple(m):
             rep.fail(f"order 0 is not the identity at {m}")
     for m1 in weights[:12]:
@@ -274,20 +312,20 @@ def toric_axioms_by_brute_force(top, sigma0, box, max_order):
             for i in range(max_order + 1):
                 acc = field.zero()
                 for i1 in range(i + 1):
-                    c1, _ = top.apply(m1, i1)
-                    c2, _ = top.apply(m2, i - i1)
+                    c1, _ = toric_apply(top, m1, i1)
+                    c2, _ = toric_apply(top, m2, i - i1)
                     acc = field.add(acc, field.mul(c1, c2))
-                ci, _ = top.apply(msum, i)
+                ci, _ = toric_apply(top, msum, i)
                 if not field.eq(acc, ci):
                     rep.fail(f"product rule fails at {m1}+{m2}, order {i}")
                     break
     for m in weights[:12]:
         for a in range(1, max_order):
             for b in range(1, max_order - a):
-                cb, wb = top.apply(m, b)
-                ca, _ = top.apply(wb, a)
+                cb, wb = toric_apply(top, m, b)
+                ca, _ = toric_apply(top, wb, a)
                 lhs = field.mul(ca, cb)
-                cab, _ = top.apply(m, a + b)
+                cab, _ = toric_apply(top, m, a + b)
                 rhs = field.mul(binom_in_field(a + b, a, field), cab)
                 if not field.eq(lhs, rhs):
                     rep.fail(f"iteration rule fails at {m}, ({a},{b})")

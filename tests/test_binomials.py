@@ -1,8 +1,9 @@
 from math import comb
 
-from ghz.binomials import binom_general, binom_in_field
 from ghz.fields import PrimeField, Rationals
 from ghz.polynomials import lambda_field
+
+from helpers import binom_general, binom_in_field
 
 
 def test_binom_general_matches_comb():

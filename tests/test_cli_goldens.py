@@ -37,7 +37,8 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
          "p1-finite-y-infinity",
          "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
          "p1-pieces", "refused-generator", "refused-generator-box4",
-         "toric-fractional", "v0-not-vertex", "weight-cone-image",
+         "s-lambda-length", "toric-fractional", "v0-not-vertex",
+         "vdeg-not-vertex", "weight-cone-image", "y0-at-infinity",
          "zero-lambda", "zero-lambda-box1")
 
 # the runs of each scenario besides validate, as argv with the scenario
@@ -52,7 +53,9 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
 # that hits its weight bound, an operator that moves nothing, also at a box
 # with a weight whose kernel the closed form would misread, an operator over
 # P1 whose y_infinity is a finite point, an order that does not descend, a
-# y0 that is not a rational point).
+# y0 that is not a rational point, a family with more exponents than
+# lambdas under override; validate alone reaches a y0 at the marked point
+# and a degree vertex that is not a vertex).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
               "family-root-length": [["toric-check"]],
@@ -82,6 +85,8 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "refused-generator": [["generators"], ["verify", "--override"]],
               "refused-generator-box4": [["verify", "--override"]],
               "toric-fractional": [["toric-check"], ["eval", "--m=2"]],
+              "s-lambda-length": [["verify", "--override"],
+                                  ["apply", "--override"]],
               "zero-lambda": [["verify", "--override"]],
               "zero-lambda-box1": [["verify", "--override"]]}
 

@@ -14,10 +14,10 @@ from ghz.classifier import (CoherentFamily, Coloring, _random_family,
                             coherent_validate)
 from ghz.cli import main
 from ghz.curves import A1, P1, ClosedPoint, point_validate
-from ghz.engine import (DthetaOperator, EngineError, GradedElement,
-                        KernelReport, Refusal, build_operator, image_table,
-                        kernel_in_box, toric_root_operator, verify,
-                        verify_axioms, verify_stability)
+from ghz.engine import (DthetaOperator, EngineError, KernelReport, Refusal,
+                        build_operator, fmt_term, image_table, kernel_in_box,
+                        toric_root_operator, verify, verify_axioms,
+                        verify_stability)
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, Polyhedron, dot, lattice_basis, lattice_box
 from ghz.polynomials import (FractionField, Poly, RatFunc, lambda_field,
@@ -28,10 +28,9 @@ from ghz.scenarios import (builtin_examples, load_builtin, parse_scenario,
                            serialize_scenario)
 from ghz.tvariety import algebra_generators
 
-from helpers import (expanded, generator_elements, graded_product,
-                     in_lattice, int_poly, orthant, rational_divisor,
-                     reference_verify_axioms, times_by_expansion,
-                     vanishing_bound)
+from helpers import (expanded, generator_elements, in_lattice, int_poly,
+                     orthant, rational_divisor, reference_verify_axioms,
+                     times_by_expansion, toric_apply, vanishing_bound)
 
 Q = Rationals()
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -64,15 +63,6 @@ def ramified_operator(field, s, override=False, lam=None):
     return D, build_operator(theta, override=override)
 
 
-def test_graded_element_algebra():
-    K = PrimeField(3)
-    a = GradedElement.term(K, (1,), RatFunc.x(K, 1))
-    b = GradedElement.term(K, (2,), RatFunc.one(K))
-    prod = graded_product(a, b)
-    assert prod.weights() == [(3,)]
-    assert (a + a + a).weights() == []  # 3 = 0 in F_3
-
-
 def test_w25_operator_shape():
     K, D, op = w25_operator()
     assert op.d == 5 and op.p == 2 and op.u == 0
@@ -81,8 +71,8 @@ def test_w25_operator_shape():
 
 def test_w25_apply_t():
     K, D, op = w25_operator()
-    res = op.apply(GradedElement.term(K, (0,), RatFunc.x(K, 1)))
-    got = {i: v.to_str() for i, v in res.orders.items()}
+    orders, _ = op.apply_term(RatFunc.x(K, 1), (0,))
+    got = {i: fmt_term(c, w) for i, (w, c) in orders.items()}
     assert got == {
         0: "(t)*chi^(0,)",
         4: "(1)*chi^(4,)",
@@ -93,9 +83,8 @@ def test_w25_apply_t():
 
 def test_w25_apply_generator():
     K, D, op = w25_operator()
-    x = GradedElement.term(K, (-5,), parse_rational("t*(t^2+l)", K))
-    res = op.apply(x)
-    got = {i: v.to_str() for i, v in res.orders.items()}
+    orders, _ = op.apply_term(parse_rational("t*(t^2+l)", K), (-5,))
+    got = {i: fmt_term(c, w) for i, (w, c) in orders.items()}
     assert got[8] == "(t)*chi^(3,)"
     assert got[40] == "((1)/(t^7))*chi^(35,)"
     assert 1 not in got and 2 not in got
@@ -107,10 +96,10 @@ def test_w25_axioms_and_stability():
     assert cert.complete
     elems = generator_elements(K, gens)
     table = image_table(op, elems)
-    assert verify_axioms(op, table, 12).ok
+    assert verify_axioms(op, table).ok
     assert verify_stability(D, table).ok
     rep = Report("verify")
-    verify(op, elems, 12, 6, rep)
+    verify(op, elems, 6, rep)
     assert rep.ok and "horizontal (order bound 20)" in rep.notes
 
 
@@ -120,7 +109,6 @@ def test_w25_kernel():
     assert ker.report.ok
     assert ker.weights == [(0,), (5,), (10,)]
     assert ker.lattice == [[5]]
-    assert ker.spans[(5,)].to_str() == "(1)/(t)"
 
 
 def test_weights_are_plain_ints():
@@ -140,7 +128,6 @@ def test_weights_are_plain_ints():
             assert images and all(ints(w) for w, _ in images.values())
         ker = kernel_in_box(op, {}, sc.bounds["weight_box"])
         assert ker.weights and all(ints(m) for m in ker.weights)
-        assert all(ints(m) for m in ker.spans)
 
 
 def incoherent_family(e=(1,), lam=None):
@@ -181,12 +168,11 @@ def test_build_refuses_a_p1_coloring_without_y_infinity():
 
 def test_overridden_random_families_reach_a_verdict():
     """60 seeded random A1 families, over Q, F2 and F3 and at ranks 1 and 2
-    in turn, verified under override at weight box 3 and order 8.  A
-    descent failure is a violation with its witness, not an internal
-    failure, so no EngineError escapes; every coherent family verifies ok
-    and no incoherent one does.  Over F3 with s = (2,), a first failing
-    order 9, past the truncation order, is still a violation, and that
-    family's only one."""
+    in turn, verified under override at weight box 3.  A descent failure
+    is a violation with its witness, not an internal failure, so no
+    EngineError escapes; every coherent family verifies ok and no
+    incoherent one does.  Over F3 with s = (2,), a first failing order 9 is
+    a violation, and that family's only one."""
     rng = random.Random(21)
     fields = (Q, PrimeField(2), PrimeField(3))
     verdicts, late = Counter(), []
@@ -198,7 +184,7 @@ def test_overridden_random_families_reach_a_verdict():
         div = theta.coloring.divisor
         rep = Report("verify")
         verify(build_operator(theta, override=True), generator_elements(
-            div.field, algebra_generators(div, 3)[0]), 8, 3, rep)
+            div.field, algebra_generators(div, 3)[0]), 3, rep)
         coherent = coherent_validate(theta).ok
         assert rep.ok or not coherent, rep.violations
         verdicts[coherent, rep.ok] += 1
@@ -214,44 +200,16 @@ def test_ramified_char2():
     F2 = PrimeField(2)
     D, op = ramified_operator(F2, (0,))
     assert op.d == 2 and op.u == 1
-    res = op.apply(GradedElement.term(F2, (0, 1), RatFunc.one(F2)))
-    got = {i: v.to_str() for i, v in res.orders.items()}
+    orders, _ = op.apply_term(RatFunc.one(F2), (0, 1))
+    got = {i: fmt_term(c, w) for i, (w, c) in orders.items()}
     assert got == {0: "(1)*chi^(0, 1)", 2: "((1)/(t^2 + t))*chi^(2, 1)"}
-    res2 = op.apply(GradedElement.term(F2, (1, 1), RatFunc.one(F2)))
-    assert res2.orders[1].to_str() == "((1)/(t))*chi^(2, 1)"
-    t = GradedElement.term(F2, (0, 0), RatFunc.x(F2, 1))
-    rest = op.apply(t)
-    assert rest.orders[2].to_str() == "((1)/(t))*chi^(2, 0)"
+    w, c = op.apply_term(RatFunc.one(F2), (1, 1))[0][1]
+    assert fmt_term(c, w) == "((1)/(t))*chi^(2, 1)"
+    w, c = op.apply_term(RatFunc.x(F2, 1), (0, 0))[0][2]
+    assert fmt_term(c, w) == "((1)/(t))*chi^(2, 0)"
     rep = Report("verify")
-    verify(op, [t], 8, 1, rep)
+    verify(op, [((0, 0), RatFunc.x(F2, 1))], 1, rep)
     assert "horizontal (order bound 4)" in rep.notes
-
-
-def test_apply_stops_at_the_least_failing_order_of_its_terms():
-    """On char2-ramified, with t*chi^(0,0) faulted to fail at order 4 and
-    chi^(1,1) at order 2: their sum, in either order of terms, stops at
-    order 2 with the witness of chi^(1,1), and keeps no order at or past it
-    (t's row has order 2)."""
-    sc = load_builtin("char2-ramified")
-    op = build_operator(sc.family)
-    t = GradedElement.term(sc.field, (0, 0), RatFunc.x(sc.field, 1))
-    x = GradedElement.term(sc.field, (1, 1), RatFunc.one(sc.field))
-    assert 2 in op.apply(t).orders and 1 in op.apply(x).orders
-    want = op.apply(t + x, 1).orders
-    apply_term, fail_at = op.apply_term, {(0, 0): 4, (1, 1): 2}
-
-    def faulted(f, m, max_order=inf):
-        top = fail_at[tuple(m)]
-        if max_order < top:
-            return apply_term(f, m, max_order)
-        images, _ = apply_term(f, m, top - 1)
-        return images, (top, f"descent failure at order {top}, {m}")
-
-    op.apply_term = faulted
-    for y in (t + x, x + t):
-        res = op.apply(y)
-        assert res.failure == (2, "descent failure at order 2, (1, 1)")
-        assert res.orders == want
 
 
 def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
@@ -261,12 +219,12 @@ def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
     verify_axioms reads only the row's failure."""
     sc = load_builtin("char2-ramified")
     op = build_operator(sc.family)
-    x = GradedElement.term(sc.field, (0, 1), RatFunc.one(sc.field))
+    x = ((0, 1), RatFunc.one(sc.field))
     assert vanishing_bound(op, x) == 2
     assert reference_verify_axioms(op, [x], 8).ok
     apply_term = DthetaOperator.apply_term
 
-    def late_image(self, f, m, max_order=None):
+    def late_image(self, f, m, max_order=inf):
         out, failure = apply_term(self, f, m, max_order)
         if tuple(m) == (0, 1):
             out[8] = ((8, 1), RatFunc.one(self.field))
@@ -276,7 +234,7 @@ def test_image_beyond_the_nilpotency_bound_is_a_violation(monkeypatch):
     rep = reference_verify_axioms(op, [x], 8)
     assert rep.violations == [
         "nonzero image beyond the vanishing bound on (1)*chi^(0, 1)"]
-    assert verify_axioms(op, image_table(op, [x]), 8).ok
+    assert verify_axioms(op, image_table(op, [x])).ok
 
 
 def test_vanishing_bound_is_the_degree_of_the_step():
@@ -287,9 +245,10 @@ def test_vanishing_bound_is_the_degree_of_the_step():
     violation."""
     F2 = PrimeField(2)
     D, op = ramified_operator(F2, (1, 0), override=True, lam=(F2.one(),) * 2)
-    t = GradedElement.term(F2, (0, 0), RatFunc.x(F2, 1))
+    t = ((0, 0), RatFunc.x(F2, 1))
     assert op.nilpotency_exponent() == 2
-    assert max(op.apply(t).orders) == 4 == vanishing_bound(op, t)
+    assert max(op.apply_term(RatFunc.x(F2, 1), (0, 0))[0]) == 4 \
+        == vanishing_bound(op, t)
     assert reference_verify_axioms(op, [t], 8).ok
 
 
@@ -307,10 +266,9 @@ def test_the_step_adds_the_lambdas_of_a_repeated_exponent():
     D, op = ramified_operator(F2, (1, 1), override=True, lam=(F2.one(),) * 2)
     assert op.step.is_zero()
     rep = Report("verify")
-    verify(op, generator_elements(F2, algebra_generators(D, 2)[0]), 8, 2, rep)
+    verify(op, generator_elements(F2, algebra_generators(D, 2)[0]), 2, rep)
     assert "no positive order moves the curve coordinate" in rep.violations
-    assert rep.notes == ["kernel skipped: its closed form needs "
-                         "lambda_last != 0"]
+    assert rep.notes == ["kernel skipped: its closed form needs S != 0"]
 
 
 def test_axioms_do_not_depend_on_written_form():
@@ -318,20 +276,16 @@ def test_axioms_do_not_depend_on_written_form():
     D, op = ramified_operator(F2, (0,))
     f = parse_rational("(t^2+1)*(t+1)^-1", F2)  # t^2 + 1 = (t + 1)^2
     assert f == RatFunc.from_poly(parse_poly("t+1", F2))
-    rep = verify_axioms(op, image_table(
-        op, [GradedElement.term(F2, (0, 1), f)]), 4)
+    rep = verify_axioms(op, image_table(op, [((0, 1), f)]))
     assert rep.ok, rep.violations
 
 
 def _box_elements(div, n=4):
     """The module generators at the first ``n`` weights of the unit box in
-    the weight cone, and the sum of the first and last as a two-term
-    element."""
+    the weight cone, as terms (m, f_m)."""
     dual = div.tail.dual()
-    elems = [GradedElement.term(div.field, m,
-                                expanded(div.field, div.generator(m)))
-             for m in lattice_box(div.rank, 1) if dual.contains(m)][:n]
-    return elems + [elems[0] + elems[-1]] if len(elems) > 1 else elems
+    return [(m, expanded(div.field, div.generator(m)))
+            for m in lattice_box(div.rank, 1) if dual.contains(m)][:n]
 
 
 def _faulty(op, fault, elems, full, top=3):
@@ -342,21 +296,21 @@ def _faulty(op, fault, elems, full, top=3):
     the iterates fail.  "step": the step
     sum lambda_j T^(p^s_j) gets exponents 2 p^s_j (3 * 2^s_j over F2), so it
     is no longer additive and iterativity fails.  "swap": the order-``top``
-    image of every element outside ``elems`` is the element itself, so the
+    image of every term outside ``elems`` is the term itself, so the
     product rule fails, also where the factors' images have no order
     ``top``."""
-    apply = op.apply
+    apply_term = op.apply_term
 
-    def faulty_apply(x, max_order=inf):
-        res = apply(x, max_order)
+    def faulty_apply_term(f, m, max_order=inf):
+        orders, failure = apply_term(f, m, max_order)
         if fault == "raise" and top <= max_order < full:
-            res.orders = {i: v for i, v in res.orders.items() if i < top}
-            res.failure = (top, f"descent failure at order {top}")
-        if fault == "swap" and x not in elems:
-            res.orders[top] = x
-        return res
+            orders = {i: v for i, v in orders.items() if i < top}
+            failure = (top, f"descent failure at order {top}")
+        if fault == "swap" and (m, f) not in elems:
+            orders[top] = (m, f)
+        return orders, failure
 
-    op.apply = faulty_apply
+    op.apply_term = faulty_apply_term
     if fault == "step":
         op.exponents = tuple((3 if op.p == 2 else 2) * e
                              for e in op.exponents)
@@ -364,31 +318,16 @@ def _faulty(op, fault, elems, full, top=3):
     return op
 
 
-def _raising(op):
-    """op, whose application raises the witness of its first failing order
-    when that order is at most the truncation order, as the reference
-    expects of an application that does not descend."""
-    apply = op.apply
-
-    def raising_apply(x, max_order=inf):
-        res = apply(x, max_order)
-        if res.failed_by(max_order):
-            raise EngineError(res.failure[1])
-        return res
-
-    op.apply = raising_apply
-    return op
-
-
 def test_verify_axioms_matches_the_reference():
     """The axioms hold by construction wherever the rows descend (see
-    ``verify_axioms``): the rules' letter in ``reference_verify_axioms``,
-    given an operator that raises at a failing order, reports only failed
-    applications, and the same report as verify_axioms.  The cases: the
-    builtins with a family, the overridden families of the scenario files,
-    and seeded random A1 families over Q, F2 and F3 at ranks 1 and 2 and
-    orders 8 and 12.  The same random families broken by ``_faulty`` show
-    that the reference catches the violation of each rule."""
+    ``verify_axioms``): the rules' letter in ``reference_verify_axioms`` at
+    a truncation order reports only failed applications, the same report as
+    verify_axioms on the rows truncated there.  Untruncated, verify_axioms
+    reports those rows and the ones that fail past that order.  The cases:
+    the builtins with a family, the overridden families of the scenario
+    files, and seeded random A1 families over Q, F2 and F3 at ranks 1 and 2
+    and orders 8 and 12.  The same random families broken by ``_faulty``
+    show that the reference catches the violation of each rule."""
     cases, faulted = [], []
     for name in builtin_examples():
         sc = load_builtin(name)
@@ -428,24 +367,28 @@ def test_verify_axioms_matches_the_reference():
     def kind(violation):
         return violation.split(" on ")[0].split(" at ")[0]
 
-    failed = 0
+    failed = early = 0
     for op, elems, order in cases:
-        got = verify_axioms(op, image_table(op, elems), order)
-        assert got == reference_verify_axioms(_raising(op), elems, order)
+        got = verify_axioms(op, image_table(op, elems))
+        truncated = verify_axioms(op, {(m, f): op.apply_term(f, m, order)
+                                       for m, f in elems})
+        assert truncated == reference_verify_axioms(op, elems, order)
+        assert set(truncated.violations) <= set(got.violations)
         assert {kind(v) for v in got.violations} <= {"application failed"}
         failed += len(got.violations)
+        early += len(truncated.violations)
     kinds = {fault: Counter() for fault in ("raise", "step", "swap")}
     for fault, op, elems, order in faulted:
         kinds[fault].update(map(kind, reference_verify_axioms(
-            _raising(op), elems, order).violations))
-    assert failed == 18
+            op, elems, order).violations))
+    assert (failed, early) == (16, 12)
     # the faults keep the rows' descent failures, and each breaks its rule:
     # a failing iterate, a step that is not additive, a wrong product
     assert {fault: set(c) - {"application failed"}
             for fault, c in kinds.items()} == {
         "raise": {"iterate failed"}, "step": {"iteration rule fails"},
         "swap": {"product rule fails", "iteration rule fails"}}
-    assert all(c["application failed"] == failed for c in kinds.values())
+    assert all(c["application failed"] == early for c in kinds.values())
 
 
 def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
@@ -465,7 +408,7 @@ def test_verify_applies_each_generator_once(monkeypatch, capsys, tmp_path):
         calls[step[0]] += 1
         return lift(self, f, m)
 
-    def counted_apply(self, f, m, max_order=None):
+    def counted_apply(self, f, m, max_order=inf):
         applied[step[0]] += 1
         return apply_term(self, f, m, max_order)
 
@@ -504,9 +447,10 @@ def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     once a point's epsilon no longer differentiates its separable part.  The
     axioms then stopped applying products and iterates, which leaves 136
     (16 of them reach RatFunc.__mul__), and the kernel stopped descending
-    f_m at every box weight, which leaves 86.  Of those, a factor 1 returns
-    the other factor, so only 13 products of elements of F2(l) reach
-    RatFunc.__mul__ (all 349 did; 18 of 319)."""
+    f_m at every box weight, which leaves 86, and building f_m at its
+    weights, which leaves 79.  Of those, a factor 1 returns the other
+    factor, so only 13 products of elements of F2(l) reach RatFunc.__mul__
+    (all 349 did; 18 of 319)."""
     calls, products = [], []
     mul, ratfunc_mul = FractionField.mul, RatFunc.__mul__
 
@@ -523,7 +467,7 @@ def test_verify_lambda_field_multiplications(monkeypatch, capsys):
     monkeypatch.setattr(RatFunc, "__mul__", counted_product)
     assert main(["verify", "--example", "w25-imperfect"]) == 0
     assert capsys.readouterr().out.startswith("verify: ok")
-    assert len(calls) == 86
+    assert len(calls) == 79
     assert len(products) == 13
 
 
@@ -558,7 +502,8 @@ def test_substitution_matches_series_oracle():
     F3 = PrimeField(3)
     ops = [ramified_operator(Q, (1,), override=True)[1],
            ramified_operator(PrimeField(2), (0,))[1],
-           ramified_operator(PrimeField(2), (0, 1), override=True)[1],
+           ramified_operator(PrimeField(2), (0, 1), override=True,
+                             lam=(PrimeField(2).one(),) * 2)[1],
            ramified_operator(F3, (1,), override=True, lam=(F3.from_int(2),))[1],
            w25_operator()[2],
            ramified_operator(K, (0, 1), override=True, lam=(l, K.one()))[1]]
@@ -594,9 +539,9 @@ def test_substitution_matches_series_oracle():
                         for i, (w, c) in images.items()} \
                     == {i: c for i, c in oracle.items() if i <= top}
                 checked += 1
-    # the F2 operator with s = (0, 1) has one lambda, so its step is T and
-    # the orders run to deg H + 1, not to 2 deg H + 1 (693 checks)
-    assert (checked, failed) == (660, 4)
+    # the F2 operator with s = (0, 1) has the step T + T^2, which three of
+    # its draws fail to descend; the F2(l) one fails on four
+    assert (checked, failed) == (667, 7)
 
 
 def test_a_term_outside_the_domain_is_refused_with_its_witness():
@@ -608,58 +553,16 @@ def test_a_term_outside_the_domain_is_refused_with_its_witness():
     sc = load_builtin("w25-imperfect")
     op = build_operator(sc.family)
     assert op.coherent
-    x = GradedElement.term(sc.field, (0,), RatFunc.x(sc.field, -1))
+    f = RatFunc.x(sc.field, -1)
     witness = ("((1)/(t))*chi^(0,) is outside the operator's domain: its "
                "lift is not a polynomial")
-    f = x.terms[(0,)]
-    assert op.apply_term(f, (0,), 4) == ({}, (0, witness))
-    for res in (op.apply(x), op.apply(x, 12)):
-        assert (res.orders, res.failure) == ({}, (0, witness))
-        assert res.failed_by(0) == witness
-    table = image_table(op, [x])
-    assert table[x].failure == (0, witness)
-    assert verify_axioms(op, table, 4).violations == [
-        f"application failed on {x.to_str()}: {witness}"]
+    for order in (0, 4, 12):
+        assert op.apply_term(f, (0,), order) == ({}, (0, witness))
+    table = image_table(op, [((0,), f)])
+    assert table[(0,), f] == ({}, (0, witness))
+    assert verify_axioms(op, table).violations == [
+        f"application failed on ((1)/(t))*chi^(0,): {witness}"]
     assert verify_stability(sc.divisor, table).violations == []
-
-
-def test_an_element_keeps_the_witness_of_its_first_refused_term():
-    """(1/t)*chi^0 + (1/t)*chi^1 on w25-imperfect: both terms are outside
-    the domain, and the sum fails at order 0 with the witness of the term
-    it applies first, in either order of terms."""
-    sc = load_builtin("w25-imperfect")
-    op = build_operator(sc.family)
-    a, b = (GradedElement.term(sc.field, m, RatFunc.x(sc.field, -1))
-            for m in ((0,), (1,)))
-    for x, y in ((a, b), (b, a)):
-        res = op.apply(x + y)
-        assert res.orders == {} and res.failure == (0, (
-            f"((1)/(t))*chi^{x.weights()[0]} is outside the operator's "
-            "domain: its lift is not a polynomial"))
-
-
-def test_apply_stops_at_a_term_outside_the_domain(monkeypatch):
-    """(1/t)*chi^0 + t*chi^5 + chi^1 on w25-imperfect: the first term fails
-    at order 0, which decides the row, so the later terms are neither
-    lifted nor applied."""
-    sc = load_builtin("w25-imperfect")
-    op = build_operator(sc.family)
-    k, t = sc.field, RatFunc.x(sc.field, 1)
-    first = GradedElement.term(k, (0,), RatFunc.x(k, -1))
-    x = first + GradedElement.term(k, (5,), t) \
-        + GradedElement.term(k, (1,), RatFunc.one(k))
-    want = op.apply(first).failure
-    lifts = []
-    lift = DthetaOperator._lift
-
-    def counted(self, f, m):
-        lifts.append(m)
-        return lift(self, f, m)
-
-    monkeypatch.setattr(DthetaOperator, "_lift", counted)
-    res = op.apply(x)
-    assert lifts == [(0,)]
-    assert (res.orders, res.failure) == ({}, want) and want[0] == 0
 
 
 def test_verify_reports_the_kernels_own_refusal(capsys):
@@ -682,7 +585,7 @@ def test_verify_reports_the_kernels_own_refusal(capsys):
     for box in range(7):
         ker = kernel_in_box(op, {}, box)
         assert (ker.weights, ker.report.violations) == (None, [witness])
-    x = GradedElement.term(sc.field, (5,), RatFunc.x(sc.field, -1))
+    x = ((5,), RatFunc.x(sc.field, -1))
     for box in (4, 5):
         ker = kernel_in_box(op, image_table(op, [x]), box)
         assert (ker.weights, ker.report.violations) == (None, [])
@@ -729,16 +632,16 @@ def test_the_domain_is_closed_under_the_operator():
                 except EngineError:
                     continue
                 found += 1
-                for x in _box_elements(theta.coloring.divisor):
-                    res = op.apply(x)
-                    if res.failure:
+                for m, f in _box_elements(theta.coloring.divisor):
+                    orders, failure = op.apply_term(f, m)
+                    if failure:
                         continue
-                    for i, val in res.orders.items():
-                        again = op.apply(val)
-                        assert again.orders[0] == val
+                    for i, (w, c) in orders.items():
+                        again, failure = op.apply_term(c, w)
+                        assert not failure and again[0] == (w, c)
                         images += 1
             families += found
-    assert (families, images) == (150, 822)
+    assert (families, images) == (150, 592)
 
 
 def test_ramified_char2_stability():
@@ -753,10 +656,9 @@ def test_ramified_char2_stability():
 
 def test_ramified_char0_instability():
     D, op = ramified_operator(Q, (1,), override=True)
-    x = GradedElement.term(Q, (0, 1), RatFunc.one(Q))
-    res = op.apply(x, 4)
-    assert res.orders[1].to_str() == "((2)/(t - 1))*chi^(1, 1)"
-    rep = verify_stability(D, image_table(op, [x]))
+    w, c = op.apply_term(RatFunc.one(Q), (0, 1), 4)[0][1]
+    assert fmt_term(c, w) == "((2)/(t - 1))*chi^(1, 1)"
+    rep = verify_stability(D, image_table(op, [((0, 1), RatFunc.one(Q))]))
     assert not rep.ok
 
 
@@ -796,13 +698,13 @@ def test_toric_root_operator():
     orth = orthant(2)
     top = toric_root_operator(orth, (-1, 2), Q)
     assert top.mu == (1, 0)
-    c, w = top.apply((1, 0), 1)
+    c, w = toric_apply(top, (1, 0), 1)
     assert c == F(1) and w == (0, 2)
-    c2, w2 = top.apply((1, 0), 2)
+    c2, w2 = toric_apply(top, (1, 0), 2)
     assert Q.is_zero(c2)
     F2 = PrimeField(2)
     top2 = toric_root_operator(orth, (-1, 2), F2)
-    c3, w3 = top2.apply((3, 0), 2)  # C(3,2) = 3 = 1 mod 2
+    c3, w3 = toric_apply(top2, (3, 0), 2)  # C(3,2) = 3 = 1 mod 2
     assert F2.is_one(c3) and w3 == (1, 4)
 
 
@@ -857,7 +759,8 @@ def _poly_lcm(polys, field):
 
 def _reference_kernel_in_box(op, div, box_bound, window=6):
     """The kernel by applying the operator to t^j * f_m for j <= window and
-    taking the nullspace of the cleared image coefficients."""
+    taking the nullspace of the cleared image coefficients, and the element
+    spanning the kernel piece at each kernel weight."""
     rep = Report("kernel structure")
     k = div.field
     dual = div.tail.dual()
@@ -911,17 +814,23 @@ def _reference_kernel_in_box(op, div, box_bound, window=6):
             continue
         if in_lattice(m, basis) and m not in weights:
             rep.fail(f"lattice point {m} in the cone is not a kernel weight")
-    return KernelReport(rep, weights, spans, basis)
+    return KernelReport(rep, weights, basis), spans
 
 
 def _kernel_summary(ker):
-    return (ker.weights, ker.spans, ker.lattice, ker.report.violations)
+    return (ker.weights, ker.lattice, ker.report.violations)
+
+
+def _module_generators(div, weights):
+    """f_m at each weight."""
+    return {m: expanded(div.field, div.generator(m)) for m in weights}
 
 
 def test_kernel_closed_form_matches_nullspace_oracle():
-    """Same weights, spans, lattice and violations as the nullspace over the
-    window, on the builtins with a family (toric-demo has none) at two boxes
-    and on random coherent A1 families."""
+    """Same weights, lattice and violations as the nullspace over the
+    window, whose span at every kernel weight is f_m, on the builtins with a
+    family (toric-demo has none) at two boxes and on random coherent A1
+    families."""
     cases = []
     # the reference's candidates at each builtin are t^j * f_m, j <= window
     windows = {"w25-imperfect": 4, "w25-prime": 4, "char2-ramified": 3}
@@ -948,8 +857,9 @@ def test_kernel_closed_form_matches_nullspace_oracle():
     kernel_weights = 0
     for op, div, bound, window in cases:
         got = kernel_in_box(op, {}, bound)
-        want = _reference_kernel_in_box(op, div, bound, window)
+        want, spans = _reference_kernel_in_box(op, div, bound, window)
         assert _kernel_summary(got) == _kernel_summary(want)
+        assert spans == _module_generators(div, got.weights)
         kernel_weights += len(got.weights)
     assert len(cases) == 22
     assert kernel_weights == 136
@@ -959,9 +869,11 @@ def _reference_scan_kernel(op, table, box_bound):
     """The kernel by the scan that preceded the integer rule, copied but for
     three names: ``apply_term`` for the descent alone (the same orders and
     failure, each order times xi_w != 0), ``degree <= 0`` for
-    ``is_constant``, and the helpers' ``in_lattice``.  It descends f_m at
-    every box weight without a row, checks the closed form against the
-    images, and then the integral evaluations and the semigroup shape."""
+    ``is_constant``, and the helpers' ``in_lattice``, and returns the
+    element spanning the kernel piece at each kernel weight beside the
+    report.  It descends f_m at every box weight without a row, checks the
+    closed form against the images, and then the integral evaluations and
+    the semigroup shape."""
     div = op.divisor  # over P1, div.generator raises: there is no f_m
     rep = Report("kernel structure")
     dual = div.tail.dual()
@@ -971,14 +883,13 @@ def _reference_scan_kernel(op, table, box_bound):
             continue
         fm = times_factors(RatFunc.one(div.field), div.generator(m),
                            op.xi_powers)
-        row = table.get(GradedElement.term(div.field, m, fm))
-        orders, failure = op.apply_term(fm, m) if row is None \
-            else (row.orders, row.failure)
+        row = table.get((m, fm))
+        orders, failure = op.apply_term(fm, m) if row is None else row
         if failure and not failure[0]:
             stop = Report("kernel structure")
             if row is None:
                 stop.fail(failure[1])
-            return KernelReport(stop, None, {}, [])
+            return KernelReport(stop, None, []), {}
         a, r = divmod(dot(m, op.dv0), op.d)  # <m, v0> = a + r/d
         fixed = False
         if not r:
@@ -1004,7 +915,7 @@ def _reference_scan_kernel(op, table, box_bound):
             continue
         if in_lattice(m, basis) and m not in weights:
             rep.fail(f"lattice point {m} in the cone is not a kernel weight")
-    return KernelReport(rep, weights, spans, basis)
+    return KernelReport(rep, weights, basis), spans
 
 
 def _vertices_in_place(coloring):
@@ -1032,7 +943,8 @@ def test_kernel_matches_the_reference_scan():
     seeded random A1 families over Q, F2 and F3 at ranks 1 and 2, each also
     with one colored vertex moved to a random lattice point (under
     override).  Where every vertex lies in its D_y, the two give the same
-    weights, spans, lattice and violations, and the scan's two shape checks
+    weights, lattice and violations, the scan's span at every kernel weight
+    is f_m, and the scan's two shape checks
     hold: every kernel weight has integral evaluations, and every box point
     of the cone and the lattice of the kernel weights is one.  Where a
     vertex does not, the rule stops; a stop inside the box is the scan's
@@ -1067,11 +979,12 @@ def test_kernel_matches_the_reference_scan():
     for op, table, top in cases:
         div = op.divisor
         for box in (1, top):
-            got, want = kernel_in_box(op, table, box), \
-                _reference_scan_kernel(op, table, box)
+            got = kernel_in_box(op, table, box)
+            want, spans = _reference_scan_kernel(op, table, box)
             if _vertices_in_place(op.coloring):
                 kinds["in place"] += 1
                 assert _kernel_summary(got) == _kernel_summary(want)
+                assert spans == _module_generators(div, got.weights)
                 assert got.report.ok
                 assert all(a % div.den == 0 for m in got.weights
                            for a in div.eval(m).values())
@@ -1121,7 +1034,7 @@ def test_kernel_of_overridden_incoherent_families():
     op = build_operator(theta, override=True)
     ker = kernel_in_box(op, {}, 10)
     assert _kernel_summary(ker) == _kernel_summary(
-        _reference_kernel_in_box(op, D, 10, window=4))
+        _reference_kernel_in_box(op, D, 10, window=4)[0])
     # a step that does not descend: f_1*chi^1 fails at order 4, and a
     # failing order moves it, so the closed form's verdict stands, the same
     # as for e = (1,)
@@ -1130,7 +1043,7 @@ def test_kernel_of_overridden_incoherent_families():
     orders, failure = op.apply_term(RatFunc.one(D.field), (1,))
     assert list(orders) == [0] and failure[0] == 4
     assert _kernel_summary(kernel_in_box(op, {}, 10)) == _kernel_summary(ker)
-    assert _kernel_summary(_reference_scan_kernel(op, {}, 10)) \
+    assert _kernel_summary(_reference_scan_kernel(op, {}, 10)[0]) \
         == _kernel_summary(ker)
     assert ker.weights == [(0,), (5,), (10,)] and ker.report.ok
     # lambda = 0 fixes every element: verify skips the kernel, whose closed
@@ -1139,11 +1052,10 @@ def test_kernel_of_overridden_incoherent_families():
     D, theta = incoherent_family(lam=(F2.zero(),))
     rep = Report("verify")
     verify(build_operator(theta, override=True), generator_elements(
-        F2, algebra_generators(D, 10)[0]), 12, 10, rep)
+        F2, algebra_generators(D, 10)[0]), 10, rep)
     assert rep.violations[-1] == \
         "no positive order moves the curve coordinate"
-    assert rep.notes == ["kernel skipped: its closed form needs "
-                         "lambda_last != 0"]
+    assert rep.notes == ["kernel skipped: its closed form needs S != 0"]
 
 
 @pytest.mark.parametrize("field, points", [

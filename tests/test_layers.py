@@ -3,7 +3,9 @@ nor reads a step of ``engine.verify``, so only the engine knows the rows of
 the image table and how each step reads them.  Inside the engine every
 failed application is a row's data, a descent failure and an element
 outside the domain alike: no ``except`` clause names an engine error.  The
-axioms and stability read the rows only: they apply nothing."""
+axioms and stability read the rows only: they apply nothing.  A row holds
+every order of its term, so only the apply path reads a truncation order:
+``verify`` and its steps neither take nor read one."""
 
 import ast
 from pathlib import Path
@@ -74,6 +76,38 @@ def test_name_scan_sees_calls_and_aliases():
     assert names_read(source, "f") & APPLICATIONS == {
         "apply", "_lift", "descend_power"}
     assert names_read(source, "g") & APPLICATIONS == {"apply_term"}
+
+
+TRUNCATION = {"max_order", "order"}
+UNTRUNCATED = ("verify", "image_table", "verify_axioms", "verify_stability",
+               "kernel_in_box")
+
+
+def truncation_names(source, function):
+    """The truncation-order names that the top-level ``function`` takes as a
+    parameter (its own or a nested function's), reads, or passes as a
+    keyword."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    names = {node.arg for node in ast.walk(fn)
+             if isinstance(node, (ast.arg, ast.keyword))}
+    return (names | names_read(source, function)) & TRUNCATION
+
+
+def test_verify_reads_no_truncation_order():
+    source = ENGINE.read_text(encoding="utf-8")
+    for function in UNTRUNCATED:
+        assert truncation_names(source, function) == set(), function
+
+
+def test_truncation_scan_sees_parameters_reads_and_keywords():
+    source = ("def a(op, max_order):\n    pass\n"
+              "def b(op):\n    return op.order\n"
+              "def c(op, f, m):\n    op.apply_term(f, m, max_order=3)\n"
+              "def d(op):\n    def inner(order=0):\n        pass\n"
+              "def e(op, box):\n    return box\n")
+    assert [truncation_names(source, fn) for fn in "abcde"] == [
+        {"max_order"}, {"order"}, {"max_order"}, {"order"}, set()]
 
 
 def engine_error_handlers(source):

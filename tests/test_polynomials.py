@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from ghz.binomials import binom_general
+from ghz.engine import fmt_term
 from ghz.fields import FieldError, PrimeField, Rationals
 from ghz.polynomials import (FractionField, ParseError, Poly, RatFunc,
                              descend_power, factor_list, fmt_factors,
@@ -12,7 +12,7 @@ from ghz.polynomials import (FractionField, ParseError, Poly, RatFunc,
                              parse_scalar, poly_gcd, substitute_poly)
 from ghz.scenarios import ScenarioError, parse_scenario
 
-from helpers import expanded, from_fraction, int_poly
+from helpers import binom_general, expanded, from_fraction, int_poly
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -390,7 +390,7 @@ F3L = lambda_field(3)
 
 # (reader, field, text, what it reads): a printed value, or the class and
 # message of the error. "coeff" is an element coefficient of a scenario,
-# printed with GradedElement.to_str.
+# printed with engine.fmt_term.
 PARSER_TABLE = [
     ("poly", Q, "--t", "t"),
     ("poly", Q, "+t", "t"),
@@ -419,8 +419,8 @@ PARSER_TABLE = [
     ("coeff", F3L, "2*t^2*(t^2+l)^-1", "((2*t^2)/(t^2 + l))*chi^(0,)"),
     ("coeff", F2, "t*(t+1)", "(t^2 + t)*chi^(0,)"),
     ("coeff", F2, "(t+1)^-2*(t^2+1)", "(1)*chi^(0,)"),
-    ("coeff", Q, "0", "0"),
-    ("coeff", Q, "0*t^-1", "0"),
+    ("coeff", Q, "0", "(0)*chi^(0,)"),
+    ("coeff", Q, "0*t^-1", "(0)*chi^(0,)"),
     # cancelling written forms
     ("poly", F2, "(t^2+1)/(t+1)", "t + 1"),
     ("poly", Q, "(t^2-1)/(t-1)", "t + 1"),
@@ -463,7 +463,8 @@ def _parsed(reader, field, text):
             return field.to_str(parse_scalar(text, field))
         sc = parse_scenario({"elements": [{"weight": [0], "coeff": text}]},
                             field_override=field)
-        return sc.elements[0].to_str()
+        ((m, f),) = sc.elements
+        return fmt_term(f, m)
     except (ParseError, ScenarioError, FieldError) as exc:
         return type(exc).__name__, str(exc)
 

@@ -85,8 +85,8 @@ def test_support_rays_must_match_tail():
 def test_elements_parsed():
     sc = load_builtin("w25-imperfect")
     assert len(sc.elements) == 1
-    (x,) = sc.elements
-    assert x.weights() == [(-5,)]
+    ((m, f),) = sc.elements
+    assert m == (-5,)
 
 
 @pytest.mark.parametrize("edit, message", [

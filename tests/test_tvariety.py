@@ -216,10 +216,11 @@ def test_eval_outside_weight_cone():
 
 def test_graded_piece_is_built_once_per_weight(tmp_path, monkeypatch,
                                                capsys):
-    """The generator search, the kernel scan and membership share one
-    graded piece per weight: one verify builds 25 pieces on w25-imperfect
-    and 49 on char2-ramified at weight box 6, one per weight they read
-    (48 and 100 builds when every call built its own)."""
+    """The generator search and membership share one graded piece per
+    weight: one verify builds 24 pieces on w25-imperfect and 48 on
+    char2-ramified at weight box 6, one per weight they read (48 and 100
+    builds when every call built its own; 25 and 49 while the kernel built
+    f_m at each kernel weight)."""
     calls = []
 
     def counted(d, curve, field):
@@ -231,8 +232,8 @@ def test_graded_piece_is_built_once_per_weight(tmp_path, monkeypatch,
     ramified["bounds"] = dict(ramified["bounds"], weight_box=6)
     path = tmp_path / "ramified.json"
     path.write_text(json.dumps(ramified))
-    for source, want in ((["--example", "w25-imperfect"], 25),
-                         (["--scenario", str(path)], 49)):
+    for source, want in ((["--example", "w25-imperfect"], 24),
+                         (["--scenario", str(path)], 48)):
         calls.clear()
         assert main(["verify", *source]) == 0
         assert capsys.readouterr().out.startswith("verify: ok")
