@@ -169,7 +169,8 @@ def _run(rep, sc, command, args):
             rep.note("family is coherent")
     elif command == "apply":
         op = _operator(sc, args.override)
-        _require(sc.elements, "apply needs scenario elements")
+        _require(any(not f.is_zero() for _, f in sc.elements),
+                 "apply needs a nonzero scenario element")
         order = args.order if args.order is not None \
             else sc.bounds["max_order"]
         apply(op, sc.elements, order, rep)
@@ -263,6 +264,8 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         if args.order is not None and args.order < 0:
             raise UsageError("series order must be positive")
+        _require(args.order is None or args.command == "apply",
+                 "--order is read by apply only")
         field_override = parse_field(args.field) if args.field else None
         policy = "trusted" if args.trust_irreducible else "strict"
         if args.command == "example":

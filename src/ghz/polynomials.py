@@ -8,7 +8,7 @@ S = sum lambda_j T^(p^s_j) is a :class:`Poly` in T as well.
 A rational function, parsed or computed, is a reduced :class:`RatFunc`;
 the parser builds it with RatFunc's own arithmetic.  An H^0 generator
 prod q_y^(e_y) stays a ``factor_list`` of (q_y, e_y) pairs, which
-``fmt_factors`` prints and the generator search reads by exponents;
+``fmt_factors`` prints (the generator search reads the e_y off D(m));
 ``times_factors`` is the one way to multiply it into a RatFunc, dividing
 each q_y out of the opposite side instead of running a gcd.
 """

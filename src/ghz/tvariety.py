@@ -4,9 +4,6 @@ linearity fan, membership and generator search."""
 
 from __future__ import annotations
 
-from collections import deque
-from operator import add
-
 from .curves import A1, P1, ClosedPoint, ModuleDescription, h0_generators
 from .geometry import (Cone, Polyhedron, dot, lattice_box,
                        minkowski_weighted_sum)
@@ -97,7 +94,7 @@ class PolyhedralDivisor:
 
     def graded_piece(self, m) -> ModuleDescription:
         """H^0 of the integral divisor floor(D(m)), built once per weight:
-        the generator search, the kernel and membership all read the
+        the chosen generators, the kernel and membership all read the
         same pieces.  A weight outside the dual cone is never kept, so it
         raises on every call."""
         key = tuple(m)
@@ -188,10 +185,24 @@ class AlgebraGenerator(Record):
 def algebra_generators(div: PolyhedralDivisor, bound: int):
     """Minimal generating set of the A1 graded algebra, certified on a box.
 
-    Scans weights with coordinates bounded by ``bound``, repeatedly adding
-    f_m chi^m for the smallest-norm weight whose graded piece is not yet
-    reached by products of the chosen elements, then removes redundant
-    members.  The reach fixpoint runs per factor (see ``saturate``).
+    Scans the weights with coordinates bounded by ``bound`` by norm, adding
+    f_m chi^m for each weight that products of the chosen elements do not
+    reach, then removes redundant members.  Only the divisor's integers
+    are read; f_m is built for the chosen weights alone.
+
+    f_m = prod q_y^e_y(m) with e_y(m) = -floor(D(m)_y), one column per
+    support point (one zero column without support).  A split m = m1 + m2
+    reaches h * f_m * k[t] with h = f_m1 * f_m2 / f_m, whose exponent
+    q = e(m1) + e(m2) - e(m) is >= 0 since floor(D) is superadditive.  Per
+    column, the exponent of the least reached h is the greatest fixpoint of
+    the min over splits of h1 + h2 + q, 0 at chosen weights, and m is
+    reached when it is 0 in every column.  All three summands are >= 0, so
+    a 0 needs h1 = h2 = q = 0, and every value of the fixpoint has a finite
+    derivation from the chosen weights: its zeros are the least closure of
+    the chosen weights under the column's zero splits, a Horn closure on
+    booleans.  A new chosen weight only grows each closure, so the greedy
+    step propagates from it alone; the minimalization keeps a weight with
+    no zero split in some column at once, as the rest never reach it there.
     """
     if div.curve != A1:
         raise DivisorError("generator search is implemented over A1")
@@ -199,79 +210,65 @@ def algebra_generators(div: PolyhedralDivisor, bound: int):
     weights = [m for m in lattice_box(div.rank, bound)
                if any(m) and dual.contains(m)]
     weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
-    fgen = {m: div.generator(m) for m in weights}
-    n = len(weights)
-    where = {m: i for i, m in enumerate(weights)}
-
-    # Each f_m is a product of distinct monic factors, so a reach value
-    # h * f_m * k[t] with h a polynomial in those factors is an exponent
-    # vector over every factor of every f_m: one column per factor, and one
-    # zero column if no f_m has a factor.
-    cols = {}
-    for i, m in enumerate(weights):
-        for poly, e in fgen[m]:
-            cols.setdefault(poly, [0] * n)[i] = e
-    cols = list(cols.values()) or [[0] * n]
-    # splits[c][i]: (i1, i2, exponent of f_m1 * f_m2 / f_m in column c), one
-    # per unordered pair with weights[i] = m1 + m2 in the box; users[i]: the
-    # weights with a split that has weights[i] as a part
-    splits = [[[] for _ in weights] for _ in cols]
-    users = [set() for _ in weights]
-    for i1, m1 in enumerate(weights):
+    n, den = len(weights), div.den
+    cols = list(zip(*([-(a // den) for a in div.eval(m).values()]
+                      for m in weights))) or [(0,) * n]
+    # A sum of two box weights has coordinates in [-2 bound, 2 bound], so
+    # signed digits in radix 4 bound + 1 key it uniquely and additively.
+    radix = 4 * bound + 1
+    keys = [sum(c * radix ** j for j, c in enumerate(m)) for m in weights]
+    where = {k: i for i, k in enumerate(keys)}
+    # uses[c][j]: (partner, sum) for each split with weights[j] as a part
+    # whose exponent is 0 in column c; split[c][i]: weights[i] has one
+    uses = [[[] for _ in weights] for _ in cols]
+    split = [bytearray(n) for _ in cols]
+    for i1, k1 in enumerate(keys):
         for i2 in range(i1, n):
-            i = where.get(tuple(map(add, m1, weights[i2])))
-            if i is not None:
-                for c, col in zip(cols, splits):
-                    col[i].append((i1, i2, c[i1] + c[i2] - c[i]))
-                users[i1].add(i)
-                users[i2].add(i)
+            i = where.get(k1 + keys[i2])
+            if i is None:
+                continue
+            for e, use, has in zip(cols, uses, split):
+                q = e[i1] + e[i2] - e[i]
+                if q == 0:
+                    use[i1].append((i2, i))
+                    if i2 != i1:
+                        use[i2].append((i1, i))
+                    has[i] = 1
+                elif q < 0:
+                    raise DivisorError("superadditivity violated")
 
-    def saturate(chosen):
-        """The indices of the weights that products of ``chosen`` reach:
-        reach[m] = exponents of h with reachable submodule h * f_m * k[t]
-        (None: unreached) is a greatest fixpoint of componentwise minima of
-        sums, so it runs per factor on ints, by a worklist that revisits a
-        weight only when a split part changed; m is reached if all read 0."""
-        reached = set(range(n))
-        for col in splits:
-            reach = [0 if i in chosen else None for i in range(n)]
-            queue, queued = deque(range(n)), [True] * n
-            while queue:
-                i = queue.popleft()
-                queued[i] = False
-                cur = reach[i]
-                for i1, i2, q in col[i]:
-                    h1, h2 = reach[i1], reach[i2]
-                    if h1 is None or h2 is None:
-                        continue
-                    cand = h1 + h2 + q
-                    if cand < 0:
-                        raise DivisorError("superadditivity violated")
-                    if cur is None or cand < cur:
-                        cur = cand
-                if cur != reach[i]:
-                    reach[i] = cur
-                    for u in users[i]:
-                        if not queued[u]:
-                            queued[u] = True
-                            queue.append(u)
-            reached = {i for i in reached if reach[i] == 0}
+    def close(use, reached, new):
+        """Grow ``reached`` in place by ``new`` and what it then reaches."""
+        todo = [j for j in new if not reached[j]]
+        for j in todo:
+            reached[j] = 1
+        while todo:
+            for k, i in use[todo.pop()]:
+                if reached[k] and not reached[i]:
+                    reached[i] = 1
+                    todo.append(i)
         return reached
 
-    # weights are in scan order, so the first unreached one has least index
+    # reach only grows, so a weight the earlier choices miss is the least
+    # unreached one when the scan comes to it
+    reached = [bytearray(n) for _ in cols]
     chosen = []
-    while len(reached := saturate(set(chosen))) < n:
-        chosen.append(min(set(range(n)) - reached))
+    for i in range(n):
+        if not all(r[i] for r in reached):
+            chosen.append(i)
+            for use, r in zip(uses, reached):
+                close(use, r, (i,))
 
     # minimalization: drop members generated by the rest
     for i in list(chosen):
-        trial = [g for g in chosen if g != i]
-        if i in saturate(set(trial)):
-            chosen = trial
+        if all(has[i] for has in split):
+            trial = [g for g in chosen if g != i]
+            if all(close(use, bytearray(n), trial)[i] for use in uses):
+                chosen = trial
     chosen = sorted(weights[i] for i in chosen)
 
     gens = [AlgebraGenerator((0,) * div.rank, ((Poly.x(div.field), 1),))]
-    gens.extend(AlgebraGenerator(m, fgen[m]) for m in chosen)
+    gens.extend(AlgebraGenerator(m, div.generator(m)) for m in chosen)
     shell = max((max(abs(c) for c in m) for m in chosen), default=0)
     cert = GeneratorCertificate(
         bound=bound,

@@ -281,6 +281,16 @@ def test_order_zero_is_still_accepted(capsys):
     assert code == 0 and "order 0 of" in out and "order 1 of" not in out
 
 
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "apply"])
+def test_order_is_read_by_apply_only(capsys, command):
+    """verify applies untruncated, and no other command truncates, so an
+    order given to any of them is refused rather than ignored."""
+    code, out, err = run(capsys, command, "--example", "w25-imperfect",
+                         "--order", "3")
+    assert (code, out, err) == (2, "",
+                                "error: --order is read by apply only\n")
+
+
 def reference_parser():
     """The argparse parser that main used before parse_args: the oracle for
     the rows below.  argparse is imported here only, never by ghz."""

@@ -39,7 +39,7 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
          "p1-pieces", "refused-generator", "refused-generator-box4",
          "s-lambda-length", "toric-fractional", "v0-not-vertex",
          "vdeg-not-vertex", "weight-cone-image", "y0-at-infinity",
-         "zero-lambda", "zero-lambda-box1")
+         "zero-coefficient", "zero-lambda", "zero-lambda-box1")
 
 # the runs of each scenario besides validate, as argv with the scenario
 # inserted after the command. For a malformed scenario: the command that,
@@ -54,7 +54,8 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
 # with a weight whose kernel the closed form would misread, an operator over
 # P1 whose y_infinity is a finite point, an order that does not descend, a
 # y0 that is not a rational point, a family with more exponents than
-# lambdas under override; validate alone reaches a y0 at the marked point
+# lambdas under override, an element list whose only element is zero;
+# validate alone reaches a y0 at the marked point
 # and a degree vertex that is not a vertex).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
@@ -87,6 +88,7 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "toric-fractional": [["toric-check"], ["eval", "--m=2"]],
               "s-lambda-length": [["verify", "--override"],
                                   ["apply", "--override"]],
+              "zero-coefficient": [["apply"]],
               "zero-lambda": [["verify", "--override"]],
               "zero-lambda-box1": [["verify", "--override"]]}
 
@@ -114,6 +116,8 @@ def _cases():
     # so are a negative order and a field characteristic that is no prime
     for command in ("apply", "verify"):
         cases.append([command, "--example", "w25-imperfect", "--order", "-1"])
+    # and an order on any command but apply, which alone reads it
+    cases.append(["verify", "--example", "w25-imperfect", "--order", "3"])
     for field in ("F4", "Fx"):
         cases.append(["validate", "--example", "w25-prime", "--field", field])
     # the paths are relative to the repository root

@@ -217,10 +217,12 @@ def test_eval_outside_weight_cone():
 def test_graded_piece_is_built_once_per_weight(tmp_path, monkeypatch,
                                                capsys):
     """The generator search and membership share one graded piece per
-    weight: one verify builds 24 pieces on w25-imperfect and 48 on
-    char2-ramified at weight box 6, one per weight they read (48 and 100
-    builds when every call built its own; 25 and 49 while the kernel built
-    f_m at each kernel weight)."""
+    weight: one verify builds 9 pieces on w25-imperfect (3 generators, 6
+    membership weights) and 4 on char2-ramified at weight box 6 (its 4
+    generators), one per weight they read (24 and 48 while the search
+    built a piece at every box weight, 48 and 100 when every call built
+    its own, 25 and 49 while the kernel built f_m at each kernel
+    weight)."""
     calls = []
 
     def counted(d, curve, field):
@@ -232,8 +234,8 @@ def test_graded_piece_is_built_once_per_weight(tmp_path, monkeypatch,
     ramified["bounds"] = dict(ramified["bounds"], weight_box=6)
     path = tmp_path / "ramified.json"
     path.write_text(json.dumps(ramified))
-    for source, want in ((["--example", "w25-imperfect"], 24),
-                         (["--scenario", str(path)], 48)):
+    for source, want in ((["--example", "w25-imperfect"], 9),
+                         (["--scenario", str(path)], 4)):
         calls.clear()
         assert main(["verify", *source]) == 0
         assert capsys.readouterr().out.startswith("verify: ok")
@@ -258,6 +260,26 @@ def test_graded_piece_is_built_once_per_weight(tmp_path, monkeypatch,
         with pytest.raises(DivisorError):
             E.graded_piece((-1, 0))
     assert (-1, 0) not in E._pieces
+
+
+@pytest.mark.parametrize("name, bound", [("w25-imperfect", 10),
+                                         ("char2-ramified", 6)])
+def test_generator_search_builds_pieces_at_its_chosen_weights_only(
+        monkeypatch, name, bound):
+    """The search reads the divisor's integers: of the box's graded pieces
+    it builds only those of the generators it returns, once each."""
+    calls = []
+
+    def counted(d, curve, field):
+        calls.append(curve)
+        return h0_generators(d, curve, field)
+
+    monkeypatch.setattr(tvariety, "h0_generators", counted)
+    div = load_builtin(name).divisor
+    gens, _ = algebra_generators(div, bound)
+    chosen = [g.weight for g in gens[1:]]
+    assert len(calls) == len(chosen) == len(div._pieces)
+    assert all(div._pieces[g.weight].generator == g.coeff for g in gens[1:])
 
 
 def test_degree_polyhedron():
@@ -430,14 +452,17 @@ def test_algebra_generators_hyperbolic():
 
 def test_superadditivity_violation_raises(monkeypatch):
     K, y0, y, D = hyperbolic_w25()
-    generator = PolyhedralDivisor.generator
+    evaluate = PolyhedralDivisor.eval
 
     def broken(self, m):
-        f = generator(self, m)
-        # then f_5 * f_5 / f_10 has a negative exponent at t
-        return factor_list(f + ((Poly.x(K), -1),)) if m == (5,) else f
+        vals = evaluate(self, m)
+        # f_5 gains a factor t^-1, so f_5 * f_5 / f_10 has a negative
+        # exponent at t
+        if m == (5,):
+            vals[y0] += self.den
+        return vals
 
-    monkeypatch.setattr(PolyhedralDivisor, "generator", broken)
+    monkeypatch.setattr(PolyhedralDivisor, "eval", broken)
     with pytest.raises(DivisorError, match="superadditivity violated"):
         algebra_generators(D, 10)
 
@@ -532,9 +557,55 @@ def _random_a1_divisor(rng, field, points, rank):
     return rational_divisor(field, A1, tail, support)[0]
 
 
+def _search_paths(div, bound):
+    """(greedy picks, picks without a zero split in some column) of the
+    generator search, by brute force on the divisor's integers.  In each
+    column e_y(m) = -floor(D(m)_y) a weight is reached when chosen or when
+    a split m = m1 + m2 with e(m1) + e(m2) = e(m) has both parts reached;
+    the greedy picks each weight, in scan order, that the earlier picks do
+    not reach in every column.  The minimalization drops the picks it does
+    not return, and decides a pick without a zero split in some column
+    without a closure."""
+    dual = div.tail.dual()
+    weights = sorted((m for m in lattice_box(div.rank, bound)
+                      if any(m) and dual.contains(m)),
+                     key=lambda m: (sum(abs(c) for c in m), m))
+    exps = {m: [-(a // div.den) for a in div.eval(m).values()] or [0]
+            for m in weights}
+    cols = range(len(exps[weights[0]])) if weights else ()
+    zero = {m: [[] for _ in cols] for m in weights}
+    for m1 in weights:
+        for m2 in weights:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            for c in (cols if m in exps else ()):
+                if exps[m1][c] + exps[m2][c] == exps[m][c]:
+                    zero[m][c].append((m1, m2))
+
+    def reached(chosen):
+        out = set(weights)
+        for c in cols:
+            r, grew = set(chosen), True
+            while grew:
+                new = {m for m in weights if m not in r and any(
+                    a in r and b in r for a, b in zero[m][c])}
+                grew = bool(new)
+                r |= new
+            out &= r
+        return out
+
+    picks = []
+    for m in weights:
+        if m not in reached(picks):
+            picks.append(m)
+    return picks, [m for m in picks if not all(zero[m])]
+
+
 def test_algebra_generators_match_reference_fixpoint():
     """The worklist search gives the reference's generators and
-    certificate on random divisors over A1."""
+    certificate on random divisors over A1.  The cases cover both ways
+    the minimalization decides a pick: some cases drop a pick that the
+    rest reach by a closure, and some keep a pick that has no zero split
+    in some column without one."""
     rng = random.Random(31)
     fields = [
         (Q, ["t", "t - 1", "t + 2", "t^2 + 1"]),
@@ -544,6 +615,7 @@ def test_algebra_generators_match_reference_fixpoint():
     ]
     compared = 0
     w25_points = 0
+    dropping = direct = 0
     for field, points in fields:
         for rank, bound in ((1, 8), (2, 2)):
             for _ in range(15):
@@ -558,8 +630,14 @@ def test_algebra_generators_match_reference_fixpoint():
                 assert (got.bound, got.complete, got.note) == \
                     (ref.bound, ref.complete, ref.note)
                 compared += 1
+                picks, undecided = _search_paths(div, bound)
+                kept = [g.weight for g in got_gens[1:]]
+                assert set(kept) <= set(picks) and set(undecided) <= set(kept)
+                dropping += len(picks) > len(kept)
+                direct += bool(undecided)
     assert compared == 4 * 2 * 15
     assert w25_points > 0
+    assert dropping > 0 and direct > 0, (dropping, direct)
 
 
 @pytest.mark.parametrize("name, bound", [("w25-imperfect", 10),
