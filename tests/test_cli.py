@@ -239,6 +239,10 @@ def test_internal_failure_exit_code(capsys, monkeypatch, exc):
      "4 is not prime"),
     (("validate", "--example", "w25-prime", "--field", "Fx"),
      "field characteristic 'x' is not a positive integer"),
+    # only apply truncates, so an order anywhere else is refused, not ignored
+    *[((command, "--example", "w25-imperfect", "--order", "3"),
+       "--order is read by apply only")
+      for command in cli.COMMANDS if command != "apply"],
 ])
 def test_bad_numeric_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -279,16 +283,6 @@ def test_order_zero_is_still_accepted(capsys):
     code, out, _ = run(capsys, "apply", "--example", "w25-imperfect",
                        "--order", "0")
     assert code == 0 and "order 0 of" in out and "order 1 of" not in out
-
-
-@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "apply"])
-def test_order_is_read_by_apply_only(capsys, command):
-    """verify applies untruncated, and no other command truncates, so an
-    order given to any of them is refused rather than ignored."""
-    code, out, err = run(capsys, command, "--example", "w25-imperfect",
-                         "--order", "3")
-    assert (code, out, err) == (2, "",
-                                "error: --order is read by apply only\n")
 
 
 def reference_parser():

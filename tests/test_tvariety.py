@@ -11,8 +11,8 @@ from ghz.cli import main
 from ghz.curves import A1, P1, ClosedPoint, h0_generators, point_validate
 from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, Polyhedron, lattice_box
-from ghz.polynomials import (Poly, RatFunc, factor_list, lambda_field,
-                             parse_poly, parse_rational)
+from ghz.polynomials import (Poly, RatFunc, lambda_field, parse_poly,
+                             parse_rational)
 from ghz.scenarios import BUILTIN_EXAMPLES, load_builtin
 from ghz.tvariety import (AlgebraGenerator, DivisorError,
                           GeneratorCertificate, PolyhedralDivisor,
@@ -216,7 +216,7 @@ def test_eval_outside_weight_cone():
 
 def test_graded_piece_is_built_once_per_weight(tmp_path, monkeypatch,
                                                capsys):
-    """The generator search and membership share one graded piece per
+    """The chosen generators and membership share one graded piece per
     weight: one verify builds 9 pieces on w25-imperfect (3 generators, 6
     membership weights) and 4 on char2-ramified at weight box 6 (its 4
     generators), one per weight they read (24 and 48 while the search
@@ -601,7 +601,7 @@ def _search_paths(div, bound):
 
 
 def test_algebra_generators_match_reference_fixpoint():
-    """The worklist search gives the reference's generators and
+    """The closure search gives the reference's generators and
     certificate on random divisors over A1.  The cases cover both ways
     the minimalization decides a pick: some cases drop a pick that the
     rest reach by a closure, and some keep a pick that has no zero split
@@ -645,10 +645,10 @@ def test_algebra_generators_match_reference_fixpoint():
                                          ("no-factor", 3)])
 def test_algebra_generators_match_reference_on_the_verify_divisors(name,
                                                                    bound):
-    """The per-factor search against the reference on the divisors of the
+    """The closure search against the reference on the divisors of the
     two verify benchmark passes at their weight boxes, and on a divisor
-    whose f_m are all 1: it has no factor, so reach keeps one zero column
-    to tell reached weights from unreached ones."""
+    whose f_m are all 1: its one exponent column is all zero, so every
+    split is a zero split."""
     if name == "no-factor":
         div, _ = rational_divisor(Q, A1, orthant(2), {
             point_validate(parse_poly("t", Q), "trusted"): [(F(0), F(0))]})
