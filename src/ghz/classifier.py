@@ -154,22 +154,19 @@ def associated_cones(c: Coloring) -> AssociatedCones:
         shift = vsub(v_deg, v0)
         for v in div.polyhedron_at(c.y_infinity).vertices:
             gens.append((*vadd(v, shift), -den))
+    # on a valid coloring tau_tilde is pointed: tau is, as the tangent cone
+    # of deg D|C' at a vertex, and over P1 a line would put -x in tau for a
+    # point x of deg D, which validate keeps in sigma minus 0, inside tau.
+    # (v0, den) is its one generator of positive height, so an extreme ray
     tau_tilde = Cone.from_generators(gens, n + 1)
-    ray = primitive((*v0, den))
-    if ray not in tau_tilde.rays:
-        raise ClassifierError(
-            "the ray through the marked vertex is not extreme in the lifted cone")
-    return AssociatedCones(tau, tau_tilde, d, ell, u, ray)
+    return AssociatedCones(tau, tau_tilde, d, ell, u, primitive((*v0, den)))
 
 
 # -- Demazure roots ---------------------------------------------------------
 
-def demazure_root_check(cone: Cone, distinguished_ray, candidate) -> bool:
-    """candidate pairs to -1 with the primitive generator of the
-    distinguished ray and nonnegatively with every other extreme ray."""
-    rho = primitive(distinguished_ray)
-    if rho not in cone.rays:
-        raise ClassifierError(f"{rho} is not an extreme ray of the cone")
+def demazure_root_check(cone: Cone, rho, candidate) -> bool:
+    """candidate pairs to -1 with the distinguished ray rho, one of the
+    cone's primitive extreme rays, and nonnegatively with every other one."""
     for r in cone.rays:
         val = dot(candidate, r)
         if r == rho:
@@ -180,32 +177,18 @@ def demazure_root_check(cone: Cone, distinguished_ray, candidate) -> bool:
     return all(dot(candidate, l) == 0 for l in cone.lineality)
 
 
-def demazure_roots_enumerate(cone: Cone, distinguished_ray, bound: int,
+def demazure_roots_enumerate(cone: Cone, rho, bound: int,
                              denominator: int = 1):
-    """All roots (m, c) with m in the integer box of the given bound and the
-    height c in (1/denominator)Z solved from the distinguished pairing."""
-    rho = primitive(distinguished_ray)
-    if rho not in cone.rays:
-        raise ClassifierError(f"{rho} is not an extreme ray of the cone")
-    n = cone.n - 1
-    head, last = rho[:n], rho[n]
+    """All roots (m, c) of the lifted cone with m in the integer box of the
+    given bound and the height c in (1/denominator)Z solved from the
+    pairing with its distinguished ray rho, of positive last coordinate."""
+    head, last = rho[:-1], rho[-1]
     out = []
-    for m in lattice_box(n, bound):
-        if last != 0:
-            c = Fraction(-1 - dot(m, head), last)
-            if denominator % c.denominator != 0:
-                continue
-            heights = [c]
-        else:
-            if dot(m, head) != -1:
-                continue
-            heights = [Fraction(j, denominator)
-                       for j in range(-bound * denominator,
-                                      bound * denominator + 1)]
-        for c in heights:
-            cand = (*m, c)
-            if demazure_root_check(cone, rho, cand):
-                out.append(cand)
+    for m in lattice_box(len(head), bound):
+        c = Fraction(-1 - dot(m, head), last)
+        if denominator % c.denominator == 0 \
+                and demazure_root_check(cone, rho, (*m, c)):
+            out.append((*m, c))
     return sorted(out)
 
 
@@ -242,8 +225,8 @@ def family_validate(theta: CoherentFamily, cones: AssociatedCones) -> Report:
     field = theta.coloring.divisor.field
     p = field.char_exponent
     s = tuple(theta.s)
-    if not s or any(int(x) != x for x in s):
-        rep.fail("(iii): the exponent sequence must be nonempty integers")
+    if not s:
+        rep.fail("(iii): the exponent sequence must be nonempty")
         return rep
     if any(a >= b for a, b in zip(s, s[1:])):
         rep.fail("(iii): the exponent sequence must be strictly increasing")
@@ -507,8 +490,6 @@ def toricity_check(div: PolyhedralDivisor) -> Report:
     """Surface criterion (rank 1): with a hyperbolic grading the check does
     not apply; otherwise the fractional part of D(1) must sit in at most one
     rational point over A1 and at most two over P1."""
-    if div.rank != 1:
-        raise ClassifierError("the toricity criterion applies to rank 1 only")
     rep = Report("toricity criterion")
     if not div.tail.rays:
         rep.note("not applicable: hyperbolic grading (trivial tail cone)")

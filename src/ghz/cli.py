@@ -108,6 +108,8 @@ def run_command(sc, command, args) -> Report:
 
 
 def _run(rep, sc, command, args):
+    """A command of COMMANDS (parse_args refuses any other); main runs
+    example as validate."""
     div = sc.divisor
     if command == "validate":
         rep.merge(div.validate() if sc.coloring is None
@@ -158,10 +160,10 @@ def _run(rep, sc, command, args):
         roots = demazure_roots_enumerate(cones.tau_tilde,
                                          cones.distinguished_ray,
                                          sc.bounds["e_box"], cones.d)
+        # never empty: (0, ..., 0, -1/d) pairs to -1 with the ray, to 0 with
+        # tau, and positively with the generators of negative height
         for r in roots:
             rep.note(f"root {tuple(str(x) for x in r)}")
-        if not roots:
-            rep.fail("no root in the box")
     elif command == "coherent":
         _require(sc.family is not None, "coherent needs a family")
         rep.merge(coherent_validate(sc.family))
@@ -200,8 +202,6 @@ def _run(rep, sc, command, args):
                      f"{top.mu}")
         elif div.rank != 1:
             rep.fail("toric-check needs a rank-1 divisor or a root")
-    else:
-        raise UsageError(f"unknown command {command!r}")
 
 
 def _emit(rep: Report, as_json: bool, elapsed: float) -> int:
@@ -267,7 +267,6 @@ def main(argv=None) -> int:
         _require(args.order is None or args.command == "apply",
                  "--order is read by apply only")
         field_override = parse_field(args.field) if args.field else None
-        policy = "trusted" if args.trust_irreducible else "strict"
         if args.command == "example":
             name = args.name or args.example
             if name is None:
@@ -289,8 +288,8 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise UsageError(f"cannot read scenario {args.scenario}: "
                                  f"{exc.strerror}") from None
-            sc = parse_scenario(text, name=args.scenario,
-                                field_override=field_override, policy=policy)
+            sc = parse_scenario(text, args.scenario, field_override,
+                                args.trust_irreducible)
         else:
             raise UsageError("provide --scenario FILE or --example NAME")
         rep = run_command(sc, args.command, args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import PrimeField, Rationals, FieldError
+from .fields import PrimeField, Rationals
 from .polynomials import FractionField, Poly, factor_list, poly_gcd
 from .reports import Record
 
@@ -137,11 +137,11 @@ def _rational_root(q: Poly):
     return None
 
 
-def point_validate(q: Poly, policy: str = "strict") -> ClosedPoint:
+def point_validate(q: Poly, trusted: bool = False) -> ClosedPoint:
     """Validate a monic polynomial as a closed point of the affine line.
 
-    strict proves irreducibility (GF(p) always; Q up to degree 3) or raises;
-    trusted runs partial checks and marks the point as trusted.
+    By default it proves irreducibility (GF(p) always; Q up to degree 3) or
+    raises; ``trusted`` runs partial checks and marks the point as trusted.
     """
     if q.degree < 1:
         raise PointError("a closed point needs degree >= 1")
@@ -150,7 +150,7 @@ def point_validate(q: Poly, policy: str = "strict") -> ClosedPoint:
     field = q.field
     if q.degree == 1:
         return ClosedPoint(q)
-    if policy == "strict":
+    if not trusted:
         if isinstance(field, PrimeField):
             if not _gfp_irreducible(q):
                 raise PointError(f"{q.to_str()} is reducible over {field!r}")
@@ -166,8 +166,6 @@ def point_validate(q: Poly, policy: str = "strict") -> ClosedPoint:
             return ClosedPoint(q)
         raise PointError(
             f"strict irreducibility is undecidable over {field!r}; use trusted")
-    if policy != "trusted":
-        raise PointError(f"unknown validation policy {policy!r}")
     # partial checks: separable part squarefree, no small roots
     qt = _insep_split(q)[3]  # of degree >= 1, so qt' != 0
     if poly_gcd(qt, qt.derivative()).degree > 0:
@@ -222,8 +220,6 @@ class ModuleDescription(Record):
         return self.curve == P1 and self.degree_bound < 0
 
     def basis(self):
-        if self.curve != P1:
-            raise FieldError("finite basis only exists on P1")
         t = Poly.x(self.field)
         return [factor_list(self.generator + ((t, j),))
                 for j in range(self.degree_bound + 1)]

@@ -161,8 +161,8 @@ def build_operator(theta: CoherentFamily, override: bool = False
     if not rep.ok and not override:
         refusal.fail("family is not coherent")
         refusal.merge(rep)
-    else:  # even under override: the lift needs condition (ii), and the
-        # step needs one lambda per exponent (family_validate's (iv))
+    elif not rep.ok:  # checked already on a coherent family, but the lift
+        # needs condition (ii) and the step (iv)'s one lambda per exponent
         y0_check(c, refusal)
         for y in c.colored_points():
             lattice_check(c, y, refusal)

@@ -527,11 +527,6 @@ def _power(powers: dict, q: Poly, n: int) -> Poly:
     return powers[q, n]
 
 
-def _times(k, x, y):
-    """x * y for nonzero raws, with no multiplication where one is 1."""
-    return y if k.is_one(x) else x if k.is_one(y) else k.mul(x, y)
-
-
 def _truncated_product(a: dict, b: dict, order: int, k) -> dict:
     """The terms below T^order of the product of two {exponent: raw} dicts."""
     out = {}
@@ -539,7 +534,7 @@ def _truncated_product(a: dict, b: dict, order: int, k) -> dict:
         for j, y in b.items():
             ij = i + j
             if ij < order:
-                v = _times(k, x, y)
+                v = k.mul(x, y)
                 out[ij] = k.add(out[ij], v) if ij in out else v
     return {i: c for i, c in out.items() if not k.is_zero(c)}
 
@@ -563,8 +558,8 @@ def hasse_expand(poly: Poly, step: Poly, order: int) -> dict:
     no constant term; D^(n) z^e = C(e, n) z^(e-n) is the n-th Hasse
     derivative, so the formula holds in every characteristic.  C(e, n) is
     an int reduced mod p (exact over Q), and a term whose binomial is 0 is
-    skipped: by Lucas's theorem most binomials mod p are 0 or 1.  The field
-    multiplies only where neither factor is 0 or 1.
+    skipped: by Lucas's theorem most binomials mod p are 0 or 1.  No zero
+    is multiplied, and ``FractionField.mul`` returns the other factor of 1.
     """
     k = poly.field
     p = k.char_exponent
@@ -580,12 +575,12 @@ def hasse_expand(poly: Poly, step: Poly, order: int) -> dict:
                 if p > 1:
                     b %= p
                 if b:
-                    dn[e - n] = c if b == 1 else _times(k, c, k.from_int(b))
+                    dn[e - n] = c if b == 1 else k.mul(c, k.from_int(b))
         for i, c in power.items():
             acc = out.setdefault(i, {})
             unit = k.is_one(c)
             for e, a in dn.items():
-                v = a if unit else _times(k, a, c)
+                v = a if unit else k.mul(a, c)
                 acc[e] = k.add(acc[e], v) if e in acc else v
         power = _truncated_product(power, step.coeffs, order, k)
     out = {i: Poly(k, acc) for i, acc in out.items()}

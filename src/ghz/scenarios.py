@@ -137,14 +137,14 @@ def _scalars(xs, field, what):
         raise ScenarioError(f"bad coefficient in {what}: {exc}")
 
 
-def _point(text, field, policy):
+def _point(text, field, trusted):
     if text == "infinity":
         return ClosedPoint.infinity()
     try:
         poly = parse_poly(str(text), field)
     except ParseError as exc:
         raise ScenarioError(f"bad point {text!r}: {exc}")
-    return point_validate(poly, policy)
+    return point_validate(poly, trusted)
 
 
 class Scenario:
@@ -162,7 +162,7 @@ class Scenario:
 
 
 def parse_scenario(source, name: str = "scenario",
-                   field_override=None, policy: str = "strict") -> Scenario:
+                   field_override=None, trusted: bool = False) -> Scenario:
     if isinstance(source, str):
         try:
             data = json.loads(source)
@@ -188,7 +188,7 @@ def parse_scenario(source, name: str = "scenario",
         raise ScenarioError("a nonempty support needs a pointed tail cone")
     points = {}
     for entry in entries:
-        y = _point(_key(entry, "point", "support entry"), field, policy)
+        y = _point(_key(entry, "point", "support entry"), field, trusted)
         verts = [_vec(v, rank, "vertex")
                  for v in _typed(entry.get("vertices", []), list, "vertices")]
         if not verts:
@@ -206,10 +206,10 @@ def parse_scenario(source, name: str = "scenario",
     cdata = data.get("coloring")
     colored = {}
     if cdata is not None:
-        y0 = _point(_key(cdata, "y0", "coloring"), field, policy)
+        y0 = _point(_key(cdata, "y0", "coloring"), field, trusted)
         y_inf = cdata.get("y_infinity")
-        y_inf = None if y_inf is None else _point(y_inf, field, policy)
-        colored = {_point(y, field, policy): _vec(v, rank, "colored vertex")
+        y_inf = None if y_inf is None else _point(y_inf, field, trusted)
+        colored = {_point(y, field, trusted): _vec(v, rank, "colored vertex")
                    for y, v in _typed(cdata.get("vertices", {}), dict,
                                       "coloring vertices").items()}
     divisor, colored = divisor_over_den(field, curve, tail, points, colored)
@@ -365,7 +365,6 @@ def load_builtin(name: str, field_override=None,
             f"unknown example {name!r}; available: "
             + ", ".join(sorted(BUILTIN_EXAMPLES)))
     data = BUILTIN_EXAMPLES[name]
-    trusted = trust_irreducible or name == "w25-imperfect"
-    policy = "trusted" if trusted else "strict"
     return parse_scenario(data, name=name, field_override=field_override,
-                          policy=policy)
+                          trusted=trust_irreducible
+                          or name == "w25-imperfect")

@@ -16,7 +16,8 @@ class DivisorError(ValueError):
 
 
 class PolyhedralDivisor:
-    """tail cone sigma plus one sigma-tailed polyhedron per support point.
+    """tail cone sigma plus one sigma-tailed polyhedron per support point,
+    over A1 or P1: the parser and the sampler build no other divisor.
 
     Points outside the support implicitly carry sigma itself. Vertices are
     int tuples over one positive denominator ``den``: the polyhedron at y is
@@ -56,17 +57,12 @@ class PolyhedralDivisor:
         sigma when that is >= 0 at each dual generator, and then has 0 as a
         vertex when it is 0 at their sum, positive on sigma minus 0."""
         rep = Report("polyhedral divisor")
-        if self.curve not in (A1, P1):
-            rep.fail(f"unknown curve {self.curve!r}")
-            return rep
         if not self.tail.is_pointed():
             rep.fail("tail cone is not pointed (dual weight cone would not be "
                      "full-dimensional)")
-        for y, p in self.support.items():
+        for y in self.support:
             if y.is_infinity and self.curve == A1:
                 rep.fail("infinity cannot support a divisor over the affine line")
-            if p.tail != self.tail:
-                rep.fail(f"polyhedron at [{y.to_str()}] has a different tail cone")
             if y.trusted:
                 rep.trust(f"irreducibility of {y.to_str()} was not proven")
         if self.curve == P1 and rep.ok:
@@ -108,8 +104,6 @@ class PolyhedralDivisor:
 
     def generator(self, m) -> tuple:
         """The free-module generator f_m over A1, as a ``factor_list``."""
-        if self.curve != A1:
-            raise DivisorError("free module generators exist over A1 only")
         return self.graded_piece(m).generator
 
     # -- degree and linearity ----------------------------------------------
@@ -134,15 +128,11 @@ class PolyhedralDivisor:
         minimizing vertices.
 
         Returns a list of (cone in M_Q, v_deg, {point: vertex}), one per
-        vertex v_deg of deg D over C', by vertex: the normal cone at v_deg,
-        and the summand vertices that the Minkowski sum records v_deg as
-        the sum of, which minimize over their polyhedra on the whole cone.
+        vertex v_deg of deg D over C' (over P1, off the rational point
+        ``y_infinity``), by vertex: the normal cone at v_deg, and the summand
+        vertices that the Minkowski sum records v_deg as the sum of, which
+        minimize over their polyhedra on the whole cone.
         """
-        if self.curve == P1:
-            if y_infinity is None:
-                raise DivisorError("P1 needs a marked point at infinity")
-            if not y_infinity.is_rational:
-                raise DivisorError("the marked point at infinity must be rational")
         points, deg, parts = self._degree_sum(y_infinity)
         return [(cone, v_deg, dict(zip(points, parts[v_deg])))
                 for v_deg, cone in deg.normal_fan()]

@@ -139,13 +139,13 @@ def generator_elements(field, gens):
     return [(g.weight, expanded(field, g.coeff)) for g in gens]
 
 
-def principal_divisor(f, curve, policy="trusted") -> dict:
+def principal_divisor(f, curve, trusted=True) -> dict:
     """div(f) on A1 or P1 for (q, e) pairs; on P1 the point at infinity
     balances the degree to zero."""
     out = {}
     total = 0
     for poly, exp in exponents(f).items():
-        y = point_validate(poly, policy)
+        y = point_validate(poly, trusted)
         out[y] = out.get(y, 0) + exp
         total += exp * poly.degree
     if curve == P1 and total != 0:

@@ -28,7 +28,7 @@ Q = Rationals()
 def w25_family(field, second):
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(field, field.zero())
-    y = point_validate(parse_poly(second, field), "trusted")
+    y = point_validate(parse_poly(second, field), trusted=True)
     D, vertices = rational_divisor(
         field, A1, sigma, {y0: [(F(1, 5),)], y: [(F(0),), (F(1, 5),)]},
         {y0: (F(1, 5),), y: (F(0),)})

@@ -27,7 +27,7 @@ Q = Rationals()
 def hyperbolic_w25(field, second):
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(field, field.zero())
-    y = point_validate(parse_poly(second, field), "trusted")
+    y = point_validate(parse_poly(second, field), trusted=True)
     D, vertices = rational_divisor(
         field, A1, sigma, {y0: [(F(1, 5),)], y: [(F(0),), (F(1, 5),)]},
         {y0: (F(1, 5),), y: (F(0),)})
@@ -109,6 +109,36 @@ def test_demazure_roots_enumerate():
     for r in roots:
         assert demazure_root_check(cones.tau_tilde,
                                    cones.distinguished_ray, r)
+
+
+def test_lifted_cone_is_pointed_with_the_marked_ray():
+    """What the deleted guards of associated_cones and the root functions
+    relied on, on every valid coloring: tau_tilde has no lineality, rho =
+    primitive((v0, den)) is one of its extreme rays with last coordinate d,
+    and (0, ..., 0, -1/d) is a root, the only one at box 0."""
+    from ghz.scenarios import builtin_examples, load_builtin
+
+    colorings = [load_builtin(name).coloring for name in builtin_examples()]
+    rng = random.Random(5)
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for curve in (A1, P1):
+            for rank in (1, 2):
+                kept = 0
+                while kept < 3:
+                    theta = _random_family(rng, field, curve, rank)
+                    if theta is not None:
+                        colorings.append(theta.coloring)
+                        kept += 1
+    colorings = [c for c in colorings if c is not None]
+    assert len(colorings) == 3 + 36
+    for c in colorings:
+        assert coloring_validate(c).ok
+        cones = associated_cones(c)
+        tilde, rho, d = cones.tau_tilde, cones.distinguished_ray, cones.d
+        assert not tilde.lineality
+        assert rho in tilde.rays and rho[-1] == d
+        assert demazure_roots_enumerate(tilde, rho, 0, d) \
+            == [(0,) * c.divisor.rank + (F(-1, d),)]
 
 
 def test_coherent_dichotomy_hyperbolic():

@@ -200,7 +200,7 @@ def test_trust_marker_propagates(capsys):
 
 
 def test_trust_irreducible_reaches_builtin_examples(capsys, monkeypatch):
-    # the w25-imperfect data under a name whose default policy is strict
+    # the w25-imperfect data under a name that is not trusted by default
     monkeypatch.setitem(scenarios.BUILTIN_EXAMPLES, "w25-strict",
                         scenarios.BUILTIN_EXAMPLES["w25-imperfect"])
     code, _, err = run(capsys, "coherent", "--example", "w25-strict")

@@ -32,12 +32,14 @@ from ghz.scenarios import BUILTIN_EXAMPLES
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "cli_goldens.json"
 SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.json"))
-VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
-         "irrational-y0", "off-lattice-coloring", "outside-domain", "outside-domain-then-t",
+VALID = ("a1-infinity-support", "a1-y-infinity", "colored-not-vertex",
+         "descent-failure", "irrational-y0", "no-valid-coloring",
+         "off-lattice-coloring", "outside-domain", "outside-domain-then-t",
          "p1-finite-y-infinity",
          "p1-irrational-y-infinity", "p1-no-coloring", "p1-no-y-infinity",
-         "p1-pieces", "refused-generator", "refused-generator-box4",
-         "s-lambda-length", "toric-fractional", "v0-not-vertex",
+         "p1-pieces", "rank2-no-root", "refused-generator",
+         "refused-generator-box4", "s-empty", "s-lambda-length", "s-negative",
+         "s-q-two", "toric-fractional", "v0-not-vertex",
          "vdeg-not-vertex", "weight-cone-image", "y0-at-infinity",
          "zero-coefficient", "zero-lambda", "zero-lambda-box1")
 
@@ -54,9 +56,12 @@ VALID = ("a1-y-infinity", "colored-not-vertex", "descent-failure",
 # with a weight whose kernel the closed form would misread, an operator over
 # P1 whose y_infinity is a finite point, an order that does not descend, a
 # y0 that is not a rational point, a family with more exponents than
-# lambdas under override, an element list whose only element is zero;
-# validate alone reaches a y0 at the marked point
-# and a degree vertex that is not a vertex).
+# lambdas under override, an element list whose only element is zero,
+# a family with no exponent, one other than (1) over Q and a negative one,
+# a divisor with no valid coloring, a rank-2 divisor with no root, a
+# generator search over P1, and points that only --trust-irreducible reads;
+# validate alone reaches a y0 at the marked point, a degree vertex that is
+# not a vertex, infinity in the support over A1 and the point parse errors).
 EXPOSED_BY = {"vertex-length": [["coherent"]],
               "family-e-length": [["coherent"]],
               "family-root-length": [["toric-check"]],
@@ -82,7 +87,14 @@ EXPOSED_BY = {"vertex-length": [["coherent"]],
               "p1-irrational-y-infinity": [["colorings"], ["classify"]],
               "p1-pieces": [["eval", "--m=0"], ["eval", "--m=1"],
                             ["piece", "--m=1"], ["piece", "--m=3"],
-                            ["toric-check"]],
+                            ["toric-check"], ["generators"]],
+              "point-repeated-factor": [["validate", "--trust-irreducible"]],
+              "point-small-root": [["validate", "--trust-irreducible"]],
+              "no-valid-coloring": [["colorings"]],
+              "rank2-no-root": [["toric-check"]],
+              "s-empty": [["coherent"]],
+              "s-negative": [["coherent"]],
+              "s-q-two": [["coherent"]],
               "refused-generator": [["generators"], ["verify", "--override"]],
               "refused-generator-box4": [["verify", "--override"]],
               "toric-fractional": [["toric-check"], ["eval", "--m=2"]],
@@ -113,12 +125,15 @@ def _cases():
     # a weight outside the dual of the tail cone is a usage error
     for command in ("eval", "piece"):
         cases.append([command, "--example", "char2-ramified", "--m=-1,0"])
-    # so are a negative order and a field characteristic that is no prime
+    # and so is one that is not integers
+    cases.append(["eval", "--example", "char2-ramified", "--m=x"])
+    # so are a negative order, a field characteristic that is no prime and
+    # a field that is not Q, F_p or F_p(l)
     for command in ("apply", "verify"):
         cases.append([command, "--example", "w25-imperfect", "--order", "-1"])
     # and an order on any command but apply, which alone reads it
     cases.append(["verify", "--example", "w25-imperfect", "--order", "3"])
-    for field in ("F4", "Fx"):
+    for field in ("F4", "Fx", "Z"):
         cases.append(["validate", "--example", "w25-prime", "--field", field])
     # the paths are relative to the repository root
     for path in SCENARIOS:

@@ -28,33 +28,33 @@ def test_infinity_point():
 
 def test_point_validate_strict():
     q = parse_poly("t^2 + t + 1", F2)
-    y = point_validate(q, "strict")
+    y = point_validate(q)
     assert y.degree == 2 and not y.trusted
     with pytest.raises(PointError):
-        point_validate(parse_poly("t^2 + 1", F2), "strict")  # (t+1)^2
+        point_validate(parse_poly("t^2 + 1", F2))  # (t+1)^2
 
 
 def test_point_validate_reducible_over_q():
     with pytest.raises(PointError):
-        point_validate(parse_poly("t^2 - 1", Q), "strict")
-    assert point_validate(parse_poly("t^2 + 1", Q), "strict").degree == 2
+        point_validate(parse_poly("t^2 - 1", Q))
+    assert point_validate(parse_poly("t^2 + 1", Q)).degree == 2
 
 
 def test_point_validate_trusted_marker():
     K = lambda_field(2)
     q = parse_poly("t^2 + l", K)
     with pytest.raises(PointError):
-        point_validate(q, "strict")
-    y = point_validate(q, "trusted")
+        point_validate(q)
+    y = point_validate(q, trusted=True)
     assert y.trusted and y.degree == 2
 
 
 def test_insep_profile():
     K = lambda_field(2)
-    y = point_validate(parse_poly("t^2 + l", K), "trusted")
+    y = point_validate(parse_poly("t^2 + l", K), trusted=True)
     assert y.epsilon == 2
     assert _insep_split(y.poly) == (1, 2, 1, parse_poly("t + l", K))
-    y2 = point_validate(parse_poly("t + 1", F2), "strict")
+    y2 = point_validate(parse_poly("t + 1", F2))
     assert y2.epsilon == 1 and _insep_split(y2.poly)[:2] == (0, 1)
 
 

@@ -41,8 +41,8 @@ def test_round_trip_all_builtins():
     for name in sorted(builtin_examples()):
         sc = load_builtin(name)
         data = serialize_scenario(sc)
-        policy = "trusted" if name == "w25-imperfect" else "strict"
-        sc2 = parse_scenario(json.dumps(data), name=name, policy=policy)
+        sc2 = parse_scenario(json.dumps(data), name=name,
+                             trusted=name == "w25-imperfect")
         assert serialize_scenario(sc2) == data
         assert sc2.family_root == sc.family_root
         assert run_command(sc2, "toric-check", None).to_dict() \

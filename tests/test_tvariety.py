@@ -30,7 +30,7 @@ def hyperbolic_w25():
     K = lambda_field(2)
     sigma = Cone.zero(1)
     y0 = ClosedPoint.rational(K, K.zero())
-    y = point_validate(parse_poly("t^2 + l", K), "trusted")
+    y = point_validate(parse_poly("t^2 + l", K), trusted=True)
     D, _ = rational_divisor(K, A1, sigma,
                             {y0: [(F(1, 5),)], y: [(F(0),), (F(1, 5),)]})
     return K, y0, y, D
@@ -136,7 +136,7 @@ def test_p1_validate_matches_the_all_sums_reference():
                                      (PrimeField(3), 3, "t^2 + 1")):
         points = [ClosedPoint.rational(field, field.from_int(c))
                   for c in range(consts)]
-        points.append(point_validate(parse_poly(quadratic, field), "strict"))
+        points.append(point_validate(parse_poly(quadratic, field)))
         for rank in (1, 2, 3):
             def rand_vertex(rays):
                 """A random vertex, or on half the divisors with a nonzero
@@ -378,7 +378,7 @@ def test_membership_matches_division_by_the_expanded_generator(
     divides f by the expanded f_m with RatFunc's gcd and, on P1, bounds the
     quotient's degree by the piece's."""
     rng = random.Random(41)
-    ys = [point_validate(parse_poly(text, field), "trusted")
+    ys = [point_validate(parse_poly(text, field), trusted=True)
           for text in points]
     qs = [y.poly for y in ys]
     scalars = [field.one(), field.from_int(2), field.generator()] \
@@ -552,7 +552,7 @@ def _random_a1_divisor(rng, field, points, rank):
     tail = rng.choice(tails)
     support = {}
     for text in rng.sample(points, rng.randint(1, min(3, len(points)))):
-        y = point_validate(parse_poly(text, field), "trusted")
+        y = point_validate(parse_poly(text, field), trusted=True)
         support[y] = [vertex() for _ in range(rng.randint(1, 2))]
     return rational_divisor(field, A1, tail, support)[0]
 
@@ -651,7 +651,7 @@ def test_algebra_generators_match_reference_on_the_verify_divisors(name,
     split is a zero split."""
     if name == "no-factor":
         div, _ = rational_divisor(Q, A1, orthant(2), {
-            point_validate(parse_poly("t", Q), "trusted"): [(F(0), F(0))]})
+            point_validate(parse_poly("t", Q), trusted=True): [(F(0), F(0))]})
         dual = div.tail.dual()
         assert all(not div.generator(m) for m in lattice_box(2, bound)
                    if dual.contains(m))

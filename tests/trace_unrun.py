@@ -11,7 +11,9 @@ lines only in frames of ``src/ghz`` files; expect about four times the
 suite's own time.  A site is a statement that is a ``raise`` or holds a
 ``.fail(`` call, counted at its first line.  Tests that run the command line
 in a subprocess are not traced, so a site that only they reach is listed
-too.  Exits with pytest's exit code.
+too.  With no pytest arguments it is a gate: it exits 1 when a site is
+unrun, so every new site needs a test that reaches it.  Otherwise (a
+selection runs only part of the suite) it exits with pytest's exit code.
 """
 
 import ast
@@ -85,7 +87,7 @@ def main(args):
               f"{found[path, line]}")
     print("Tests that run the command line in a subprocess are not traced: "
           "a site that only they reach is listed too.")
-    return code
+    return 1 if code == 0 and unrun and not args else code
 
 
 if __name__ == "__main__":
