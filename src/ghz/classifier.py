@@ -282,19 +282,19 @@ def _vertex_table(theta: CoherentFamily):
 
 def _vertex_conditions_only(theta: CoherentFamily) -> Report:
     """The vertex inequalities (v)/(vi)/(vii) of a family whose coloring,
-    exponents and coefficients are valid, each side times den."""
+    exponents and coefficients are valid, each side times den. The failing
+    vertices are kept as tuples and formatted when the report is read."""
     rep = Report("vertex conditions")
     c = theta.coloring
     div = c.divisor
     den = div.den
     d, qe, v0, points = _vertex_table(theta)
+    fails = []
 
     def check(clause, verts, scale, rhs, skip=None):
         for v in verts:
             if v != skip and scale * dot(qe, v) < rhs:
-                rep.fail(f"{clause} vertex {fmt_vec(v, den)}: "
-                         f"{fmt_ratio(scale * dot(qe, v), den)} < "
-                         f"{fmt_ratio(rhs, den)}")
+                fails.append((clause, v, scale * dot(qe, v), rhs))
 
     for y, scale, verts, vy in points:
         check(f"(v): at [{y.to_str()}]", verts, scale,
@@ -304,6 +304,13 @@ def _vertex_conditions_only(theta: CoherentFamily) -> Report:
     if div.curve == P1:
         check("(vii): at infinity", div.polyhedron_at(c.y_infinity).vertices,
               d, -den - d * dot(qe, c.v_deg()))
+
+    def witnesses():
+        return [f"{clause} vertex {fmt_vec(v, den)}: {fmt_ratio(lhs, den)} < "
+                f"{fmt_ratio(rhs, den)}" for clause, v, lhs, rhs in fails]
+
+    if fails:
+        rep.defer(witnesses)
     return rep
 
 
@@ -318,7 +325,9 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
     vertex v is paired with every weight m at once, coordinate by
     coordinate, and <m + qe, v> = <m, v> + <qe, v> (qe = p^{s1}e). The tail
     cone is pointed, so its dual is cut out by one column <m, r> per ray.
-    Violations come per weight in box order: (4) by row, (5), then (6)."""
+    Violations come per weight in box order: (4) by row, (5), then (6); the
+    failures are kept as tuples, and the strings and the weight box they
+    name are built when the report is read."""
     rep = Report("floor conditions")
     c = theta.coloring
     div = c.divisor
@@ -362,9 +371,14 @@ def floor_condition_check(theta: CoherentFamily, m_bound: int) -> Report:
         fails += [(i, k, n, where, s * b // den, s * a // den, rhs)
                   for i, a, b, o in zip(count(), lo, hi, off)
                   if b != o and s * b // den - s * a // den < rhs]
-    box = list(compress(lattice_box(div.rank, m_bound), keep)) if fails else ()
-    for i, _, n, where, fb, fa, rhs in sorted(fails):
-        rep.fail(f"({n}): m={box[i]}{where}: {fb} - {fa} < {rhs}")
+
+    def witnesses():
+        box = list(compress(lattice_box(div.rank, m_bound), keep))
+        return [f"({n}): m={box[i]}{where}: {fb} - {fa} < {rhs}"
+                for i, _, n, where, fb, fa, rhs in sorted(fails)]
+
+    if fails:
+        rep.defer(witnesses)
     return rep
 
 
@@ -436,21 +450,39 @@ def _below(bits, n):
 def _random_family(rng, field, curve, rank):
     """One random small coloring + family, or None if the draw is invalid.
 
-    Integers come from raw ``rng.getrandbits`` tries, on randint's bits: by
-    `_below`, and inline for vertex coordinates a/b (b <= 3), a 3-bit try
-    for a then a 2-bit one for b, read as the int 6a/b over den 6. Every raw
-    vertex list, infinity's too, is drawn before any polyhedron is built.
-    Over P1 the raw points reject a zero tail (deg D = {0} has 0 as a
-    vertex) and sums of one raw point per support point outside the tail,
-    which put deg D outside it; `validate` rejects the rest."""
+    Integers come from raw ``rng.getrandbits`` tries, on randint's bits:
+    inline for the tail's 0/1 ray, the point count, each vertex count and
+    every vertex coordinate a/b (b <= 3), a 3-bit try for a then a 2-bit
+    one for b, read as the int 6a/b over den 6; by `_below` for e and s.
+    Each point's coordinates, infinity's too, are drawn as one flat int
+    list before anything is built. Over P1 the flat lists reject a zero
+    tail (deg D = {0} has 0 as a vertex) and sums of one raw point per
+    support point outside the tail, which put deg D outside it. Only a draw
+    that passes is zipped into vertex tuples and polyhedra; `validate`
+    rejects the rest."""
     bits = rng.getrandbits
-    tail, dual_gens = _tail_cone(None if rng.random() < 0.5 else tuple(
-        [_below(bits, 2) for _ in range(rank)]), rank)
+    ray = None
+    if rng.random() >= 0.5:
+        ray = []
+        for _ in range(rank):
+            r = bits(2)
+            while r > 1:
+                r = bits(2)
+            ray.append(r)
     pts = _sample_points(field)
-    raw = []
-    for y in pts[:1 + _below(bits, len(pts))] + (_INFINITY,) * (curve == P1):
+    n = bits(2)  # below the 2 or 3 sample points
+    while n >= len(pts):
+        n = bits(2)
+    points = pts[:n + 1] + (_INFINITY,) * (curve == P1)
+    flat = []
+    for y in points:
+        k = 0
+        if y is not _INFINITY:
+            k = bits(2)
+            while k > 1:
+                k = bits(2)
         coords = []
-        for _ in range(rank * (1 if y is _INFINITY else 1 + _below(bits, 2))):
+        for _ in range(rank * (k + 1)):
             a = bits(3)
             while a > 4:
                 a = bits(3)
@@ -458,14 +490,20 @@ def _random_family(rng, field, curve, rank):
             while b > 2:
                 b = bits(2)
             coords.append(_COORDS[a][b])
-        raw.append((y, list(zip(*[iter(coords)] * rank))))  # rank at a time
-    # a sum's least pairing with a generator of the dual cone is the sum of
-    # each point's least pairing (every degree is 1)
-    if curve == P1 and (not tail.rays or any(
-            sum([min([dot(g, v) for v in verts]) for _, verts in raw]) < 0
-            for g in dual_gens)):
+        flat.append(coords)
+    if curve == P1 and not (ray and any(ray)):
         return None
-    support = {y: Polyhedron.from_points(verts, tail) for y, verts in raw}
+    tail, dual_gens = _tail_cone(tuple(ray) if ray else None, rank)
+    # a sum's least pairing with a generator of the dual cone is the sum of
+    # each point's least pairing (every degree is 1); a point has one or two
+    # vertices, and dot(g, coords) pairs g with the first
+    if curve == P1 and any(
+            sum([min(dot(g, c), dot(g, c[rank:])) if len(c) > rank
+                 else dot(g, c) for c in flat]) < 0 for g in dual_gens):
+        return None
+    support = {y: Polyhedron.from_points(list(zip(*[iter(coords)] * rank)),
+                                         tail)  # rank at a time
+               for y, coords in zip(points, flat)}
     div = PolyhedralDivisor(field, curve, tail, support, 6)
     if not div.validate().ok:
         return None

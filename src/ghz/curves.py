@@ -165,7 +165,8 @@ def point_validate(q: Poly, trusted: bool = False) -> ClosedPoint:
                     f"{q.to_str()} has the rational root {root}")
             return ClosedPoint(q)
         raise PointError(
-            f"strict irreducibility is undecidable over {field!r}; use trusted")
+            f"strict irreducibility is undecidable over {field!r}; use "
+            "--trust-irreducible")
     # partial checks: separable part squarefree, no small roots
     qt = _insep_split(q)[3]  # of degree >= 1, so qt' != 0
     if poly_gcd(qt, qt.derivative()).degree > 0:

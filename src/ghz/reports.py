@@ -39,13 +39,20 @@ class Record:
 
 
 class Report:
-    """A verdict with human-readable violations and informational notes."""
+    """A verdict with human-readable violations and informational notes.
 
-    __slots__ = ("subject", "violations", "notes", "trust_markers")
+    A violation is a string, or a deferred entry: a thunk, added by
+    ``defer``, that returns the violation strings of one check.  A check
+    defers only when it found a failure, so ``ok`` reads the verdict without
+    formatting anything.  Reading ``violations`` (which ``to_dict``,
+    ``summary``, ``merge`` and ``==`` do) calls each thunk once and puts its
+    strings in its place, in order."""
+
+    __slots__ = ("subject", "_violations", "notes", "trust_markers")
 
     def __init__(self, subject: str):
         self.subject = subject
-        self.violations = []
+        self._violations = []
         self.notes = []
         self.trust_markers = []
 
@@ -56,10 +63,23 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self._violations
+
+    @property
+    def violations(self) -> list:
+        entries = self._violations
+        if not all(type(v) is str for v in entries):
+            entries[:] = [w for v in entries
+                          for w in ((v,) if type(v) is str else v())]
+        return entries
 
     def fail(self, message: str):
-        self.violations.append(message)
+        self._violations.append(message)
+
+    def defer(self, witnesses):
+        """Fail with the nonempty list of strings ``witnesses()`` returns,
+        formatted when the violations are first read."""
+        self._violations.append(witnesses)
 
     def note(self, message: str):
         self.notes.append(message)
@@ -69,7 +89,7 @@ class Report:
             self.trust_markers.append(message)
 
     def merge(self, other: "Report"):
-        self.violations.extend(other.violations)
+        self._violations.extend(other.violations)
         self.notes.extend(other.notes)
         for t in other.trust_markers:
             self.trust(t)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from itertools import compress, count, repeat
 from math import floor
 
 import pytest
 
 from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
-                            _below, _random_family,
-                            _vertex_conditions_only, associated_cones,
+                            _below, _random_family, _vertex_conditions_only,
+                            _vertex_table, associated_cones,
                             candidate_colorings, coherent_validate,
                             coloring_validate, demazure_root_check,
                             demazure_roots_enumerate, enumerate_coherent,
@@ -14,7 +15,8 @@ from ghz.classifier import (ClassifierError, CoherentFamily, Coloring,
                             toricity_check)
 from ghz.curves import A1, P1, ClosedPoint, point_validate
 from ghz.fields import PrimeField, Rationals
-from ghz.geometry import Cone, GeometryError, dot, lattice_box, vadd
+from ghz.geometry import (Cone, GeometryError, dot, fmt_ratio, fmt_vec,
+                          lattice_box, vadd, vsub)
 from ghz.polynomials import lambda_field, parse_poly
 from ghz.reports import Report
 from ghz.tvariety import DivisorError, PolyhedralDivisor
@@ -529,6 +531,197 @@ def test_vertex_conditions_match_cone_reference():
                     failing += not want.ok
                 draws += kept
     assert draws == 48 and failing > 0
+
+
+def _eager_vertex_conditions(theta):
+    """Reference formatter: the vertex inequalities formatted as each
+    failing vertex is found, as the check did before it deferred them."""
+    rep = Report("vertex conditions")
+    c = theta.coloring
+    div = c.divisor
+    den = div.den
+    d, qe, v0, points = _vertex_table(theta)
+
+    def check(clause, verts, scale, rhs, skip=None):
+        for v in verts:
+            if v != skip and scale * dot(qe, v) < rhs:
+                rep.fail(f"{clause} vertex {fmt_vec(v, den)}: "
+                         f"{fmt_ratio(scale * dot(qe, v), den)} < "
+                         f"{fmt_ratio(rhs, den)}")
+
+    for y, scale, verts, vy in points:
+        check(f"(v): at [{y.to_str()}]", verts, scale,
+              den + scale * dot(qe, vy), vy)
+    check(f"(vi): at [{c.y0.to_str()}]", div.polyhedron_at(c.y0).vertices, d,
+          den + d * dot(qe, v0), v0)
+    if div.curve == P1:
+        check("(vii): at infinity", div.polyhedron_at(c.y_infinity).vertices,
+              d, -den - d * dot(qe, c.v_deg()))
+    return rep
+
+
+def _eager_floor_conditions(theta, m_bound):
+    """Reference formatter: the floor conditions with every witness
+    formatted, and the weight box listed, before the report is returned, as
+    the check did before it deferred them."""
+    rep = Report("floor conditions")
+    c = theta.coloring
+    div = c.divisor
+    den = div.den
+    d, qe, v0, points = _vertex_table(theta)
+    qv0 = dot(qe, v0)
+    span = range(-m_bound, m_bound + 1)
+
+    def column(w):
+        col = [0]
+        for x in w:
+            col = [a + b for b in [x * i for i in span] for a in col]
+        return col
+
+    keep = [True] * len(span) ** div.rank
+    for r in div.tail.rays:
+        t = max(0, -dot(qe, r))
+        keep = [k and x >= t for k, x in zip(keep, column(r))]
+    clauses = [(4, f" at [{y.to_str()}]", scale, verts, vy, 1, repeat(0))
+               for y, scale, verts, vy in points]
+    clauses.append((5, "", d, div.polyhedron_at(c.y0).vertices, None,
+                    1 + d * qv0 // den,
+                    [h + qv0 for h in compress(column(v0), keep)]))
+    if div.curve == P1:
+        clauses.append((6, "", d, div.polyhedron_at(c.y_infinity).vertices,
+                        tuple(-x for x in c.v_deg()), -1, repeat(None)))
+    fails = []
+    for k, (n, where, s, verts, shift, rhs, off) in enumerate(clauses):
+        ws = [vsub(v, shift) for v in verts] if shift else verts
+        cols = [list(compress(column(w), keep)) for w in ws]
+        qcols = [[x + q for x in col]
+                 for q, col in zip([dot(qe, w) for w in ws], cols)]
+        lo, hi = (cols[0], qcols[0]) if len(ws) == 1 else \
+            (map(min, *cols), map(min, *qcols))
+        fails += [(i, k, n, where, s * b // den, s * a // den, rhs)
+                  for i, a, b, o in zip(count(), lo, hi, off)
+                  if b != o and s * b // den - s * a // den < rhs]
+    box = list(compress(lattice_box(div.rank, m_bound), keep)) if fails else ()
+    for i, _, n, where, fb, fa, rhs in sorted(fails):
+        rep.fail(f"({n}): m={box[i]}{where}: {fb} - {fa} < {rhs}")
+    return rep
+
+
+def _failing_draws():
+    """(family, the probe's bound for it): three seeded draws that fail the
+    floor conditions for each of Q, F2 and F3, A1 and P1, ranks 1 and 2."""
+    rng = random.Random(41)
+    out = []
+    for field in (Q, PrimeField(2), PrimeField(3)):
+        for curve in (A1, P1):
+            for rank in (1, 2):
+                found = 0
+                while found < 3:
+                    theta = _random_family(rng, field, curve, rank)
+                    if theta is None:
+                        continue
+                    p = field.char_exponent
+                    bound = 12 + max(abs(x) for x in theta.e) * p ** theta.s[0]
+                    if not floor_condition_check(theta, bound).ok:
+                        out.append((theta, bound))
+                        found += 1
+    return out
+
+
+def _probe_checks(monkeypatch, *args):
+    """(family, bound) of every floor check that equivalence_probe(*args)
+    runs, and its report."""
+    import ghz.classifier as classifier
+
+    seen = []
+
+    def recording(theta, m_bound):
+        seen.append((theta, m_bound))
+        return floor_condition_check(theta, m_bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(classifier, "floor_condition_check", recording)
+        rep = equivalence_probe(*args)
+    return seen, rep
+
+
+def test_deferred_witnesses_match_the_eager_formatters(monkeypatch):
+    """Deferred witnesses read as the eager ones, text and order, on seeded
+    failing draws and on the probe-p1 benchmark's rank-2 seed-11 draws."""
+    draws = _failing_draws()
+    wide = []
+    for p in (1, 2, 3):
+        seen, rep = _probe_checks(monkeypatch, 1, p, P1, 2, 12, 11)
+        assert rep.ok and len(seen) == 1
+        wide += seen
+    for theta, bound in draws + wide:
+        for got, want in ((_vertex_conditions_only(theta),
+                           _eager_vertex_conditions(theta)),
+                          (floor_condition_check(theta, bound),
+                           _eager_floor_conditions(theta, bound))):
+            assert not got.ok and not want.ok, theta.describe()
+            assert got.violations == want.violations, theta.describe()
+            assert got == want and got.summary() == want.summary()
+    assert len(draws) == 36
+    # the probe's rank-2 draws fail on hundreds of weights
+    assert all(len(_eager_floor_conditions(*d).violations) > 200
+               for d in wide)
+
+
+def test_coherent_validate_keeps_eager_and_deferred_order(monkeypatch):
+    """coherent_validate merges the eager (iii) witnesses and the deferred
+    vertex ones in the order the eager formatter gives."""
+    import ghz.classifier as classifier
+
+    mixed = 0
+    for theta, _ in _failing_draws():
+        got = coherent_validate(theta)
+        with monkeypatch.context() as m:
+            m.setattr(classifier, "_vertex_conditions_only",
+                      _eager_vertex_conditions)
+            want = coherent_validate(theta)
+        assert got.violations == want.violations, theta.describe()
+        assert got == want
+        mixed += want.violations[0].startswith("(iii): lifted") \
+            and want.violations[-1].startswith(("(v)", "(vi)", "(vii)"))
+    assert mixed > 0
+
+
+def test_an_agreeing_probe_formats_no_witness(monkeypatch):
+    """On the probe-p1 benchmark's grid (rank 1 with 20 trials, rank 2 with
+    seed 11) the probe reads only the verdicts of the checks: it formats no
+    vector, ratio or weight box, though many checks fail."""
+    import ghz.classifier as classifier
+
+    calls = {"fmt_vec": 0, "fmt_ratio": 0, "lattice_box": 0}
+
+    def counted(name):
+        real = getattr(classifier, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classifier, name, counted(name))
+    checks = []
+    for p in (1, 2, 3):
+        for rank, trials in ((1, 20), (2, 1)):
+            seen, rep = _probe_checks(monkeypatch, trials, p, P1, rank, 12,
+                                      11)
+            assert rep.ok, rep.violations
+            checks += seen
+    assert calls == {"fmt_vec": 0, "fmt_ratio": 0, "lattice_box": 0}
+    failing = [(theta, bound) for theta, bound in checks
+               if not floor_condition_check(theta, bound).ok]
+    assert len(checks) == 63 and len(failing) > 10
+    # reading the witnesses formats them, through the same names
+    theta, bound = failing[0]
+    assert floor_condition_check(theta, bound).violations
+    assert _vertex_conditions_only(theta).violations
+    assert calls["lattice_box"] == 1 and calls["fmt_vec"] > 0 \
+        and calls["fmt_ratio"] > 0
 
 
 def test_probe_builds_no_associated_cones(monkeypatch):

@@ -91,6 +91,34 @@ def test_reports_own_their_lists_and_compare_by_value():
     assert a == b
 
 
+def test_deferred_violations_are_formatted_once_in_place():
+    calls = []
+
+    def deferred(*messages):
+        def witnesses():
+            calls.append(messages)
+            return list(messages)
+        return witnesses
+
+    a, b = Report("x"), Report("x")
+    a.fail("v1")
+    a.defer(deferred("d1", "d2"))
+    a.fail("v2")
+    b.defer(deferred("d3"))
+    b.fail("v3")
+    assert not a.ok and not b.ok and calls == []
+    a.merge(b)  # reads b's violations
+    assert calls == [("d3",)]
+    eager = Report("x")
+    for v in ("v1", "d1", "d2", "v2", "d3", "v3"):
+        eager.fail(v)
+    assert a == eager and calls == [("d3",), ("d1", "d2")]
+    assert a.violations == eager.violations
+    assert a.to_dict() == eager.to_dict()
+    assert a.summary() == eager.summary()
+    assert len(calls) == 2  # each thunk is called once
+
+
 def test_candidate_colorings_drop_repeats(scenario, monkeypatch):
     div = scenario.divisor
     once = candidate_colorings(div)
