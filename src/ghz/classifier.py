@@ -64,11 +64,11 @@ def y0_check(c: Coloring, rep: Report):
 
 def lattice_check(c: Coloring, y: ClosedPoint, rep: Report):
     """Condition (ii) away from y0: fail ``rep`` if the vertex colored at y
-    is not a lattice point."""
+    is not a lattice point, with a witness formatted when it is read."""
     v, den = c.vertex(y), c.divisor.den
     if y != c.y0 and any(x % den for x in v):
-        rep.fail(f"(ii): colored vertex {fmt_vec(v, den)} at "
-                 f"[{y.to_str()}] is not a lattice point")
+        rep.defer(lambda: [f"(ii): colored vertex {fmt_vec(v, den)} at "
+                           f"[{y.to_str()}] is not a lattice point"])
 
 
 def coloring_validate(c: Coloring) -> Report:
@@ -220,7 +220,8 @@ def coherent_validate(theta: CoherentFamily) -> Report:
 
 
 def family_validate(theta: CoherentFamily, cones: AssociatedCones) -> Report:
-    """Conditions (iii)-(vii) of a family on a valid coloring's cones."""
+    """Conditions (iii)-(vii) of a family on a valid coloring's cones; the
+    lifted-vector and vertex witnesses are formatted when they are read."""
     rep = Report("coherent family")
     field = theta.coloring.divisor.field
     p = field.char_exponent
@@ -245,17 +246,20 @@ def family_validate(theta: CoherentFamily, cones: AssociatedCones) -> Report:
         return rep
     den = theta.coloring.divisor.den
     v0 = theta.coloring.vertex(theta.coloring.y0)
+    fails = []
     for s_i in s:
         head = tuple(p ** s_i * x for x in theta.e)
         # den times the lifted vector (head, -1/d - <head, v0/den>)
         last = -(den // cones.d) - dot(head, v0)
         if last % den or not demazure_root_check(
                 cones.tau_tilde, cones.distinguished_ray, (*head, last // den)):
-            lifted = fmt_vec((*(den * x for x in head), last), den)
             what = "a lattice vector" if last % den \
                 else "a root of the lifted cone"
-            rep.fail(f"(iii): lifted vector {lifted} for exponent {s_i} is "
-                     f"not {what}")
+            fails.append((s_i, (*(den * x for x in head), last), what))
+    if fails:
+        rep.defer(lambda: [f"(iii): lifted vector {fmt_vec(v, den)} for "
+                           f"exponent {s_i} is not {what}"
+                           for s_i, v, what in fails])
     rep.merge(_vertex_conditions_only(theta))
     return rep
 

@@ -24,7 +24,7 @@ from .classifier import (CoherentFamily, coherent_validate, cover_degree,
                          demazure_root_check, lattice_check, y0_check)
 from .curves import A1, P1, ClosedPoint
 from .fields import FieldError
-from .geometry import Cone, dot, lattice_basis, lattice_box
+from .geometry import Cone, dot, lattice_basis
 from .polynomials import (Poly, RatFunc, descend_power, hasse_expand,
                           times_factors)
 from .reports import Report
@@ -326,30 +326,26 @@ def kernel_in_box(op: DthetaOperator, table: dict,
     """
     div, den = op.divisor, op.den  # over P1, div.generator raises
     points = [(y, op.coloring.vertex(y)) for y in op.coloring.colored_points()]
-
-    def exponents(m):
-        """den * e_y(m) at every colored point y."""
-        evaluation = div.eval(m)
-        return [dot(m, v) - evaluation.get(y, 0) // den * den
-                for y, v in points]
-
-    dual = div.tail.dual()
-    box = [m for m in lattice_box(div.rank, box_bound) if dual.contains(m)]
+    # den * D(m), read from the weight table and past the box from eval; a
+    # point off the support has D_y = tail, so h_y = 0 on the weight cone
+    box = div.weight_table(box_bound).items()
     outside = next((g for y, v in points
                     for u, cone in div.polyhedron_at(y).normal_fan()
                     for g in cone.generators() if dot(g, v) < dot(g, u)),
                    None)
     if outside is not None:
-        m = next(m for m in chain(box, (tuple(k * a for a in outside)
-                                        for k in count(1)))
-                 if min(exponents(m)) < 0)
+        past = ((m, div.eval(m)) for m in (tuple(k * a for a in outside)
+                                           for k in count(1)))
+        m = next(m for m, row in chain(box, past) if any(
+            dot(m, v) < row.get(y, 0) // den * den for y, v in points))
         fm = times_factors(RatFunc.one(div.field), div.generator(m),
                            op.xi_powers)
         stop = Report("kernel structure")
         if (m, fm) not in table:
             stop.fail(outside_domain(fm, m))
         return KernelReport(stop, None, [])
-    weights = [m for m in box if not any(exponents(m))]
+    weights = [m for m, row in box if all(
+        dot(m, v) == row.get(y, 0) // den * den for y, v in points)]
     return KernelReport(Report("kernel structure"), weights,
                         lattice_basis(weights, div.rank))
 

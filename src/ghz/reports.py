@@ -44,9 +44,10 @@ class Report:
     A violation is a string, or a deferred entry: a thunk, added by
     ``defer``, that returns the violation strings of one check.  A check
     defers only when it found a failure, so ``ok`` reads the verdict without
-    formatting anything.  Reading ``violations`` (which ``to_dict``,
-    ``summary``, ``merge`` and ``==`` do) calls each thunk once and puts its
-    strings in its place, in order."""
+    formatting anything, and ``merge`` carries entries as they are.
+    Reading ``violations`` (which ``to_dict``, ``summary`` and ``==`` do)
+    calls each of the report's thunks once and puts its strings in its
+    place, in order: a thunk merged into two reports runs for each."""
 
     __slots__ = ("subject", "_violations", "notes", "trust_markers")
 
@@ -89,7 +90,7 @@ class Report:
             self.trust_markers.append(message)
 
     def merge(self, other: "Report"):
-        self._violations.extend(other.violations)
+        self._violations.extend(other._violations)
         self.notes.extend(other.notes)
         for t in other.trust_markers:
             self.trust(t)

@@ -4,9 +4,10 @@ linearity fan, membership and generator search."""
 
 from __future__ import annotations
 
+from itertools import product
+
 from .curves import A1, P1, ClosedPoint, ModuleDescription, h0_generators
-from .geometry import (Cone, Polyhedron, dot, lattice_box,
-                       minkowski_weighted_sum)
+from .geometry import Cone, Polyhedron, dot, minkowski_weighted_sum
 from .polynomials import Poly, fmt_factors, times_factors
 from .reports import Record, Report
 
@@ -23,10 +24,11 @@ class PolyhedralDivisor:
     int tuples over one positive denominator ``den``: the polyhedron at y is
     (1/den) * support[y]. ``den`` need not be the least one, and nothing
     computed from the divisor depends on it. A divisor is never changed
-    after construction, so each graded piece is built once and kept.
+    after construction, so its graded pieces and weight tables are kept.
     """
 
-    __slots__ = ("field", "curve", "rank", "tail", "support", "den", "_pieces")
+    __slots__ = ("field", "curve", "rank", "tail", "support", "den", "_pieces",
+                 "_tables")
 
     def __init__(self, field, curve, tail: Cone, support: dict, den: int):
         self.field = field
@@ -36,6 +38,7 @@ class PolyhedralDivisor:
         self.support = dict(support)
         self.den = den
         self._pieces = {}  # tuple(m) -> ModuleDescription, see graded_piece
+        self._tables = None  # bound -> {m: eval(m)}, see weight_table
 
     def tail_polyhedron(self) -> Polyhedron:
         return Polyhedron.from_points([(0,) * self.rank], self.tail)
@@ -87,6 +90,40 @@ class PolyhedralDivisor:
             raise DivisorError(
                 f"weight {m} lies outside the dual of the tail cone")
         return {y: p.minimize(m) for y, p in self.support.items()}
+
+    def weight_table(self, bound: int) -> dict:
+        """{m: eval(m)} over the weight cone's points m in [-bound, bound]^n,
+        in ``lattice_box`` order, built once per bound.  For m = (x, *r),
+        each inequality <m, g> >= 0 of the cone reads a*x + <r, g'> >= 0,
+        so the cone cuts an exact range of x out of the box and no point
+        outside it is formed.  Every polyhedron has the tail as its tail,
+        so on the cone it is least at a vertex; the pairings with r are
+        formed once per r."""
+        if self._tables is None:
+            self._tables = {}
+        table = self._tables.get(bound)
+        if table is not None:
+            return table
+        table = self._tables[bound] = {}
+        gens = [(g[0], g[1:]) for g in self.tail.generators()]
+        verts = [(y, [(v[0], v[1:]) for v in p.vertices])
+                 for y, p in self.support.items()]
+        for r in product(range(-bound, bound + 1), repeat=self.rank - 1):
+            r = r[::-1]  # the last coordinate outermost, as in lattice_box
+            lo, hi = -bound, bound
+            for a, g in gens:
+                s = dot(r, g)
+                if a > 0:
+                    lo = max(lo, -(s // a))
+                elif a < 0:
+                    hi = min(hi, s // -a)
+                elif s < 0:  # no x meets it
+                    hi = -bound - 1
+            pairs = [(y, [(a, dot(r, v)) for a, v in vs]) for y, vs in verts]
+            for x in range(lo, hi + 1):
+                table[(x, *r)] = {y: min([a * x + s for a, s in vs])
+                                  for y, vs in pairs}
+        return table
 
     def graded_piece(self, m) -> ModuleDescription:
         """H^0 of the integral divisor floor(D(m)), built once per weight:
@@ -177,8 +214,8 @@ def algebra_generators(div: PolyhedralDivisor, bound: int):
 
     Scans the weights with coordinates bounded by ``bound`` by norm, adding
     f_m chi^m for each weight that products of the chosen elements do not
-    reach, then removes redundant members.  Only the divisor's integers
-    are read; f_m is built for the chosen weights alone.
+    reach, then removes redundant members.  Only the weight table's
+    integers are read; f_m is built for the chosen weights alone.
 
     f_m = prod q_y^e_y(m) with e_y(m) = -floor(D(m)_y), one column per
     support point (one zero column without support).  A split m = m1 + m2
@@ -196,12 +233,11 @@ def algebra_generators(div: PolyhedralDivisor, bound: int):
     """
     if div.curve != A1:
         raise DivisorError("generator search is implemented over A1")
-    dual = div.tail.dual()
-    weights = [m for m in lattice_box(div.rank, bound)
-               if any(m) and dual.contains(m)]
-    weights.sort(key=lambda m: (sum(abs(c) for c in m), m))
+    table = div.weight_table(bound)
+    weights = sorted((m for m in table if any(m)),
+                     key=lambda m: (sum(abs(c) for c in m), m))
     n, den = len(weights), div.den
-    cols = list(zip(*([-(a // den) for a in div.eval(m).values()]
+    cols = list(zip(*([-(a // den) for a in table[m].values()]
                       for m in weights))) or [(0,) * n]
     # A sum of two box weights has coordinates in [-2 bound, 2 bound], so
     # signed digits in radix 4 bound + 1 key it uniquely and additively.

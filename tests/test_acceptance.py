@@ -1,11 +1,14 @@
 """End-to-end acceptance checks: golden examples plus property suites."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
+from types import SimpleNamespace
 
-from ghz.classifier import (CoherentFamily, Coloring, coherent_validate,
-                            demazure_root_check, equivalence_probe,
-                            toricity_check)
+from ghz.classifier import (CoherentFamily, Coloring, candidate_colorings,
+                            coherent_validate, demazure_root_check,
+                            equivalence_probe, toricity_check)
 from ghz.classifier import _random_family
 from ghz.curves import A1, P1, ClosedPoint, h0_generators, point_validate
 from ghz.engine import (EngineError, build_operator, fmt_term, image_table,
@@ -15,7 +18,8 @@ from ghz.fields import PrimeField, Rationals
 from ghz.geometry import Cone, lattice_box
 from ghz.polynomials import (Poly, RatFunc, lambda_field, parse_poly,
                              parse_rational)
-from ghz.scenarios import load_builtin
+from ghz.cli import run_command
+from ghz.scenarios import Scenario, load_builtin
 
 from helpers import (binom_in_field, cone_dim, expanded, h0_dimension,
                      is_effective, orthant, principal_divisor,
@@ -289,3 +293,47 @@ def test_criterion_10_h0_oracle():
             for y, c in fl.items():
                 cand[y] = cand.get(y, 0) + c
             assert is_effective(cand) == (j < want), (fl, j)
+
+
+def test_the_theorem_in_both_directions_on_a_grid():
+    """Every family of a seeded grid is coherent exactly when ``verify``
+    (under ``--override`` when it is not) reads ok, and none raises
+    EngineError.  The grid: 16 sampler divisors over A1 (Q, F2 and F3 and
+    ranks 1 and 2 in turn), each candidate coloring, every e in the box
+    [-1, 1]^rank, every nonempty increasing s in {0, 1, 2} over F_p and
+    s = (1,) over Q, each lambda_j = 1, at weight box 3.  A family whose
+    generator certificate is incomplete counts as ok with its marker."""
+    rng = random.Random(17)
+    fields = (Q, PrimeField(2), PrimeField(3))
+    bounds = {"weight_box": 3}
+    verdicts, divisors, n = Counter(), 0, 0
+    while divisors < 16:
+        theta = _random_family(rng, fields[n % 3], A1, 1 + n % 2)
+        n += 1
+        if theta is None:
+            continue
+        divisors += 1
+        div = theta.coloring.divisor
+        one = div.field.one()
+        seqs = [(1,)] if div.field.char_exponent == 1 else \
+            [s for r in (1, 2, 3) for s in combinations(range(3), r)]
+        for coloring in candidate_colorings(div):
+            for e in lattice_box(div.rank, 1):
+                for s in seqs:
+                    family = CoherentFamily(coloring, e, s, (one,) * len(s))
+                    coherent = coherent_validate(family).ok
+                    sc = Scenario("grid", div.field, div, coloring, family,
+                                  bounds, [], (one,), None)
+                    rep = run_command(sc, "verify", SimpleNamespace(
+                        override=not coherent))
+                    assert rep.ok == coherent, (family.describe(),
+                                                rep.violations)
+                    verdicts[coherent, len(s), bool(rep.trust_markers)] += 1
+    coherent = Counter()
+    for (ok, _, _), count in verdicts.items():
+        coherent[ok] += count
+    assert coherent == {True: 425, False: 559}
+    # coherent families with two and three exponents, and with and without
+    # a proven certificate, are all among them
+    assert all(verdicts[True, k, False] for k in (1, 2, 3)), verdicts
+    assert all(verdicts[True, k, True] for k in (1, 2, 3)), verdicts

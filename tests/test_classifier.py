@@ -724,6 +724,40 @@ def test_an_agreeing_probe_formats_no_witness(monkeypatch):
         and calls["fmt_ratio"] > 0
 
 
+def test_enumerate_coherent_formats_no_witness(monkeypatch):
+    """classify's enumeration reads only the verdict of each candidate
+    family: on char2-ramified, where all but one candidate fail (iii) or
+    the vertex conditions, it formats no vector and no ratio."""
+    import ghz.classifier as classifier
+    import ghz.geometry as geometry
+    from ghz.scenarios import load_builtin
+
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for module in (classifier, geometry):
+        for name in ("fmt_vec", "fmt_ratio"):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+    sc = load_builtin("char2-ramified")
+    found = enumerate_coherent(sc.divisor, sc.bounds["e_box"],
+                               sc.bounds["s_max"], sc.lambda_sample)
+    assert len(found) == 1 and calls == []
+    # reading a rejected family's witnesses formats them, through the same
+    # names, lifted vectors and vertices alike
+    rejected = [coherent_validate(CoherentFamily(sc.coloring, e, s, lam))
+                for e in ((1, 1), (0, 1)) for s, lam in (((0,), (1,)),)]
+    texts = [v for rep in rejected for v in rep.violations]
+    assert any(v.startswith("(iii): lifted") for v in texts)
+    assert any(v.startswith(("(v)", "(vi)")) for v in texts)
+    assert "fmt_vec" in calls and "fmt_ratio" in calls
+
+
 def test_probe_builds_no_associated_cones(monkeypatch):
     import ghz.classifier as classifier
 

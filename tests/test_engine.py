@@ -11,7 +11,7 @@ import pytest
 
 from ghz import cli, engine, polynomials, tvariety
 from ghz.classifier import (CoherentFamily, Coloring, _random_family,
-                            coherent_validate)
+                            candidate_colorings, coherent_validate)
 from ghz.cli import main
 from ghz.curves import A1, P1, ClosedPoint, point_validate
 from ghz.engine import (DthetaOperator, EngineError, KernelReport, Refusal,
@@ -943,11 +943,12 @@ def test_kernel_matches_the_reference_scan():
     builtins with a family, with and without their generators' table, and
     seeded random A1 families over Q, F2 and F3 at ranks 1 and 2, each also
     with one colored vertex moved to a random lattice point (under
-    override).  Where every vertex lies in its D_y, the two give the same
-    weights, lattice and violations, the scan's span at every kernel weight
-    is f_m, and the scan's two shape checks
-    hold: every kernel weight has integral evaluations, and every box point
-    of the cone and the lattice of the kernel weights is one.  Where a
+    override), and 8 candidate colorings of seeded F2 and F3 divisors whose
+    y0 lies off the support.  Where every vertex lies in its D_y, the two
+    give the same weights, lattice and violations, the scan's span at every
+    kernel weight is f_m, and the scan's two shape checks hold: every
+    kernel weight has integral evaluations, and every box point of the cone
+    and the lattice of the kernel weights is one.  Where a
     vertex does not, the rule stops; a stop inside the box is the scan's
     stop, with its witness, and a stop past the box is one that the scan
     did not reach."""
@@ -976,6 +977,18 @@ def test_kernel_matches_the_reference_scan():
                         coloring, theta.e, theta.s, theta.lam),
                         override=True), {}, box))
                 found += 1
+    # y0 off the support, where D_y0 is the tail: the candidate colorings of
+    # seeded divisors
+    rng, off = random.Random(17), 0
+    while off < 8:
+        theta = _random_family(rng, PrimeField(2 + off % 2), A1, 1 + off % 2)
+        for coloring in candidate_colorings(theta.coloring.divisor) \
+                if theta else ():
+            if coloring.y0 not in coloring.divisor.support:
+                cases.append((build_operator(CoherentFamily(
+                    coloring, theta.e, theta.s, theta.lam), override=True),
+                    {}, 3))
+                off += 1
     kinds = Counter()
     for op, table, top in cases:
         div = op.divisor
@@ -1001,8 +1014,8 @@ def test_kernel_matches_the_reference_scan():
                 kinds["stop past the box"] += 1
                 assert got.weights is None
                 assert max(map(abs, _stop_weight(got))) > box
-    assert len(cases) == 6 + 36 * 2
-    assert kinds == {"in place": 98, "stop in the box": 54,
+    assert len(cases) == 6 + 36 * 2 + 8
+    assert kinds == {"in place": 114, "stop in the box": 54,
                      "stop past the box": 4}
 
 

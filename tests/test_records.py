@@ -107,16 +107,18 @@ def test_deferred_violations_are_formatted_once_in_place():
     b.defer(deferred("d3"))
     b.fail("v3")
     assert not a.ok and not b.ok and calls == []
-    a.merge(b)  # reads b's violations
-    assert calls == [("d3",)]
+    a.merge(b)  # carries b's thunk unresolved
+    assert not a.ok and calls == []
     eager = Report("x")
     for v in ("v1", "d1", "d2", "v2", "d3", "v3"):
         eager.fail(v)
-    assert a == eager and calls == [("d3",), ("d1", "d2")]
+    assert a == eager and calls == [("d1", "d2"), ("d3",)]
     assert a.violations == eager.violations
     assert a.to_dict() == eager.to_dict()
     assert a.summary() == eager.summary()
     assert len(calls) == 2  # each thunk is called once
+    assert b.violations == ["d3", "v3"]  # b resolves its own entry
+    assert calls[2:] == [("d3",)]
 
 
 def test_candidate_colorings_drop_repeats(scenario, monkeypatch):

@@ -438,6 +438,50 @@ def test_membership_matches_division_by_the_expanded_generator(
     assert wants[True] > 50 and wants[False] > 50, wants
 
 
+def _filtered_box(div, bound):
+    """The weight table the slow way: the box points in the dual of the
+    tail, each evaluated by ``eval``, which tests the cone again."""
+    dual = div.tail.dual()
+    return [(m, div.eval(m))
+            for m in lattice_box(div.rank, bound) if dual.contains(m)]
+
+
+def test_weight_table_matches_the_filtered_box():
+    """Same weights, same order and the same den * D(m), on the builtins,
+    on seeded sampler draws at ranks 1-4 (zero tails among them, whose
+    weight cone is the whole space) and on tails whose rays pair the first
+    coordinate positively, negatively and with 0."""
+    cases = [(load_builtin(name).divisor, bound) for name in BUILTIN_EXAMPLES
+             for bound in (0, 1, 4)]
+    tails = Counter()
+    for rank, bound in ((1, 6), (2, 4), (3, 2), (4, 1)):
+        rng = random.Random(4200 + rank)
+        for field in (Q, PrimeField(2), PrimeField(3)):
+            for curve in (A1, P1):
+                for _ in range(12):
+                    theta = _random_family(rng, field, curve, rank)
+                    if theta is not None:
+                        div = theta.coloring.divisor
+                        tails[rank, not div.tail.rays] += 1
+                        cases.append((div, bound))
+    y = ClosedPoint.rational(Q, Q.zero())
+    z = ClosedPoint.rational(Q, Q.one())
+    for rays, verts in (
+            ([(1, 2), (-1, 3)], [(F(1, 2), F(0)), (F(-1), F(1, 3))]),
+            ([(2, -1, 0), (0, 1, 1), (-1, 0, 2)], [(F(1, 3), F(0), F(-1))]),
+            ([(1, 0, 0, 0), (0, -1, 1, 0), (0, 0, 0, 1)],
+             [(F(0), F(1, 2), F(0), F(0)), (F(1), F(0), F(-1), F(2))])):
+        n = len(rays[0])
+        div, _ = rational_divisor(Q, A1, Cone.from_generators(rays, n),
+                                  {y: verts, z: [(F(0),) * n]})
+        cases.append((div, 3 if n < 4 else 2))
+    assert all(tails[rank, zero] for rank in (1, 2, 3, 4)
+               for zero in (True, False)), tails
+    for div, bound in cases:
+        assert list(div.weight_table(bound).items()) == \
+            _filtered_box(div, bound), (div.rank, bound)
+
+
 def test_algebra_generators_hyperbolic():
     K, y0, y, D = hyperbolic_w25()
     gens, cert = algebra_generators(D, 10)
@@ -450,19 +494,12 @@ def test_algebra_generators_hyperbolic():
     assert by_weight[(-5,)] == "t*(t^2 + l) * chi^(-5,)"
 
 
-def test_superadditivity_violation_raises(monkeypatch):
+def test_superadditivity_violation_raises():
     K, y0, y, D = hyperbolic_w25()
-    evaluate = PolyhedralDivisor.eval
-
-    def broken(self, m):
-        vals = evaluate(self, m)
-        # f_5 gains a factor t^-1, so f_5 * f_5 / f_10 has a negative
-        # exponent at t
-        if m == (5,):
-            vals[y0] += self.den
-        return vals
-
-    monkeypatch.setattr(PolyhedralDivisor, "eval", broken)
+    # the search reads the divisor's weight table: D(5) gains den at t, so
+    # f_5 gains a factor t^-1 and f_5 * f_5 / f_10 has a negative exponent
+    # at t
+    D.weight_table(10)[(5,)][y0] += D.den
     with pytest.raises(DivisorError, match="superadditivity violated"):
         algebra_generators(D, 10)
 
